@@ -20,7 +20,7 @@ from .errors import (ConditionNumberError, DefectiveFamilyError,
                      NotClosedError, NotExactError, SeedNodeError,
                      SingularKernelError, SingularMinorError)
 from .grid_ops import (DiffOp, Grid1D, OperatorMatrix, ProductGrid,
-                       adjoint_defect, commutator, compose, derivative_matrix,
+                       adjoint_defect, commutator, derivative_matrix,
                        discretize, formal_adjoint, grid_norm, inner,
                        load_diffop, save_diffop)
 from .spectral import (EigenFamily, SpectralKernel, congruence_residual,

@@ -5,6 +5,10 @@ measured value, the threshold it is held against, the comparison direction,
 and the verdict.  ``run_all`` concatenates every criterion; the CLI verify
 command runs the same suite (minus the determinism criterion, which itself
 invokes the CLI twice and compares report digests).
+
+The other commands take their rows, and the arrays they write, from the
+shared checks below; the criteria call the same checks, so each residual
+is computed in one place.  ``VERIFY_NAMES`` renames shared rows for verify.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .darboux import DressingSeed, SchrodingerOp, darboux_once
+from .darboux import DressingSeed, SchrodingerOp, darboux_once, spectrum_compare
 from .derham import (d_L, expected_betti, flat_complex, flat_dimension,
                      harmonic_space, hodge_decompose, plain_complex,
                      skrypnik_map)
@@ -27,11 +31,28 @@ from .grid_ops import DiffOp, Grid1D, ProductGrid
 from .lagrange import FormField, SurfaceRegion, divergence_residual
 from .spectral import (congruence_residual, eigensolve, elementary_kernel,
                        kernel_from_measure, projection_measure)
-from .transmute import (TransmutationData, adjoint_operator, delsarte_inverse,
-                        delsarte_operator, locality_check, pair_intertwiner,
+from .transmute import (TransmutationData, adjoint_compat_check,
+                        adjoint_operator, delsarte_inverse, delsarte_operator,
+                        independence_check, locality_check, pair_intertwiner,
                         transform_operator)
 
-__all__ = ["run_all"] + [f"criterion_{k}" for k in range(1, 10)]
+__all__ = ["run_all", "VERIFY_NAMES", "soliton_pair", "darboux_check",
+           "pair_conjugation_rows", "dressing_data", "transmute_check",
+           "unit_minors", "factorization_sweep", "torus_complex",
+           "torus_rows"] + [f"criterion_{k}" for k in range(1, 10)]
+
+# command row name -> the name the same row carries in verify reports
+VERIFY_NAMES = {
+    "interior_rows_match": "soliton_interior_rows_match",
+    "offband_ratio": "soliton_offband_ratio",
+    "intertwining_residual": "soliton_intertwining_residual",
+    "structural_zeros_exact": "gk_structural_zeros_exact",
+    "break_relation_defect": "gk_break_relation_exact",
+    "d_squared_zero": "dL_squared_zero",
+    "harmonic_dims_match_betti": "torus_harmonic_dims",
+    "harmonic_gap": "torus_harmonic_gap",
+    "period_matrix_vs_axis_periods": "torus_period_matrix",
+}
 
 
 def _row(name: str, value: float, threshold: float, direction: str = "max") -> dict:
@@ -44,6 +65,10 @@ def _row(name: str, value: float, threshold: float, direction: str = "max") -> d
         passed = value == threshold
     return {"name": name, "value": value, "threshold": float(threshold),
             "direction": direction, "passed": bool(passed)}
+
+
+def _verify_names(rows: list) -> list:
+    return [dict(r, name=VERIFY_NAMES.get(r["name"], r["name"])) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -68,38 +93,122 @@ def criterion_1() -> list:
 
 
 # ---------------------------------------------------------------------------
-# 2. one-soliton dressing end to end
+# 2. one-soliton dressing end to end (shared with darboux and transmute)
 # ---------------------------------------------------------------------------
 
-def _soliton_pair(n: int, half_width: float = 20.0):
-    g = Grid1D.dirichlet(-half_width, half_width, n)
+def soliton_pair(domain, n: int, kappa: float = 1.0, parity: str = "even",
+                 center: float = 0.0):
+    """Free operator on a Dirichlet grid and its one-soliton dressing."""
+    a, b = domain
+    g = Grid1D.dirichlet(float(a), float(b), int(n))
     base = SchrodingerOp.free(g)
-    seed = DressingSeed.hyperbolic(g, 1.0, "even")
-    dressed = darboux_once(base, seed)
-    L = np.real(base.matrix().A)
-    T = np.real(dressed.operator.matrix().A)
-    return g, L, T
+    seed = DressingSeed.hyperbolic(g, float(kappa), parity, float(center))
+    return base, darboux_once(base, seed)
+
+
+def _pair_matrices(base: SchrodingerOp, dressed) -> tuple:
+    """Dense real matrices (L, T) of the free and the dressed operator."""
+    return np.real(base.matrix().A), np.real(dressed.operator.matrix().A)
+
+
+def darboux_check(domain, n: int, kappa: float, parity: str = "even",
+                  center: float = 0.0, tol: float = 1e-8):
+    """Dressing step rows; tables ``potential`` (x, q, qtilde) and
+    ``spectrum`` (lowest eigenvalues before, after)."""
+    kappa, center = float(kappa), float(center)
+    base, dressed = soliton_pair(domain, n, kappa, parity, center)
+    rows = []
+    if parity == "even":
+        # the dressed well bottoms out at -2 kappa^2 at the seed center
+        qc = np.asarray(dressed.qtilde_at(center)).item()
+        rows.append(_row("qtilde_center_error", abs(qc + 2.0 * kappa ** 2), tol))
+    comp = spectrum_compare(base, dressed.operator)
+    rows.append(_row("new_negative_count", float(len(comp["new_negative"])),
+                     1.0, "eq"))
+    if comp["new_negative"]:
+        rows.append(_row("bound_state_error",
+                         abs(comp["new_negative"][0] + kappa ** 2), 5e-3))
+    rows.append(_row("positive_band_drift", comp["band_drift"], 1.0))
+    nsp = min(len(comp["lowest_before"]), len(comp["lowest_after"]))
+    return rows, {
+        "potential": np.column_stack([base.grid.x, base.q, dressed.qtilde]),
+        "spectrum": np.column_stack([comp["lowest_before"][:nsp],
+                                     comp["lowest_after"][:nsp]]),
+    }
+
+
+def pair_conjugation_rows(L: np.ndarray, T: np.ndarray, grid: Grid1D,
+                          cond_guard: float = 1e10):
+    """Conjugate L by the pair intertwiner of (L, T); returns (rows, factor)."""
+    om = pair_intertwiner(L, T, "+", grid=grid)
+    M = om.matrix()
+    Ltil = transform_operator(L, om, cond_guard=cond_guard).A
+    n = grid.n
+    # the marching closure dumps its whole defect into the final row
+    rows = [
+        _row("interior_rows_match",
+             float(np.max(np.abs(Ltil[: n - 1] - T[: n - 1]))), 1e-6),
+        _row("offband_ratio", locality_check(Ltil, bandwidth=1), 1e-6),
+        _row("intertwining_residual",
+             float(np.linalg.norm((M @ L - T @ M)[: n - 1])
+                   / (np.linalg.norm(M) * np.linalg.norm(L))), 1e-9),
+    ]
+    return rows, om
+
+
+def dressing_data(grid: Grid1D, L: np.ndarray, family_size: int = 3):
+    """(family data, kernel data) dressing L.
+
+    The family is the lowest eigenvectors of L.  The kernel is a function
+    of L, so it commutes with L as sign independence needs; one-sided
+    eigenfamily walks differ at O(h^2) and would mask a real bug.
+    """
+    fam = eigensolve(L, count=int(family_size), hermitian=True)
+    data = TransmutationData.from_family(grid, L, fam.right, fam.left, omega0=1.0)
+    full = eigensolve(L, hermitian=True)
+    Phi = kernel_from_measure(full, lambda lam: 0.4 / (1.0 + abs(lam))).values
+    return data, TransmutationData.from_kernel(L, Phi)
+
+
+def transmute_check(domain, n: int, kappa: float, center: float = 0.0,
+                    family_size: int = 3):
+    """Both dressing operators with the full diagnostic battery; arrays
+    ``x`` (nodes), ``pair_kernel`` and ``family_kernel_plus``."""
+    base, dressed = soliton_pair(domain, n, kappa, "even", center)
+    g = base.grid
+    L, T = _pair_matrices(base, dressed)
+    rows, om = pair_conjugation_rows(L, T, g)
+    rows += [
+        _row("pair_kernel_volterra",
+             om.volterra_defect() / max(float(np.linalg.norm(om.kernel)), 1e-300),
+             1e-10),
+        _row("pair_condition_number", om.cond(), 1e10),
+    ]
+    # family route on the base operator's own eigenvectors: exact inverses,
+    # sign independence, adjoint compatibility
+    data, datak = dressing_data(g, L, family_size)
+    plus = delsarte_operator(data, "+")
+    Minv = delsarte_inverse(data, "+").matrix()
+    gap, comm = independence_check(datak)
+    rows += [
+        _row("inverse_kernel_exactness",
+             float(np.linalg.norm(plus.matrix() @ Minv - np.eye(g.n))
+                   / np.sqrt(g.n)), 1e-10),
+        _row("sign_independence_gap", gap, 1e-8),
+        _row("sign_commutation", comm, 1e-8),
+        _row("adjoint_compatibility", adjoint_compat_check(data), 1e-9),
+    ]
+    return rows, {"x": g.x, "pair_kernel": om.kernel,
+                  "family_kernel_plus": plus.kernel}
 
 
 def criterion_2() -> list:
-    g, L, T = _soliton_pair(400)
-    om = pair_intertwiner(L, T, "+", grid=g)
-    M = om.matrix()
+    base, dressed = soliton_pair((-20.0, 20.0), 400)
     # the dressing kernel's dynamic range puts cond(M) near 8e10 on this
     # domain; the conjugation stays accurate because M is unit triangular
-    Ltil = transform_operator(L, om, cond_guard=1e12).A
-    n = g.n
-    # the marching closure dumps its whole defect into the final row
-    err_rows = float(np.max(np.abs(Ltil[: n - 1] - T[: n - 1])))
-    loc = locality_check(Ltil, bandwidth=1)
-    E = M @ L - T @ M
-    inter = float(np.linalg.norm(E[: n - 1])
-                  / (np.linalg.norm(M) * np.linalg.norm(L)))
-    return [
-        _row("soliton_interior_rows_match", err_rows, 1e-6),
-        _row("soliton_offband_ratio", loc, 1e-6),
-        _row("soliton_intertwining_residual", inter, 1e-9),
-    ]
+    rows, _ = pair_conjugation_rows(*_pair_matrices(base, dressed), base.grid,
+                                    cond_guard=1e12)
+    return _verify_names(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +224,9 @@ def _tridiag_eigs(A: np.ndarray) -> np.ndarray:
 def criterion_3() -> list:
     # preservation is checked where the conjugation is well conditioned;
     # the seed grows like e^{|x|}, so a narrower box keeps cond(M) ~ 1e5
-    g, L, T = _soliton_pair(800, half_width=8.0)
-    om = pair_intertwiner(L, T, "+", grid=g)
+    base, dressed = soliton_pair((-8.0, 8.0), 800)
+    L, T = _pair_matrices(base, dressed)
+    om = pair_intertwiner(L, T, "+", grid=base.grid)
     Ltil = transform_operator(L, om).A
     ev_L = np.sort(_tridiag_eigs(L))
     ev_c = np.asarray(sorted(scipy.linalg.eigvals(Ltil), key=lambda z: z.real))
@@ -132,7 +242,7 @@ def criterion_3() -> list:
     # positive-band drift: same spacing, doubled domain
     drifts = []
     for n, w in ((400, 20.0), (800, 40.0)):
-        _, Lb, Tb = _soliton_pair(n, w)
+        Lb, Tb = _pair_matrices(*soliton_pair((-w, w), n))
         pb = _tridiag_eigs(Lb)
         pa = _tridiag_eigs(Tb)
         pb = np.sort(pb[pb > 0.0])[:8]
@@ -149,24 +259,51 @@ def criterion_3() -> list:
 
 
 # ---------------------------------------------------------------------------
-# 4. triangular factorization at scale
+# 4. triangular factorization and the GLM equation (shared with factorize)
 # ---------------------------------------------------------------------------
 
-def criterion_4(seed: int = 0) -> list:
-    rng = np.random.default_rng(seed)
-    worst_resid = 0.0
+def unit_minors(rng: np.random.Generator, size: int, count: int,
+                scale: float = 0.35):
+    """``count`` random kernels with unit leading minors, drawn lazily."""
+    return (random_unit_minor(int(size), rng, float(scale))
+            for _ in range(int(count)))
+
+
+def factorization_sweep(mats):
+    """Elimination and GLM routes on every kernel; the rows hold the worst
+    case.  Returns the rows and the last kernel's ``phi``, ``k_plus``,
+    ``k_minus`` and ``diag`` tables."""
+    worst_recon = 0.0
     worst_diag = 0.0
+    worst_glm = 0.0
+    worst_agree = 0.0
     structural = 0.0
-    for _ in range(200):
-        Phi = random_unit_minor(50, rng)
+    for Phi in mats:
         pair = gk_factorize(Phi)
-        worst_resid = max(worst_resid, pair.residual)
-        if np.count_nonzero(np.triu(pair.K_plus, 0)) \
-                or np.count_nonzero(np.tril(pair.K_minus, 0)):
-            structural = 1.0
+        worst_recon = max(worst_recon, pair.residual)
         worst_diag = max(worst_diag,
                          break_relation_defect(pair.K_plus),
                          break_relation_defect(pair.K_minus))
+        if np.count_nonzero(np.triu(pair.K_plus, 0)) \
+                or np.count_nonzero(np.tril(pair.K_minus, 0)):
+            structural = 1.0
+        Kp, Km = glm_solve(Phi)
+        worst_glm = max(worst_glm, glm_residual(Phi, Kp, Km))
+        worst_agree = max(worst_agree, float(np.max(np.abs(Kp - pair.K_plus))))
+    rows = [
+        _row("gk_reconstruction_residual", worst_recon, 1e-10),
+        _row("structural_zeros_exact", structural, 0.0),
+        _row("break_relation_defect", worst_diag, 0.0),
+        _row("glm_residual", worst_glm, 1e-10),
+        _row("glm_vs_gk_agreement", worst_agree, 1e-9),
+    ]
+    return rows, {"phi": Phi, "k_plus": pair.K_plus, "k_minus": pair.K_minus,
+                  "diag": pair.D}
+
+
+def criterion_4(seed: int = 0) -> list:
+    rng = np.random.default_rng(seed)
+    rows, _ = factorization_sweep(unit_minors(rng, 50, 200))
     # negative controls: first bad minor must be named exactly
     control = 0.0
     try:
@@ -186,28 +323,15 @@ def criterion_4(seed: int = 0) -> list:
     except SingularMinorError as exc:
         if exc.index != 4:
             control = 1.0
-    return [
-        _row("gk_reconstruction_residual", worst_resid, 1e-10),
-        _row("gk_structural_zeros_exact", structural, 0.0),
-        _row("gk_break_relation_exact", worst_diag, 0.0),
-        _row("gk_singular_minor_index", control, 0.0),
-    ]
+    return _verify_names(rows) + [_row("gk_singular_minor_index", control, 0.0)]
 
 
 # ---------------------------------------------------------------------------
-# 5. GLM equation against the elimination route
+# 5. GLM equation: the worked 2x2 example
 # ---------------------------------------------------------------------------
 
 def criterion_5(seed: int = 0) -> list:
-    rng = np.random.default_rng(seed)
-    worst_res = 0.0
-    worst_gap = 0.0
-    for _ in range(200):
-        Phi = random_unit_minor(50, rng)
-        K_plus, K_minus = glm_solve(Phi)
-        worst_res = max(worst_res, glm_residual(Phi, K_plus, K_minus))
-        pair = gk_factorize(Phi)
-        worst_gap = max(worst_gap, float(np.max(np.abs(K_plus - pair.K_plus))))
+    """The random sweep of the GLM route runs in :func:`criterion_4`."""
     Phi0 = np.array([[0.0, 1.0], [1.0, 1.0]])
     Kp0, Km0 = glm_solve(Phi0)
     exact = 0.0
@@ -218,11 +342,7 @@ def criterion_5(seed: int = 0) -> list:
     pair0 = gk_factorize(Phi0)
     if not (np.array_equal(pair0.K_plus, Kp0) and np.array_equal(pair0.D, np.ones(2))):
         exact = 1.0
-    return [
-        _row("glm_residual", worst_res, 1e-10),
-        _row("glm_vs_gk_agreement", worst_gap, 1e-9),
-        _row("glm_2x2_example_bitwise", exact, 0.0),
-    ]
+    return [_row("glm_2x2_example_bitwise", exact, 0.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -261,25 +381,64 @@ def criterion_6() -> list:
 
 
 # ---------------------------------------------------------------------------
-# 7. de Rham / Hodge / period layer
+# 7. de Rham / Hodge / period layer (torus rows shared with derham)
 # ---------------------------------------------------------------------------
+
+def torus_complex(shape, periods, fiber_dim: int = 1):
+    """Plain complex on a periodic box; ``periods`` repeat to fill ``shape``."""
+    shape = [int(v) for v in shape]
+    periods = [float(v) for v in periods]
+    if len(periods) != len(shape):
+        periods = (periods * len(shape))[: len(shape)]
+    axes = tuple(Grid1D.periodic(0.0, T, n) for T, n in zip(periods, shape))
+    return plain_complex(ProductGrid(axes, int(fiber_dim)))
+
+
+def torus_rows(c):
+    """Nilpotency, harmonic dimensions against the Betti numbers, and the
+    axis-loop period matrix (trivial fiber only); returns the rows and the
+    per-degree ``harmonic`` summaries, Laplace-Hodge ``spectra`` and, when
+    computed, ``periods``."""
+    pg = c.grid
+    r = pg.ndim
+    rows = []
+    if r > 1:
+        d_hi = c.d_matrix(1)
+        d_lo = c.d_matrix(0)
+        nil = float(np.linalg.norm(d_hi @ d_lo)
+                    / max(np.linalg.norm(d_hi) * np.linalg.norm(d_lo), 1e-300))
+        rows.append(_row("d_squared_zero", nil, 1e-12))
+    betti = expected_betti(pg)
+    dims_ok = 0.0
+    min_gap = 1e300
+    out = {"harmonic": [], "spectra": []}
+    for k in range(r + 1):
+        rep = harmonic_space(c, k)
+        out["harmonic"].append(rep.as_json(betti_expected=pg.fiber_dim * betti[k]))
+        out["spectra"].append(rep.singular_values)
+        if rep.dim != pg.fiber_dim * betti[k]:
+            dims_ok = 1.0
+        min_gap = min(min_gap, min(rep.gap, 1e300))  # report JSON forbids inf
+    rows.append(_row("harmonic_dims_match_betti", dims_ok, 0.0))
+    rows.append(_row("harmonic_gap", min_gap, 1e4, "min"))
+
+    if r >= 1 and pg.fiber_dim == 1:
+        shp = pg.shape + (1,)
+        psis = [FormField(pg, 1, {(axis,): np.ones(shp)}) for axis in range(r)]
+        loops = [SurfaceRegion.axis_loop(pg, axis, (0,) * r) for axis in range(r)]
+        P = skrypnik_map(c, np.ones(shp, dtype=complex), psis, loops)
+        per_err = float(np.max(np.abs(P - np.diag([g.length for g in pg.axes]))))
+        rows.append(_row("period_matrix_vs_axis_periods", per_err, 1e-10))
+        out["periods"] = P
+    return rows, out
+
 
 def criterion_7(seed: int = 0) -> list:
     rng = np.random.default_rng(seed)
     T1, T2 = 2.0 * math.pi, 1.0
-    pg = ProductGrid((Grid1D.periodic(0.0, T1, 12), Grid1D.periodic(0.0, T2, 12)))
-    c = plain_complex(pg)
-    d0, d1 = c.d_matrix(0), c.d_matrix(1)
-    nil = float(np.linalg.norm(d1 @ d0)
-                / max(np.linalg.norm(d1) * np.linalg.norm(d0), 1e-300))
-
-    dims = []
-    gaps = []
-    for k in range(3):
-        rep = harmonic_space(c, k)
-        dims.append(rep.dim)
-        gaps.append(min(rep.gap, 1e300))  # report JSON forbids inf
-    dims_ok = 0.0 if tuple(dims) == (1, 2, 1) else 1.0
+    c = torus_complex((12, 12), (T1, T2))
+    pg = c.grid
+    rows, _ = torus_rows(c)
 
     shp = pg.shape + (1,)
     beta = FormField(pg, 1, {(0,): rng.normal(size=shp), (1,): rng.normal(size=shp)})
@@ -293,19 +452,11 @@ def criterion_7(seed: int = 0) -> list:
     recon = float(np.linalg.norm(beta.stack() - (parts[0] + parts[1] + parts[2]))
                   / np.linalg.norm(beta.stack()))
 
-    ones = np.ones(shp, dtype=complex)
-    psi1 = FormField(pg, 1, {(0,): np.ones(shp)})
-    psi2 = FormField(pg, 1, {(1,): np.ones(shp)})
-    loops = [SurfaceRegion.axis_loop(pg, 0, (0, 0)),
-             SurfaceRegion.axis_loop(pg, 1, (0, 0))]
-    P = skrypnik_map(c, ones, [psi1, psi2], loops)
-    per = float(np.max(np.abs(P - np.diag([T1, T2]))))
-
     f0 = FormField(pg, 0, {(): rng.normal(size=shp)})
-    psi_mixed = psi1 + d_L(c, f0)
+    psi_mixed = FormField(pg, 1, {(0,): np.ones(shp)}) + d_L(c, f0)
     loop_a = SurfaceRegion.axis_loop(pg, 0, (0, 0))
     loop_b = SurfaceRegion.axis_loop(pg, 0, (0, 5))
-    Ph = skrypnik_map(c, ones, [psi_mixed], [loop_a, loop_b])
+    Ph = skrypnik_map(c, np.ones(shp, dtype=complex), [psi_mixed], [loop_a, loop_b])
     homol = float(abs(Ph[0, 0] - Ph[1, 0]) / T1)
 
     # flat family: harmonic dims = (joint kernel dim) x (Betti numbers)
@@ -328,13 +479,9 @@ def criterion_7(seed: int = 0) -> list:
         brute = int(np.sum(s <= 1e-8 * s[0])) + max(0, ncols - len(s))
         if not rep.dim == brute == nflat * betti[k]:
             theorem = 1.0
-    return [
-        _row("dL_squared_zero", nil, 1e-12),
-        _row("torus_harmonic_dims", dims_ok, 0.0),
-        _row("torus_harmonic_gap", min(gaps), 1e4, "min"),
+    return _verify_names(rows) + [
         _row("hodge_orthogonality", orth, 1e-10),
         _row("hodge_reconstruction", recon, 1e-10),
-        _row("torus_period_matrix", per, 1e-10),
         _row("homologous_cycle_invariance", homol, 1e-10),
         _row("flat_dimension_theorem", theorem, 0.0),
     ]
@@ -347,22 +494,15 @@ def criterion_7(seed: int = 0) -> list:
 def criterion_8(seed: int = 0) -> list:
     g = Grid1D.dirichlet(0.0, math.pi, 60)
     A = np.real(SchrodingerOp.free(g).matrix().A)
-    fam = eigensolve(A, count=3, hermitian=True)
-    data = TransmutationData.from_family(
-        g, A, fam.right, fam.left, omega0=1.0)
+    data, datak = dressing_data(g, A)
     ops = [
         delsarte_operator(data, "+"), delsarte_operator(data, "-"),
         delsarte_inverse(data, "+"), delsarte_inverse(data, "-"),
         adjoint_operator(data, "+"),
-    ]
-    full = eigensolve(A, hermitian=True)
-    Phi = kernel_from_measure(full, lambda lam: 0.4 / (1.0 + abs(lam))).values
-    datak = TransmutationData.from_kernel(A, Phi)
-    ops += [
         delsarte_operator(datak, "+"), delsarte_operator(datak, "-"),
         delsarte_inverse(datak, "+"), delsarte_inverse(datak, "-"),
     ]
-    _, L2, T2 = _soliton_pair(200)
+    L2, T2 = _pair_matrices(*soliton_pair((-20.0, 20.0), 200))
     ops.append(pair_intertwiner(L2, T2, "+"))
     ops.append(pair_intertwiner(L2, T2, "-"))
     worst = 0.0

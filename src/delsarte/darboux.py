@@ -237,20 +237,26 @@ def _check_seed(op: SchrodingerOp, seed: DressingSeed, scheme_order: int) -> Non
     vals = np.asarray(seed.values)
     if vals.shape != (op.grid.n,):
         raise DiscretizationError("seed sampled on the wrong grid")
+    if not np.all(np.isfinite(vals)):
+        raise DiscretizationError("seed values overflow on the grid")
     re = np.real(vals)
     if np.any(re[:-1] * re[1:] <= 0.0):
         raise SeedNodeError("seed changes sign between neighboring nodes")
     # residual gate on interior rows; boundary rows see the eliminated nodes
+    w = 1 + scheme_order  # rows touched by the one-sided truncation
+    if op.grid.n - 2 * w < 1:
+        raise DiscretizationError(
+            f"grid of {op.grid.n} nodes has no interior rows for the seed "
+            f"residual gate; at least {2 * w + 1} are needed")
     A = op.matrix(scheme_order).A
     lam = seed.stencil_energy() if seed.expr is not None else seed.energy
     r = A @ vals - lam * vals
-    w = 1 + scheme_order  # rows touched by the one-sided truncation
-    interior = slice(w, op.grid.n - w)
-    scale = np.linalg.norm(A, np.inf) * np.max(np.abs(vals))
-    if np.max(np.abs(r[interior])) > 1e-8 * scale:
+    res = np.max(np.abs(r[w:op.grid.n - w]))
+    gate = 1e-8 * np.linalg.norm(A, np.inf) * np.max(np.abs(vals))
+    if not (res <= gate):
         raise DiscretizationError(
             f"seed is not a formal solution: interior residual "
-            f"{np.max(np.abs(r[interior])):.3e} exceeds gate {1e-8 * scale:.3e}")
+            f"{res:.3e} exceeds gate {gate:.3e}")
 
 
 def darboux_once(op: SchrodingerOp, seed: DressingSeed, scheme_order: int = 2,

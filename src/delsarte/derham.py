@@ -154,12 +154,10 @@ def flat_complex(grid: ProductGrid, generators: list, matched: bool = True) -> G
     return c
 
 
-def flat_section(grid: ProductGrid, generators: list, v0: np.ndarray) -> np.ndarray:
-    """Sample t -> exp(t_1 A_1) ... exp(t_r A_r) v0 on the nodes."""
+def _march(grid: ProductGrid, steps: list, v0: np.ndarray) -> np.ndarray:
+    """Nodal section v(i + e_a) = steps[a] v(i) started from v(0) = v0."""
     N = grid.fiber_dim
     v0 = np.asarray(v0, dtype=complex)
-    steps = [scipy.linalg.expm(g.h * np.asarray(A, dtype=complex))
-             for g, A in zip(grid.axes, generators)]
     out = np.zeros(grid.shape + (N,), dtype=complex)
     # cumulative powers along each axis in turn
     line = np.empty((grid.axes[0].n, N), dtype=complex)
@@ -184,6 +182,13 @@ def flat_section(grid: ProductGrid, generators: list, v0: np.ndarray) -> np.ndar
     return out
 
 
+def flat_section(grid: ProductGrid, generators: list, v0: np.ndarray) -> np.ndarray:
+    """Sample t -> exp(t_1 A_1) ... exp(t_r A_r) v0 on the nodes."""
+    steps = [scipy.linalg.expm(g.h * np.asarray(A, dtype=complex))
+             for g, A in zip(grid.axes, generators)]
+    return _march(grid, steps, v0)
+
+
 def dual_flat_section(grid: ProductGrid, generators: list, w0: np.ndarray,
                       matched: bool = True) -> np.ndarray:
     """Nodal section in the kernel of every adjoint axis operator.
@@ -193,33 +198,12 @@ def dual_flat_section(grid: ProductGrid, generators: list, w0: np.ndarray,
     generators the step matrix is exp(-h A_j^*).
     """
     N = grid.fiber_dim
-    w0 = np.asarray(w0, dtype=complex)
     steps = []
     for g, A in zip(grid.axes, generators):
         A = np.asarray(A, dtype=complex)
         Ae = _matched_generator(g, A) if matched else A
         steps.append(np.linalg.inv(np.eye(N) + g.h * Ae.conj().T))
-    out = np.zeros(grid.shape + (N,), dtype=complex)
-    line = np.empty((grid.axes[0].n, N), dtype=complex)
-    cur = w0.copy()
-    for i in range(grid.axes[0].n):
-        line[i] = cur
-        cur = steps[0] @ cur
-    if grid.ndim == 1:
-        return line
-    out[(slice(None),) + (0,) * (grid.ndim - 1)] = line
-    for a in range(1, grid.ndim):
-        idx_prev = [slice(None)] * grid.ndim
-        idx_cur = [slice(None)] * grid.ndim
-        for j in range(a + 1, grid.ndim):
-            idx_prev[j] = 0
-            idx_cur[j] = 0
-        for i in range(1, grid.axes[a].n):
-            idx_prev[a] = i - 1
-            idx_cur[a] = i
-            out[tuple(idx_cur)] = np.einsum(
-                "uv,...v->...u", steps[a], out[tuple(idx_prev)])
-    return out
+    return _march(grid, steps, w0)
 
 
 def flat_dimension(generators: list) -> int:

@@ -244,6 +244,11 @@ def commutation_check(Phi: np.ndarray, L: np.ndarray) -> float:
     return float(np.linalg.norm(Phi @ L - L @ Phi) / denom)
 
 
+def _conjugate(M: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """M L M^{-1} by one linear solve, without forming the inverse."""
+    return np.linalg.solve(M.T, (M @ L).T).T
+
+
 def factor_conjugation_gap(pair: TriangularPair, L: np.ndarray) -> float:
     """Distance between the two factor conjugations of L.
 
@@ -254,9 +259,8 @@ def factor_conjugation_gap(pair: TriangularPair, L: np.ndarray) -> float:
     n = L.shape[0]
     Ip = np.eye(n) + pair.K_plus
     Im = np.eye(n) + pair.K_minus
-    Lp = np.linalg.solve(Ip.T, (Ip @ L).T).T  # (1+K+) L (1+K+)^{-1}
-    Lm0 = np.linalg.solve(Im.T, (Im @ L).T).T
-    Lm = (pair.D[:, None] * Lm0) / pair.D[None, :]
+    Lp = _conjugate(Ip, L)
+    Lm = (pair.D[:, None] * _conjugate(Im, L)) / pair.D[None, :]
     return float(np.linalg.norm(Lp - Lm) / max(np.linalg.norm(L), 1e-300))
 
 

@@ -7,8 +7,8 @@ formal adjoint
 
     L* = sum_alpha (-1)^|alpha| d^alpha ( conj(a_alpha)^T . )
 
-expanded into coefficient form by the Leibniz rule, plus plain operator
-algebra (compose, commutator) on assembled matrices.
+expanded into coefficient form by the Leibniz rule, plus the commutator of
+assembled matrices.
 
 Flattening convention, shared by every module in the package: axis-major
 (C order, last axis fastest), fiber index innermost.
@@ -36,7 +36,6 @@ __all__ = [
     "derivative_matrix",
     "discretize",
     "formal_adjoint",
-    "compose",
     "commutator",
     "adjoint_defect",
     "inner",
@@ -511,13 +510,12 @@ def formal_adjoint(op: DiffOp, scheme_order: int = 2) -> DiffOp:
     return DiffOp(grid, new_terms)
 
 
-def compose(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
-    return A @ B
+def _as_matrix(A) -> np.ndarray:
+    return A.A if isinstance(A, OperatorMatrix) else np.asarray(A)
 
 
 def commutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
-    MA = A.A if isinstance(A, OperatorMatrix) else np.asarray(A)
-    MB = B.A if isinstance(B, OperatorMatrix) else np.asarray(B)
+    MA, MB = _as_matrix(A), _as_matrix(B)
     if MA.shape != MB.shape:
         raise DiscretizationError("dimension mismatch in commutator")
     grid = A.grid if isinstance(A, OperatorMatrix) else None

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DefectiveFamilyError, EmptyBandError
-from .grid_ops import OperatorMatrix
+from .grid_ops import _as_matrix
 from .ioutil import load_matrix_csv, save_matrix_csv
 
 __all__ = [
@@ -73,10 +73,6 @@ class SpectralKernel:
     domain_tag: str  # "GridByGrid" | "SpectrumBySpectrum"
     values: np.ndarray
     note: str = ""
-
-
-def _as_matrix(A) -> np.ndarray:
-    return A.A if isinstance(A, OperatorMatrix) else np.asarray(A)
 
 
 def _in_band(lam: complex, band) -> bool:

@@ -37,8 +37,8 @@ import scipy.linalg
 
 from .errors import (ConditionNumberError, DiscretizationError, GridError,
                      SingularKernelError)
-from .factorize import ProjectorChain, TriangularPair, gk_factorize
-from .grid_ops import Grid1D, OperatorMatrix
+from .factorize import ProjectorChain, TriangularPair, _conjugate, gk_factorize
+from .grid_ops import Grid1D, OperatorMatrix, _as_matrix
 from .ioutil import load_matrix_csv, save_matrix_csv
 from .spectral import SpectralKernel
 
@@ -59,10 +59,6 @@ __all__ = [
     "save_transmutation",
     "load_transmutation",
 ]
-
-
-def _as_matrix(A) -> np.ndarray:
-    return A.A if isinstance(A, OperatorMatrix) else np.asarray(A)
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +401,12 @@ def transform_operator(L, om: DelsarteOp, cond_guard: float = 1e10) -> OperatorM
     Refuses (with :class:`ConditionNumberError`) factors whose condition
     number would erase more than the guard allows.
     """
-    Lm = _as_matrix(L)
-    M = om.matrix()
-    cond = float(np.linalg.cond(M))
+    cond = om.cond()
     if not np.isfinite(cond) or cond > cond_guard:
         raise ConditionNumberError(
             f"conjugation by the {om.sign} factor rejected: cond = {cond:.3e} "
             f"exceeds guard {cond_guard:.1e}")
-    Ltil = np.linalg.solve(M.T, (M @ Lm).T).T
+    Ltil = _conjugate(om.matrix(), _as_matrix(L))
     if isinstance(L, OperatorMatrix):
         return OperatorMatrix(Ltil, L.grid, None, L.boundary)
     return OperatorMatrix(Ltil)
@@ -470,8 +464,8 @@ def independence_check(data: TransmutationData):
     Mp = delsarte_operator(data, "+").matrix()
     Mm = delsarte_operator(data, "-").matrix()
     L = data.L
-    Ltp = np.linalg.solve(Mp.T, (Mp @ L).T).T
-    Ltm = np.linalg.solve(Mm.T, (Mm @ L).T).T
+    Ltp = _conjugate(Mp, L)
+    Ltm = _conjugate(Mm, L)
     gap = float(np.linalg.norm(Ltp - Ltm) / max(np.linalg.norm(Ltp), 1e-300))
     X = np.linalg.solve(Mp, Mm)
     comm = float(np.linalg.norm(X @ L - L @ X)
@@ -489,8 +483,8 @@ def adjoint_compat_check(data: TransmutationData) -> float:
     L = data.L
     M = delsarte_operator(data, "+").matrix()
     Madj = adjoint_operator(data, "+").matrix()
-    A = np.linalg.solve(M.T, (M @ L).T).T.conj().T
-    B = np.linalg.solve(Madj.T, (Madj @ L.conj().T).T).T
+    A = _conjugate(M, L).conj().T
+    B = _conjugate(Madj, L.conj().T)
     return float(np.linalg.norm(A - B) / max(np.linalg.norm(L), 1e-300))
 
 

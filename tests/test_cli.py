@@ -1,10 +1,14 @@
 """Command-line front end: exit codes, report files, digests, artifacts."""
 
+import ast
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from delsarte import acceptance
 from delsarte.cli import main
 from delsarte.factorize import gk_factorize, random_unit_minor
 from delsarte.ioutil import load_matrix_csv, report_digest, save_matrix_csv
@@ -88,6 +92,56 @@ def test_verify_command_passes(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# one source per residual: command rows equal the verify criteria's rows
+# ---------------------------------------------------------------------------
+
+def _as_verify_rows(rows):
+    return [dict(r, name=acceptance.VERIFY_NAMES.get(r["name"], r["name"]))
+            for r in rows]
+
+
+def test_factorize_command_reproduces_criterion_4(tmp_path):
+    seed = 11
+    code, out = _run(tmp_path, {"command": "factorize", "size": 50,
+                                "count": 200}, "--seed", str(seed))
+    assert code == 0
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    criterion = {r["name"]: r for r in acceptance.criterion_4(seed)}
+    assert len(rows) == 5
+    for r in _as_verify_rows(rows):
+        assert r == criterion[r["name"]]
+
+
+def test_derham_command_reproduces_criterion_7(tmp_path):
+    code, out = _run(tmp_path, {"command": "derham", "shape": [12, 12],
+                                "periods": [2.0 * math.pi, 1.0]})
+    assert code == 0
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    criterion = {r["name"]: r for r in acceptance.criterion_7(seed=0)}
+    assert len(rows) == 4
+    for r in _as_verify_rows(rows):
+        assert r == criterion[r["name"]]
+
+
+def test_cli_imports_no_residual_layer():
+    """The front end reaches the numerics only through the shared checks."""
+    import delsarte.cli as cli
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                used.add(node.module.split(".")[0])
+            else:
+                used.update(a.name for a in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [a.name for a in node.names])
+            assert not any(n.split(".")[0] == "delsarte" for n in names)
+    assert used == {"acceptance", "errors", "ioutil"}
+
+
+# ---------------------------------------------------------------------------
 # exit code 1: a residual fails
 # ---------------------------------------------------------------------------
 
@@ -137,6 +191,12 @@ def test_missing_required_field(tmp_path):
     assert code == 2
 
 
+def test_grid_too_small_for_the_seed_gate(tmp_path):
+    for command in ("darboux", "transmute"):
+        code, _ = _run(tmp_path, dict(DARBOUX_CFG, command=command, n=6))
+        assert code == 2
+
+
 def test_negative_seed_rejected_by_parser(tmp_path):
     path = _write_cfg(tmp_path, FACTORIZE_CFG)
     with pytest.raises(SystemExit) as exc:
@@ -153,6 +213,16 @@ def test_seed_node_gives_computation_error(tmp_path, capsys):
     cfg = {"command": "darboux", "domain": [-12.0, 12.0], "n": 199,
            "kappa": 1.0, "parity": "odd"}
     code, _ = _run(tmp_path, cfg)
+    assert code == 3
+    assert "computation failed" in capsys.readouterr().err
+
+
+def test_overflowing_seed_gives_computation_error(tmp_path, capsys):
+    # kappa * max|x| = 1000: the seed is not representable, so the gate
+    # must fail closed instead of passing a NaN residual
+    cfg = {"command": "darboux", "domain": [-20, 20], "n": 200, "kappa": 50}
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _ = _run(tmp_path, cfg)
     assert code == 3
     assert "computation failed" in capsys.readouterr().err
 

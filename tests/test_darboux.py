@@ -162,6 +162,21 @@ def test_sampled_seed_off_grid_rejected():
         darboux_once(op, bad)
 
 
+def test_grid_without_interior_rows_rejected():
+    # the residual gate skips 1 + scheme_order rows at each end
+    _, op, seed = _setup(n=6, w=5.0)
+    with pytest.raises(DiscretizationError, match="no interior rows"):
+        darboux_once(op, seed)
+
+
+def test_overflowing_seed_rejected():
+    # cosh(50 * 20) is not a float; the gate must fail closed, not pass NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, op, seed = _setup(n=200, kappa=50.0)
+    with pytest.raises(DiscretizationError, match="overflow"):
+        darboux_once(op, seed)
+
+
 def test_spectrum_compare_trivial_dressing():
     g, op, _ = _setup(n=200)
     comp = spectrum_compare(op, op)

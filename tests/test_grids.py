@@ -6,8 +6,8 @@ import pytest
 
 from delsarte import (DiffOp, DiscretizationError, Grid1D, GridError,
                       OperatorMatrix, ProductGrid, adjoint_defect, commutator,
-                      compose, derivative_matrix, discretize, formal_adjoint,
-                      inner, load_diffop, save_diffop)
+                      derivative_matrix, discretize, formal_adjoint, inner,
+                      load_diffop, save_diffop)
 from delsarte.grid_ops import fd_weights, stencil_half_width
 
 
@@ -206,7 +206,7 @@ def test_bandwidth_metadata_and_composition():
     A = discretize(op)
     assert A.axis_bandwidths == (1,)
     assert A.flat_bandwidth() == 1
-    AA = compose(A, A)
+    AA = A @ A
     assert AA.axis_bandwidths == (2,)
     # off-band entries really vanish
     off = AA.A - np.triu(np.tril(AA.A, 2), -2)
