@@ -21,8 +21,8 @@ from .errors import (ConditionNumberError, DefectiveFamilyError,
                      SingularKernelError, SingularMinorError)
 from .grid_ops import (DiffOp, Grid1D, OperatorMatrix, ProductGrid,
                        adjoint_defect, commutator, derivative_matrix,
-                       discretize, formal_adjoint, grid_norm, inner,
-                       load_diffop, save_diffop)
+                       discretize, formal_adjoint, inner, load_diffop,
+                       save_diffop)
 from .spectral import (EigenFamily, SpectralKernel, congruence_residual,
                        eigensolve, elementary_kernel, kernel_from_measure,
                        load_family, projection_measure, save_family)

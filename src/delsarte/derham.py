@@ -24,7 +24,7 @@ import scipy.linalg
 
 from .errors import (DegreeMismatchError, DiscretizationError,
                      NonCommutingFamilyError, NotClosedError)
-from .grid_ops import Grid1D, OperatorMatrix, ProductGrid, derivative_matrix
+from .grid_ops import Grid1D, OperatorMatrix, ProductGrid
 from .lagrange import (FormField, _subsets, coboundary, d_matrix,
                        forward_diff_matrix, form_norm, surface_integral)
 
@@ -97,33 +97,15 @@ class GenComplex:
         return self._dmats[degree]
 
 
-def _axis_kron(grid: ProductGrid, axis: int, D1: np.ndarray) -> np.ndarray:
-    """Lift a 1-D nodal matrix on one axis to the full flattened space."""
-    mats = [D1 if j == axis else np.eye(g.n) for j, g in enumerate(grid.axes)]
-    M = mats[0]
-    for B in mats[1:]:
-        M = np.kron(M, B)
-    if grid.fiber_dim > 1:
-        M = np.kron(M, np.eye(grid.fiber_dim))
-    return M
+def plain_complex(grid: ProductGrid) -> GenComplex:
+    """The untwisted complex, L_j = D_j, with D_j the forward difference
+    along axis j.
 
-
-def plain_complex(grid: ProductGrid, mode: str = "forward") -> GenComplex:
-    """The untwisted complex, L_j = D_j.
-
-    ``forward`` differences make d*d = 0 structural (exact zeros);
-    ``centered`` stencils commute as circulants on periodic axes and are
-    exact to roundoff, but Dirichlet axes stay forward either way.
+    Forward differences along distinct axes commute exactly, so d*d = 0 is
+    structural (exact zeros), on periodic and Dirichlet axes alike.
     """
-    if mode not in ("forward", "centered"):
-        raise DiscretizationError(f"unknown difference mode {mode!r}")
-    mats = []
-    for a, g in enumerate(grid.axes):
-        if mode == "centered" and g.boundary == "periodic":
-            mats.append(_axis_kron(grid, a, derivative_matrix(g, 1)))
-        else:
-            mats.append(forward_diff_matrix(grid, a))
-    return GenComplex(grid, mats, label=f"plain/{mode}")
+    mats = [forward_diff_matrix(grid, a) for a in range(grid.ndim)]
+    return GenComplex(grid, mats, label="plain")
 
 
 def _matched_generator(g: Grid1D, A: np.ndarray) -> np.ndarray:
@@ -132,26 +114,22 @@ def _matched_generator(g: Grid1D, A: np.ndarray) -> np.ndarray:
     return (scipy.linalg.expm(g.h * A) - np.eye(A.shape[0])) / g.h
 
 
-def flat_complex(grid: ProductGrid, generators: list, matched: bool = True) -> GenComplex:
-    """Twisted complex L_j = D_j - A_j with constant commuting fiber matrices.
+def flat_complex(grid: ProductGrid, generators: list) -> GenComplex:
+    """Twisted complex L_j = D_j - Aeff_j with constant commuting fiber
+    matrices A_j.
 
-    With ``matched`` the A_j are replaced by (exp(h A_j)-1)/h so that nodal
-    samples of t -> exp(sum t_j A_j) v0 lie exactly in ker L_j; unmatched
-    generators leave an O(h) flatness defect on such samples.
+    The matched generator Aeff_j = (exp(h A_j)-1)/h stands in for A_j, so
+    nodal samples of t -> exp(sum t_j A_j) v0 (see :func:`flat_section`)
+    lie exactly in ker L_j.
     """
     N = grid.fiber_dim
     gens = [np.asarray(A, dtype=complex) for A in generators]
     if len(gens) != grid.ndim or any(A.shape != (N, N) for A in gens):
         raise DiscretizationError("one (N, N) generator per axis is required")
-    mats = []
-    for a, g in enumerate(grid.axes):
-        Ae = _matched_generator(g, gens[a]) if matched else gens[a]
-        mats.append(forward_diff_matrix(grid, a)
-                    - np.kron(np.eye(grid.nnodes), Ae))
-    c = GenComplex(grid, mats, label="flat")
-    c.generators = gens
-    c.matched = matched
-    return c
+    mats = [forward_diff_matrix(grid, a)
+            - np.kron(np.eye(grid.nnodes), _matched_generator(g, A))
+            for a, (g, A) in enumerate(zip(grid.axes, gens))]
+    return GenComplex(grid, mats, label="flat")
 
 
 def _march(grid: ProductGrid, steps: list, v0: np.ndarray) -> np.ndarray:
@@ -189,19 +167,18 @@ def flat_section(grid: ProductGrid, generators: list, v0: np.ndarray) -> np.ndar
     return _march(grid, steps, v0)
 
 
-def dual_flat_section(grid: ProductGrid, generators: list, w0: np.ndarray,
-                      matched: bool = True) -> np.ndarray:
-    """Nodal section in the kernel of every adjoint axis operator.
+def dual_flat_section(grid: ProductGrid, generators: list, w0: np.ndarray) -> np.ndarray:
+    """Nodal section in the kernel of every adjoint axis operator of
+    :func:`flat_complex`.
 
     The backward-difference recursion phi(i+1) = (1 + h Aeff_j^*)^{-1} phi(i)
-    solves (D_j - Aeff_j)^* phi = 0 exactly on inner nodes; with matched
-    generators the step matrix is exp(-h A_j^*).
+    solves (D_j - Aeff_j)^* phi = 0 exactly on inner nodes; with the matched
+    generator Aeff_j the step matrix is exp(-h A_j^*).
     """
     N = grid.fiber_dim
     steps = []
     for g, A in zip(grid.axes, generators):
-        A = np.asarray(A, dtype=complex)
-        Ae = _matched_generator(g, A) if matched else A
+        Ae = _matched_generator(g, np.asarray(A, dtype=complex))
         steps.append(np.linalg.inv(np.eye(N) + g.h * Ae.conj().T))
     return _march(grid, steps, w0)
 
@@ -293,10 +270,6 @@ class HarmonicReport:
     basis: np.ndarray
     singular_values: np.ndarray
     ambiguous: bool
-
-    def basis_forms(self, grid: ProductGrid) -> list:
-        return [FormField.from_stack(grid, self.degree, self.basis[:, j])
-                for j in range(self.dim)]
 
     def as_json(self, betti_expected: int | None = None) -> dict:
         out = {"degree": self.degree, "dim": self.dim, "gap": self.gap}

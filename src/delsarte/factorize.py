@@ -67,14 +67,6 @@ class ProjectorChain:
     def reversed(cls, n: int) -> "ProjectorChain":
         return cls(n, tuple(range(n - 1, -1, -1)))
 
-    def prefix_mask(self, k: int) -> np.ndarray:
-        m = np.zeros(self.n, dtype=bool)
-        m[list(self.order[:k])] = True
-        return m
-
-    def projector(self, k: int) -> np.ndarray:
-        return np.diag(self.prefix_mask(k).astype(float))
-
 
 def _permute(M: np.ndarray, order) -> np.ndarray:
     idx = np.asarray(order)

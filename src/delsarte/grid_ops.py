@@ -11,11 +11,18 @@ expanded into coefficient form by the Leibniz rule, plus the commutator of
 assembled matrices.
 
 Flattening convention, shared by every module in the package: axis-major
-(C order, last axis fastest), fiber index innermost.
+(C order, last axis fastest), fiber index innermost.  Fields follow it by
+plain C-order reshapes; axis operators follow it through two private
+helpers, the only place its Kronecker structure is written down:
+:func:`_lift` turns a 1-D matrix on one axis into  I x ... x D1 x ... x I x I_N
+on flattened fields, and :func:`_apply_along` applies a 1-D matrix along one
+axis of a shaped field.  Every axis operator in the package goes through one
+of them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -25,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DiscretizationError, GridError
-from .ioutil import load_matrix_csv, save_matrix_csv
+from .ioutil import load_matrix_csv, save_json, save_matrix_csv
 
 __all__ = [
     "Grid1D",
@@ -39,7 +46,6 @@ __all__ = [
     "commutator",
     "adjoint_defect",
     "inner",
-    "grid_norm",
     "save_diffop",
     "load_diffop",
 ]
@@ -133,28 +139,6 @@ class ProductGrid:
         """Quadrature weight of a single node (product of spacings)."""
         return float(np.prod([g.h for g in self.axes]))
 
-    def meshes(self) -> list:
-        return np.meshgrid(*[g.x for g in self.axes], indexing="ij")
-
-    def sample(self, fun, matrix: bool = False) -> np.ndarray:
-        """Evaluate ``fun(*coords)`` on all nodes.
-
-        Scalar-valued ``fun`` is broadcast over the fiber: the result has
-        shape (*shape, N, N) when ``matrix`` else (*shape, N).
-        """
-        vals = np.asarray(fun(*self.meshes()))
-        N = self.fiber_dim
-        if matrix:
-            if vals.shape == self.shape:  # scalar field -> a(x) I_N
-                out = np.zeros(self.shape + (N, N), dtype=np.result_type(vals, float))
-                for k in range(N):
-                    out[..., k, k] = vals
-                return out
-            return vals
-        if vals.shape == self.shape:
-            return np.repeat(vals[..., None], N, axis=-1) if N > 1 else vals[..., None]
-        return vals
-
     def flatten_field(self, field_vals: np.ndarray) -> np.ndarray:
         return np.asarray(field_vals).reshape(self.total_dim)
 
@@ -168,8 +152,17 @@ def inner(grid, u: np.ndarray, v: np.ndarray) -> complex:
     return w * complex(np.vdot(np.asarray(u).ravel(), np.asarray(v).ravel()))
 
 
-def grid_norm(grid, u: np.ndarray) -> float:
-    return math.sqrt(max(inner(grid, u, u).real, 0.0))
+def _lift(grid: ProductGrid, axis: int, D1: np.ndarray) -> np.ndarray:
+    """I x ... x D1 x ... x I x I_N: a 1-D matrix on ``axis`` acting on
+    flattened fields (axes before ``axis`` vary slower, the fiber fastest)."""
+    before = int(np.prod(grid.shape[:axis]))
+    after = int(np.prod(grid.shape[axis + 1:])) * grid.fiber_dim
+    return np.kron(np.kron(np.eye(before), D1), np.eye(after))
+
+
+def _apply_along(D1: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
+    """Apply a 1-D matrix along one axis of a shaped field (*shape[, N])."""
+    return np.moveaxis(np.tensordot(D1, arr, axes=([1], [axis])), 0, axis)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +271,6 @@ class OperatorMatrix:
     @property
     def shape(self):
         return self.A.shape
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.A @ np.asarray(v)
-
-    __call__ = matvec
 
     def adjoint(self) -> "OperatorMatrix":
         # uniform node weights: the discrete adjoint is the conjugate transpose
@@ -423,22 +411,12 @@ class DiffOp:
     __rmul__ = __mul__
 
 
-def _axis_derivative(grid: ProductGrid, axis: int, order: int, scheme_order: int) -> np.ndarray:
-    mats = []
-    for j, g in enumerate(grid.axes):
-        mats.append(derivative_matrix(g, order if j == axis else 0, scheme_order)
-                    if (j == axis and order > 0) else np.eye(g.n))
-    D = mats[0]
-    for M in mats[1:]:
-        D = np.kron(D, M)
-    return D
-
-
 def discretize(op: DiffOp, scheme_order: int = 2) -> OperatorMatrix:
     """Assemble the dense matrix of a differential expression.
 
-    Each term contributes  M[a_alpha] . (D_1^{alpha_1} kron ... kron I_N),
-    coefficients multiplying from the left.
+    Each term contributes  M[a_alpha] . D^alpha,  coefficients multiplying
+    from the left, where D^alpha is the product of the lifted axis
+    derivatives (the identity for alpha = 0).
     """
     if scheme_order not in (2, 4):
         raise DiscretizationError(f"unsupported scheme order {scheme_order}")
@@ -453,17 +431,14 @@ def discretize(op: DiffOp, scheme_order: int = 2) -> OperatorMatrix:
             raise DiscretizationError("grid too small for the requested stencil")
     A = np.zeros((M, M), dtype=complex)
     for alpha, coeff in sorted(op.terms.items()):
-        D = np.eye(nn)
-        for axis, k in enumerate(alpha):
-            if k > 0:
-                D = D @ _axis_derivative(grid, axis, k, scheme_order)
+        lifts = [_lift(grid, axis, derivative_matrix(g, k, scheme_order))
+                 for axis, (g, k) in enumerate(zip(grid.axes, alpha)) if k > 0]
+        D = functools.reduce(np.matmul, lifts) if lifts else np.eye(M)
         a = coeff.reshape(nn, N, N)
         if N == 1:
             A += a[:, 0, 0, None] * D
         else:
-            DN = np.kron(D, np.eye(N))
-            T = DN.reshape(nn, N, M)
-            A += np.einsum("puw,pwm->pum", a, T).reshape(M, M)
+            A += np.einsum("puw,pwm->pum", a, D.reshape(nn, N, M)).reshape(M, M)
     bws = tuple(stencil_half_width(order[j], scheme_order) if order[j] > 0 else 0
                 for j in range(grid.ndim))
     return OperatorMatrix(A, grid, bws, grid.axes[0].boundary)
@@ -484,7 +459,7 @@ def _coeff_derivative(grid: ProductGrid, field_vals: np.ndarray, gamma, scheme_o
         if k == 0:
             continue
         D = derivative_matrix(grid.axes[axis], k, scheme_order, one_sided_edges=True)
-        out = np.moveaxis(np.tensordot(D, out, axes=([1], [axis])), 0, axis)
+        out = _apply_along(D, out, axis)
     return out
 
 
@@ -551,7 +526,7 @@ def save_diffop(op: DiffOp, directory: str | Path, name: str = "diffop") -> Path
         save_matrix_csv(directory / fname, coeff.reshape(grid.nnodes, N * N))
         manifest["coeffs"].append({"alpha": list(alpha), "values_file": fname})
     path = directory / f"{name}.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    save_json(path, manifest)
     return path
 
 

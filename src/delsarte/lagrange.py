@@ -31,15 +31,14 @@ import numpy as np
 
 from .errors import (DegreeMismatchError, DiscretizationError, GridError,
                      NotClosedError, NotExactError)
-from .grid_ops import (DiffOp, ProductGrid, derivative_matrix, discretize,
-                       formal_adjoint)
+from .grid_ops import (DiffOp, ProductGrid, _apply_along, _lift,
+                       derivative_matrix, discretize, formal_adjoint)
 
 __all__ = [
     "FormField",
     "SurfaceRegion",
     "Concomitant",
     "bilinear_concomitant",
-    "assemble_Z_form",
     "divergence_residual",
     "exterior_derivative",
     "coboundary",
@@ -158,24 +157,14 @@ def forward_diff(grid: ProductGrid, axis: int, arr: np.ndarray) -> np.ndarray:
 
 def forward_diff_matrix(grid: ProductGrid, axis: int) -> np.ndarray:
     """Forward difference along one axis as a matrix on flattened fields."""
-    mats = []
-    for j, g in enumerate(grid.axes):
-        if j != axis:
-            mats.append(np.eye(g.n))
-            continue
-        D = -np.eye(g.n)
-        idx = np.arange(g.n - 1)
-        D[idx, idx + 1] = 1.0
-        if g.boundary == "periodic":
-            D[-1, 0] = 1.0
-        D /= g.h
-        mats.append(D)
-    M = mats[0]
-    for B in mats[1:]:
-        M = np.kron(M, B)
-    if grid.fiber_dim > 1:
-        M = np.kron(M, np.eye(grid.fiber_dim))
-    return M
+    g = grid.axes[axis]
+    D = -np.eye(g.n)
+    idx = np.arange(g.n - 1)
+    D[idx, idx + 1] = 1.0
+    if g.boundary == "periodic":
+        D[-1, 0] = 1.0
+    D /= g.h
+    return _lift(grid, axis, D)
 
 
 def coboundary(form: FormField, apply_ops) -> FormField:
@@ -373,10 +362,6 @@ def primitive(form: FormField, tol: float = 1e-10) -> FormField:
 # bilinear concomitant
 # ---------------------------------------------------------------------------
 
-def _axis_matrix_apply(grid: ProductGrid, axis: int, M: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    return np.moveaxis(np.tensordot(M, arr, axes=([1], [axis])), 0, axis)
-
-
 def _fiber_pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pointwise fiber pairing conj(u).v, scalar field result."""
     return np.sum(np.conj(u) * v, axis=-1)
@@ -414,7 +399,7 @@ def bilinear_concomitant(op: DiffOp, phi: np.ndarray, psi: np.ndarray,
         key = (axis, k)
         if key not in dmats:
             dmats[key] = derivative_matrix(grid.axes[axis], k, scheme_order)
-        return _axis_matrix_apply(grid, axis, dmats[key], arr)
+        return _apply_along(dmats[key], arr, axis)
 
     Z = [np.zeros(grid.shape, dtype=complex) for _ in range(m)]
     for alpha, coeff in op.terms.items():
@@ -434,24 +419,6 @@ def bilinear_concomitant(op: DiffOp, phi: np.ndarray, psi: np.ndarray,
                 v = dpow(i, alpha[i] - 1 - j, post)
                 Z[i] += lead * ((-1) ** j) * _fiber_pair(u, v)
     return Concomitant(grid, scheme_order, Z)
-
-
-def assemble_Z_form(conc: Concomitant) -> FormField:
-    """Repackage components as an (m-1)-form.
-
-    The component on the subset omitting axis i carries the sign (-1)^i
-    (0-based), so the forward-difference d of the result equals the stencil
-    divergence sum_i D_i Z_i in the smooth limit.
-    """
-    grid = conc.grid
-    m = grid.ndim
-    comps = {}
-    for i in range(m):
-        S = tuple(a for a in range(m) if a != i)
-        val = ((-1) ** i) * conc.components[i]
-        comps[S] = val[..., None] if grid.fiber_dim == 1 else np.repeat(
-            val[..., None], grid.fiber_dim, axis=-1)
-    return FormField(grid, m - 1, comps)
 
 
 def interior_mask(grid: ProductGrid, width: int) -> np.ndarray:
@@ -494,7 +461,7 @@ def divergence_residual(op: DiffOp, phi: np.ndarray, psi: np.ndarray,
     div = np.zeros(grid.shape, dtype=complex)
     for i in range(grid.ndim):
         D1 = derivative_matrix(grid.axes[i], 1, scheme_order)
-        div += _axis_matrix_apply(grid, i, D1, conc.components[i])
+        div += _apply_along(D1, conc.components[i], i)
 
     r = lhs - div
     width = max(op.order) + scheme_order

@@ -24,7 +24,7 @@ import scipy.linalg
 
 from .errors import DefectiveFamilyError, EmptyBandError
 from .grid_ops import _as_matrix
-from .ioutil import load_matrix_csv, save_matrix_csv
+from .ioutil import load_matrix_csv, save_json, save_matrix_csv
 
 __all__ = [
     "EigenFamily",
@@ -240,7 +240,7 @@ def save_family(fam: EigenFamily, directory: str | Path, name: str = "family") -
         "residual_left": fam.residual_left,
     }
     path = directory / f"{name}.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    save_json(path, manifest)
     return path
 
 

@@ -39,7 +39,7 @@ from .errors import (ConditionNumberError, DiscretizationError, GridError,
                      SingularKernelError)
 from .factorize import ProjectorChain, TriangularPair, _conjugate, gk_factorize
 from .grid_ops import Grid1D, OperatorMatrix, _as_matrix
-from .ioutil import load_matrix_csv, save_matrix_csv
+from .ioutil import load_matrix_csv, save_json, save_matrix_csv
 from .spectral import SpectralKernel
 
 __all__ = [
@@ -108,6 +108,8 @@ class TransmutationData:
         w = np.ones(grid.n) if weights is None else np.asarray(weights, dtype=float)
         if w.shape != (grid.n,):
             raise DiscretizationError("weights must be one value per node")
+        if not all(np.all(np.isfinite(v)) for v in (right, left, w, om)):
+            raise DiscretizationError("family data must be finite")
         if x0 is None:
             x0 = grid.a
         data = cls("family", _as_matrix(L), grid=grid, right=right, left=left,
@@ -140,13 +142,13 @@ class TransmutationData:
         P[0] = self.omega0
         np.cumsum(g, axis=0, out=P[1:])
         P[1:] += self.omega0
-        smax = 0.0
-        for i in range(n + 1):
-            s = np.linalg.svd(P[i], compute_uv=False)
-            smax = max(smax, s[0])
-            if s[-1] <= 1e-12 * max(smax, 1.0):
-                raise SingularKernelError(
-                    f"running normalization W is singular at prefix length {i}")
+        s = np.linalg.svd(P, compute_uv=False)
+        floor = 1e-12 * np.maximum(np.maximum.accumulate(s[:, 0]), 1.0)
+        bad = ~(s[:, -1] > floor)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise SingularKernelError(
+                f"running normalization W is singular at prefix length {i}")
         self._prefix = P
 
     def _reversed(self) -> "TransmutationData":
@@ -182,7 +184,6 @@ class DelsarteOp:
     grid: Grid1D | None = None
     x0: float | None = None
     diag: np.ndarray | None = None
-    side: str = "direct"
 
     def matrix(self) -> np.ndarray:
         M = np.eye(self.kernel.shape[0], dtype=complex) + self.kernel
@@ -232,12 +233,8 @@ def build_kernel_Omega(data: TransmutationData, x: float,
 
 def _family_dressed_rows(data: TransmutationData) -> np.ndarray:
     """u_i with u_i^T = psi(x_i) W_i^{-1}; rows of the dressed right family."""
-    P = data._prefix
-    n, m = data.right.shape
-    U = np.empty((n, m), dtype=complex)
-    for i in range(n):
-        U[i] = np.linalg.solve(P[i].T, data.right[i])
-    return U
+    P = data._prefix[:-1]
+    return np.linalg.solve(np.swapaxes(P, -1, -2), data.right[..., None])[..., 0]
 
 
 def delsarte_apply(data: TransmutationData, f: np.ndarray, sign: str = "+") -> np.ndarray:
@@ -297,12 +294,9 @@ def delsarte_inverse(data: TransmutationData, sign: str = "+") -> DelsarteOp:
         rev = data._reversed()
         op = delsarte_inverse(rev, "+")
         return DelsarteOp("-", op.kernel[::-1, ::-1], data.grid, data.x0)
-    P = data._prefix
-    n, m = data.right.shape
     h = data.grid.h
-    Wc = np.empty((n, m), dtype=complex)
-    for j in range(n):
-        Wc[j] = h * data.weights[j] * np.linalg.solve(P[j + 1], np.conj(data.left[j]))
+    Wc = (h * data.weights)[:, None] * np.linalg.solve(
+        data._prefix[1:], np.conj(data.left)[..., None])[..., 0]
     Khat = np.tril(data.right @ Wc.T, -1)
     return DelsarteOp("+", Khat, data.grid, data.x0)
 
@@ -318,18 +312,15 @@ def adjoint_operator(data: TransmutationData, sign: str = "+") -> DelsarteOp:
         pair_adj = gk_factorize(data.Phi.conj().T, data.chain)
         if sign == "+":
             # (1+K_plus)^{-dagger} equals the unit-upper factor of Phi^dagger
-            return DelsarteOp("-", pair_adj.K_minus, data.grid, side="adjoint")
+            return DelsarteOp("-", pair_adj.K_minus, data.grid)
         raise DiscretizationError("adjoint side is built for the plus factor")
     if sign != "+":
         raise DiscretizationError("adjoint side is built for the plus factor")
-    P = data._prefix
-    n, m = data.right.shape
     h = data.grid.h
-    A = np.empty((n, m), dtype=complex)
-    for i in range(n):
-        A[i] = h * data.weights[i] * np.linalg.solve(np.conj(P[i + 1]), data.left[i])
+    A = (h * data.weights)[:, None] * np.linalg.solve(
+        np.conj(data._prefix[1:]), data.left[..., None])[..., 0]
     Kadj = np.triu(A @ np.conj(data.right).T, 1)
-    return DelsarteOp("-", Kadj, data.grid, data.x0, side="adjoint")
+    return DelsarteOp("-", Kadj, data.grid, data.x0)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +505,7 @@ def save_transmutation(data: TransmutationData, directory: str | Path,
             save_matrix_csv(directory / f"{name}_{key}.csv", arr)
             manifest[key] = f"{name}_{key}.csv"
     path = directory / f"{name}.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    save_json(path, manifest)
     return path
 
 

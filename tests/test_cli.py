@@ -197,6 +197,13 @@ def test_grid_too_small_for_the_seed_gate(tmp_path):
         assert code == 2
 
 
+def test_derham_axis_too_short_for_a_grid(tmp_path, capsys):
+    # Grid1D needs 5 unknowns per axis; the schema rejects fewer up front
+    code, _ = _run(tmp_path, dict(DERHAM_CFG, shape=[4, 4], periods=[1.0, 1.0]))
+    assert code == 2
+    assert "does not validate" in capsys.readouterr().err
+
+
 def test_negative_seed_rejected_by_parser(tmp_path):
     path = _write_cfg(tmp_path, FACTORIZE_CFG)
     with pytest.raises(SystemExit) as exc:

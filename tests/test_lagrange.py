@@ -9,7 +9,9 @@ from delsarte import (DegreeMismatchError, DiffOp, FormField, Grid1D,
                       bilinear_concomitant, boundary, coboundary,
                       divergence_residual, exterior_derivative, form_norm,
                       primitive, surface_integral)
-from delsarte.lagrange import forward_diff_matrix
+from delsarte import derivative_matrix, discretize
+from delsarte.grid_ops import _apply_along
+from delsarte.lagrange import forward_diff, forward_diff_matrix
 
 
 def _pline(n=100, length=2 * np.pi):
@@ -125,6 +127,27 @@ def test_forward_diff_matrix_wraps_periodically():
     assert out[0] == pytest.approx(-1.0 / h)
     last_slab = (pg.shape[0] - 1) * pg.shape[1]
     assert out[last_slab] == pytest.approx(1.0 / h)
+
+
+def test_axis_operators_share_one_flattening():
+    # distinct sizes, mixed boundaries and a 2-dim fiber: any other
+    # Kronecker order than axis-major with the fiber innermost shows here
+    pg = ProductGrid((Grid1D.dirichlet(0.0, 1.0, 5), Grid1D.periodic(0.0, 2.0, 6),
+                      Grid1D.dirichlet(-1.0, 1.0, 7)), fiber_dim=2)
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal(pg.shape + (2,)) + 1j * rng.standard_normal(pg.shape + (2,))
+    vec = pg.flatten_field(f)
+
+    def close(a, b):
+        return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    for a in range(pg.ndim):
+        fd = pg.flatten_field(forward_diff(pg, a, f))
+        assert close(forward_diff_matrix(pg, a) @ vec, fd)
+        e_a = tuple(int(j == a) for j in range(pg.ndim))
+        A = discretize(DiffOp(pg, {e_a: 1.0})).A
+        D1 = derivative_matrix(pg.axes[a], 1)
+        assert close(A @ vec, pg.flatten_field(_apply_along(D1, f, a)))
 
 
 def test_stokes_exact_on_cell_blocks():

@@ -117,6 +117,17 @@ def test_singular_running_normalization_detected():
 # running kernel Omega_x
 # ---------------------------------------------------------------------------
 
+def test_non_finite_family_rejected():
+    g, A, fam, _ = _family_data(n=20, m=2)
+    right = fam.right.copy()
+    right[3, 1] = np.nan
+    with pytest.raises(DiscretizationError):
+        TransmutationData.from_family(g, A, right, fam.left)
+    with pytest.raises(DiscretizationError):
+        TransmutationData.from_family(g, A, fam.right, fam.left,
+                                      weights=np.full(g.n, np.nan))
+
+
 def test_omega_homotopy_normalization_bit_exact():
     g, _, _, data = _family_data()
     K = build_kernel_Omega(data, data.x0)
