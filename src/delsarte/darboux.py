@@ -329,18 +329,23 @@ def crum_iterate(op: SchrodingerOp, seeds: list, scheme_order: int = 2,
     return results
 
 
+def _band_eigvals(A: OperatorMatrix) -> np.ndarray:
+    """Ascending eigenvalues of the real part of a symmetric operator,
+    computed from its band (the bandwidth ``discretize`` records)."""
+    return scipy.linalg.eig_banded(np.real(A.to_banded()), eigvals_only=True)
+
+
 def spectrum_compare(before: SchrodingerOp, after: SchrodingerOp, n_low: int = 8,
                      scheme_order: int = 2, match_rtol: float = 1e-2) -> dict:
     """Eigenvalue bookkeeping for a dressing step.
 
     Reports the lowest eigenvalues of both operators, the list of negative
     eigenvalues that appeared (no counterpart within ``match_rtol``), and the
-    drift of the matched positive band.
+    drift of the matched positive band.  The spectra are those of the real
+    parts of the banded symmetric discretizations, from a banded eigensolver.
     """
-    Ab = before.matrix(scheme_order).A
-    Aa = after.matrix(scheme_order).A
-    lb = scipy.linalg.eigvalsh(np.real(Ab))
-    la = scipy.linalg.eigvalsh(np.real(Aa))
+    lb = _band_eigvals(before.matrix(scheme_order))
+    la = _band_eigvals(after.matrix(scheme_order))
     neg_b = lb[lb < 0.0]
     neg_a = la[la < 0.0]
     new_negative = []

@@ -63,7 +63,6 @@ class GenComplex:
     grid: ProductGrid
     axis_mats: list
     metric: float = 0.0
-    label: str = "generators"
     _dmats: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -105,7 +104,7 @@ def plain_complex(grid: ProductGrid) -> GenComplex:
     structural (exact zeros), on periodic and Dirichlet axes alike.
     """
     mats = [forward_diff_matrix(grid, a) for a in range(grid.ndim)]
-    return GenComplex(grid, mats, label="plain")
+    return GenComplex(grid, mats)
 
 
 def _matched_generator(g: Grid1D, A: np.ndarray) -> np.ndarray:
@@ -129,7 +128,7 @@ def flat_complex(grid: ProductGrid, generators: list) -> GenComplex:
     mats = [forward_diff_matrix(grid, a)
             - np.kron(np.eye(grid.nnodes), _matched_generator(g, A))
             for a, (g, A) in enumerate(zip(grid.axes, gens))]
-    return GenComplex(grid, mats, label="flat")
+    return GenComplex(grid, mats)
 
 
 def _march(grid: ProductGrid, steps: list, v0: np.ndarray) -> np.ndarray:

@@ -116,8 +116,19 @@ def triangular_shear(Phi: np.ndarray, chain: ProjectorChain | None = None):
     return _unpermute(upper, chain.order), _unpermute(lower, chain.order)
 
 
+_LDU_BLOCK = 64  # order of the diagonal blocks eliminated by rank-one updates
+
+
 def _ldu(M: np.ndarray):
-    """Unpivoted Doolittle LDU; raises SingularMinorError at the first bad pivot."""
+    """Unpivoted Doolittle LDU; raises SingularMinorError at the first bad pivot.
+
+    Blocked right-looking elimination: rank-one updates run only inside each
+    diagonal block of order ``_LDU_BLOCK``, the panels beside it come from
+    unit-triangular solves, and the trailing matrix takes one matrix-product
+    Schur update per block.  Matrices up to the block order take the plain
+    rank-one loop.  Every pivot is held against the same threshold, set
+    from the whole matrix, so the first bad leading minor is named exactly.
+    """
     n = M.shape[0]
     A = M.astype(complex, copy=True)
     L = np.eye(n, dtype=complex)
@@ -125,15 +136,27 @@ def _ldu(M: np.ndarray):
     d = np.zeros(n, dtype=complex)
     scale = max(float(np.max(np.abs(M))), 1.0)
     tiny = 1e-13 * scale
-    for k in range(n):
-        piv = A[k, k]
-        if abs(piv) <= tiny:
-            raise SingularMinorError(k + 1)
-        d[k] = piv
-        if k + 1 < n:
-            L[k + 1:, k] = A[k + 1:, k] / piv
-            U[k, k + 1:] = A[k, k + 1:] / piv
-            A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k, k + 1:]) / piv
+    for b0 in range(0, n, _LDU_BLOCK):
+        b1 = min(b0 + _LDU_BLOCK, n)
+        for k in range(b0, b1):
+            piv = A[k, k]
+            if abs(piv) <= tiny:
+                raise SingularMinorError(k + 1)
+            d[k] = piv
+            if k + 1 < b1:
+                L[k + 1:b1, k] = A[k + 1:b1, k] / piv
+                U[k, k + 1:b1] = A[k, k + 1:b1] / piv
+                A[k + 1:b1, k + 1:b1] -= np.outer(A[k + 1:b1, k], A[k, k + 1:b1]) / piv
+        if b1 < n:
+            blk = slice(b0, b1)
+            # A21 = L21 D11 U11 and A12 = L11 D11 U12
+            X = scipy.linalg.solve_triangular(U[blk, blk], A[b1:, blk].T, trans="T",
+                                              lower=False, unit_diagonal=True).T
+            Y = scipy.linalg.solve_triangular(L[blk, blk], A[blk, b1:],
+                                              lower=True, unit_diagonal=True)
+            L[b1:, blk] = X / d[blk]
+            U[blk, b1:] = Y / d[blk, None]
+            A[b1:, b1:] -= X @ U[blk, b1:]
     return L, d, U
 
 
@@ -150,9 +173,11 @@ def gk_factorize(Phi: np.ndarray, chain: ProjectorChain | None = None) -> Triang
     K_minus = _unpermute(U - np.eye(n), chain.order)
     D = np.zeros(n, dtype=complex)
     D[list(chain.order)] = d
-    recon = np.linalg.solve(np.eye(n) + K_plus, (np.eye(n) + K_minus) * D[:, None])
-    residual = float(np.linalg.norm(recon - (np.eye(n) + Phi))
-                     / max(np.linalg.norm(np.eye(n) + Phi), 1e-300))
+    # (1 + K_plus)^{-1} D (1 + K_minus), in chain order where 1 + K_plus is
+    # unit lower; the Frobenius residual does not see the permutation
+    recon = scipy.linalg.solve_triangular(Linv, d[:, None] * U, lower=True,
+                                          unit_diagonal=True)
+    residual = float(np.linalg.norm(recon - M) / max(np.linalg.norm(M), 1e-300))
     return TriangularPair(K_plus, D, K_minus, chain, residual)
 
 

@@ -48,7 +48,7 @@ def load_matrix_csv(path: str | Path) -> np.ndarray:
 def _format_rows(A: np.ndarray) -> str:
     # full double precision: round-tripping a matrix through disk must not
     # perturb downstream residual checks
-    lines = [",".join(repr(float(v)) for v in row) for row in A]
+    lines = [",".join(map(repr, row)) for row in A.tolist()]
     return "\n".join(lines) + "\n"
 
 

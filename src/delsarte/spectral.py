@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .errors import DefectiveFamilyError, EmptyBandError
+from .errors import DefectiveFamilyError, DiscretizationError, EmptyBandError
 from .grid_ops import _as_matrix
 from .ioutil import load_matrix_csv, save_json, save_matrix_csv
 
@@ -108,13 +108,16 @@ def eigensolve(A, count: int | None = None, band=None,
 
     Raises :class:`DefectiveFamilyError` when a degenerate cluster's
     cross-Gram is singular to working precision, and
-    :class:`EmptyBandError` when the selection is empty.
+    :class:`EmptyBandError` when the selection is empty, and
+    :class:`DiscretizationError` on a non-finite operator or weight.
     """
     M = _as_matrix(A)
     n = M.shape[0]
     if weights is None:
         weights = np.ones(n)
     weights = np.asarray(weights, dtype=float)
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(weights))):
+        raise DiscretizationError("eigensolve needs a finite operator and weights")
     scale = np.linalg.norm(M, ord=np.inf) or 1.0
 
     if hermitian is None:
@@ -153,7 +156,7 @@ def eigensolve(A, count: int | None = None, band=None,
         sl = np.s_[:, grp]
         G = left[sl].conj().T @ (weights[:, None] * right[sl])
         U, s, Vh = np.linalg.svd(G)
-        if s[-1] < _GRAM_FLOOR * max(s[0], 1.0):
+        if not (s[-1] >= _GRAM_FLOOR * max(s[0], 1.0)):
             raise DefectiveFamilyError(
                 f"cluster at {lams[grp[0]]:.6g} has cross-Gram singular values "
                 f"{s.min():.3e} .. {s.max():.3e}; family is defective")

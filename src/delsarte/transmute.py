@@ -101,15 +101,16 @@ class TransmutationData:
             raise DiscretizationError("family arrays must be (n_nodes, m)")
         m = right.shape[1]
         om = np.asarray(omega0, dtype=complex)
+        w = np.ones(grid.n) if weights is None else np.asarray(weights, dtype=float)
+        if w.shape != (grid.n,):
+            raise DiscretizationError("weights must be one value per node")
+        # before the scalar promotion, which would multiply inf into zeros
+        if not all(np.all(np.isfinite(v)) for v in (right, left, w, om)):
+            raise DiscretizationError("family data must be finite")
         if om.ndim == 0:
             om = np.eye(m, dtype=complex) * om
         if om.shape != (m, m):
             raise DiscretizationError("omega0 must be scalar or (m, m)")
-        w = np.ones(grid.n) if weights is None else np.asarray(weights, dtype=float)
-        if w.shape != (grid.n,):
-            raise DiscretizationError("weights must be one value per node")
-        if not all(np.all(np.isfinite(v)) for v in (right, left, w, om)):
-            raise DiscretizationError("family data must be finite")
         if x0 is None:
             x0 = grid.a
         data = cls("family", _as_matrix(L), grid=grid, right=right, left=left,
@@ -191,6 +192,11 @@ class DelsarteOp:
             M = self.diag[:, None] * M
         return M
 
+    def _is_strictly_triangular(self) -> bool:
+        K = self.kernel
+        off = np.triu(K, 0) if self.sign == "+" else np.tril(K, 0)
+        return np.count_nonzero(off) == 0
+
     def volterra_defect(self) -> float:
         """Largest eigenvalue modulus of the kernel.
 
@@ -198,14 +204,34 @@ class DelsarteOp:
         entries, so the defect is computed structurally; a kernel violating
         the triangular support falls back to a dense eigensolve.
         """
-        K = self.kernel
-        off = np.triu(K, 0) if self.sign == "+" else np.tril(K, 0)
-        if np.count_nonzero(off) == 0:
+        if self._is_strictly_triangular():
             return 0.0
-        return float(np.max(np.abs(np.linalg.eigvals(K))))
+        return float(np.max(np.abs(np.linalg.eigvals(self.kernel))))
 
     def cond(self) -> float:
-        return float(np.linalg.cond(self.matrix()))
+        """Upper bound sqrt(kappa_1 kappa_inf) on the 2-norm condition number.
+
+        The factor is triangular, so one triangular solve gives its inverse
+        and the 1- and inf-norm condition numbers exactly.  Because
+        ||A||_2 <= sqrt(||A||_1 ||A||_inf), their geometric mean bounds
+        kappa_2 from above (and exceeds it by at most a factor n), so a guard
+        on this value rejects every factor a 2-norm guard rejects.  A
+        non-finite or singular factor, or a kernel with entries outside its
+        strict triangle, gives inf.
+        """
+        M = self.matrix()
+        if not (self._is_strictly_triangular() and np.all(np.isfinite(M))):
+            return float("inf")
+        try:
+            Minv = scipy.linalg.solve_triangular(
+                M, np.eye(M.shape[0]), lower=self.sign == "+",
+                unit_diagonal=self.diag is None, check_finite=False)
+        except np.linalg.LinAlgError:
+            return float("inf")
+        k1 = np.linalg.norm(M, 1) * np.linalg.norm(Minv, 1)
+        kinf = np.linalg.norm(M, np.inf) * np.linalg.norm(Minv, np.inf)
+        bound = float(np.sqrt(k1) * np.sqrt(kinf))
+        return bound if np.isfinite(bound) else float("inf")
 
 
 def build_kernel_Omega(data: TransmutationData, x: float,
@@ -328,16 +354,17 @@ def adjoint_operator(data: TransmutationData, sign: str = "+") -> DelsarteOp:
 # ---------------------------------------------------------------------------
 
 def _extract_tridiag(M: np.ndarray):
-    n = M.shape[0]
     scale = float(np.max(np.abs(M)))
-    band = float(np.abs(np.triu(M, 2)).max()) if n > 2 else 0.0
-    band = max(band, float(np.abs(np.tril(M, -2)).max()) if n > 2 else 0.0)
-    if band > 1e-12 * scale:
+    if not np.isfinite(scale):
+        raise DiscretizationError("pair intertwiner needs finite operators")
+    band = float(np.max(np.abs(M - np.triu(np.tril(M, 1), -1))))
+    if not (band <= 1e-12 * scale):
         raise DiscretizationError("pair intertwiner needs tridiagonal operators")
     sup = np.diagonal(M, 1)
     sub = np.diagonal(M, -1)
     c = -sup[0]
-    if np.max(np.abs(sup + c)) > 1e-10 * abs(c) or np.max(np.abs(sub + c)) > 1e-10 * abs(c):
+    if not (np.max(np.abs(sup + c)) <= 1e-10 * abs(c)
+            and np.max(np.abs(sub + c)) <= 1e-10 * abs(c)):
         raise DiscretizationError("pair intertwiner needs constant equal off-diagonals")
     return np.real(np.diagonal(M).copy()), complex(c)
 

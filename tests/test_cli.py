@@ -300,6 +300,24 @@ def test_factorize_reads_phi_from_file(tmp_path):
     np.testing.assert_array_equal(load_matrix_csv(out / "phi.csv"), Phi)
 
 
+def test_matrix_csv_bytes_are_repr_of_each_float(tmp_path):
+    # the writer must keep the bytes of the per-value repr(float(v)) form
+    real = np.array([[-0.0, 5e-324, 2.2e-310, 1e300],
+                     [3.0, -7.0, 1.0 / 3.0, 2.0 ** 60]])
+    cplx = real[:, :3] + 1j * real[:, 1:]
+    for A in (real, cplx, real[0], np.arange(4)):
+        p = tmp_path / "m.csv"
+        save_matrix_csv(p, A)
+        A2 = np.atleast_2d(A)
+        if np.iscomplexobj(A2):
+            flat = np.empty((A2.shape[0], 2 * A2.shape[1]))
+            flat[:, 0::2], flat[:, 1::2] = A2.real, A2.imag
+        else:
+            flat = A2.astype(float)
+        body = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in flat)
+        assert p.read_text().split("\n", 1)[1] == body
+
+
 def test_matrix_csv_round_trip_complex(tmp_path):
     rng = np.random.default_rng(4)
     A = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))

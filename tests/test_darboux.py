@@ -3,10 +3,12 @@ one-soliton well, stacked bound states, and the seed safety gates."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from delsarte import (DressingSeed, ExpPoly, Grid1D, SchrodingerOp,
                       SeedNodeError, crum_iterate, darboux_once,
                       spectrum_compare)
+from delsarte.darboux import _band_eigvals
 from delsarte.errors import DiscretizationError
 
 
@@ -182,3 +184,17 @@ def test_spectrum_compare_trivial_dressing():
     comp = spectrum_compare(op, op)
     assert comp["new_negative"] == []
     assert comp["band_drift"] == 0.0
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_banded_spectrum_matches_dense(order):
+    g, op, seed = _setup(n=300, w=10.0)
+    for A in (op.matrix(order), darboux_once(op, seed).operator.matrix(order)):
+        bw = A.flat_bandwidth()
+        assert np.count_nonzero(np.triu(A.A, bw + 1)) == 0
+        assert np.count_nonzero(np.tril(A.A, -bw - 1)) == 0
+        dense = scipy.linalg.eigvalsh(np.real(A.A))
+        banded = _band_eigvals(A)
+        assert np.max(np.abs(banded - dense)) <= 1e-12 * np.max(np.abs(dense))
+    comp = spectrum_compare(op, darboux_once(op, seed).operator, scheme_order=order)
+    assert len(comp["new_negative"]) == 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from delsarte import factorize
 from delsarte import (ProjectorChain, SingularMinorError, TriangularPair,
                       break_relation_defect, commutation_check,
                       factor_conjugation_gap, gk_factorize,
@@ -191,3 +192,52 @@ def test_pair_exactness_flag():
     pair = gk_factorize(PHI_2X2)
     assert isinstance(pair, TriangularPair)
     assert pair.has_unit_diagonal
+
+
+# ---------------------------------------------------------------------------
+# blocked elimination
+# ---------------------------------------------------------------------------
+
+def _rank_one_ldu(M):
+    """Reference: the unblocked Doolittle loop, one rank-one update per pivot."""
+    n = M.shape[0]
+    A = M.astype(complex, copy=True)
+    L = np.eye(n, dtype=complex)
+    U = np.eye(n, dtype=complex)
+    d = np.zeros(n, dtype=complex)
+    for k in range(n):
+        piv = A[k, k]
+        d[k] = piv
+        L[k + 1:, k] = A[k + 1:, k] / piv
+        U[k, k + 1:] = A[k, k + 1:] / piv
+        A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k, k + 1:]) / piv
+    return L, d, U
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 130, 200])
+def test_blocked_ldu_matches_rank_one_loop(n):
+    rng = np.random.default_rng(n)
+    M = np.eye(n) + random_unit_minor(n, rng, 0.35 / np.sqrt(n))
+    got = factorize._ldu(M)
+    want = _rank_one_ldu(M)
+    for g, w in zip(got, want):
+        if n <= factorize._LDU_BLOCK:
+            np.testing.assert_array_equal(g, w)
+        else:
+            assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("k", [64, 65, 70, 129])
+def test_blocked_ldu_names_first_singular_minor(k):
+    # 1 + Phi = L diag(d) U with d[k-1] = 0: minor k is the first to vanish,
+    # in the first block, on a block edge, or inside a later block
+    rng = np.random.default_rng(k)
+    n = 160
+    s = 0.3 / np.sqrt(n)
+    Lw = np.tril(s * rng.standard_normal((n, n)), -1) + np.eye(n)
+    Uw = np.triu(s * rng.standard_normal((n, n)), 1) + np.eye(n)
+    d = np.ones(n)
+    d[k - 1] = 0.0
+    with pytest.raises(SingularMinorError) as err:
+        gk_factorize(Lw @ np.diag(d) @ Uw - np.eye(n))
+    assert err.value.index == k

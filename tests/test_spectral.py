@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from delsarte import (DefectiveFamilyError, DiffOp, EmptyBandError, Grid1D,
-                      ProductGrid, congruence_residual, discretize, eigensolve,
-                      elementary_kernel, kernel_from_measure, load_family,
-                      projection_measure, save_family)
+from delsarte import (DefectiveFamilyError, DiffOp, DiscretizationError,
+                      EmptyBandError, Grid1D, ProductGrid, congruence_residual,
+                      discretize, eigensolve, elementary_kernel,
+                      kernel_from_measure, load_family, projection_measure,
+                      save_family)
 
 
 def _dirichlet_laplacian(n=40, length=np.pi):
@@ -58,6 +59,32 @@ def test_jordan_block_is_rejected():
     J = np.eye(6, k=1)
     with pytest.raises(DefectiveFamilyError):
         eigensolve(J)
+
+
+def test_non_finite_input_rejected():
+    _, L = _dirichlet_laplacian(20)
+    A = L.A.copy()
+    A[2, 3] = np.nan
+    with pytest.raises(DiscretizationError):
+        eigensolve(A)
+    w = np.ones(20)
+    w[4] = np.inf
+    with pytest.raises(DiscretizationError):
+        eigensolve(L, weights=w)
+
+
+def test_nan_cross_gram_is_rejected(monkeypatch):
+    # the floor gate must fail closed when the singular values are NaN
+    _, L = _dirichlet_laplacian(20)
+    svd = np.linalg.svd
+
+    def nan_svd(G, *args, **kwargs):
+        U, s, Vh = svd(G, *args, **kwargs)
+        return U, np.full_like(s, np.nan), Vh
+
+    monkeypatch.setattr(np.linalg, "svd", nan_svd)
+    with pytest.raises(DefectiveFamilyError):
+        eigensolve(L, count=2)
 
 
 def test_degenerate_but_diagonalizable_cluster():

@@ -1,18 +1,22 @@
 """Triangular dressing operators: exact inverses, intertwining, locality,
 sign independence, adjoint compatibility, and the Volterra property."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from delsarte import (ConditionNumberError, DiffOp, DressingSeed, Grid1D,
-                      GridError, ProductGrid, SchrodingerOp, SingularKernelError,
-                      TransmutationData, adjoint_compat_check, adjoint_operator,
+from delsarte import (ConditionNumberError, DelsarteOp, DiffOp, DressingSeed,
+                      Grid1D, GridError, ProductGrid, SchrodingerOp,
+                      SingularKernelError, TransmutationData,
+                      adjoint_compat_check, adjoint_operator,
                       build_kernel_Omega, darboux_once, delsarte_apply,
                       delsarte_inverse, delsarte_operator, discretize,
-                      eigensolve, independence_check, kernel_from_measure,
-                      load_transmutation, locality_check, pair_intertwiner,
-                      save_transmutation, transform_family, transform_operator)
+                      eigensolve, gk_factorize, independence_check,
+                      kernel_from_measure, load_transmutation, locality_check,
+                      pair_intertwiner, random_unit_minor, save_transmutation,
+                      spectrum_compare, transform_family, transform_operator)
 from delsarte.errors import DiscretizationError
 
 
@@ -126,6 +130,12 @@ def test_non_finite_family_rejected():
     with pytest.raises(DiscretizationError):
         TransmutationData.from_family(g, A, fam.right, fam.left,
                                       weights=np.full(g.n, np.nan))
+    # a scalar inf must be rejected before it is spread over the identity
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DiscretizationError):
+            TransmutationData.from_family(g, A, fam.right, fam.left,
+                                          omega0=np.inf)
 
 
 def test_omega_homotopy_normalization_bit_exact():
@@ -221,6 +231,43 @@ def test_pair_intertwiner_rejects_non_tridiagonal():
         pair_intertwiner(L, L)
 
 
+@pytest.mark.parametrize("where", [(3, 9), (9, 3), (5, 5)])
+def test_pair_intertwiner_rejects_non_finite(where):
+    g, L, T = _soliton(40, 8.0)
+    for bad in (np.nan, np.inf):
+        T2 = T.copy()
+        T2[where] = bad
+        with pytest.raises(DiscretizationError):
+            pair_intertwiner(L, T2, grid=g)
+
+
+def test_cond_bounds_two_norm_condition_number():
+    g, L, T = _soliton(200, 8.0)
+    _, _, _, data = _family_data()
+    _, _, datak = _kernel_data()
+    ops = [pair_intertwiner(L, T, s, grid=g) for s in "+-"]
+    ops += [f(d, s) for d in (data, datak)
+            for f in (delsarte_operator, delsarte_inverse) for s in "+-"]
+    assert {(om.sign, om.diag is not None) for om in ops} == {
+        ("+", False), ("-", False), ("-", True)}
+    for om in ops:
+        M = om.matrix()
+        k2 = np.linalg.cond(M)
+        assert k2 <= om.cond() <= M.shape[0] * k2
+
+
+def test_cond_of_broken_factor_is_infinite():
+    g, L, T = _soliton(40, 8.0)
+    om = pair_intertwiner(L, T, grid=g)
+    nan_kernel = DelsarteOp("+", np.where(np.tri(g.n, k=-1) > 0, np.nan, 0.0), g)
+    upper_mass = DelsarteOp("+", om.kernel + np.triu(np.ones((g.n, g.n)), 1), g)
+    singular = DelsarteOp("-", np.zeros((g.n, g.n)), g, diag=np.zeros(g.n))
+    for bad in (nan_kernel, upper_mass, singular):
+        assert bad.cond() == np.inf
+        with pytest.raises(ConditionNumberError):
+            transform_operator(L, bad)
+
+
 def test_condition_guard_raises():
     g, L, T = _soliton()  # cond(M) ~ 8e10 on the wide box
     om = pair_intertwiner(L, T, "+", grid=g)
@@ -312,3 +359,27 @@ def test_kernel_data_round_trip(tmp_path):
     back = load_transmutation(manifest)
     assert back.kind == "kernel"
     np.testing.assert_array_equal(back.Phi, data.Phi)
+
+
+# ---------------------------------------------------------------------------
+# structured routines only
+# ---------------------------------------------------------------------------
+
+def test_dressing_path_uses_no_dense_fallback(monkeypatch):
+    # the triangular bound, the banded spectra and the blocked LDU must not
+    # fall back to SVD-based or dense symmetric eigensolvers
+    g, L, T = _soliton(200, 8.0)
+    om = pair_intertwiner(L, T, grid=g)
+    base = SchrodingerOp.free(g)
+    dressed = darboux_once(base, DressingSeed.hyperbolic(g, 1.0, "even"))
+    Phi = random_unit_minor(200, np.random.default_rng(0))
+
+    def dense(*args, **kwargs):
+        raise AssertionError("dense fallback called")
+
+    for mod, name in ((np.linalg, "svd"), (np.linalg, "cond"),
+                      (scipy.linalg, "eigvalsh")):
+        monkeypatch.setattr(mod, name, dense)
+    assert np.isfinite(om.cond())
+    assert len(spectrum_compare(base, dressed.operator)["new_negative"]) == 1
+    assert gk_factorize(Phi).residual < 1e-10
