@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -193,14 +193,13 @@ class DressingSeed:
     values: np.ndarray
     energy: float
     expr: ExpPoly | None = None
-    label: str = ""
 
     @classmethod
     def hyperbolic(cls, grid: Grid1D, kappa: float, parity: str = "even",
                    center: float = 0.0) -> "DressingSeed":
         expr = ExpPoly.cosh(kappa, center) if parity == "even" else ExpPoly.sinh(kappa, center)
         vals = np.real(expr.eval(grid.x))
-        return cls(grid, vals, -float(kappa) ** 2, expr, f"{parity}@kappa={kappa}")
+        return cls(grid, vals, -float(kappa) ** 2, expr)
 
     def stencil_energy(self) -> float:
         """Exact eigenvalue of pure exponential profiles on the 3-point stencil."""
@@ -213,8 +212,6 @@ class DressingSeed:
 class DressedResult:
     operator: SchrodingerOp
     qtilde: np.ndarray
-    seed: DressingSeed
-    energy: float
     log_tau: ExpPoly | None = None
     base_q_fn: object = None
     base_is_zero: bool = False
@@ -284,7 +281,7 @@ def darboux_once(op: SchrodingerOp, seed: DressingSeed, scheme_order: int = 2,
         raise DiscretizationError(f"unknown derivative mode {derivative!r}")
     qtilde = op.q - 2.0 * ltau2
     dressed = SchrodingerOp(op.grid, qtilde, None)
-    result = DressedResult(dressed, qtilde, seed, seed.energy, log_tau,
+    result = DressedResult(dressed, qtilde, log_tau,
                            base_q_fn=op.q_fn,
                            base_is_zero=bool(np.max(np.abs(op.q)) == 0.0))
     if log_tau is not None and (op.q_fn is not None or result.base_is_zero):
@@ -322,11 +319,15 @@ def crum_iterate(op: SchrodingerOp, seeds: list, scheme_order: int = 2,
             raise SeedNodeError(f"stage {k} Wronskian changes sign on the grid")
         qtilde = -2.0 * np.real(W.log_second_derivative(x))
         dressed = SchrodingerOp(op.grid, qtilde, None)
-        res = DressedResult(dressed, qtilde, seeds[k - 1], energies[k - 1], W,
+        res = DressedResult(dressed, qtilde, W,
                             base_q_fn=None, base_is_zero=True)
         dressed.q_fn = res.qtilde_at
         results.append(res)
     return results
+
+
+_N_LOW = 8  # eigenvalues reported per side, and positive ones compared
+_MATCH_RTOL = 1e-2  # relative distance at which a negative eigenvalue is matched
 
 
 def _band_eigvals(A: OperatorMatrix) -> np.ndarray:
@@ -335,14 +336,16 @@ def _band_eigvals(A: OperatorMatrix) -> np.ndarray:
     return scipy.linalg.eig_banded(np.real(A.to_banded()), eigvals_only=True)
 
 
-def spectrum_compare(before: SchrodingerOp, after: SchrodingerOp, n_low: int = 8,
-                     scheme_order: int = 2, match_rtol: float = 1e-2) -> dict:
+def spectrum_compare(before: SchrodingerOp, after: SchrodingerOp,
+                     scheme_order: int = 2) -> dict:
     """Eigenvalue bookkeeping for a dressing step.
 
-    Reports the lowest eigenvalues of both operators, the list of negative
-    eigenvalues that appeared (no counterpart within ``match_rtol``), and the
-    drift of the matched positive band.  The spectra are those of the real
-    parts of the banded symmetric discretizations, from a banded eigensolver.
+    Reports the lowest ``_N_LOW`` (8) eigenvalues of both operators, the
+    list of negative eigenvalues that appeared (no counterpart within the
+    relative ``_MATCH_RTOL``, 1e-2), and the drift of the matched positive
+    band over its lowest ``_N_LOW`` values.  The spectra are those of the
+    real parts of the banded symmetric discretizations, from a banded
+    eigensolver.
     """
     lb = _band_eigvals(before.matrix(scheme_order))
     la = _band_eigvals(after.matrix(scheme_order))
@@ -353,17 +356,17 @@ def spectrum_compare(before: SchrodingerOp, after: SchrodingerOp, n_low: int = 8
     for lam in neg_a:
         if len(neg_b):
             j = int(np.argmin(np.abs(neg_b - lam)))
-            if not used[j] and abs(neg_b[j] - lam) <= match_rtol * max(1.0, abs(lam)):
+            if not used[j] and abs(neg_b[j] - lam) <= _MATCH_RTOL * max(1.0, abs(lam)):
                 used[j] = True
                 continue
         new_negative.append(float(lam))
-    pos_b = lb[lb > 0.0][:n_low]
-    pos_a = la[la > 0.0][:n_low]
+    pos_b = lb[lb > 0.0][:_N_LOW]
+    pos_a = la[la > 0.0][:_N_LOW]
     m = min(len(pos_b), len(pos_a))
     drift = float(np.max(np.abs(pos_a[:m] - pos_b[:m]) / np.abs(pos_b[:m]))) if m else float("nan")
     return {
-        "lowest_before": [float(v) for v in lb[:n_low]],
-        "lowest_after": [float(v) for v in la[:n_low]],
+        "lowest_before": [float(v) for v in lb[:_N_LOW]],
+        "lowest_after": [float(v) for v in la[:_N_LOW]],
         "new_negative": new_negative,
         "band_drift": drift,
     }

@@ -57,12 +57,11 @@ class GenComplex:
 
     ``axis_mats[j]`` is the matrix of L_j on flattened fields.  Pairwise
     commutation is checked on construction; it is what makes d_L nilpotent.
-    The scalar product carries the uniform node weight ``metric``.
+    The scalar product carries the uniform node weight ``grid.vol``.
     """
 
     grid: ProductGrid
     axis_mats: list
-    metric: float = 0.0
     _dmats: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -74,14 +73,12 @@ class GenComplex:
             if M.shape != (d, d):
                 raise DiscretizationError(
                     f"axis operators must be {d} x {d} on flattened fields")
-        if self.metric == 0.0:
-            self.metric = self.grid.vol
         for j in range(len(self.axis_mats)):
             for k in range(j + 1, len(self.axis_mats)):
                 A, B = self.axis_mats[j], self.axis_mats[k]
                 scale = np.linalg.norm(A) * np.linalg.norm(B)
                 gap = np.linalg.norm(A @ B - B @ A)
-                if gap > 1e-12 * max(scale, 1.0):
+                if not (gap <= 1e-12 * max(scale, 1.0)):
                     raise NonCommutingFamilyError(
                         f"axis operators {j} and {k} do not commute: "
                         f"residual {gap:.3e} vs scale {scale:.3e}")
@@ -227,7 +224,7 @@ def scalar_product(c: GenComplex, beta: FormField, gamma: FormField) -> complex:
     if beta.degree != gamma.degree:
         raise DegreeMismatchError(
             f"cannot pair a degree-{beta.degree} form with degree {gamma.degree}")
-    return c.metric * complex(np.vdot(beta.stack(), gamma.stack()))
+    return c.grid.vol * complex(np.vdot(beta.stack(), gamma.stack()))
 
 
 def laplace_hodge(c: GenComplex, degree: int) -> OperatorMatrix:
@@ -277,13 +274,15 @@ class HarmonicReport:
         return out
 
 
-def harmonic_space(c: GenComplex, degree: int, tol: float = 1e-8) -> HarmonicReport:
+def harmonic_space(c: GenComplex, degree: int) -> HarmonicReport:
+    """Null space of Delta_degree: eigenvalues at most 1e-8 times the
+    largest count as zero."""
     Delta = laplace_hodge(c, degree).A
     # Hermitian nonnegative by construction: d'd + dd'
     w, V = np.linalg.eigh((Delta + Delta.conj().T) / 2.0)
     w = np.abs(w)
     smax = float(w[-1]) if w.size else 0.0
-    thr = tol * max(smax, 1e-300)
+    thr = 1e-8 * max(smax, 1e-300)
     null = w <= thr
     dim = int(np.count_nonzero(null))
     rejected = w[null]
@@ -347,7 +346,7 @@ def skrypnik_map(c: GenComplex, phi0: np.ndarray, psis: list,
     periods = np.zeros((len(cycles), len(psis)), dtype=complex)
     for j, psi in enumerate(psis):
         res = form_norm(d_L(c, psi)) if psi.degree < grid.ndim else 0.0
-        if res > 1e-8 * max(form_norm(psi), 1e-30):
+        if not (res <= 1e-8 * max(form_norm(psi), 1e-30)):
             raise NotClosedError(res, f"form {j} is not closed: |d_L psi| = {res:.3e}")
         comps = {}
         for S in _subsets(grid.ndim, psi.degree):

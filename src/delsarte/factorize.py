@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import SingularMinorError
+from .errors import DiscretizationError, SingularMinorError
 
 __all__ = [
     "ProjectorChain",
@@ -93,7 +93,6 @@ class TriangularPair:
     K_plus: np.ndarray
     D: np.ndarray
     K_minus: np.ndarray
-    chain: ProjectorChain
     residual: float
 
     @property
@@ -161,8 +160,13 @@ def _ldu(M: np.ndarray):
 
 
 def gk_factorize(Phi: np.ndarray, chain: ProjectorChain | None = None) -> TriangularPair:
-    """Factor 1 + Phi into triangular Volterra factors along the chain."""
+    """Factor 1 + Phi into triangular Volterra factors along the chain.
+
+    Raises :class:`DiscretizationError` on a non-finite kernel.
+    """
     Phi = np.asarray(Phi)
+    if not np.all(np.isfinite(Phi)):
+        raise DiscretizationError("factorization needs a finite kernel")
     n = Phi.shape[0]
     chain = chain or ProjectorChain.natural(n)
     M = _permute(np.eye(n) + Phi, chain.order)
@@ -178,7 +182,7 @@ def gk_factorize(Phi: np.ndarray, chain: ProjectorChain | None = None) -> Triang
     recon = scipy.linalg.solve_triangular(Linv, d[:, None] * U, lower=True,
                                           unit_diagonal=True)
     residual = float(np.linalg.norm(recon - M) / max(np.linalg.norm(M), 1e-300))
-    return TriangularPair(K_plus, D, K_minus, chain, residual)
+    return TriangularPair(K_plus, D, K_minus, residual)
 
 
 def gk_integral_factors(Phi: np.ndarray, chain: ProjectorChain | None = None,
@@ -281,11 +285,12 @@ def factor_conjugation_gap(pair: TriangularPair, L: np.ndarray) -> float:
     return float(np.linalg.norm(Lp - Lm) / max(np.linalg.norm(L), 1e-300))
 
 
-def break_relation_defect(K: np.ndarray, chain: ProjectorChain | None = None) -> float:
+def break_relation_defect(K: np.ndarray) -> float:
     """Largest width-one break (P+ - P-) K (P+ - P-), i.e. diagonal mass.
 
-    Strictly triangular kernels subordinate to the chain carry exact zeros
-    here; any diagonal leakage is reported as the defect.
+    The width-one breaks of every chain are the diagonal entries, so no
+    chain is needed.  Strictly triangular kernels subordinate to the chain
+    carry exact zeros here; any diagonal leakage is reported as the defect.
     """
     K = np.asarray(K)
     return float(np.max(np.abs(np.diag(K))))
@@ -303,11 +308,14 @@ def random_unit_minor(n: int, rng: np.random.Generator, scale: float = 0.35) -> 
     return scipy.linalg.solve_triangular(np.eye(n) + A, np.eye(n) + B, lower=True) - np.eye(n)
 
 
-def is_volterra_factor(M: np.ndarray, side: str, tol: float = 0.0) -> bool:
-    """Is M = 1 + strictly triangular (lower for side '+', upper for side '-')?"""
+def is_volterra_factor(M: np.ndarray, side: str) -> bool:
+    """Is M = 1 + strictly triangular (lower for side '+', upper for side '-')?
+
+    The diagonal may miss 1 by 1e-12; the entries across it must be exact
+    zeros.
+    """
     M = np.asarray(M)
-    n = M.shape[0]
-    if not np.allclose(np.diag(M), 1.0, rtol=0.0, atol=max(tol, 1e-12)):
+    if not np.allclose(np.diag(M), 1.0, rtol=0.0, atol=1e-12):
         return False
     off = np.triu(M, 1) if side == "+" else np.tril(M, -1)
-    return bool(np.max(np.abs(off)) <= max(tol, 0.0))
+    return bool(np.max(np.abs(off)) <= 0.0)

@@ -26,7 +26,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -261,7 +261,6 @@ class OperatorMatrix:
     A: np.ndarray
     grid: ProductGrid | None = None
     axis_bandwidths: tuple | None = None
-    boundary: str = ""
 
     def __post_init__(self):
         self.A = np.asarray(self.A)
@@ -272,17 +271,13 @@ class OperatorMatrix:
     def shape(self):
         return self.A.shape
 
-    def adjoint(self) -> "OperatorMatrix":
-        # uniform node weights: the discrete adjoint is the conjugate transpose
-        return OperatorMatrix(self.A.conj().T, self.grid, self.axis_bandwidths, self.boundary)
-
     def __matmul__(self, other):
         B = other.A if isinstance(other, OperatorMatrix) else np.asarray(other)
         bw = None
         if self.axis_bandwidths is not None and isinstance(other, OperatorMatrix) \
                 and other.axis_bandwidths is not None:
             bw = tuple(p + q for p, q in zip(self.axis_bandwidths, other.axis_bandwidths))
-        return OperatorMatrix(self.A @ B, self.grid, bw, self.boundary)
+        return OperatorMatrix(self.A @ B, self.grid, bw)
 
     def __add__(self, other):
         B = other.A if isinstance(other, OperatorMatrix) else np.asarray(other)
@@ -290,14 +285,14 @@ class OperatorMatrix:
         if self.axis_bandwidths is not None and isinstance(other, OperatorMatrix) \
                 and other.axis_bandwidths is not None:
             bw = tuple(max(p, q) for p, q in zip(self.axis_bandwidths, other.axis_bandwidths))
-        return OperatorMatrix(self.A + B, self.grid, bw, self.boundary)
+        return OperatorMatrix(self.A + B, self.grid, bw)
 
     def __sub__(self, other):
         B = other.A if isinstance(other, OperatorMatrix) else np.asarray(other)
-        return OperatorMatrix(self.A - B, self.grid, None, self.boundary)
+        return OperatorMatrix(self.A - B, self.grid)
 
     def __mul__(self, c):
-        return OperatorMatrix(self.A * c, self.grid, self.axis_bandwidths, self.boundary)
+        return OperatorMatrix(self.A * c, self.grid, self.axis_bandwidths)
 
     __rmul__ = __mul__
 
@@ -349,14 +344,9 @@ def _normalize_coeff(grid: ProductGrid, value) -> np.ndarray:
     N = grid.fiber_dim
     target = grid.shape + (N, N)
     v = np.asarray(value)
-    if v.ndim == 0:
-        out = np.zeros(target, dtype=complex)
-        for k in range(N):
-            out[..., k, k] = v
-        return out
     if v.shape == (N, N):
         return np.broadcast_to(v, target).astype(complex).copy()
-    if v.shape == grid.shape:
+    if v.ndim == 0 or v.shape == grid.shape:
         out = np.zeros(target, dtype=complex)
         for k in range(N):
             out[..., k, k] = v
@@ -441,7 +431,7 @@ def discretize(op: DiffOp, scheme_order: int = 2) -> OperatorMatrix:
             A += np.einsum("puw,pwm->pum", a, D.reshape(nn, N, M)).reshape(M, M)
     bws = tuple(stencil_half_width(order[j], scheme_order) if order[j] > 0 else 0
                 for j in range(grid.ndim))
-    return OperatorMatrix(A, grid, bws, grid.axes[0].boundary)
+    return OperatorMatrix(A, grid, bws)
 
 
 def _multi_binom(alpha, beta) -> int:
@@ -494,8 +484,7 @@ def commutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
     if MA.shape != MB.shape:
         raise DiscretizationError("dimension mismatch in commutator")
     grid = A.grid if isinstance(A, OperatorMatrix) else None
-    return OperatorMatrix(MA @ MB - MB @ MA, grid, None,
-                          A.boundary if isinstance(A, OperatorMatrix) else "")
+    return OperatorMatrix(MA @ MB - MB @ MA, grid)
 
 
 def adjoint_defect(op: DiffOp, scheme_order: int = 2) -> float:

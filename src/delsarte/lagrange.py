@@ -60,6 +60,12 @@ def _subsets(r: int, k: int) -> list:
     return list(itertools.combinations(range(r), k))
 
 
+def _with_fiber(grid: ProductGrid, arr) -> np.ndarray:
+    """A scalar field of shape grid.shape gains a trailing fiber axis."""
+    arr = np.asarray(arr)
+    return arr[..., None] if arr.shape == grid.shape else arr
+
+
 @dataclass
 class FormField:
     """Node-collocated k-form on a product grid.
@@ -82,11 +88,10 @@ class FormField:
             S = tuple(sorted(int(a) for a in S))
             if len(S) != self.degree or len(set(S)) != len(S):
                 raise DegreeMismatchError(f"component subset {S} does not match degree")
-            arr = np.asarray(arr)
-            if arr.shape == self.grid.shape and self.grid.fiber_dim == 1:
-                arr = arr[..., None]
+            raw = np.asarray(arr)
+            arr = _with_fiber(self.grid, raw)
             if arr.shape != shape:
-                raise DiscretizationError(f"component {S} has shape {arr.shape}, want {shape}")
+                raise DiscretizationError(f"component {S} has shape {raw.shape}, want {shape}")
             clean[S] = arr.astype(complex)
         self.comps = clean
 
@@ -334,12 +339,13 @@ def surface_integral(form: FormField, region: SurfaceRegion):
     return total
 
 
-def primitive(form: FormField, tol: float = 1e-10) -> FormField:
+def primitive(form: FormField) -> FormField:
     """Minimum-norm alpha with d(alpha) = form, for the forward-difference d.
 
-    Raises :class:`NotClosedError` when d(form) is not zero to tolerance and
-    :class:`NotExactError` when the closed form has a harmonic obstruction
-    (for example a fundamental-cycle period on a torus).
+    Raises :class:`NotClosedError` when |d(form)| / |form| exceeds 1e-10 and
+    :class:`NotExactError` when the relative least-squares residual does
+    (a harmonic obstruction, for example a fundamental-cycle period on a
+    torus).  A non-finite form fails one of the two gates.
     """
     if form.degree == 0:
         raise DegreeMismatchError("0-forms have no primitive")
@@ -347,13 +353,13 @@ def primitive(form: FormField, tol: float = 1e-10) -> FormField:
     scale = form_norm(form) or 1.0
     if form.degree < grid.ndim:  # top-degree forms are vacuously closed
         closed_res = form_norm(exterior_derivative(form)) / scale
-        if closed_res > tol:
+        if not (closed_res <= 1e-10):
             raise NotClosedError(float(closed_res))
     D = d_matrix(grid, form.degree - 1)
     rhs = form.stack()
     sol, _, _, _ = np.linalg.lstsq(D, rhs, rcond=None)
     res = float(np.linalg.norm(D @ sol - rhs) / (np.linalg.norm(rhs) or 1.0))
-    if res > tol:
+    if not (res <= 1e-10):
         raise NotExactError(res)
     return FormField.from_stack(grid, form.degree - 1, sol)
 
@@ -371,8 +377,6 @@ def _fiber_pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 class Concomitant:
     """Evaluated concomitant components Z_i[phi, psi], one per axis."""
 
-    grid: ProductGrid
-    scheme_order: int
     components: list  # m arrays of shape (*grid.shape,)
 
 
@@ -385,12 +389,8 @@ def bilinear_concomitant(op: DiffOp, phi: np.ndarray, psi: np.ndarray,
     """
     grid = op.grid
     m = grid.ndim
-    phi = np.asarray(phi)
-    psi = np.asarray(psi)
-    if phi.shape == grid.shape:
-        phi = phi[..., None]
-    if psi.shape == grid.shape:
-        psi = psi[..., None]
+    phi = _with_fiber(grid, phi)
+    psi = _with_fiber(grid, psi)
     dmats = {}
 
     def dpow(axis: int, k: int, arr: np.ndarray) -> np.ndarray:
@@ -418,7 +418,7 @@ def bilinear_concomitant(op: DiffOp, phi: np.ndarray, psi: np.ndarray,
                 u = dpow(i, j, pre)
                 v = dpow(i, alpha[i] - 1 - j, post)
                 Z[i] += lead * ((-1) ** j) * _fiber_pair(u, v)
-    return Concomitant(grid, scheme_order, Z)
+    return Concomitant(Z)
 
 
 def interior_mask(grid: ProductGrid, width: int) -> np.ndarray:
@@ -446,12 +446,8 @@ def divergence_residual(op: DiffOp, phi: np.ndarray, psi: np.ndarray,
     grid = op.grid
     A = discretize(op, scheme_order)
     Astar = discretize(formal_adjoint(op, scheme_order), scheme_order)
-    phi_a = np.asarray(phi)
-    psi_a = np.asarray(psi)
-    if phi_a.shape == grid.shape:
-        phi_a = phi_a[..., None]
-    if psi_a.shape == grid.shape:
-        psi_a = psi_a[..., None]
+    phi_a = _with_fiber(grid, phi)
+    psi_a = _with_fiber(grid, psi)
     shp = grid.shape + (grid.fiber_dim,)
     Lpsi = (A.A @ psi_a.reshape(-1)).reshape(shp)
     Lsphi = (Astar.A @ phi_a.reshape(-1)).reshape(shp)

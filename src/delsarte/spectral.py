@@ -16,7 +16,7 @@ cluster by cluster through an SVD of the cluster cross-Gram.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +72,6 @@ class SpectralKernel:
 
     domain_tag: str  # "GridByGrid" | "SpectrumBySpectrum"
     values: np.ndarray
-    note: str = ""
 
 
 def _in_band(lam: complex, band) -> bool:
@@ -182,36 +181,30 @@ def projection_measure(fam: EigenFamily, delta=None) -> np.ndarray:
     """E(Delta) = sum over lam in Delta of psi_lam phi_lam^* rho.
 
     ``delta`` is a predicate on complex eigenvalues (None keeps all).
-    Multiplicative on the family: E(D1) E(D2) = E(D1 and D2).
+    Multiplicative on the family: E(D1) E(D2) = E(D1 and D2).  This is
+    :func:`kernel_from_measure` with the indicator of Delta as the weight.
     """
-    if delta is None:
-        keep = np.arange(len(fam))
-    else:
-        keep = np.array([k for k in range(len(fam)) if delta(complex(fam.lambdas[k]))],
-                        dtype=int)
-    E = np.zeros((fam.right.shape[0],) * 2, dtype=complex)
-    for k in keep:
-        E += np.outer(fam.right[:, k], fam.left[:, k].conj()) * fam.weights[None, :]
-    return E
+    return kernel_from_measure(
+        fam, lambda lam: 1.0 if delta is None or delta(lam) else 0.0).values
 
 
-def elementary_kernel(fam: EigenFamily, lam: complex, tol: float = 1e-10) -> np.ndarray:
-    """Z_lam = sum of psi phi^* over the eigenvalue's cluster (no weight)."""
+def elementary_kernel(fam: EigenFamily, lam: complex) -> np.ndarray:
+    """Z_lam = sum of psi phi^* over the eigenvalue's cluster (no weight).
+
+    The cluster is every eigenvalue within 1e-10 max(|lambda|_max, 1) of lam.
+    """
     scale = max(np.max(np.abs(fam.lambdas)), 1.0)
-    keep = [k for k in range(len(fam)) if abs(fam.lambdas[k] - lam) <= tol * scale]
-    if not keep:
+    keep = np.abs(fam.lambdas - lam) <= 1e-10 * scale
+    if not keep.any():
         raise EmptyBandError(f"{lam} is not an eigenvalue of this family")
-    Z = np.zeros((fam.right.shape[0],) * 2, dtype=complex)
-    for k in keep:
-        Z += np.outer(fam.right[:, k], fam.left[:, k].conj())
-    return Z
+    return fam.right[:, keep] @ fam.left[:, keep].conj().T
 
 
 def kernel_from_measure(fam: EigenFamily, weight_fn) -> SpectralKernel:
     """Functional calculus K = sum_lam weight_fn(lam) psi_lam phi_lam^* rho."""
     vals = np.array([weight_fn(complex(l)) for l in fam.lambdas], dtype=complex)
     K = (fam.right * vals[None, :]) @ (fam.left.conj().T * fam.weights[None, :])
-    return SpectralKernel("GridByGrid", K, note="functional calculus kernel")
+    return SpectralKernel("GridByGrid", K)
 
 
 def congruence_residual(K, Ltil, L) -> float:

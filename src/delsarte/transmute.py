@@ -37,7 +37,8 @@ import scipy.linalg
 
 from .errors import (ConditionNumberError, DiscretizationError, GridError,
                      SingularKernelError)
-from .factorize import ProjectorChain, TriangularPair, _conjugate, gk_factorize
+from .factorize import (TriangularPair, _conjugate, commutation_check,
+                        gk_factorize)
 from .grid_ops import Grid1D, OperatorMatrix, _as_matrix
 from .ioutil import load_matrix_csv, save_json, save_matrix_csv
 from .spectral import SpectralKernel
@@ -82,7 +83,6 @@ class TransmutationData:
     omega0: np.ndarray | None = None
     x0: float | None = None
     Phi: np.ndarray | None = None
-    chain: ProjectorChain | None = None
     _prefix: np.ndarray | None = field(default=None, repr=False)
     _pair: TriangularPair | None = field(default=None, repr=False)
 
@@ -119,17 +119,14 @@ class TransmutationData:
         return data
 
     @classmethod
-    def from_kernel(cls, L, Phi, chain: ProjectorChain | None = None,
-                    grid: Grid1D | None = None) -> "TransmutationData":
+    def from_kernel(cls, L, Phi) -> "TransmutationData":
+        """Kernel data, factorized along the natural (grid-ordered) chain;
+        run :func:`gk_factorize` directly for a reordered chain."""
         Lm = _as_matrix(L)
         Phi = np.asarray(Phi, dtype=complex)
         if Phi.shape != Lm.shape:
             raise DiscretizationError("kernel and operator dimensions differ")
-        if chain is not None and tuple(chain.order) != tuple(range(Phi.shape[0])):
-            raise DiscretizationError(
-                "grid-ordered dressing uses the natural chain; run gk_factorize "
-                "directly for a reordered chain")
-        return cls("kernel", Lm, grid=grid, Phi=Phi, chain=chain)
+        return cls("kernel", Lm, Phi=Phi)
 
     # -- family-side prefix cumulants ----------------------------------------
 
@@ -162,7 +159,7 @@ class TransmutationData:
         if self.kind != "kernel":
             raise DiscretizationError("no kernel to factorize on family data")
         if self._pair is None:
-            self._pair = gk_factorize(self.Phi, self.chain)
+            self._pair = gk_factorize(self.Phi)
         return self._pair
 
 
@@ -183,7 +180,6 @@ class DelsarteOp:
     sign: str
     kernel: np.ndarray
     grid: Grid1D | None = None
-    x0: float | None = None
     diag: np.ndarray | None = None
 
     def matrix(self) -> np.ndarray:
@@ -234,6 +230,11 @@ class DelsarteOp:
         return bound if np.isfinite(bound) else float("inf")
 
 
+def _mirror(op: DelsarteOp, grid: Grid1D | None) -> DelsarteOp:
+    """Minus-side operator from a plus-side one built on the reversed grid."""
+    return DelsarteOp("-", op.kernel[::-1, ::-1], grid)
+
+
 def build_kernel_Omega(data: TransmutationData, x: float,
                        x0: float | None = None) -> SpectralKernel:
     """Accumulated spectral kernel Omega_x = Omega_0 + h sum_{x0 < y <= x} ...
@@ -253,8 +254,7 @@ def build_kernel_Omega(data: TransmutationData, x: float,
     cx = int(np.searchsorted(g.x, x, side="right"))
     c0 = int(np.searchsorted(g.x, x0, side="right"))
     P = data._prefix
-    return SpectralKernel("SpectrumBySpectrum", data.omega0 + (P[cx] - P[c0]),
-                          note=f"accumulated over ({x0}, {x}]")
+    return SpectralKernel("SpectrumBySpectrum", data.omega0 + (P[cx] - P[c0]))
 
 
 def _family_dressed_rows(data: TransmutationData) -> np.ndarray:
@@ -288,14 +288,12 @@ def delsarte_operator(data: TransmutationData, sign: str = "+") -> DelsarteOp:
             return DelsarteOp("+", pair.K_plus, data.grid)
         return DelsarteOp("-", pair.K_minus, data.grid, diag=pair.D)
     if sign == "-":
-        rev = data._reversed()
-        op = delsarte_operator(rev, "+")
-        return DelsarteOp("-", op.kernel[::-1, ::-1], data.grid, data.x0)
+        return _mirror(delsarte_operator(data._reversed(), "+"), data.grid)
     h = data.grid.h
     U = _family_dressed_rows(data)
     C = np.conj(data.left) * (h * data.weights)[:, None]
     K = -np.tril(U @ C.T, -1)
-    return DelsarteOp("+", K, data.grid, data.x0)
+    return DelsarteOp("+", K, data.grid)
 
 
 def delsarte_inverse(data: TransmutationData, sign: str = "+") -> DelsarteOp:
@@ -317,14 +315,12 @@ def delsarte_inverse(data: TransmutationData, sign: str = "+") -> DelsarteOp:
         kern = (pair.D[:, None] * B) / pair.D[None, :] - np.eye(n)
         return DelsarteOp("-", kern, data.grid, diag=1.0 / pair.D)
     if sign == "-":
-        rev = data._reversed()
-        op = delsarte_inverse(rev, "+")
-        return DelsarteOp("-", op.kernel[::-1, ::-1], data.grid, data.x0)
+        return _mirror(delsarte_inverse(data._reversed(), "+"), data.grid)
     h = data.grid.h
     Wc = (h * data.weights)[:, None] * np.linalg.solve(
         data._prefix[1:], np.conj(data.left)[..., None])[..., 0]
     Khat = np.tril(data.right @ Wc.T, -1)
-    return DelsarteOp("+", Khat, data.grid, data.x0)
+    return DelsarteOp("+", Khat, data.grid)
 
 
 def adjoint_operator(data: TransmutationData, sign: str = "+") -> DelsarteOp:
@@ -335,7 +331,7 @@ def adjoint_operator(data: TransmutationData, sign: str = "+") -> DelsarteOp:
     operator with it reproduces the adjoint of the dressed operator.
     """
     if data.kind == "kernel":
-        pair_adj = gk_factorize(data.Phi.conj().T, data.chain)
+        pair_adj = gk_factorize(data.Phi.conj().T)
         if sign == "+":
             # (1+K_plus)^{-dagger} equals the unit-upper factor of Phi^dagger
             return DelsarteOp("-", pair_adj.K_minus, data.grid)
@@ -346,7 +342,7 @@ def adjoint_operator(data: TransmutationData, sign: str = "+") -> DelsarteOp:
     A = (h * data.weights)[:, None] * np.linalg.solve(
         np.conj(data._prefix[1:]), data.left[..., None])[..., 0]
     Kadj = np.triu(A @ np.conj(data.right).T, 1)
-    return DelsarteOp("-", Kadj, data.grid, data.x0)
+    return DelsarteOp("-", Kadj, data.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +350,8 @@ def adjoint_operator(data: TransmutationData, sign: str = "+") -> DelsarteOp:
 # ---------------------------------------------------------------------------
 
 def _extract_tridiag(M: np.ndarray):
+    if M.ndim != 2 or M.shape[0] < 2:
+        raise DiscretizationError("pair intertwiner needs operators of size 2 or more")
     scale = float(np.max(np.abs(M)))
     if not np.isfinite(scale):
         raise DiscretizationError("pair intertwiner needs finite operators")
@@ -383,8 +381,7 @@ def pair_intertwiner(L, Ltil, sign: str = "+", grid: Grid1D | None = None) -> De
     if Lm.shape != Tm.shape:
         raise DiscretizationError("operator shapes differ")
     if sign == "-":
-        op = pair_intertwiner(Lm[::-1, ::-1], Tm[::-1, ::-1], "+", grid)
-        return DelsarteOp("-", op.kernel[::-1, ::-1], grid)
+        return _mirror(pair_intertwiner(Lm[::-1, ::-1], Tm[::-1, ::-1], "+"), grid)
     dL, cL = _extract_tridiag(Lm)
     dT, cT = _extract_tridiag(Tm)
     if abs(cL - cT) > 1e-10 * abs(cL):
@@ -426,44 +423,39 @@ def transform_operator(L, om: DelsarteOp, cond_guard: float = 1e10) -> OperatorM
             f"exceeds guard {cond_guard:.1e}")
     Ltil = _conjugate(om.matrix(), _as_matrix(L))
     if isinstance(L, OperatorMatrix):
-        return OperatorMatrix(Ltil, L.grid, None, L.boundary)
+        return OperatorMatrix(Ltil, L.grid)
     return OperatorMatrix(Ltil)
 
 
-def transform_family(ops: list, om: DelsarteOp, cond_guard: float = 1e10):
+def transform_family(ops: list, om: DelsarteOp):
     """Conjugate a commuting family; returns (transformed list, worst ratio).
 
-    The ratio is max over pairs of ||[Lt_i, Lt_j]||_F / (||Lt_i|| ||Lt_j||),
-    which stays at the original family's level because conjugation is an
-    algebra map.
+    Each conjugation runs under :func:`transform_operator`'s default guard
+    (cond 1e10).  The ratio is max over pairs of
+    ||[Lt_i, Lt_j]||_F / (||Lt_i|| ||Lt_j||), which stays at the original
+    family's level because conjugation is an algebra map.
     """
-    outs = [transform_operator(Lk, om, cond_guard) for Lk in ops]
+    outs = [transform_operator(Lk, om) for Lk in ops]
     worst = 0.0
     for i in range(len(outs)):
         for j in range(i + 1, len(outs)):
-            Ai, Aj = outs[i].A, outs[j].A
-            denom = np.linalg.norm(Ai) * np.linalg.norm(Aj)
-            if denom > 0:
-                worst = max(worst, float(np.linalg.norm(Ai @ Aj - Aj @ Ai) / denom))
+            worst = max(worst, commutation_check(outs[i].A, outs[j].A))
     return outs, worst
 
 
-def locality_check(Ltil, bandwidth: int, boundary_rows: int | None = None) -> float:
+def locality_check(Ltil, bandwidth: int) -> float:
     """Relative off-band mass of the interior rows.
 
-    Rows within ``boundary_rows`` of either end are excluded: the dressing
+    Rows within ``bandwidth + 2`` of either end are excluded: the dressing
     necessarily dumps its defect there (last or first row) and the
     discretization truncates stencils there anyway.
     """
     A = _as_matrix(Ltil)
     n = A.shape[0]
-    if boundary_rows is None:
-        boundary_rows = bandwidth + 2
-    rows = slice(boundary_rows, n - boundary_rows)
-    sub = A[rows]
+    edge = bandwidth + 2
+    sub = A[edge:n - edge]
     mask = np.ones_like(sub, dtype=bool)
-    r0 = boundary_rows
-    for k, i in enumerate(range(r0, n - boundary_rows)):
+    for k, i in enumerate(range(edge, n - edge)):
         lo = max(0, i - bandwidth)
         hi = min(n, i + bandwidth + 1)
         mask[k, lo:hi] = False
@@ -485,10 +477,7 @@ def independence_check(data: TransmutationData):
     Ltp = _conjugate(Mp, L)
     Ltm = _conjugate(Mm, L)
     gap = float(np.linalg.norm(Ltp - Ltm) / max(np.linalg.norm(Ltp), 1e-300))
-    X = np.linalg.solve(Mp, Mm)
-    comm = float(np.linalg.norm(X @ L - L @ X)
-                 / max(np.linalg.norm(X) * np.linalg.norm(L), 1e-300))
-    return gap, comm
+    return gap, commutation_check(np.linalg.solve(Mp, Mm), L)
 
 
 def adjoint_compat_check(data: TransmutationData) -> float:

@@ -112,6 +112,16 @@ def test_factorize_command_reproduces_criterion_4(tmp_path):
         assert r == criterion[r["name"]]
 
 
+def test_darboux_command_reproduces_criterion_3():
+    rows, _ = acceptance.darboux_check((-8.0, 8.0), 800, 1.0)
+    criterion = {r["name"]: r for r in acceptance.criterion_3()}
+    shared = [r for r in _as_verify_rows(rows) if r["name"] in criterion]
+    assert [r["name"] for r in shared] == ["dressing_new_negative_count",
+                                           "dressing_bound_state_error"]
+    for r in shared:
+        assert r == criterion[r["name"]]
+
+
 def test_derham_command_reproduces_criterion_7(tmp_path):
     code, out = _run(tmp_path, {"command": "derham", "shape": [12, 12],
                                 "periods": [2.0 * math.pi, 1.0]})
@@ -139,6 +149,31 @@ def test_cli_imports_no_residual_layer():
                      else [a.name for a in node.names])
             assert not any(n.split(".")[0] == "delsarte" for n in names)
     assert used == {"acceptance", "errors", "ioutil"}
+
+
+def test_library_modules_use_every_import():
+    """No module imports a name it never uses.  The exceptions are the
+    re-exports: the package ``__init__`` and ``cli.transform_operator``."""
+    import delsarte
+    allowed = {"cli.py": {"transform_operator"}}
+    unused = []
+    for path in sorted(Path(delsarte.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    imported[a.asname or a.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for a in node.names:
+                    imported[a.asname or a.name] = node.lineno
+        # an attribute chain such as np.linalg.norm starts at the Name np
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for name in sorted(set(imported) - used - allowed.get(path.name, set())):
+            unused.append(f"{path.name}:{imported[name]} {name}")
+    assert unused == []
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +265,16 @@ def test_overflowing_seed_gives_computation_error(tmp_path, capsys):
     cfg = {"command": "darboux", "domain": [-20, 20], "n": 200, "kappa": 50}
     with np.errstate(over="ignore", invalid="ignore"):
         code, _ = _run(tmp_path, cfg)
+    assert code == 3
+    assert "computation failed" in capsys.readouterr().err
+
+
+def test_non_finite_phi_file_gives_computation_error(tmp_path, capsys):
+    Phi = random_unit_minor(10, np.random.default_rng(3), 0.3)
+    Phi[4, 7] = np.nan
+    pf = tmp_path / "phi_in.csv"
+    save_matrix_csv(pf, Phi)
+    code, _ = _run(tmp_path, dict(FACTORIZE_CFG, phi_file=str(pf)))
     assert code == 3
     assert "computation failed" in capsys.readouterr().err
 

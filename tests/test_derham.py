@@ -14,6 +14,7 @@ from delsarte import (FormField, GenComplex, Grid1D, ProductGrid,
                       skrypnik_map)
 from delsarte.errors import (DegreeMismatchError, NonCommutingFamilyError,
                              NotClosedError)
+from delsarte.lagrange import forward_diff_matrix
 
 T1, T2 = 1.0, 2.0
 
@@ -48,6 +49,14 @@ def test_noncommuting_axis_family_rejected():
     with pytest.raises(NonCommutingFamilyError):
         GenComplex(pg, [rng.standard_normal((d, d)),
                         rng.standard_normal((d, d))])
+
+
+def test_non_finite_axis_operator_rejected():
+    pg = _torus(6, 6)
+    mats = [forward_diff_matrix(pg, a) for a in range(2)]
+    mats[0][2, 3] = np.nan
+    with pytest.raises(NonCommutingFamilyError):
+        GenComplex(pg, mats)
 
 
 def test_laplace_degree_out_of_range():
@@ -245,6 +254,18 @@ def test_non_closed_form_rejected():
     psi = _random_form(pg, 1, rng, [(0,), (1,)])
     with pytest.raises(NotClosedError):
         skrypnik_map(c, ones, [psi], [SurfaceRegion.axis_loop(pg, 0, (0, 0))])
+
+
+def test_non_finite_form_has_no_periods():
+    pg = _torus(6, 6)
+    c = plain_complex(pg)
+    shp = pg.shape + (1,)
+    comp = np.ones(shp)
+    comp[2, 3, 0] = np.nan
+    psi = FormField(pg, 1, {(0,): comp})
+    with pytest.raises(NotClosedError):
+        skrypnik_map(c, np.ones(shp, dtype=complex), [psi],
+                     [SurfaceRegion.axis_loop(pg, 0, (0, 0))])
 
 
 # ---------------------------------------------------------------------------

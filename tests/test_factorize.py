@@ -12,6 +12,7 @@ from delsarte import (ProjectorChain, SingularMinorError, TriangularPair,
                       gk_integral_factors, glm_residual, glm_solve,
                       is_volterra_factor, random_unit_minor,
                       triangular_shear)
+from delsarte.errors import DiscretizationError
 
 
 # Worked 2x2 example, frozen: Phi = [[0,1],[1,1]], 1+Phi = [[1,1],[1,2]]
@@ -41,6 +42,14 @@ def test_singular_minor_is_rejected_with_index():
     with pytest.raises(SingularMinorError) as err:
         gk_factorize(np.array([[-1.0, 0.0], [0.0, 0.0]]))
     assert err.value.index == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_kernel_is_rejected(bad):
+    Phi = random_unit_minor(8, np.random.default_rng(2))
+    Phi[5, 2] = bad
+    with pytest.raises(DiscretizationError):
+        gk_factorize(Phi)
 
 
 def test_interior_singular_minor_index():

@@ -220,7 +220,7 @@ def test_banded_round_trip():
     op = DiffOp(pg, {(2,): -1.0, (0,): 1.0})
     A = discretize(op)
     g = Grid1D.dirichlet(0.0, 1.0, 16)
-    B = OperatorMatrix(-derivative_matrix(g, 2), ProductGrid.line(g), (1,), "dirichlet")
+    B = OperatorMatrix(-derivative_matrix(g, 2), ProductGrid.line(g), (1,))
     ab = B.to_banded()
     np.testing.assert_array_equal(OperatorMatrix.from_banded(ab), B.A)
     del A

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from delsarte import (DegreeMismatchError, DiffOp, FormField, Grid1D,
-                      NotExactError, ProductGrid, SurfaceRegion,
+                      NotClosedError, NotExactError, ProductGrid, SurfaceRegion,
                       bilinear_concomitant, boundary, coboundary,
                       divergence_residual, exterior_derivative, form_norm,
                       primitive, surface_integral)
@@ -194,6 +194,24 @@ def test_primitive_round_trip():
     F = primitive(df)
     np.testing.assert_allclose(exterior_derivative(F).stack(), df.stack(),
                                atol=1e-11)
+
+
+def test_primitive_rejects_non_finite_one_form():
+    # closedness gate: d of the form is NaN next to the bad node
+    pg = _torus(6, 6)
+    comp = np.ones(pg.shape + (1,))
+    comp[2, 3, 0] = np.nan
+    with pytest.raises(NotClosedError):
+        primitive(FormField(pg, 1, {(0,): comp}))
+
+
+def test_primitive_rejects_non_finite_top_form():
+    # top-degree forms skip the closedness gate; the exactness gate sees NaN
+    pg = _torus(6, 6)
+    comp = np.zeros(pg.shape + (1,))
+    comp[2, 3, 0] = np.nan
+    with pytest.raises(NotExactError):
+        primitive(FormField(pg, 2, {(0, 1): comp}))
 
 
 def test_primitive_rejects_closed_nonexact():

@@ -120,6 +120,33 @@ def test_elementary_kernel_congruence():
         elementary_kernel(fam, lam + 1.0)
 
 
+def test_spectral_sums_match_outer_product_loop():
+    # non-normal, diagonalizable, with one doubly degenerate eigenvalue
+    rng = np.random.default_rng(12)
+    S = rng.standard_normal((10, 10)) + 0.3j * rng.standard_normal((10, 10))
+    lams = np.array([1.0, 1.0, 2.0, 3.5, -1.0, 0.5j, 4.0, 5.0, -2.5, 6.0])
+    A = S @ np.diag(lams) @ np.linalg.inv(S)
+    fam = eigensolve(A, weights=rng.uniform(0.5, 2.0, 10))
+
+    def outer_sum(keep, weights):
+        out = np.zeros((10, 10), dtype=complex)
+        for k in np.flatnonzero(keep):
+            out += np.outer(fam.right[:, k], fam.left[:, k].conj()) * weights[None, :]
+        return out
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    low = fam.lambdas.real < 2.5
+    assert close(projection_measure(fam, lambda z: z.real < 2.5),
+                 outer_sum(low, fam.weights))
+    assert close(projection_measure(fam), outer_sum(np.ones(10, bool), fam.weights))
+    Z = elementary_kernel(fam, 1.0)
+    cluster = np.abs(fam.lambdas - 1.0) < 1e-6
+    assert cluster.sum() == 2
+    assert close(Z, outer_sum(cluster, np.ones(10)))
+
+
 def test_kernel_from_measure_heat_kernel():
     _, L = _dirichlet_laplacian(50)
     fam = eigensolve(L)

@@ -231,6 +231,13 @@ def test_pair_intertwiner_rejects_non_tridiagonal():
         pair_intertwiner(L, L)
 
 
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_pair_intertwiner_rejects_one_by_one(sign):
+    # a 1x1 operator has no off-diagonal to read the stencil scale from
+    with pytest.raises(DiscretizationError):
+        pair_intertwiner(np.array([[2.0]]), np.array([[3.0]]), sign)
+
+
 @pytest.mark.parametrize("where", [(3, 9), (9, 3), (5, 5)])
 def test_pair_intertwiner_rejects_non_finite(where):
     g, L, T = _soliton(40, 8.0)
