@@ -21,11 +21,10 @@ from .errors import (ConditionNumberError, DefectiveFamilyError,
                      SingularKernelError, SingularMinorError)
 from .grid_ops import (DiffOp, Grid1D, OperatorMatrix, ProductGrid,
                        adjoint_defect, commutator, derivative_matrix,
-                       discretize, formal_adjoint, inner, load_diffop,
-                       save_diffop)
+                       discretize, formal_adjoint, inner)
 from .spectral import (EigenFamily, SpectralKernel, congruence_residual,
                        eigensolve, elementary_kernel, kernel_from_measure,
-                       load_family, projection_measure, save_family)
+                       projection_measure)
 from .lagrange import (Concomitant, FormField, SurfaceRegion,
                        bilinear_concomitant, boundary, coboundary,
                        divergence_residual, exterior_derivative, form_norm,
@@ -33,8 +32,7 @@ from .lagrange import (Concomitant, FormField, SurfaceRegion,
 from .transmute import (DelsarteOp, TransmutationData, adjoint_compat_check,
                         adjoint_operator, build_kernel_Omega, delsarte_apply,
                         delsarte_inverse, delsarte_operator,
-                        independence_check, load_transmutation,
-                        locality_check, pair_intertwiner, save_transmutation,
+                        independence_check, locality_check, pair_intertwiner,
                         transform_family, transform_operator)
 from .factorize import (ProjectorChain, TriangularPair,
                         break_relation_defect, commutation_check,

@@ -2,9 +2,11 @@
 
 Each criterion returns a list of result rows; a row is a dict with the
 measured value, the threshold it is held against, the comparison direction,
-and the verdict.  ``run_all`` concatenates every criterion; the CLI verify
-command runs the same suite (minus the determinism criterion, which itself
-invokes the CLI twice and compares report digests).
+and the verdict.  ``run_all`` concatenates criteria 1-8: it is the battery
+the CLI ``verify`` command reports.  That the same seed gives the same
+``verify`` report digest is checked by the test suite
+(``tests/test_acceptance.py::test_verify_report_determinism``), which runs
+the command twice.
 
 The other commands take their rows, and the arrays they write, from the
 shared checks below; the criteria call the same checks, so each residual
@@ -14,8 +16,6 @@ is computed in one place.  ``VERIFY_NAMES`` renames shared rows for verify.
 from __future__ import annotations
 
 import math
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -40,7 +40,7 @@ from .transmute import (TransmutationData, adjoint_compat_check,
 __all__ = ["run_all", "VERIFY_NAMES", "soliton_pair", "darboux_check",
            "pair_conjugation_rows", "dressing_data", "transmute_check",
            "unit_minors", "factorization_sweep", "torus_complex",
-           "torus_rows"] + [f"criterion_{k}" for k in range(1, 10)]
+           "torus_rows"] + [f"criterion_{k}" for k in range(1, 9)]
 
 # command row name -> the name the same row carries in verify reports
 VERIFY_NAMES = {
@@ -509,24 +509,8 @@ def criterion_8(seed: int = 0) -> list:
 
 
 # ---------------------------------------------------------------------------
-# 9. determinism of the verify pipeline
-# ---------------------------------------------------------------------------
 
-def criterion_9(seed: int = 0) -> list:
-    from .cli import cmd_verify  # deferred: cli imports this module
-    digests = []
-    for _ in range(2):
-        with tempfile.TemporaryDirectory() as tmp:
-            report = cmd_verify({"command": "verify", "tolerance_scale": 1.0},
-                                Path(tmp), seed=seed)
-            digests.append(report["digest"])
-    same = 0.0 if digests[0] == digests[1] else 1.0
-    return [_row("verify_report_determinism", same, 0.0)]
-
-
-# ---------------------------------------------------------------------------
-
-def run_all(seed: int = 0, include_determinism: bool = True) -> dict:
+def run_all(seed: int = 0) -> dict:
     rows = []
     rows += criterion_1()
     rows += criterion_2()
@@ -536,7 +520,5 @@ def run_all(seed: int = 0, include_determinism: bool = True) -> dict:
     rows += criterion_6()
     rows += criterion_7(seed)
     rows += criterion_8(seed)
-    if include_determinism:
-        rows += criterion_9(seed)
     return {"rows": rows, "all_passed": all(r["passed"] for r in rows),
             "seed": int(seed)}

@@ -240,10 +240,9 @@ def cmd_derham(config: dict, out_dir: Path, seed: int = 0,
 
 def cmd_verify(config: dict, out_dir: Path, seed: int = 0,
                plots: bool = False) -> dict:
-    """The full acceptance battery (determinism row excluded: that one runs
-    this very command twice and compares digests)."""
+    """The full acceptance battery, criteria 1-8."""
     t0 = time.perf_counter()
-    result = acceptance.run_all(seed, include_determinism=False)
+    result = acceptance.run_all(seed)
     # tolerance_scale rescales the max-direction thresholds only
     scale = float(config.get("tolerance_scale", 1.0))
     rows = [_row(r["name"], r["value"],

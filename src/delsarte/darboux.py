@@ -69,10 +69,6 @@ class ExpPoly:
         k = complex(kappa)
         return cls({k: 0.5 * np.exp(-k * center), -k: -0.5 * np.exp(k * center)})
 
-    @classmethod
-    def exp(cls, kappa: float) -> "ExpPoly":
-        return cls({complex(kappa): 1.0})
-
     def derivative(self) -> "ExpPoly":
         return ExpPoly({mu: mu * c for mu, c in self.terms.items()})
 
@@ -81,9 +77,6 @@ class ExpPoly:
         for mu, c in other.terms.items():
             out[mu] = out.get(mu, 0.0) + c
         return ExpPoly(out)
-
-    def __sub__(self, other: "ExpPoly") -> "ExpPoly":
-        return self + ExpPoly({mu: -c for mu, c in other.terms.items()})
 
     def __mul__(self, other) -> "ExpPoly":
         if isinstance(other, ExpPoly):

@@ -336,15 +336,22 @@ def skrypnik_map(c: GenComplex, phi0: np.ndarray, psis: list,
     ``phi0`` is a zero-form in the kernel of the dual complex (constant for
     the trivial fiber); each psi_j must be d_L-closed.  The fiber indices
     are contracted pointwise, leaving scalar k-forms whose integrals over
-    k-cycles are homology invariants.
+    k-cycles are homology invariants.  A non-finite entry raises
+    ``DiscretizationError`` in ``phi0`` and ``NotClosedError`` in a psi_j.
     """
     grid = c.grid
     phi0 = np.asarray(phi0, dtype=complex)
     if phi0.shape != grid.shape + (grid.fiber_dim,):
         phi0 = grid.unflatten_field(phi0)
+    if not np.all(np.isfinite(phi0)):
+        raise DiscretizationError(
+            f"phi0 has {np.count_nonzero(~np.isfinite(phi0))} non-finite entries")
     scalar_grid = ProductGrid(grid.axes, 1)
     periods = np.zeros((len(cycles), len(psis)), dtype=complex)
     for j, psi in enumerate(psis):
+        bad = sum(np.count_nonzero(~np.isfinite(a)) for a in psi.comps.values())
+        if bad:
+            raise NotClosedError(math.nan, f"form {j} has {bad} non-finite entries")
         res = form_norm(d_L(c, psi)) if psi.degree < grid.ndim else 0.0
         if not (res <= 1e-8 * max(form_norm(psi), 1e-30)):
             raise NotClosedError(res, f"form {j} is not closed: |d_L psi| = {res:.3e}")

@@ -24,15 +24,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DiscretizationError, GridError
-from .ioutil import load_matrix_csv, save_json, save_matrix_csv
 
 __all__ = [
     "Grid1D",
@@ -46,8 +43,6 @@ __all__ = [
     "commutator",
     "adjoint_defect",
     "inner",
-    "save_diffop",
-    "load_diffop",
 ]
 
 
@@ -279,23 +274,6 @@ class OperatorMatrix:
             bw = tuple(p + q for p, q in zip(self.axis_bandwidths, other.axis_bandwidths))
         return OperatorMatrix(self.A @ B, self.grid, bw)
 
-    def __add__(self, other):
-        B = other.A if isinstance(other, OperatorMatrix) else np.asarray(other)
-        bw = None
-        if self.axis_bandwidths is not None and isinstance(other, OperatorMatrix) \
-                and other.axis_bandwidths is not None:
-            bw = tuple(max(p, q) for p, q in zip(self.axis_bandwidths, other.axis_bandwidths))
-        return OperatorMatrix(self.A + B, self.grid, bw)
-
-    def __sub__(self, other):
-        B = other.A if isinstance(other, OperatorMatrix) else np.asarray(other)
-        return OperatorMatrix(self.A - B, self.grid)
-
-    def __mul__(self, c):
-        return OperatorMatrix(self.A * c, self.grid, self.axis_bandwidths)
-
-    __rmul__ = __mul__
-
     def flat_bandwidth(self) -> int | None:
         """Bandwidth bound in the flattened index (1-D convenience)."""
         if self.axis_bandwidths is None or self.grid is None:
@@ -386,19 +364,6 @@ class DiffOp:
         if not self.terms:
             return (0,) * self.grid.ndim
         return tuple(max(a[j] for a in self.terms) for j in range(self.grid.ndim))
-
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        if other.grid is not self.grid and other.grid != self.grid:
-            raise DiscretizationError("operands live on different grids")
-        merged = {a: c.copy() for a, c in self.terms.items()}
-        for a, c in other.terms.items():
-            merged[a] = merged[a] + c if a in merged else c
-        return DiffOp(self.grid, merged)
-
-    def __mul__(self, scalar) -> "DiffOp":
-        return DiffOp(self.grid, {a: c * scalar for a, c in self.terms.items()})
-
-    __rmul__ = __mul__
 
 
 def discretize(op: DiffOp, scheme_order: int = 2) -> OperatorMatrix:
@@ -492,41 +457,3 @@ def adjoint_defect(op: DiffOp, scheme_order: int = 2) -> float:
     A = discretize(op, scheme_order).A
     B = discretize(formal_adjoint(op, scheme_order), scheme_order).A
     return float(np.linalg.norm(B - A.conj().T) / np.linalg.norm(A))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def save_diffop(op: DiffOp, directory: str | Path, name: str = "diffop") -> Path:
-    """Write {order, axes, coeffs:[{alpha, values_file}]} + one CSV per term."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    grid = op.grid
-    manifest = {
-        "order": list(op.order),
-        "fiber_dim": grid.fiber_dim,
-        "axes": [{"a": g.a, "b": g.b, "n": g.n, "boundary": g.boundary} for g in grid.axes],
-        "coeffs": [],
-    }
-    N = grid.fiber_dim
-    for k, (alpha, coeff) in enumerate(sorted(op.terms.items())):
-        fname = f"{name}_coeff_{k}.csv"
-        save_matrix_csv(directory / fname, coeff.reshape(grid.nnodes, N * N))
-        manifest["coeffs"].append({"alpha": list(alpha), "values_file": fname})
-    path = directory / f"{name}.json"
-    save_json(path, manifest)
-    return path
-
-
-def load_diffop(manifest_path: str | Path) -> DiffOp:
-    manifest_path = Path(manifest_path)
-    spec = json.loads(manifest_path.read_text(encoding="utf-8"))
-    axes = tuple(Grid1D(ax["a"], ax["b"], ax["n"], ax["boundary"]) for ax in spec["axes"])
-    grid = ProductGrid(axes, spec["fiber_dim"])
-    N = grid.fiber_dim
-    terms = {}
-    for entry in spec["coeffs"]:
-        vals = load_matrix_csv(manifest_path.parent / entry["values_file"])
-        terms[tuple(entry["alpha"])] = vals.reshape(grid.shape + (N, N))
-    return DiffOp(grid, terms)

@@ -108,14 +108,6 @@ class FormField:
             out[S] = out[S] + arr if S in out else arr
         return FormField(self.grid, self.degree, out)
 
-    def __mul__(self, c) -> "FormField":
-        return FormField(self.grid, self.degree, {S: arr * c for S, arr in self.comps.items()})
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other: "FormField") -> "FormField":
-        return self + (-1.0) * other
-
     def stack(self) -> np.ndarray:
         """All components as one vector, subsets in lexicographic order."""
         r = self.grid.ndim
@@ -246,13 +238,6 @@ class SurfaceRegion:
                 raise GridError(f"facet axes {axes} malformed for dimension {self.dim}")
             if sign not in (-1, 1):
                 raise GridError("facet signs must be +1 or -1")
-
-    @classmethod
-    def point_pair(cls, grid: ProductGrid, i_from: int, i_to: int) -> "SurfaceRegion":
-        """Oriented 0-dimensional boundary pair {x_to} - {x_from} on a line."""
-        if grid.ndim != 1:
-            raise GridError("point_pair is a 1-D construction")
-        return cls(grid, 0, [((i_to,), (), 1), ((i_from,), (), -1)])
 
     @classmethod
     def cell_block(cls, grid: ProductGrid, lo: tuple, hi: tuple) -> "SurfaceRegion":
@@ -465,5 +450,4 @@ def divergence_residual(op: DiffOp, phi: np.ndarray, psi: np.ndarray,
     return {
         "residual": r,
         "interior_max": float(np.max(np.abs(r[mask]))) if mask.any() else float("nan"),
-        "mask": mask,
     }

@@ -15,16 +15,13 @@ cluster by cluster through an SVD of the cluster cross-Gram.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
 
 from .errors import DefectiveFamilyError, DiscretizationError, EmptyBandError
 from .grid_ops import _as_matrix
-from .ioutil import load_matrix_csv, save_json, save_matrix_csv
 
 __all__ = [
     "EigenFamily",
@@ -34,8 +31,6 @@ __all__ = [
     "elementary_kernel",
     "kernel_from_measure",
     "congruence_residual",
-    "save_family",
-    "load_family",
 ]
 
 _GRAM_FLOOR = 1e-8  # smallest tolerated singular value of a cluster cross-Gram
@@ -215,38 +210,3 @@ def congruence_residual(K, Ltil, L) -> float:
     if denom == 0.0:
         return 0.0
     return float(np.linalg.norm(Tm @ Km - Km @ Lm) / denom)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def save_family(fam: EigenFamily, directory: str | Path, name: str = "family") -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    save_matrix_csv(directory / f"{name}_lambdas.csv", fam.lambdas)
-    save_matrix_csv(directory / f"{name}_right.csv", fam.right)
-    save_matrix_csv(directory / f"{name}_left.csv", fam.left)
-    save_matrix_csv(directory / f"{name}_weights.csv", fam.weights)
-    manifest = {
-        "count": len(fam),
-        "dim": int(fam.right.shape[0]),
-        "files": {key: f"{name}_{key}.csv" for key in ("lambdas", "right", "left", "weights")},
-        "residual_right": fam.residual_right,
-        "residual_left": fam.residual_left,
-    }
-    path = directory / f"{name}.json"
-    save_json(path, manifest)
-    return path
-
-
-def load_family(manifest_path: str | Path) -> EigenFamily:
-    manifest_path = Path(manifest_path)
-    spec = json.loads(manifest_path.read_text(encoding="utf-8"))
-    base = manifest_path.parent
-    lam = np.atleast_1d(load_matrix_csv(base / spec["files"]["lambdas"]).ravel())
-    right = load_matrix_csv(base / spec["files"]["right"])
-    left = load_matrix_csv(base / spec["files"]["left"])
-    weights = np.real(load_matrix_csv(base / spec["files"]["weights"]).ravel())
-    return EigenFamily(lam, right, left, weights,
-                       spec.get("residual_right", 0.0), spec.get("residual_left", 0.0))

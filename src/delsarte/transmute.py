@@ -28,9 +28,7 @@ reproduces the target's interior rows at roundoff level.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -40,7 +38,6 @@ from .errors import (ConditionNumberError, DiscretizationError, GridError,
 from .factorize import (TriangularPair, _conjugate, commutation_check,
                         gk_factorize)
 from .grid_ops import Grid1D, OperatorMatrix, _as_matrix
-from .ioutil import load_matrix_csv, save_json, save_matrix_csv
 from .spectral import SpectralKernel
 
 __all__ = [
@@ -57,8 +54,6 @@ __all__ = [
     "locality_check",
     "independence_check",
     "adjoint_compat_check",
-    "save_transmutation",
-    "load_transmutation",
 ]
 
 
@@ -493,51 +488,3 @@ def adjoint_compat_check(data: TransmutationData) -> float:
     A = _conjugate(M, L).conj().T
     B = _conjugate(Madj, L.conj().T)
     return float(np.linalg.norm(A - B) / max(np.linalg.norm(L), 1e-300))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def save_transmutation(data: TransmutationData, directory: str | Path,
-                       name: str = "transmutation") -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {"kind": data.kind}
-    if data.kind == "family":
-        g = data.grid
-        manifest["grid"] = {"a": g.a, "b": g.b, "n": g.n, "boundary": g.boundary}
-        manifest["x0"] = data.x0
-        for key, arr in (("right", data.right), ("left", data.left),
-                         ("weights", data.weights), ("omega0", data.omega0),
-                         ("L", data.L)):
-            save_matrix_csv(directory / f"{name}_{key}.csv", arr)
-            manifest[key] = f"{name}_{key}.csv"
-        omega_at_base = build_kernel_Omega(data, data.x0)
-        save_matrix_csv(directory / f"{name}_omega_x0.csv", omega_at_base.values)
-        manifest["omega_x0"] = f"{name}_omega_x0.csv"
-    else:
-        for key, arr in (("Phi", data.Phi), ("L", data.L)):
-            save_matrix_csv(directory / f"{name}_{key}.csv", arr)
-            manifest[key] = f"{name}_{key}.csv"
-    path = directory / f"{name}.json"
-    save_json(path, manifest)
-    return path
-
-
-def load_transmutation(manifest_path: str | Path) -> TransmutationData:
-    manifest_path = Path(manifest_path)
-    spec = json.loads(manifest_path.read_text(encoding="utf-8"))
-    base = manifest_path.parent
-    L = load_matrix_csv(base / spec["L"])
-    if spec["kind"] == "family":
-        gd = spec["grid"]
-        grid = Grid1D(gd["a"], gd["b"], gd["n"], gd["boundary"])
-        return TransmutationData.from_family(
-            grid, L,
-            load_matrix_csv(base / spec["right"]),
-            load_matrix_csv(base / spec["left"]),
-            np.real(load_matrix_csv(base / spec["weights"]).ravel()),
-            load_matrix_csv(base / spec["omega0"]),
-            x0=spec["x0"])
-    return TransmutationData.from_kernel(L, load_matrix_csv(base / spec["Phi"]))

@@ -4,7 +4,7 @@ as a pass/fail line per residual row."""
 import numpy as np
 import pytest
 
-from delsarte import acceptance
+from delsarte import acceptance, cli
 
 
 def _assert_rows(rows):
@@ -53,12 +53,16 @@ def test_volterra_property_of_all_kernels():
     _assert_rows(acceptance.criterion_8(seed=0))
 
 
-def test_verify_report_determinism():
-    _assert_rows(acceptance.criterion_9(seed=0))
+def test_verify_report_determinism(tmp_path):
+    # the same config and seed give the same verify report digest
+    config = {"command": "verify", "tolerance_scale": 1.0}
+    digests = [cli.cmd_verify(config, tmp_path / run, seed=0)["digest"]
+               for run in ("first", "second")]
+    assert digests[0] == digests[1]
 
 
 def test_full_battery_aggregates():
-    result = acceptance.run_all(seed=0, include_determinism=False)
+    result = acceptance.run_all(seed=0)
     _assert_rows(result["rows"])
     assert result["all_passed"] is True
     assert result["seed"] == 0

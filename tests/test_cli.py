@@ -1,12 +1,16 @@
 """Command-line front end: exit codes, report files, digests, artifacts."""
 
 import ast
+import contextlib
+import io
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delsarte import acceptance
 from delsarte.cli import main
@@ -151,6 +155,36 @@ def test_cli_imports_no_residual_layer():
     assert used == {"acceptance", "errors", "ioutil"}
 
 
+def test_only_the_front_end_touches_files():
+    """Files and JSON belong to ``cli`` and its helper ``ioutil``; no other
+    module imports a file module, ``ioutil`` or ``cli``, not even inside a
+    function."""
+    import delsarte
+    forbidden = {"json", "os", "pathlib", "shutil", "tempfile",
+                 "delsarte.ioutil", "delsarte.cli"}
+    offenders = []
+    for path in sorted(Path(delsarte.__file__).parent.glob("*.py")):
+        if path.name in ("cli.py", "ioutil.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            # spell every import as an absolute module path
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                names = ([f"delsarte.{node.module}"] if node.module
+                         else [f"delsarte.{a.name}" for a in node.names])
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                parts = name.split(".")
+                if {parts[0], ".".join(parts[:2])} & forbidden:
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
+
+
 def test_library_modules_use_every_import():
     """No module imports a name it never uses.  The exceptions are the
     re-exports: the package ``__init__`` and ``cli.transform_operator``."""
@@ -277,6 +311,64 @@ def test_non_finite_phi_file_gives_computation_error(tmp_path, capsys):
     code, _ = _run(tmp_path, dict(FACTORIZE_CFG, phi_file=str(pf)))
     assert code == 3
     assert "computation failed" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over drawn schema-valid configs
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _line_configs(draw):
+    command = draw(st.sampled_from(["darboux", "transmute"]))
+    n = draw(st.integers(7, 60))
+    half = draw(st.floats(0.5, 60.0))
+    cfg = {"command": command, "domain": [-half, half], "n": n,
+           "kappa": draw(st.floats(1e-3, 40.0)),
+           "center": draw(st.floats(-half, half, exclude_min=True,
+                                    exclude_max=True))}
+    if command == "darboux":
+        cfg["parity"] = draw(st.sampled_from(["even", "odd"]))
+    else:
+        cfg["family_size"] = draw(st.integers(1, n + 10))
+    return cfg
+
+
+_factorize_configs = st.fixed_dictionaries({
+    "command": st.just("factorize"), "size": st.integers(2, 30),
+    "count": st.integers(1, 3),
+    "scale": st.floats(0.0, 0.49, exclude_min=True),
+    "seed": st.integers(0, 2 ** 16)})
+
+
+@st.composite
+def _derham_configs(draw):
+    axes = draw(st.integers(1, 3))
+    return {"command": "derham",
+            "shape": draw(st.lists(st.integers(5, 6), min_size=axes,
+                                   max_size=axes)),
+            "periods": draw(st.lists(st.floats(1e-3, 50.0), min_size=axes,
+                                     max_size=axes)),
+            "fiber_dim": draw(st.integers(1, 2))}
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(cfg=st.one_of(_line_configs(), _factorize_configs, _derham_configs()))
+def test_drawn_configs_keep_the_exit_code_contract(cfg, tmp_path_factory):
+    # a drawn config either reports finite rows (exit 0 or 1) or names a
+    # library error (exit 3); it never ends as an unexpected exception
+    tmp = tmp_path_factory.mktemp("drawn")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(stderr):
+        code, out = _run(tmp, cfg)
+    err = stderr.getvalue()
+    assert "unexpected failure" not in err
+    assert code in (0, 1, 3)
+    if code == 3:
+        assert "computation failed" in err
+    else:
+        report = json.loads((out / "report.json").read_text())
+        assert all(math.isfinite(r["value"]) for r in report["rows"])
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from delsarte import (FormField, GenComplex, Grid1D, ProductGrid,
                       harmonic_space, hodge_decompose, hodge_star,
                       laplace_hodge, plain_complex, scalar_product,
                       skrypnik_map)
-from delsarte.errors import (DegreeMismatchError, NonCommutingFamilyError,
-                             NotClosedError)
+from delsarte.errors import (DegreeMismatchError, DiscretizationError,
+                             NonCommutingFamilyError, NotClosedError)
 from delsarte.lagrange import forward_diff_matrix
 
 T1, T2 = 1.0, 2.0
@@ -266,6 +266,30 @@ def test_non_finite_form_has_no_periods():
     with pytest.raises(NotClosedError):
         skrypnik_map(c, np.ones(shp, dtype=complex), [psi],
                      [SurfaceRegion.axis_loop(pg, 0, (0, 0))])
+
+
+def test_non_finite_top_form_is_named():
+    # a top-degree form has no closedness residual; the NaN must still be named
+    pg = _torus(6, 6)
+    c = plain_complex(pg)
+    shp = pg.shape + (1,)
+    comp = np.ones(shp)
+    comp[2, 3, 0] = np.nan
+    psi = FormField(pg, 2, {(0, 1): comp})
+    with pytest.raises(NotClosedError, match="1 non-finite entries"):
+        skrypnik_map(c, np.ones(shp, dtype=complex), [psi],
+                     [SurfaceRegion.cell_block(pg, (0, 0), (6, 6))])
+
+
+def test_non_finite_phi0_rejected():
+    pg = _torus(6, 6)
+    c = plain_complex(pg)
+    shp = pg.shape + (1,)
+    phi0 = np.ones(shp, dtype=complex)
+    phi0[4, 1, 0] = np.nan
+    psi = FormField(pg, 1, {(0,): np.ones(shp)})
+    with pytest.raises(DiscretizationError, match="phi0"):
+        skrypnik_map(c, phi0, [psi], [SurfaceRegion.axis_loop(pg, 0, (0, 0))])
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ import pytest
 
 from delsarte import (DiffOp, DiscretizationError, Grid1D, GridError,
                       OperatorMatrix, ProductGrid, adjoint_defect, commutator,
-                      derivative_matrix, discretize, formal_adjoint, inner,
-                      load_diffop, save_diffop)
+                      derivative_matrix, discretize, formal_adjoint, inner)
 from delsarte.grid_ops import fd_weights, stencil_half_width
 
 
@@ -251,19 +250,6 @@ def test_inner_product_weights():
     f = np.sin(g.x)
     # ||sin||^2 over one period = pi
     assert inner(pg, f, f).real == pytest.approx(np.pi, rel=1e-12)
-
-
-def test_diffop_save_load_round_trip(tmp_path):
-    pg = _line(12, "dirichlet", 1.0)
-    x = pg.axes[0].x
-    op = DiffOp(pg, {(2,): -1.0, (1,): (0.3 + 0.1j) * np.ones_like(x),
-                     (0,): np.cos(x).astype(complex)})
-    manifest = save_diffop(op, tmp_path, "op")
-    back = load_diffop(manifest)
-    assert back.grid == op.grid
-    assert set(back.terms) == set(op.terms)
-    for alpha in op.terms:
-        np.testing.assert_array_equal(back.terms[alpha], op.terms[alpha])
 
 
 def test_diffop_rejects_nonsense():

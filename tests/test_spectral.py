@@ -7,8 +7,7 @@ import scipy.linalg
 from delsarte import (DefectiveFamilyError, DiffOp, DiscretizationError,
                       EmptyBandError, Grid1D, ProductGrid, congruence_residual,
                       discretize, eigensolve, elementary_kernel,
-                      kernel_from_measure, load_family, projection_measure,
-                      save_family)
+                      kernel_from_measure, projection_measure)
 
 
 def _dirichlet_laplacian(n=40, length=np.pi):
@@ -172,13 +171,3 @@ def test_weighted_pairing_normalization():
     np.testing.assert_allclose(G, np.eye(len(fam)), atol=1e-10)
 
 
-def test_family_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    A = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
-    fam = eigensolve(A)
-    manifest = save_family(fam, tmp_path)
-    back = load_family(manifest)
-    np.testing.assert_array_equal(back.lambdas, fam.lambdas)
-    np.testing.assert_array_equal(back.right, fam.right)
-    np.testing.assert_array_equal(back.left, fam.left)
-    np.testing.assert_array_equal(back.weights, fam.weights)

@@ -14,9 +14,9 @@ from delsarte import (ConditionNumberError, DelsarteOp, DiffOp, DressingSeed,
                       build_kernel_Omega, darboux_once, delsarte_apply,
                       delsarte_inverse, delsarte_operator, discretize,
                       eigensolve, gk_factorize, independence_check,
-                      kernel_from_measure, load_transmutation, locality_check,
-                      pair_intertwiner, random_unit_minor, save_transmutation,
-                      spectrum_compare, transform_family, transform_operator)
+                      kernel_from_measure, locality_check, pair_intertwiner,
+                      random_unit_minor, spectrum_compare, transform_family,
+                      transform_operator)
 from delsarte.errors import DiscretizationError
 
 
@@ -340,32 +340,6 @@ def test_volterra_defect_structural():
     for sign in "+-":
         assert delsarte_operator(datak, sign).volterra_defect() == 0.0
         assert delsarte_inverse(datak, sign).volterra_defect() == 0.0
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_family_data_round_trip(tmp_path):
-    _, _, _, data = _family_data(30)
-    manifest = save_transmutation(data, tmp_path)
-    back = load_transmutation(manifest)
-    assert back.kind == "family"
-    np.testing.assert_array_equal(back.right, data.right)
-    np.testing.assert_array_equal(back.left, data.left)
-    np.testing.assert_array_equal(back.omega0, data.omega0)
-    np.testing.assert_array_equal(back.L, data.L)
-    # reconstructed operators match bitwise
-    np.testing.assert_array_equal(delsarte_operator(back, "+").kernel,
-                                  delsarte_operator(data, "+").kernel)
-
-
-def test_kernel_data_round_trip(tmp_path):
-    _, _, data = _kernel_data(20)
-    manifest = save_transmutation(data, tmp_path, "kern")
-    back = load_transmutation(manifest)
-    assert back.kind == "kernel"
-    np.testing.assert_array_equal(back.Phi, data.Phi)
 
 
 # ---------------------------------------------------------------------------
