@@ -41,6 +41,9 @@ __all__ = [
 # exponential polynomials
 # ---------------------------------------------------------------------------
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
 class ExpPoly:
     """Finite sum  sum_mu c_mu e^{mu x}  with exact calculus.
 
@@ -107,8 +110,12 @@ class ExpPoly:
         return S0, S1, S2, m
 
     def eval(self, x) -> np.ndarray:
+        """S0 e^m, and inf wherever that passes the float range.  The
+        overflow is read off m + log|S0| before exponentiating, so it is
+        never computed (and never warns)."""
         S0, _, _, m = self._scaled_sums(x)
-        return S0 * np.exp(m)
+        over = m + np.log(np.maximum(np.abs(S0), 1.0)) > _LOG_FLOAT_MAX
+        return np.where(over, np.inf, S0 * np.exp(np.where(over, 0.0, m)))
 
     def log_second_derivative(self, x) -> np.ndarray:
         """(ln f)'' = (f'' f - f'^2)/f^2, evaluated with the common shift cancelled."""

@@ -57,7 +57,10 @@ class GenComplex:
 
     ``axis_mats[j]`` is the matrix of L_j on flattened fields.  Pairwise
     commutation is checked on construction; it is what makes d_L nilpotent.
-    The scalar product carries the uniform node weight ``grid.vol``.
+    The scalar product carries the uniform node weight ``grid.vol``.  The
+    operators share one dtype, the common type of the inputs: real axis
+    operators stay real, and so do the coboundary and Laplace-Hodge
+    matrices built from them.
     """
 
     grid: ProductGrid
@@ -68,7 +71,9 @@ class GenComplex:
         if len(self.axis_mats) != self.grid.ndim:
             raise DiscretizationError("one axis operator per axis is required")
         d = self.grid.total_dim
-        self.axis_mats = [np.asarray(M, dtype=complex) for M in self.axis_mats]
+        mats = [np.asarray(M) for M in self.axis_mats]
+        dtype = np.result_type(*mats, float)
+        self.axis_mats = [np.asarray(M, dtype=dtype) for M in mats]
         for M in self.axis_mats:
             if M.shape != (d, d):
                 raise DiscretizationError(
@@ -98,7 +103,9 @@ def plain_complex(grid: ProductGrid) -> GenComplex:
     along axis j.
 
     Forward differences along distinct axes commute exactly, so d*d = 0 is
-    structural (exact zeros), on periodic and Dirichlet axes alike.
+    structural, on periodic and Dirichlet axes alike: its entries cancel
+    exactly, up to the fused multiply-add roundoff (about 1e-19 relative)
+    that a BLAS product of the real matrices may leave.
     """
     mats = [forward_diff_matrix(grid, a) for a in range(grid.ndim)]
     return GenComplex(grid, mats)
@@ -231,13 +238,14 @@ def laplace_hodge(c: GenComplex, degree: int) -> OperatorMatrix:
     """Delta_k = d_k' d_k + d_{k-1} d_{k-1}' on stacked degree-k components.
 
     The adjoint is the literal conjugate transpose (the metric is a uniform
-    scalar), so ker Delta = ker d  intersect  ker d' holds exactly.
+    scalar), so ker Delta = ker d  intersect  ker d' holds exactly.  The
+    dtype is that of the complex's axis operators.
     """
     r = c.grid.ndim
     if not (0 <= degree <= r):
         raise DegreeMismatchError(f"degree {degree} outside 0..{r}")
     ncols = math.comb(r, degree) * c.grid.total_dim
-    Delta = np.zeros((ncols, ncols), dtype=complex)
+    Delta = np.zeros((ncols, ncols), dtype=c.axis_mats[0].dtype)
     if degree < r:
         Dk = c.d_matrix(degree)
         Delta += Dk.conj().T @ Dk

@@ -227,13 +227,14 @@ def glm_solve(Phi: np.ndarray, chain: ProjectorChain | None = None):
     Row i of K_plus is the unique strictly-lower row making the strictly
     lower part of the left side vanish; K_minus is then read off as the
     upper (diagonal included) remainder, whose lower part is structurally
-    zero.  Returns (K_plus, K_minus).
+    zero.  Returns (K_plus, K_minus), real for a real Phi and complex for a
+    complex one.
     """
     Phi = np.asarray(Phi)
     n = Phi.shape[0]
     chain = chain or ProjectorChain.natural(n)
     M = _permute(Phi, chain.order)
-    K = np.zeros((n, n), dtype=complex)
+    K = np.zeros((n, n), dtype=np.result_type(M, float))
     for i in range(1, n):
         block = np.eye(i) + M[:i, :i]
         # u^T (1 + Phi_leading) = -Phi[i, :i]

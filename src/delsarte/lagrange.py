@@ -196,14 +196,17 @@ def exterior_derivative(form: FormField) -> FormField:
 
 
 def d_matrix(grid: ProductGrid, degree: int, axis_mats: list | None = None) -> np.ndarray:
-    """Matrix of the coboundary from degree k to k+1 on stacked components."""
+    """Matrix of the coboundary from degree k to k+1 on stacked components;
+    its dtype is the common type of the axis operators (real for the plain
+    forward differences)."""
     r = grid.ndim
     if axis_mats is None:
         axis_mats = [forward_diff_matrix(grid, a) for a in range(r)]
     rows = _subsets(r, degree + 1)
     cols = _subsets(r, degree)
     block = grid.total_dim
-    D = np.zeros((len(rows) * block, len(cols) * block), dtype=complex)
+    D = np.zeros((len(rows) * block, len(cols) * block),
+                 dtype=np.result_type(*axis_mats))
     for cj, S in enumerate(cols):
         for a in range(r):
             if a in S:

@@ -178,7 +178,9 @@ class DelsarteOp:
     diag: np.ndarray | None = None
 
     def matrix(self) -> np.ndarray:
-        M = np.eye(self.kernel.shape[0], dtype=complex) + self.kernel
+        """The assembled factor; its dtype is the kernel's (and the
+        diagonal's), so a real kernel gives a real matrix."""
+        M = np.eye(self.kernel.shape[0], dtype=self.kernel.dtype) + self.kernel
         if self.diag is not None:
             M = self.diag[:, None] * M
         return M

@@ -33,6 +33,23 @@ def test_dressing_spectrum_bookkeeping():
     _assert_rows(acceptance.criterion_3())
 
 
+def test_spectrum_oracle_sees_a_real_matrix(monkeypatch):
+    # the dense eig oracle of criterion 3 runs on the real conjugate
+    seen = []
+    eigvals = acceptance.scipy.linalg.eigvals
+
+    def recording(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return eigvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(acceptance.scipy.linalg, "eigvals", recording)
+    rows = acceptance.criterion_3()
+    assert seen == [np.float64]
+    preserved = [r for r in rows if r["name"] == "conjugation_spectrum_preserved"]
+    assert len(preserved) == 1
+    _assert_rows(preserved)
+
+
 def test_triangular_factorization_battery():
     _assert_rows(acceptance.criterion_4(seed=0))
 

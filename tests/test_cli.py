@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,18 @@ def test_overflowing_seed_gives_computation_error(tmp_path, capsys):
         code, _ = _run(tmp_path, cfg)
     assert code == 3
     assert "computation failed" in capsys.readouterr().err
+
+
+def test_overflowing_seed_is_rejected_without_warnings(tmp_path, capsys):
+    # kappa * max|x| = 2400: the overflow is detected before exponentiating,
+    # so the gate's error is the only signal
+    cfg = {"command": "darboux", "domain": [-60, 60], "n": 50, "kappa": 40}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = _run(tmp_path, cfg)
+    assert code == 3
+    assert ("computation failed: seed values overflow on the grid"
+            in capsys.readouterr().err)
 
 
 def test_non_finite_phi_file_gives_computation_error(tmp_path, capsys):

@@ -315,3 +315,42 @@ def test_dual_flat_section_kills_adjoint():
     dual = dual_flat_section(pg, [A], np.array([1.0, 1.0 + 0j]))
     fd = pg.flatten_field(dual)
     assert np.abs(c.axis_mats[0].conj().T @ fd).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the dtype follows the axis operators
+# ---------------------------------------------------------------------------
+
+def _dtypes(c):
+    r = c.grid.ndim
+    return ({M.dtype for M in c.axis_mats}
+            | {c.d_matrix(k).dtype for k in range(r)}
+            | {laplace_hodge(c, k).A.dtype for k in range(r + 1)})
+
+
+def test_plain_complex_stays_real():
+    assert _dtypes(plain_complex(_torus(fiber=2))) == {np.dtype(np.float64)}
+
+
+def test_complex_generator_keeps_the_complex():
+    gens = [np.diag([0.0, 0.7j]), np.zeros((2, 2))]
+    assert _dtypes(flat_complex(_torus(fiber=2), gens)) == {np.dtype(np.complex128)}
+    # one complex operator, here given as nested lists, promotes the family
+    pg = _torus()
+    mats = [forward_diff_matrix(pg, 0),
+            forward_diff_matrix(pg, 1).astype(complex).tolist()]
+    assert _dtypes(GenComplex(pg, mats)) == {np.dtype(np.complex128)}
+
+
+@pytest.mark.parametrize("shape", [(8, 10), (5, 5, 6)])
+@pytest.mark.parametrize("fiber", [1, 2])
+def test_real_harmonic_space_matches_complex_cast(shape, fiber):
+    pg = ProductGrid(tuple(Grid1D.periodic(0.0, 1.0 + a, n)
+                           for a, n in enumerate(shape)), fiber_dim=fiber)
+    c = plain_complex(pg)
+    cast = GenComplex(pg, [M.astype(complex) for M in c.axis_mats])
+    for k in range(pg.ndim + 1):
+        real, ref = harmonic_space(c, k), harmonic_space(cast, k)
+        assert real.dim == ref.dim == fiber * math.comb(pg.ndim, k)
+        s = real.singular_values
+        assert np.abs(s - ref.singular_values).max() <= 1e-13 * s.max()

@@ -250,3 +250,19 @@ def test_blocked_ldu_names_first_singular_minor(k):
     with pytest.raises(SingularMinorError) as err:
         gk_factorize(Lw @ np.diag(d) @ Uw - np.eye(n))
     assert err.value.index == k
+
+
+def test_glm_dtype_follows_phi():
+    Phi = random_unit_minor(20, np.random.default_rng(4))
+    for data, dtype in ((Phi, np.float64), (Phi.astype(complex), np.complex128)):
+        Kp, Km = glm_solve(data)
+        assert Kp.dtype == dtype and Km.dtype == dtype
+
+
+@pytest.mark.parametrize("n", [5, 20, 50])
+def test_real_glm_matches_complex_cast(n):
+    Phi = random_unit_minor(n, np.random.default_rng(n))
+    Kp, Km = glm_solve(Phi)
+    Kpc, Kmc = glm_solve(Phi.astype(complex))
+    assert np.abs(Kp - Kpc).max() <= 1e-14
+    assert np.abs(Km - Kmc).max() <= 1e-14

@@ -364,3 +364,38 @@ def test_dressing_path_uses_no_dense_fallback(monkeypatch):
     assert np.isfinite(om.cond())
     assert len(spectrum_compare(base, dressed.operator)["new_negative"]) == 1
     assert gk_factorize(Phi).residual < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the dtype follows the data
+# ---------------------------------------------------------------------------
+
+def _complex_cast(om):
+    """The same factor with its kernel cast to complex."""
+    return DelsarteOp(om.sign, om.kernel.astype(complex), om.grid, om.diag)
+
+
+def test_real_pair_factor_stays_real():
+    g, L, T = _soliton(200, 8.0)
+    om = pair_intertwiner(L, T, "+", grid=g)
+    assert om.kernel.dtype == np.float64
+    assert om.matrix().dtype == np.float64
+    assert transform_operator(L, om).A.dtype == np.float64
+
+
+def test_family_and_kernel_factors_stay_complex():
+    _, _, _, data = _family_data()
+    _, _, datak = _kernel_data()
+    for op in (delsarte_operator(data, "+"), delsarte_operator(datak, "-")):
+        assert op.matrix().dtype == np.complex128
+
+
+@pytest.mark.parametrize("n", [200, 600])
+def test_real_conjugation_matches_complex_cast(n):
+    g, L, T = _soliton(n, 8.0)
+    om = pair_intertwiner(L, T, "+", grid=g)
+    real = transform_operator(L, om).A
+    cast = transform_operator(L, _complex_cast(om)).A
+    assert np.abs(real - cast).max() <= 1e-13 * np.abs(real).max()
+    # equal here; other boxes differ by an ulp (4.333e6 on [-10, 10], n=240)
+    assert om.cond() == pytest.approx(_complex_cast(om).cond(), rel=1e-14)
