@@ -35,8 +35,8 @@ print(f"exact inverse defect: "
 # the running normalization interpolates between the endpoint values
 K0 = build_kernel_Omega(data, data.x0)
 K1 = build_kernel_Omega(data, g.x[-1])
-print(f"normalization at x0: diag {np.real(np.diag(K0.values))}")
-print(f"normalization at b:  diag {np.real(np.diag(K1.values))}")
+print(f"normalization at x0: diag {np.real(np.diag(K0))}")
+print(f"normalization at b:  diag {np.real(np.diag(K1))}")
 
 # adjoint compatibility couples the plus kernel to the adjoint of its
 # inverse; the defect is a roundoff number
@@ -44,7 +44,7 @@ print(f"adjoint compatibility: {adjoint_compat_check(data):.3e}")
 
 # sign independence holds when the kernel data commutes with L
 full = eigensolve(L, hermitian=True)
-Phi = kernel_from_measure(full, lambda lam: 0.4 / (1.0 + abs(lam))).values
+Phi = kernel_from_measure(full, lambda lam: 0.4 / (1.0 + abs(lam)))
 datak = TransmutationData.from_kernel(L, Phi)
 gap, comm = independence_check(datak)
 print(f"sign independence gap: {gap:.3e}  (commutation {comm:.3e})")

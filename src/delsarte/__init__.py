@@ -8,7 +8,7 @@ The package is organized bottom-up:
 - ``lagrange``: the divergence form of the Lagrange identity; discrete forms,
   regions, Stokes bookkeeping
 - ``transmute``: the triangular dressing operators and their exact inverses
-- ``factorize``: triangular splitting of 1 + Phi along projector chains
+- ``factorize``: triangular splitting of 1 + Phi along the grid's projector chain
 - ``darboux``: potential dressing by nodeless seeds, iterated stacking
 - ``derham``: commuting-family complexes, harmonic spaces, period maps
 - ``cli``: batch commands over JSON configs
@@ -22,8 +22,8 @@ from .errors import (ConditionNumberError, DefectiveFamilyError,
 from .grid_ops import (DiffOp, Grid1D, OperatorMatrix, ProductGrid,
                        adjoint_defect, commutator, derivative_matrix,
                        discretize, formal_adjoint, inner)
-from .spectral import (EigenFamily, SpectralKernel, congruence_residual,
-                       eigensolve, elementary_kernel, kernel_from_measure,
+from .spectral import (EigenFamily, congruence_residual, eigensolve,
+                       elementary_kernel, kernel_from_measure,
                        projection_measure)
 from .lagrange import (Concomitant, FormField, SurfaceRegion,
                        bilinear_concomitant, boundary, coboundary,
@@ -34,11 +34,10 @@ from .transmute import (DelsarteOp, TransmutationData, adjoint_compat_check,
                         delsarte_inverse, delsarte_operator,
                         independence_check, locality_check, pair_intertwiner,
                         transform_family, transform_operator)
-from .factorize import (ProjectorChain, TriangularPair,
-                        break_relation_defect, commutation_check,
-                        factor_conjugation_gap, gk_factorize,
-                        gk_integral_factors, glm_residual, glm_solve,
-                        is_volterra_factor, random_unit_minor,
+from .factorize import (TriangularPair, break_relation_defect,
+                        commutation_check, factor_conjugation_gap,
+                        gk_factorize, gk_integral_factors, glm_residual,
+                        glm_solve, is_volterra_factor, random_unit_minor,
                         triangular_shear)
 from .darboux import (DressedResult, DressingSeed, ExpPoly, SchrodingerOp,
                       crum_iterate, darboux_once, spectrum_compare)

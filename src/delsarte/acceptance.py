@@ -175,7 +175,7 @@ def dressing_data(grid: Grid1D, L: np.ndarray, family_size: int = 3):
     fam = eigensolve(L, count=int(family_size), hermitian=True)
     data = TransmutationData.from_family(grid, L, fam.right, fam.left, omega0=1.0)
     full = eigensolve(L, hermitian=True)
-    Phi = kernel_from_measure(full, lambda lam: 0.4 / (1.0 + abs(lam))).values
+    Phi = kernel_from_measure(full, lambda lam: 0.4 / (1.0 + abs(lam)))
     return data, TransmutationData.from_kernel(L, Phi)
 
 
@@ -326,7 +326,7 @@ def criterion_4(seed: int = 0) -> list:
 # 5. GLM equation: the worked 2x2 example
 # ---------------------------------------------------------------------------
 
-def criterion_5(seed: int = 0) -> list:
+def criterion_5() -> list:
     """The random sweep of the GLM route runs in :func:`criterion_4`."""
     Phi0 = np.array([[0.0, 1.0], [1.0, 1.0]])
     Kp0, Km0 = glm_solve(Phi0)
@@ -364,7 +364,7 @@ def criterion_6() -> list:
     kfm_comm = congruence_residual(K, A, A)
 
     t = 1e-3
-    Kt = kernel_from_measure(fam, lambda lam: np.exp(-t * lam)).values
+    Kt = kernel_from_measure(fam, lambda lam: np.exp(-t * lam))
     Et = scipy.linalg.expm(-t * A)
     heat = float(np.linalg.norm(Kt - Et) / np.linalg.norm(Et))
     return [
@@ -487,7 +487,7 @@ def criterion_7(seed: int = 0) -> list:
 # 8. Volterra property of every constructed kernel
 # ---------------------------------------------------------------------------
 
-def criterion_8(seed: int = 0) -> list:
+def criterion_8() -> list:
     g = Grid1D.dirichlet(0.0, math.pi, 60)
     A = np.real(SchrodingerOp.free(g).matrix().A)
     data, datak = dressing_data(g, A)
@@ -516,9 +516,9 @@ def run_all(seed: int = 0) -> dict:
     rows += criterion_2()
     rows += criterion_3()
     rows += criterion_4(seed)
-    rows += criterion_5(seed)
+    rows += criterion_5()
     rows += criterion_6()
     rows += criterion_7(seed)
-    rows += criterion_8(seed)
+    rows += criterion_8()
     return {"rows": rows, "all_passed": all(r["passed"] for r in rows),
             "seed": int(seed)}

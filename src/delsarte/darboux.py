@@ -10,7 +10,9 @@ state at lambda0.  Iterating with several seeds at distinct energies stacks
 bound states; for exponential-polynomial seeds the iterated potential has
 the closed Wronskian form  qtilde_k = -2 (ln W(tau_1 .. tau_k))''  and every
 logarithmic derivative can be evaluated analytically, which keeps the deep
-bound-state values exact instead of limited by stencil accuracy.
+bound-state values exact instead of limited by stencil accuracy.  That
+analytic route is the only one: every seed carries its closed form, and
+the sampled values serve the nodelessness and residual gates.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import scipy.linalg
 
 from .errors import DiscretizationError, SeedNodeError
 from .grid_ops import (DiffOp, Grid1D, OperatorMatrix, ProductGrid,
-                       derivative_matrix, discretize)
+                       discretize)
 
 __all__ = [
     "ExpPoly",
@@ -159,18 +161,10 @@ class SchrodingerOp:
 
     grid: Grid1D
     q: np.ndarray  # sampled potential, shape (n,)
-    q_fn: object = None  # optional callable for off-grid evaluation
-
-    @classmethod
-    def from_potential(cls, grid: Grid1D, q) -> "SchrodingerOp":
-        if callable(q):
-            return cls(grid, np.asarray(q(grid.x), dtype=float), q)
-        q_arr = np.zeros(grid.n) + np.asarray(q)
-        return cls(grid, q_arr.astype(float), None)
 
     @classmethod
     def free(cls, grid: Grid1D) -> "SchrodingerOp":
-        return cls.from_potential(grid, 0.0)
+        return cls(grid, np.zeros(grid.n))
 
     def diffop(self) -> DiffOp:
         pg = ProductGrid.line(self.grid)
@@ -184,15 +178,16 @@ class SchrodingerOp:
 class DressingSeed:
     """A formal solution tau at energy lambda0, nodeless on the grid.
 
-    ``expr`` (an :class:`ExpPoly`) unlocks the analytic derivative route;
-    ``stencil_energy`` is the eigenvalue the sampled tau satisfies exactly
-    against the second-difference stencil, used for the residual gate.
+    ``expr`` (an :class:`ExpPoly`) is the closed form the dressing
+    differentiates; ``stencil_energy`` is the eigenvalue the sampled tau
+    satisfies exactly against the second-difference stencil, used for the
+    residual gate.
     """
 
     grid: Grid1D
     values: np.ndarray
     energy: float
-    expr: ExpPoly | None = None
+    expr: ExpPoly
 
     @classmethod
     def hyperbolic(cls, grid: Grid1D, kappa: float, parity: str = "even",
@@ -212,25 +207,18 @@ class DressingSeed:
 class DressedResult:
     operator: SchrodingerOp
     qtilde: np.ndarray
-    log_tau: ExpPoly | None = None
-    base_q_fn: object = None
-    base_is_zero: bool = False
+    log_tau: ExpPoly
+    base_is_zero: bool
 
     def qtilde_at(self, x) -> np.ndarray:
-        """Off-grid dressed potential; analytic route only."""
-        if self.log_tau is None:
-            raise DiscretizationError("stencil-dressed potentials exist only on the grid")
-        xa = np.asarray(x, dtype=float)
-        if self.base_q_fn is not None:
-            base = np.asarray(self.base_q_fn(xa))
-        elif self.base_is_zero:
-            base = 0.0
-        else:
+        """Off-grid dressed potential of a free base."""
+        if not self.base_is_zero:
             raise DiscretizationError("base potential has no off-grid form")
-        return np.real(base - 2.0 * self.log_tau.log_second_derivative(xa))
+        xa = np.asarray(x, dtype=float)
+        return np.real(-2.0 * self.log_tau.log_second_derivative(xa))
 
 
-def _check_seed(op: SchrodingerOp, seed: DressingSeed, scheme_order: int) -> None:
+def _check_seed(op: SchrodingerOp, seed: DressingSeed) -> None:
     vals = np.asarray(seed.values)
     if vals.shape != (op.grid.n,):
         raise DiscretizationError("seed sampled on the wrong grid")
@@ -240,14 +228,13 @@ def _check_seed(op: SchrodingerOp, seed: DressingSeed, scheme_order: int) -> Non
     if np.any(re[:-1] * re[1:] <= 0.0):
         raise SeedNodeError("seed changes sign between neighboring nodes")
     # residual gate on interior rows; boundary rows see the eliminated nodes
-    w = 1 + scheme_order  # rows touched by the one-sided truncation
+    w = 3  # rows touched by the one-sided truncation of the 3-point stencil
     if op.grid.n - 2 * w < 1:
         raise DiscretizationError(
             f"grid of {op.grid.n} nodes has no interior rows for the seed "
             f"residual gate; at least {2 * w + 1} are needed")
-    A = op.matrix(scheme_order).A
-    lam = seed.stencil_energy() if seed.expr is not None else seed.energy
-    r = A @ vals - lam * vals
+    A = op.matrix().A
+    r = A @ vals - seed.stencil_energy() * vals
     res = np.max(np.abs(r[w:op.grid.n - w]))
     gate = 1e-8 * np.linalg.norm(A, np.inf) * np.max(np.abs(vals))
     if not (res <= gate):
@@ -256,57 +243,26 @@ def _check_seed(op: SchrodingerOp, seed: DressingSeed, scheme_order: int) -> Non
             f"{res:.3e} exceeds gate {gate:.3e}")
 
 
-def darboux_once(op: SchrodingerOp, seed: DressingSeed, scheme_order: int = 2,
-                 derivative: str = "analytic") -> DressedResult:
-    """One dressing step qtilde = q - 2 (ln tau)''.
-
-    ``derivative="analytic"`` uses the seed's closed form (exact values,
-    available for exponential-polynomial seeds); ``"stencil"`` differentiates
-    ln tau with grid stencils of the requested order, which caps the accuracy
-    of the dressed potential at O(h^scheme_order).
-    """
-    _check_seed(op, seed, scheme_order)
-    x = op.grid.x
-    if derivative == "analytic":
-        if seed.expr is None:
-            raise DiscretizationError("seed has no closed form; use derivative='stencil'")
-        ltau2 = np.real(seed.expr.log_second_derivative(x))
-        log_tau = seed.expr
-    elif derivative == "stencil":
-        logs = np.log(np.abs(np.asarray(seed.values, dtype=float)))
-        D2 = derivative_matrix(op.grid, 2, scheme_order, one_sided_edges=True)
-        ltau2 = D2 @ logs
-        log_tau = None
-    else:
-        raise DiscretizationError(f"unknown derivative mode {derivative!r}")
-    qtilde = op.q - 2.0 * ltau2
-    dressed = SchrodingerOp(op.grid, qtilde, None)
-    result = DressedResult(dressed, qtilde, log_tau,
-                           base_q_fn=op.q_fn,
-                           base_is_zero=bool(np.max(np.abs(op.q)) == 0.0))
-    if log_tau is not None and (op.q_fn is not None or result.base_is_zero):
-        dressed.q_fn = result.qtilde_at
-    return result
+def darboux_once(op: SchrodingerOp, seed: DressingSeed) -> DressedResult:
+    """One dressing step qtilde = q - 2 (ln tau)'', with (ln tau)'' taken
+    from the seed's closed form (exact values at every node)."""
+    _check_seed(op, seed)
+    qtilde = op.q - 2.0 * np.real(seed.expr.log_second_derivative(op.grid.x))
+    return DressedResult(SchrodingerOp(op.grid, qtilde), qtilde, seed.expr,
+                         base_is_zero=bool(np.max(np.abs(op.q)) == 0.0))
 
 
-def crum_iterate(op: SchrodingerOp, seeds: list, scheme_order: int = 2,
-                 derivative: str = "analytic") -> list:
+def crum_iterate(op: SchrodingerOp, seeds: list) -> list:
     """Stacked dressing; returns the list of per-stage results.
 
-    The analytic route forms the Wronskians W(tau_1..tau_k) symbolically and
-    requires every seed to carry a closed form and the starting potential to
-    vanish.  A single seed routes through :func:`darboux_once` unchanged.
-    The stencil route handles one seed only: later stages would need seeds
-    of the already-dressed operator, which have no grid-only construction.
+    The Wronskians W(tau_1..tau_k) are formed symbolically from the seeds'
+    closed forms, so the starting potential must vanish.  A single seed
+    routes through :func:`darboux_once` unchanged.
     """
     if len(seeds) == 1:
-        return [darboux_once(op, seeds[0], scheme_order, derivative)]
-    if derivative != "analytic":
-        raise DiscretizationError("iterated dressing needs the analytic route")
+        return [darboux_once(op, seeds[0])]
     if np.max(np.abs(op.q)) != 0.0:
         raise DiscretizationError("iterated closed-form dressing starts from q = 0")
-    if any(s.expr is None for s in seeds):
-        raise DiscretizationError("every seed needs a closed form for iteration")
     energies = [s.energy for s in seeds]
     if len(set(np.round(energies, 12))) != len(energies):
         raise DiscretizationError("seed energies must be distinct")
@@ -318,11 +274,8 @@ def crum_iterate(op: SchrodingerOp, seeds: list, scheme_order: int = 2,
         if np.any(Wv[:-1] * Wv[1:] <= 0.0):
             raise SeedNodeError(f"stage {k} Wronskian changes sign on the grid")
         qtilde = -2.0 * np.real(W.log_second_derivative(x))
-        dressed = SchrodingerOp(op.grid, qtilde, None)
-        res = DressedResult(dressed, qtilde, W,
-                            base_q_fn=None, base_is_zero=True)
-        dressed.q_fn = res.qtilde_at
-        results.append(res)
+        results.append(DressedResult(SchrodingerOp(op.grid, qtilde), qtilde, W,
+                                     base_is_zero=True))
     return results
 
 

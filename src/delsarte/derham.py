@@ -25,8 +25,8 @@ import scipy.linalg
 from .errors import (DegreeMismatchError, DiscretizationError,
                      NonCommutingFamilyError, NotClosedError)
 from .grid_ops import Grid1D, OperatorMatrix, ProductGrid
-from .lagrange import (FormField, _subsets, coboundary, d_matrix,
-                       forward_diff_matrix, form_norm, surface_integral)
+from .lagrange import (FormField, _subsets, d_matrix, forward_diff_matrix,
+                       form_norm, surface_integral)
 
 __all__ = [
     "GenComplex",
@@ -87,10 +87,6 @@ class GenComplex:
                     raise NonCommutingFamilyError(
                         f"axis operators {j} and {k} do not commute: "
                         f"residual {gap:.3e} vs scale {scale:.3e}")
-
-    def apply_axis(self, j: int, arr: np.ndarray) -> np.ndarray:
-        vec = self.grid.flatten_field(np.asarray(arr, dtype=complex))
-        return self.grid.unflatten_field(self.axis_mats[j] @ vec)
 
     def d_matrix(self, degree: int) -> np.ndarray:
         if degree not in self._dmats:
@@ -200,9 +196,13 @@ def flat_dimension(generators: list) -> int:
 # ---------------------------------------------------------------------------
 
 def d_L(c: GenComplex, beta: FormField) -> FormField:
-    """Twisted exterior derivative sum_j dt_j wedge (L_j beta)."""
-    ops = [lambda arr, j=j: c.apply_axis(j, arr) for j in range(c.grid.ndim)]
-    return coboundary(beta, ops)
+    """Twisted exterior derivative sum_j dt_j wedge (L_j beta), applied as
+    the complex's cached coboundary matrix; its dtype is the common type of
+    the axis operators and the form."""
+    k = beta.degree
+    if k >= c.grid.ndim:
+        raise DegreeMismatchError("top-degree forms have identically zero differential")
+    return FormField.from_stack(c.grid, k + 1, c.d_matrix(k) @ beta.stack())
 
 
 def _star_sign(S: tuple, k: int) -> int:

@@ -1,15 +1,17 @@
-"""Triangular factorization along projector chains.
+"""Triangular factorization along the grid's projector chain.
 
-Given an invertible 1 + Phi and a maximal chain of coordinate projectors
-P_0 <= P_1 <= ... <= P_n (a node ordering), the factorization
+Given an invertible 1 + Phi and the maximal chain of coordinate projectors
+P_0 <= P_1 <= ... <= P_n in the natural node order, the factorization
 
     1 + Phi = (1 + K_plus)^{-1} D (1 + K_minus)
 
-has K_plus strictly lower triangular and K_minus strictly upper triangular
-in the chain order, with D diagonal.  Existence is equivalent to all leading
-principal minors of 1 + Phi (in chain order) being nonzero; the first failing
-minor size is reported on failure.  When D = 1 the two factors are unit
-(Volterra) perturbations of the identity.
+has K_plus strictly lower triangular and K_minus strictly upper triangular,
+with D diagonal.  Existence is equivalent to all leading principal minors of
+1 + Phi being nonzero; the first failing minor size is reported on failure.
+When D = 1 the two factors are unit (Volterra) perturbations of the
+identity.  Only the natural chain is built in: to factor along another node
+order p, factor Phi[p][:, p] and scatter the kernels back with the inverse
+permutation.
 
 Besides the direct elimination route the module carries the additive chain
 sum ("integral" along the chain) that rebuilds K_plus from resolvent slices,
@@ -27,7 +29,6 @@ import scipy.linalg
 from .errors import DiscretizationError, SingularMinorError
 
 __all__ = [
-    "ProjectorChain",
     "TriangularPair",
     "triangular_shear",
     "gk_factorize",
@@ -42,50 +43,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProjectorChain:
-    """Maximal chain of coordinate projectors, encoded by a node ordering.
-
-    ``order[k]`` is the original index adjoined at chain step k+1, so the
-    range of P_k is spanned by the coordinates order[:k].
-    """
-
-    n: int
-    order: tuple
-
-    def __post_init__(self):
-        order = tuple(int(i) for i in self.order)
-        object.__setattr__(self, "order", order)
-        if sorted(order) != list(range(self.n)):
-            raise ValueError("chain order must be a permutation of 0..n-1")
-
-    @classmethod
-    def natural(cls, n: int) -> "ProjectorChain":
-        return cls(n, tuple(range(n)))
-
-    @classmethod
-    def reversed(cls, n: int) -> "ProjectorChain":
-        return cls(n, tuple(range(n - 1, -1, -1)))
-
-
-def _permute(M: np.ndarray, order) -> np.ndarray:
-    idx = np.asarray(order)
-    return M[np.ix_(idx, idx)]
-
-
-def _unpermute(M: np.ndarray, order) -> np.ndarray:
-    idx = np.asarray(order)
-    out = np.zeros_like(M)
-    out[np.ix_(idx, idx)] = M
-    return out
-
-
 @dataclass
 class TriangularPair:
     """Factorization data: 1 + Phi = (1 + K_plus)^{-1} D (1 + K_minus).
 
-    K_plus is strictly lower and K_minus strictly upper in chain order; D is
-    stored as the vector of diagonal entries (original index order).
+    K_plus is strictly lower and K_minus strictly upper; D is stored as the
+    vector of diagonal entries.
     ``has_unit_diagonal`` flags ||D - 1||_inf <= 1e-10, the regime where
     the factorization is a pure two-sided Volterra splitting.
     """
@@ -100,19 +63,11 @@ class TriangularPair:
         return bool(np.max(np.abs(self.D - 1.0)) <= 1e-10)
 
 
-def triangular_shear(Phi: np.ndarray, chain: ProjectorChain | None = None):
-    """Split a matrix into (strict upper, lower including diagonal) parts.
-
-    Both parts are taken in chain order; a diagonal matrix therefore lands
-    entirely in the second slot.
-    """
+def triangular_shear(Phi: np.ndarray):
+    """Split a matrix into (strict upper, lower including diagonal) parts;
+    a diagonal matrix therefore lands entirely in the second slot."""
     Phi = np.asarray(Phi)
-    n = Phi.shape[0]
-    chain = chain or ProjectorChain.natural(n)
-    M = _permute(Phi, chain.order)
-    upper = np.triu(M, 1)
-    lower = np.tril(M, 0)
-    return _unpermute(upper, chain.order), _unpermute(lower, chain.order)
+    return np.triu(Phi, 1), np.tril(Phi, 0)
 
 
 _LDU_BLOCK = 64  # order of the diagonal blocks eliminated by rank-one updates
@@ -159,7 +114,7 @@ def _ldu(M: np.ndarray):
     return L, d, U
 
 
-def gk_factorize(Phi: np.ndarray, chain: ProjectorChain | None = None) -> TriangularPair:
+def gk_factorize(Phi: np.ndarray) -> TriangularPair:
     """Factor 1 + Phi into triangular Volterra factors along the chain.
 
     Raises :class:`DiscretizationError` on a non-finite kernel.
@@ -168,60 +123,43 @@ def gk_factorize(Phi: np.ndarray, chain: ProjectorChain | None = None) -> Triang
     if not np.all(np.isfinite(Phi)):
         raise DiscretizationError("factorization needs a finite kernel")
     n = Phi.shape[0]
-    chain = chain or ProjectorChain.natural(n)
-    M = _permute(np.eye(n) + Phi, chain.order)
+    M = np.eye(n) + Phi
     L, d, U = _ldu(M)
     # 1 + K_plus = L^{-1} (unit lower), 1 + K_minus = U (unit upper)
     Linv = scipy.linalg.solve_triangular(L, np.eye(n), lower=True, unit_diagonal=True)
-    K_plus = _unpermute(Linv - np.eye(n), chain.order)
-    K_minus = _unpermute(U - np.eye(n), chain.order)
-    D = np.zeros(n, dtype=complex)
-    D[list(chain.order)] = d
-    # (1 + K_plus)^{-1} D (1 + K_minus), in chain order where 1 + K_plus is
-    # unit lower; the Frobenius residual does not see the permutation
+    # (1 + K_plus)^{-1} D (1 + K_minus), with 1 + K_plus unit lower
     recon = scipy.linalg.solve_triangular(Linv, d[:, None] * U, lower=True,
                                           unit_diagonal=True)
     residual = float(np.linalg.norm(recon - M) / max(np.linalg.norm(M), 1e-300))
-    return TriangularPair(K_plus, D, K_minus, residual)
+    return TriangularPair(Linv - np.eye(n), d, U - np.eye(n), residual)
 
 
-def gk_integral_factors(Phi: np.ndarray, chain: ProjectorChain | None = None,
-                        evaluation: str = "left") -> np.ndarray:
+def gk_integral_factors(Phi: np.ndarray) -> np.ndarray:
     """Additive chain-sum reconstruction of K_plus.
 
     Sums, over the chain steps, the rank-one slices
 
         - dP_k  Phi  P  (1 + P Phi P)^{-1},
 
-    with P the prefix projector evaluated on the left endpoint of the step
-    (``evaluation="left"``, the default) or on the right endpoint
-    (``evaluation="right"``).  Left evaluation keeps the result strictly
-    lower triangular and agrees with the elimination K_plus exactly whenever
-    Phi is one-sided triangular; right evaluation picks up diagonal mass of
-    order ||Phi||^2 and is kept for comparison studies.
+    with P the prefix projector evaluated on the left endpoint of the step.
+    The result is strictly lower triangular and agrees with the elimination
+    K_plus exactly whenever Phi is one-sided triangular.
     """
     Phi = np.asarray(Phi)
     n = Phi.shape[0]
-    chain = chain or ProjectorChain.natural(n)
-    if evaluation not in ("left", "right"):
-        raise ValueError("evaluation must be 'left' or 'right'")
-    M = _permute(Phi, chain.order)
     K = np.zeros((n, n), dtype=complex)
-    for k in range(1, n + 1):
-        m = k - 1 if evaluation == "left" else k
-        row = k - 1
-        if m == 0:
-            continue
-        block = np.eye(m) + M[:m, :m]
+    for row in range(1, n):
+        block = np.eye(row) + Phi[:row, :row]
         try:
-            sol = np.linalg.solve(block.T, M[row, :m].conj()).conj()
+            sol = np.linalg.solve(block.T, Phi[row, :row].conj()).conj()
         except np.linalg.LinAlgError as exc:
-            raise SingularMinorError(m, f"chain-sum slice at step {k}: {exc}") from exc
-        K[row, :m] -= sol
-    return _unpermute(K, chain.order)
+            raise SingularMinorError(
+                row, f"chain-sum slice at step {row + 1}: {exc}") from exc
+        K[row, :row] -= sol
+    return K
 
 
-def glm_solve(Phi: np.ndarray, chain: ProjectorChain | None = None):
+def glm_solve(Phi: np.ndarray):
     """Row-by-row solve of K_plus + Phi + K_plus Phi = K_minus.
 
     Row i of K_plus is the unique strictly-lower row making the strictly
@@ -232,22 +170,18 @@ def glm_solve(Phi: np.ndarray, chain: ProjectorChain | None = None):
     """
     Phi = np.asarray(Phi)
     n = Phi.shape[0]
-    chain = chain or ProjectorChain.natural(n)
-    M = _permute(Phi, chain.order)
-    K = np.zeros((n, n), dtype=np.result_type(M, float))
+    K = np.zeros((n, n), dtype=np.result_type(Phi, float))
     for i in range(1, n):
-        block = np.eye(i) + M[:i, :i]
+        block = np.eye(i) + Phi[:i, :i]
         # u^T (1 + Phi_leading) = -Phi[i, :i]
         try:
-            u = np.linalg.solve(block.T, -M[i, :i])
+            u = np.linalg.solve(block.T, -Phi[i, :i])
         except np.linalg.LinAlgError as exc:
             raise SingularMinorError(i, f"row {i} elimination hit a singular minor") from exc
         if not np.all(np.isfinite(u)):
             raise SingularMinorError(i, f"row {i} elimination overflowed")
         K[i, :i] = u
-    R = K + M + K @ M
-    K_minus = np.triu(R, 0)
-    return _unpermute(K, chain.order), _unpermute(K_minus, chain.order)
+    return K, np.triu(K + Phi + K @ Phi, 0)
 
 
 def glm_residual(Phi: np.ndarray, K_plus: np.ndarray, K_minus: np.ndarray) -> float:

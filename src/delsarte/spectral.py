@@ -25,7 +25,6 @@ from .grid_ops import _as_matrix
 
 __all__ = [
     "EigenFamily",
-    "SpectralKernel",
     "eigensolve",
     "projection_measure",
     "elementary_kernel",
@@ -59,14 +58,6 @@ class EigenFamily:
     def biorthogonality_defect(self) -> float:
         G = self.left.conj().T @ (self.weights[:, None] * self.right)
         return float(np.linalg.norm(G - np.eye(len(self.lambdas))))
-
-
-@dataclass
-class SpectralKernel:
-    """A kernel matrix tagged by which index pairs it couples."""
-
-    domain_tag: str  # "GridByGrid" | "SpectrumBySpectrum"
-    values: np.ndarray
 
 
 def _in_band(lam: complex, band) -> bool:
@@ -180,7 +171,7 @@ def projection_measure(fam: EigenFamily, delta=None) -> np.ndarray:
     :func:`kernel_from_measure` with the indicator of Delta as the weight.
     """
     return kernel_from_measure(
-        fam, lambda lam: 1.0 if delta is None or delta(lam) else 0.0).values
+        fam, lambda lam: 1.0 if delta is None or delta(lam) else 0.0)
 
 
 def elementary_kernel(fam: EigenFamily, lam: complex) -> np.ndarray:
@@ -195,16 +186,15 @@ def elementary_kernel(fam: EigenFamily, lam: complex) -> np.ndarray:
     return fam.right[:, keep] @ fam.left[:, keep].conj().T
 
 
-def kernel_from_measure(fam: EigenFamily, weight_fn) -> SpectralKernel:
+def kernel_from_measure(fam: EigenFamily, weight_fn) -> np.ndarray:
     """Functional calculus K = sum_lam weight_fn(lam) psi_lam phi_lam^* rho."""
     vals = np.array([weight_fn(complex(l)) for l in fam.lambdas], dtype=complex)
-    K = (fam.right * vals[None, :]) @ (fam.left.conj().T * fam.weights[None, :])
-    return SpectralKernel("GridByGrid", K)
+    return (fam.right * vals[None, :]) @ (fam.left.conj().T * fam.weights[None, :])
 
 
 def congruence_residual(K, Ltil, L) -> float:
     """|| Ltil K - K L ||_F normalized by ||K||_F max(||L||, ||Ltil||)."""
-    Km = K.values if isinstance(K, SpectralKernel) else _as_matrix(K)
+    Km = _as_matrix(K)
     Lm, Tm = _as_matrix(L), _as_matrix(Ltil)
     denom = np.linalg.norm(Km) * max(np.linalg.norm(Lm, 2), np.linalg.norm(Tm, 2))
     if denom == 0.0:

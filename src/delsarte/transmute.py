@@ -38,7 +38,6 @@ from .errors import (ConditionNumberError, DiscretizationError, GridError,
 from .factorize import (TriangularPair, _conjugate, commutation_check,
                         gk_factorize)
 from .grid_ops import Grid1D, OperatorMatrix, _as_matrix
-from .spectral import SpectralKernel
 
 __all__ = [
     "TransmutationData",
@@ -76,7 +75,6 @@ class TransmutationData:
     left: np.ndarray | None = None
     weights: np.ndarray | None = None
     omega0: np.ndarray | None = None
-    x0: float | None = None
     Phi: np.ndarray | None = None
     _prefix: np.ndarray | None = field(default=None, repr=False)
     _pair: TriangularPair | None = field(default=None, repr=False)
@@ -85,7 +83,7 @@ class TransmutationData:
 
     @classmethod
     def from_family(cls, grid: Grid1D, L, right, left, weights=None,
-                    omega0=1.0, x0: float | None = None) -> "TransmutationData":
+                    omega0=1.0) -> "TransmutationData":
         right = np.atleast_2d(np.asarray(right, dtype=complex))
         left = np.atleast_2d(np.asarray(left, dtype=complex))
         if right.shape[0] == 1 and right.shape[1] == grid.n:
@@ -106,22 +104,25 @@ class TransmutationData:
             om = np.eye(m, dtype=complex) * om
         if om.shape != (m, m):
             raise DiscretizationError("omega0 must be scalar or (m, m)")
-        if x0 is None:
-            x0 = grid.a
         data = cls("family", _as_matrix(L), grid=grid, right=right, left=left,
-                   weights=w, omega0=om, x0=float(x0))
+                   weights=w, omega0=om)
         data._build_prefix()
         return data
 
     @classmethod
     def from_kernel(cls, L, Phi) -> "TransmutationData":
-        """Kernel data, factorized along the natural (grid-ordered) chain;
-        run :func:`gk_factorize` directly for a reordered chain."""
+        """Kernel data, factorized along the natural (grid-ordered) chain
+        only; for another node order p, pass L[p][:, p] and Phi[p][:, p]."""
         Lm = _as_matrix(L)
         Phi = np.asarray(Phi, dtype=complex)
         if Phi.shape != Lm.shape:
             raise DiscretizationError("kernel and operator dimensions differ")
         return cls("kernel", Lm, Phi=Phi)
+
+    @property
+    def x0(self) -> float:
+        """Base point of the spectral kernels: the left end of the grid."""
+        return self.grid.a
 
     # -- family-side prefix cumulants ----------------------------------------
 
@@ -148,7 +149,7 @@ class TransmutationData:
         """The same family walked from the right end (minus-side helper)."""
         return TransmutationData.from_family(
             self.grid, self.L[::-1, ::-1], self.right[::-1], self.left[::-1],
-            self.weights[::-1], self.omega0, x0=self.grid.a)
+            self.weights[::-1], self.omega0)
 
     def factorization(self) -> TriangularPair:
         if self.kind != "kernel":
@@ -232,26 +233,22 @@ def _mirror(op: DelsarteOp, grid: Grid1D | None) -> DelsarteOp:
     return DelsarteOp("-", op.kernel[::-1, ::-1], grid)
 
 
-def build_kernel_Omega(data: TransmutationData, x: float,
-                       x0: float | None = None) -> SpectralKernel:
+def build_kernel_Omega(data: TransmutationData, x: float) -> np.ndarray:
     """Accumulated spectral kernel Omega_x = Omega_0 + h sum_{x0 < y <= x} ...
 
-    The sum runs over grid nodes in the half-open window; when x < x0 the
-    orientation flips sign through the cumulant difference.  At x = x0 the
-    result is exactly Omega_0.
+    The sum runs over grid nodes in the half-open window from the base
+    point x0 = ``data.x0``, the left end of the grid; at x = x0 the result
+    is exactly Omega_0.
     """
     if data.kind != "family":
         raise DiscretizationError("spectral kernels need family data")
     g = data.grid
-    if x0 is None:
-        x0 = data.x0
-    for t in (x, x0):
-        if not (g.a - 1e-12 <= t <= g.b + 1e-12):
-            raise GridError(f"evaluation point {t} outside [{g.a}, {g.b}]")
+    if not (g.a - 1e-12 <= x <= g.b + 1e-12):
+        raise GridError(f"evaluation point {x} outside [{g.a}, {g.b}]")
     cx = int(np.searchsorted(g.x, x, side="right"))
-    c0 = int(np.searchsorted(g.x, x0, side="right"))
+    c0 = int(np.searchsorted(g.x, data.x0, side="right"))
     P = data._prefix
-    return SpectralKernel("SpectrumBySpectrum", data.omega0 + (P[cx] - P[c0]))
+    return data.omega0 + (P[cx] - P[c0])
 
 
 def _family_dressed_rows(data: TransmutationData) -> np.ndarray:

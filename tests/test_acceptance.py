@@ -55,7 +55,7 @@ def test_triangular_factorization_battery():
 
 
 def test_layer_stripping_battery():
-    _assert_rows(acceptance.criterion_5(seed=0))
+    _assert_rows(acceptance.criterion_5())
 
 
 def test_spectral_projection_calculus():
@@ -67,7 +67,7 @@ def test_torus_harmonics_and_periods():
 
 
 def test_volterra_property_of_all_kernels():
-    _assert_rows(acceptance.criterion_8(seed=0))
+    _assert_rows(acceptance.criterion_8())
 
 
 def test_verify_report_determinism(tmp_path):

@@ -211,6 +211,32 @@ def test_library_modules_use_every_import():
     assert unused == []
 
 
+def test_library_parameters_are_read():
+    """Every parameter of every function (lambdas included) is read in its
+    body.  The exception is the shared ``cmd_*(config, out_dir, seed,
+    plots)`` dispatch signature, which a command may partly ignore."""
+    import delsarte
+    dispatch = {"config", "out_dir", "seed", "plots"}
+    unread = []
+    for path in sorted(Path(delsarte.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(fn, "name", "lambda")
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for p in params:
+                if p in read or (name.startswith("cmd_") and p in dispatch):
+                    continue
+                unread.append(f"{path.name}:{fn.lineno} {name}({p})")
+    assert unread == []
+
+
 # ---------------------------------------------------------------------------
 # exit code 1: a residual fails
 # ---------------------------------------------------------------------------

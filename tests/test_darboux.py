@@ -76,20 +76,13 @@ def test_center_value_scales_with_kappa_squared():
                                                           rel=1e-12)
 
 
-def test_stencil_route_is_second_order():
-    errs = []
-    ns = (100, 200, 400)
-    for n in ns:
-        g, op, seed = _setup(n=n, w=10.0)
-        res = darboux_once(op, seed, derivative="stencil")
-        want = -2.0 / np.cosh(g.x) ** 2
-        errs.append(np.abs(res.qtilde - want).max())
-    slope = np.polyfit(np.log(ns), np.log(errs), 1)[0]
-    assert -slope > 1.8
-    # and the stencil result has no off-grid form
-    g, op, seed = _setup(n=100, w=10.0)
-    res = darboux_once(op, seed, derivative="stencil")
-    with pytest.raises(DiscretizationError):
+def test_off_grid_potential_needs_a_free_base():
+    # a constant offset far below the seed gate still makes the base non-free
+    g, _, seed = _setup()
+    res = darboux_once(SchrodingerOp(g, np.full(g.n, 1e-9)), seed)
+    np.testing.assert_allclose(res.qtilde, 1e-9 - 2.0 / np.cosh(g.x) ** 2,
+                               atol=1e-13)
+    with pytest.raises(DiscretizationError, match="no off-grid form"):
         res.qtilde_at(0.0)
 
 
@@ -165,7 +158,7 @@ def test_sampled_seed_off_grid_rejected():
 
 
 def test_grid_without_interior_rows_rejected():
-    # the residual gate skips 1 + scheme_order rows at each end
+    # the residual gate skips 3 rows at each end
     _, op, seed = _setup(n=6, w=5.0)
     with pytest.raises(DiscretizationError, match="no interior rows"):
         darboux_once(op, seed)

@@ -4,9 +4,11 @@ row-elimination route to the same kernels."""
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delsarte import factorize
-from delsarte import (ProjectorChain, SingularMinorError, TriangularPair,
+from delsarte import (SingularMinorError, TriangularPair,
                       break_relation_defect, commutation_check,
                       factor_conjugation_gap, gk_factorize,
                       gk_integral_factors, glm_residual, glm_solve,
@@ -113,15 +115,11 @@ def test_chain_sum_worked_2x2_deviation_is_zero():
     assert np.abs(Ksum - K_PLUS_2X2).max() == 0.0
 
 
-def test_chain_sum_right_evaluation_picks_up_diagonal():
+def test_chain_sum_is_strictly_lower_on_full_phi():
     rng = np.random.default_rng(0)
     Phi = 0.3 * rng.standard_normal((6, 6))
-    Kr = gk_integral_factors(Phi, evaluation="right")
-    Kl = gk_integral_factors(Phi, evaluation="left")
-    assert np.abs(np.diag(Kl)).max() == 0.0
-    assert np.abs(np.diag(Kr)).max() > 0.1
-    with pytest.raises(ValueError):
-        gk_integral_factors(Phi, evaluation="middle")
+    Ksum = gk_integral_factors(Phi)
+    assert np.count_nonzero(np.triu(Ksum, 0)) == 0
 
 
 def test_factorization_nests_along_the_chain():
@@ -134,22 +132,6 @@ def test_factorization_nests_along_the_chain():
     sub = gk_factorize(Phi[:j, :j])
     np.testing.assert_allclose(pair.K_plus[:j, :j], sub.K_plus, atol=1e-11)
     np.testing.assert_allclose(pair.K_minus[:j, :j], sub.K_minus, atol=1e-11)
-
-
-def test_reversed_chain_transposes_the_roles():
-    rng = np.random.default_rng(6)
-    n = 15
-    Phi = random_unit_minor(n, rng)
-    chain = ProjectorChain.reversed(n)
-    pair = gk_factorize(Phi, chain)
-    # kernels are triangular in chain order: flipping recovers strictness
-    flipped_plus = pair.K_plus[::-1, ::-1]
-    flipped_minus = pair.K_minus[::-1, ::-1]
-    assert np.count_nonzero(np.triu(flipped_plus, 0)) == 0
-    assert np.count_nonzero(np.tril(flipped_minus, 0)) == 0
-    recon = np.linalg.solve(np.eye(n) + pair.K_plus,
-                            (np.eye(n) + pair.K_minus) * pair.D[:, None])
-    np.testing.assert_allclose(recon, np.eye(n) + Phi, atol=1e-11)
 
 
 def test_triangular_shear_splits_without_overlap():
@@ -266,3 +248,22 @@ def test_real_glm_matches_complex_cast(n):
     Kpc, Kmc = glm_solve(Phi.astype(complex))
     assert np.abs(Kp - Kpc).max() <= 1e-14
     assert np.abs(Km - Kmc).max() <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# property: drawn sizes on both sides of the LDU block, drawn minor scales
+# ---------------------------------------------------------------------------
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(2, 2 * factorize._LDU_BLOCK + 2),
+       scale=st.floats(1e-3, 0.49),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_drawn_unit_minors_meet_the_factorize_rows(n, scale, seed):
+    Phi = random_unit_minor(n, np.random.default_rng(seed), scale)
+    pair = gk_factorize(Phi)
+    assert pair.residual <= 1e-10
+    assert np.count_nonzero(np.triu(pair.K_plus, 0)) == 0
+    assert np.count_nonzero(np.tril(pair.K_minus, 0)) == 0
+    Kp, Km = glm_solve(Phi)
+    assert glm_residual(Phi, Kp, Km) <= 1e-10
+    assert np.abs(Kp - pair.K_plus).max() <= 1e-9

@@ -20,13 +20,11 @@ from delsarte import (ConditionNumberError, DelsarteOp, DiffOp, DressingSeed,
 from delsarte.errors import DiscretizationError
 
 
-def _family_data(n=50, m=3, length=np.pi, unit_weights=True):
+def _family_data(n=50, m=3, length=np.pi):
     g = Grid1D.dirichlet(0.0, length, n)
     A = np.real(SchrodingerOp.free(g).matrix().A)
-    w = np.ones(n) if unit_weights else np.full(n, g.h)
-    fam = eigensolve(A, count=m, hermitian=True, weights=w)
-    data = TransmutationData.from_family(g, A, fam.right, fam.left,
-                                         weights=None if unit_weights else None)
+    fam = eigensolve(A, count=m, hermitian=True)
+    data = TransmutationData.from_family(g, A, fam.right, fam.left)
     return g, A, fam, data
 
 
@@ -34,7 +32,7 @@ def _kernel_data(n=50, length=np.pi, weight=0.4):
     g = Grid1D.dirichlet(0.0, length, n)
     A = np.real(SchrodingerOp.free(g).matrix().A)
     fam = eigensolve(A, hermitian=True)
-    Phi = kernel_from_measure(fam, lambda lam: weight / (1.0 + abs(lam))).values
+    Phi = kernel_from_measure(fam, lambda lam: weight / (1.0 + abs(lam)))
     return g, A, TransmutationData.from_kernel(A, Phi)
 
 
@@ -141,8 +139,7 @@ def test_non_finite_family_rejected():
 def test_omega_homotopy_normalization_bit_exact():
     g, _, _, data = _family_data()
     K = build_kernel_Omega(data, data.x0)
-    np.testing.assert_array_equal(K.values, data.omega0)
-    assert K.domain_tag == "SpectrumBySpectrum"
+    np.testing.assert_array_equal(K, data.omega0)
 
 
 def test_omega_full_domain_completeness():
@@ -154,14 +151,14 @@ def test_omega_full_domain_completeness():
     fam = eigensolve(A, count=m, hermitian=True, weights=np.full(n, g.h))
     data = TransmutationData.from_family(g, A, fam.right, fam.left)
     K = build_kernel_Omega(data, g.x[-1])
-    np.testing.assert_allclose(K.values, 2.0 * np.eye(m), atol=1e-10)
+    np.testing.assert_allclose(K, 2.0 * np.eye(m), atol=1e-10)
 
 
 def test_omega_diagonal_monotone_for_self_adjoint():
     g, _, _, data = _family_data()
     diags = []
     for x in g.x[:: 10]:
-        diags.append(np.real(np.diag(build_kernel_Omega(data, x).values)))
+        diags.append(np.real(np.diag(build_kernel_Omega(data, x))))
     diags = np.array(diags)
     assert np.all(np.diff(diags, axis=0) >= -1e-14)
 
