@@ -258,25 +258,36 @@ def criterion_3() -> list:
 # 4. triangular factorization and the GLM equation (shared with factorize)
 # ---------------------------------------------------------------------------
 
+_STACK_ENTRIES = 1 << 17  # kernel entries per stack handed to the factorizations
+
+
 def unit_minors(rng: np.random.Generator, size: int, count: int,
                 scale: float = 0.35):
-    """``count`` random kernels with unit leading minors, drawn lazily."""
-    return (random_unit_minor(int(size), rng, float(scale))
-            for _ in range(int(count)))
+    """``count`` random kernels with unit leading minors, drawn lazily one
+    stack (B, size, size) at a time.  A stack holds at most
+    ``_STACK_ENTRIES`` entries (and at least one kernel); the kernels are
+    drawn in the same order as one by one, so a seed gives the same
+    kernels whatever the stack size."""
+    size, count = int(size), int(count)
+    per_stack = max(1, _STACK_ENTRIES // size ** 2)
+    for start in range(0, count, per_stack):
+        yield np.stack([random_unit_minor(size, rng, float(scale))
+                        for _ in range(min(per_stack, count - start))])
 
 
-def factorization_sweep(mats):
-    """Elimination and GLM routes on every kernel; the rows hold the worst
-    case.  Returns the rows and the last kernel's ``phi``, ``k_plus``,
-    ``k_minus`` and ``diag`` tables."""
+def factorization_sweep(stacks):
+    """Elimination and GLM routes on every kernel of every stack (B, n, n),
+    each stack factored in lockstep; the rows hold the worst case.  Returns
+    the rows and the last kernel's ``phi``, ``k_plus``, ``k_minus`` and
+    ``diag`` tables."""
     worst_recon = 0.0
     worst_diag = 0.0
     worst_glm = 0.0
     worst_agree = 0.0
     structural = 0.0
-    for Phi in mats:
+    for Phi in stacks:
         pair = gk_factorize(Phi)
-        worst_recon = max(worst_recon, pair.residual)
+        worst_recon = max(worst_recon, float(np.max(pair.residual)))
         worst_diag = max(worst_diag,
                          break_relation_defect(pair.K_plus),
                          break_relation_defect(pair.K_minus))
@@ -284,7 +295,7 @@ def factorization_sweep(mats):
                 or np.count_nonzero(np.tril(pair.K_minus, 0)):
             structural = 1.0
         Kp, Km = glm_solve(Phi)
-        worst_glm = max(worst_glm, glm_residual(Phi, Kp, Km))
+        worst_glm = max([worst_glm] + [glm_residual(*k) for k in zip(Phi, Kp, Km)])
         worst_agree = max(worst_agree, float(np.max(np.abs(Kp - pair.K_plus))))
     rows = [
         _row("gk_reconstruction_residual", worst_recon, 1e-10),
@@ -293,8 +304,8 @@ def factorization_sweep(mats):
         _row("glm_residual", worst_glm, 1e-10),
         _row("glm_vs_gk_agreement", worst_agree, 1e-9),
     ]
-    return rows, {"phi": Phi, "k_plus": pair.K_plus, "k_minus": pair.K_minus,
-                  "diag": pair.D}
+    return rows, {"phi": Phi[-1], "k_plus": pair.K_plus[-1],
+                  "k_minus": pair.K_minus[-1], "diag": pair.D[-1]}
 
 
 def criterion_4(seed: int = 0) -> list:

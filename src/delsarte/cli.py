@@ -192,12 +192,12 @@ def cmd_factorize(config: dict, out_dir: Path, seed: int = 0,
     """Triangular factorization battery on supplied or generated kernels."""
     t0 = time.perf_counter()
     if "phi_file" in config:
-        mats = [load_matrix_csv(config["phi_file"])]
+        stacks = [load_matrix_csv(config["phi_file"])[None]]
     else:
-        mats = acceptance.unit_minors(np.random.default_rng(seed),
-                                      config["size"], config["count"],
-                                      config.get("scale", 0.35))
-    rows, data = acceptance.factorization_sweep(mats)
+        stacks = acceptance.unit_minors(np.random.default_rng(seed),
+                                        config["size"], config["count"],
+                                        config.get("scale", 0.35))
+    rows, data = acceptance.factorization_sweep(stacks)
     t1 = time.perf_counter()
     artifacts = _write_tables(out_dir, data,
                               ("phi", "k_plus", "k_minus", "diag"))

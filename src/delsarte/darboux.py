@@ -170,8 +170,9 @@ class SchrodingerOp:
         pg = ProductGrid.line(self.grid)
         return DiffOp(pg, {(2,): -1.0, (0,): self.q.astype(complex)})
 
-    def matrix(self, scheme_order: int = 2) -> OperatorMatrix:
-        return discretize(self.diffop(), scheme_order)
+    def matrix(self) -> OperatorMatrix:
+        """The second-order (3-point stencil) discretization."""
+        return discretize(self.diffop())
 
 
 @dataclass
@@ -289,8 +290,7 @@ def _band_eigvals(A: OperatorMatrix) -> np.ndarray:
     return scipy.linalg.eig_banded(np.real(A.to_banded()), eigvals_only=True)
 
 
-def spectrum_compare(before: SchrodingerOp, after: SchrodingerOp,
-                     scheme_order: int = 2) -> dict:
+def spectrum_compare(before: SchrodingerOp, after: SchrodingerOp) -> dict:
     """Eigenvalue bookkeeping for a dressing step.
 
     Reports the lowest ``_N_LOW`` (8) eigenvalues of both operators, the
@@ -300,8 +300,8 @@ def spectrum_compare(before: SchrodingerOp, after: SchrodingerOp,
     real parts of the banded symmetric discretizations, from a banded
     eigensolver.
     """
-    lb = _band_eigvals(before.matrix(scheme_order))
-    la = _band_eigvals(after.matrix(scheme_order))
+    lb = _band_eigvals(before.matrix())
+    la = _band_eigvals(after.matrix())
     neg_b = lb[lb < 0.0]
     neg_a = la[la < 0.0]
     new_negative = []

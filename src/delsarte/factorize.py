@@ -16,7 +16,9 @@ permutation.
 Besides the direct elimination route the module carries the additive chain
 sum ("integral" along the chain) that rebuilds K_plus from resolvent slices,
 and the row-by-row linear-system route (the discrete analog of solving a
-layer-stripping equation for the lower kernel).
+layer-stripping equation for the lower kernel).  Both the elimination and
+the row-by-row route take one kernel (n, n) or a stack (B, n, n) worked in
+lockstep, so many small kernels share each numpy call.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ class TriangularPair:
     """Factorization data: 1 + Phi = (1 + K_plus)^{-1} D (1 + K_minus).
 
     K_plus is strictly lower and K_minus strictly upper; D is stored as the
-    vector of diagonal entries.
+    vector of diagonal entries.  For a stack of kernels every field carries
+    the stack axis first and ``residual`` is one value per kernel.
     ``has_unit_diagonal`` flags ||D - 1||_inf <= 1e-10, the regime where
     the factorization is a pure two-sided Volterra splitting.
     """
@@ -56,7 +59,7 @@ class TriangularPair:
     K_plus: np.ndarray
     D: np.ndarray
     K_minus: np.ndarray
-    residual: float
+    residual: float | np.ndarray
 
     @property
     def has_unit_diagonal(self) -> bool:
@@ -73,65 +76,90 @@ def triangular_shear(Phi: np.ndarray):
 _LDU_BLOCK = 64  # order of the diagonal blocks eliminated by rank-one updates
 
 
+def _in_stack(bad: np.ndarray) -> str:
+    """Where in a stack the first flagged kernel sits ('' for one matrix)."""
+    return f" of kernel {int(np.argmax(bad))} in the stack" if bad.ndim else ""
+
+
+def _frobenius(X: np.ndarray) -> np.ndarray:
+    """Frobenius norm over the last two axes, summed the way
+    ``np.linalg.norm`` sums one matrix (a BLAS dot of the raveled real and
+    imaginary parts), so a stack gives the single-matrix bits."""
+    v = X.reshape(X.shape[:-2] + (1, -1))
+    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+    return np.sqrt(sum(p @ np.swapaxes(p, -1, -2) for p in parts))[..., 0, 0]
+
+
 def _ldu(M: np.ndarray):
-    """Unpivoted Doolittle LDU; raises SingularMinorError at the first bad pivot.
+    """Unpivoted Doolittle LDU of a matrix or a stack (..., n, n); raises
+    SingularMinorError at the first bad pivot.
 
     Blocked right-looking elimination: rank-one updates run only inside each
     diagonal block of order ``_LDU_BLOCK``, the panels beside it come from
     unit-triangular solves, and the trailing matrix takes one matrix-product
     Schur update per block.  Matrices up to the block order take the plain
-    rank-one loop.  Every pivot is held against the same threshold, set
-    from the whole matrix, so the first bad leading minor is named exactly.
+    rank-one loop.  A stack is eliminated in lockstep, one numpy call per
+    step for all its matrices, each with the bits it gets alone.  Every
+    pivot is held against a threshold set from its whole matrix, so the
+    first bad leading minor is named exactly, with the kernel's position
+    when a stack is factored.
     """
-    n = M.shape[0]
-    A = M.astype(complex, copy=True)
-    L = np.eye(n, dtype=complex)
-    U = np.eye(n, dtype=complex)
-    d = np.zeros(n, dtype=complex)
-    scale = max(float(np.max(np.abs(M))), 1.0)
-    tiny = 1e-13 * scale
+    A = np.array(M, dtype=complex)
+    n = A.shape[-1]
+    L = np.broadcast_to(np.eye(n, dtype=complex), A.shape).copy()
+    U = L.copy()
+    d = np.zeros(A.shape[:-1], dtype=complex)
+    tiny = 1e-13 * np.maximum(np.max(np.abs(M), axis=(-2, -1)), 1.0)
     for b0 in range(0, n, _LDU_BLOCK):
         b1 = min(b0 + _LDU_BLOCK, n)
         for k in range(b0, b1):
-            piv = A[k, k]
-            if abs(piv) <= tiny:
-                raise SingularMinorError(k + 1)
-            d[k] = piv
+            piv = A[..., k, k]
+            bad = np.abs(piv) <= tiny
+            if bad.any():
+                raise SingularMinorError(
+                    k + 1, f"leading principal minor of size {k + 1}"
+                    f"{_in_stack(bad)} is singular")
+            d[..., k] = piv
             if k + 1 < b1:
-                L[k + 1:b1, k] = A[k + 1:b1, k] / piv
-                U[k, k + 1:b1] = A[k, k + 1:b1] / piv
-                A[k + 1:b1, k + 1:b1] -= np.outer(A[k + 1:b1, k], A[k, k + 1:b1]) / piv
+                r = slice(k + 1, b1)
+                L[..., r, k] = A[..., r, k] / piv[..., None]
+                U[..., k, r] = A[..., k, r] / piv[..., None]
+                A[..., r, r] -= A[..., r, k, None] * A[..., k, None, r] / piv[..., None, None]
         if b1 < n:
             blk = slice(b0, b1)
             # A21 = L21 D11 U11 and A12 = L11 D11 U12
-            X = scipy.linalg.solve_triangular(U[blk, blk], A[b1:, blk].T, trans="T",
-                                              lower=False, unit_diagonal=True).T
-            Y = scipy.linalg.solve_triangular(L[blk, blk], A[blk, b1:],
+            X = np.swapaxes(scipy.linalg.solve_triangular(
+                U[..., blk, blk], np.swapaxes(A[..., b1:, blk], -1, -2), trans="T",
+                lower=False, unit_diagonal=True), -1, -2)
+            Y = scipy.linalg.solve_triangular(L[..., blk, blk], A[..., blk, b1:],
                                               lower=True, unit_diagonal=True)
-            L[b1:, blk] = X / d[blk]
-            U[blk, b1:] = Y / d[blk, None]
-            A[b1:, b1:] -= X @ U[blk, b1:]
+            L[..., b1:, blk] = X / d[..., None, blk]
+            U[..., blk, b1:] = Y / d[..., blk, None]
+            A[..., b1:, b1:] -= X @ U[..., blk, b1:]
     return L, d, U
 
 
 def gk_factorize(Phi: np.ndarray) -> TriangularPair:
     """Factor 1 + Phi into triangular Volterra factors along the chain.
 
-    Raises :class:`DiscretizationError` on a non-finite kernel.
+    ``Phi`` is one kernel (n, n) or a stack (B, n, n) factored in lockstep;
+    each kernel of a stack gets the bits it gets alone.  Raises
+    :class:`DiscretizationError` on a non-finite kernel.
     """
     Phi = np.asarray(Phi)
     if not np.all(np.isfinite(Phi)):
         raise DiscretizationError("factorization needs a finite kernel")
-    n = Phi.shape[0]
-    M = np.eye(n) + Phi
+    eye = np.eye(Phi.shape[-1])
+    M = eye + Phi
     L, d, U = _ldu(M)
     # 1 + K_plus = L^{-1} (unit lower), 1 + K_minus = U (unit upper)
-    Linv = scipy.linalg.solve_triangular(L, np.eye(n), lower=True, unit_diagonal=True)
+    Linv = scipy.linalg.solve_triangular(L, eye, lower=True, unit_diagonal=True)
     # (1 + K_plus)^{-1} D (1 + K_minus), with 1 + K_plus unit lower
-    recon = scipy.linalg.solve_triangular(Linv, d[:, None] * U, lower=True,
+    recon = scipy.linalg.solve_triangular(Linv, d[..., None] * U, lower=True,
                                           unit_diagonal=True)
-    residual = float(np.linalg.norm(recon - M) / max(np.linalg.norm(M), 1e-300))
-    return TriangularPair(Linv - np.eye(n), d, U - np.eye(n), residual)
+    residual = _frobenius(recon - M) / np.maximum(_frobenius(M), 1e-300)
+    return TriangularPair(Linv - eye, d, U - eye,
+                          residual if residual.ndim else float(residual))
 
 
 def gk_integral_factors(Phi: np.ndarray) -> np.ndarray:
@@ -165,22 +193,30 @@ def glm_solve(Phi: np.ndarray):
     Row i of K_plus is the unique strictly-lower row making the strictly
     lower part of the left side vanish; K_minus is then read off as the
     upper (diagonal included) remainder, whose lower part is structurally
-    zero.  Returns (K_plus, K_minus), real for a real Phi and complex for a
+    zero.  ``Phi`` is one kernel (n, n) or a stack (B, n, n); a stack takes
+    one batched solve per row, and each kernel gets the bits it gets alone.
+    Returns (K_plus, K_minus), real for a real Phi and complex for a
     complex one.
     """
     Phi = np.asarray(Phi)
-    n = Phi.shape[0]
-    K = np.zeros((n, n), dtype=np.result_type(Phi, float))
+    n = Phi.shape[-1]
+    K = np.zeros(Phi.shape, dtype=np.result_type(Phi, float))
+    # the leading blocks of 1 + Phi, formed once: adding the identity to
+    # a stack block by block broadcasts slowly
+    M = np.eye(n) + Phi
     for i in range(1, n):
-        block = np.eye(i) + Phi[:i, :i]
         # u^T (1 + Phi_leading) = -Phi[i, :i]
+        blockT = np.swapaxes(M[..., :i, :i], -1, -2)
         try:
-            u = np.linalg.solve(block.T, -Phi[i, :i])
+            u = np.linalg.solve(blockT, -Phi[..., i, :i, None])[..., 0]
         except np.linalg.LinAlgError as exc:
-            raise SingularMinorError(i, f"row {i} elimination hit a singular minor") from exc
-        if not np.all(np.isfinite(u)):
-            raise SingularMinorError(i, f"row {i} elimination overflowed")
-        K[i, :i] = u
+            raise SingularMinorError(
+                i, f"row {i} elimination hit a singular minor"
+                f"{_in_stack(np.linalg.det(blockT) == 0.0)}") from exc
+        finite = np.all(np.isfinite(u), axis=-1)
+        if not finite.all():
+            raise SingularMinorError(i, f"row {i} elimination overflowed{_in_stack(~finite)}")
+        K[..., i, :i] = u
     return K, np.triu(K + Phi + K @ Phi, 0)
 
 
@@ -228,7 +264,7 @@ def break_relation_defect(K: np.ndarray) -> float:
     carry exact zeros here; any diagonal leakage is reported as the defect.
     """
     K = np.asarray(K)
-    return float(np.max(np.abs(np.diag(K))))
+    return float(np.max(np.abs(np.diagonal(K, axis1=-2, axis2=-1))))
 
 
 def random_unit_minor(n: int, rng: np.random.Generator, scale: float = 0.35) -> np.ndarray:

@@ -12,17 +12,17 @@ assembled matrices.
 
 Flattening convention, shared by every module in the package: axis-major
 (C order, last axis fastest), fiber index innermost.  Fields follow it by
-plain C-order reshapes; axis operators follow it through two private
-helpers, the only place its Kronecker structure is written down:
+plain C-order reshapes; axis operators follow it through three private
+helpers, the only places its Kronecker structure is written down:
 :func:`_lift` turns a 1-D matrix on one axis into  I x ... x D1 x ... x I x I_N
-on flattened fields, and :func:`_apply_along` applies a 1-D matrix along one
-axis of a shaped field.  Every axis operator in the package goes through one
-of them.
+on flattened fields, :func:`_apply_along` applies a 1-D matrix along one
+axis of a shaped field, and :func:`_shift_pairs` lists the node pairs one
+stencil offset per axis connects, so :func:`discretize` writes each stencil
+weight straight onto the nonzeros of the lifted operator.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -201,6 +201,32 @@ def stencil_half_width(order: int, scheme_order: int) -> int:
     return (order + 1) // 2 + scheme_order // 2 - 1
 
 
+def _stencil(grid: Grid1D, order: int, scheme_order: int):
+    """Offsets and weights of the centered stencil for d^order (order > 0)."""
+    w = stencil_half_width(order, scheme_order)
+    if 2 * w + 1 > grid.n:
+        raise DiscretizationError("grid too small for the requested stencil")
+    offsets = np.arange(-w, w + 1)
+    return offsets, fd_weights(offsets * grid.h, 0.0, order)
+
+
+def _shift_pairs(grid: ProductGrid, shifts: dict):
+    """(rows, cols): the flattened node pairs (p, q) with q = p shifted by
+    ``shifts[axis]`` nodes along each listed axis.  Periodic axes wrap;
+    Dirichlet axes drop pairs that leave the index range."""
+    coords = np.indices(grid.shape).reshape(grid.ndim, -1)
+    keep = np.ones(coords.shape[1], dtype=bool)
+    for axis, k in shifts.items():
+        n = grid.axes[axis].n
+        c = coords[axis] + k
+        if grid.axes[axis].boundary == "periodic":
+            c %= n
+        else:
+            keep &= (c >= 0) & (c < n)
+        coords[axis] = c
+    return np.flatnonzero(keep), np.ravel_multi_index(coords[:, keep], grid.shape)
+
+
 def derivative_matrix(grid: Grid1D, order: int, scheme_order: int = 2,
                       one_sided_edges: bool = False) -> np.ndarray:
     """Dense differentiation matrix for d^order/dx^order on a 1-D grid.
@@ -215,29 +241,21 @@ def derivative_matrix(grid: Grid1D, order: int, scheme_order: int = 2,
     """
     if scheme_order not in (2, 4):
         raise DiscretizationError(f"unsupported scheme order {scheme_order}")
-    n, h = grid.n, grid.h
+    n = grid.n
     if order == 0:
         return np.eye(n)
-    w = stencil_half_width(order, scheme_order)
-    if 2 * w + 1 > n:
-        raise DiscretizationError("grid too small for the requested stencil")
-    offsets = np.arange(-w, w + 1)
-    weights = fd_weights(offsets * h, 0.0, order)
+    offsets, weights = _stencil(grid, order, scheme_order)
+    line = ProductGrid.line(grid)
     A = np.zeros((n, n))
-    if grid.boundary == "periodic":
-        for k, wt in zip(offsets, weights):
-            A += wt * np.roll(np.eye(n), k, axis=1)
-        return A
-    for i in range(n):
-        if one_sided_edges and (i - w < 0 or i + w >= n):
+    for k, wt in zip(offsets, weights):
+        A[_shift_pairs(line, {0: k})] = wt
+    if one_sided_edges and grid.boundary == "dirichlet":
+        # the shifted window covers every centered entry of its row
+        w = int(offsets[-1])
+        for i in (*range(w), *range(n - w, n)):
             start = min(max(i - w, 0), n - (2 * w + 1))
             cols = np.arange(start, start + 2 * w + 1)
             A[i, cols] = fd_weights(grid.x[cols], grid.x[i], order)
-        else:
-            for k, wt in zip(offsets, weights):
-                j = i + k
-                if 0 <= j < n:
-                    A[i, j] = wt
     return A
 
 
@@ -371,7 +389,9 @@ def discretize(op: DiffOp, scheme_order: int = 2) -> OperatorMatrix:
 
     Each term contributes  M[a_alpha] . D^alpha,  coefficients multiplying
     from the left, where D^alpha is the product of the lifted axis
-    derivatives (the identity for alpha = 0).
+    derivatives (the identity for alpha = 0).  The stencil weights are
+    written straight onto the nonzeros of D^alpha, term by term in sorted
+    order, so no dense lift or product is formed.
     """
     if scheme_order not in (2, 4):
         raise DiscretizationError(f"unsupported scheme order {scheme_order}")
@@ -385,15 +405,18 @@ def discretize(op: DiffOp, scheme_order: int = 2) -> OperatorMatrix:
         if g.n < need:
             raise DiscretizationError("grid too small for the requested stencil")
     A = np.zeros((M, M), dtype=complex)
+    blocks = A.reshape(nn, N, nn, N)  # blocks[p, :, q, :] couples nodes p and q
     for alpha, coeff in sorted(op.terms.items()):
-        lifts = [_lift(grid, axis, derivative_matrix(g, k, scheme_order))
-                 for axis, (g, k) in enumerate(zip(grid.axes, alpha)) if k > 0]
-        D = functools.reduce(np.matmul, lifts) if lifts else np.eye(M)
+        active = [axis for axis, k in enumerate(alpha) if k > 0]
+        stencils = [zip(*_stencil(grid.axes[axis], alpha[axis], scheme_order))
+                    for axis in active]
         a = coeff.reshape(nn, N, N)
-        if N == 1:
-            A += a[:, 0, 0, None] * D
-        else:
-            A += np.einsum("puw,pwm->pum", a, D.reshape(nn, N, M)).reshape(M, M)
+        # one stencil offset per active axis; the weight of the product of
+        # the lifted axis derivatives is the product of the axis weights
+        for taps in itertools.product(*stencils):
+            rows, cols = _shift_pairs(grid, {axis: k for axis, (k, _) in zip(active, taps)})
+            weight = math.prod(wt for _, wt in taps)
+            blocks[rows, :, cols, :] += a[rows] * weight
     bws = tuple(stencil_half_width(order[j], scheme_order) if order[j] > 0 else 0
                 for j in range(grid.ndim))
     return OperatorMatrix(A, grid, bws)

@@ -211,8 +211,15 @@ class DelsarteOp:
         kappa_2 from above (and exceeds it by at most a factor n), so a guard
         on this value rejects every factor a 2-norm guard rejects.  A
         non-finite or singular factor, or a kernel with entries outside its
-        strict triangle, gives inf.
+        strict triangle, gives inf.  A factor is not changed after it is
+        built, so the bound is memoized on the instance: later calls return
+        it without another solve.
         """
+        bound = self._cond_bound()
+        self.cond = lambda: bound
+        return bound
+
+    def _cond_bound(self) -> float:
         M = self.matrix()
         if not (self._is_strictly_triangular() and np.all(np.isfinite(M))):
             return float("inf")

@@ -5,6 +5,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -154,6 +157,19 @@ def test_cli_imports_no_residual_layer():
                      else [a.name for a in node.names])
             assert not any(n.split(".")[0] == "delsarte" for n in names)
     assert used == {"acceptance", "errors", "ioutil"}
+
+
+def test_cli_import_loads_no_sparse_module():
+    """A fresh interpreter importing the front end must not pull in
+    ``scipy.sparse``: every process start pays for what the import loads."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, delsarte.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_only_the_front_end_touches_files():

@@ -267,3 +267,76 @@ def test_drawn_unit_minors_meet_the_factorize_rows(n, scale, seed):
     Kp, Km = glm_solve(Phi)
     assert glm_residual(Phi, Kp, Km) <= 1e-10
     assert np.abs(Kp - pair.K_plus).max() <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# property: a stack factors each kernel as it factors alone
+# ---------------------------------------------------------------------------
+
+def _unit_minor_stack(rng, count, n, scale, complex_kernels):
+    """``count`` kernels (1 + A)^{-1} (1 + B) - 1, A strictly lower and B
+    strictly upper, complex when asked."""
+    def part(k):
+        X = rng.uniform(-scale, scale, (count, n, n))
+        if complex_kernels:
+            X = X + 1j * rng.uniform(-scale, scale, (count, n, n))
+        return np.tril(X, -1) if k < 0 else np.triu(X, 1)
+    eye = np.eye(n)
+    return scipy.linalg.solve_triangular(eye + part(-1), eye + part(1), lower=True) - eye
+
+
+def _row_by_row_glm(Phi):
+    """Reference: one 1-D solve per row of one kernel."""
+    n = Phi.shape[0]
+    K = np.zeros((n, n), dtype=np.result_type(Phi, float))
+    for i in range(1, n):
+        K[i, :i] = np.linalg.solve((np.eye(i) + Phi[:i, :i]).T, -Phi[i, :i])
+    return K, np.triu(K + Phi + K @ Phi, 0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(count=st.integers(1, 6),
+       n=st.integers(2, 2 * factorize._LDU_BLOCK + 2),
+       scale=st.floats(1e-3, 0.49),
+       complex_kernels=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stack_factors_each_kernel_as_alone(count, n, scale, complex_kernels, seed):
+    Phi = _unit_minor_stack(np.random.default_rng(seed), count, n, scale,
+                            complex_kernels)
+    pair = gk_factorize(Phi)
+    Kp, Km = glm_solve(Phi)
+    assert pair.residual.shape == (count,)
+    # the residual norms are summed as np.linalg.norm sums one matrix
+    np.testing.assert_array_equal(factorize._frobenius(Phi),
+                                  [np.linalg.norm(p) for p in Phi])
+    for got, want in zip((Kp[0], Km[0]), _row_by_row_glm(Phi[0])):
+        np.testing.assert_array_equal(got, want)
+    for b in range(count):
+        for alone in (Phi[b:b + 1], Phi[b]):
+            one = gk_factorize(alone)
+            kp, km = glm_solve(alone)
+            single = alone.ndim == 2
+            for got, want in ((pair.K_plus[b], one.K_plus), (pair.D[b], one.D),
+                              (pair.K_minus[b], one.K_minus),
+                              (pair.residual[b], one.residual),
+                              (Kp[b], kp), (Km[b], km)):
+                np.testing.assert_array_equal(got, want if single else want[0])
+
+
+@pytest.mark.parametrize("k", [5, 70])
+def test_stack_names_the_singular_kernel(k):
+    rng = np.random.default_rng(k)
+    n = 80
+    Phi = _unit_minor_stack(rng, 4, n, 0.3 / np.sqrt(n), False)
+    d = np.ones(n)
+    d[k - 1] = 0.0
+    Lw = np.eye(n) + np.tril(0.3 / np.sqrt(n) * rng.standard_normal((n, n)), -1)
+    Uw = np.eye(n) + np.triu(0.3 / np.sqrt(n) * rng.standard_normal((n, n)), 1)
+    Phi[2] = Lw @ np.diag(d) @ Uw - np.eye(n)
+    with pytest.raises(SingularMinorError, match=f"size {k} of kernel 2 in the stack") as err:
+        gk_factorize(Phi)
+    assert err.value.index == k
+    stack = np.stack([PHI_2X2, PHI_2X2, np.array([[-1.0, 0.0], [0.0, 0.0]])])
+    with pytest.raises(SingularMinorError, match="kernel 2 in the stack") as err:
+        glm_solve(stack)
+    assert err.value.index == 1

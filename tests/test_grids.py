@@ -258,3 +258,98 @@ def test_diffop_rejects_nonsense():
         DiffOp(pg, {(1, 1): 1.0})          # wrong arity
     with pytest.raises(DiscretizationError):
         DiffOp(pg, {(1,): np.array([np.inf])})
+
+
+# ---------------------------------------------------------------------------
+# diagonal assembly against the dense Kronecker formula
+# ---------------------------------------------------------------------------
+
+def _kron_derivative_matrix(grid, order, scheme_order, one_sided_edges=False):
+    """Reference: the dense per-row stencil loop, periodic rows as rolled
+    identities."""
+    n, h = grid.n, grid.h
+    if order == 0:
+        return np.eye(n)
+    w = stencil_half_width(order, scheme_order)
+    offsets = np.arange(-w, w + 1)
+    weights = fd_weights(offsets * h, 0.0, order)
+    A = np.zeros((n, n))
+    if grid.boundary == "periodic":
+        for k, wt in zip(offsets, weights):
+            A += wt * np.roll(np.eye(n), k, axis=1)
+        return A
+    for i in range(n):
+        if one_sided_edges and (i - w < 0 or i + w >= n):
+            start = min(max(i - w, 0), n - (2 * w + 1))
+            cols = np.arange(start, start + 2 * w + 1)
+            A[i, cols] = fd_weights(grid.x[cols], grid.x[i], order)
+        else:
+            for k, wt in zip(offsets, weights):
+                if 0 <= i + k < n:
+                    A[i, i + k] = wt
+    return A
+
+
+def _kron_discretize(op, scheme_order):
+    """Reference: M[a_alpha] . D^alpha with D^alpha the matrix product of
+    dense Kronecker lifts I x ... x D1 x ... x I x I_N."""
+    grid = op.grid
+    N, nn, M = grid.fiber_dim, grid.nnodes, grid.total_dim
+    A = np.zeros((M, M), dtype=complex)
+    for alpha, coeff in sorted(op.terms.items()):
+        lifts = []
+        for axis, (g, k) in enumerate(zip(grid.axes, alpha)):
+            if k > 0:
+                before = int(np.prod(grid.shape[:axis]))
+                after = int(np.prod(grid.shape[axis + 1:])) * N
+                D1 = _kron_derivative_matrix(g, k, scheme_order)
+                lifts.append(np.kron(np.kron(np.eye(before), D1), np.eye(after)))
+        D = np.eye(M)
+        if lifts:
+            D = lifts[0]
+            for L in lifts[1:]:
+                D = D @ L
+        a = coeff.reshape(nn, N, N)
+        if N == 1:
+            A += a[:, 0, 0, None] * D
+        else:
+            A += np.einsum("puw,pwm->pum", a, D.reshape(nn, N, M)).reshape(M, M)
+    return A
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "periodic"])
+@pytest.mark.parametrize("scheme_order", [2, 4])
+def test_derivative_matrix_matches_dense_reference(kind, scheme_order):
+    g = Grid1D(-1.0, 2.0, 17, kind)
+    for order in range(0, 4):
+        for edges in (False, True):
+            got = derivative_matrix(g, order, scheme_order, one_sided_edges=edges)
+            assert _same_bits(got, _kron_derivative_matrix(g, order, scheme_order, edges))
+
+
+@pytest.mark.parametrize("kinds", [("dirichlet",), ("periodic",),
+                                   ("periodic", "dirichlet"), ("dirichlet", "dirichlet")])
+@pytest.mark.parametrize("fiber", [1, 2])
+@pytest.mark.parametrize("scheme_order", [2, 4])
+def test_discretize_matches_dense_kronecker_reference(kinds, fiber, scheme_order):
+    rng = np.random.default_rng(len(kinds) * 10 + fiber + scheme_order)
+    ns = (11, 9)[:len(kinds)]
+    grid = ProductGrid(tuple(Grid1D(0.0, 1.0 + a, n, kind)
+                             for a, (n, kind) in enumerate(zip(ns, kinds))), fiber)
+
+    def field():
+        shape = grid.shape + (fiber, fiber)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if len(kinds) == 1:
+        terms = {(2,): field(), (1,): field(), (0,): field()}
+    else:
+        terms = {(2, 0): field(), (0, 2): -1.0, (1, 1): field(), (1, 0): field(),
+                 (0, 0): field()}
+    op = DiffOp(grid, terms)
+    got = discretize(op, scheme_order)
+    assert _same_bits(got.A, _kron_discretize(op, scheme_order))

@@ -17,6 +17,7 @@ from delsarte import (ConditionNumberError, DelsarteOp, DiffOp, DressingSeed,
                       kernel_from_measure, locality_check, pair_intertwiner,
                       random_unit_minor, spectrum_compare, transform_family,
                       transform_operator)
+from delsarte.acceptance import transmute_check
 from delsarte.errors import DiscretizationError
 
 
@@ -277,6 +278,25 @@ def test_condition_guard_raises():
     om = pair_intertwiner(L, T, "+", grid=g)
     with pytest.raises(ConditionNumberError):
         transform_operator(L, om, cond_guard=1e6)
+
+
+def test_transmute_check_solves_for_the_condition_number_once(monkeypatch):
+    # the conjugation guard and the pair_condition_number row share one solve
+    calls = []
+    cond = DelsarteOp.cond
+
+    def counted(self):
+        calls.append(self)
+        return cond(self)
+
+    monkeypatch.setattr(DelsarteOp, "cond", counted)
+    rows, data = transmute_check((-8.0, 8.0), 120, 1.0)
+    assert len(calls) == 1
+    row = next(r for r in rows if r["name"] == "pair_condition_number")
+    assert row["value"] == DelsarteOp("+", data["pair_kernel"]).cond()
+    # the README-scale box is still refused by the same guard value
+    with pytest.raises(ConditionNumberError, match=r"cond = 2\.074e\+11 exceeds guard 1\.0e\+10"):
+        transmute_check((-20.0, 20.0), 400, 1.0)
 
 
 def test_random_kernel_is_not_local():
