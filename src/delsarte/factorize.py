@@ -18,7 +18,7 @@ sum ("integral" along the chain) that rebuilds K_plus from resolvent slices,
 and the row-by-row linear-system route (the discrete analog of solving a
 layer-stripping equation for the lower kernel).  Both the elimination and
 the row-by-row route take one kernel (n, n) or a stack (B, n, n) worked in
-lockstep, so many small kernels share each numpy call.
+lockstep, so many small kernels share each elimination step and row solve.
 """
 
 from __future__ import annotations
@@ -90,6 +90,19 @@ def _frobenius(X: np.ndarray) -> np.ndarray:
     return np.sqrt(sum(p @ np.swapaxes(p, -1, -2) for p in parts))[..., 0, 0]
 
 
+def _unit_triangular_solve(T: np.ndarray, B: np.ndarray, **kw) -> np.ndarray:
+    """``solve_triangular`` with a unit diagonal on one matrix or a stack.
+
+    SciPy takes stacks only from 1.15, so a stack is solved one kernel at a
+    time (as SciPy's own batching does); each kernel gets its 2-D bits.
+    """
+    if T.ndim == 2:
+        return scipy.linalg.solve_triangular(T, B, unit_diagonal=True, **kw)
+    B = np.broadcast_to(B, T.shape[:-2] + B.shape[-2:])
+    return np.stack([scipy.linalg.solve_triangular(t, b, unit_diagonal=True, **kw)
+                     for t, b in zip(T, B)])
+
+
 def _ldu(M: np.ndarray):
     """Unpivoted Doolittle LDU of a matrix or a stack (..., n, n); raises
     SingularMinorError at the first bad pivot.
@@ -98,8 +111,10 @@ def _ldu(M: np.ndarray):
     diagonal block of order ``_LDU_BLOCK``, the panels beside it come from
     unit-triangular solves, and the trailing matrix takes one matrix-product
     Schur update per block.  Matrices up to the block order take the plain
-    rank-one loop.  A stack is eliminated in lockstep, one numpy call per
-    step for all its matrices, each with the bits it gets alone.  Every
+    rank-one loop.  A stack is eliminated in lockstep: each rank-one step
+    and Schur update is one numpy call for all its matrices, the panel
+    solves run matrix by matrix, and each matrix gets the bits it gets
+    alone.  Every
     pivot is held against a threshold set from its whole matrix, so the
     first bad leading minor is named exactly, with the kernel's position
     when a stack is factored.
@@ -128,11 +143,10 @@ def _ldu(M: np.ndarray):
         if b1 < n:
             blk = slice(b0, b1)
             # A21 = L21 D11 U11 and A12 = L11 D11 U12
-            X = np.swapaxes(scipy.linalg.solve_triangular(
+            X = np.swapaxes(_unit_triangular_solve(
                 U[..., blk, blk], np.swapaxes(A[..., b1:, blk], -1, -2), trans="T",
-                lower=False, unit_diagonal=True), -1, -2)
-            Y = scipy.linalg.solve_triangular(L[..., blk, blk], A[..., blk, b1:],
-                                              lower=True, unit_diagonal=True)
+                lower=False), -1, -2)
+            Y = _unit_triangular_solve(L[..., blk, blk], A[..., blk, b1:], lower=True)
             L[..., b1:, blk] = X / d[..., None, blk]
             U[..., blk, b1:] = Y / d[..., blk, None]
             A[..., b1:, b1:] -= X @ U[..., blk, b1:]
@@ -153,10 +167,9 @@ def gk_factorize(Phi: np.ndarray) -> TriangularPair:
     M = eye + Phi
     L, d, U = _ldu(M)
     # 1 + K_plus = L^{-1} (unit lower), 1 + K_minus = U (unit upper)
-    Linv = scipy.linalg.solve_triangular(L, eye, lower=True, unit_diagonal=True)
+    Linv = _unit_triangular_solve(L, eye, lower=True)
     # (1 + K_plus)^{-1} D (1 + K_minus), with 1 + K_plus unit lower
-    recon = scipy.linalg.solve_triangular(Linv, d[..., None] * U, lower=True,
-                                          unit_diagonal=True)
+    recon = _unit_triangular_solve(Linv, d[..., None] * U, lower=True)
     residual = _frobenius(recon - M) / np.maximum(_frobenius(M), 1e-300)
     return TriangularPair(Linv - eye, d, U - eye,
                           residual if residual.ndim else float(residual))

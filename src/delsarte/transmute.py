@@ -177,6 +177,7 @@ class DelsarteOp:
     kernel: np.ndarray
     grid: Grid1D | None = None
     diag: np.ndarray | None = None
+    _cond: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def matrix(self) -> np.ndarray:
         """The assembled factor; its dtype is the kernel's (and the
@@ -211,13 +212,13 @@ class DelsarteOp:
         kappa_2 from above (and exceeds it by at most a factor n), so a guard
         on this value rejects every factor a 2-norm guard rejects.  A
         non-finite or singular factor, or a kernel with entries outside its
-        strict triangle, gives inf.  A factor is not changed after it is
-        built, so the bound is memoized on the instance: later calls return
-        it without another solve.
+        strict triangle, gives inf.  The first call stores the bound in
+        ``_cond`` and later calls return it without another solve, so the
+        kernel and diagonal are not to be changed once it is asked for.
         """
-        bound = self._cond_bound()
-        self.cond = lambda: bound
-        return bound
+        if self._cond is None:
+            self._cond = self._cond_bound()
+        return self._cond
 
     def _cond_bound(self) -> float:
         M = self.matrix()

@@ -340,3 +340,22 @@ def test_stack_names_the_singular_kernel(k):
     with pytest.raises(SingularMinorError, match="kernel 2 in the stack") as err:
         glm_solve(stack)
     assert err.value.index == 1
+
+
+def test_stack_needs_only_two_dimensional_triangular_solves(monkeypatch):
+    # SciPy before 1.15 refuses stacks in solve_triangular; the package
+    # supports those versions, so a stack must reach it one matrix at a time
+    n = 2 * factorize._LDU_BLOCK + 3
+    Phi = _unit_minor_stack(np.random.default_rng(3), 3, n, 0.3 / np.sqrt(n), True)
+    want = gk_factorize(Phi)
+    solve = scipy.linalg.solve_triangular
+
+    def two_dimensional(a, b, *args, **kw):
+        if np.ndim(a) != 2 or np.ndim(b) > 2:
+            raise ValueError("expected square matrix")
+        return solve(a, b, *args, **kw)
+
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", two_dimensional)
+    got = gk_factorize(Phi)
+    for field in ("K_plus", "D", "K_minus", "residual"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))

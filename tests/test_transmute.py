@@ -1,6 +1,8 @@
 """Triangular dressing operators: exact inverses, intertwining, locality,
 sign independence, adjoint compatibility, and the Volterra property."""
 
+import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -283,17 +285,22 @@ def test_condition_guard_raises():
 def test_transmute_check_solves_for_the_condition_number_once(monkeypatch):
     # the conjugation guard and the pair_condition_number row share one solve
     calls = []
-    cond = DelsarteOp.cond
+    bound = DelsarteOp._cond_bound
 
     def counted(self):
         calls.append(self)
-        return cond(self)
+        return bound(self)
 
-    monkeypatch.setattr(DelsarteOp, "cond", counted)
+    monkeypatch.setattr(DelsarteOp, "_cond_bound", counted)
     rows, data = transmute_check((-8.0, 8.0), 120, 1.0)
     assert len(calls) == 1
     row = next(r for r in rows if r["name"] == "pair_condition_number")
-    assert row["value"] == DelsarteOp("+", data["pair_kernel"]).cond()
+    om = DelsarteOp("+", data["pair_kernel"])
+    assert row["value"] == om.cond()
+    # the stored bound is plain data: it pickles, and a rebuilt factor
+    # solves afresh
+    assert pickle.loads(pickle.dumps(om)).cond() == row["value"]
+    assert dataclasses.replace(om, kernel=np.zeros((2, 2))).cond() == 1.0
     # the README-scale box is still refused by the same guard value
     with pytest.raises(ConditionNumberError, match=r"cond = 2\.074e\+11 exceeds guard 1\.0e\+10"):
         transmute_check((-20.0, 20.0), 400, 1.0)
