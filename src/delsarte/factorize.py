@@ -114,10 +114,9 @@ def _ldu(M: np.ndarray):
     rank-one loop.  A stack is eliminated in lockstep: each rank-one step
     and Schur update is one numpy call for all its matrices, the panel
     solves run matrix by matrix, and each matrix gets the bits it gets
-    alone.  Every
-    pivot is held against a threshold set from its whole matrix, so the
-    first bad leading minor is named exactly, with the kernel's position
-    when a stack is factored.
+    alone.  Every pivot is held against a threshold set from its whole
+    matrix, so the first bad leading minor is named exactly, with the
+    kernel's position when a stack is factored.
     """
     A = np.array(M, dtype=complex)
     n = A.shape[-1]
