@@ -20,7 +20,7 @@ from delsarte import (Grid1D, SchrodingerOp, DressingSeed, TransmutationData,
 # --- family construction ---------------------------------------------------
 
 g = Grid1D.dirichlet(0.0, np.pi, 120)
-L = np.real(SchrodingerOp.free(g).matrix().A)
+L = SchrodingerOp.free(g).matrix().A
 fam = eigensolve(L, count=3, hermitian=True)
 data = TransmutationData.from_family(g, L, fam.right, fam.left)
 
@@ -54,8 +54,8 @@ print(f"sign independence gap: {gap:.3e}  (commutation {comm:.3e})")
 gm = Grid1D.dirichlet(-10.0, 10.0, 240)
 base = SchrodingerOp.free(gm)
 dressed = darboux_once(base, DressingSeed.hyperbolic(gm, 1.0, "even"))
-Lm = np.real(base.matrix().A)
-Tm = np.real(dressed.operator.matrix().A)
+Lm = base.matrix().A
+Tm = dressed.operator.matrix().A
 
 om = pair_intertwiner(Lm, Tm, "+", grid=gm)
 M = om.matrix()
@@ -66,7 +66,7 @@ print(f"condition number of 1 + K: {om.cond():.3e}")
 
 # conjugating L by the kernel reproduces the dressed operator and keeps
 # it tridiagonal: the transformation is local even though K is dense
-Ltil = transform_operator(Lm, om).A
+Ltil = transform_operator(Lm, om)
 print(f"interior rows match dressed operator: "
       f"{np.abs(Ltil[: gm.n - 1] - Tm[: gm.n - 1]).max():.3e}")
 print(f"off-band leakage: {locality_check(Ltil, bandwidth=1):.3e}")

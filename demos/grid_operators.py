@@ -59,7 +59,7 @@ gd = Grid1D.dirichlet(-1.0, 1.0, 50)
 pgd = ProductGrid.line(gd)
 D1 = discretize(DiffOp(pgd, {(1,): 1.0}))
 X = discretize(DiffOp(pgd, {(0,): gd.x.astype(complex)}))
-C = commutator(D1, X).A
+C = commutator(D1, X)
 print(f"[d/dx, x] superdiagonal entry: {np.real(C[0, 1]):.3f}")
 
 # weighted inner product: ||sin||^2 over one period is pi

@@ -22,7 +22,7 @@ op = DiffOp(pg, {(1,): 1.0})
 phi = np.exp(1j * x)[:, None]
 psi = np.exp(2j * x)[:, None]
 Z = bilinear_concomitant(op, phi, psi)
-gap = np.abs(Z.components[0] - np.conj(phi[:, 0]) * psi[:, 0]).max()
+gap = np.abs(Z[0] - np.conj(phi[:, 0]) * psi[:, 0]).max()
 print(f"Z vs conj(phi) psi for d/dx: {gap:.3e}")
 
 # the divergence side uses a centered stencil, so even here the pointwise

@@ -14,7 +14,7 @@ from delsarte import (SchrodingerOp, Grid1D, congruence_residual, eigensolve,
                       kernel_from_measure, projection_measure)
 
 g = Grid1D.dirichlet(0.0, np.pi, 300)
-L = np.real(SchrodingerOp.free(g).matrix().A)
+L = SchrodingerOp.free(g).matrix().A
 
 # full family with biorthonormal left/right vectors
 fam = eigensolve(L, hermitian=True)

@@ -25,7 +25,7 @@ from .grid_ops import (DiffOp, Grid1D, OperatorMatrix, ProductGrid,
 from .spectral import (EigenFamily, congruence_residual, eigensolve,
                        elementary_kernel, kernel_from_measure,
                        projection_measure)
-from .lagrange import (Concomitant, FormField, SurfaceRegion,
+from .lagrange import (FormField, SurfaceRegion,
                        bilinear_concomitant, boundary, coboundary,
                        divergence_residual, exterior_derivative, form_norm,
                        primitive, surface_integral)

@@ -192,7 +192,12 @@ def cmd_factorize(config: dict, out_dir: Path, seed: int = 0,
     """Triangular factorization battery on supplied or generated kernels."""
     t0 = time.perf_counter()
     if "phi_file" in config:
-        stacks = [load_matrix_csv(config["phi_file"])[None]]
+        path = config["phi_file"]
+        try:
+            Phi = load_matrix_csv(path)
+        except (OSError, ValueError) as exc:
+            raise DelsarteError(f"cannot read phi_file {path!r}: {exc}") from exc
+        stacks = [Phi[None]]
     else:
         stacks = acceptance.unit_minors(np.random.default_rng(seed),
                                         config["size"], config["count"],

@@ -168,10 +168,11 @@ class SchrodingerOp:
 
     def diffop(self) -> DiffOp:
         pg = ProductGrid.line(self.grid)
-        return DiffOp(pg, {(2,): -1.0, (0,): self.q.astype(complex)})
+        return DiffOp(pg, {(2,): -1.0, (0,): self.q})
 
     def matrix(self) -> OperatorMatrix:
-        """The second-order (3-point stencil) discretization."""
+        """The second-order (3-point stencil) discretization, real for a
+        real potential."""
         return discretize(self.diffop())
 
 
@@ -285,9 +286,9 @@ _MATCH_RTOL = 1e-2  # relative distance at which a negative eigenvalue is matche
 
 
 def _band_eigvals(A: OperatorMatrix) -> np.ndarray:
-    """Ascending eigenvalues of the real part of a symmetric operator,
-    computed from its band (the bandwidth ``discretize`` records)."""
-    return scipy.linalg.eig_banded(np.real(A.to_banded()), eigvals_only=True)
+    """Ascending eigenvalues of a symmetric operator, computed from its band
+    (the bandwidth ``discretize`` records)."""
+    return scipy.linalg.eig_banded(A.to_banded(), eigvals_only=True)
 
 
 def spectrum_compare(before: SchrodingerOp, after: SchrodingerOp) -> dict:
@@ -297,11 +298,14 @@ def spectrum_compare(before: SchrodingerOp, after: SchrodingerOp) -> dict:
     list of negative eigenvalues that appeared (no counterpart within the
     relative ``_MATCH_RTOL``, 1e-2), and the drift of the matched positive
     band over its lowest ``_N_LOW`` values.  The spectra are those of the
-    real parts of the banded symmetric discretizations, from a banded
-    eigensolver.
+    banded symmetric discretizations, from a banded eigensolver.
     """
-    lb = _band_eigvals(before.matrix())
-    la = _band_eigvals(after.matrix())
+    return _compare_spectra(_band_eigvals(before.matrix()),
+                            _band_eigvals(after.matrix()))
+
+
+def _compare_spectra(lb: np.ndarray, la: np.ndarray) -> dict:
+    """:func:`spectrum_compare` on the ascending spectra before and after."""
     neg_b = lb[lb < 0.0]
     neg_a = la[la < 0.0]
     new_negative = []

@@ -24,7 +24,7 @@ import scipy.linalg
 
 from .errors import (DegreeMismatchError, DiscretizationError,
                      NonCommutingFamilyError, NotClosedError)
-from .grid_ops import Grid1D, OperatorMatrix, ProductGrid
+from .grid_ops import Grid1D, ProductGrid
 from .lagrange import (FormField, _subsets, d_matrix, forward_diff_matrix,
                        form_norm, surface_integral)
 
@@ -234,7 +234,7 @@ def scalar_product(c: GenComplex, beta: FormField, gamma: FormField) -> complex:
     return c.grid.vol * complex(np.vdot(beta.stack(), gamma.stack()))
 
 
-def laplace_hodge(c: GenComplex, degree: int) -> OperatorMatrix:
+def laplace_hodge(c: GenComplex, degree: int) -> np.ndarray:
     """Delta_k = d_k' d_k + d_{k-1} d_{k-1}' on stacked degree-k components.
 
     The adjoint is the literal conjugate transpose (the metric is a uniform
@@ -252,7 +252,7 @@ def laplace_hodge(c: GenComplex, degree: int) -> OperatorMatrix:
     if degree > 0:
         Dm = c.d_matrix(degree - 1)
         Delta += Dm @ Dm.conj().T
-    return OperatorMatrix(Delta)
+    return Delta
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +285,7 @@ class HarmonicReport:
 def harmonic_space(c: GenComplex, degree: int) -> HarmonicReport:
     """Null space of Delta_degree: eigenvalues at most 1e-8 times the
     largest count as zero."""
-    Delta = laplace_hodge(c, degree).A
+    Delta = laplace_hodge(c, degree)
     # Hermitian nonnegative by construction: d'd + dd'
     w, V = np.linalg.eigh((Delta + Delta.conj().T) / 2.0)
     w = np.abs(w)

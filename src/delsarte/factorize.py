@@ -103,6 +103,16 @@ def _unit_triangular_solve(T: np.ndarray, B: np.ndarray, **kw) -> np.ndarray:
                      for t, b in zip(T, B)])
 
 
+def _square_kernels(Phi) -> np.ndarray:
+    """``Phi`` as an array, after checking it is one square kernel (n, n)
+    or a stack of them (B, n, n)."""
+    Phi = np.asarray(Phi)
+    if Phi.ndim not in (2, 3) or Phi.shape[-1] != Phi.shape[-2]:
+        raise DiscretizationError(
+            f"factorization needs a square kernel or a stack of them, got shape {Phi.shape}")
+    return Phi
+
+
 def _ldu(M: np.ndarray):
     """Unpivoted Doolittle LDU of a matrix or a stack (..., n, n); raises
     SingularMinorError at the first bad pivot.
@@ -157,9 +167,9 @@ def gk_factorize(Phi: np.ndarray) -> TriangularPair:
 
     ``Phi`` is one kernel (n, n) or a stack (B, n, n) factored in lockstep;
     each kernel of a stack gets the bits it gets alone.  Raises
-    :class:`DiscretizationError` on a non-finite kernel.
+    :class:`DiscretizationError` on a non-square or non-finite kernel.
     """
-    Phi = np.asarray(Phi)
+    Phi = _square_kernels(Phi)
     if not np.all(np.isfinite(Phi)):
         raise DiscretizationError("factorization needs a finite kernel")
     eye = np.eye(Phi.shape[-1])
@@ -208,9 +218,9 @@ def glm_solve(Phi: np.ndarray):
     zero.  ``Phi`` is one kernel (n, n) or a stack (B, n, n); a stack takes
     one batched solve per row, and each kernel gets the bits it gets alone.
     Returns (K_plus, K_minus), real for a real Phi and complex for a
-    complex one.
+    complex one.  Raises :class:`DiscretizationError` on a non-square kernel.
     """
-    Phi = np.asarray(Phi)
+    Phi = _square_kernels(Phi)
     n = Phi.shape[-1]
     K = np.zeros(Phi.shape, dtype=np.result_type(Phi, float))
     # the leading blocks of 1 + Phi, formed once: adding the identity to

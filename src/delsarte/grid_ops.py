@@ -231,27 +231,19 @@ def derivative_matrix(grid: Grid1D, order: int, scheme_order: int = 2,
                       one_sided_edges: bool = False) -> np.ndarray:
     """Dense differentiation matrix for d^order/dx^order on a 1-D grid.
 
-    Centered stencils of the requested even accuracy order everywhere.
-    Periodic rows wrap.  Dirichlet rows drop stencil entries that leave the
-    index range, which realizes the zero extension of the eliminated
-    boundary values.  With ``one_sided_edges`` the window is shifted to stay
-    inside the domain instead (full accuracy for fields that do not vanish
-    at the boundary; used for differentiating coefficient fields, never for
+    The :func:`discretize` matrix of the one-term expression d^order:
+    centered stencils of the requested even accuracy order everywhere,
+    periodic rows wrapping and Dirichlet rows dropping the entries that
+    leave the index range (the zero extension of the eliminated boundary
+    values).  With ``one_sided_edges`` the window is shifted to stay inside
+    the domain instead (full accuracy for fields that do not vanish at the
+    boundary; used for differentiating coefficient fields, never for
     operator assembly).
     """
-    if scheme_order not in (2, 4):
-        raise DiscretizationError(f"unsupported scheme order {scheme_order}")
-    n = grid.n
-    if order == 0:
-        return np.eye(n)
-    offsets, weights = _stencil(grid, order, scheme_order)
-    line = ProductGrid.line(grid)
-    A = np.zeros((n, n))
-    for k, wt in zip(offsets, weights):
-        A[_shift_pairs(line, {0: k})] = wt
-    if one_sided_edges and grid.boundary == "dirichlet":
+    A = discretize(DiffOp(ProductGrid.line(grid), {(order,): 1.0}), scheme_order).A
+    if one_sided_edges and grid.boundary == "dirichlet" and order > 0:
         # the shifted window covers every centered entry of its row
-        w = int(offsets[-1])
+        n, w = grid.n, stencil_half_width(order, scheme_order)
         for i in (*range(w), *range(n - w, n)):
             start = min(max(i - w, 0), n - (2 * w + 1))
             cols = np.arange(start, start + 2 * w + 1)
@@ -265,37 +257,24 @@ def derivative_matrix(grid: Grid1D, order: int, scheme_order: int = 2,
 
 @dataclass
 class OperatorMatrix:
-    """Dense matrix acting on flattened grid functions plus bookkeeping.
+    """The banded result of :func:`discretize`.
 
-    ``axis_bandwidths`` records, per axis, a bound on the stencil half-width
-    in node units; None means no banded structure is claimed.
+    ``A`` is the dense matrix acting on flattened fields of ``grid``, with
+    the dtype of the expression's coefficients; ``axis_bandwidths`` records,
+    per axis, the stencil half-width in node units, which
+    :meth:`to_banded` turns into the band of the flattened matrix.
     """
 
     A: np.ndarray
-    grid: ProductGrid | None = None
-    axis_bandwidths: tuple | None = None
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A)
-        if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
-            raise DiscretizationError("operator matrices must be square")
+    grid: ProductGrid
+    axis_bandwidths: tuple
 
     @property
     def shape(self):
         return self.A.shape
 
-    def __matmul__(self, other):
-        B = other.A if isinstance(other, OperatorMatrix) else np.asarray(other)
-        bw = None
-        if self.axis_bandwidths is not None and isinstance(other, OperatorMatrix) \
-                and other.axis_bandwidths is not None:
-            bw = tuple(p + q for p, q in zip(self.axis_bandwidths, other.axis_bandwidths))
-        return OperatorMatrix(self.A @ B, self.grid, bw)
-
-    def flat_bandwidth(self) -> int | None:
-        """Bandwidth bound in the flattened index (1-D convenience)."""
-        if self.axis_bandwidths is None or self.grid is None:
-            return None
+    def flat_bandwidth(self) -> int:
+        """Bandwidth bound in the flattened index."""
         strides = []
         s = self.grid.fiber_dim
         for n_ax in reversed(self.grid.shape):
@@ -310,25 +289,11 @@ class OperatorMatrix:
     def to_banded(self) -> np.ndarray:
         """Upper banded storage (scipy ``eig_banded`` layout). Hermitian use only."""
         bw = self.flat_bandwidth()
-        if bw is None:
-            raise DiscretizationError("no bandwidth metadata on this operator")
         m = self.A.shape[0]
         ab = np.zeros((bw + 1, m), dtype=self.A.dtype)
         for d in range(bw + 1):
             ab[bw - d, d:] = np.diagonal(self.A, offset=d)
         return ab
-
-    @staticmethod
-    def from_banded(ab: np.ndarray, hermitian: bool = True) -> np.ndarray:
-        """Inverse of :meth:`to_banded`; round-trips losslessly."""
-        bw, m = ab.shape[0] - 1, ab.shape[1]
-        A = np.zeros((m, m), dtype=ab.dtype)
-        for d in range(bw + 1):
-            idx = np.arange(m - d)
-            A[idx, idx + d] = ab[bw - d, d:]
-            if d > 0 and hermitian:
-                A[idx + d, idx] = np.conj(ab[bw - d, d:])
-        return A
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +301,21 @@ class OperatorMatrix:
 # ---------------------------------------------------------------------------
 
 def _normalize_coeff(grid: ProductGrid, value) -> np.ndarray:
-    """Coerce a coefficient into a full (*shape, N, N) complex field."""
+    """Coerce a coefficient into a full (*shape, N, N) field of its own
+    dtype (float64 at least, so real coefficients stay real)."""
     N = grid.fiber_dim
     target = grid.shape + (N, N)
     v = np.asarray(value)
+    dtype = np.result_type(v, float)
     if v.shape == (N, N):
-        return np.broadcast_to(v, target).astype(complex).copy()
+        return np.broadcast_to(v, target).astype(dtype)
     if v.ndim == 0 or v.shape == grid.shape:
-        out = np.zeros(target, dtype=complex)
+        out = np.zeros(target, dtype=dtype)
         for k in range(N):
             out[..., k, k] = v
         return out
     if v.shape == target:
-        return v.astype(complex, copy=True)
+        return v.astype(dtype, copy=True)
     raise DiscretizationError(
         f"coefficient shape {v.shape} incompatible with grid {grid.shape} fiber {N}")
 
@@ -391,7 +358,8 @@ def discretize(op: DiffOp, scheme_order: int = 2) -> OperatorMatrix:
     from the left, where D^alpha is the product of the lifted axis
     derivatives (the identity for alpha = 0).  The stencil weights are
     written straight onto the nonzeros of D^alpha, term by term in sorted
-    order, so no dense lift or product is formed.
+    order, so no dense lift or product is formed.  The matrix takes the
+    common dtype of the coefficients: float64 when all are real.
     """
     if scheme_order not in (2, 4):
         raise DiscretizationError(f"unsupported scheme order {scheme_order}")
@@ -404,7 +372,7 @@ def discretize(op: DiffOp, scheme_order: int = 2) -> OperatorMatrix:
         need = 2 * stencil_half_width(max(order[j], 1), scheme_order) + 1
         if g.n < need:
             raise DiscretizationError("grid too small for the requested stencil")
-    A = np.zeros((M, M), dtype=complex)
+    A = np.zeros((M, M), dtype=np.result_type(*op.terms.values(), float))
     blocks = A.reshape(nn, N, nn, N)  # blocks[p, :, q, :] couples nodes p and q
     for alpha, coeff in sorted(op.terms.items()):
         active = [axis for axis, k in enumerate(alpha) if k > 0]
@@ -467,12 +435,13 @@ def _as_matrix(A) -> np.ndarray:
     return A.A if isinstance(A, OperatorMatrix) else np.asarray(A)
 
 
-def commutator(A: OperatorMatrix, B: OperatorMatrix) -> OperatorMatrix:
+def commutator(A, B) -> np.ndarray:
+    """[A, B] = AB - BA of two operator matrices (arrays or
+    :class:`OperatorMatrix`)."""
     MA, MB = _as_matrix(A), _as_matrix(B)
     if MA.shape != MB.shape:
         raise DiscretizationError("dimension mismatch in commutator")
-    grid = A.grid if isinstance(A, OperatorMatrix) else None
-    return OperatorMatrix(MA @ MB - MB @ MA, grid)
+    return MA @ MB - MB @ MA
 
 
 def adjoint_defect(op: DiffOp, scheme_order: int = 2) -> float:

@@ -37,7 +37,6 @@ from .grid_ops import (DiffOp, ProductGrid, _apply_along, _lift,
 __all__ = [
     "FormField",
     "SurfaceRegion",
-    "Concomitant",
     "bilinear_concomitant",
     "divergence_residual",
     "exterior_derivative",
@@ -361,19 +360,13 @@ def _fiber_pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sum(np.conj(u) * v, axis=-1)
 
 
-@dataclass
-class Concomitant:
-    """Evaluated concomitant components Z_i[phi, psi], one per axis."""
-
-    components: list  # m arrays of shape (*grid.shape,)
-
-
 def bilinear_concomitant(op: DiffOp, phi: np.ndarray, psi: np.ndarray,
-                         scheme_order: int = 2) -> Concomitant:
+                         scheme_order: int = 2) -> list:
     """Componentwise concomitant of an operator at a pair of fields.
 
-    phi, psi are shaped (*grid.shape, N).  Z depends conjugate-linearly on
-    phi and linearly on psi.
+    phi, psi are shaped (*grid.shape, N).  Returns the components
+    Z_i[phi, psi], one array of shape grid.shape per axis.  Z depends
+    conjugate-linearly on phi and linearly on psi.
     """
     grid = op.grid
     m = grid.ndim
@@ -406,7 +399,7 @@ def bilinear_concomitant(op: DiffOp, phi: np.ndarray, psi: np.ndarray,
                 u = dpow(i, j, pre)
                 v = dpow(i, alpha[i] - 1 - j, post)
                 Z[i] += lead * ((-1) ** j) * _fiber_pair(u, v)
-    return Concomitant(Z)
+    return Z
 
 
 def interior_mask(grid: ProductGrid, width: int) -> np.ndarray:
@@ -432,20 +425,20 @@ def divergence_residual(op: DiffOp, phi: np.ndarray, psi: np.ndarray,
     centered first-derivative stencil of the same order.
     """
     grid = op.grid
-    A = discretize(op, scheme_order)
-    Astar = discretize(formal_adjoint(op, scheme_order), scheme_order)
+    A = discretize(op, scheme_order).A
+    Astar = discretize(formal_adjoint(op, scheme_order), scheme_order).A
     phi_a = _with_fiber(grid, phi)
     psi_a = _with_fiber(grid, psi)
     shp = grid.shape + (grid.fiber_dim,)
-    Lpsi = (A.A @ psi_a.reshape(-1)).reshape(shp)
-    Lsphi = (Astar.A @ phi_a.reshape(-1)).reshape(shp)
+    Lpsi = (A @ psi_a.reshape(-1)).reshape(shp)
+    Lsphi = (Astar @ phi_a.reshape(-1)).reshape(shp)
     lhs = _fiber_pair(phi_a, Lpsi) - _fiber_pair(Lsphi, psi_a)
 
-    conc = bilinear_concomitant(op, phi_a, psi_a, scheme_order)
+    Z = bilinear_concomitant(op, phi_a, psi_a, scheme_order)
     div = np.zeros(grid.shape, dtype=complex)
     for i in range(grid.ndim):
         D1 = derivative_matrix(grid.axes[i], 1, scheme_order)
-        div += _apply_along(D1, conc.components[i], i)
+        div += _apply_along(D1, Z[i], i)
 
     r = lhs - div
     width = max(op.order) + scheme_order

@@ -37,7 +37,7 @@ from .errors import (ConditionNumberError, DiscretizationError, GridError,
                      SingularKernelError)
 from .factorize import (TriangularPair, _conjugate, commutation_check,
                         gk_factorize)
-from .grid_ops import Grid1D, OperatorMatrix, _as_matrix
+from .grid_ops import Grid1D, _as_matrix
 
 __all__ = [
     "TransmutationData",
@@ -378,8 +378,8 @@ def pair_intertwiner(L, Ltil, sign: str = "+", grid: Grid1D | None = None) -> De
     the zero first row; each new row cancels one row of the intertwining
     defect, leaving all of it in the final row (first row for sign "-").
     """
-    Lm = np.real(_as_matrix(L))
-    Tm = np.real(_as_matrix(Ltil))
+    Lm = _as_matrix(L)
+    Tm = _as_matrix(Ltil)
     if Lm.shape != Tm.shape:
         raise DiscretizationError("operator shapes differ")
     if sign == "-":
@@ -412,7 +412,7 @@ def pair_intertwiner(L, Ltil, sign: str = "+", grid: Grid1D | None = None) -> De
 # conjugation and diagnostics
 # ---------------------------------------------------------------------------
 
-def transform_operator(L, om: DelsarteOp, cond_guard: float = 1e10) -> OperatorMatrix:
+def transform_operator(L, om: DelsarteOp, cond_guard: float = 1e10) -> np.ndarray:
     """Ltil = Omega L Omega^{-1}, computed by linear solves.
 
     Refuses (with :class:`ConditionNumberError`) factors whose condition
@@ -423,10 +423,7 @@ def transform_operator(L, om: DelsarteOp, cond_guard: float = 1e10) -> OperatorM
         raise ConditionNumberError(
             f"conjugation by the {om.sign} factor rejected: cond = {cond:.3e} "
             f"exceeds guard {cond_guard:.1e}")
-    Ltil = _conjugate(om.matrix(), _as_matrix(L))
-    if isinstance(L, OperatorMatrix):
-        return OperatorMatrix(Ltil, L.grid)
-    return OperatorMatrix(Ltil)
+    return _conjugate(om.matrix(), _as_matrix(L))
 
 
 def transform_family(ops: list, om: DelsarteOp):
@@ -441,7 +438,7 @@ def transform_family(ops: list, om: DelsarteOp):
     worst = 0.0
     for i in range(len(outs)):
         for j in range(i + 1, len(outs)):
-            worst = max(worst, commutation_check(outs[i].A, outs[j].A))
+            worst = max(worst, commutation_check(outs[i], outs[j]))
     return outs, worst
 
 

@@ -227,6 +227,21 @@ def test_library_modules_use_every_import():
     assert unused == []
 
 
+def test_every_exported_name_exists():
+    """Each name a module lists in ``__all__`` is defined there, so a
+    deleted function or class cannot linger in an export list."""
+    import importlib
+
+    import delsarte
+    missing = []
+    for path in sorted(Path(delsarte.__file__).parent.glob("*.py")):
+        module = importlib.import_module(
+            "delsarte" if path.stem == "__init__" else f"delsarte.{path.stem}")
+        missing += [f"{path.name} {name}" for name in getattr(module, "__all__", ())
+                    if not hasattr(module, name)]
+    assert missing == []
+
+
 def test_library_parameters_are_read():
     """Every parameter of every function (lambdas included) is read in its
     body.  The exception is the shared ``cmd_*(config, out_dir, seed,
@@ -366,6 +381,33 @@ def test_non_finite_phi_file_gives_computation_error(tmp_path, capsys):
     code, _ = _run(tmp_path, dict(FACTORIZE_CFG, phi_file=str(pf)))
     assert code == 3
     assert "computation failed" in capsys.readouterr().err
+
+
+def test_non_square_phi_file_gives_computation_error(tmp_path, capsys):
+    pf = tmp_path / "phi_in.csv"
+    save_matrix_csv(pf, np.arange(12.0).reshape(3, 4))
+    code, _ = _run(tmp_path, dict(FACTORIZE_CFG, phi_file=str(pf)))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "computation failed" in err and "square" in err and "(1, 3, 4)" in err
+
+
+def test_unparsable_phi_file_names_the_file(tmp_path, capsys):
+    pf = tmp_path / "phi_in.csv"
+    pf.write_text("c_0,c_1\n1.0,2.0\n3.0,oops\n", encoding="utf-8")
+    code, _ = _run(tmp_path, dict(FACTORIZE_CFG, phi_file=str(pf)))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "computation failed" in err and str(pf) in err and "oops" in err
+
+
+def test_missing_phi_file_names_the_file(tmp_path, capsys):
+    pf = tmp_path / "absent.csv"
+    code, _ = _run(tmp_path, dict(FACTORIZE_CFG, phi_file=str(pf)))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "computation failed" in err and str(pf) in err
+    assert "unexpected failure" not in err
 
 
 # ---------------------------------------------------------------------------

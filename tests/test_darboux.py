@@ -179,6 +179,14 @@ def test_spectrum_compare_trivial_dressing():
     assert comp["band_drift"] == 0.0
 
 
+def test_operator_matrix_takes_the_potential_dtype():
+    g, op, seed = _setup(n=100)
+    dressed = darboux_once(op, seed).operator
+    assert op.matrix().A.dtype == np.float64
+    assert dressed.matrix().A.dtype == np.float64
+    assert SchrodingerOp(g, dressed.q + 0.5j).matrix().A.dtype == np.complex128
+
+
 @pytest.mark.parametrize("order", [2, 4])
 def test_banded_spectrum_matches_dense(order):
     g, op, seed = _setup(n=300, w=10.0)
@@ -187,7 +195,7 @@ def test_banded_spectrum_matches_dense(order):
         bw = A.flat_bandwidth()
         assert np.count_nonzero(np.triu(A.A, bw + 1)) == 0
         assert np.count_nonzero(np.tril(A.A, -bw - 1)) == 0
-        dense = scipy.linalg.eigvalsh(np.real(A.A))
+        dense = scipy.linalg.eigvalsh(A.A)
         banded = _band_eigvals(A)
         assert np.max(np.abs(banded - dense)) <= 1e-12 * np.max(np.abs(dense))
     if order == 2:

@@ -29,8 +29,8 @@ def test_first_order_concomitant_is_product():
     op = DiffOp(pg, {(1,): 1.0})
     phi = np.exp(0.2 * np.sin(x)) + 0.3j * x
     psi = np.cos(x)
-    conc = bilinear_concomitant(op, phi[..., None], psi[..., None])
-    np.testing.assert_array_equal(conc.components[0], np.conj(phi) * psi)
+    Z = bilinear_concomitant(op, phi[..., None], psi[..., None])
+    np.testing.assert_array_equal(Z[0], np.conj(phi) * psi)
 
 
 def test_second_order_concomitant_is_wronskian_form():
@@ -42,9 +42,9 @@ def test_second_order_concomitant_is_wronskian_form():
     op = DiffOp(pg, {(2,): -1.0})
     phi = np.exp(np.sin(x)) + 0.5j * np.cos(2 * x)
     psi = np.sin(3 * x)
-    conc = bilinear_concomitant(op, phi[..., None], psi[..., None])
+    Z = bilinear_concomitant(op, phi[..., None], psi[..., None])
     want = (D @ np.conj(phi)) * psi - np.conj(phi) * (D @ psi)
-    np.testing.assert_allclose(conc.components[0], want, atol=1e-12)
+    np.testing.assert_allclose(Z[0], want, atol=1e-12)
 
 
 def test_concomitant_semilinearity():
@@ -54,10 +54,10 @@ def test_concomitant_semilinearity():
     phi = np.exp(1j * x)
     psi = np.cos(x)
     a = 0.7 - 0.4j
-    z1 = bilinear_concomitant(op, (a * phi)[..., None], psi[..., None]).components[0]
-    z2 = bilinear_concomitant(op, phi[..., None], psi[..., None]).components[0]
+    z1 = bilinear_concomitant(op, (a * phi)[..., None], psi[..., None])[0]
+    z2 = bilinear_concomitant(op, phi[..., None], psi[..., None])[0]
     np.testing.assert_allclose(z1, np.conj(a) * z2, atol=1e-12)
-    z3 = bilinear_concomitant(op, phi[..., None], (a * psi)[..., None]).components[0]
+    z3 = bilinear_concomitant(op, phi[..., None], (a * psi)[..., None])[0]
     np.testing.assert_allclose(z3, a * z2, atol=1e-12)
 
 

@@ -25,7 +25,7 @@ from delsarte.errors import DiscretizationError
 
 def _family_data(n=50, m=3, length=np.pi):
     g = Grid1D.dirichlet(0.0, length, n)
-    A = np.real(SchrodingerOp.free(g).matrix().A)
+    A = SchrodingerOp.free(g).matrix().A
     fam = eigensolve(A, count=m, hermitian=True)
     data = TransmutationData.from_family(g, A, fam.right, fam.left)
     return g, A, fam, data
@@ -33,7 +33,7 @@ def _family_data(n=50, m=3, length=np.pi):
 
 def _kernel_data(n=50, length=np.pi, weight=0.4):
     g = Grid1D.dirichlet(0.0, length, n)
-    A = np.real(SchrodingerOp.free(g).matrix().A)
+    A = SchrodingerOp.free(g).matrix().A
     fam = eigensolve(A, hermitian=True)
     Phi = kernel_from_measure(fam, lambda lam: weight / (1.0 + abs(lam)))
     return g, A, TransmutationData.from_kernel(A, Phi)
@@ -110,7 +110,7 @@ def test_biorthogonality_transport():
 def test_singular_running_normalization_detected():
     # omega0 = -(full Gram)/2 forces W to cross zero partway along the walk
     g = Grid1D.dirichlet(0.0, np.pi, 40)
-    A = np.real(SchrodingerOp.free(g).matrix().A)
+    A = SchrodingerOp.free(g).matrix().A
     fam = eigensolve(A, count=1, hermitian=True)
     gram = g.h * float(np.real(np.sum(np.conj(fam.left[:, 0]) * fam.right[:, 0])))
     with pytest.raises(SingularKernelError):
@@ -150,7 +150,7 @@ def test_omega_full_domain_completeness():
     # Gram is the identity, so Omega at the right edge is 2*identity
     n, m = 60, 4
     g = Grid1D.dirichlet(0.0, np.pi, n)
-    A = np.real(SchrodingerOp.free(g).matrix().A)
+    A = SchrodingerOp.free(g).matrix().A
     fam = eigensolve(A, count=m, hermitian=True, weights=np.full(n, g.h))
     data = TransmutationData.from_family(g, A, fam.right, fam.left)
     K = build_kernel_Omega(data, g.x[-1])
@@ -180,7 +180,7 @@ def _soliton(n=400, w=20.0):
     g = Grid1D.dirichlet(-w, w, n)
     base = SchrodingerOp.free(g)
     dressed = darboux_once(base, DressingSeed.hyperbolic(g, 1.0, "even"))
-    return g, np.real(base.matrix().A), np.real(dressed.operator.matrix().A)
+    return g, base.matrix().A, dressed.operator.matrix().A
 
 
 def test_pair_intertwiner_defect_confined_to_last_row():
@@ -208,7 +208,7 @@ def test_pair_intertwiner_minus_mirrors_plus():
 def test_interior_rows_reproduce_dressed_operator():
     g, L, T = _soliton()
     om = pair_intertwiner(L, T, "+", grid=g)
-    Ltil = transform_operator(L, om, cond_guard=1e12).A
+    Ltil = transform_operator(L, om, cond_guard=1e12)
     n = g.n
     assert np.abs(Ltil[: n - 1] - T[: n - 1]).max() < 1e-6
     assert locality_check(Ltil, bandwidth=1) < 1e-6
@@ -217,7 +217,7 @@ def test_interior_rows_reproduce_dressed_operator():
 def test_conjugation_preserves_spectrum():
     g, L, T = _soliton(300, 8.0)
     om = pair_intertwiner(L, T, "+", grid=g)
-    Ltil = transform_operator(L, om).A
+    Ltil = transform_operator(L, om)
     ev_L = np.sort(scipy.linalg.eigvalsh(L))
     ev_t = np.sort(np.real(scipy.linalg.eigvals(Ltil)))
     radius = np.abs(ev_L).max()
@@ -404,7 +404,7 @@ def test_real_pair_factor_stays_real():
     om = pair_intertwiner(L, T, "+", grid=g)
     assert om.kernel.dtype == np.float64
     assert om.matrix().dtype == np.float64
-    assert transform_operator(L, om).A.dtype == np.float64
+    assert transform_operator(L, om).dtype == np.float64
 
 
 def test_family_and_kernel_factors_stay_complex():
@@ -418,8 +418,8 @@ def test_family_and_kernel_factors_stay_complex():
 def test_real_conjugation_matches_complex_cast(n):
     g, L, T = _soliton(n, 8.0)
     om = pair_intertwiner(L, T, "+", grid=g)
-    real = transform_operator(L, om).A
-    cast = transform_operator(L, _complex_cast(om)).A
+    real = transform_operator(L, om)
+    cast = transform_operator(L, _complex_cast(om))
     assert np.abs(real - cast).max() <= 1e-13 * np.abs(real).max()
     # equal here; other boxes differ by an ulp (4.333e6 on [-10, 10], n=240)
     assert om.cond() == pytest.approx(_complex_cast(om).cond(), rel=1e-14)
