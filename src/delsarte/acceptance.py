@@ -31,7 +31,8 @@ from .factorize import (break_relation_defect, gk_factorize, glm_residual,
 from .grid_ops import DiffOp, Grid1D, ProductGrid
 from .lagrange import FormField, SurfaceRegion, divergence_residual
 from .spectral import (congruence_residual, eigensolve, elementary_kernel,
-                       kernel_from_measure, projection_measure)
+                       kernel_from_measure, nearest_indices,
+                       projection_measure)
 from .transmute import (TransmutationData, adjoint_compat_check,
                         adjoint_operator, delsarte_inverse, delsarte_operator,
                         independence_check, locality_check, pair_intertwiner,
@@ -161,15 +162,18 @@ def pair_conjugation_rows(L: np.ndarray, T: np.ndarray, grid: Grid1D,
 
 
 def dressing_data(grid: Grid1D, L: np.ndarray, family_size: int = 3):
-    """(family data, kernel data) dressing L.
+    """(family data, kernel data) dressing L, from one eigensolve of L.
 
-    The family is the lowest eigenvectors of L.  The kernel is a function
-    of L, so it commutes with L as sign independence needs; one-sided
-    eigenfamily walks differ at O(h^2) and would mask a real bug.
+    The family is the ``family_size`` eigenvectors nearest the origin, the
+    columns ``eigensolve(L, count=family_size)`` returns.  The kernel is a
+    function of L, so it commutes with L as sign independence needs;
+    one-sided eigenfamily walks differ at O(h^2) and would mask a real bug.
+    A real L gives real family and kernel data.
     """
-    fam = eigensolve(L, count=int(family_size), hermitian=True)
-    data = TransmutationData.from_family(grid, L, fam.right, fam.left, omega0=1.0)
     full = eigensolve(L, hermitian=True)
+    k = nearest_indices(full.lambdas, int(family_size))
+    data = TransmutationData.from_family(grid, L, full.right[:, k], full.left[:, k],
+                                         omega0=1.0)
     Phi = kernel_from_measure(full, lambda lam: 0.4 / (1.0 + abs(lam)))
     return data, TransmutationData.from_kernel(L, Phi)
 

@@ -126,13 +126,14 @@ def _ldu(M: np.ndarray):
     solves run matrix by matrix, and each matrix gets the bits it gets
     alone.  Every pivot is held against a threshold set from its whole
     matrix, so the first bad leading minor is named exactly, with the
-    kernel's position when a stack is factored.
+    kernel's position when a stack is factored.  The factors take the
+    dtype ``np.result_type(M, float)``: real for a real matrix.
     """
-    A = np.array(M, dtype=complex)
+    A = np.array(M, dtype=np.result_type(M, float))
     n = A.shape[-1]
-    L = np.broadcast_to(np.eye(n, dtype=complex), A.shape).copy()
+    L = np.broadcast_to(np.eye(n, dtype=A.dtype), A.shape).copy()
     U = L.copy()
-    d = np.zeros(A.shape[:-1], dtype=complex)
+    d = np.zeros(A.shape[:-1], dtype=A.dtype)
     tiny = 1e-13 * np.maximum(np.max(np.abs(M), axis=(-2, -1)), 1.0)
     for b0 in range(0, n, _LDU_BLOCK):
         b1 = min(b0 + _LDU_BLOCK, n)
@@ -166,7 +167,8 @@ def gk_factorize(Phi: np.ndarray) -> TriangularPair:
     """Factor 1 + Phi into triangular Volterra factors along the chain.
 
     ``Phi`` is one kernel (n, n) or a stack (B, n, n) factored in lockstep;
-    each kernel of a stack gets the bits it gets alone.  Raises
+    each kernel of a stack gets the bits it gets alone.  The factors are
+    real for a real kernel and complex for a complex one.  Raises
     :class:`DiscretizationError` on a non-square or non-finite kernel.
     """
     Phi = _square_kernels(Phi)
@@ -197,7 +199,7 @@ def gk_integral_factors(Phi: np.ndarray) -> np.ndarray:
     """
     Phi = np.asarray(Phi)
     n = Phi.shape[0]
-    K = np.zeros((n, n), dtype=complex)
+    K = np.zeros((n, n), dtype=np.result_type(Phi, float))
     for row in range(1, n):
         block = np.eye(row) + Phi[:row, :row]
         try:
@@ -258,9 +260,10 @@ def commutation_check(Phi: np.ndarray, L: np.ndarray) -> float:
     return float(np.linalg.norm(Phi @ L - L @ Phi) / denom)
 
 
-def _conjugate(M: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """M L M^{-1} by one linear solve, without forming the inverse."""
-    return np.linalg.solve(M.T, (M @ L).T).T
+def _conjugate(M: np.ndarray, L: np.ndarray, lower: bool) -> np.ndarray:
+    """M L M^{-1} for a triangular M (lower or upper as the caller says),
+    by one triangular solve M^T X^T = (M L)^T, without forming the inverse."""
+    return scipy.linalg.solve_triangular(M, (M @ L).T, trans="T", lower=lower).T
 
 
 def factor_conjugation_gap(pair: TriangularPair, L: np.ndarray) -> float:
@@ -273,8 +276,8 @@ def factor_conjugation_gap(pair: TriangularPair, L: np.ndarray) -> float:
     n = L.shape[0]
     Ip = np.eye(n) + pair.K_plus
     Im = np.eye(n) + pair.K_minus
-    Lp = _conjugate(Ip, L)
-    Lm = (pair.D[:, None] * _conjugate(Im, L)) / pair.D[None, :]
+    Lp = _conjugate(Ip, L, lower=True)
+    Lm = (pair.D[:, None] * _conjugate(Im, L, lower=False)) / pair.D[None, :]
     return float(np.linalg.norm(Lp - Lm) / max(np.linalg.norm(L), 1e-300))
 
 

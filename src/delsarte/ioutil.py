@@ -34,13 +34,27 @@ def save_matrix_csv(path: str | Path, A: np.ndarray) -> None:
 
 
 def load_matrix_csv(path: str | Path) -> np.ndarray:
-    """Inverse of :func:`save_matrix_csv`. Returns a 2-D array."""
+    """Inverse of :func:`save_matrix_csv`. Returns a 2-D array.
+
+    The header decides the layout and the column count.  A file with no
+    data rows, rows whose column count differs from the header's, or a
+    ``re_`` header with an odd column count raises ``ValueError`` naming
+    the file.
+    """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
-    names = header.split(",")
-    if names and names[0].startswith("re_"):
+        names = fh.readline().strip().split(",")
+        rows = [line for line in fh if line.strip()]
+    complex_layout = names[0].startswith("re_")
+    if complex_layout and len(names) % 2:
+        raise ValueError(f"{path}: complex header has an odd column count {len(names)}")
+    if not rows:
+        raise ValueError(f"{path}: no data rows under the header")
+    body = np.loadtxt(rows, delimiter=",", ndmin=2)
+    if body.shape[1] != len(names):
+        raise ValueError(f"{path}: header names {len(names)} columns, "
+                         f"the rows have {body.shape[1]}")
+    if complex_layout:
         return body[:, 0::2] + 1j * body[:, 1::2]
     return body
 

@@ -70,7 +70,8 @@ class FormField:
     """Node-collocated k-form on a product grid.
 
     Components are indexed by strictly increasing axis subsets; each value
-    has shape (*grid.shape, N).  Missing subsets are implicitly zero.
+    has shape (*grid.shape, N) and keeps its data's dtype (real stays real,
+    integers become float).  Missing subsets are implicitly (real) zero.
     """
 
     grid: ProductGrid
@@ -91,13 +92,13 @@ class FormField:
             arr = _with_fiber(self.grid, raw)
             if arr.shape != shape:
                 raise DiscretizationError(f"component {S} has shape {raw.shape}, want {shape}")
-            clean[S] = arr.astype(complex)
+            clean[S] = arr.astype(np.result_type(arr, float))
         self.comps = clean
 
     def component(self, S) -> np.ndarray:
         S = tuple(sorted(S))
         shape = self.grid.shape + (self.grid.fiber_dim,)
-        return self.comps.get(S, np.zeros(shape, dtype=complex))
+        return self.comps.get(S, np.zeros(shape))
 
     def __add__(self, other: "FormField") -> "FormField":
         if other.degree != self.degree:
@@ -111,7 +112,7 @@ class FormField:
         """All components as one vector, subsets in lexicographic order."""
         r = self.grid.ndim
         return np.concatenate([self.component(S).ravel() for S in _subsets(r, self.degree)]) \
-            if _subsets(r, self.degree) else np.zeros(0, dtype=complex)
+            if _subsets(r, self.degree) else np.zeros(0)
 
     @classmethod
     def from_stack(cls, grid: ProductGrid, degree: int, vec: np.ndarray) -> "FormField":

@@ -26,6 +26,7 @@ from .grid_ops import _as_matrix
 __all__ = [
     "EigenFamily",
     "eigensolve",
+    "nearest_indices",
     "projection_measure",
     "elementary_kernel",
     "kernel_from_measure",
@@ -81,15 +82,24 @@ def _cluster(lams: np.ndarray, tol: float) -> list:
     return groups
 
 
+def nearest_indices(lams: np.ndarray, count: int) -> np.ndarray:
+    """Ascending positions of the ``count`` eigenvalues nearest the origin
+    (ties keep the earlier position)."""
+    return np.sort(np.argsort(np.abs(lams), kind="stable")[:count])
+
+
 def eigensolve(A, count: int | None = None, band=None,
                weights: np.ndarray | None = None,
                hermitian: bool | None = None) -> EigenFamily:
     """Full biorthonormalized eigenfamily of a dense operator.
 
-    ``count`` keeps that many eigenvalues closest to the origin; ``band``
-    keeps those inside the axis-aligned rectangle spanned by two complex
-    corners.  Weights default to 1.  Hermitian input (detected, or forced
-    with the flag) takes the one-sided path where left = right.
+    ``count`` keeps that many eigenvalues closest to the origin (the rule of
+    :func:`nearest_indices`); ``band`` keeps those inside the axis-aligned
+    rectangle spanned by two complex corners.  Weights default to 1.
+    Hermitian input (detected, or forced with the flag) takes the one-sided
+    path where left = right; it keeps ``eigh``'s dtypes, so a real
+    symmetric operator gives real eigenvalues and real vectors.  Other input
+    takes the two-sided ``eig`` path, whose eigenvalues are complex.
 
     Raises :class:`DefectiveFamilyError` when a degenerate cluster's
     cross-Gram is singular to working precision, and
@@ -109,9 +119,7 @@ def eigensolve(A, count: int | None = None, band=None,
         hermitian = bool(np.allclose(M, M.conj().T, atol=1e-14 * scale, rtol=0.0))
 
     if hermitian:
-        lams_r, V = scipy.linalg.eigh(M)
-        lams = lams_r.astype(complex)
-        right = V.astype(complex)
+        lams, right = scipy.linalg.eigh(M)
         left = right.copy()
     else:
         lams, VL, VR = scipy.linalg.eig(M, left=True, right=True)
@@ -128,8 +136,7 @@ def eigensolve(A, count: int | None = None, band=None,
     if count is not None:
         if count < 1 or count > idx.size:
             raise EmptyBandError(f"requested {count} eigenvalues, {idx.size} available")
-        sel = np.argsort(np.abs(lams[idx]), kind="stable")[:count]
-        idx = np.sort(idx[sel])
+        idx = idx[nearest_indices(lams[idx], count)]
     lams, right, left = lams[idx], right[:, idx], left[:, idx]
 
     order = np.lexsort((lams.imag, lams.real))
@@ -166,7 +173,7 @@ def eigensolve(A, count: int | None = None, band=None,
 def projection_measure(fam: EigenFamily, delta=None) -> np.ndarray:
     """E(Delta) = sum over lam in Delta of psi_lam phi_lam^* rho.
 
-    ``delta`` is a predicate on complex eigenvalues (None keeps all).
+    ``delta`` is a predicate on eigenvalues (None keeps all).
     Multiplicative on the family: E(D1) E(D2) = E(D1 and D2).  This is
     :func:`kernel_from_measure` with the indicator of Delta as the weight.
     """
@@ -187,8 +194,13 @@ def elementary_kernel(fam: EigenFamily, lam: complex) -> np.ndarray:
 
 
 def kernel_from_measure(fam: EigenFamily, weight_fn) -> np.ndarray:
-    """Functional calculus K = sum_lam weight_fn(lam) psi_lam phi_lam^* rho."""
-    vals = np.array([weight_fn(complex(l)) for l in fam.lambdas], dtype=complex)
+    """Functional calculus K = sum_lam weight_fn(lam) psi_lam phi_lam^* rho.
+
+    ``weight_fn`` gets each eigenvalue as a Python scalar of the family's
+    kind (float for a real family); K is real when the family and every
+    weight are real, complex otherwise.
+    """
+    vals = np.array([weight_fn(l) for l in fam.lambdas.tolist()])
     return (fam.right * vals[None, :]) @ (fam.left.conj().T * fam.weights[None, :])
 
 

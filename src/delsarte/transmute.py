@@ -66,6 +66,9 @@ class TransmutationData:
 
     ``kind == "family"`` holds sampled solution families (rows = nodes);
     ``kind == "kernel"`` holds a commuting kernel Phi to be factorized.
+    The arrays keep their data's dtype: real families (with a real
+    ``omega0``) and real kernels give real prefixes and real factors,
+    and a complex input anywhere gives complex ones.
     """
 
     kind: str
@@ -84,8 +87,10 @@ class TransmutationData:
     @classmethod
     def from_family(cls, grid: Grid1D, L, right, left, weights=None,
                     omega0=1.0) -> "TransmutationData":
-        right = np.atleast_2d(np.asarray(right, dtype=complex))
-        left = np.atleast_2d(np.asarray(left, dtype=complex))
+        right, left, om = np.asarray(right), np.asarray(left), np.asarray(omega0)
+        dtype = np.result_type(right, left, om, float)
+        right = np.atleast_2d(right.astype(dtype, copy=False))
+        left = np.atleast_2d(left.astype(dtype, copy=False))
         if right.shape[0] == 1 and right.shape[1] == grid.n:
             right = right.T
         if left.shape[0] == 1 and left.shape[1] == grid.n:
@@ -93,7 +98,7 @@ class TransmutationData:
         if right.shape[0] != grid.n or left.shape != right.shape:
             raise DiscretizationError("family arrays must be (n_nodes, m)")
         m = right.shape[1]
-        om = np.asarray(omega0, dtype=complex)
+        om = om.astype(dtype, copy=False)
         w = np.ones(grid.n) if weights is None else np.asarray(weights, dtype=float)
         if w.shape != (grid.n,):
             raise DiscretizationError("weights must be one value per node")
@@ -101,7 +106,7 @@ class TransmutationData:
         if not all(np.all(np.isfinite(v)) for v in (right, left, w, om)):
             raise DiscretizationError("family data must be finite")
         if om.ndim == 0:
-            om = np.eye(m, dtype=complex) * om
+            om = np.eye(m, dtype=dtype) * om
         if om.shape != (m, m):
             raise DiscretizationError("omega0 must be scalar or (m, m)")
         data = cls("family", _as_matrix(L), grid=grid, right=right, left=left,
@@ -114,7 +119,8 @@ class TransmutationData:
         """Kernel data, factorized along the natural (grid-ordered) chain
         only; for another node order p, pass L[p][:, p] and Phi[p][:, p]."""
         Lm = _as_matrix(L)
-        Phi = np.asarray(Phi, dtype=complex)
+        Phi = np.asarray(Phi)
+        Phi = Phi.astype(np.result_type(Phi, float), copy=False)
         if Phi.shape != Lm.shape:
             raise DiscretizationError("kernel and operator dimensions differ")
         return cls("kernel", Lm, Phi=Phi)
@@ -132,7 +138,7 @@ class TransmutationData:
         h = self.grid.h
         g = h * self.weights[:, None, None] * (
             np.conj(self.left)[:, :, None] * self.right[:, None, :])
-        P = np.empty((n + 1, m, m), dtype=complex)
+        P = np.empty((n + 1, m, m), dtype=self.right.dtype)
         P[0] = self.omega0
         np.cumsum(g, axis=0, out=P[1:])
         P[1:] += self.omega0
@@ -266,14 +272,16 @@ def _family_dressed_rows(data: TransmutationData) -> np.ndarray:
 
 
 def delsarte_apply(data: TransmutationData, f: np.ndarray, sign: str = "+") -> np.ndarray:
-    """Apply 1 + K by streaming prefix sums (no dense kernel is formed)."""
+    """Apply 1 + K by streaming prefix sums (no dense kernel is formed).
+
+    The result has the dtype numpy promotes ``f`` and the data to.
+    """
     if data.kind != "family":
-        M = delsarte_operator(data, sign).matrix()
-        return M @ np.asarray(f, dtype=complex)
+        return delsarte_operator(data, sign).matrix() @ np.asarray(f)
     if sign == "-":
         rev = data._reversed()
         return delsarte_apply(rev, np.asarray(f)[::-1], "+")[::-1]
-    f = np.asarray(f, dtype=complex)
+    f = np.asarray(f)
     h = data.grid.h
     U = _family_dressed_rows(data)
     moments = (h * data.weights * f)[:, None] * np.conj(data.left)  # (n, m)
@@ -423,7 +431,7 @@ def transform_operator(L, om: DelsarteOp, cond_guard: float = 1e10) -> np.ndarra
         raise ConditionNumberError(
             f"conjugation by the {om.sign} factor rejected: cond = {cond:.3e} "
             f"exceeds guard {cond_guard:.1e}")
-    return _conjugate(om.matrix(), _as_matrix(L))
+    return _conjugate(om.matrix(), _as_matrix(L), lower=om.sign == "+")
 
 
 def transform_family(ops: list, om: DelsarteOp):
@@ -473,10 +481,12 @@ def independence_check(data: TransmutationData):
     Mp = delsarte_operator(data, "+").matrix()
     Mm = delsarte_operator(data, "-").matrix()
     L = data.L
-    Ltp = _conjugate(Mp, L)
-    Ltm = _conjugate(Mm, L)
+    Ltp = _conjugate(Mp, L, lower=True)
+    Ltm = _conjugate(Mm, L, lower=False)
     gap = float(np.linalg.norm(Ltp - Ltm) / max(np.linalg.norm(Ltp), 1e-300))
-    return gap, commutation_check(np.linalg.solve(Mp, Mm), L)
+    # Omega_plus is unit lower triangular on both kinds of data
+    ratio = scipy.linalg.solve_triangular(Mp, Mm, lower=True, unit_diagonal=True)
+    return gap, commutation_check(ratio, L)
 
 
 def adjoint_compat_check(data: TransmutationData) -> float:
@@ -489,6 +499,6 @@ def adjoint_compat_check(data: TransmutationData) -> float:
     L = data.L
     M = delsarte_operator(data, "+").matrix()
     Madj = adjoint_operator(data, "+").matrix()
-    A = _conjugate(M, L).conj().T
-    B = _conjugate(Madj, L.conj().T)
+    A = _conjugate(M, L, lower=True).conj().T
+    B = _conjugate(Madj, L.conj().T, lower=False)
     return float(np.linalg.norm(A - B) / max(np.linalg.norm(L), 1e-300))

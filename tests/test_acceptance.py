@@ -78,8 +78,8 @@ def test_verify_report_determinism(tmp_path):
     assert digests[0] == digests[1]
 
 
-def test_full_battery_aggregates():
-    result = acceptance.run_all(seed=0)
+def test_full_battery_aggregates(verify_battery):
+    result = verify_battery
     _assert_rows(result["rows"])
     assert result["all_passed"] is True
     assert result["seed"] == 0

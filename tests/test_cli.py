@@ -91,7 +91,7 @@ def test_derham_command_passes(tmp_path):
     np.testing.assert_allclose(P, np.diag([1.0, 2.0]), atol=1e-10)
 
 
-def test_verify_command_passes(tmp_path):
+def test_verify_command_passes(tmp_path, cached_verify_battery):
     code, out = _run(tmp_path, {"command": "verify"})
     assert code == 0
     report = json.loads((out / "report.json").read_text())
@@ -272,7 +272,7 @@ def test_library_parameters_are_read():
 # exit code 1: a residual fails
 # ---------------------------------------------------------------------------
 
-def test_zero_tolerance_scale_fails_residuals(tmp_path):
+def test_zero_tolerance_scale_fails_residuals(tmp_path, cached_verify_battery):
     code, out = _run(tmp_path, {"command": "verify", "tolerance_scale": 0.0})
     assert code == 1
     report = json.loads((out / "report.json").read_text())
@@ -557,4 +557,48 @@ def test_matrix_csv_round_trip_complex(tmp_path):
     A = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
     p = tmp_path / "m.csv"
     save_matrix_csv(p, A)
-    np.testing.assert_array_equal(load_matrix_csv(p), A)
+    assert p.read_text().split("\n", 1)[0] == ",".join(
+        f"re_{j},im_{j}" for j in range(5))
+    back = load_matrix_csv(p)
+    assert back.dtype == np.complex128
+    np.testing.assert_array_equal(back, A)
+
+
+def test_matrix_csv_round_trip_real(tmp_path):
+    # real factors (a GK pair of a real kernel) travel as one column each
+    pair = gk_factorize(random_unit_minor(9, np.random.default_rng(5)))
+    for A in (pair.K_plus, pair.D, np.array([[-0.0, 5e-324, 1e300]])):
+        p = tmp_path / "m.csv"
+        save_matrix_csv(p, A)
+        A2 = np.atleast_2d(A)
+        assert p.read_text().split("\n", 1)[0] == ",".join(
+            f"c_{j}" for j in range(A2.shape[1]))
+        back = load_matrix_csv(p)
+        assert back.dtype == np.float64
+        assert back.tobytes() == A2.tobytes()
+
+
+@pytest.mark.parametrize("text, cause", [
+    ("re_0,im_0,re_1\n1,0,2\n3,0,4\n", "odd column count"),
+    ("re_0,im_0\n1,0,2,0\n3,0,4,0\n", "header names 2 columns"),
+    ("c_0,c_1,c_2\n1,2\n3,4\n", "header names 3 columns"),
+    ("c_0,c_1\n", "no data rows"),
+])
+def test_malformed_matrix_csv_names_the_file(tmp_path, text, cause):
+    p = tmp_path / "bad.csv"
+    p.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=cause) as err:
+            load_matrix_csv(p)
+    assert str(p) in str(err.value)
+
+
+def test_malformed_phi_file_gives_computation_error(tmp_path, capsys):
+    # once accepted by broadcasting as the 2x2 kernel [[1, 2], [3, 4]]
+    pf = tmp_path / "phi_in.csv"
+    pf.write_text("re_0,im_0,re_1\n1,0,2\n3,0,4\n", encoding="utf-8")
+    code, _ = _run(tmp_path, dict(FACTORIZE_CFG, phi_file=str(pf)))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "computation failed" in err and str(pf) in err

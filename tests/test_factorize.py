@@ -190,12 +190,13 @@ def test_pair_exactness_flag():
 # ---------------------------------------------------------------------------
 
 def _rank_one_ldu(M):
-    """Reference: the unblocked Doolittle loop, one rank-one update per pivot."""
+    """Reference: the unblocked Doolittle loop, one rank-one update per
+    pivot, in the dtype the blocked route takes."""
     n = M.shape[0]
-    A = M.astype(complex, copy=True)
-    L = np.eye(n, dtype=complex)
-    U = np.eye(n, dtype=complex)
-    d = np.zeros(n, dtype=complex)
+    A = M.astype(np.result_type(M, float), copy=True)
+    L = np.eye(n, dtype=A.dtype)
+    U = np.eye(n, dtype=A.dtype)
+    d = np.zeros(n, dtype=A.dtype)
     for k in range(n):
         piv = A[k, k]
         d[k] = piv

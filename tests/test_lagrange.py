@@ -108,6 +108,17 @@ def test_form_field_component_shapes():
                    [lambda a: a, lambda a: a])
 
 
+def test_form_field_keeps_its_data_dtype():
+    pg = _torus()
+    shp = pg.shape + (1,)
+    f = FormField(pg, 1, {(0,): np.ones(shp, dtype=int)})
+    assert f.component((0,)).dtype == f.component((1,)).dtype == np.float64
+    assert f.stack().dtype == np.float64
+    g = FormField(pg, 1, {(1,): 1j * np.ones(shp)})
+    assert (f + g).stack().dtype == np.complex128
+    assert FormField(pg, 0).stack().dtype == np.float64
+
+
 def test_exterior_derivative_squares_to_zero():
     pg = _torus()
     rng = np.random.default_rng(0)

@@ -27,6 +27,21 @@ def test_hermitian_eigenfamily_matches_closed_form():
     assert fam.residual_right < 1e-12
 
 
+def test_family_dtype_follows_the_operator():
+    _, L = _dirichlet_laplacian()
+    A = L.A
+    real = eigensolve(A, count=3, hermitian=True)
+    assert real.lambdas.dtype == real.right.dtype == real.left.dtype == np.float64
+    K = kernel_from_measure(real, lambda lam: 1.0 / (1.0 + lam))
+    assert K.dtype == np.float64
+    assert kernel_from_measure(real, lambda lam: 1j * lam).dtype == np.complex128
+    # the complex-cast operator gives the same family, complex
+    cast = eigensolve(A.astype(complex), count=3, hermitian=True)
+    assert cast.right.dtype == np.complex128
+    np.testing.assert_allclose(cast.lambdas, real.lambdas, rtol=1e-13)
+    assert np.linalg.norm(np.abs(cast.right) - np.abs(real.right)) < 1e-12
+
+
 def test_count_selection_keeps_smallest_magnitudes():
     _, L = _dirichlet_laplacian()
     fam = eigensolve(L, count=4)

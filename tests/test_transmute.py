@@ -19,8 +19,10 @@ from delsarte import (ConditionNumberError, DelsarteOp, DiffOp, DressingSeed,
                       kernel_from_measure, locality_check, pair_intertwiner,
                       random_unit_minor, spectrum_compare, transform_family,
                       transform_operator)
+from delsarte import acceptance
 from delsarte.acceptance import transmute_check
 from delsarte.errors import DiscretizationError
+from delsarte.factorize import _conjugate
 
 
 def _family_data(n=50, m=3, length=np.pi):
@@ -407,11 +409,97 @@ def test_real_pair_factor_stays_real():
     assert transform_operator(L, om).dtype == np.float64
 
 
-def test_family_and_kernel_factors_stay_complex():
-    _, _, _, data = _family_data()
+def _factors(data):
+    """Every factor the data builds, with a streamed application."""
+    ops = [delsarte_operator(data, s) for s in "+-"]
+    ops += [delsarte_inverse(data, s) for s in "+-"]
+    ops.append(adjoint_operator(data, "+"))
+    mats = [op.matrix() for op in ops]
+    f = np.linspace(1.0, 2.0, data.L.shape[0])
+    return mats + [delsarte_apply(data, f, s) for s in "+-"]
+
+
+def test_factor_dtype_follows_family_and_kernel_data():
+    g, A, fam, data = _family_data()
     _, _, datak = _kernel_data()
-    for op in (delsarte_operator(data, "+"), delsarte_operator(datak, "-")):
-        assert op.matrix().dtype == np.complex128
+    assert fam.right.dtype == fam.lambdas.dtype == np.float64
+    assert data._prefix.dtype == datak.Phi.dtype == np.float64
+    for M in _factors(data) + _factors(datak):
+        assert M.dtype == np.float64
+    # a complex input anywhere keeps the factors complex
+    cplx = [
+        TransmutationData.from_family(g, A, fam.right.astype(complex), fam.left),
+        TransmutationData.from_family(g, A, fam.right, fam.left.astype(complex)),
+        TransmutationData.from_family(g, A, fam.right, fam.left, omega0=1.0 + 0.5j),
+        TransmutationData.from_kernel(A, datak.Phi.astype(complex)),
+    ]
+    for d in cplx:
+        for M in _factors(d):
+            assert M.dtype == np.complex128
+
+
+def _complex_data(data):
+    """The same dressing data with every array cast to complex."""
+    if data.kind == "kernel":
+        return TransmutationData.from_kernel(data.L, data.Phi.astype(complex))
+    return TransmutationData.from_family(
+        data.grid, data.L, data.right.astype(complex), data.left.astype(complex),
+        data.weights, data.omega0.astype(complex))
+
+
+@pytest.mark.parametrize("n", [200, 600])
+def test_real_family_route_matches_complex_cast(n, monkeypatch):
+    def run(cast):
+        seen = []
+
+        def dressing_data(*args, **kwargs):
+            pair = dressing_data_real(*args, **kwargs)
+            if cast:
+                pair = tuple(map(_complex_data, pair))
+            seen.extend(pair)
+            return pair
+
+        monkeypatch.setattr(acceptance, "dressing_data", dressing_data)
+        rows, tables = acceptance.transmute_check((-8.0, 8.0), n, 1.03, 0.37)
+        return rows, tables, seen
+
+    dressing_data_real = acceptance.dressing_data
+    rows, tables, real = run(False)
+    rows_c, tables_c, cplx = run(True)
+    assert all(d.L.dtype == np.float64 for d in real)
+    assert [d.kind for d in real] == [d.kind for d in cplx] == ["family", "kernel"]
+    assert tables["family_kernel_plus"].dtype == np.float64
+    assert tables_c["family_kernel_plus"].dtype == np.complex128
+    # the rows are relative residuals, so 1e-13 is relative to their scale
+    assert [r["name"] for r in rows] == [r["name"] for r in rows_c]
+    for r, rc in zip(rows, rows_c):
+        assert r["passed"] and rc["passed"]
+        assert abs(r["value"] - rc["value"]) <= 1e-13, r["name"]
+    for name in ("pair_kernel", "family_kernel_plus"):
+        want = tables_c[name]
+        assert np.abs(tables[name] - want).max() <= 1e-13 * np.abs(want).max()
+    for d, dc in zip(real, cplx):
+        for M, Mc in zip(_factors(d), _factors(dc)):
+            assert np.abs(M - Mc).max() <= 1e-13 * np.abs(Mc).max()
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_dressing_data_family_is_eigensolve_count(m):
+    g, L, _ = _soliton(200, 8.0)
+    data, _ = acceptance.dressing_data(g, L, m)
+    fam = eigensolve(L, count=m, hermitian=True)
+    for got, want in ((data.right, fam.right), (data.left, fam.left)):
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+def test_triangular_conjugation_matches_lu_route():
+    # the unit lower pair factor at n=600: the triangular solve is the LU
+    # route without its (here empty) pivoting, so the bits agree
+    g, L, T = _soliton(600, 8.0)
+    M = pair_intertwiner(L, T, "+", grid=g).matrix()
+    want = np.linalg.solve(M.T, (M @ L).T).T
+    assert _conjugate(M, L, lower=True).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [200, 600])
