@@ -11,11 +11,10 @@ to its soliton dressing.
 
 import numpy as np
 
-from delsarte import (Grid1D, SchrodingerOp, DressingSeed, TransmutationData,
-                      adjoint_compat_check, build_kernel_Omega, darboux_once,
-                      delsarte_inverse, delsarte_operator, eigensolve,
-                      independence_check, kernel_from_measure, locality_check,
-                      pair_intertwiner, transform_operator)
+from delsarte import (Grid1D, SchrodingerOp, DressingSeed, KernelData,
+                      TransmutationData, adjoint_compat_check, darboux_once,
+                      eigensolve, independence_check, kernel_from_measure,
+                      locality_check, pair_intertwiner, transform_operator)
 
 # --- family construction ---------------------------------------------------
 
@@ -24,8 +23,8 @@ L = SchrodingerOp.free(g).matrix().A
 fam = eigensolve(L, count=3, hermitian=True)
 data = TransmutationData.from_family(g, L, fam.right, fam.left)
 
-Mp = delsarte_operator(data, "+")
-Minv = delsarte_inverse(data, "+")
+Mp = data.operator("+")
+Minv = data.inverse("+")
 eye = np.eye(g.n)
 print(f"kernel strictly lower triangular: "
       f"{np.count_nonzero(np.triu(Mp.kernel, 0)) == 0}")
@@ -33,9 +32,9 @@ print(f"exact inverse defect: "
       f"{np.abs(Mp.matrix() @ Minv.matrix() - eye).max():.3e}")
 
 # the running normalization interpolates between the endpoint values
-K0 = build_kernel_Omega(data, data.x0)
-K1 = build_kernel_Omega(data, g.x[-1])
-print(f"normalization at x0: diag {np.real(np.diag(K0))}")
+K0 = data.omega_at(g.a)
+K1 = data.omega_at(g.x[-1])
+print(f"normalization at a:  diag {np.real(np.diag(K0))}")
 print(f"normalization at b:  diag {np.real(np.diag(K1))}")
 
 # adjoint compatibility couples the plus kernel to the adjoint of its
@@ -45,7 +44,7 @@ print(f"adjoint compatibility: {adjoint_compat_check(data):.3e}")
 # sign independence holds when the kernel data commutes with L
 full = eigensolve(L, hermitian=True)
 Phi = kernel_from_measure(full, lambda lam: 0.4 / (1.0 + abs(lam)))
-datak = TransmutationData.from_kernel(L, Phi)
+datak = KernelData(L, Phi)
 gap, comm = independence_check(datak)
 print(f"sign independence gap: {gap:.3e}  (commutation {comm:.3e})")
 

@@ -7,7 +7,8 @@ The package is organized bottom-up:
 - ``spectral``: biorthogonal eigenfamilies, spectral measures, kernels
 - ``lagrange``: the divergence form of the Lagrange identity; discrete forms,
   regions, Stokes bookkeeping
-- ``transmute``: the triangular dressing operators and their exact inverses
+- ``transmute``: the triangular dressing operators and their exact inverses,
+  from family data or from a commuting kernel
 - ``factorize``: triangular splitting of 1 + Phi along the grid's projector chain
 - ``darboux``: potential dressing by nodeless seeds, iterated stacking
 - ``derham``: commuting-family complexes, harmonic spaces, period maps
@@ -29,11 +30,10 @@ from .lagrange import (FormField, SurfaceRegion,
                        bilinear_concomitant, boundary, coboundary,
                        divergence_residual, exterior_derivative, form_norm,
                        primitive, surface_integral)
-from .transmute import (DelsarteOp, TransmutationData, adjoint_compat_check,
-                        adjoint_operator, build_kernel_Omega, delsarte_apply,
-                        delsarte_inverse, delsarte_operator,
-                        independence_check, locality_check, pair_intertwiner,
-                        transform_family, transform_operator)
+from .transmute import (DelsarteOp, KernelData, TransmutationData,
+                        adjoint_compat_check, independence_check,
+                        locality_check, pair_intertwiner, transform_family,
+                        transform_operator)
 from .factorize import (TriangularPair, break_relation_defect,
                         commutation_check, factor_conjugation_gap,
                         gk_factorize, gk_integral_factors, glm_residual,

@@ -33,8 +33,7 @@ from .lagrange import FormField, SurfaceRegion, divergence_residual
 from .spectral import (congruence_residual, eigensolve, elementary_kernel,
                        kernel_from_measure, nearest_indices,
                        projection_measure)
-from .transmute import (TransmutationData, adjoint_compat_check,
-                        adjoint_operator, delsarte_inverse, delsarte_operator,
+from .transmute import (KernelData, TransmutationData, adjoint_compat_check,
                         independence_check, locality_check, pair_intertwiner,
                         transform_operator)
 
@@ -175,7 +174,7 @@ def dressing_data(grid: Grid1D, L: np.ndarray, family_size: int = 3):
     data = TransmutationData.from_family(grid, L, full.right[:, k], full.left[:, k],
                                          omega0=1.0)
     Phi = kernel_from_measure(full, lambda lam: 0.4 / (1.0 + abs(lam)))
-    return data, TransmutationData.from_kernel(L, Phi)
+    return data, KernelData(L, Phi)
 
 
 def transmute_check(domain, n: int, kappa: float, center: float = 0.0,
@@ -195,8 +194,8 @@ def transmute_check(domain, n: int, kappa: float, center: float = 0.0,
     # family route on the base operator's own eigenvectors: exact inverses,
     # sign independence, adjoint compatibility
     data, datak = dressing_data(g, L, family_size)
-    plus = delsarte_operator(data, "+")
-    Minv = delsarte_inverse(data, "+").matrix()
+    plus = data.operator("+")
+    Minv = data.inverse("+").matrix()
     gap, comm = independence_check(datak)
     rows += [
         _row("inverse_kernel_exactness",
@@ -501,13 +500,9 @@ def criterion_8() -> list:
     g = Grid1D.dirichlet(0.0, math.pi, 60)
     A = SchrodingerOp.free(g).matrix().A
     data, datak = dressing_data(g, A)
-    ops = [
-        delsarte_operator(data, "+"), delsarte_operator(data, "-"),
-        delsarte_inverse(data, "+"), delsarte_inverse(data, "-"),
-        adjoint_operator(data, "+"),
-        delsarte_operator(datak, "+"), delsarte_operator(datak, "-"),
-        delsarte_inverse(datak, "+"), delsarte_inverse(datak, "-"),
-    ]
+    ops = [d.operator(s) for d in (data, datak) for s in "+-"]
+    ops += [d.inverse(s) for d in (data, datak) for s in "+-"]
+    ops.append(data.adjoint())
     base2, dressed2 = soliton_pair((-20.0, 20.0), 200)
     L2, T2 = base2.matrix().A, dressed2.operator.matrix().A
     ops.append(pair_intertwiner(L2, T2, "+"))

@@ -95,12 +95,17 @@ def _unit_triangular_solve(T: np.ndarray, B: np.ndarray, **kw) -> np.ndarray:
 
     SciPy takes stacks only from 1.15, so a stack is solved one kernel at a
     time (as SciPy's own batching does); each kernel gets its 2-D bits.
+    The stack's slices are Fortran-ordered, the layout LAPACK returns each
+    solution in, so filling them is a plain copy and not a transpose.
     """
     if T.ndim == 2:
         return scipy.linalg.solve_triangular(T, B, unit_diagonal=True, **kw)
     B = np.broadcast_to(B, T.shape[:-2] + B.shape[-2:])
-    return np.stack([scipy.linalg.solve_triangular(t, b, unit_diagonal=True, **kw)
-                     for t, b in zip(T, B)])
+    X = np.empty((len(B), B.shape[-1], B.shape[-2]),
+                 np.result_type(T, B, float)).swapaxes(-1, -2)
+    for t, b, x in zip(T, B, X):
+        x[...] = scipy.linalg.solve_triangular(t, b, unit_diagonal=True, **kw)
+    return X
 
 
 def _square_kernels(Phi) -> np.ndarray:

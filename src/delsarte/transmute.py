@@ -1,8 +1,12 @@
 """Triangular dressing operators on a grid.
 
-Given a finite family of right solutions psi_1..psi_m and left solutions
-phi_1..phi_m sampled on the nodes, the plus-side dressing operator is the
-unit lower-triangular matrix
+The Delsarte operators Omega_pm = 1 + K_pm come from one of two kinds of
+data, each its own class that builds its own factors.
+
+:class:`TransmutationData` holds spectral transmutation data: a finite family
+of right solutions psi_1..psi_m and left solutions phi_1..phi_m sampled on
+the nodes, a measure rho and a normalization Omega_0.  The plus-side dressing
+operator is the unit lower-triangular matrix
 
     (Omega_+ f)(x_i) = f(x_i) + sum_{j < i} K(x_i, x_j) f(x_j),
     K(x_i, x_j)      = - psi(x_i) W_i^{-1} phi(x_j)^* h rho_j,
@@ -15,11 +19,11 @@ telescopes exactly, so Omega_+^{-1} is available in closed form with no
 matrix inversion.  The minus-side operator mirrors the construction from the
 right end of the grid.
 
-A second constructor accepts a kernel Phi commuting with the operator and
+:class:`KernelData` holds a kernel Phi commuting with the operator and
 routes through the chain factorization, which realizes both signs at once
 with the diagonal normalizer D carried outside the Volterra kernels.
 
-Independent of any family data, :func:`pair_intertwiner` builds the unique
+Independent of any dressing data, :func:`pair_intertwiner` builds the unique
 strictly lower kernel intertwining two given tridiagonal operators by
 marching the discrete characteristic recursion row by row; the defect of
 that construction is confined to the last row, so the conjugated operator
@@ -41,12 +45,8 @@ from .grid_ops import Grid1D, _as_matrix
 
 __all__ = [
     "TransmutationData",
+    "KernelData",
     "DelsarteOp",
-    "build_kernel_Omega",
-    "delsarte_apply",
-    "delsarte_operator",
-    "delsarte_inverse",
-    "adjoint_operator",
     "pair_intertwiner",
     "transform_operator",
     "transform_family",
@@ -56,37 +56,44 @@ __all__ = [
 ]
 
 
+def _checked_operator(L, n: int) -> np.ndarray:
+    """L as a finite (n, n) array, else DiscretizationError."""
+    Lm = _as_matrix(L)
+    if Lm.shape != (n, n) or not np.all(np.isfinite(Lm)):
+        raise DiscretizationError(f"dressing data needs a finite operator of "
+                                  f"shape {(n, n)}, got one of shape {Lm.shape}")
+    return Lm
+
+
 # ---------------------------------------------------------------------------
-# data container
+# spectral transmutation data: families psi, phi, measure rho and Omega_0
 # ---------------------------------------------------------------------------
 
 @dataclass
 class TransmutationData:
-    """Everything needed to build the dressing operators.
+    """Sampled solution families (rows = nodes) with their measure and
+    normalization; build it with :meth:`from_family`.
 
-    ``kind == "family"`` holds sampled solution families (rows = nodes);
-    ``kind == "kernel"`` holds a commuting kernel Phi to be factorized.
+    The factors come in closed form from the running normalization W (the
+    ``_prefix`` cumulants): :meth:`operator`, its exact :meth:`inverse`,
+    the dual-side :meth:`adjoint`, and the streamed action :meth:`apply`.
     The arrays keep their data's dtype: real families (with a real
-    ``omega0``) and real kernels give real prefixes and real factors,
-    and a complex input anywhere gives complex ones.
+    ``omega0``) give real prefixes and real factors, and a complex input
+    anywhere gives complex ones.
     """
 
-    kind: str
+    grid: Grid1D
     L: np.ndarray
-    grid: Grid1D | None = None
-    right: np.ndarray | None = None
-    left: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    omega0: np.ndarray | None = None
-    Phi: np.ndarray | None = None
+    right: np.ndarray
+    left: np.ndarray
+    weights: np.ndarray
+    omega0: np.ndarray
     _prefix: np.ndarray | None = field(default=None, repr=False)
-    _pair: TriangularPair | None = field(default=None, repr=False)
-
-    # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_family(cls, grid: Grid1D, L, right, left, weights=None,
                     omega0=1.0) -> "TransmutationData":
+        Lm = _checked_operator(L, grid.n)
         right, left, om = np.asarray(right), np.asarray(left), np.asarray(omega0)
         dtype = np.result_type(right, left, om, float)
         right = np.atleast_2d(right.astype(dtype, copy=False))
@@ -109,28 +116,9 @@ class TransmutationData:
             om = np.eye(m, dtype=dtype) * om
         if om.shape != (m, m):
             raise DiscretizationError("omega0 must be scalar or (m, m)")
-        data = cls("family", _as_matrix(L), grid=grid, right=right, left=left,
-                   weights=w, omega0=om)
+        data = cls(grid, Lm, right, left, w, om)
         data._build_prefix()
         return data
-
-    @classmethod
-    def from_kernel(cls, L, Phi) -> "TransmutationData":
-        """Kernel data, factorized along the natural (grid-ordered) chain
-        only; for another node order p, pass L[p][:, p] and Phi[p][:, p]."""
-        Lm = _as_matrix(L)
-        Phi = np.asarray(Phi)
-        Phi = Phi.astype(np.result_type(Phi, float), copy=False)
-        if Phi.shape != Lm.shape:
-            raise DiscretizationError("kernel and operator dimensions differ")
-        return cls("kernel", Lm, Phi=Phi)
-
-    @property
-    def x0(self) -> float:
-        """Base point of the spectral kernels: the left end of the grid."""
-        return self.grid.a
-
-    # -- family-side prefix cumulants ----------------------------------------
 
     def _build_prefix(self) -> None:
         """P[i] = Omega_0 + h sum_{k<i} rho_k phi_k^* psi_k, i = 0..n."""
@@ -157,12 +145,126 @@ class TransmutationData:
             self.grid, self.L[::-1, ::-1], self.right[::-1], self.left[::-1],
             self.weights[::-1], self.omega0)
 
+    def _dressed_rows(self) -> np.ndarray:
+        """u_i with u_i^T = psi(x_i) W_i^{-1}; rows of the dressed right family."""
+        P = self._prefix[:-1]
+        return np.linalg.solve(np.swapaxes(P, -1, -2), self.right[..., None])[..., 0]
+
+    def omega_at(self, x: float) -> np.ndarray:
+        """Accumulated spectral kernel Omega_x = Omega_0 + h sum_{a < y <= x} ...
+
+        The sum runs over grid nodes in the half-open window from the left
+        end a of the grid; at x = a the result is exactly Omega_0.
+        """
+        g = self.grid
+        if not (g.a - 1e-12 <= x <= g.b + 1e-12):
+            raise GridError(f"evaluation point {x} outside [{g.a}, {g.b}]")
+        cx = int(np.searchsorted(g.x, x, side="right"))
+        c0 = int(np.searchsorted(g.x, g.a, side="right"))
+        return self.omega0 + (self._prefix[cx] - self._prefix[c0])
+
+    def apply(self, f: np.ndarray, sign: str = "+") -> np.ndarray:
+        """Apply 1 + K by streaming prefix sums (no dense kernel is formed).
+
+        The result has the dtype numpy promotes ``f`` and the data to.
+        """
+        f = np.asarray(f)
+        if sign == "-":
+            return self._reversed().apply(f[::-1], "+")[::-1]
+        U = self._dressed_rows()
+        moments = (self.grid.h * self.weights * f)[:, None] * np.conj(self.left)  # (n, m)
+        S = np.zeros_like(moments)
+        np.cumsum(moments[:-1], axis=0, out=S[1:])  # strict prefix
+        return f - np.einsum("im,im->i", U, S)
+
+    def operator(self, sign: str = "+") -> DelsarteOp:
+        """Dense triangular dressing operator for the requested sign."""
+        if sign == "-":
+            return _mirror(self._reversed().operator("+"), self.grid)
+        U = self._dressed_rows()
+        C = np.conj(self.left) * (self.grid.h * self.weights)[:, None]
+        return DelsarteOp("+", -np.tril(U @ C.T, -1), self.grid)
+
+    def inverse(self, sign: str = "+") -> DelsarteOp:
+        """Closed-form inverse operator.
+
+        The inverse kernel uses the inclusive cumulant V_j = W_{j+1} at the
+        source column,  Khat(x_i, x_j) = + psi(x_i) V_j^{-1} phi(x_j)^* h rho_j,
+        and (1+K)(1+Khat) = 1 telescopes exactly.
+        """
+        if sign == "-":
+            return _mirror(self._reversed().inverse("+"), self.grid)
+        Wc = (self.grid.h * self.weights)[:, None] * np.linalg.solve(
+            self._prefix[1:], np.conj(self.left)[..., None])[..., 0]
+        return DelsarteOp("+", np.tril(self.right @ Wc.T, -1), self.grid)
+
+    def adjoint(self) -> DelsarteOp:
+        """The plus factor's dressing operator on the dual side.
+
+        Built independently from the left family, it satisfies
+        Omega_adj = (Omega_+^{-1})^dagger, so conjugating the adjoint
+        operator with it reproduces the adjoint of the dressed operator.
+        """
+        A = (self.grid.h * self.weights)[:, None] * np.linalg.solve(
+            np.conj(self._prefix[1:]), self.left[..., None])[..., 0]
+        return DelsarteOp("-", np.triu(A @ np.conj(self.right).T, 1), self.grid)
+
+
+# ---------------------------------------------------------------------------
+# kernel data: a kernel Phi commuting with L, split along the projector chain
+# ---------------------------------------------------------------------------
+
+@dataclass
+class KernelData:
+    """A kernel Phi commuting with L, factorized along the natural
+    (grid-ordered) chain only; for another node order p, pass L[p][:, p]
+    and Phi[p][:, p].
+
+    1 + Phi = (1 + K_+)^{-1} D (1 + K_-) gives both signs at once:
+    :meth:`operator` and :meth:`inverse` read the cached
+    :meth:`factorization`, and :meth:`adjoint` factors Phi^dagger.  A real
+    kernel gives real factors.
+    """
+
+    L: np.ndarray
+    Phi: np.ndarray
+    _pair: TriangularPair | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        Phi = np.asarray(self.Phi)
+        self.Phi = Phi.astype(np.result_type(Phi, float), copy=False)
+        if self.Phi.ndim != 2 or self.Phi.shape[0] != self.Phi.shape[1]:
+            raise DiscretizationError(f"kernel must be square, got shape {self.Phi.shape}")
+        self.L = _checked_operator(self.L, self.Phi.shape[0])
+
     def factorization(self) -> TriangularPair:
-        if self.kind != "kernel":
-            raise DiscretizationError("no kernel to factorize on family data")
         if self._pair is None:
             self._pair = gk_factorize(self.Phi)
         return self._pair
+
+    def operator(self, sign: str = "+") -> DelsarteOp:
+        """1 + K_+ for sign "+", D (1 + K_-) for sign "-"."""
+        pair = self.factorization()
+        if sign == "+":
+            return DelsarteOp("+", pair.K_plus)
+        return DelsarteOp("-", pair.K_minus, diag=pair.D)
+
+    def inverse(self, sign: str = "+") -> DelsarteOp:
+        """The inverse factor, by a triangular solve."""
+        pair = self.factorization()
+        eye = np.eye(len(pair.D))
+        if sign == "+":
+            Minv = scipy.linalg.solve_triangular(
+                eye + pair.K_plus, eye, lower=True, unit_diagonal=True)
+            return DelsarteOp("+", Minv - eye)
+        B = scipy.linalg.solve_triangular(
+            eye + pair.K_minus, eye, lower=False, unit_diagonal=True)
+        return DelsarteOp("-", (pair.D[:, None] * B) / pair.D[None, :] - eye,
+                          diag=1.0 / pair.D)
+
+    def adjoint(self) -> DelsarteOp:
+        """(1 + K_+)^{-dagger}: the unit-upper factor of Phi^dagger."""
+        return DelsarteOp("-", gk_factorize(self.Phi.conj().T).K_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +277,9 @@ class DelsarteOp:
 
     ``kernel`` is strictly lower for sign "+" and strictly upper for "-";
     the full matrix is diag * (1 + kernel) when a diagonal normalizer is
-    present (kernel-kind minus side), else 1 + kernel.  Because the kernel
-    is exactly triangular its spectrum is its diagonal: identically zero.
+    present (the minus side of :class:`KernelData`), else 1 + kernel.
+    Because the kernel is exactly triangular its spectrum is its diagonal:
+    identically zero.
     """
 
     sign: str
@@ -246,113 +349,6 @@ def _mirror(op: DelsarteOp, grid: Grid1D | None) -> DelsarteOp:
     """Minus-side operator from a plus-side one built on the reversed grid."""
     return DelsarteOp("-", op.kernel[::-1, ::-1], grid)
 
-
-def build_kernel_Omega(data: TransmutationData, x: float) -> np.ndarray:
-    """Accumulated spectral kernel Omega_x = Omega_0 + h sum_{x0 < y <= x} ...
-
-    The sum runs over grid nodes in the half-open window from the base
-    point x0 = ``data.x0``, the left end of the grid; at x = x0 the result
-    is exactly Omega_0.
-    """
-    if data.kind != "family":
-        raise DiscretizationError("spectral kernels need family data")
-    g = data.grid
-    if not (g.a - 1e-12 <= x <= g.b + 1e-12):
-        raise GridError(f"evaluation point {x} outside [{g.a}, {g.b}]")
-    cx = int(np.searchsorted(g.x, x, side="right"))
-    c0 = int(np.searchsorted(g.x, data.x0, side="right"))
-    P = data._prefix
-    return data.omega0 + (P[cx] - P[c0])
-
-
-def _family_dressed_rows(data: TransmutationData) -> np.ndarray:
-    """u_i with u_i^T = psi(x_i) W_i^{-1}; rows of the dressed right family."""
-    P = data._prefix[:-1]
-    return np.linalg.solve(np.swapaxes(P, -1, -2), data.right[..., None])[..., 0]
-
-
-def delsarte_apply(data: TransmutationData, f: np.ndarray, sign: str = "+") -> np.ndarray:
-    """Apply 1 + K by streaming prefix sums (no dense kernel is formed).
-
-    The result has the dtype numpy promotes ``f`` and the data to.
-    """
-    if data.kind != "family":
-        return delsarte_operator(data, sign).matrix() @ np.asarray(f)
-    if sign == "-":
-        rev = data._reversed()
-        return delsarte_apply(rev, np.asarray(f)[::-1], "+")[::-1]
-    f = np.asarray(f)
-    h = data.grid.h
-    U = _family_dressed_rows(data)
-    moments = (h * data.weights * f)[:, None] * np.conj(data.left)  # (n, m)
-    S = np.zeros_like(moments)
-    np.cumsum(moments[:-1], axis=0, out=S[1:])  # strict prefix
-    return f - np.einsum("im,im->i", U, S)
-
-
-def delsarte_operator(data: TransmutationData, sign: str = "+") -> DelsarteOp:
-    """Dense triangular dressing operator for the requested sign."""
-    if data.kind == "kernel":
-        pair = data.factorization()
-        if sign == "+":
-            return DelsarteOp("+", pair.K_plus, data.grid)
-        return DelsarteOp("-", pair.K_minus, data.grid, diag=pair.D)
-    if sign == "-":
-        return _mirror(delsarte_operator(data._reversed(), "+"), data.grid)
-    h = data.grid.h
-    U = _family_dressed_rows(data)
-    C = np.conj(data.left) * (h * data.weights)[:, None]
-    K = -np.tril(U @ C.T, -1)
-    return DelsarteOp("+", K, data.grid)
-
-
-def delsarte_inverse(data: TransmutationData, sign: str = "+") -> DelsarteOp:
-    """Closed-form inverse operator.
-
-    Family data: the inverse kernel uses the inclusive cumulant V_j = W_{j+1}
-    at the source column,  Khat(x_i, x_j) = + psi(x_i) V_j^{-1} phi(x_j)^* h rho_j,
-    and (1+K)(1+Khat) = 1 telescopes exactly.  Kernel data: triangular solve.
-    """
-    if data.kind == "kernel":
-        pair = data.factorization()
-        n = pair.K_plus.shape[0]
-        if sign == "+":
-            Minv = scipy.linalg.solve_triangular(
-                np.eye(n) + pair.K_plus, np.eye(n), lower=True, unit_diagonal=True)
-            return DelsarteOp("+", Minv - np.eye(n), data.grid)
-        B = scipy.linalg.solve_triangular(
-            np.eye(n) + pair.K_minus, np.eye(n), lower=False, unit_diagonal=True)
-        kern = (pair.D[:, None] * B) / pair.D[None, :] - np.eye(n)
-        return DelsarteOp("-", kern, data.grid, diag=1.0 / pair.D)
-    if sign == "-":
-        return _mirror(delsarte_inverse(data._reversed(), "+"), data.grid)
-    h = data.grid.h
-    Wc = (h * data.weights)[:, None] * np.linalg.solve(
-        data._prefix[1:], np.conj(data.left)[..., None])[..., 0]
-    Khat = np.tril(data.right @ Wc.T, -1)
-    return DelsarteOp("+", Khat, data.grid)
-
-
-def adjoint_operator(data: TransmutationData, sign: str = "+") -> DelsarteOp:
-    """The dressing operator acting on the dual side.
-
-    Built independently from the left family (or the adjoint kernel), it
-    satisfies  Omega_adj = (Omega^{-1})^dagger,  so conjugating the adjoint
-    operator with it reproduces the adjoint of the dressed operator.
-    """
-    if data.kind == "kernel":
-        pair_adj = gk_factorize(data.Phi.conj().T)
-        if sign == "+":
-            # (1+K_plus)^{-dagger} equals the unit-upper factor of Phi^dagger
-            return DelsarteOp("-", pair_adj.K_minus, data.grid)
-        raise DiscretizationError("adjoint side is built for the plus factor")
-    if sign != "+":
-        raise DiscretizationError("adjoint side is built for the plus factor")
-    h = data.grid.h
-    A = (h * data.weights)[:, None] * np.linalg.solve(
-        np.conj(data._prefix[1:]), data.left[..., None])[..., 0]
-    Kadj = np.triu(A @ np.conj(data.right).T, 1)
-    return DelsarteOp("-", Kadj, data.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +466,7 @@ def locality_check(Ltil, bandwidth: int) -> float:
     return float(off / max(np.linalg.norm(sub), 1e-300))
 
 
-def independence_check(data: TransmutationData):
+def independence_check(data: TransmutationData | KernelData):
     """(operator gap, commutation residual) between the two signs.
 
     The conjugations by Omega_plus and by Omega_minus agree exactly when
@@ -478,18 +474,18 @@ def independence_check(data: TransmutationData):
     returned so valid dressing data can be certified and generic data
     flagged.
     """
-    Mp = delsarte_operator(data, "+").matrix()
-    Mm = delsarte_operator(data, "-").matrix()
+    Mp = data.operator("+").matrix()
+    Mm = data.operator("-").matrix()
     L = data.L
     Ltp = _conjugate(Mp, L, lower=True)
     Ltm = _conjugate(Mm, L, lower=False)
     gap = float(np.linalg.norm(Ltp - Ltm) / max(np.linalg.norm(Ltp), 1e-300))
-    # Omega_plus is unit lower triangular on both kinds of data
+    # Omega_plus is unit lower triangular for both data classes
     ratio = scipy.linalg.solve_triangular(Mp, Mm, lower=True, unit_diagonal=True)
     return gap, commutation_check(ratio, L)
 
 
-def adjoint_compat_check(data: TransmutationData) -> float:
+def adjoint_compat_check(data: TransmutationData | KernelData) -> float:
     """|| (Omega L Omega^{-1})^dagger - Omega_adj L^dagger Omega_adj^{-1} ||_F / ||L||_F.
 
     Omega_adj is constructed independently from the swapped family (or the
@@ -497,8 +493,8 @@ def adjoint_compat_check(data: TransmutationData) -> float:
     adjoints commute for this data.
     """
     L = data.L
-    M = delsarte_operator(data, "+").matrix()
-    Madj = adjoint_operator(data, "+").matrix()
+    M = data.operator("+").matrix()
+    Madj = data.adjoint().matrix()
     A = _conjugate(M, L, lower=True).conj().T
     B = _conjugate(Madj, L.conj().T, lower=False)
     return float(np.linalg.norm(A - B) / max(np.linalg.norm(L), 1e-300))

@@ -3,18 +3,19 @@ sign independence, adjoint compatibility, and the Volterra property."""
 
 import dataclasses
 import pickle
+import re
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delsarte import (ConditionNumberError, DelsarteOp, DiffOp, DressingSeed,
-                      Grid1D, GridError, ProductGrid, SchrodingerOp,
-                      SingularKernelError, TransmutationData,
-                      adjoint_compat_check, adjoint_operator,
-                      build_kernel_Omega, darboux_once, delsarte_apply,
-                      delsarte_inverse, delsarte_operator, discretize,
+                      Grid1D, GridError, KernelData, ProductGrid,
+                      SchrodingerOp, SingularKernelError, TransmutationData,
+                      adjoint_compat_check, darboux_once, discretize,
                       eigensolve, gk_factorize, independence_check,
                       kernel_from_measure, locality_check, pair_intertwiner,
                       random_unit_minor, spectrum_compare, transform_family,
@@ -38,7 +39,7 @@ def _kernel_data(n=50, length=np.pi, weight=0.4):
     A = SchrodingerOp.free(g).matrix().A
     fam = eigensolve(A, hermitian=True)
     Phi = kernel_from_measure(fam, lambda lam: weight / (1.0 + abs(lam)))
-    return g, A, TransmutationData.from_kernel(A, Phi)
+    return g, A, KernelData(A, Phi)
 
 
 # ---------------------------------------------------------------------------
@@ -48,18 +49,18 @@ def _kernel_data(n=50, length=np.pi, weight=0.4):
 def test_trivial_kernel_gives_identity_operators():
     g = Grid1D.dirichlet(0.0, 1.0, 8)
     A = np.eye(8)
-    data = TransmutationData.from_kernel(A, np.zeros((8, 8)))
+    data = KernelData(A, np.zeros((8, 8)))
     for sign in "+-":
-        op = delsarte_operator(data, sign)
+        op = data.operator(sign)
         np.testing.assert_array_equal(op.matrix(), np.eye(8))
-        inv = delsarte_inverse(data, sign)
+        inv = data.inverse(sign)
         np.testing.assert_array_equal(inv.matrix(), np.eye(8))
 
 
 def test_family_kernels_are_strictly_triangular():
     _, _, _, data = _family_data()
-    Kp = delsarte_operator(data, "+").kernel
-    Km = delsarte_operator(data, "-").kernel
+    Kp = data.operator("+").kernel
+    Km = data.operator("-").kernel
     assert np.count_nonzero(np.triu(Kp, 0)) == 0
     assert np.count_nonzero(np.tril(Km, 0)) == 0
 
@@ -70,8 +71,8 @@ def test_closed_form_inverse_is_exact():
     n = 60
     _, _, _, data = _family_data(n)
     for sign in "+-":
-        M = delsarte_operator(data, sign).matrix()
-        Minv = delsarte_inverse(data, sign).matrix()
+        M = data.operator(sign).matrix()
+        Minv = data.inverse(sign).matrix()
         np.testing.assert_allclose(M @ Minv, np.eye(n), atol=1e-13)
         np.testing.assert_allclose(Minv @ M, np.eye(n), atol=1e-13)
 
@@ -79,12 +80,12 @@ def test_closed_form_inverse_is_exact():
 def test_kernel_kind_reconstructs_factorization():
     n = 50
     _, _, data = _kernel_data(n)
-    Mp_inv = delsarte_inverse(data, "+").matrix()
-    Mm = delsarte_operator(data, "-").matrix()
+    Mp_inv = data.inverse("+").matrix()
+    Mm = data.operator("-").matrix()
     np.testing.assert_allclose(Mp_inv @ Mm, np.eye(n) + data.Phi, atol=1e-12)
     for sign in "+-":
-        M = delsarte_operator(data, sign).matrix()
-        Minv = delsarte_inverse(data, sign).matrix()
+        M = data.operator(sign).matrix()
+        Minv = data.inverse(sign).matrix()
         np.testing.assert_allclose(M @ Minv, np.eye(n), atol=1e-12)
 
 
@@ -93,20 +94,46 @@ def test_apply_streams_the_matrix_action():
     rng = np.random.default_rng(0)
     f = rng.standard_normal(50) + 1j * rng.standard_normal(50)
     for sign in "+-":
-        M = delsarte_operator(data, sign).matrix()
-        np.testing.assert_allclose(delsarte_apply(data, f, sign), M @ f,
+        M = data.operator(sign).matrix()
+        np.testing.assert_allclose(data.apply(f, sign), M @ f,
                                    atol=1e-13)
 
 
 def test_biorthogonality_transport():
     # dressing with Omega and the adjoint-side factor preserves the pairing
     _, A, fam, data = _family_data()
-    M = delsarte_operator(data, "+").matrix()
-    Madj = adjoint_operator(data, "+").matrix()  # (Omega^{-1})^dagger
+    M = data.operator("+").matrix()
+    Madj = data.adjoint().matrix()  # (Omega^{-1})^dagger
     psi_t = M @ fam.right
     phi_t = Madj @ fam.left
     G = phi_t.conj().T @ psi_t
     np.testing.assert_allclose(G, np.eye(len(fam)), atol=1e-10)
+
+
+def _bad_operators(n):
+    """Operators no dressing data of size n may take: the wrong size, not
+    square, and not finite."""
+    return (np.eye(7), np.ones((n, n - 1)), np.full((n, n), np.nan))
+
+
+def _shape_message(L):
+    return re.escape(str(np.shape(L)))
+
+
+def test_family_data_needs_a_finite_operator_of_grid_size():
+    g, A, fam, _ = _family_data()
+    for L in _bad_operators(g.n):
+        with pytest.raises(DiscretizationError, match=_shape_message(L)):
+            TransmutationData.from_family(g, L, fam.right, fam.left)
+
+
+def test_kernel_data_needs_a_finite_operator_of_kernel_size():
+    _, A, datak = _kernel_data()
+    for L in _bad_operators(A.shape[0]):
+        with pytest.raises(DiscretizationError, match=_shape_message(L)):
+            KernelData(L, datak.Phi)
+    with pytest.raises(DiscretizationError, match=_shape_message(A[:, :-1])):
+        KernelData(A[:, :-1], datak.Phi[:, :-1])
 
 
 def test_singular_running_normalization_detected():
@@ -118,6 +145,37 @@ def test_singular_running_normalization_detected():
     with pytest.raises(SingularKernelError):
         TransmutationData.from_family(g, A, fam.right, fam.left,
                                       omega0=-0.5 * gram)
+
+
+def _strictly_triangular(op):
+    outside = np.triu(op.kernel, 0) if op.sign == "+" else np.tril(op.kernel, 0)
+    return np.count_nonzero(outside) == 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(kappa=st.floats(0.6, 1.4), half_width=st.floats(4.0, 10.0),
+       n=st.integers(40, 160), m=st.sampled_from([1, 2, 3]))
+def test_dressing_data_is_exact_on_soliton_operators(kappa, half_width, n, m):
+    base, dressed = acceptance.soliton_pair((-half_width, half_width), n, kappa)
+    data, datak = acceptance.dressing_data(
+        base.grid, dressed.operator.matrix().A, m)
+    eye = np.eye(n)
+    f = np.linspace(-1.0, 1.0, n)
+    for sign in "+-":
+        op, inv = data.operator(sign), data.inverse(sign)
+        M = op.matrix()
+        np.testing.assert_allclose(M @ inv.matrix(), eye, atol=1e-12)
+        np.testing.assert_allclose(data.apply(f, sign), M @ f, atol=1e-12)
+        assert _strictly_triangular(op) and _strictly_triangular(inv)
+    adj = data.adjoint()
+    np.testing.assert_allclose(adj.matrix(), data.inverse("+").matrix().conj().T,
+                               atol=1e-12)
+    assert _strictly_triangular(adj)
+    kops = [datak.operator(s) for s in "+-"] + [datak.inverse(s) for s in "+-"]
+    kops.append(datak.adjoint())
+    assert all(_strictly_triangular(op) for op in kops)
+    np.testing.assert_allclose(kops[2].matrix() @ kops[1].matrix(),
+                               eye + datak.Phi, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +201,7 @@ def test_non_finite_family_rejected():
 
 def test_omega_homotopy_normalization_bit_exact():
     g, _, _, data = _family_data()
-    K = build_kernel_Omega(data, data.x0)
+    K = data.omega_at(g.a)
     np.testing.assert_array_equal(K, data.omega0)
 
 
@@ -155,7 +213,7 @@ def test_omega_full_domain_completeness():
     A = SchrodingerOp.free(g).matrix().A
     fam = eigensolve(A, count=m, hermitian=True, weights=np.full(n, g.h))
     data = TransmutationData.from_family(g, A, fam.right, fam.left)
-    K = build_kernel_Omega(data, g.x[-1])
+    K = data.omega_at(g.x[-1])
     np.testing.assert_allclose(K, 2.0 * np.eye(m), atol=1e-10)
 
 
@@ -163,7 +221,7 @@ def test_omega_diagonal_monotone_for_self_adjoint():
     g, _, _, data = _family_data()
     diags = []
     for x in g.x[:: 10]:
-        diags.append(np.real(np.diag(build_kernel_Omega(data, x))))
+        diags.append(np.real(np.diag(data.omega_at(x))))
     diags = np.array(diags)
     assert np.all(np.diff(diags, axis=0) >= -1e-14)
 
@@ -171,7 +229,7 @@ def test_omega_diagonal_monotone_for_self_adjoint():
 def test_omega_outside_domain_rejected():
     g, _, _, data = _family_data()
     with pytest.raises(GridError):
-        build_kernel_Omega(data, g.b + 1.0)
+        data.omega_at(g.b + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +313,8 @@ def test_cond_bounds_two_norm_condition_number():
     _, _, _, data = _family_data()
     _, _, datak = _kernel_data()
     ops = [pair_intertwiner(L, T, s, grid=g) for s in "+-"]
-    ops += [f(d, s) for d in (data, datak)
-            for f in (delsarte_operator, delsarte_inverse) for s in "+-"]
+    ops += [f(s) for d in (data, datak)
+            for f in (d.operator, d.inverse) for s in "+-"]
     assert {(om.sign, om.diag is not None) for om in ops} == {
         ("+", False), ("-", False), ("-", True)}
     for om in ops:
@@ -342,12 +400,6 @@ def test_adjoint_compatibility_both_kinds():
     assert adjoint_compat_check(datak) < 1e-12
 
 
-def test_adjoint_operator_unsupported_sign():
-    _, _, _, data = _family_data()
-    with pytest.raises(DiscretizationError):
-        adjoint_operator(data, "-")
-
-
 def test_transform_family_preserves_commutators():
     g, L, T = _soliton(200, 8.0)
     om = pair_intertwiner(L, T, "+", grid=g)
@@ -360,12 +412,12 @@ def test_transform_family_preserves_commutators():
 def test_volterra_defect_structural():
     _, _, _, data = _family_data()
     for sign in "+-":
-        op = delsarte_operator(data, sign)
+        op = data.operator(sign)
         assert op.volterra_defect() == 0.0
     _, _, datak = _kernel_data()
     for sign in "+-":
-        assert delsarte_operator(datak, sign).volterra_defect() == 0.0
-        assert delsarte_inverse(datak, sign).volterra_defect() == 0.0
+        assert datak.operator(sign).volterra_defect() == 0.0
+        assert datak.inverse(sign).volterra_defect() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +462,15 @@ def test_real_pair_factor_stays_real():
 
 
 def _factors(data):
-    """Every factor the data builds, with a streamed application."""
-    ops = [delsarte_operator(data, s) for s in "+-"]
-    ops += [delsarte_inverse(data, s) for s in "+-"]
-    ops.append(adjoint_operator(data, "+"))
+    """Every factor the data builds; family data adds its streamed action."""
+    ops = [data.operator(s) for s in "+-"]
+    ops += [data.inverse(s) for s in "+-"]
+    ops.append(data.adjoint())
     mats = [op.matrix() for op in ops]
+    if isinstance(data, KernelData):
+        return mats
     f = np.linspace(1.0, 2.0, data.L.shape[0])
-    return mats + [delsarte_apply(data, f, s) for s in "+-"]
+    return mats + [data.apply(f, s) for s in "+-"]
 
 
 def test_factor_dtype_follows_family_and_kernel_data():
@@ -431,7 +485,7 @@ def test_factor_dtype_follows_family_and_kernel_data():
         TransmutationData.from_family(g, A, fam.right.astype(complex), fam.left),
         TransmutationData.from_family(g, A, fam.right, fam.left.astype(complex)),
         TransmutationData.from_family(g, A, fam.right, fam.left, omega0=1.0 + 0.5j),
-        TransmutationData.from_kernel(A, datak.Phi.astype(complex)),
+        KernelData(A, datak.Phi.astype(complex)),
     ]
     for d in cplx:
         for M in _factors(d):
@@ -440,8 +494,8 @@ def test_factor_dtype_follows_family_and_kernel_data():
 
 def _complex_data(data):
     """The same dressing data with every array cast to complex."""
-    if data.kind == "kernel":
-        return TransmutationData.from_kernel(data.L, data.Phi.astype(complex))
+    if isinstance(data, KernelData):
+        return KernelData(data.L, data.Phi.astype(complex))
     return TransmutationData.from_family(
         data.grid, data.L, data.right.astype(complex), data.left.astype(complex),
         data.weights, data.omega0.astype(complex))
@@ -467,7 +521,8 @@ def test_real_family_route_matches_complex_cast(n, monkeypatch):
     rows, tables, real = run(False)
     rows_c, tables_c, cplx = run(True)
     assert all(d.L.dtype == np.float64 for d in real)
-    assert [d.kind for d in real] == [d.kind for d in cplx] == ["family", "kernel"]
+    assert [type(d) for d in real] == [type(d) for d in cplx] == [
+        TransmutationData, KernelData]
     assert tables["family_kernel_plus"].dtype == np.float64
     assert tables_c["family_kernel_plus"].dtype == np.complex128
     # the rows are relative residuals, so 1e-13 is relative to their scale
