@@ -13,12 +13,10 @@ identity.  Only the natural chain is built in: to factor along another node
 order p, factor Phi[p][:, p] and scatter the kernels back with the inverse
 permutation.
 
-Besides the direct elimination route the module carries the additive chain
-sum ("integral" along the chain) that rebuilds K_plus from resolvent slices,
-and the row-by-row linear-system route (the discrete analog of solving a
-layer-stripping equation for the lower kernel).  Both the elimination and
-the row-by-row route take one kernel (n, n) or a stack (B, n, n) worked in
-lockstep, so many small kernels share each elimination step and row solve.
+Besides the elimination the module carries the layer-stripping route (the
+discrete GLM equation, one chain step per row of K_plus) and the additive
+chain sum ("integral" along the chain) of resolvent slices, which sums the
+same rows.  Both take one kernel (n, n) or a stack (B, n, n) in lockstep.
 """
 
 from __future__ import annotations
@@ -118,6 +116,18 @@ def _square_kernels(Phi) -> np.ndarray:
     return Phi
 
 
+def _pivot_floor(M: np.ndarray) -> np.ndarray:
+    """1e-13 max(max|M|, 1) per matrix: a pivot at or below it is zero."""
+    return 1e-13 * np.maximum(np.max(np.abs(M), axis=(-2, -1)), 1.0)
+
+
+def _check_pivot(piv: np.ndarray, tiny: np.ndarray, k: int) -> np.ndarray:
+    if (bad := np.abs(piv) <= tiny).any():
+        raise SingularMinorError(
+            k + 1, f"leading principal minor of size {k + 1}{_in_stack(bad)} is singular")
+    return piv
+
+
 def _ldu(M: np.ndarray):
     """Unpivoted Doolittle LDU of a matrix or a stack (..., n, n); raises
     SingularMinorError at the first bad pivot.
@@ -139,16 +149,11 @@ def _ldu(M: np.ndarray):
     L = np.broadcast_to(np.eye(n, dtype=A.dtype), A.shape).copy()
     U = L.copy()
     d = np.zeros(A.shape[:-1], dtype=A.dtype)
-    tiny = 1e-13 * np.maximum(np.max(np.abs(M), axis=(-2, -1)), 1.0)
+    tiny = _pivot_floor(M)
     for b0 in range(0, n, _LDU_BLOCK):
         b1 = min(b0 + _LDU_BLOCK, n)
         for k in range(b0, b1):
-            piv = A[..., k, k]
-            bad = np.abs(piv) <= tiny
-            if bad.any():
-                raise SingularMinorError(
-                    k + 1, f"leading principal minor of size {k + 1}"
-                    f"{_in_stack(bad)} is singular")
+            piv = _check_pivot(A[..., k, k], tiny, k)
             d[..., k] = piv
             if k + 1 < b1:
                 r = slice(k + 1, b1)
@@ -191,6 +196,30 @@ def gk_factorize(Phi: np.ndarray) -> TriangularPair:
                           residual if residual.ndim else float(residual))
 
 
+def _glm_sweep(Phi: np.ndarray) -> np.ndarray:
+    """K_plus of the GLM equation in one O(n^3) sweep along the chain.
+
+    Row i is -Phi[i, :i] M_i^{-1} (M_i the leading block of M = 1 + Phi) and
+    M_i^{-1} = V_i (1 + K_plus)_i, V_i = U_i^{-1} for the upper triangular
+    U = (1 + K_plus) M; V gains column i from U's column i at step i.  Each
+    product is one ``einsum`` for a whole stack, so a kernel keeps its bits.
+    """
+    tiny = _pivot_floor(np.eye(Phi.shape[-1]) + Phi)
+    K, V = (np.zeros(Phi.shape, np.result_type(Phi, float)) for _ in range(2))
+    for i in range(Phi.shape[-1]):
+        w = np.einsum("...j,...jk->...k", Phi[..., i, :i], V[..., :i, :i])
+        k = -(w + np.einsum("...j,...jk->...k", w, K[..., :i, :i]))
+        if not (finite := np.isfinite(k).all(axis=-1)).all():
+            raise SingularMinorError(i, f"row {i} elimination overflowed{_in_stack(~finite)}")
+        K[..., i, :i] = k
+        # U[:i+1, i] = M[:i+1, i] + K[:i+1, :i] M[:i, i]; only U[i, i] holds M's 1
+        u = Phi[..., :i + 1, i] + np.einsum("...jk,...k->...j", K[..., :i + 1, :i], Phi[..., :i, i])
+        p = _check_pivot(u[..., i] + 1.0, tiny, i)
+        V[..., :i, i] = -np.einsum("...jk,...k->...j", V[..., :i, :i], u[..., :i]) / p[..., None]
+        V[..., i, i] = 1.0 / p
+    return K
+
+
 def gk_integral_factors(Phi: np.ndarray) -> np.ndarray:
     """Additive chain-sum reconstruction of K_plus.
 
@@ -199,53 +228,24 @@ def gk_integral_factors(Phi: np.ndarray) -> np.ndarray:
         - dP_k  Phi  P  (1 + P Phi P)^{-1},
 
     with P the prefix projector evaluated on the left endpoint of the step.
-    The result is strictly lower triangular and agrees with the elimination
-    K_plus exactly whenever Phi is one-sided triangular.
+    Slice k is row k of the GLM K_plus, so the strictly lower sum is the
+    O(n^3) sweep of :func:`glm_solve`, equal to the elimination K_plus at
+    roundoff.
     """
-    Phi = np.asarray(Phi)
-    n = Phi.shape[0]
-    K = np.zeros((n, n), dtype=np.result_type(Phi, float))
-    for row in range(1, n):
-        block = np.eye(row) + Phi[:row, :row]
-        try:
-            sol = np.linalg.solve(block.T, Phi[row, :row].conj()).conj()
-        except np.linalg.LinAlgError as exc:
-            raise SingularMinorError(
-                row, f"chain-sum slice at step {row + 1}: {exc}") from exc
-        K[row, :row] -= sol
-    return K
+    return _glm_sweep(_square_kernels(Phi))
 
 
 def glm_solve(Phi: np.ndarray):
-    """Row-by-row solve of K_plus + Phi + K_plus Phi = K_minus.
+    """Solve K_plus + Phi + K_plus Phi = K_minus along the chain, O(n^3).
 
-    Row i of K_plus is the unique strictly-lower row making the strictly
-    lower part of the left side vanish; K_minus is then read off as the
-    upper (diagonal included) remainder, whose lower part is structurally
-    zero.  ``Phi`` is one kernel (n, n) or a stack (B, n, n); a stack takes
-    one batched solve per row, and each kernel gets the bits it gets alone.
-    Returns (K_plus, K_minus), real for a real Phi and complex for a
-    complex one.  Raises :class:`DiscretizationError` on a non-square kernel.
+    Row i of K_plus is the strictly-lower row that clears the strictly lower
+    part of the left side; K_minus is the upper remainder, diagonal included.
+    ``Phi`` is one kernel (n, n) or a stack (B, n, n) swept in lockstep, each
+    kernel keeping its bits; real for a real Phi.  Raises DiscretizationError
+    on a non-square kernel and SingularMinorError where gk_factorize does.
     """
     Phi = _square_kernels(Phi)
-    n = Phi.shape[-1]
-    K = np.zeros(Phi.shape, dtype=np.result_type(Phi, float))
-    # the leading blocks of 1 + Phi, formed once: adding the identity to
-    # a stack block by block broadcasts slowly
-    M = np.eye(n) + Phi
-    for i in range(1, n):
-        # u^T (1 + Phi_leading) = -Phi[i, :i]
-        blockT = np.swapaxes(M[..., :i, :i], -1, -2)
-        try:
-            u = np.linalg.solve(blockT, -Phi[..., i, :i, None])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularMinorError(
-                i, f"row {i} elimination hit a singular minor"
-                f"{_in_stack(np.linalg.det(blockT) == 0.0)}") from exc
-        finite = np.all(np.isfinite(u), axis=-1)
-        if not finite.all():
-            raise SingularMinorError(i, f"row {i} elimination overflowed{_in_stack(~finite)}")
-        K[..., i, :i] = u
+    K = _glm_sweep(Phi)
     return K, np.triu(K + Phi + K @ Phi, 0)
 
 
