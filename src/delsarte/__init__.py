@@ -26,10 +26,9 @@ from .grid_ops import (DiffOp, Grid1D, OperatorMatrix, ProductGrid,
 from .spectral import (EigenFamily, congruence_residual, eigensolve,
                        elementary_kernel, kernel_from_measure,
                        projection_measure)
-from .lagrange import (FormField, SurfaceRegion,
-                       bilinear_concomitant, boundary, coboundary,
-                       divergence_residual, exterior_derivative, form_norm,
-                       primitive, surface_integral)
+from .lagrange import (FormField, SurfaceRegion, bilinear_concomitant,
+                       boundary, divergence_residual, exterior_derivative,
+                       form_norm, primitive, surface_integral)
 from .transmute import (DelsarteOp, KernelData, TransmutationData,
                         adjoint_compat_check, independence_check,
                         locality_check, pair_intertwiner, transform_family,

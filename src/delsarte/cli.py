@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from importlib import resources
@@ -278,6 +279,15 @@ def _seed_type(text: str) -> int:
     return value
 
 
+def _finite_number(text: str) -> float:
+    """A JSON number of the config; NaN, Infinity and overflowing literals
+    such as 1e999 are rejected by name."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text} in config")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="delsarte",
@@ -293,8 +303,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        config = json.loads(Path(args.config).read_text(encoding="utf-8"),
+                            parse_float=_finite_number, parse_constant=_finite_number)
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

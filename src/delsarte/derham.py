@@ -25,8 +25,8 @@ import scipy.linalg
 from .errors import (DegreeMismatchError, DiscretizationError,
                      NonCommutingFamilyError, NotClosedError)
 from .grid_ops import Grid1D, ProductGrid
-from .lagrange import (FormField, _subsets, d_matrix, forward_diff_matrix,
-                       form_norm, surface_integral)
+from .lagrange import (FormField, _apply_d, _subsets, d_matrix,
+                       forward_diff_matrix, form_norm, surface_integral)
 
 __all__ = [
     "GenComplex",
@@ -199,10 +199,7 @@ def d_L(c: GenComplex, beta: FormField) -> FormField:
     """Twisted exterior derivative sum_j dt_j wedge (L_j beta), applied as
     the complex's cached coboundary matrix; its dtype is the common type of
     the axis operators and the form."""
-    k = beta.degree
-    if k >= c.grid.ndim:
-        raise DegreeMismatchError("top-degree forms have identically zero differential")
-    return FormField.from_stack(c.grid, k + 1, c.d_matrix(k) @ beta.stack())
+    return _apply_d(c.grid, c.d_matrix(beta.degree), beta)
 
 
 def _star_sign(S: tuple, k: int) -> int:
@@ -344,13 +341,16 @@ def skrypnik_map(c: GenComplex, phi0: np.ndarray, psis: list,
     ``phi0`` is a zero-form in the kernel of the dual complex (constant for
     the trivial fiber); each psi_j must be d_L-closed.  The fiber indices
     are contracted pointwise, leaving scalar k-forms whose integrals over
-    k-cycles are homology invariants.  A non-finite entry raises
-    ``DiscretizationError`` in ``phi0`` and ``NotClosedError`` in a psi_j.
+    k-cycles are homology invariants.  A ``phi0`` of the wrong size or with
+    a non-finite entry raises ``DiscretizationError``; a non-finite entry in
+    a psi_j raises ``NotClosedError``.
     """
     grid = c.grid
     phi0 = np.asarray(phi0, dtype=complex)
-    if phi0.shape != grid.shape + (grid.fiber_dim,):
-        phi0 = grid.unflatten_field(phi0)
+    if phi0.size != grid.total_dim:
+        raise DiscretizationError(
+            f"phi0 has shape {phi0.shape}, want {grid.shape + (grid.fiber_dim,)}")
+    phi0 = grid.unflatten_field(phi0)
     if not np.all(np.isfinite(phi0)):
         raise DiscretizationError(
             f"phi0 has {np.count_nonzero(~np.isfinite(phi0))} non-finite entries")

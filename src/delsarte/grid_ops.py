@@ -12,13 +12,13 @@ assembled matrices.
 
 Flattening convention, shared by every module in the package: axis-major
 (C order, last axis fastest), fiber index innermost.  Fields follow it by
-plain C-order reshapes; axis operators follow it through three private
+plain C-order reshapes; axis operators follow it through two private
 helpers, the only places its Kronecker structure is written down:
-:func:`_lift` turns a 1-D matrix on one axis into  I x ... x D1 x ... x I x I_N
-on flattened fields, :func:`_apply_along` applies a 1-D matrix along one
-axis of a shaped field, and :func:`_shift_pairs` lists the node pairs one
-stencil offset per axis connects, so :func:`discretize` writes each stencil
-weight straight onto the nonzeros of the lifted operator.
+:func:`_apply_along` applies a 1-D matrix along one axis of a shaped field,
+and :func:`_shift_pairs` lists the node pairs one stencil offset per axis
+connects, so :func:`discretize` (and ``lagrange.forward_diff_matrix``)
+writes each stencil weight straight onto the nonzeros of the operator
+I x ... x D1 x ... x I x I_N on flattened fields.
 """
 
 from __future__ import annotations
@@ -69,6 +69,8 @@ class Grid1D:
             raise GridError(f"unknown boundary kind {self.boundary!r}")
         if self.n < 5:
             raise GridError("grids need at least 5 unknowns")
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise GridError(f"non-finite endpoint in [{self.a}, {self.b}]")
         if not (self.b > self.a):
             raise GridError("empty interval")
 
@@ -145,14 +147,6 @@ def inner(grid, u: np.ndarray, v: np.ndarray) -> complex:
     """Discrete L^2 pairing sum_nodes vol * conj(u).v (conjugate-linear in u)."""
     w = grid.vol if isinstance(grid, ProductGrid) else grid.h
     return w * complex(np.vdot(np.asarray(u).ravel(), np.asarray(v).ravel()))
-
-
-def _lift(grid: ProductGrid, axis: int, D1: np.ndarray) -> np.ndarray:
-    """I x ... x D1 x ... x I x I_N: a 1-D matrix on ``axis`` acting on
-    flattened fields (axes before ``axis`` vary slower, the fiber fastest)."""
-    before = int(np.prod(grid.shape[:axis]))
-    after = int(np.prod(grid.shape[axis + 1:])) * grid.fiber_dim
-    return np.kron(np.kron(np.eye(before), D1), np.eye(after))
 
 
 def _apply_along(D1: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:

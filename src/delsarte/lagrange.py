@@ -20,6 +20,13 @@ k-forms with a forward-difference exterior derivative, oriented cell/facet
 regions, and one-point (base corner) facet quadrature.  In that pairing the
 discrete Stokes theorem is an identity, not an approximation, which is what
 makes telescoping sums and period integrals reliable at roundoff level.
+
+There is one exterior derivative, the block matrix :func:`d_matrix`,
+
+    (d w)[T] = sum_{a in T} (-1)^{pos_T(a)} L_a w[T - a]
+
+on stacked components: the forward differences L_a give
+:func:`exterior_derivative`, and a commuting family gives ``derham.d_L``.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ import numpy as np
 
 from .errors import (DegreeMismatchError, DiscretizationError, GridError,
                      NotClosedError, NotExactError)
-from .grid_ops import (DiffOp, ProductGrid, _apply_along, _lift,
+from .grid_ops import (DiffOp, ProductGrid, _apply_along, _shift_pairs,
                        derivative_matrix, discretize, formal_adjoint)
 
 __all__ = [
@@ -40,7 +47,6 @@ __all__ = [
     "bilinear_concomitant",
     "divergence_residual",
     "exterior_derivative",
-    "coboundary",
     "boundary",
     "surface_integral",
     "primitive",
@@ -110,18 +116,21 @@ class FormField:
 
     def stack(self) -> np.ndarray:
         """All components as one vector, subsets in lexicographic order."""
-        r = self.grid.ndim
-        return np.concatenate([self.component(S).ravel() for S in _subsets(r, self.degree)]) \
-            if _subsets(r, self.degree) else np.zeros(0)
+        return np.concatenate([self.component(S).ravel()
+                               for S in _subsets(self.grid.ndim, self.degree)])
 
     @classmethod
     def from_stack(cls, grid: ProductGrid, degree: int, vec: np.ndarray) -> "FormField":
-        r = grid.ndim
+        subsets = _subsets(grid.ndim, degree)
         block = grid.total_dim
-        comps = {}
-        for j, S in enumerate(_subsets(r, degree)):
-            comps[S] = np.asarray(vec)[j * block:(j + 1) * block].reshape(
-                grid.shape + (grid.fiber_dim,))
+        vec = np.asarray(vec)
+        want = (len(subsets) * block,)
+        if vec.shape != want:
+            raise DiscretizationError(
+                f"stack of shape {vec.shape} does not fit a degree-{degree} form on "
+                f"nodes x fiber {grid.shape + (grid.fiber_dim,)}: want {want}")
+        comps = {S: vec[j * block:(j + 1) * block].reshape(grid.shape + (grid.fiber_dim,))
+                 for j, S in enumerate(subsets)}
         return cls(grid, degree, comps)
 
 
@@ -131,68 +140,42 @@ def form_norm(form: FormField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# forward differences and the coboundary
+# the exterior derivative
 # ---------------------------------------------------------------------------
 
-def _shift_down(grid: ProductGrid, axis: int, arr: np.ndarray) -> np.ndarray:
-    """arr evaluated one node ahead along axis (wrap or zero extension)."""
-    g = grid.axes[axis]
-    if g.boundary == "periodic":
-        return np.roll(arr, -1, axis=axis)
-    out = np.zeros_like(arr)
-    src = [slice(None)] * arr.ndim
-    dst = [slice(None)] * arr.ndim
-    src[axis] = slice(1, None)
-    dst[axis] = slice(0, -1)
-    out[tuple(dst)] = arr[tuple(src)]
-    return out
-
-
-def forward_diff(grid: ProductGrid, axis: int, arr: np.ndarray) -> np.ndarray:
-    return (_shift_down(grid, axis, arr) - arr) / grid.axes[axis].h
-
-
 def forward_diff_matrix(grid: ProductGrid, axis: int) -> np.ndarray:
-    """Forward difference along one axis as a matrix on flattened fields."""
-    g = grid.axes[axis]
-    D = -np.eye(g.n)
-    idx = np.arange(g.n - 1)
-    D[idx, idx + 1] = 1.0
-    if g.boundary == "periodic":
-        D[-1, 0] = 1.0
-    D /= g.h
-    return _lift(grid, axis, D)
+    """Forward difference along one axis as a matrix on flattened fields:
+    1/h on the node pairs one step apart (wrapping on a periodic axis,
+    dropped at the end of a Dirichlet one) and -1/h on the diagonal."""
+    h = grid.axes[axis].h
+    N = grid.fiber_dim
+    D = np.zeros((grid.total_dim, grid.total_dim))
+    blocks = D.reshape(grid.nnodes, N, grid.nnodes, N)
+    rows, cols = _shift_pairs(grid, {axis: 1})
+    fiber = np.arange(N)
+    blocks[rows[:, None], fiber, cols[:, None], fiber] = 1.0 / h
+    np.fill_diagonal(D, -1.0 / h)
+    return D
 
 
-def coboundary(form: FormField, apply_ops) -> FormField:
-    """Exterior derivative with caller-supplied axis generators.
-
-    ``apply_ops[a]`` maps a shaped field (*shape, N) to a shaped field; the
-    output (k+1)-form is  (d w)[T] = sum_{a in T} (-1)^{pos_T(a)} op_a w[T - a].
-    Antisymmetry plus pairwise commuting generators give d(d w) = 0 exactly.
-    """
-    grid = form.grid
-    r = grid.ndim
+def _apply_d(grid: ProductGrid, D: np.ndarray, form: FormField) -> FormField:
+    """The (k+1)-form D @ form.stack() for a coboundary matrix D from degree
+    k built on ``grid``: the one place a coboundary matrix meets a form."""
     k = form.degree
-    if k >= r:
+    if k >= grid.ndim:
         raise DegreeMismatchError("top-degree forms have identically zero differential")
-    out: dict = {}
-    for S, arr in form.comps.items():
-        for a in range(r):
-            if a in S:
-                continue
-            T = tuple(sorted(S + (a,)))
-            sign = (-1) ** T.index(a)
-            contrib = sign * apply_ops[a](arr)
-            out[T] = out[T] + contrib if T in out else contrib
-    return FormField(grid, k + 1, out)
+    have = form.grid.shape + (form.grid.fiber_dim,)
+    want = grid.shape + (grid.fiber_dim,)
+    if have != want:
+        raise DiscretizationError(
+            f"a form on nodes x fiber {have} does not fit a coboundary built for {want}")
+    return FormField.from_stack(grid, k + 1, D @ form.stack())
 
 
 def exterior_derivative(form: FormField) -> FormField:
-    """Plain forward-difference exterior derivative (exactly nilpotent)."""
-    grid = form.grid
-    ops = [lambda arr, a=a: forward_diff(grid, a, arr) for a in range(grid.ndim)]
-    return coboundary(form, ops)
+    """Plain forward-difference exterior derivative (exactly nilpotent):
+    :func:`d_matrix` applied to the stacked components."""
+    return _apply_d(form.grid, d_matrix(form.grid, form.degree), form)
 
 
 def d_matrix(grid: ProductGrid, degree: int, axis_mats: list | None = None) -> np.ndarray:

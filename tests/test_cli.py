@@ -268,6 +268,32 @@ def test_library_parameters_are_read():
     assert unread == []
 
 
+def test_axis_layout_lives_in_two_helpers():
+    """The Kronecker layout of flattened fields is spelled out only by
+    ``grid_ops._apply_along`` (``np.tensordot``) and ``derham.flat_complex``
+    (``np.kron``, the fiber generator on every node); ``np.roll`` appears
+    nowhere."""
+    import delsarte
+    allowed = {"tensordot": {("grid_ops.py", "_apply_along")},
+               "kron": {("derham.py", "flat_complex")},
+               "roll": set()}
+    offenders = []
+
+    def visit(node, path, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Attribute) and node.attr in allowed
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+                and (path.name, where) not in allowed[node.attr]):
+            offenders.append(f"{path.name}:{node.lineno} {where} np.{node.attr}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, where)
+
+    for path in sorted(Path(delsarte.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "<module>")
+    assert offenders == []
+
+
 # ---------------------------------------------------------------------------
 # exit code 1: a residual fails
 # ---------------------------------------------------------------------------
@@ -322,6 +348,26 @@ def test_grid_too_small_for_the_seed_gate(tmp_path):
     for command in ("darboux", "transmute"):
         code, _ = _run(tmp_path, dict(DARBOUX_CFG, command=command, n=6))
         assert code == 2
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"command": "darboux", "domain": [-8, 8], "n": 100, "kappa": NaN}', "NaN"),
+    ('{"command": "darboux", "domain": [-8, Infinity], "n": 100, "kappa": 1}', "Infinity"),
+    ('{"command": "darboux", "domain": [-8, 1e999], "n": 100, "kappa": 1}', "1e999"),
+    ('{"command": "derham", "shape": [6, 6], "periods": [1, Infinity]}', "Infinity"),
+    ('{"command": "factorize", "size": 6, "count": 1, "scale": NaN}', "NaN"),
+    ('{"command": "verify", "tolerance_scale": NaN}', "NaN"),
+], ids=["kappa_nan", "domain_inf", "domain_1e999", "periods_inf", "scale_nan",
+        "tolerance_scale_nan"])
+def test_non_finite_config_number_is_rejected(tmp_path, capsys, text, named):
+    # Python's json reads NaN, Infinity and 1e999, and the schema lets NaN
+    # through; the loader rejects each before any computation
+    p = tmp_path / "cfg.json"
+    p.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([json.loads(text)["command"], "--config", str(p), "--out", str(out)]) == 2
+    assert f"non-finite number {named}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_derham_axis_too_short_for_a_grid(tmp_path, capsys):

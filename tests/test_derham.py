@@ -292,6 +292,28 @@ def test_non_finite_phi0_rejected():
         skrypnik_map(c, phi0, [psi], [SurfaceRegion.axis_loop(pg, 0, (0, 0))])
 
 
+@pytest.mark.parametrize("case", ["from_stack", "d_L", "d_L_transposed", "skrypnik_map"])
+def test_bad_shapes_name_both(case):
+    # the message names both shapes; a transposed grid has the right size
+    # but the wrong layout, so d_L compares grid shapes, not lengths
+    pg = _torus(6, 8)
+    c = plain_complex(pg)
+    loop = [SurfaceRegion.axis_loop(pg, 0, (0, 0))]
+    calls = {
+        "from_stack": (lambda: FormField.from_stack(pg, 1, np.zeros(95)),
+                       ("(95,)", "(96,)")),
+        "d_L": (lambda: d_L(c, FormField(_torus(6, 6), 0)), ("(6, 6, 1)", "(6, 8, 1)")),
+        "d_L_transposed": (lambda: d_L(c, FormField(_torus(8, 6), 1)),
+                           ("(8, 6, 1)", "(6, 8, 1)")),
+        "skrypnik_map": (lambda: skrypnik_map(c, np.ones(47), [FormField(pg, 1)], loop),
+                         ("(47,)", "(6, 8, 1)")),
+    }
+    call, shapes = calls[case]
+    with pytest.raises(DiscretizationError) as err:
+        call()
+    assert all(s in str(err.value) for s in shapes), str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # flat sections
 # ---------------------------------------------------------------------------

@@ -36,6 +36,12 @@ def test_grid_rejects_bad_input():
         Grid1D(0.0, 1.0, 8, "neumann")
 
 
+@pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)])
+def test_grid_rejects_non_finite_endpoint(a, b):
+    with pytest.raises(GridError, match="non-finite endpoint"):
+        Grid1D.dirichlet(a, b, 8)
+
+
 def test_product_grid_bookkeeping():
     pg = ProductGrid((Grid1D.periodic(0, 1, 6), Grid1D.dirichlet(0, 1, 5)), 2)
     assert pg.shape == (6, 5)
