@@ -7,8 +7,10 @@ residual failed, 2 the config did not validate, 3 the computation raised.
 
 Every command takes its rows from the shared checks in
 :mod:`delsarte.acceptance`, the same functions the verify battery runs, so
-a residual is computed in one place; this module only dispatches, writes
-artifacts and assembles the report.
+a residual is computed in one place.  ``COMMANDS`` maps each command to its
+check, the data tables it saves as CSV and its optional plot; one runner,
+:func:`run_command`, times the check, writes the artifacts and assembles
+the report for every command.
 
 Reports are reproducible: identical config + seed give byte-identical
 digest lines; wall-clock timings live in a ``*_seconds`` field that the
@@ -37,11 +39,7 @@ from .errors import DelsarteError
 from .ioutil import (_atomic_write_text, load_matrix_csv, report_digest,
                      save_json, save_matrix_csv)
 
-COMMANDS = ("darboux", "transmute", "factorize", "derham", "verify")
-
-__all__ = ["main", "validate_config",
-           "cmd_darboux", "cmd_transmute", "cmd_factorize", "cmd_derham",
-           "cmd_verify"]
+__all__ = ["main", "validate_config", "run_command", "COMMANDS"]
 
 
 # ---------------------------------------------------------------------------
@@ -115,83 +113,26 @@ def _svg_plot(path: Path, x: np.ndarray, series: list, title: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# report assembly
+# checks: each takes the config, seed resolved, and returns (rows, data)
 # ---------------------------------------------------------------------------
 
-def _finish_report(command: str, config: dict, seed: int, rows: list,
-                   out_dir: Path, artifacts: list, timings: dict) -> dict:
-    report = {
-        "command": command,
-        "config": config,
-        "seed": int(seed),
-        "rows": rows,
-        "all_passed": bool(all(r["passed"] for r in rows)),
-        "artifacts": sorted(artifacts),
-        "timings_seconds": {k: float(v) for k, v in timings.items()},
-    }
-    report["digest"] = report_digest(report)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_json(out_dir / "report.json", report)
-    return report
-
-
-def _write_tables(out_dir: Path, data: dict, names: tuple) -> list:
-    """Save ``data[name]`` as ``<name>.csv`` for each name; returns the files."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name in names:
-        save_matrix_csv(out_dir / f"{name}.csv", data[name])
-    return [f"{name}.csv" for name in names]
-
-
-# ---------------------------------------------------------------------------
-# commands
-# ---------------------------------------------------------------------------
-
-def cmd_darboux(config: dict, out_dir: Path, seed: int = 0,
-                plots: bool = False) -> dict:
+def _darboux(config: dict):
     """Single dressing step with spectral bookkeeping."""
-    t0 = time.perf_counter()
-    rows, data = acceptance.darboux_check(
+    return acceptance.darboux_check(
         config["domain"], config["n"], config["kappa"],
         config.get("parity", "even"), config.get("center", 0.0),
         config.get("tolerance", 1e-8))
-    t1 = time.perf_counter()
-    artifacts = _write_tables(out_dir, data, ("potential", "spectrum"))
-    if plots:
-        pot = data["potential"]
-        artifacts.append("potential.svg")
-        _svg_plot(out_dir / "potential.svg", pot[:, 0],
-                  [("base q", pot[:, 1]), ("dressed q", pot[:, 2])],
-                  "potential before/after dressing")
-    timings = {"check": t1 - t0, "artifacts": time.perf_counter() - t1}
-    return _finish_report("darboux", config, seed, rows, out_dir,
-                          artifacts, timings)
 
 
-def cmd_transmute(config: dict, out_dir: Path, seed: int = 0,
-                  plots: bool = False) -> dict:
+def _transmute(config: dict):
     """Both dressing operators with the full diagnostic battery."""
-    t0 = time.perf_counter()
-    rows, data = acceptance.transmute_check(
+    return acceptance.transmute_check(
         config["domain"], config["n"], config["kappa"],
         config.get("center", 0.0), config.get("family_size", 3))
-    t1 = time.perf_counter()
-    artifacts = _write_tables(out_dir, data,
-                              ("pair_kernel", "family_kernel_plus"))
-    if plots:
-        artifacts.append("kernel_rows.svg")
-        rown = np.linalg.norm(data["pair_kernel"], axis=1)
-        _svg_plot(out_dir / "kernel_rows.svg", data["x"],
-                  [("|K| row norm", rown)], "dressing kernel row profile")
-    timings = {"check": t1 - t0, "artifacts": time.perf_counter() - t1}
-    return _finish_report("transmute", config, seed, rows, out_dir,
-                          artifacts, timings)
 
 
-def cmd_factorize(config: dict, out_dir: Path, seed: int = 0,
-                  plots: bool = False) -> dict:
+def _factorize(config: dict):
     """Triangular factorization battery on supplied or generated kernels."""
-    t0 = time.perf_counter()
     if "phi_file" in config:
         path = config["phi_file"]
         try:
@@ -200,72 +141,109 @@ def cmd_factorize(config: dict, out_dir: Path, seed: int = 0,
             raise DelsarteError(f"cannot read phi_file {path!r}: {exc}") from exc
         stacks = [Phi[None]]
     else:
-        stacks = acceptance.unit_minors(np.random.default_rng(seed),
+        stacks = acceptance.unit_minors(np.random.default_rng(config["seed"]),
                                         config["size"], config["count"],
                                         config.get("scale", 0.35))
-    rows, data = acceptance.factorization_sweep(stacks)
-    t1 = time.perf_counter()
-    artifacts = _write_tables(out_dir, data,
-                              ("phi", "k_plus", "k_minus", "diag"))
-    if plots:
-        artifacts.append("diag.svg")
-        idx = np.arange(len(data["diag"]), dtype=float)
-        _svg_plot(out_dir / "diag.svg", idx,
-                  [("diagonal factor", np.real(data["diag"]))],
-                  "factorization diagonal")
-    timings = {"check": t1 - t0, "artifacts": time.perf_counter() - t1}
-    return _finish_report("factorize", config, seed, rows, out_dir,
-                          artifacts, timings)
+    return acceptance.factorization_sweep(stacks)
 
 
-def cmd_derham(config: dict, out_dir: Path, seed: int = 0,
-               plots: bool = False) -> dict:
+def _derham(config: dict):
     """Complex assembly, harmonic dimensions, periods."""
-    t0 = time.perf_counter()
-    c = acceptance.torus_complex(config["shape"], config["periods"],
-                                 config.get("fiber_dim", 1))
-    rows, data = acceptance.torus_rows(c)
-    t1 = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = ["harmonic.json"]
-    save_json(out_dir / "harmonic.json", data["harmonic"])
-    if "periods" in data:
-        artifacts += _write_tables(out_dir, data, ("periods",))
-    if plots:
-        artifacts.append("laplace_spectrum.svg")
-        deg = 1 if len(data["spectra"]) > 2 else 0
-        low = np.sort(data["spectra"][deg])[:20]
-        _svg_plot(out_dir / "laplace_spectrum.svg",
-                  np.arange(len(low), dtype=float),
-                  [(f"degree-{deg} spectrum", low)],
-                  "lowest Laplace-Hodge eigenvalues")
-    timings = {"check": t1 - t0, "artifacts": time.perf_counter() - t1}
-    return _finish_report("derham", config, seed, rows, out_dir,
-                          artifacts, timings)
+    return acceptance.torus_rows(acceptance.torus_complex(
+        config["shape"], config["periods"], config.get("fiber_dim", 1)))
 
 
-def cmd_verify(config: dict, out_dir: Path, seed: int = 0,
-               plots: bool = False) -> dict:
+def _verify(config: dict):
     """The full acceptance battery, criteria 1-8."""
-    t0 = time.perf_counter()
-    result = acceptance.run_all(seed)
+    result = acceptance.run_all(config["seed"])
     # tolerance_scale rescales the max-direction thresholds only
     scale = float(config.get("tolerance_scale", 1.0))
-    rows = [_row(r["name"], r["value"],
+    return [_row(r["name"], r["value"],
                  r["threshold"] * scale if r["direction"] == "max"
                  else r["threshold"], r["direction"])
-            for r in result["rows"]]
-    timings = {"check": time.perf_counter() - t0}
-    return _finish_report("verify", config, seed, rows, out_dir, [], timings)
+            for r in result["rows"]], {}
 
 
-DISPATCH = {
-    "darboux": cmd_darboux,
-    "transmute": cmd_transmute,
-    "factorize": cmd_factorize,
-    "derham": cmd_derham,
-    "verify": cmd_verify,
+# ---------------------------------------------------------------------------
+# plots: each takes the check's data and returns (x, series, title)
+# ---------------------------------------------------------------------------
+
+def _potential_plot(data: dict):
+    pot = data["potential"]
+    return (pot[:, 0], [("base q", pot[:, 1]), ("dressed q", pot[:, 2])],
+            "potential before/after dressing")
+
+
+def _kernel_rows_plot(data: dict):
+    rown = np.linalg.norm(data["pair_kernel"], axis=1)
+    return data["x"], [("|K| row norm", rown)], "dressing kernel row profile"
+
+
+def _diag_plot(data: dict):
+    idx = np.arange(len(data["diag"]), dtype=float)
+    return (idx, [("diagonal factor", np.real(data["diag"]))],
+            "factorization diagonal")
+
+
+def _spectrum_plot(data: dict):
+    deg = 1 if len(data["spectra"]) > 2 else 0
+    low = np.sort(data["spectra"][deg])[:20]
+    return (np.arange(len(low), dtype=float), [(f"degree-{deg} spectrum", low)],
+            "lowest Laplace-Hodge eigenvalues")
+
+
+# name -> (check, the data tables saved as <table>.csv, (SVG file, plot) or None)
+COMMANDS = {
+    "darboux": (_darboux, ("potential", "spectrum"),
+                ("potential.svg", _potential_plot)),
+    "transmute": (_transmute, ("pair_kernel", "family_kernel_plus"),
+                  ("kernel_rows.svg", _kernel_rows_plot)),
+    "factorize": (_factorize, ("phi", "k_plus", "k_minus", "diag"),
+                  ("diag.svg", _diag_plot)),
+    "derham": (_derham, ("periods",), ("laplace_spectrum.svg", _spectrum_plot)),
+    "verify": (_verify, (), None),
 }
+
+
+def run_command(command: str, config: dict, out_dir: Path, seed: int = 0,
+                plots: bool = False) -> dict:
+    """Run one command's check, write its artifacts and ``report.json``
+    into ``out_dir``, and return the report.
+
+    The report records ``config`` as given, with ``seed`` alongside it.
+    The check and the artifact writes are timed under ``timings_seconds``,
+    which the digest ignores.
+    """
+    check, tables, plot = COMMANDS[command]
+    t0 = time.perf_counter()
+    rows, data = check(dict(config, seed=seed))
+    t1 = time.perf_counter()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    artifacts = []
+    if "harmonic" in data:
+        save_json(out_dir / "harmonic.json", data["harmonic"])
+        artifacts.append("harmonic.json")
+    for name in tables:
+        if name in data:
+            save_matrix_csv(out_dir / f"{name}.csv", data[name])
+            artifacts.append(f"{name}.csv")
+    if plots and plot is not None:
+        name, series = plot
+        _svg_plot(out_dir / name, *series(data))
+        artifacts.append(name)
+    report = {
+        "command": command,
+        "config": config,
+        "seed": int(seed),
+        "rows": rows,
+        "all_passed": bool(all(r["passed"] for r in rows)),
+        "artifacts": sorted(artifacts),
+        "timings_seconds": {"check": t1 - t0,
+                            "artifacts": time.perf_counter() - t1},
+    }
+    report["digest"] = report_digest(report)
+    save_json(out_dir / "report.json", report)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +299,8 @@ def main(argv=None) -> int:
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     out_dir = Path(args.out)
     try:
-        report = DISPATCH[args.command](config, out_dir, seed=seed,
-                                        plots=args.plots)
+        report = run_command(args.command, config, out_dir, seed=seed,
+                             plots=args.plots)
     except DelsarteError as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 3

@@ -25,8 +25,9 @@ import scipy.linalg
 from .errors import (DegreeMismatchError, DiscretizationError,
                      NonCommutingFamilyError, NotClosedError)
 from .grid_ops import Grid1D, ProductGrid
-from .lagrange import (FormField, _apply_d, _subsets, d_matrix,
-                       forward_diff_matrix, form_norm, surface_integral)
+from .lagrange import (FormField, _apply_d, _check_degree, _subsets,
+                       d_matrix, forward_diff_matrix, form_norm,
+                       surface_integral)
 
 __all__ = [
     "GenComplex",
@@ -239,8 +240,7 @@ def laplace_hodge(c: GenComplex, degree: int) -> np.ndarray:
     dtype is that of the complex's axis operators.
     """
     r = c.grid.ndim
-    if not (0 <= degree <= r):
-        raise DegreeMismatchError(f"degree {degree} outside 0..{r}")
+    _check_degree(r, degree)
     ncols = math.comb(r, degree) * c.grid.total_dim
     Delta = np.zeros((ncols, ncols), dtype=c.axis_mats[0].dtype)
     if degree < r:

@@ -65,6 +65,11 @@ def _subsets(r: int, k: int) -> list:
     return list(itertools.combinations(range(r), k))
 
 
+def _check_degree(r: int, degree: int) -> None:
+    if not (0 <= degree <= r):
+        raise DegreeMismatchError(f"degree {degree} out of range for {r} axes")
+
+
 def _with_fiber(grid: ProductGrid, arr) -> np.ndarray:
     """A scalar field of shape grid.shape gains a trailing fiber axis."""
     arr = np.asarray(arr)
@@ -85,9 +90,7 @@ class FormField:
     comps: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        r = self.grid.ndim
-        if not (0 <= self.degree <= r):
-            raise DegreeMismatchError(f"degree {self.degree} out of range for {r} axes")
+        _check_degree(self.grid.ndim, self.degree)
         shape = self.grid.shape + (self.grid.fiber_dim,)
         clean = {}
         for S, arr in self.comps.items():
@@ -121,6 +124,7 @@ class FormField:
 
     @classmethod
     def from_stack(cls, grid: ProductGrid, degree: int, vec: np.ndarray) -> "FormField":
+        _check_degree(grid.ndim, degree)
         subsets = _subsets(grid.ndim, degree)
         block = grid.total_dim
         vec = np.asarray(vec)
@@ -181,8 +185,10 @@ def exterior_derivative(form: FormField) -> FormField:
 def d_matrix(grid: ProductGrid, degree: int, axis_mats: list | None = None) -> np.ndarray:
     """Matrix of the coboundary from degree k to k+1 on stacked components;
     its dtype is the common type of the axis operators (real for the plain
-    forward differences)."""
+    forward differences).  The degree runs over 0..r; from degree r the
+    coboundary is the zero map into the empty degree r + 1."""
     r = grid.ndim
+    _check_degree(r, degree)
     if axis_mats is None:
         axis_mats = [forward_diff_matrix(grid, a) for a in range(r)]
     rows = _subsets(r, degree + 1)

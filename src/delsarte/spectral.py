@@ -1,8 +1,10 @@
 """Biorthogonal eigenfamilies and spectral kernels.
 
-For a (generally non-self-adjoint) matrix A the right and left eigenvector
-families can be normalized so that  <phi_mu, psi_lam>_rho = delta_{mu lam}
-with respect to a diagonal weight rho.  In that normalization
+For a (generally non-self-adjoint) matrix A with a diagonal weight rho,
+the right eigenvectors psi of A and the eigenvectors phi of its
+rho-adjoint rho^-1 A^* rho (the left family) can be normalized so that
+<phi_mu, psi_lam>_rho = phi_mu^* rho psi_lam = delta_{mu lam}.  In that
+normalization
 
     E(Delta)  = sum_{lam in Delta} psi_lam phi_lam^* rho      (projection measure)
     K_f       = sum_lam f(lam) psi_lam phi_lam^* rho          (functional calculus)
@@ -40,10 +42,11 @@ _GRAM_FLOOR = 1e-8  # smallest tolerated singular value of a cluster cross-Gram
 class EigenFamily:
     """Matched right/left eigenvector families with diagonal weight.
 
-    ``right[:, k]`` and ``left[:, k]`` belong to ``lambdas[k]`` and satisfy
-    left^* diag(weights) right = I on the selected set.  ``residual_right``
-    and ``residual_left`` are the worst relative eigen-residuals, recorded at
-    construction time.
+    ``right[:, k]`` is an eigenvector of A and ``left[:, k]`` one of its
+    W-adjoint W^-1 A^* W (W = diag(weights)), both for ``lambdas[k]``; they
+    satisfy left^* W right = I on the selected set.  ``residual_right`` and
+    ``residual_left`` are the worst relative eigen-residuals of A and of
+    its W-adjoint, recorded at construction time.
     """
 
     lambdas: np.ndarray
@@ -120,12 +123,15 @@ def eigensolve(A, count: int | None = None, band=None,
 
     if hermitian:
         lams, right = scipy.linalg.eigh(M)
-        left = right.copy()
+        left = right
     else:
         lams, VL, VR = scipy.linalg.eig(M, left=True, right=True)
         order = np.lexsort((lams.imag, lams.real))
         lams, VL, VR = lams[order], VL[:, order], VR[:, order]
         right, left = VR, VL
+    # eigenvectors of the W-adjoint W^-1 M^H W, which pair with the right
+    # family under <u, v>_W = u^H W v
+    left = left / weights[:, None]
 
     # selection
     idx = np.arange(len(lams))
@@ -165,7 +171,8 @@ def eigensolve(A, count: int | None = None, band=None,
 
     res_r = float(np.max(np.linalg.norm(M @ right - right * lams, axis=0)
                          / np.linalg.norm(right, axis=0)) / scale)
-    res_l = float(np.max(np.linalg.norm(M.conj().T @ left - left * np.conj(lams), axis=0)
+    adj_left = (M.conj().T @ (weights[:, None] * left)) / weights[:, None]
+    res_l = float(np.max(np.linalg.norm(adj_left - left * np.conj(lams), axis=0)
                          / np.linalg.norm(left, axis=0)) / scale)
     return EigenFamily(lams, right, left, weights, res_r, res_l)
 

@@ -180,10 +180,10 @@ class TransmutationData:
     def operator(self, sign: str = "+") -> DelsarteOp:
         """Dense triangular dressing operator for the requested sign."""
         if sign == "-":
-            return _mirror(self._reversed().operator("+"), self.grid)
+            return _mirror(self._reversed().operator("+"))
         U = self._dressed_rows()
         C = np.conj(self.left) * (self.grid.h * self.weights)[:, None]
-        return DelsarteOp("+", -np.tril(U @ C.T, -1), self.grid)
+        return DelsarteOp("+", -np.tril(U @ C.T, -1))
 
     def inverse(self, sign: str = "+") -> DelsarteOp:
         """Closed-form inverse operator.
@@ -193,10 +193,10 @@ class TransmutationData:
         and (1+K)(1+Khat) = 1 telescopes exactly.
         """
         if sign == "-":
-            return _mirror(self._reversed().inverse("+"), self.grid)
+            return _mirror(self._reversed().inverse("+"))
         Wc = (self.grid.h * self.weights)[:, None] * np.linalg.solve(
             self._prefix[1:], np.conj(self.left)[..., None])[..., 0]
-        return DelsarteOp("+", np.tril(self.right @ Wc.T, -1), self.grid)
+        return DelsarteOp("+", np.tril(self.right @ Wc.T, -1))
 
     def adjoint(self) -> DelsarteOp:
         """The plus factor's dressing operator on the dual side.
@@ -207,7 +207,7 @@ class TransmutationData:
         """
         A = (self.grid.h * self.weights)[:, None] * np.linalg.solve(
             np.conj(self._prefix[1:]), self.left[..., None])[..., 0]
-        return DelsarteOp("-", np.triu(A @ np.conj(self.right).T, 1), self.grid)
+        return DelsarteOp("-", np.triu(A @ np.conj(self.right).T, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +284,6 @@ class DelsarteOp:
 
     sign: str
     kernel: np.ndarray
-    grid: Grid1D | None = None
     diag: np.ndarray | None = None
     _cond: float | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -345,9 +344,9 @@ class DelsarteOp:
         return bound if np.isfinite(bound) else float("inf")
 
 
-def _mirror(op: DelsarteOp, grid: Grid1D | None) -> DelsarteOp:
+def _mirror(op: DelsarteOp) -> DelsarteOp:
     """Minus-side operator from a plus-side one built on the reversed grid."""
-    return DelsarteOp("-", op.kernel[::-1, ::-1], grid)
+    return DelsarteOp("-", op.kernel[::-1, ::-1])
 
 
 
@@ -381,13 +380,17 @@ def pair_intertwiner(L, Ltil, sign: str = "+", grid: Grid1D | None = None) -> De
     diagonals, i.e. in the potential.  The kernel is marched row by row from
     the zero first row; each new row cancels one row of the intertwining
     defect, leaving all of it in the final row (first row for sign "-").
+    A ``grid``, when given, must have one node per row of L.
     """
     Lm = _as_matrix(L)
     Tm = _as_matrix(Ltil)
     if Lm.shape != Tm.shape:
         raise DiscretizationError("operator shapes differ")
+    if grid is not None and grid.n != Lm.shape[0]:
+        raise DiscretizationError(f"grid has {grid.n} nodes but the operators "
+                                  f"are {Lm.shape[0]}x{Lm.shape[1]}")
     if sign == "-":
-        return _mirror(pair_intertwiner(Lm[::-1, ::-1], Tm[::-1, ::-1], "+"), grid)
+        return _mirror(pair_intertwiner(Lm[::-1, ::-1], Tm[::-1, ::-1], "+"))
     dL, cL = _extract_tridiag(Lm)
     dT, cT = _extract_tridiag(Tm)
     if abs(cL - cT) > 1e-10 * abs(cL):
@@ -409,7 +412,7 @@ def pair_intertwiner(L, Ltil, sign: str = "+", grid: Grid1D | None = None) -> De
                 + (dT[i] - dL[j]) / c * cur[:i]
         nxt[i] = cur[i - 1] if i > 0 else 0.0
         nxt[i] += (dT[i] - dL[i]) / c
-    return DelsarteOp("+", K, grid)
+    return DelsarteOp("+", K)
 
 
 # ---------------------------------------------------------------------------

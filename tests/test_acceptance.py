@@ -73,7 +73,7 @@ def test_volterra_property_of_all_kernels():
 def test_verify_report_determinism(tmp_path):
     # the same config and seed give the same verify report digest
     config = {"command": "verify", "tolerance_scale": 1.0}
-    digests = [cli.cmd_verify(config, tmp_path / run, seed=0)["digest"]
+    digests = [cli.run_command("verify", config, tmp_path / run)["digest"]
                for run in ("first", "second")]
     assert digests[0] == digests[1]
 

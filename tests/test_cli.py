@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delsarte import acceptance
+from delsarte import acceptance, cli
 from delsarte.cli import main
 from delsarte.factorize import gk_factorize, random_unit_minor
 from delsarte.ioutil import load_matrix_csv, report_digest, save_matrix_csv
@@ -97,6 +97,25 @@ def test_verify_command_passes(tmp_path, cached_verify_battery):
     report = json.loads((out / "report.json").read_text())
     assert report["all_passed"] is True
     assert len(report["rows"]) >= 25
+
+
+@pytest.mark.parametrize("cfg", [DARBOUX_CFG, TRANSMUTE_CFG, FACTORIZE_CFG,
+                                 DERHAM_CFG, {"command": "verify"}],
+                         ids=lambda cfg: cfg["command"])
+def test_report_lists_every_file_written(tmp_path, cached_verify_battery, cfg):
+    code, out = _run(tmp_path, cfg, "--plots")
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    written = {p.name for p in out.iterdir() if p.stat().st_size > 0}
+    assert report["artifacts"] == sorted(written - {"report.json"})
+    plot = cli.COMMANDS[cfg["command"]][2]
+    assert plot is None or plot[0] in report["artifacts"]
+    assert set(report["timings_seconds"]) == {"check", "artifacts"}
+
+
+def test_schema_commands_are_the_command_table():
+    schema = cli.load_schema()
+    assert schema["properties"]["command"]["enum"] == list(cli.COMMANDS)
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +263,8 @@ def test_every_exported_name_exists():
 
 def test_library_parameters_are_read():
     """Every parameter of every function (lambdas included) is read in its
-    body.  The exception is the shared ``cmd_*(config, out_dir, seed,
-    plots)`` dispatch signature, which a command may partly ignore."""
+    body."""
     import delsarte
-    dispatch = {"config", "out_dir", "seed", "plots"}
     unread = []
     for path in sorted(Path(delsarte.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -261,10 +278,8 @@ def test_library_parameters_are_read():
             body = fn.body if isinstance(fn.body, list) else [fn.body]
             read = {n.id for stmt in body for n in ast.walk(stmt)
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-            for p in params:
-                if p in read or (name.startswith("cmd_") and p in dispatch):
-                    continue
-                unread.append(f"{path.name}:{fn.lineno} {name}({p})")
+            unread += [f"{path.name}:{fn.lineno} {name}({p})"
+                       for p in params if p not in read]
     assert unread == []
 
 
@@ -342,6 +357,9 @@ def test_missing_required_field(tmp_path):
     cfg = {"command": "darboux", "domain": [-12.0, 12.0], "n": 200}  # no kappa
     code, _ = _run(tmp_path, cfg)
     assert code == 2
+    # without a phi_file, factorize needs both size and count
+    for cfg in ({"command": "factorize"}, {"command": "factorize", "size": 8}):
+        assert _run(tmp_path, cfg)[0] == 2
 
 
 def test_grid_too_small_for_the_seed_gate(tmp_path):
@@ -574,10 +592,11 @@ def test_factorize_reads_phi_from_file(tmp_path):
     Phi = random_unit_minor(10, rng, 0.3)
     pf = tmp_path / "phi_in.csv"
     save_matrix_csv(pf, Phi)
-    cfg = dict(FACTORIZE_CFG, phi_file=str(pf))
-    code, out = _run(tmp_path, cfg)
-    assert code == 0
-    np.testing.assert_array_equal(load_matrix_csv(out / "phi.csv"), Phi)
+    # with a file, size and count are not needed
+    for k, cfg in enumerate((FACTORIZE_CFG, {"command": "factorize"})):
+        code, out = _run(tmp_path, dict(cfg, phi_file=str(pf)), outname=f"out{k}")
+        assert code == 0
+        np.testing.assert_array_equal(load_matrix_csv(out / "phi.csv"), Phi)
 
 
 def test_matrix_csv_bytes_are_repr_of_each_float(tmp_path):

@@ -65,6 +65,16 @@ def test_laplace_degree_out_of_range():
         laplace_hodge(c, 3)
 
 
+@pytest.mark.parametrize("degree", [-1, 3, 5])
+def test_out_of_range_degree_is_named(degree):
+    # forms and coboundaries exist for degrees 0..r only
+    pg = _torus(6, 6)
+    with pytest.raises(DegreeMismatchError, match=f"degree {degree} out of range"):
+        FormField.from_stack(pg, degree, np.zeros(0))
+    with pytest.raises(DegreeMismatchError, match=f"degree {degree} out of range"):
+        plain_complex(pg).d_matrix(degree)
+
+
 def test_scalar_product_degree_mismatch():
     pg = _torus()
     c = plain_complex(pg)

@@ -179,9 +179,11 @@ def test_kernel_from_measure_commutes_with_operator():
 
 def test_weighted_pairing_normalization():
     g, L = _dirichlet_laplacian()
-    w = np.full(g.n, g.h)
-    fam = eigensolve(L, weights=w)
-    G = fam.left.conj().T @ (w[:, None] * fam.right)
-    np.testing.assert_allclose(G, np.eye(len(fam)), atol=1e-10)
-
-
+    # varying weights pair through the W-adjoint W^-1 L^* W, whose
+    # eigenvectors make the left family
+    for w in (np.full(g.n, g.h), np.random.default_rng(0).uniform(0.5, 2.0, g.n)):
+        fam = eigensolve(L, weights=w)
+        G = fam.left.conj().T @ (w[:, None] * fam.right)
+        np.testing.assert_allclose(G, np.eye(len(fam)), atol=1e-10)
+        np.testing.assert_allclose(projection_measure(fam), np.eye(g.n), atol=1e-13)
+        assert fam.residual_left < 1e-13

@@ -308,6 +308,14 @@ def test_pair_intertwiner_rejects_non_finite(where):
             pair_intertwiner(L, T2, grid=g)
 
 
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_pair_intertwiner_rejects_a_grid_of_another_size(sign):
+    # the grid is checked against the operators' size, not stored
+    _, L, T = _soliton(100, 8.0)
+    with pytest.raises(DiscretizationError, match="50 nodes.*100x100"):
+        pair_intertwiner(L, T, sign, grid=Grid1D.dirichlet(-8.0, 8.0, 50))
+
+
 def test_cond_bounds_two_norm_condition_number():
     g, L, T = _soliton(200, 8.0)
     _, _, _, data = _family_data()
@@ -326,9 +334,9 @@ def test_cond_bounds_two_norm_condition_number():
 def test_cond_of_broken_factor_is_infinite():
     g, L, T = _soliton(40, 8.0)
     om = pair_intertwiner(L, T, grid=g)
-    nan_kernel = DelsarteOp("+", np.where(np.tri(g.n, k=-1) > 0, np.nan, 0.0), g)
-    upper_mass = DelsarteOp("+", om.kernel + np.triu(np.ones((g.n, g.n)), 1), g)
-    singular = DelsarteOp("-", np.zeros((g.n, g.n)), g, diag=np.zeros(g.n))
+    nan_kernel = DelsarteOp("+", np.where(np.tri(g.n, k=-1) > 0, np.nan, 0.0))
+    upper_mass = DelsarteOp("+", om.kernel + np.triu(np.ones((g.n, g.n)), 1))
+    singular = DelsarteOp("-", np.zeros((g.n, g.n)), diag=np.zeros(g.n))
     for bad in (nan_kernel, upper_mass, singular):
         assert bad.cond() == np.inf
         with pytest.raises(ConditionNumberError):
@@ -450,7 +458,7 @@ def test_dressing_path_uses_no_dense_fallback(monkeypatch):
 
 def _complex_cast(om):
     """The same factor with its kernel cast to complex."""
-    return DelsarteOp(om.sign, om.kernel.astype(complex), om.grid, om.diag)
+    return DelsarteOp(om.sign, om.kernel.astype(complex), om.diag)
 
 
 def test_real_pair_factor_stays_real():
