@@ -11,9 +11,9 @@ axis periods as a diagonal matrix.
 import numpy as np
 
 from delsarte import (FormField, Grid1D, ProductGrid, SurfaceRegion, d_L,
-                      expected_betti, flat_complex, flat_dimension,
-                      harmonic_space, hodge_decompose, plain_complex,
-                      skrypnik_map)
+                      dual_flat_section, expected_betti, flat_complex,
+                      flat_dimension, flat_section, form_norm, harmonic_space,
+                      hodge_decompose, plain_complex, skrypnik_map)
 
 T1, T2 = 1.0, 2.0
 pg = ProductGrid((Grid1D.periodic(0.0, T1, 10),
@@ -61,3 +61,18 @@ c2 = flat_complex(pg2, gens)
 dims = [harmonic_space(c2, k).dim for k in range(3)]
 print(f"flat family: joint kernel dim {flat_dimension(gens)}, "
       f"harmonic dims {dims}")
+
+# the flat section through the joint kernel (spanned by e0) is the harmonic
+# 0-form: d_L kills it, and it lies in the degree-0 harmonic space
+e0 = np.array([1.0, 0.0])
+sec = flat_section(pg2, gens, e0)
+s = pg2.flatten_field(sec)
+B = harmonic_space(c2, 0).basis
+print(f"flat section: |d_L s| = {form_norm(d_L(c2, FormField(pg2, 0, {(): sec}))):.2e}, "
+      f"relative distance to the harmonic space "
+      f"{np.linalg.norm(s - B @ (B.conj().T @ s)) / np.linalg.norm(s):.2e}")
+
+# its dual partner lies in the kernel of every adjoint axis operator
+dual = pg2.flatten_field(dual_flat_section(pg2, gens, e0))
+adj = max(np.abs(M.conj().T @ dual).max() for M in c2.axis_mats)
+print(f"dual flat section: max_j |L_j^* s'| = {adj:.2e}")

@@ -18,8 +18,8 @@ The package is organized bottom-up:
 from .errors import (ConditionNumberError, DefectiveFamilyError,
                      DegreeMismatchError, DelsarteError, DiscretizationError,
                      EmptyBandError, GridError, NonCommutingFamilyError,
-                     NotClosedError, NotExactError, SeedNodeError,
-                     SingularKernelError, SingularMinorError)
+                     NotClosedError, SeedNodeError, SingularKernelError,
+                     SingularMinorError)
 from .grid_ops import (DiffOp, Grid1D, OperatorMatrix, ProductGrid,
                        adjoint_defect, commutator, derivative_matrix,
                        discretize, formal_adjoint, inner)
@@ -28,22 +28,18 @@ from .spectral import (EigenFamily, congruence_residual, eigensolve,
                        projection_measure)
 from .lagrange import (FormField, SurfaceRegion, bilinear_concomitant,
                        boundary, divergence_residual, exterior_derivative,
-                       form_norm, primitive, surface_integral)
+                       form_norm, surface_integral)
 from .transmute import (DelsarteOp, KernelData, TransmutationData,
                         adjoint_compat_check, independence_check,
-                        locality_check, pair_intertwiner, transform_family,
-                        transform_operator)
+                        locality_check, pair_intertwiner, transform_operator)
 from .factorize import (TriangularPair, break_relation_defect,
-                        commutation_check, factor_conjugation_gap,
-                        gk_factorize, gk_integral_factors, glm_residual,
-                        glm_solve, is_volterra_factor, random_unit_minor,
-                        triangular_shear)
+                        commutation_check, gk_factorize, glm_residual,
+                        glm_solve, random_unit_minor)
 from .darboux import (DressedResult, DressingSeed, ExpPoly, SchrodingerOp,
                       crum_iterate, darboux_once, spectrum_compare)
 from .derham import (GenComplex, HarmonicReport, d_L, dual_flat_section,
                      expected_betti, flat_complex, flat_dimension,
                      flat_section, harmonic_space, hodge_decompose,
-                     hodge_star, laplace_hodge, plain_complex, scalar_product,
-                     skrypnik_map)
+                     laplace_hodge, plain_complex, skrypnik_map)
 
 __version__ = "0.1.0"

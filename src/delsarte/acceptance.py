@@ -28,7 +28,7 @@ from .derham import (d_L, expected_betti, flat_complex, flat_dimension,
 from .errors import SingularMinorError
 from .factorize import (break_relation_defect, gk_factorize, glm_residual,
                         glm_solve, random_unit_minor)
-from .grid_ops import DiffOp, Grid1D, ProductGrid
+from .grid_ops import DiffOp, Grid1D, ProductGrid, inner
 from .lagrange import FormField, SurfaceRegion, divergence_residual
 from .spectral import (congruence_residual, eigensolve, elementary_kernel,
                        kernel_from_measure, nearest_indices,
@@ -448,12 +448,11 @@ def criterion_7(seed: int = 0) -> list:
     shp = pg.shape + (1,)
     beta = FormField(pg, 1, {(0,): rng.normal(size=shp), (1,): rng.normal(size=shp)})
     h, e, co = hodge_decompose(c, beta)
-    vols = pg.vol
     parts = [h.stack(), e.stack(), co.stack()]
-    scale = vols * float(np.vdot(beta.stack(), beta.stack()).real)
-    orth = max(abs(vols * np.vdot(parts[0], parts[1])),
-               abs(vols * np.vdot(parts[0], parts[2])),
-               abs(vols * np.vdot(parts[1], parts[2]))) / scale
+    scale = inner(pg, beta.stack(), beta.stack()).real
+    orth = max(abs(inner(pg, parts[0], parts[1])),
+               abs(inner(pg, parts[0], parts[2])),
+               abs(inner(pg, parts[1], parts[2]))) / scale
     recon = float(np.linalg.norm(beta.stack() - (parts[0] + parts[1] + parts[2]))
                   / np.linalg.norm(beta.stack()))
 

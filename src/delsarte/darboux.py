@@ -126,12 +126,6 @@ class ExpPoly:
             raise SeedNodeError("seed vanishes at an evaluation point")
         return (S2 * S0 - S1 ** 2) / (S0 ** 2)
 
-    def log_derivative(self, x) -> np.ndarray:
-        S0, S1, _, _ = self._scaled_sums(x)
-        if np.any(S0 == 0):
-            raise SeedNodeError("seed vanishes at an evaluation point")
-        return S1 / S0
-
     @staticmethod
     def wronskian(funcs: list) -> "ExpPoly":
         """Wronskian determinant, expanded symbolically (small families)."""

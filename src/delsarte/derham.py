@@ -2,12 +2,12 @@
 
 Given pairwise-commuting operators L_1..L_r, one per grid axis, the twisted
 differential  d_L beta = sum_j dt_j wedge (L_j beta)  squares to zero, and
-the whole Hodge apparatus goes through on the grid: a star operation that
-permutes components with a sign, the adjoint differential as a plain
-conjugate transpose under the uniform node metric, the nonnegative operator
-Delta = d'd + dd', and harmonic spaces whose dimensions reproduce the
-product-topology Betti numbers (times the joint-kernel dimension of the
-fiber generators for flat families L_j = D_j - A_j).
+the whole Hodge apparatus goes through on the grid: the adjoint differential
+as a plain conjugate transpose under the uniform node metric, the
+nonnegative operator Delta = d'd + dd', and harmonic spaces whose
+dimensions reproduce the product-topology Betti numbers (times the
+joint-kernel dimension of the fiber generators for flat families
+L_j = D_j - A_j).
 
 Period mappings pair closed forms with oriented cycles through a fiber
 contraction against a dual-flat zero-form; on the torus with trivial fiber
@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import (DegreeMismatchError, DiscretizationError,
-                     NonCommutingFamilyError, NotClosedError)
+from .errors import (DiscretizationError, NonCommutingFamilyError,
+                     NotClosedError)
 from .grid_ops import Grid1D, ProductGrid
 from .lagrange import (FormField, _apply_d, _check_degree, _subsets,
                        d_matrix, forward_diff_matrix, form_norm,
@@ -38,8 +38,6 @@ __all__ = [
     "dual_flat_section",
     "flat_dimension",
     "d_L",
-    "hodge_star",
-    "scalar_product",
     "laplace_hodge",
     "harmonic_space",
     "hodge_decompose",
@@ -193,7 +191,7 @@ def flat_dimension(generators: list) -> int:
 
 
 # ---------------------------------------------------------------------------
-# differential, star, products
+# the differential and the Laplacian
 # ---------------------------------------------------------------------------
 
 def d_L(c: GenComplex, beta: FormField) -> FormField:
@@ -201,35 +199,6 @@ def d_L(c: GenComplex, beta: FormField) -> FormField:
     the complex's cached coboundary matrix; its dtype is the common type of
     the axis operators and the form."""
     return _apply_d(c.grid, c.d_matrix(beta.degree), beta)
-
-
-def _star_sign(S: tuple, k: int) -> int:
-    return -1 if (sum(S) - (k * (k - 1)) // 2) % 2 else 1
-
-
-def hodge_star(c: GenComplex, beta: FormField) -> FormField:
-    """Component permutation with the orientation sign; unit volume form.
-
-    star(dt_S) = sign * dt_{S^c} with sign the parity of (S, S^c) against
-    the identity ordering; star(star(beta)) = (-1)^{k(r-k)} beta.
-    """
-    r = c.grid.ndim
-    k = beta.degree
-    comps = {}
-    full = tuple(range(r))
-    for S in _subsets(r, k):
-        Sc = tuple(a for a in full if a not in S)
-        comps[Sc] = _star_sign(S, k) * beta.component(S)
-    return FormField(c.grid, r - k, comps)
-
-
-def scalar_product(c: GenComplex, beta: FormField, gamma: FormField) -> complex:
-    """Sum over components of the weighted node pairing; conjugate-linear
-    in the first argument."""
-    if beta.degree != gamma.degree:
-        raise DegreeMismatchError(
-            f"cannot pair a degree-{beta.degree} form with degree {gamma.degree}")
-    return c.grid.vol * complex(np.vdot(beta.stack(), gamma.stack()))
 
 
 def laplace_hodge(c: GenComplex, degree: int) -> np.ndarray:

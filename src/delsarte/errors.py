@@ -50,19 +50,12 @@ class SingularMinorError(DelsarteError):
 
 
 class NotClosedError(DelsarteError):
-    """A primitive was requested for a cochain that is not closed."""
+    """A form handed to a period map is not closed (d_L form != 0) or has
+    non-finite entries."""
 
     def __init__(self, residual: float, message: str | None = None):
         self.residual = residual
         super().__init__(message or f"form is not closed: |d(form)| = {residual:.3e}")
-
-
-class NotExactError(DelsarteError):
-    """A closed cochain with no primitive (nontrivial harmonic part)."""
-
-    def __init__(self, residual: float, message: str | None = None):
-        self.residual = residual
-        super().__init__(message or f"form is closed but not exact: best residual {residual:.3e}")
 
 
 class NonCommutingFamilyError(DelsarteError):

@@ -13,10 +13,9 @@ identity.  Only the natural chain is built in: to factor along another node
 order p, factor Phi[p][:, p] and scatter the kernels back with the inverse
 permutation.
 
-Besides the elimination the module carries the layer-stripping route (the
-discrete GLM equation, one chain step per row of K_plus) and the additive
-chain sum ("integral" along the chain) of resolvent slices, which sums the
-same rows.  Both take one kernel (n, n) or a stack (B, n, n) in lockstep.
+Besides the elimination the module carries the layer-stripping route, the
+discrete GLM equation, which sweeps the chain one row of K_plus per step.
+Both take one kernel (n, n) or a stack (B, n, n) in lockstep.
 """
 
 from __future__ import annotations
@@ -30,16 +29,12 @@ from .errors import DiscretizationError, SingularMinorError
 
 __all__ = [
     "TriangularPair",
-    "triangular_shear",
     "gk_factorize",
-    "gk_integral_factors",
     "glm_solve",
     "glm_residual",
     "commutation_check",
-    "factor_conjugation_gap",
     "break_relation_defect",
     "random_unit_minor",
-    "is_volterra_factor",
 ]
 
 
@@ -50,8 +45,6 @@ class TriangularPair:
     K_plus is strictly lower and K_minus strictly upper; D is stored as the
     vector of diagonal entries.  For a stack of kernels every field carries
     the stack axis first and ``residual`` is one value per kernel.
-    ``has_unit_diagonal`` flags ||D - 1||_inf <= 1e-10, the regime where
-    the factorization is a pure two-sided Volterra splitting.
     """
 
     K_plus: np.ndarray
@@ -59,16 +52,6 @@ class TriangularPair:
     K_minus: np.ndarray
     residual: float | np.ndarray
 
-    @property
-    def has_unit_diagonal(self) -> bool:
-        return bool(np.max(np.abs(self.D - 1.0)) <= 1e-10)
-
-
-def triangular_shear(Phi: np.ndarray):
-    """Split a matrix into (strict upper, lower including diagonal) parts;
-    a diagonal matrix therefore lands entirely in the second slot."""
-    Phi = np.asarray(Phi)
-    return np.triu(Phi, 1), np.tril(Phi, 0)
 
 
 _LDU_BLOCK = 64  # order of the diagonal blocks eliminated by rank-one updates
@@ -220,21 +203,6 @@ def _glm_sweep(Phi: np.ndarray) -> np.ndarray:
     return K
 
 
-def gk_integral_factors(Phi: np.ndarray) -> np.ndarray:
-    """Additive chain-sum reconstruction of K_plus.
-
-    Sums, over the chain steps, the rank-one slices
-
-        - dP_k  Phi  P  (1 + P Phi P)^{-1},
-
-    with P the prefix projector evaluated on the left endpoint of the step.
-    Slice k is row k of the GLM K_plus, so the strictly lower sum is the
-    O(n^3) sweep of :func:`glm_solve`, equal to the elimination K_plus at
-    roundoff.
-    """
-    return _glm_sweep(_square_kernels(Phi))
-
-
 def glm_solve(Phi: np.ndarray):
     """Solve K_plus + Phi + K_plus Phi = K_minus along the chain, O(n^3).
 
@@ -271,21 +239,6 @@ def _conjugate(M: np.ndarray, L: np.ndarray, lower: bool) -> np.ndarray:
     return scipy.linalg.solve_triangular(M, (M @ L).T, trans="T", lower=lower).T
 
 
-def factor_conjugation_gap(pair: TriangularPair, L: np.ndarray) -> float:
-    """Distance between the two factor conjugations of L.
-
-    When [Phi, L] = 0 the identities force
-    (1+K_plus) L (1+K_plus)^{-1} = D (1+K_minus) L (1+K_minus)^{-1} D^{-1};
-    the returned Frobenius gap is relative to ||L||_F.
-    """
-    n = L.shape[0]
-    Ip = np.eye(n) + pair.K_plus
-    Im = np.eye(n) + pair.K_minus
-    Lp = _conjugate(Ip, L, lower=True)
-    Lm = (pair.D[:, None] * _conjugate(Im, L, lower=False)) / pair.D[None, :]
-    return float(np.linalg.norm(Lp - Lm) / max(np.linalg.norm(L), 1e-300))
-
-
 def break_relation_defect(K: np.ndarray) -> float:
     """Largest width-one break (P+ - P-) K (P+ - P-), i.e. diagonal mass.
 
@@ -307,16 +260,3 @@ def random_unit_minor(n: int, rng: np.random.Generator, scale: float = 0.35) -> 
     A = np.tril(rng.uniform(-scale, scale, (n, n)), -1)
     B = np.triu(rng.uniform(-scale, scale, (n, n)), 1)
     return scipy.linalg.solve_triangular(np.eye(n) + A, np.eye(n) + B, lower=True) - np.eye(n)
-
-
-def is_volterra_factor(M: np.ndarray, side: str) -> bool:
-    """Is M = 1 + strictly triangular (lower for side '+', upper for side '-')?
-
-    The diagonal may miss 1 by 1e-12; the entries across it must be exact
-    zeros.
-    """
-    M = np.asarray(M)
-    if not np.allclose(np.diag(M), 1.0, rtol=0.0, atol=1e-12):
-        return False
-    off = np.triu(M, 1) if side == "+" else np.tril(M, -1)
-    return bool(np.max(np.abs(off)) <= 0.0)

@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DegreeMismatchError, DiscretizationError, GridError,
-                     NotClosedError, NotExactError)
+from .errors import DegreeMismatchError, DiscretizationError, GridError
 from .grid_ops import (DiffOp, ProductGrid, _apply_along, _shift_pairs,
                        derivative_matrix, discretize, formal_adjoint)
 
@@ -49,7 +48,6 @@ __all__ = [
     "exterior_derivative",
     "boundary",
     "surface_integral",
-    "primitive",
     "d_matrix",
     "form_norm",
     "interior_mask",
@@ -314,31 +312,6 @@ def surface_integral(form: FormField, region: SurfaceRegion):
     if grid.fiber_dim == 1:
         return complex(total[0])
     return total
-
-
-def primitive(form: FormField) -> FormField:
-    """Minimum-norm alpha with d(alpha) = form, for the forward-difference d.
-
-    Raises :class:`NotClosedError` when |d(form)| / |form| exceeds 1e-10 and
-    :class:`NotExactError` when the relative least-squares residual does
-    (a harmonic obstruction, for example a fundamental-cycle period on a
-    torus).  A non-finite form fails one of the two gates.
-    """
-    if form.degree == 0:
-        raise DegreeMismatchError("0-forms have no primitive")
-    grid = form.grid
-    scale = form_norm(form) or 1.0
-    if form.degree < grid.ndim:  # top-degree forms are vacuously closed
-        closed_res = form_norm(exterior_derivative(form)) / scale
-        if not (closed_res <= 1e-10):
-            raise NotClosedError(float(closed_res))
-    D = d_matrix(grid, form.degree - 1)
-    rhs = form.stack()
-    sol, _, _, _ = np.linalg.lstsq(D, rhs, rcond=None)
-    res = float(np.linalg.norm(D @ sol - rhs) / (np.linalg.norm(rhs) or 1.0))
-    if not (res <= 1e-10):
-        raise NotExactError(res)
-    return FormField.from_stack(grid, form.degree - 1, sol)
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,6 @@ __all__ = [
     "DelsarteOp",
     "pair_intertwiner",
     "transform_operator",
-    "transform_family",
     "locality_check",
     "independence_check",
     "adjoint_compat_check",
@@ -295,21 +294,17 @@ class DelsarteOp:
             M = self.diag[:, None] * M
         return M
 
-    def _is_strictly_triangular(self) -> bool:
+    def volterra_defect(self) -> float:
+        """Largest |entry| of the kernel on or across its diagonal.
+
+        The kernel of every factor the library builds is strictly triangular
+        by construction, so its spectrum is its zero diagonal and the defect
+        reads exactly 0.0.  Mass on the diagonal or in the other triangle
+        reads as its largest modulus, and a NaN there reads NaN.
+        """
         K = self.kernel
         off = np.triu(K, 0) if self.sign == "+" else np.tril(K, 0)
-        return np.count_nonzero(off) == 0
-
-    def volterra_defect(self) -> float:
-        """Largest eigenvalue modulus of the kernel.
-
-        For an exactly triangular kernel the eigenvalues are the diagonal
-        entries, so the defect is computed structurally; a kernel violating
-        the triangular support falls back to a dense eigensolve.
-        """
-        if self._is_strictly_triangular():
-            return 0.0
-        return float(np.max(np.abs(np.linalg.eigvals(self.kernel))))
+        return float(np.max(np.abs(off), initial=0.0))
 
     def cond(self) -> float:
         """Upper bound sqrt(kappa_1 kappa_inf) on the 2-norm condition number.
@@ -330,7 +325,7 @@ class DelsarteOp:
 
     def _cond_bound(self) -> float:
         M = self.matrix()
-        if not (self._is_strictly_triangular() and np.all(np.isfinite(M))):
+        if not (self.volterra_defect() == 0.0 and np.all(np.isfinite(M))):
             return float("inf")
         try:
             Minv = scipy.linalg.solve_triangular(
@@ -431,22 +426,6 @@ def transform_operator(L, om: DelsarteOp, cond_guard: float = 1e10) -> np.ndarra
             f"conjugation by the {om.sign} factor rejected: cond = {cond:.3e} "
             f"exceeds guard {cond_guard:.1e}")
     return _conjugate(om.matrix(), _as_matrix(L), lower=om.sign == "+")
-
-
-def transform_family(ops: list, om: DelsarteOp):
-    """Conjugate a commuting family; returns (transformed list, worst ratio).
-
-    Each conjugation runs under :func:`transform_operator`'s default guard
-    (cond 1e10).  The ratio is max over pairs of
-    ||[Lt_i, Lt_j]||_F / (||Lt_i|| ||Lt_j||), which stays at the original
-    family's level because conjugation is an algebra map.
-    """
-    outs = [transform_operator(Lk, om) for Lk in ops]
-    worst = 0.0
-    for i in range(len(outs)):
-        for j in range(i + 1, len(outs)):
-            worst = max(worst, commutation_check(outs[i], outs[j]))
-    return outs, worst
 
 
 def locality_check(Ltil, bandwidth: int) -> float:

@@ -261,6 +261,34 @@ def test_every_exported_name_exists():
     assert missing == []
 
 
+def test_every_exported_name_has_a_caller():
+    """Each name in a module's ``__all__`` is loaded, as a name or an
+    attribute, in the library outside its own definition and the package
+    ``__init__``, or in ``demos/`` or ``bench/``: a name that only the tests
+    reach is not public surface.  Strings and docstrings do not count."""
+    import importlib
+
+    import delsarte
+    root = Path(__file__).resolve().parent.parent
+    modules = sorted(p for p in Path(delsarte.__file__).parent.glob("*.py")
+                     if p.name != "__init__.py")
+    loaded = set()
+    for path in modules + sorted((root / "demos").rglob("*.py")) \
+            + sorted((root / "bench").rglob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(stmt, "name", None)  # a recursive call is no caller
+            loaded |= {n.id if isinstance(n, ast.Name) else n.attr
+                       for n in ast.walk(stmt)
+                       if isinstance(n, (ast.Name, ast.Attribute))
+                       and isinstance(n.ctx, ast.Load)} - {own}
+    uncalled = []
+    for path in modules:
+        module = importlib.import_module(f"delsarte.{path.stem}")
+        uncalled += [f"{path.name} {name}" for name in getattr(module, "__all__", ())
+                     if name not in loaded]
+    assert uncalled == []
+
+
 def test_library_parameters_are_read():
     """Every parameter of every function (lambdas included) is read in its
     body."""

@@ -51,7 +51,7 @@ def test_exppoly_wronskian_closed_form():
 def test_exppoly_detects_zero():
     f = ExpPoly.sinh(1.0)
     with pytest.raises(SeedNodeError):
-        f.log_derivative(np.array([0.0]))
+        f.log_second_derivative(np.array([0.0]))
 
 
 # ---------------------------------------------------------------------------

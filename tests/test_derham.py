@@ -1,5 +1,5 @@
 """Generalized de Rham complex: nilpotency, harmonic dimensions, the Hodge
-decomposition, star duality, flat families, and period matrices."""
+decomposition, flat families, and period matrices."""
 
 import math
 
@@ -9,9 +9,8 @@ import pytest
 from delsarte import (FormField, GenComplex, Grid1D, ProductGrid,
                       SurfaceRegion, d_L, dual_flat_section, expected_betti,
                       flat_complex, flat_dimension, flat_section, form_norm,
-                      harmonic_space, hodge_decompose, hodge_star,
-                      laplace_hodge, plain_complex, scalar_product,
-                      skrypnik_map)
+                      harmonic_space, hodge_decompose, inner, laplace_hodge,
+                      plain_complex, skrypnik_map)
 from delsarte.errors import (DegreeMismatchError, DiscretizationError,
                              NonCommutingFamilyError, NotClosedError)
 from delsarte.lagrange import forward_diff_matrix
@@ -73,16 +72,6 @@ def test_out_of_range_degree_is_named(degree):
         FormField.from_stack(pg, degree, np.zeros(0))
     with pytest.raises(DegreeMismatchError, match=f"degree {degree} out of range"):
         plain_complex(pg).d_matrix(degree)
-
-
-def test_scalar_product_degree_mismatch():
-    pg = _torus()
-    c = plain_complex(pg)
-    rng = np.random.default_rng(2)
-    f = _random_form(pg, 0, rng, [()])
-    b = _random_form(pg, 1, rng, [(0,), (1,)])
-    with pytest.raises(DegreeMismatchError):
-        scalar_product(c, f, b)
 
 
 # ---------------------------------------------------------------------------
@@ -158,48 +147,29 @@ def test_flat_dimension_matches_stacked_nullity():
 
 
 # ---------------------------------------------------------------------------
-# Hodge star and decomposition
+# Hodge decomposition
 # ---------------------------------------------------------------------------
-
-def test_star_involution_sign():
-    pg = _torus()
-    c = plain_complex(pg)
-    rng = np.random.default_rng(4)
-    for k, subs in [(0, [()]), (1, [(0,), (1,)]), (2, [(0, 1)])]:
-        b = _random_form(pg, k, rng, subs)
-        ss = hodge_star(c, hodge_star(c, b))
-        sign = (-1) ** (k * (pg.ndim - k))
-        for S in subs:
-            np.testing.assert_array_equal(ss.component(S),
-                                          sign * b.component(S))
-
-
-def test_star_is_an_isometry():
-    pg = _torus()
-    c = plain_complex(pg)
-    rng = np.random.default_rng(5)
-    b = _random_form(pg, 1, rng, [(0,), (1,)])
-    g = _random_form(pg, 1, rng, [(0,), (1,)])
-    lhs = scalar_product(c, hodge_star(c, b), hodge_star(c, g))
-    assert abs(lhs - scalar_product(c, b, g)) < 1e-12
-
 
 def test_hodge_decomposition_orthogonal_and_complete():
     pg = _torus()
     c = plain_complex(pg)
     rng = np.random.default_rng(6)
-    beta = _random_form(pg, 1, rng, [(0,), (1,)])
-    h, e, co = hodge_decompose(c, beta)
-    parts = [h, e, co]
-    scale = scalar_product(c, beta, beta).real
-    for i in range(3):
-        for j in range(i + 1, 3):
-            assert abs(scalar_product(c, parts[i], parts[j])) < 1e-10 * scale
-    recon = h.stack() + e.stack() + co.stack()
-    np.testing.assert_allclose(recon, beta.stack(), atol=1e-10)
-    # the harmonic part is killed by the Laplacian
+    # dt_1 is closed but not exact: it has a nonzero loop period, so it is
+    # its own harmonic part
+    dt1 = FormField(pg, 1, {(0,): np.ones(pg.shape + (1,)),
+                            (1,): np.zeros(pg.shape + (1,))})
     Delta = laplace_hodge(c, 1)
-    assert np.abs(Delta @ h.stack()).max() < 1e-10
+    for beta in (_random_form(pg, 1, rng, [(0,), (1,)]), dt1):
+        h, e, co = hodge_decompose(c, beta)
+        parts = [p.stack() for p in (h, e, co)]
+        scale = inner(pg, beta.stack(), beta.stack()).real
+        for i in range(3):
+            for j in range(i + 1, 3):
+                assert abs(inner(pg, parts[i], parts[j])) < 1e-10 * scale
+        np.testing.assert_allclose(sum(parts), beta.stack(), atol=1e-10)
+        # the harmonic part is killed by the Laplacian
+        assert np.abs(Delta @ parts[0]).max() < 1e-10
+    np.testing.assert_allclose(parts[0], dt1.stack(), atol=1e-10)
 
 
 def test_harmonic_part_of_exact_form_vanishes():
@@ -328,25 +298,31 @@ def test_bad_shapes_name_both(case):
 # flat sections
 # ---------------------------------------------------------------------------
 
+def _flat_tori():
+    """A circle, an 8x8 and a 5x6x7 torus of period 2 pi with fiber 2, each
+    with monodromy-trivial generators (exp(2 pi A) = 1 on every axis), so
+    the wrap rows close too."""
+    gens = [1j * np.diag([1.0, 2.0]), 1j * np.diag([-1.0, 1.0]),
+            1j * np.diag([2.0, 0.0])]
+    for shape in ((16,), (8, 8), (5, 6, 7)):
+        axes = tuple(Grid1D.periodic(0.0, 2.0 * math.pi, n) for n in shape)
+        yield ProductGrid(axes, fiber_dim=2), gens[:len(shape)]
+
+
 def test_flat_section_lies_in_kernel():
-    # monodromy-trivial generator: exp(T A) = 1, so the wrap row closes too
-    g = Grid1D.periodic(0.0, 2.0 * math.pi, 16)
-    pg = ProductGrid((g,), fiber_dim=2)
-    A = 1j * np.diag([1.0, 2.0])
-    c = flat_complex(pg, [A])
-    sec = flat_section(pg, [A], np.array([1.0, 1.0 + 0j]))
-    flat = pg.flatten_field(sec)
-    assert np.abs(c.axis_mats[0] @ flat).max() < 1e-12
+    for pg, gens in _flat_tori():
+        c = flat_complex(pg, gens)
+        flat = pg.flatten_field(flat_section(pg, gens, np.array([1.0, 1.0 + 0j])))
+        for M in c.axis_mats:
+            assert np.abs(M @ flat).max() < 1e-12
 
 
 def test_dual_flat_section_kills_adjoint():
-    g = Grid1D.periodic(0.0, 2.0 * math.pi, 16)
-    pg = ProductGrid((g,), fiber_dim=2)
-    A = 1j * np.diag([1.0, 2.0])
-    c = flat_complex(pg, [A])
-    dual = dual_flat_section(pg, [A], np.array([1.0, 1.0 + 0j]))
-    fd = pg.flatten_field(dual)
-    assert np.abs(c.axis_mats[0].conj().T @ fd).max() < 1e-12
+    for pg, gens in _flat_tori():
+        c = flat_complex(pg, gens)
+        fd = pg.flatten_field(dual_flat_section(pg, gens, np.array([1.0, 1.0 + 0j])))
+        for M in c.axis_mats:
+            assert np.abs(M.conj().T @ fd).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------

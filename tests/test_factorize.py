@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delsarte import factorize
-from delsarte import (SingularMinorError, TriangularPair,
-                      break_relation_defect, commutation_check,
-                      factor_conjugation_gap, gk_factorize,
-                      gk_integral_factors, glm_residual, glm_solve,
-                      is_volterra_factor, random_unit_minor,
-                      triangular_shear)
+from delsarte import (DelsarteOp, KernelData, SingularMinorError,
+                      TriangularPair, break_relation_defect,
+                      commutation_check, gk_factorize, glm_residual,
+                      glm_solve, independence_check, random_unit_minor)
 from delsarte.errors import DiscretizationError
 
 
@@ -78,8 +76,8 @@ def test_random_batch_reconstruction_and_structure():
         assert np.count_nonzero(np.tril(pair.K_minus, 0)) == 0
         assert break_relation_defect(pair.K_plus) == 0.0
         assert break_relation_defect(pair.K_minus) == 0.0
-        assert is_volterra_factor(np.eye(30) + pair.K_plus, "+")
-        assert is_volterra_factor(np.eye(30) + pair.K_minus, "-")
+        assert DelsarteOp("+", pair.K_plus).volterra_defect() == 0.0
+        assert DelsarteOp("-", pair.K_minus).volterra_defect() == 0.0
 
 
 def test_unit_minor_generator_keeps_d_one():
@@ -106,8 +104,8 @@ def test_chain_sum_matches_elimination_on_one_sided_input():
     n = 10
     Phi = np.tril(rng.standard_normal((n, n)), -1)
     pair = gk_factorize(Phi)
-    Ksum = gk_integral_factors(Phi)
-    assert np.abs(Ksum - pair.K_plus).max() < 1e-12
+    Kglm = glm_solve(Phi)[0]
+    assert np.abs(Kglm - pair.K_plus).max() < 1e-12
 
 
 @pytest.mark.parametrize("lower", [False, True])
@@ -116,21 +114,21 @@ def test_chain_sum_matches_elimination_on_complex_phi(lower):
     Phi = 0.3 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
     if lower:
         Phi = np.tril(Phi, -1)
-    Ksum = gk_integral_factors(Phi)
-    assert Ksum.dtype == np.complex128
-    assert np.abs(Ksum - gk_factorize(Phi).K_plus).max() <= 1e-12
+    Kglm = glm_solve(Phi)[0]
+    assert Kglm.dtype == np.complex128
+    assert np.abs(Kglm - gk_factorize(Phi).K_plus).max() <= 1e-12
 
 
 def test_chain_sum_worked_2x2_deviation_is_zero():
-    Ksum = gk_integral_factors(PHI_2X2)
-    assert np.abs(Ksum - K_PLUS_2X2).max() == 0.0
+    Kglm = glm_solve(PHI_2X2)[0]
+    assert np.abs(Kglm - K_PLUS_2X2).max() == 0.0
 
 
 def test_chain_sum_is_strictly_lower_on_full_phi():
     rng = np.random.default_rng(0)
     Phi = 0.3 * rng.standard_normal((6, 6))
-    Ksum = gk_integral_factors(Phi)
-    assert np.count_nonzero(np.triu(Ksum, 0)) == 0
+    Kglm = glm_solve(Phi)[0]
+    assert np.count_nonzero(np.triu(Kglm, 0)) == 0
 
 
 def test_factorization_nests_along_the_chain():
@@ -143,15 +141,6 @@ def test_factorization_nests_along_the_chain():
     sub = gk_factorize(Phi[:j, :j])
     np.testing.assert_allclose(pair.K_plus[:j, :j], sub.K_plus, atol=1e-11)
     np.testing.assert_allclose(pair.K_minus[:j, :j], sub.K_minus, atol=1e-11)
-
-
-def test_triangular_shear_splits_without_overlap():
-    rng = np.random.default_rng(1)
-    M = rng.standard_normal((8, 8))
-    up, lo = triangular_shear(M)
-    np.testing.assert_array_equal(up + lo, M)
-    assert np.count_nonzero(np.tril(up, 0)) == 0
-    np.testing.assert_array_equal(np.diag(lo), np.diag(M))
 
 
 def test_glm_agrees_with_elimination_on_random_batch():
@@ -182,18 +171,17 @@ def test_conjugation_gap_vanishes_for_commuting_kernel():
     L = Q @ np.diag(np.linspace(1.0, 3.0, n)) @ Q.T
     Phi = 0.3 * scipy.linalg.expm(-L)
     assert commutation_check(Phi, L) < 1e-14
-    pair = gk_factorize(Phi)
-    assert factor_conjugation_gap(pair, L) < 1e-10
+    assert independence_check(KernelData(L, Phi))[0] < 1e-10
     # a generic kernel does not commute and the gap is O(1)
     Phi_bad = random_unit_minor(n, rng)
     assert commutation_check(Phi_bad, L) > 1e-3
-    assert factor_conjugation_gap(gk_factorize(Phi_bad), L) > 1e-3
+    assert independence_check(KernelData(L, Phi_bad))[0] > 1e-3
 
 
 def test_pair_exactness_flag():
     pair = gk_factorize(PHI_2X2)
     assert isinstance(pair, TriangularPair)
-    assert pair.has_unit_diagonal
+    assert np.max(np.abs(pair.D - 1.0)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -378,19 +366,19 @@ def test_stack_needs_only_two_dimensional_triangular_solves(monkeypatch):
 
 
 def test_chain_routes_need_no_dense_solve(monkeypatch):
-    # the GLM rows and the chain sum come from one sweep along the chain,
-    # which reuses the nested leading blocks instead of solving each one
+    # the GLM rows come from one sweep along the chain, which reuses the
+    # nested leading blocks instead of solving each one
     n = 2 * factorize._LDU_BLOCK + 3
     stack = _unit_minor_stack(np.random.default_rng(7), 3, n, 0.3 / np.sqrt(n), True)
     one = random_unit_minor(40, np.random.default_rng(8))
-    want = glm_solve(stack), gk_integral_factors(one)
+    want = glm_solve(stack), glm_solve(one)[0]
 
     def refuse(*args, **kw):
         raise AssertionError("dense solve on a chain route")
 
     monkeypatch.setattr(np.linalg, "solve", refuse)
     monkeypatch.setattr(scipy.linalg, "solve", refuse)
-    (Kp, Km), Ksum = glm_solve(stack), gk_integral_factors(one)
+    (Kp, Km), Kglm = glm_solve(stack), glm_solve(one)[0]
     np.testing.assert_array_equal(Kp, want[0][0])
     np.testing.assert_array_equal(Km, want[0][1])
-    np.testing.assert_array_equal(Ksum, want[1])
+    np.testing.assert_array_equal(Kglm, want[1])

@@ -1,14 +1,14 @@
-"""Lagrange identity in divergence form: concomitants, discrete forms,
-Stokes bookkeeping, and primitives."""
+"""Lagrange identity in divergence form: concomitants, discrete forms, and
+Stokes bookkeeping."""
 
 import numpy as np
 import pytest
 
 from delsarte import (DegreeMismatchError, DiffOp, FormField, Grid1D,
-                      NotClosedError, NotExactError, ProductGrid, SurfaceRegion,
-                      bilinear_concomitant, boundary, d_L,
-                      divergence_residual, exterior_derivative, form_norm,
-                      plain_complex, primitive, surface_integral)
+                      ProductGrid, SurfaceRegion, bilinear_concomitant,
+                      boundary, d_L, divergence_residual,
+                      exterior_derivative, form_norm, plain_complex,
+                      surface_integral)
 from delsarte import derivative_matrix, discretize
 from delsarte.grid_ops import _apply_along
 from delsarte.lagrange import _subsets, forward_diff_matrix
@@ -213,42 +213,3 @@ def test_loop_integral_of_exact_form_vanishes():
     df = exterior_derivative(f)
     loop = SurfaceRegion.axis_loop(pg, 0, (0, 2))
     assert abs(surface_integral(df, loop)) < 1e-13
-
-
-def test_primitive_round_trip():
-    pg = _torus()
-    rng = np.random.default_rng(4)
-    f = FormField(pg, 0, {(): rng.standard_normal(pg.shape + (1,))})
-    df = exterior_derivative(f)
-    F = primitive(df)
-    np.testing.assert_allclose(exterior_derivative(F).stack(), df.stack(),
-                               atol=1e-11)
-
-
-def test_primitive_rejects_non_finite_one_form():
-    # closedness gate: d is a dense matrix, so the NaN reaches every entry
-    # of d(form), not only the entries next to the bad node
-    pg = _torus(6, 6)
-    comp = np.ones(pg.shape + (1,))
-    comp[2, 3, 0] = np.nan
-    with pytest.raises(NotClosedError):
-        primitive(FormField(pg, 1, {(0,): comp}))
-
-
-def test_primitive_rejects_non_finite_top_form():
-    # top-degree forms skip the closedness gate; the exactness gate sees NaN
-    pg = _torus(6, 6)
-    comp = np.zeros(pg.shape + (1,))
-    comp[2, 3, 0] = np.nan
-    with pytest.raises(NotExactError):
-        primitive(FormField(pg, 2, {(0, 1): comp}))
-
-
-def test_primitive_rejects_closed_nonexact():
-    # dt_1 on the torus is closed but has a nonzero loop period
-    pg = _torus()
-    dt1 = FormField(pg, 1, {(0,): np.ones(pg.shape + (1,)),
-                            (1,): np.zeros(pg.shape + (1,))})
-    with pytest.raises(NotExactError) as err:
-        primitive(dt1)
-    assert err.value.residual > 1e-3

@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from delsarte import (ConditionNumberError, DelsarteOp, DiffOp, DressingSeed,
                       Grid1D, GridError, KernelData, ProductGrid,
                       SchrodingerOp, SingularKernelError, TransmutationData,
-                      adjoint_compat_check, darboux_once, discretize,
-                      eigensolve, gk_factorize, independence_check,
-                      kernel_from_measure, locality_check, pair_intertwiner,
-                      random_unit_minor, spectrum_compare, transform_family,
-                      transform_operator)
+                      adjoint_compat_check, commutation_check, darboux_once,
+                      discretize, eigensolve, gk_factorize,
+                      independence_check, kernel_from_measure,
+                      locality_check, pair_intertwiner, random_unit_minor,
+                      spectrum_compare, transform_operator)
 from delsarte import acceptance
 from delsarte.acceptance import transmute_check
 from delsarte.errors import DiscretizationError
@@ -147,11 +147,6 @@ def test_singular_running_normalization_detected():
                                       omega0=-0.5 * gram)
 
 
-def _strictly_triangular(op):
-    outside = np.triu(op.kernel, 0) if op.sign == "+" else np.tril(op.kernel, 0)
-    return np.count_nonzero(outside) == 0
-
-
 @settings(derandomize=True, deadline=None, max_examples=10)
 @given(kappa=st.floats(0.6, 1.4), half_width=st.floats(4.0, 10.0),
        n=st.integers(40, 160), m=st.sampled_from([1, 2, 3]))
@@ -166,16 +161,49 @@ def test_dressing_data_is_exact_on_soliton_operators(kappa, half_width, n, m):
         M = op.matrix()
         np.testing.assert_allclose(M @ inv.matrix(), eye, atol=1e-12)
         np.testing.assert_allclose(data.apply(f, sign), M @ f, atol=1e-12)
-        assert _strictly_triangular(op) and _strictly_triangular(inv)
+        assert op.volterra_defect() == inv.volterra_defect() == 0.0
     adj = data.adjoint()
     np.testing.assert_allclose(adj.matrix(), data.inverse("+").matrix().conj().T,
                                atol=1e-12)
-    assert _strictly_triangular(adj)
+    assert adj.volterra_defect() == 0.0
     kops = [datak.operator(s) for s in "+-"] + [datak.inverse(s) for s in "+-"]
     kops.append(datak.adjoint())
-    assert all(_strictly_triangular(op) for op in kops)
+    assert all(op.volterra_defect() == 0.0 for op in kops)
     np.testing.assert_allclose(kops[2].matrix() @ kops[1].matrix(),
                                eye + datak.Phi, atol=1e-12)
+
+
+def _nonsymmetric(n, drift, amp, half_width=8.0):
+    """-d^2/dx^2 + drift tanh(x) d/dx + amp exp(-x^2) on a Dirichlet box:
+    not symmetric for a nonzero drift, complex for a complex amplitude."""
+    g = Grid1D.dirichlet(-half_width, half_width, n)
+    x = g.x
+    op = DiffOp(ProductGrid((g,)), {(2,): -1.0, (1,): drift * np.tanh(x),
+                                    (0,): amp * np.exp(-x ** 2)})
+    return g, discretize(op).A
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(n=st.integers(30, 150), drift=st.floats(-1.5, 1.5),
+       amp_re=st.floats(-1.5, 1.5), amp_im=st.floats(-1.0, 1.0),
+       m=st.sampled_from([1, 2, 3]))
+def test_dressing_routes_are_exact_on_nonsymmetric_operators(n, drift, amp_re,
+                                                             amp_im, m):
+    # both data classes on the two-sided eig path: the family route is
+    # exact and adjoint-compatible, the kernel route sign-independent
+    g, L = _nonsymmetric(n, drift, complex(amp_re, amp_im))
+    fam = eigensolve(L, count=m, hermitian=False)
+    data = TransmutationData.from_family(g, L, fam.right, fam.left)
+    eye = np.eye(n)
+    f = np.linspace(-1.0, 1.0, n)
+    for sign in "+-":
+        M = data.operator(sign).matrix()
+        np.testing.assert_allclose(M @ data.inverse(sign).matrix(), eye, atol=1e-12)
+        np.testing.assert_allclose(data.apply(f, sign), M @ f, atol=1e-12)
+    assert adjoint_compat_check(data) <= 1e-12
+    Phi = kernel_from_measure(eigensolve(L, hermitian=False),
+                              lambda lam: 0.4 / (1.0 + abs(lam)))
+    assert independence_check(KernelData(L, Phi))[0] <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +437,11 @@ def test_adjoint_compatibility_both_kinds():
 
 
 def test_transform_family_preserves_commutators():
+    # conjugation is an algebra map, so a commuting family stays commuting
     g, L, T = _soliton(200, 8.0)
     om = pair_intertwiner(L, T, "+", grid=g)
-    L2 = L @ L
-    outs, worst = transform_family([L, L2], om)
-    assert len(outs) == 2
-    assert worst < 1e-8
+    Lt, Lt2 = (transform_operator(A, om) for A in (L, L @ L))
+    assert commutation_check(Lt, Lt2) < 1e-8
 
 
 def test_volterra_defect_structural():
@@ -426,6 +453,20 @@ def test_volterra_defect_structural():
     for sign in "+-":
         assert datak.operator(sign).volterra_defect() == 0.0
         assert datak.inverse(sign).volterra_defect() == 0.0
+    # mass on or across the diagonal reads as its largest modulus
+    g, L, T = _soliton(40, 8.0)
+    om = pair_intertwiner(L, T, grid=g)
+    upper_mass = om.kernel + 0.5 * np.triu(np.ones((g.n, g.n)), 1)
+    upper_mass[3, 3] = -2.5
+    assert DelsarteOp("+", upper_mass).volterra_defect() == 2.5
+    assert DelsarteOp("-", om.kernel).volterra_defect() == np.abs(om.kernel).max() > 0.0
+    # a NaN across the diagonal reads NaN, never 0.0, and the factor's
+    # condition bound is infinite
+    nan_across = om.kernel.copy()
+    nan_across[2, 9] = np.nan
+    bad = DelsarteOp("+", nan_across)
+    assert np.isnan(bad.volterra_defect())
+    assert bad.cond() == np.inf
 
 
 # ---------------------------------------------------------------------------
