@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .darboux import (DressingSeed, SchrodingerOp, _band_eigvals,
-                      _compare_spectra, darboux_once, spectrum_compare)
+                      _low_spectrum, darboux_once, spectrum_compare)
 from .derham import (d_L, expected_betti, flat_complex, flat_dimension,
                      harmonic_space, hodge_decompose, plain_complex,
                      skrypnik_map)
@@ -229,21 +229,22 @@ def criterion_3() -> list:
     Lm, Tm = base.matrix(), dressed.operator.matrix()
     om = pair_intertwiner(Lm.A, Tm.A, "+", grid=base.grid)
     Ltil = transform_operator(Lm.A, om)
-    # each operator's band is solved once, for both rows below
+    # preservation needs the whole spectrum; the bound state and the drift
+    # take the low end that the darboux command reads
     ev_L = _band_eigvals(Lm)
     ev_c = np.asarray(sorted(scipy.linalg.eigvals(Ltil), key=lambda z: z.real))
     radius = float(np.max(np.abs(ev_L)))
     preserve = float(np.max(np.abs(ev_c - ev_L)) / radius)
-    bound_state = _bound_state_rows(_compare_spectra(ev_L, _band_eigvals(Tm)), 1.0)
+    bound_state = _bound_state_rows(spectrum_compare(base, dressed.operator), 1.0)
 
     # positive-band drift: same spacing, doubled domain
     drifts = []
     for n, w in ((400, 20.0), (800, 40.0)):
         base, dressed = soliton_pair((-w, w), n)
-        pb = _band_eigvals(base.matrix())
-        pa = _band_eigvals(dressed.operator.matrix())
-        pb = np.sort(pb[pb > 0.0])[:8]
-        pa = np.sort(pa[pa > 0.0])[:8]
+        pb = _low_spectrum(base.matrix())
+        pa = _low_spectrum(dressed.operator.matrix())
+        pb = pb[pb > 0.0][:8]
+        pa = pa[pa > 0.0][:8]
         m = min(len(pa), len(pb))
         drifts.append(float(np.mean(np.abs(pa[:m] - pb[:m]))))
     shrink = drifts[1] / max(drifts[0], 1e-300)

@@ -229,10 +229,11 @@ def _check_seed(op: SchrodingerOp, seed: DressingSeed) -> None:
         raise DiscretizationError(
             f"grid of {op.grid.n} nodes has no interior rows for the seed "
             f"residual gate; at least {2 * w + 1} are needed")
-    A = op.matrix().A
-    r = A @ vals - seed.stencil_energy() * vals
+    L = op.matrix()
+    r = L.A @ vals - seed.stencil_energy() * vals
     res = np.max(np.abs(r[w:op.grid.n - w]))
-    gate = 1e-8 * np.linalg.norm(A, np.inf) * np.max(np.abs(vals))
+    ab = L.to_banded()
+    gate = 1e-8 * np.max(np.abs(ab[-1]) + _offdiag_row_sums(ab)) * np.max(np.abs(vals))
     if not (res <= gate):
         raise DiscretizationError(
             f"seed is not a formal solution: interior residual "
@@ -279,10 +280,37 @@ _N_LOW = 8  # eigenvalues reported per side, and positive ones compared
 _MATCH_RTOL = 1e-2  # relative distance at which a negative eigenvalue is matched
 
 
+def _offdiag_row_sums(ab: np.ndarray) -> np.ndarray:
+    """Row sums of |a_ij| off the diagonal of a Hermitian matrix held in
+    upper banded storage (the ``to_banded`` layout)."""
+    bw = ab.shape[0] - 1
+    out = np.zeros(ab.shape[1])
+    for d in range(1, bw + 1):
+        a = np.abs(ab[bw - d, d:])
+        out[:-d] += a
+        out[d:] += a
+    return out
+
+
 def _band_eigvals(A: OperatorMatrix) -> np.ndarray:
     """Ascending eigenvalues of a symmetric operator, computed from its band
     (the bandwidth ``discretize`` records)."""
     return scipy.linalg.eig_banded(A.to_banded(), eigvals_only=True)
+
+
+def _low_spectrum(A: OperatorMatrix) -> np.ndarray:
+    """The ascending eigenvalues of a symmetric operator that
+    :func:`_compare_spectra` reads: every one <= 0 and the ``_N_LOW`` after
+    them (fewer on a smaller operator), selected from its band."""
+    ab = A.to_banded()
+    # Gershgorin lower bound, moved down since select='v' excludes its left end
+    lo = float(np.min(ab[-1].real - _offdiag_row_sums(ab)))
+    lo -= 1.0 + abs(lo)
+    k_neg = len(scipy.linalg.eig_banded(ab, eigvals_only=True, select="v",
+                                        select_range=(lo, 0.0)))
+    top = min(k_neg + _N_LOW, ab.shape[1]) - 1
+    return scipy.linalg.eig_banded(ab, eigvals_only=True, select="i",
+                                   select_range=(0, top))
 
 
 def spectrum_compare(before: SchrodingerOp, after: SchrodingerOp) -> dict:
@@ -291,11 +319,13 @@ def spectrum_compare(before: SchrodingerOp, after: SchrodingerOp) -> dict:
     Reports the lowest ``_N_LOW`` (8) eigenvalues of both operators, the
     list of negative eigenvalues that appeared (no counterpart within the
     relative ``_MATCH_RTOL``, 1e-2), and the drift of the matched positive
-    band over its lowest ``_N_LOW`` values.  The spectra are those of the
-    banded symmetric discretizations, from a banded eigensolver.
+    band over its lowest ``_N_LOW`` values.  Only those eigenvalues are
+    computed: ``eig_banded`` on each banded symmetric discretization counts
+    the ones <= 0 by value, then selects them and the next ``_N_LOW`` by
+    index.
     """
-    return _compare_spectra(_band_eigvals(before.matrix()),
-                            _band_eigvals(after.matrix()))
+    return _compare_spectra(_low_spectrum(before.matrix()),
+                            _low_spectrum(after.matrix()))
 
 
 def _compare_spectra(lb: np.ndarray, la: np.ndarray) -> dict:

@@ -53,9 +53,9 @@ class NotClosedError(DelsarteError):
     """A form handed to a period map is not closed (d_L form != 0) or has
     non-finite entries."""
 
-    def __init__(self, residual: float, message: str | None = None):
+    def __init__(self, residual: float, message: str):
         self.residual = residual
-        super().__init__(message or f"form is not closed: |d(form)| = {residual:.3e}")
+        super().__init__(message)
 
 
 class NonCommutingFamilyError(DelsarteError):

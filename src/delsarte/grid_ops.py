@@ -282,12 +282,7 @@ class OperatorMatrix:
 
     def to_banded(self) -> np.ndarray:
         """Upper banded storage (scipy ``eig_banded`` layout). Hermitian use only."""
-        bw = self.flat_bandwidth()
-        m = self.A.shape[0]
-        ab = np.zeros((bw + 1, m), dtype=self.A.dtype)
-        for d in range(bw + 1):
-            ab[bw - d, d:] = np.diagonal(self.A, offset=d)
-        return ab
+        return _upper_band(self.A, self.flat_bandwidth())
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +422,15 @@ def formal_adjoint(op: DiffOp, scheme_order: int = 2) -> DiffOp:
 
 def _as_matrix(A) -> np.ndarray:
     return A.A if isinstance(A, OperatorMatrix) else np.asarray(A)
+
+
+def _upper_band(A: np.ndarray, bw: int) -> np.ndarray:
+    """Diagonals 0..bw of a square matrix in upper banded storage (the
+    ``eig_banded`` layout): diagonal d is row bw - d, from column d on."""
+    ab = np.zeros((bw + 1, A.shape[0]), dtype=A.dtype)
+    for d in range(bw + 1):
+        ab[bw - d, d:] = np.diagonal(A, offset=d)
+    return ab
 
 
 def commutator(A, B) -> np.ndarray:

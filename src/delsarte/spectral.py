@@ -11,8 +11,10 @@ normalization
 
 are honest spectral objects: E is multiplicative, K_f commutes with A, and
 the elementary kernels Z_lam = psi_lam phi_lam^* satisfy the two-sided
-congruences A Z = lam Z and Z A = lam Z.  Degenerate eigenvalues are handled
-cluster by cluster through an SVD of the cluster cross-Gram.
+congruences A Z = lam Z and Z A = lam Z.  Each cluster of numerically
+equal eigenvalues is normalized through an SVD of its cross-Gram; clusters
+of one size share one stacked SVD, so all simple eigenvalues take a single
+call.  A Hermitian operator is solved from its band by ``eig_banded``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DefectiveFamilyError, DiscretizationError, EmptyBandError
-from .grid_ops import _as_matrix
+from .grid_ops import _as_matrix, _upper_band
 
 __all__ = [
     "EigenFamily",
@@ -72,23 +74,51 @@ def _in_band(lam: complex, band) -> bool:
             and im_lo - 1e-300 <= lam.imag <= im_hi + 1e-300)
 
 
-def _cluster(lams: np.ndarray, tol: float) -> list:
-    """Group indices of (sorted) eigenvalues within tol of each other."""
-    groups, current = [], [0]
-    for k in range(1, len(lams)):
-        if abs(lams[k] - lams[current[-1]]) <= tol:
-            current.append(k)
-        else:
-            groups.append(current)
-            current = [k]
-    groups.append(current)
-    return groups
-
-
 def nearest_indices(lams: np.ndarray, count: int) -> np.ndarray:
     """Ascending positions of the ``count`` eigenvalues nearest the origin
     (ties keep the earlier position)."""
     return np.sort(np.argsort(np.abs(lams), kind="stable")[:count])
+
+
+def _half_bandwidth(M: np.ndarray) -> int:
+    """Largest |i - j| over the nonzero entries M[i, j]."""
+    rows, cols = np.nonzero(M)
+    return int(np.max(np.abs(cols - rows), initial=0))
+
+
+def _band_matmul(M: np.ndarray, V: np.ndarray, bw: int) -> np.ndarray:
+    """M @ V from the 2 bw + 1 diagonals that hold the nonzeros of M."""
+    out = np.diagonal(M)[:, None] * V
+    for d in range(1, bw + 1):
+        out[:-d] += np.diagonal(M, d)[:, None] * V[d:]
+        out[d:] += np.diagonal(M, -d)[:, None] * V[:-d]
+    return out
+
+
+def _eigen_residual(AV: np.ndarray, V: np.ndarray, lams: np.ndarray) -> float:
+    """Worst column of |A v - lam v| / |v|, given AV = A @ V."""
+    return float(np.max(np.linalg.norm(AV - V * lams, axis=0)
+                        / np.linalg.norm(V, axis=0)))
+
+
+def _normalize_clusters(lams, right, left, weights, cols) -> None:
+    """Biorthonormalize, in place, k clusters of m columns each (``cols`` is
+    k x m) through one stacked SVD of their k cross-Grams left^* W right.
+    Only ``right`` is rescaled when ``left is right``."""
+    R = right[:, cols].transpose(1, 0, 2)  # k x n x m
+    Lv = left[:, cols].transpose(1, 0, 2)
+    U, s, Vh = np.linalg.svd(Lv.conj().swapaxes(1, 2) @ (weights[:, None] * R))
+    # NaN-safe floor gate: a NaN singular value fails the comparison
+    ok = s[:, -1] >= _GRAM_FLOOR * np.maximum(s[:, 0], 1.0)
+    if not np.all(ok):
+        k = int(np.argmin(ok))
+        raise DefectiveFamilyError(
+            f"cluster at {lams[cols[k, 0]]:.6g} has cross-Gram singular values "
+            f"{s[k].min():.3e} .. {s[k].max():.3e}; family is defective")
+    inv_sqrt = 1.0 / np.sqrt(s)[:, None, :]
+    right[:, cols] = ((R @ Vh.conj().swapaxes(1, 2)) * inv_sqrt).transpose(1, 0, 2)
+    if left is not right:
+        left[:, cols] = ((Lv @ U) * inv_sqrt).transpose(1, 0, 2)
 
 
 def eigensolve(A, count: int | None = None, band=None,
@@ -100,9 +130,13 @@ def eigensolve(A, count: int | None = None, band=None,
     :func:`nearest_indices`); ``band`` keeps those inside the axis-aligned
     rectangle spanned by two complex corners.  Weights default to 1.
     Hermitian input (detected, or forced with the flag) takes the one-sided
-    path where left = right; it keeps ``eigh``'s dtypes, so a real
-    symmetric operator gives real eigenvalues and real vectors.  Other input
-    takes the two-sided ``eig`` path, whose eigenvalues are complex.
+    path: ``eig_banded`` on the upper band of the operator, as wide as its
+    farthest nonzero diagonal (a periodic or dense operator is its own full
+    band).  It keeps the operator's dtype, so a real symmetric operator
+    gives real eigenvalues and real vectors, and with unit weights the
+    left family is the right one.  Other input takes the two-sided ``eig``
+    path, whose eigenvalues are complex.  The eigen-residuals are taken
+    from the same band.
 
     Raises :class:`DefectiveFamilyError` when a degenerate cluster's
     cross-Gram is singular to working precision, and
@@ -120,60 +154,54 @@ def eigensolve(A, count: int | None = None, band=None,
 
     if hermitian is None:
         hermitian = bool(np.allclose(M, M.conj().T, atol=1e-14 * scale, rtol=0.0))
+    bw = _half_bandwidth(M)
 
     if hermitian:
-        lams, right = scipy.linalg.eigh(M)
+        lams, right = scipy.linalg.eig_banded(_upper_band(M, bw), check_finite=False)
         left = right
     else:
-        lams, VL, VR = scipy.linalg.eig(M, left=True, right=True)
-        order = np.lexsort((lams.imag, lams.real))
-        lams, VL, VR = lams[order], VL[:, order], VR[:, order]
-        right, left = VR, VL
-    # eigenvectors of the W-adjoint W^-1 M^H W, which pair with the right
-    # family under <u, v>_W = u^H W v
-    left = left / weights[:, None]
+        lams, left, right = scipy.linalg.eig(M, left=True, right=True)
+    one_sided = hermitian and bool(np.all(weights == 1.0))
 
-    # selection
-    idx = np.arange(len(lams))
+    # ascending (real, imag) order; both selections keep it
+    keep = np.lexsort((lams.imag, lams.real))
     if band is not None:
-        idx = np.array([k for k in idx if _in_band(complex(lams[k]), band)], dtype=int)
-        if idx.size == 0:
+        keep = keep[[_in_band(complex(lams[k]), band) for k in keep]]
+        if keep.size == 0:
             raise EmptyBandError(f"no eigenvalues inside band {band}")
     if count is not None:
-        if count < 1 or count > idx.size:
-            raise EmptyBandError(f"requested {count} eigenvalues, {idx.size} available")
-        idx = idx[nearest_indices(lams[idx], count)]
-    lams, right, left = lams[idx], right[:, idx], left[:, idx]
+        if count < 1 or count > keep.size:
+            raise EmptyBandError(f"requested {count} eigenvalues, {keep.size} available")
+        keep = keep[nearest_indices(lams[keep], count)]
+    lams, right = lams[keep], right[:, keep]
+    # eigenvectors of the W-adjoint W^-1 M^H W, which pair with the right
+    # family under <u, v>_W = u^H W v
+    left = right if one_sided else left[:, keep] / weights[:, None]
 
-    order = np.lexsort((lams.imag, lams.real))
-    lams, right, left = lams[order], right[:, order], left[:, order]
-
-    # cluster-wise biorthonormalization against the weighted pairing
+    # biorthonormalization against the weighted pairing, one stacked SVD per
+    # cluster size (the simple eigenvalues are the clusters of size one)
     cluster_tol = 1e-8 * max(scale, 1.0)
-    for grp in _cluster(lams, cluster_tol):
-        sl = np.s_[:, grp]
-        G = left[sl].conj().T @ (weights[:, None] * right[sl])
-        U, s, Vh = np.linalg.svd(G)
-        if not (s[-1] >= _GRAM_FLOOR * max(s[0], 1.0)):
-            raise DefectiveFamilyError(
-                f"cluster at {lams[grp[0]]:.6g} has cross-Gram singular values "
-                f"{s.min():.3e} .. {s.max():.3e}; family is defective")
-        inv_sqrt = np.diag(1.0 / np.sqrt(s))
-        right[sl] = right[sl] @ Vh.conj().T @ inv_sqrt
-        left[sl] = left[sl] @ U @ inv_sqrt
-        # tie-break inside an exactly degenerate cluster: rotate each pair's
-        # phase so the left vector's largest component is positive real
-        for k in grp:
-            j = int(np.argmax(np.abs(left[:, k])))
-            ph = left[j, k] / abs(left[j, k]) if left[j, k] != 0 else 1.0
-            left[:, k] /= ph
-            right[:, k] *= np.conj(ph)
+    starts = np.r_[0, np.flatnonzero(np.abs(np.diff(lams)) > cluster_tol) + 1]
+    sizes = np.diff(np.r_[starts, len(lams)])
+    for m in np.unique(sizes):
+        cols = starts[sizes == m][:, None] + np.arange(m)
+        _normalize_clusters(lams, right, left, weights, cols)
+    # tie-break inside an exactly degenerate cluster: rotate each pair's
+    # phase so the left vector's largest component is positive real (the
+    # gate above leaves no zero column)
+    piv = left[np.argmax(np.abs(left), axis=0), np.arange(len(lams))]
+    ph = piv / np.abs(piv)
+    left /= ph
+    if left is not right:
+        right *= np.conj(ph)
 
-    res_r = float(np.max(np.linalg.norm(M @ right - right * lams, axis=0)
-                         / np.linalg.norm(right, axis=0)) / scale)
-    adj_left = (M.conj().T @ (weights[:, None] * left)) / weights[:, None]
-    res_l = float(np.max(np.linalg.norm(adj_left - left * np.conj(lams), axis=0)
-                         / np.linalg.norm(left, axis=0)) / scale)
+    res_r = _eigen_residual(_band_matmul(M, right, bw), right, lams) / scale
+    if left is right:
+        res_l = res_r
+    else:
+        # W^-1 M^H W left, with M^H X = conj(M^T conj(X))
+        adj_left = _band_matmul(M.T, np.conj(weights[:, None] * left), bw).conj()
+        res_l = _eigen_residual(adj_left / weights[:, None], left, np.conj(lams)) / scale
     return EigenFamily(lams, right, left, weights, res_r, res_l)
 
 

@@ -8,7 +8,7 @@ import scipy.linalg
 from delsarte import (DressingSeed, ExpPoly, Grid1D, SchrodingerOp,
                       SeedNodeError, crum_iterate, darboux_once, discretize,
                       spectrum_compare)
-from delsarte.darboux import _band_eigvals
+from delsarte.darboux import _band_eigvals, _compare_spectra
 from delsarte.errors import DiscretizationError
 
 
@@ -201,3 +201,34 @@ def test_banded_spectrum_matches_dense(order):
     if order == 2:
         comp = spectrum_compare(op, dressed)
         assert len(comp["new_negative"]) == 1
+
+
+def _three_soliton_stages():
+    g = Grid1D.dirichlet(-20.0, 20.0, 800)
+    op = SchrodingerOp.free(g)
+    seeds = [DressingSeed.hyperbolic(g, 1.0, "even"),
+             DressingSeed.hyperbolic(g, 2.0, "odd"),
+             DressingSeed.hyperbolic(g, 3.0, "even")]
+    return op, crum_iterate(op, seeds)[-1].operator, 3
+
+
+def _coarse_soliton():
+    # 8 nodes carry two negative eigenvalues, so the selection k_neg + 8
+    # runs past the operator and is clipped at n
+    g = Grid1D.dirichlet(-8.0, 8.0, 8)
+    op = SchrodingerOp.free(g)
+    return op, darboux_once(op, DressingSeed.hyperbolic(g, 1.0)).operator, 2
+
+
+@pytest.mark.parametrize("make", [_three_soliton_stages, _coarse_soliton],
+                         ids=["crum-3-seeds", "n-below-k_neg-plus-8"])
+def test_selected_spectrum_matches_full_spectrum(make):
+    before, after, new = make()
+    got = spectrum_compare(before, after)
+    want = _compare_spectra(_band_eigvals(before.matrix()),
+                            _band_eigvals(after.matrix()))
+    assert len(got["new_negative"]) == len(want["new_negative"]) == new
+    for key in ("lowest_before", "lowest_after", "new_negative"):
+        assert len(got[key]) == len(want[key])
+        np.testing.assert_allclose(got[key], want[key], rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(got["band_drift"], want["band_drift"], rtol=1e-10)

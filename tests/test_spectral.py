@@ -1,13 +1,19 @@
 """Biorthogonal eigenfamilies, spectral measures, and kernel calculus."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import delsarte
 from delsarte import (DefectiveFamilyError, DiffOp, DiscretizationError,
-                      EmptyBandError, Grid1D, ProductGrid, congruence_residual,
+                      DressingSeed, EmptyBandError, Grid1D, ProductGrid,
+                      SchrodingerOp, congruence_residual, darboux_once,
                       discretize, eigensolve, elementary_kernel,
                       kernel_from_measure, projection_measure)
+from delsarte.spectral import _band_matmul, _half_bandwidth
 
 
 def _dirichlet_laplacian(n=40, length=np.pi):
@@ -187,3 +193,126 @@ def test_weighted_pairing_normalization():
         np.testing.assert_allclose(G, np.eye(len(fam)), atol=1e-10)
         np.testing.assert_allclose(projection_measure(fam), np.eye(g.n), atol=1e-13)
         assert fam.residual_left < 1e-13
+
+
+def _phase_fixed(V):
+    """Columns rotated so the largest-magnitude component is positive real."""
+    piv = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    return V / (piv / np.abs(piv))
+
+
+def _soliton_operator(n):
+    # dressed off-center, so no eigenvector has two mirror-image largest
+    # components and the phase convention picks one sign
+    g = Grid1D.dirichlet(-8.0, 8.0, n)
+    seed = DressingSeed.hyperbolic(g, 1.0, center=0.37)
+    return darboux_once(SchrodingerOp.free(g), seed).operator.matrix().A
+
+
+def _periodic_laplacian(n=64):
+    g = Grid1D.periodic(0.0, 2 * np.pi, n)
+    return discretize(DiffOp(ProductGrid.line(g), {(2,): -1.0})).A
+
+
+def _complex_hermitian_tridiagonal(n=200):
+    rng = np.random.default_rng(3)
+    off = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    return (np.diag(rng.standard_normal(n)).astype(complex)
+            + np.diag(off, 1) + np.diag(off.conj(), -1))
+
+
+@pytest.mark.parametrize("make, phase_fixed_share", [
+    (lambda: _soliton_operator(40), 0.5), (lambda: _soliton_operator(600), 0.5),
+    (lambda: _soliton_operator(1600), 0.5), (_periodic_laplacian, 0.0),
+    (_complex_hermitian_tridiagonal, 0.5),
+], ids=["dirichlet-40", "dirichlet-600", "dirichlet-1600", "periodic-64",
+        "complex-hermitian-200"])
+def test_band_route_matches_dense_route(make, phase_fixed_share):
+    A = make()
+    fam = eigensolve(A, hermitian=True)
+    lams, V = scipy.linalg.eigh(A)  # dense oracle
+    n, scale = len(lams), np.max(np.abs(lams))
+    assert np.max(np.abs(fam.lambdas - lams)) <= 1e-12 * scale
+    assert fam.biorthogonality_defect() <= 1e-12
+    assert fam.left is fam.right
+    # vectors agree within the perturbation bound 1e-13 ||A|| / gap: column
+    # by column where an eigenvalue is simple and its vector's largest
+    # component leads the next by more than the bound, so the phase
+    # convention picks the same component (the periodic simple vectors have
+    # tied components); as an eigenspace in a degenerate cluster
+    tol = 1e-8 * np.linalg.norm(A, np.inf)
+    starts = np.r_[0, np.flatnonzero(np.diff(lams) > tol) + 1, n]
+    fixed = 0
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        gap = min(np.r_[lams[lo] - lams[:lo], lams[hi:] - lams[hi - 1]])
+        bound = 1e-13 * scale / gap
+        if hi - lo > 1:
+            P, Q = fam.right[:, lo:hi], V[:, lo:hi]
+            assert np.linalg.norm(P @ P.conj().T - Q @ Q.conj().T) <= bound
+            continue
+        top2 = np.sort(np.abs(V[:, lo]))[-2:]
+        if top2[1] - top2[0] > 2.0 * bound:
+            fixed += 1
+            v = _phase_fixed(V[:, lo:hi])[:, 0]
+            assert np.linalg.norm(fam.right[:, lo] - v) <= bound
+    assert fixed >= phase_fixed_share * n
+
+
+def test_band_products_match_dense_products():
+    # the products behind residual_right and residual_left, on a dense
+    # non-normal matrix (its own full band) and a non-symmetric tridiagonal
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((12, 12)) + 0.2j * rng.standard_normal((12, 12))
+    _, L = _dirichlet_laplacian(30)
+    T = L.A + np.diag(np.full(29, 3.0), 1)
+    for M, bw in ((A, 11), (T, 1)):
+        assert _half_bandwidth(M) == bw
+        n = M.shape[0]
+        V = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+        np.testing.assert_allclose(_band_matmul(M, V, bw), M @ V, rtol=1e-13)
+        np.testing.assert_allclose(_band_matmul(M.T, V.conj(), bw).conj(),
+                                   M.conj().T @ V, rtol=1e-13)
+
+
+def _eig_banded_calls(tree):
+    """(enclosing function, keyword names) of each ``eig_banded`` call."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name == "eig_banded":
+                out.append((func, {k.arg for k in node.keywords}))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+def test_spectra_come_from_the_band():
+    """No dense symmetric eigensolver in the package: ``eigh`` is reached
+    only as ``np.linalg.eigh`` (the Hodge Laplacian's harmonic space), never
+    from ``scipy.linalg``.  ``eig_banded`` computes a whole spectrum only in
+    ``_band_eigvals`` (eigenvalues) and ``eigensolve`` (the full family,
+    vectors included); every other call selects."""
+    src = Path(delsarte.__file__).parent
+    bad, full = [], set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "scipy.linalg":
+                bad += [f"{path.name}: import {a.name}" for a in node.names
+                        if a.name == "eigh"]
+            if isinstance(node, ast.Attribute) and node.attr == "eigh":
+                if ast.unparse(node.value) not in ("np.linalg", "numpy.linalg"):
+                    bad.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+        for func, keywords in _eig_banded_calls(tree):
+            if "select" not in keywords:
+                full.add((path.name, func, "eigvals_only" in keywords))
+    assert bad == []
+    assert full == {("darboux.py", "_band_eigvals", True),
+                    ("spectral.py", "eigensolve", False)}

@@ -18,12 +18,13 @@ from delsarte import (ConditionNumberError, DelsarteOp, DiffOp, DressingSeed,
                       adjoint_compat_check, commutation_check, darboux_once,
                       discretize, eigensolve, gk_factorize,
                       independence_check, kernel_from_measure,
-                      locality_check, pair_intertwiner, random_unit_minor,
-                      spectrum_compare, transform_operator)
+                      locality_check, pair_intertwiner, projection_measure,
+                      random_unit_minor, spectrum_compare, transform_operator)
 from delsarte import acceptance
 from delsarte.acceptance import transmute_check
 from delsarte.errors import DiscretizationError
 from delsarte.factorize import _conjugate
+from delsarte.spectral import nearest_indices
 
 
 def _family_data(n=50, m=3, length=np.pi):
@@ -171,6 +172,27 @@ def test_dressing_data_is_exact_on_soliton_operators(kappa, half_width, n, m):
     assert all(op.volterra_defect() == 0.0 for op in kops)
     np.testing.assert_allclose(kops[2].matrix() @ kops[1].matrix(),
                                eye + datak.Phi, atol=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(kappa=st.floats(0.6, 1.4), center=st.floats(-1.0, 1.0),
+       n=st.integers(30, 150), m=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_family_route_is_exact_with_varying_weights(kappa, center, n, m, seed):
+    # the weighted pairing on the band route: node weights from U(0.5, 2)
+    w = np.random.default_rng(seed).uniform(0.5, 2.0, n)
+    base, dressed = acceptance.soliton_pair((-8.0, 8.0), n, kappa, "even", center)
+    L = dressed.operator.matrix().A
+    fam = eigensolve(L, weights=w, hermitian=True)
+    assert fam.biorthogonality_defect() <= 1e-12
+    assert np.max(np.abs(projection_measure(fam) - np.eye(n))) <= 1e-12
+    k = nearest_indices(fam.lambdas, m)
+    data = TransmutationData.from_family(base.grid, L, fam.right[:, k],
+                                         fam.left[:, k], weights=w)
+    for sign in "+-":
+        np.testing.assert_allclose(
+            data.operator(sign).matrix() @ data.inverse(sign).matrix(),
+            np.eye(n), atol=1e-12)
 
 
 def _nonsymmetric(n, drift, amp, half_width=8.0):
