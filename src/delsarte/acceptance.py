@@ -21,7 +21,8 @@ import numpy as np
 import scipy.linalg
 
 from .darboux import (DressingSeed, SchrodingerOp, _band_eigvals,
-                      _low_spectrum, darboux_once, spectrum_compare)
+                      _compare_spectra, _low_spectrum, darboux_once,
+                      spectrum_compare)
 from .derham import (d_L, expected_betti, flat_complex, flat_dimension,
                      harmonic_space, hodge_decompose, plain_complex,
                      skrypnik_map)
@@ -230,12 +231,13 @@ def criterion_3() -> list:
     om = pair_intertwiner(Lm.A, Tm.A, "+", grid=base.grid)
     Ltil = transform_operator(Lm.A, om)
     # preservation needs the whole spectrum; the bound state and the drift
-    # take the low end that the darboux command reads
+    # take the low end that spectrum_compare (so the darboux command) reads
     ev_L = _band_eigvals(Lm)
     ev_c = np.asarray(sorted(scipy.linalg.eigvals(Ltil), key=lambda z: z.real))
     radius = float(np.max(np.abs(ev_L)))
     preserve = float(np.max(np.abs(ev_c - ev_L)) / radius)
-    bound_state = _bound_state_rows(spectrum_compare(base, dressed.operator), 1.0)
+    bound_state = _bound_state_rows(
+        _compare_spectra(_low_spectrum(Lm), _low_spectrum(Tm)), 1.0)
 
     # positive-band drift: same spacing, doubled domain
     drifts = []

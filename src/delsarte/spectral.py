@@ -106,7 +106,7 @@ def _normalize_clusters(lams, right, left, weights, cols) -> None:
     k x m) through one stacked SVD of their k cross-Grams left^* W right.
     Only ``right`` is rescaled when ``left is right``."""
     R = right[:, cols].transpose(1, 0, 2)  # k x n x m
-    Lv = left[:, cols].transpose(1, 0, 2)
+    Lv = R if left is right else left[:, cols].transpose(1, 0, 2)
     U, s, Vh = np.linalg.svd(Lv.conj().swapaxes(1, 2) @ (weights[:, None] * R))
     # NaN-safe floor gate: a NaN singular value fails the comparison
     ok = s[:, -1] >= _GRAM_FLOOR * np.maximum(s[:, 0], 1.0)
