@@ -26,7 +26,7 @@ import scipy.linalg
 
 from .errors import DiscretizationError, SeedNodeError
 from .grid_ops import (DiffOp, Grid1D, OperatorMatrix, ProductGrid,
-                       discretize)
+                       _band_matvec, discretize)
 
 __all__ = [
     "ExpPoly",
@@ -229,11 +229,12 @@ def _check_seed(op: SchrodingerOp, seed: DressingSeed) -> None:
         raise DiscretizationError(
             f"grid of {op.grid.n} nodes has no interior rows for the seed "
             f"residual gate; at least {2 * w + 1} are needed")
-    L = op.matrix()
-    r = L.A @ vals - seed.stencil_energy() * vals
+    ab = op.matrix().to_banded()
+    r = _band_matvec(ab, vals) - seed.stencil_energy() * vals
     res = np.max(np.abs(r[w:op.grid.n - w]))
-    ab = L.to_banded()
-    gate = 1e-8 * np.max(np.abs(ab[-1]) + _offdiag_row_sums(ab)) * np.max(np.abs(vals))
+    # ||L||_inf: the largest row sum of |L|
+    norm = np.max(_band_matvec(np.abs(ab), np.ones(op.grid.n)))
+    gate = 1e-8 * norm * np.max(np.abs(vals))
     if not (res <= gate):
         raise DiscretizationError(
             f"seed is not a formal solution: interior residual "
@@ -280,21 +281,9 @@ _N_LOW = 8  # eigenvalues reported per side, and positive ones compared
 _MATCH_RTOL = 1e-2  # relative distance at which a negative eigenvalue is matched
 
 
-def _offdiag_row_sums(ab: np.ndarray) -> np.ndarray:
-    """Row sums of |a_ij| off the diagonal of a Hermitian matrix held in
-    upper banded storage (the ``to_banded`` layout)."""
-    bw = ab.shape[0] - 1
-    out = np.zeros(ab.shape[1])
-    for d in range(1, bw + 1):
-        a = np.abs(ab[bw - d, d:])
-        out[:-d] += a
-        out[d:] += a
-    return out
-
-
 def _band_eigvals(A: OperatorMatrix) -> np.ndarray:
     """Ascending eigenvalues of a symmetric operator, computed from its band
-    (the bandwidth ``discretize`` records)."""
+    (as wide as its farthest nonzero diagonal)."""
     return scipy.linalg.eig_banded(A.to_banded(), eigvals_only=True)
 
 
@@ -303,8 +292,10 @@ def _low_spectrum(A: OperatorMatrix) -> np.ndarray:
     :func:`_compare_spectra` reads: every one <= 0 and the ``_N_LOW`` after
     them (fewer on a smaller operator), selected from its band."""
     ab = A.to_banded()
-    # Gershgorin lower bound, moved down since select='v' excludes its left end
-    lo = float(np.min(ab[-1].real - _offdiag_row_sums(ab)))
+    # Gershgorin lower bound a_ii - sum_{j != i} |a_ij|, moved down since
+    # select='v' excludes its left end
+    abs_rows = _band_matvec(np.abs(ab), np.ones(ab.shape[1]))
+    lo = float(np.min(ab[-1].real + np.abs(ab[-1]) - abs_rows))
     lo -= 1.0 + abs(lo)
     k_neg = len(scipy.linalg.eig_banded(ab, eigvals_only=True, select="v",
                                         select_range=(lo, 0.0)))

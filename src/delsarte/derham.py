@@ -241,11 +241,9 @@ class HarmonicReport:
     singular_values: np.ndarray
     ambiguous: bool
 
-    def as_json(self, betti_expected: int | None = None) -> dict:
-        out = {"degree": self.degree, "dim": self.dim, "gap": self.gap}
-        if betti_expected is not None:
-            out["betti_expected"] = betti_expected
-        return out
+    def as_json(self, betti_expected: int) -> dict:
+        return {"degree": self.degree, "dim": self.dim, "gap": self.gap,
+                "betti_expected": betti_expected}
 
 
 def harmonic_space(c: GenComplex, degree: int) -> HarmonicReport:

@@ -105,12 +105,22 @@ def _pivot_floor(M: np.ndarray) -> np.ndarray:
 
 
 def _check_pivot(piv: np.ndarray, tiny: np.ndarray, k: int) -> np.ndarray:
-    if (bad := np.abs(piv) <= tiny).any():
+    """``piv`` after checking that it is finite (NaN is not) and above ``tiny``."""
+    a = np.abs(piv)
+    if not (finite := a < np.inf).all():
+        raise _overflow(finite, k)
+    if (bad := a <= tiny).any():
         raise SingularMinorError(
             k + 1, f"leading principal minor of size {k + 1}{_in_stack(bad)} is singular")
     return piv
 
 
+def _overflow(finite: np.ndarray, k: int) -> SingularMinorError:
+    """The error for elimination row k, where a kernel went non-finite."""
+    return SingularMinorError(k + 1, f"row {k} elimination overflowed{_in_stack(~finite)}")
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _ldu(M: np.ndarray):
     """Unpivoted Doolittle LDU of a matrix or a stack (..., n, n); raises
     SingularMinorError at the first bad pivot.
@@ -124,8 +134,10 @@ def _ldu(M: np.ndarray):
     solves run matrix by matrix, and each matrix gets the bits it gets
     alone.  Every pivot is held against a threshold set from its whole
     matrix, so the first bad leading minor is named exactly, with the
-    kernel's position when a stack is factored.  The factors take the
-    dtype ``np.result_type(M, float)``: real for a real matrix.
+    kernel's position when a stack is factored; an update that overflows
+    raises it, without a warning, at the first non-finite pivot or panel.
+    The factors take the dtype ``np.result_type(M, float)``: real for a
+    real matrix.
     """
     A = np.array(M, dtype=np.result_type(M, float))
     n = A.shape[-1]
@@ -148,8 +160,12 @@ def _ldu(M: np.ndarray):
             # A21 = L21 D11 U11 and A12 = L11 D11 U12
             X = np.swapaxes(_unit_triangular_solve(
                 U[..., blk, blk], np.swapaxes(A[..., b1:, blk], -1, -2), trans="T",
-                lower=False), -1, -2)
-            Y = _unit_triangular_solve(L[..., blk, blk], A[..., blk, b1:], lower=True)
+                lower=False, check_finite=False), -1, -2)
+            Y = _unit_triangular_solve(L[..., blk, blk], A[..., blk, b1:], lower=True,
+                                       check_finite=False)
+            if not (finite := (np.isfinite(X).all(axis=(-2, -1))
+                               & np.isfinite(Y).all(axis=(-2, -1)))).all():
+                raise _overflow(finite, b1)
             L[..., b1:, blk] = X / d[..., None, blk]
             U[..., blk, b1:] = Y / d[..., blk, None]
             A[..., b1:, b1:] -= X @ U[..., blk, b1:]

@@ -18,7 +18,9 @@ helpers, the only places its Kronecker structure is written down:
 and :func:`_shift_pairs` lists the node pairs one stencil offset per axis
 connects, so :func:`discretize` (and ``lagrange.forward_diff_matrix``)
 writes each stencil weight straight onto the nonzeros of the operator
-I x ... x D1 x ... x I x I_N on flattened fields.
+I x ... x D1 x ... x I x I_N on flattened fields.  The band of an
+assembled matrix is likewise read in one place: :func:`_upper_band` packs
+it from the matrix's own nonzeros and :func:`_band_matvec` multiplies by it.
 """
 
 from __future__ import annotations
@@ -251,38 +253,18 @@ def derivative_matrix(grid: Grid1D, order: int, scheme_order: int = 2,
 
 @dataclass
 class OperatorMatrix:
-    """The banded result of :func:`discretize`.
-
-    ``A`` is the dense matrix acting on flattened fields of ``grid``, with
-    the dtype of the expression's coefficients; ``axis_bandwidths`` records,
-    per axis, the stencil half-width in node units, which
-    :meth:`to_banded` turns into the band of the flattened matrix.
-    """
+    """The result of :func:`discretize`: ``A`` is the dense matrix acting on
+    flattened fields, with the dtype of the expression's coefficients."""
 
     A: np.ndarray
-    grid: ProductGrid
-    axis_bandwidths: tuple
 
     @property
     def shape(self):
         return self.A.shape
 
-    def flat_bandwidth(self) -> int:
-        """Bandwidth bound in the flattened index."""
-        strides = []
-        s = self.grid.fiber_dim
-        for n_ax in reversed(self.grid.shape):
-            strides.append(s)
-            s *= n_ax
-        strides = list(reversed(strides))
-        bw = self.grid.fiber_dim - 1
-        for w, st in zip(self.axis_bandwidths, strides):
-            bw += w * st
-        return bw
-
     def to_banded(self) -> np.ndarray:
-        """Upper banded storage (scipy ``eig_banded`` layout). Hermitian use only."""
-        return _upper_band(self.A, self.flat_bandwidth())
+        """Upper banded storage of ``A`` (:func:`_upper_band`). Hermitian use only."""
+        return _upper_band(self.A)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +330,9 @@ def discretize(op: DiffOp, scheme_order: int = 2) -> OperatorMatrix:
     derivatives (the identity for alpha = 0).  The stencil weights are
     written straight onto the nonzeros of D^alpha, term by term in sorted
     order, so no dense lift or product is formed.  The matrix takes the
-    common dtype of the coefficients: float64 when all are real.
+    common dtype of the coefficients: float64 when all are real.  No
+    bandwidth is recorded: :meth:`OperatorMatrix.to_banded` reads the band
+    from the nonzeros, periodic wrap entries included.
     """
     if scheme_order not in (2, 4):
         raise DiscretizationError(f"unsupported scheme order {scheme_order}")
@@ -374,9 +358,7 @@ def discretize(op: DiffOp, scheme_order: int = 2) -> OperatorMatrix:
             rows, cols = _shift_pairs(grid, {axis: k for axis, (k, _) in zip(active, taps)})
             weight = math.prod(wt for _, wt in taps)
             blocks[rows, :, cols, :] += a[rows] * weight
-    bws = tuple(stencil_half_width(order[j], scheme_order) if order[j] > 0 else 0
-                for j in range(grid.ndim))
-    return OperatorMatrix(A, grid, bws)
+    return OperatorMatrix(A)
 
 
 def _multi_binom(alpha, beta) -> int:
@@ -424,13 +406,31 @@ def _as_matrix(A) -> np.ndarray:
     return A.A if isinstance(A, OperatorMatrix) else np.asarray(A)
 
 
-def _upper_band(A: np.ndarray, bw: int) -> np.ndarray:
-    """Diagonals 0..bw of a square matrix in upper banded storage (the
-    ``eig_banded`` layout): diagonal d is row bw - d, from column d on."""
-    ab = np.zeros((bw + 1, A.shape[0]), dtype=A.dtype)
+def _upper_band(A: np.ndarray) -> np.ndarray:
+    """Upper banded storage of a square matrix (the ``eig_banded`` layout):
+    diagonals 0..bw, diagonal d in row bw - d from column d on, where bw is
+    the largest |i - j| over the nonzero entries A[i, j].  A periodic or
+    dense matrix is its own full band."""
+    n = A.shape[0]
+    rows, cols = divmod(np.flatnonzero(A != 0), n)
+    bw = int(np.max(np.abs(cols - rows), initial=0))
+    ab = np.zeros((bw + 1, n), dtype=A.dtype)
     for d in range(bw + 1):
         ab[bw - d, d:] = np.diagonal(A, offset=d)
     return ab
+
+
+def _band_matvec(ab: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """A @ V for the Hermitian A held in upper banded storage ``ab`` (the
+    :func:`_upper_band` layout); V is a vector or a block of columns."""
+    bw = ab.shape[0] - 1
+    ab = ab.reshape(ab.shape + (1,) * (V.ndim - 1))
+    out = ab[bw] * V
+    for d in range(1, bw + 1):
+        u = ab[bw - d, d:]
+        out[:-d] += u * V[d:]
+        out[d:] += u.conj() * V[:-d]
+    return out
 
 
 def commutator(A, B) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DefectiveFamilyError, DiscretizationError, EmptyBandError
-from .grid_ops import _as_matrix, _upper_band
+from .grid_ops import _as_matrix, _band_matvec, _upper_band
 
 __all__ = [
     "EigenFamily",
@@ -80,21 +80,6 @@ def nearest_indices(lams: np.ndarray, count: int) -> np.ndarray:
     return np.sort(np.argsort(np.abs(lams), kind="stable")[:count])
 
 
-def _half_bandwidth(M: np.ndarray) -> int:
-    """Largest |i - j| over the nonzero entries M[i, j]."""
-    rows, cols = np.nonzero(M)
-    return int(np.max(np.abs(cols - rows), initial=0))
-
-
-def _band_matmul(M: np.ndarray, V: np.ndarray, bw: int) -> np.ndarray:
-    """M @ V from the 2 bw + 1 diagonals that hold the nonzeros of M."""
-    out = np.diagonal(M)[:, None] * V
-    for d in range(1, bw + 1):
-        out[:-d] += np.diagonal(M, d)[:, None] * V[d:]
-        out[d:] += np.diagonal(M, -d)[:, None] * V[:-d]
-    return out
-
-
 def _eigen_residual(AV: np.ndarray, V: np.ndarray, lams: np.ndarray) -> float:
     """Worst column of |A v - lam v| / |v|, given AV = A @ V."""
     return float(np.max(np.linalg.norm(AV - V * lams, axis=0)
@@ -134,9 +119,10 @@ def eigensolve(A, count: int | None = None, band=None,
     farthest nonzero diagonal (a periodic or dense operator is its own full
     band).  It keeps the operator's dtype, so a real symmetric operator
     gives real eigenvalues and real vectors, and with unit weights the
-    left family is the right one.  Other input takes the two-sided ``eig``
-    path, whose eigenvalues are complex.  The eigen-residuals are taken
-    from the same band.
+    left family is the right one; its eigen-residuals are taken from the
+    same band.  Other input takes the two-sided ``eig`` path, whose
+    eigenvalues are complex and whose residuals come from dense products
+    (its solve is already O(n^3)).
 
     Raises :class:`DefectiveFamilyError` when a degenerate cluster's
     cross-Gram is singular to working precision, and
@@ -154,10 +140,10 @@ def eigensolve(A, count: int | None = None, band=None,
 
     if hermitian is None:
         hermitian = bool(np.allclose(M, M.conj().T, atol=1e-14 * scale, rtol=0.0))
-    bw = _half_bandwidth(M)
 
     if hermitian:
-        lams, right = scipy.linalg.eig_banded(_upper_band(M, bw), check_finite=False)
+        ab = _upper_band(M)
+        lams, right = scipy.linalg.eig_banded(ab, check_finite=False)
         left = right
     else:
         lams, left, right = scipy.linalg.eig(M, left=True, right=True)
@@ -195,12 +181,14 @@ def eigensolve(A, count: int | None = None, band=None,
     if left is not right:
         right *= np.conj(ph)
 
-    res_r = _eigen_residual(_band_matmul(M, right, bw), right, lams) / scale
+    res_r = _eigen_residual(_band_matvec(ab, right) if hermitian else M @ right,
+                            right, lams) / scale
     if left is right:
         res_l = res_r
     else:
-        # W^-1 M^H W left, with M^H X = conj(M^T conj(X))
-        adj_left = _band_matmul(M.T, np.conj(weights[:, None] * left), bw).conj()
+        # W^-1 M^H W left, where M^H = M on the Hermitian path
+        WL = weights[:, None] * left
+        adj_left = _band_matvec(ab, WL) if hermitian else M.conj().T @ WL
         res_l = _eigen_residual(adj_left / weights[:, None], left, np.conj(lams)) / scale
     return EigenFamily(lams, right, left, weights, res_r, res_l)
 

@@ -433,19 +433,19 @@ def locality_check(Ltil, bandwidth: int) -> float:
 
     Rows within ``bandwidth + 2`` of either end are excluded: the dressing
     necessarily dumps its defect there (last or first row) and the
-    discretization truncates stencils there anyway.
+    discretization truncates stencils there anyway.  Raises
+    :class:`DiscretizationError` when no interior row is left.
     """
     A = _as_matrix(Ltil)
     n = A.shape[0]
     edge = bandwidth + 2
+    if n - 2 * edge < 1:
+        raise DiscretizationError(
+            f"operator of size {n} has no interior rows for the locality "
+            f"check at bandwidth {bandwidth}; at least {2 * edge + 1} are needed")
     sub = A[edge:n - edge]
-    mask = np.ones_like(sub, dtype=bool)
-    for k, i in enumerate(range(edge, n - edge)):
-        lo = max(0, i - bandwidth)
-        hi = min(n, i + bandwidth + 1)
-        mask[k, lo:hi] = False
-    off = np.linalg.norm(sub[mask])
-    return float(off / max(np.linalg.norm(sub), 1e-300))
+    off_band = np.abs(np.arange(edge, n - edge)[:, None] - np.arange(n)) > bandwidth
+    return float(np.linalg.norm(sub[off_band]) / max(np.linalg.norm(sub), 1e-300))
 
 
 def independence_check(data: TransmutationData | KernelData):

@@ -337,6 +337,32 @@ def test_axis_layout_lives_in_two_helpers():
     assert offenders == []
 
 
+def test_band_diagonals_are_read_in_one_place():
+    """``np.diagonal`` with an offset, which reads one band diagonal, appears
+    only in ``grid_ops._upper_band`` (the one band packer) and in
+    ``transmute._extract_tridiag`` (which validates its input)."""
+    import delsarte
+    allowed = {("grid_ops.py", "_upper_band"), ("transmute.py", "_extract_tridiag")}
+    offenders = []
+
+    def visit(node, path, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "diagonal"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")
+                and (len(node.args) > 1 or any(k.arg == "offset" for k in node.keywords))
+                and (path.name, where) not in allowed):
+            offenders.append(f"{path.name}:{node.lineno} {where} np.diagonal")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, where)
+
+    for path in sorted(Path(delsarte.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, "<module>")
+    assert offenders == []
+
+
 # ---------------------------------------------------------------------------
 # exit code 1: a residual fails
 # ---------------------------------------------------------------------------
@@ -473,6 +499,18 @@ def test_non_finite_phi_file_gives_computation_error(tmp_path, capsys):
     code, _ = _run(tmp_path, dict(FACTORIZE_CFG, phi_file=str(pf)))
     assert code == 3
     assert "computation failed" in capsys.readouterr().err
+
+
+def test_overflowing_phi_file_gives_computation_error(tmp_path, capsys):
+    # finite entries at scale 1e155 overflow the LDU's first update
+    pf = tmp_path / "phi_in.csv"
+    save_matrix_csv(pf, 1e155 * np.random.default_rng(0).uniform(0.5, 1.0, (6, 6)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = _run(tmp_path, {"command": "factorize", "phi_file": str(pf)})
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "computation failed" in err and "elimination overflowed" in err
 
 
 def test_non_square_phi_file_gives_computation_error(tmp_path, capsys):

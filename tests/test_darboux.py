@@ -192,7 +192,8 @@ def test_banded_spectrum_matches_dense(order):
     g, op, seed = _setup(n=300, w=10.0)
     dressed = darboux_once(op, seed).operator
     for A in (discretize(op.diffop(), order), discretize(dressed.diffop(), order)):
-        bw = A.flat_bandwidth()
+        bw = A.to_banded().shape[0] - 1
+        assert bw == order // 2
         assert np.count_nonzero(np.triu(A.A, bw + 1)) == 0
         assert np.count_nonzero(np.tril(A.A, -bw - 1)) == 0
         dense = scipy.linalg.eigvalsh(A.A)
@@ -201,6 +202,24 @@ def test_banded_spectrum_matches_dense(order):
     if order == 2:
         comp = spectrum_compare(op, dressed)
         assert len(comp["new_negative"]) == 1
+
+
+@pytest.mark.parametrize("shift", [0.0, -0.7])
+def test_periodic_spectrum_keeps_the_wrap_entries(shift):
+    """On a periodic grid the wrap entries sit in the matrix corners; the
+    band the spectra come from must hold them.  The free operator's lowest
+    eigenvalue is 0, and a constant shift moves every eigenvalue by it."""
+    g = Grid1D.periodic(0.0, 2.0 * np.pi, 64)
+    free = SchrodingerOp.free(g)
+    shifted = SchrodingerOp(g, np.full(g.n, shift))
+    comp = spectrum_compare(free, shifted)
+    for op, lowest in ((free, comp["lowest_before"]), (shifted, comp["lowest_after"])):
+        dense = scipy.linalg.eigvalsh(op.matrix().A)
+        tol = 1e-12 * np.max(np.abs(dense))
+        np.testing.assert_allclose(_band_eigvals(op.matrix()), dense, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(lowest, dense[:len(lowest)], rtol=0.0, atol=tol)
+    assert comp["lowest_before"][0] == pytest.approx(0.0, abs=1e-10)
+    assert comp["lowest_after"][0] == pytest.approx(shift, abs=1e-10)
 
 
 def _three_soliton_stages():

@@ -1,6 +1,8 @@
 """Triangular splitting of 1 + Phi along projector chains, and the
 row-elimination route to the same kernels."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -232,6 +234,32 @@ def test_blocked_ldu_names_first_singular_minor(k):
     with pytest.raises(SingularMinorError) as err:
         gk_factorize(Lw @ np.diag(d) @ Uw - np.eye(n))
     assert err.value.index == k
+
+
+def test_overflowing_elimination_is_a_singular_minor():
+    # a finite kernel at scale 1e155: the first rank-one update overflows
+    Phi = 1e155 * np.random.default_rng(0).uniform(0.5, 1.0, (6, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMinorError, match="row 1 elimination overflowed"):
+            gk_factorize(Phi)
+
+
+def test_overflowing_panel_is_a_singular_minor():
+    # moderate entries whose first-block panel solve grows past the float
+    # range (U11 = 1 + 1e6 N): the blocked path fails at the panel, not at
+    # a pivot, with the kernel named in a stack
+    n = 130
+    Phi = np.zeros((n, n))
+    Phi[:64, :64] = 1e6 * np.triu(np.ones((64, 64)), 1)
+    Phi[64:, :64] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMinorError, match="row 64 elimination overflowed$"):
+            gk_factorize(Phi)
+        with pytest.raises(SingularMinorError, match="of kernel 1 in the stack") as err:
+            gk_factorize(np.stack([np.zeros((n, n)), Phi]))
+    assert err.value.index == 65
 
 
 def test_glm_dtype_follows_phi():

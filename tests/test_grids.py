@@ -3,11 +3,15 @@ convergence orders, and the formal adjoint."""
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from delsarte import (DiffOp, DiscretizationError, Grid1D, GridError,
-                      OperatorMatrix, ProductGrid, adjoint_defect, commutator,
+                      ProductGrid, adjoint_defect, commutator,
                       derivative_matrix, discretize, formal_adjoint, inner)
-from delsarte.grid_ops import fd_weights, stencil_half_width
+from delsarte.grid_ops import (_band_matvec, _upper_band, fd_weights,
+                               stencil_half_width)
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +210,84 @@ def test_matrix_coefficient_discretization():
 
 
 def test_bandwidth_metadata_and_composition():
-    pg = _line(32)
-    op = DiffOp(pg, {(2,): -1.0})
-    A = discretize(op)
-    assert A.axis_bandwidths == (1,)
-    assert A.flat_bandwidth() == 1
+    # the band is read from the nonzeros: the 3-point stencil has
+    # half-bandwidth 1 on a Dirichlet line, and the periodic wrap entries
+    # make the band of a periodic line full
+    for kind, rows in (("dirichlet", 2), ("periodic", 32)):
+        A = discretize(DiffOp(_line(32, kind), {(2,): -1.0}))
+        assert A.to_banded().shape == (rows, 32)
 
 
-def test_banded_round_trip():
-    pg = _line(16)
-    op = DiffOp(pg, {(2,): -1.0, (0,): 1.0})
-    A = discretize(op)
-    g = Grid1D.dirichlet(0.0, 1.0, 16)
-    B = OperatorMatrix(-derivative_matrix(g, 2), ProductGrid.line(g), (1,))
-    ab = B.to_banded()
-    for d in range(2):
-        np.testing.assert_array_equal(ab[1 - d, d:], np.diagonal(B.A, offset=d))
-    del A
+@st.composite
+def _hermitian_band_matrices(draw):
+    """Hermitian matrices with small-integer entries (so every product is
+    exact) on each diagonal up to a drawn half-bandwidth, optionally with a
+    periodic corner pair and zero rows (with their columns)."""
+    n = draw(st.integers(1, 12))
+    bw = draw(st.integers(0, n - 1))
+    cplx = draw(st.booleans())
+    M = np.zeros((n, n), dtype=complex if cplx else float)
+    entries = st.integers(-4, 4)
+    for d in range(bw + 1):
+        diag = np.array(draw(st.lists(entries, min_size=n - d, max_size=n - d)), M.dtype)
+        if cplx and d > 0:
+            diag += 1j * np.array(draw(st.lists(entries, min_size=n - d, max_size=n - d)))
+        M[np.arange(n - d), np.arange(d, n)] = diag
+    if n > 2 and draw(st.booleans()):
+        M[0, n - 1] = draw(st.integers(1, 4))
+    M = np.triu(M) + np.triu(M, 1).conj().T
+    for k in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        M[k, :] = 0.0
+        M[:, k] = 0.0
+    return M
+
+
+def _fixed_band_inputs():
+    """A dense non-normal matrix and a tridiagonal one with a shifted
+    superdiagonal, both made Hermitian, the 3-point stencil, and the zero
+    matrix."""
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((12, 12)) + 0.2j * rng.standard_normal((12, 12))
+    T = -derivative_matrix(Grid1D.dirichlet(0.0, np.pi, 29), 2) + np.diag(np.full(28, 3.0), 1)
+    return (A + A.conj().T, T + T.T,
+            -derivative_matrix(Grid1D.dirichlet(0.0, 1.0, 16), 2), np.zeros((5, 5)))
+
+
+_DENSE, _TRIDIAGONAL, _STENCIL, _ZERO = _fixed_band_inputs()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(M=_hermitian_band_matrices(), seed=st.integers(0, 2 ** 32 - 1))
+@example(M=_DENSE, seed=1)
+@example(M=_TRIDIAGONAL, seed=2)
+@example(M=_STENCIL, seed=3)
+@example(M=_ZERO, seed=4)
+def test_band_helpers_match_dense_matrix(M, seed):
+    """``_upper_band`` holds exactly the diagonals up to the farthest
+    nonzero one, ``eig_banded`` on it gives the dense spectrum, and
+    ``_band_matvec`` gives the dense product, for vectors and blocks."""
+    n = M.shape[0]
+    rows, cols = np.nonzero(M)
+    bw = int(np.max(np.abs(cols - rows), initial=0))
+    ab = _upper_band(M)
+    assert ab.shape == (bw + 1, n) and ab.dtype == M.dtype
+    back = np.zeros_like(M)
+    for d in range(bw + 1):
+        np.testing.assert_array_equal(ab[bw - d, d:], np.diagonal(M, d))
+        back += np.diag(ab[bw - d, d:], d)
+        if d:
+            back += np.diag(ab[bw - d, d:].conj(), -d)
+    np.testing.assert_array_equal(back, M)
+    dense = scipy.linalg.eigvalsh(M)
+    banded = scipy.linalg.eig_banded(ab, eigvals_only=True)
+    np.testing.assert_allclose(banded, dense, rtol=0.0,
+                               atol=1e-12 * max(np.max(np.abs(dense)), 1.0))
+    rng = np.random.default_rng(seed)
+    V = rng.integers(-4, 5, (n, 3)).astype(float)
+    if seed % 2:
+        V = V + 1j * rng.integers(-4, 5, (n, 3))
+    np.testing.assert_allclose(_band_matvec(ab, V), M @ V, rtol=1e-13)
+    np.testing.assert_allclose(_band_matvec(ab, V[:, 0]), M @ V[:, 0], rtol=1e-13)
 
 
 def test_commutator_with_position_is_neighbor_averaging():

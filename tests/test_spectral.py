@@ -13,7 +13,6 @@ from delsarte import (DefectiveFamilyError, DiffOp, DiscretizationError,
                       SchrodingerOp, congruence_residual, darboux_once,
                       discretize, eigensolve, elementary_kernel,
                       kernel_from_measure, projection_measure)
-from delsarte.spectral import _band_matmul, _half_bandwidth
 
 
 def _dirichlet_laplacian(n=40, length=np.pi):
@@ -256,22 +255,6 @@ def test_band_route_matches_dense_route(make, phase_fixed_share):
             v = _phase_fixed(V[:, lo:hi])[:, 0]
             assert np.linalg.norm(fam.right[:, lo] - v) <= bound
     assert fixed >= phase_fixed_share * n
-
-
-def test_band_products_match_dense_products():
-    # the products behind residual_right and residual_left, on a dense
-    # non-normal matrix (its own full band) and a non-symmetric tridiagonal
-    rng = np.random.default_rng(5)
-    A = rng.standard_normal((12, 12)) + 0.2j * rng.standard_normal((12, 12))
-    _, L = _dirichlet_laplacian(30)
-    T = L.A + np.diag(np.full(29, 3.0), 1)
-    for M, bw in ((A, 11), (T, 1)):
-        assert _half_bandwidth(M) == bw
-        n = M.shape[0]
-        V = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
-        np.testing.assert_allclose(_band_matmul(M, V, bw), M @ V, rtol=1e-13)
-        np.testing.assert_allclose(_band_matmul(M.T, V.conj(), bw).conj(),
-                                   M.conj().T @ V, rtol=1e-13)
 
 
 def _eig_banded_calls(tree):

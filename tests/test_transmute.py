@@ -432,6 +432,16 @@ def test_random_kernel_is_not_local():
     assert locality_check(Ltil, bandwidth=1) > 1e-2
 
 
+def test_locality_check_needs_an_interior_row():
+    # every row of a 6 x 6 matrix lies within bandwidth + 2 of an end, so
+    # there is no mass to measure; 0.0 would pass any threshold
+    with pytest.raises(DiscretizationError, match="no interior rows"):
+        locality_check(np.ones((6, 6)), bandwidth=1)
+    # one interior row: rows 0-2 and 4-6 are edges, row 3 keeps |j - 3| <= 1
+    A = np.ones((7, 7))
+    assert locality_check(A, bandwidth=1) == pytest.approx(2.0 / np.sqrt(7.0), rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
