@@ -218,6 +218,18 @@ def test_bandwidth_metadata_and_composition():
         assert A.to_banded().shape == (rows, 32)
 
 
+def test_banded_round_trip():
+    # to_banded packs the assembled stencil matrix; unpacking its diagonals
+    # (and their conjugates below) gives the matrix back
+    A = discretize(DiffOp(_line(16, "dirichlet"), {(2,): -1.0, (0,): 1.0}))
+    ab = A.to_banded()
+    assert ab.shape == (2, 16)
+    for d in range(2):
+        np.testing.assert_array_equal(ab[1 - d, d:], np.diagonal(A.A, offset=d))
+    back = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:].conj(), -1)
+    np.testing.assert_array_equal(back, A.A)
+
+
 @st.composite
 def _hermitian_band_matrices(draw):
     """Hermitian matrices with small-integer entries (so every product is

@@ -13,6 +13,7 @@ from delsarte import (DefectiveFamilyError, DiffOp, DiscretizationError,
                       SchrodingerOp, congruence_residual, darboux_once,
                       discretize, eigensolve, elementary_kernel,
                       kernel_from_measure, projection_measure)
+from delsarte.grid_ops import _band_matvec, _upper_band
 
 
 def _dirichlet_laplacian(n=40, length=np.pi):
@@ -255,6 +256,23 @@ def test_band_route_matches_dense_route(make, phase_fixed_share):
             v = _phase_fixed(V[:, lo:hi])[:, 0]
             assert np.linalg.norm(fam.right[:, lo] - v) <= bound
     assert fixed >= phase_fixed_share * n
+
+
+def test_band_products_match_dense_products():
+    # the products behind eigensolve's Hermitian residuals, on a dense
+    # non-normal matrix and a tridiagonal one with a shifted superdiagonal,
+    # both made Hermitian: the dense one is its own full band
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((12, 12)) + 0.2j * rng.standard_normal((12, 12))
+    _, L = _dirichlet_laplacian(30)
+    T = L.A + np.diag(np.full(29, 3.0), 1)
+    for M, bw in ((A + A.conj().T, 11), (T + T.T, 1)):
+        ab = _upper_band(M)
+        assert ab.shape == (bw + 1, M.shape[0])
+        n = M.shape[0]
+        V = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+        np.testing.assert_allclose(_band_matvec(ab, V), M @ V, rtol=1e-13)
+        np.testing.assert_allclose(_band_matvec(ab, V[:, 0]), M @ V[:, 0], rtol=1e-13)
 
 
 def _eig_banded_calls(tree):
