@@ -131,30 +131,17 @@ def flat_complex(grid: ProductGrid, generators: list) -> GenComplex:
 
 
 def _march(grid: ProductGrid, steps: list, v0: np.ndarray) -> np.ndarray:
-    """Nodal section v(i + e_a) = steps[a] v(i) started from v(0) = v0."""
-    N = grid.fiber_dim
-    v0 = np.asarray(v0, dtype=complex)
-    out = np.zeros(grid.shape + (N,), dtype=complex)
-    # cumulative powers along each axis in turn
-    line = np.empty((grid.axes[0].n, N), dtype=complex)
-    cur = v0.copy()
-    for i in range(grid.axes[0].n):
-        line[i] = cur
-        cur = steps[0] @ cur
-    if grid.ndim == 1:
-        return line
-    out[(slice(None),) + (0,) * (grid.ndim - 1)] = line
-    for a in range(1, grid.ndim):
-        idx_prev = [slice(None)] * grid.ndim
-        idx_cur = [slice(None)] * grid.ndim
-        for j in range(a + 1, grid.ndim):
-            idx_prev[j] = 0
-            idx_cur[j] = 0
-        for i in range(1, grid.axes[a].n):
-            idx_prev[a] = i - 1
-            idx_cur[a] = i
-            out[tuple(idx_cur)] = np.einsum(
-                "uv,...v->...u", steps[a], out[tuple(idx_prev)])
+    """Nodal section v(i) = steps[r-1]^(i_{r-1}) ... steps[0]^(i_0) v0,
+    i.e. v(i + e_a) = steps[a] v(i) from v(0) = v0: each axis's step powers
+    applied to the section of the axes before it in one product."""
+    N, out = grid.fiber_dim, np.asarray(v0, dtype=complex)
+    if len(steps) != grid.ndim or out.shape != (N,) or any(S.shape != (N, N) for S in steps):
+        raise DiscretizationError(
+            f"a flat section needs {grid.ndim} generators of shape ({N}, {N}) and a start "
+            f"vector of shape ({N},), got {[S.shape for S in steps]} and {out.shape}")
+    for g, S in zip(grid.axes, steps):
+        powers = np.stack([np.linalg.matrix_power(S, i) for i in range(g.n)])
+        out = np.einsum("iuv,...v->...iu", powers, out)
     return out
 
 
@@ -173,11 +160,10 @@ def dual_flat_section(grid: ProductGrid, generators: list, w0: np.ndarray) -> np
     solves (D_j - Aeff_j)^* phi = 0 exactly on inner nodes; with the matched
     generator Aeff_j the step matrix is exp(-h A_j^*).
     """
-    N = grid.fiber_dim
     steps = []
     for g, A in zip(grid.axes, generators):
         Ae = _matched_generator(g, np.asarray(A, dtype=complex))
-        steps.append(np.linalg.inv(np.eye(N) + g.h * Ae.conj().T))
+        steps.append(np.linalg.inv(np.eye(len(Ae)) + g.h * Ae.conj().T))
     return _march(grid, steps, w0)
 
 

@@ -16,10 +16,11 @@ stencil of the requested order, so the identity holds at interior nodes with
 residual O(h^scheme_order).
 
 Separately, the module carries an exact piece of machinery: node-collocated
-k-forms with a forward-difference exterior derivative, oriented cell/facet
-regions, and one-point (base corner) facet quadrature.  In that pairing the
-discrete Stokes theorem is an identity, not an approximation, which is what
-makes telescoping sums and period integrals reliable at roundoff level.
+k-forms with a forward-difference exterior derivative, integer chains with
+the transposed coboundary as boundary, and one-point (base corner) facet
+quadrature.  In that pairing Stokes, <bd c, w> = <c, d w>, is an identity,
+not an approximation, which is what makes telescoping sums and period
+integrals reliable at roundoff level.
 
 There is one exterior derivative, the block matrix :func:`d_matrix`,
 
@@ -32,6 +33,7 @@ on stacked components: the forward differences L_a give
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,30 +213,45 @@ def d_matrix(grid: ProductGrid, degree: int, axis_mats: list | None = None) -> n
 
 @dataclass
 class SurfaceRegion:
-    """Oriented chain of k-facets: (base corner index, axis subset, sign).
+    """Integer k-chain: ``coef[j, p]`` is the multiplicity of the k-facet
+    with base node p spanned by the edges p -> p + e_a, a in the j-th axis
+    subset (lexicographic order, as in :meth:`FormField.stack`).
 
-    A k-facet with base p and axes S is the cell spanned by the edges
-    p -> p + e_a, a in S.  Facet axes are stored sorted; orientation is
-    carried entirely by the sign.
+    Orientation is the sign of the multiplicity; ``coef`` has shape
+    (C(r, k), *grid.shape) and a signed integer dtype.  The constructors wrap
+    bases on periodic axes, drop those out of range on Dirichlet axes, and
+    add up repeated facets.
     """
 
     grid: ProductGrid
     dim: int
-    facets: list  # [(base tuple, axes tuple, sign int)]
+    coef: np.ndarray
 
     def __post_init__(self):
-        for base, axes, sign in self.facets:
-            if len(axes) != self.dim or tuple(sorted(axes)) != tuple(axes):
-                raise GridError(f"facet axes {axes} malformed for dimension {self.dim}")
-            if sign not in (-1, 1):
-                raise GridError("facet signs must be +1 or -1")
+        _check_degree(self.grid.ndim, self.dim)
+        self.coef = np.asarray(self.coef)
+        want = (math.comb(self.grid.ndim, self.dim),) + self.grid.shape
+        if self.coef.shape != want or not np.issubdtype(self.coef.dtype, np.signedinteger):
+            raise GridError(f"{self.dim}-chain coefficients of shape {self.coef.shape} and "
+                            f"dtype {self.coef.dtype}, want signed integers of shape {want}")
+
+    @classmethod
+    def _box(cls, grid: ProductGrid, dim: int, row: int, lo, hi) -> "SurfaceRegion":
+        """Unit facets of subset ``row`` at every base in [lo, hi) per axis."""
+        if not len(lo) == len(hi) == grid.ndim:
+            raise GridError(f"corners {tuple(lo)} and {tuple(hi)} need one index per axis")
+        coef = np.zeros((math.comb(grid.ndim, dim),) + grid.shape, dtype=np.int64)
+        idx = []
+        for g, l, h in zip(grid.axes, lo, hi):
+            k = np.arange(l, h)
+            idx.append(k % g.n if g.boundary == "periodic" else k[(k >= 0) & (k < g.n)])
+        np.add.at(coef[row], np.ix_(*idx), 1)
+        return cls(grid, dim, coef)
 
     @classmethod
     def cell_block(cls, grid: ProductGrid, lo: tuple, hi: tuple) -> "SurfaceRegion":
         """All top-dimensional cells with base corner in [lo, hi) per axis."""
-        ranges = [range(l, h) for l, h in zip(lo, hi)]
-        axes = tuple(range(grid.ndim))
-        return cls(grid, grid.ndim, [(tuple(p), axes, 1) for p in itertools.product(*ranges)])
+        return cls._box(grid, grid.ndim, 0, lo, hi)
 
     @classmethod
     def axis_loop(cls, grid: ProductGrid, axis: int, base: tuple) -> "SurfaceRegion":
@@ -242,57 +259,35 @@ class SurfaceRegion:
         g = grid.axes[axis]
         if g.boundary != "periodic":
             raise GridError("loops need a periodic axis")
-        facets = []
-        for k in range(g.n):
-            p = list(base)
-            p[axis] = k
-            facets.append((tuple(p), (axis,), 1))
-        return cls(grid, 1, facets)
-
-
-def _wrap_base(grid: ProductGrid, base: tuple):
-    """Wrap periodic indices; None when a Dirichlet index leaves the range."""
-    out = []
-    for a, (idx, g) in enumerate(zip(base, grid.axes)):
-        if g.boundary == "periodic":
-            out.append(idx % g.n)
-        else:
-            if not (0 <= idx < g.n):
-                return None
-            out.append(idx)
-    return tuple(out)
+        lo, hi = list(base), [b + 1 for b in base]
+        lo[axis], hi[axis] = 0, g.n
+        return cls._box(grid, 1, axis, lo, hi)
 
 
 def boundary(region: SurfaceRegion) -> SurfaceRegion:
-    """Oriented boundary chain; internal facets of a tiling cancel exactly.
-
-    Facets that would land on an eliminated Dirichlet boundary node are
-    dropped, matching the zero extension used everywhere else.
+    """Oriented boundary chain, the transposed forward coboundary: for a in
+    T and s = (-1)^pos_T(a), bd[T - a, p + e_a] += s c[T, p] on the node
+    pairs :func:`grid_ops._shift_pairs` keeps and bd[T - a, p] -= s c[T, p].
+    Internal facets cancel exactly; facets past a Dirichlet end are dropped.
     """
-    grid = region.grid
-    acc: dict = {}
-    for base, axes, sign in region.facets:
-        for p, a in enumerate(axes):
-            sub = tuple(x for x in axes if x != a)
-            s = sign * ((-1) ** p)
-            far = list(base)
-            far[a] += 1
-            for b, s2 in ((tuple(far), s), (tuple(base), -s)):
-                bw = _wrap_base(grid, b)
-                if bw is None:
-                    continue
-                key = (bw, sub)
-                acc[key] = acc.get(key, 0) + s2
-    out = []
-    for (b, sub), v in acc.items():
-        if v == 0:
-            continue
-        out.extend([(b, sub, int(np.sign(v)))] * abs(v))
-    return SurfaceRegion(grid, region.dim - 1, out)
+    grid, k = region.grid, region.dim
+    if k == 0:
+        raise DegreeMismatchError("a 0-chain has no boundary")
+    subs = _subsets(grid.ndim, k - 1)
+    out = np.zeros((len(subs), grid.nnodes), dtype=region.coef.dtype)
+    for T, cT in zip(_subsets(grid.ndim, k), region.coef.reshape(len(region.coef), -1)):
+        for j, a in enumerate(T):
+            near, far = _shift_pairs(grid, {a: 1})
+            bd, s = out[subs.index(T[:j] + T[j + 1:])], (-1) ** j * cT
+            bd[far] += s[near]
+            bd -= s
+    return SurfaceRegion(grid, k - 1, out.reshape((len(subs),) + grid.shape))
 
 
 def surface_integral(form: FormField, region: SurfaceRegion):
-    """One-point (base corner) quadrature over an oriented facet chain.
+    """One-point (base corner) quadrature over an integer chain: the running
+    sum, from zero and in C order over the chain's support, of the
+    multiplicity times the facet volume times the form at the base.
 
     Pairs exactly with the forward-difference exterior derivative:
     surface_integral(d w, cells) == surface_integral(w, boundary(cells))
@@ -302,16 +297,17 @@ def surface_integral(form: FormField, region: SurfaceRegion):
         raise DegreeMismatchError(
             f"cannot integrate a degree-{form.degree} form over a {region.dim}-chain")
     grid = form.grid
-    total = np.zeros(grid.fiber_dim, dtype=complex)
-    for base, axes, sign in region.facets:
-        bw = _wrap_base(grid, base)
-        if bw is None:
-            continue
-        weight = float(np.prod([grid.axes[a].h for a in axes])) if axes else 1.0
-        total += sign * weight * form.component(axes)[bw]
-    if grid.fiber_dim == 1:
-        return complex(total[0])
-    return total
+    if region.grid.shape != grid.shape:
+        raise GridError(f"a chain on nodes {region.grid.shape} does not fit a form "
+                        f"on nodes {grid.shape}")
+    N = grid.fiber_dim
+    vals = form.stack().reshape(region.coef.shape + (N,))
+    weights = np.array([math.prod(grid.axes[a].h for a in S)
+                        for S in _subsets(grid.ndim, form.degree)], dtype=float)
+    nz = np.nonzero(region.coef)
+    terms = (region.coef[nz] * weights[nz[0]])[:, None] * vals[nz]
+    total = np.cumsum(np.concatenate([np.zeros((1, N), dtype=complex), terms]), axis=0)[-1]
+    return complex(total[0]) if N == 1 else total
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,13 @@ def _checked_operator(L, n: int) -> np.ndarray:
     return Lm
 
 
+def _minus(sign: str) -> bool:
+    """Whether a dressing sign is "-"; any sign but "+" or "-" raises by name."""
+    if sign not in ("+", "-"):
+        raise DiscretizationError(f"sign must be '+' or '-', got {sign!r}")
+    return sign == "-"
+
+
 # ---------------------------------------------------------------------------
 # spectral transmutation data: families psi, phi, measure rho and Omega_0
 # ---------------------------------------------------------------------------
@@ -168,7 +175,7 @@ class TransmutationData:
         The result has the dtype numpy promotes ``f`` and the data to.
         """
         f = np.asarray(f)
-        if sign == "-":
+        if _minus(sign):
             return self._reversed().apply(f[::-1], "+")[::-1]
         U = self._dressed_rows()
         moments = (self.grid.h * self.weights * f)[:, None] * np.conj(self.left)  # (n, m)
@@ -178,7 +185,7 @@ class TransmutationData:
 
     def operator(self, sign: str = "+") -> DelsarteOp:
         """Dense triangular dressing operator for the requested sign."""
-        if sign == "-":
+        if _minus(sign):
             return _mirror(self._reversed().operator("+"))
         U = self._dressed_rows()
         C = np.conj(self.left) * (self.grid.h * self.weights)[:, None]
@@ -191,7 +198,7 @@ class TransmutationData:
         source column,  Khat(x_i, x_j) = + psi(x_i) V_j^{-1} phi(x_j)^* h rho_j,
         and (1+K)(1+Khat) = 1 telescopes exactly.
         """
-        if sign == "-":
+        if _minus(sign):
             return _mirror(self._reversed().inverse("+"))
         Wc = (self.grid.h * self.weights)[:, None] * np.linalg.solve(
             self._prefix[1:], np.conj(self.left)[..., None])[..., 0]
@@ -243,16 +250,18 @@ class KernelData:
 
     def operator(self, sign: str = "+") -> DelsarteOp:
         """1 + K_+ for sign "+", D (1 + K_-) for sign "-"."""
+        minus = _minus(sign)
         pair = self.factorization()
-        if sign == "+":
+        if not minus:
             return DelsarteOp("+", pair.K_plus)
         return DelsarteOp("-", pair.K_minus, diag=pair.D)
 
     def inverse(self, sign: str = "+") -> DelsarteOp:
         """The inverse factor, by a triangular solve."""
+        minus = _minus(sign)
         pair = self.factorization()
         eye = np.eye(len(pair.D))
-        if sign == "+":
+        if not minus:
             Minv = scipy.linalg.solve_triangular(
                 eye + pair.K_plus, eye, lower=True, unit_diagonal=True)
             return DelsarteOp("+", Minv - eye)
@@ -361,6 +370,8 @@ def _extract_tridiag(M: np.ndarray):
     sup = np.diagonal(M, 1)
     sub = np.diagonal(M, -1)
     c = -sup[0]
+    if c == 0:
+        raise DiscretizationError("pair intertwiner needs a nonzero off-diagonal, got c = 0")
     if not (np.max(np.abs(sup + c)) <= 1e-10 * abs(c)
             and np.max(np.abs(sub + c)) <= 1e-10 * abs(c)):
         raise DiscretizationError("pair intertwiner needs constant equal off-diagonals")
@@ -384,7 +395,7 @@ def pair_intertwiner(L, Ltil, sign: str = "+", grid: Grid1D | None = None) -> De
     if grid is not None and grid.n != Lm.shape[0]:
         raise DiscretizationError(f"grid has {grid.n} nodes but the operators "
                                   f"are {Lm.shape[0]}x{Lm.shape[1]}")
-    if sign == "-":
+    if _minus(sign):
         return _mirror(pair_intertwiner(Lm[::-1, ::-1], Tm[::-1, ::-1], "+"))
     dL, cL = _extract_tridiag(Lm)
     dT, cT = _extract_tridiag(Tm)

@@ -389,6 +389,33 @@ def test_schema_violation(tmp_path, capsys):
     assert "does not validate" in capsys.readouterr().err
 
 
+def test_unknown_config_key_is_named(tmp_path, capsys):
+    # a misspelt key would otherwise run with the default it meant to replace
+    code, _ = _run(tmp_path, dict(DARBOUX_CFG, centre=0.5))
+    assert code == 2
+    assert "'centre' was unexpected" in capsys.readouterr().err
+
+
+def test_schema_declares_the_keys_the_reader_reads():
+    # config["key"] and config.get("key") in cli.py against the schema's
+    # properties: an undeclared key could never be set, an unread one is dead
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    read = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id == "config"):
+            key = node.slice
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == "config"):
+            key = node.args[0]
+        else:
+            continue
+        assert isinstance(key, ast.Constant), ast.unparse(node)
+        read.add(key.value)
+    assert read == set(cli.load_schema()["properties"])
+
+
 def test_command_mismatch(tmp_path, capsys):
     path = _write_cfg(tmp_path, {"command": "verify"})
     code = main(["darboux", "--config", path, "--out", str(tmp_path / "o")])

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delsarte import (FormField, GenComplex, Grid1D, ProductGrid,
                       SurfaceRegion, d_L, dual_flat_section, expected_betti,
@@ -116,6 +118,30 @@ def test_dirichlet_axis_kills_cohomology():
     c = plain_complex(pgd)
     for k in range(3):
         assert harmonic_space(c, k).dim == 0
+
+
+@st.composite
+def _mixed_tori(draw):
+    # sides drawn so no Laplace-Hodge block exceeds 1200 rows
+    r = draw(st.integers(2, 3))
+    fiber = draw(st.integers(1, 2))
+    budget = 1200 // (math.comb(r, r // 2) * fiber)
+    shape = []
+    for a in range(r):
+        hi = min(12, budget // (math.prod(shape) * 5 ** (r - a - 1)))
+        shape.append(draw(st.integers(5, hi)))
+    axes = tuple(draw(st.sampled_from([Grid1D.periodic, Grid1D.dirichlet]))(
+        0.0, draw(st.floats(0.5, 3.0)), n) for n in shape)
+    return ProductGrid(axes, fiber)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(pg=_mixed_tori())
+def test_harmonic_dims_are_fiber_times_betti(pg):
+    c = plain_complex(pg)
+    betti = expected_betti(pg)
+    for k in range(pg.ndim + 1):
+        assert harmonic_space(c, k).dim == pg.fiber_dim * betti[k]
 
 
 def test_flat_family_multiplies_betti_by_kernel_dim():
@@ -315,6 +341,17 @@ def test_flat_section_lies_in_kernel():
         flat = pg.flatten_field(flat_section(pg, gens, np.array([1.0, 1.0 + 0j])))
         for M in c.axis_mats:
             assert np.abs(M @ flat).max() < 1e-12
+
+
+@pytest.mark.parametrize("section", [flat_section, dual_flat_section])
+def test_flat_section_needs_one_generator_per_axis(section):
+    pg, gens = list(_flat_tori())[1]
+    with pytest.raises(DiscretizationError, match=r"needs 2 generators.*\[\(2, 2\)\]"):
+        section(pg, gens[:1], np.ones(2))
+    with pytest.raises(DiscretizationError, match=r"got .* and \(3,\)"):
+        section(pg, gens, np.ones(3))
+    with pytest.raises(DiscretizationError, match=r"got \[\(3, 3\), \(2, 2\)\]"):
+        section(pg, [np.zeros((3, 3)), gens[1]], np.ones(2))
 
 
 def test_dual_flat_section_kills_adjoint():

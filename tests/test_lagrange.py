@@ -1,10 +1,14 @@
 """Lagrange identity in divergence form: concomitants, discrete forms, and
 Stokes bookkeeping."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delsarte import (DegreeMismatchError, DiffOp, FormField, Grid1D,
+from delsarte import (DegreeMismatchError, DiffOp, FormField, Grid1D, GridError,
                       ProductGrid, SurfaceRegion, bilinear_concomitant,
                       boundary, d_L, divergence_residual,
                       exterior_derivative, form_norm, plain_complex,
@@ -213,3 +217,86 @@ def test_loop_integral_of_exact_form_vanishes():
     df = exterior_derivative(f)
     loop = SurfaceRegion.axis_loop(pg, 0, (0, 2))
     assert abs(surface_integral(df, loop)) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# integer chains: the boundary is the transposed coboundary
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _chain_cases(draw):
+    # sides capped so the dense coboundary of exterior_derivative stays small
+    r = draw(st.integers(1, 3))
+    fiber = draw(st.sampled_from([1, 2]))
+    side = {1: 12, 2: 8, 3: 6 if fiber == 1 else 5}[r]
+    axes = tuple(draw(st.sampled_from([Grid1D.periodic, Grid1D.dirichlet]))(
+        0.0, draw(st.floats(0.5, 3.0)), draw(st.integers(5, side))) for _ in range(r))
+    return ProductGrid(axes, fiber), draw(st.integers(1, r)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(case=_chain_cases())
+def test_boundary_is_the_transposed_coboundary(case):
+    pg, k, seed = case
+    rng = np.random.default_rng(seed)
+    r = pg.ndim
+    chain = SurfaceRegion(pg, k, rng.integers(-2, 3, (math.comb(r, k),) + pg.shape))
+    shp = pg.shape + (pg.fiber_dim,)
+    w = FormField(pg, k - 1, {S: rng.standard_normal(shp) + 1j * rng.standard_normal(shp)
+                              for S in _subsets(r, k - 1)})
+    # Stokes: <c, d w> = <bd c, w>, against the size of the summed terms
+    lhs = surface_integral(exterior_derivative(w), chain)
+    rhs = surface_integral(w, boundary(chain))
+    hmax = max(g.h for g in pg.axes)
+    scale = np.abs(chain.coef).sum() * np.abs(w.stack()).max() * 2 * k * hmax ** (k - 1)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
+    if k >= 2:
+        assert not boundary(boundary(chain)).coef.any()
+    for a, g in enumerate(pg.axes):
+        if g.boundary == "periodic":
+            base = tuple(int(b) for b in rng.integers(-g.n, 2 * g.n, r))
+            assert not boundary(SurfaceRegion.axis_loop(pg, a, base)).coef.any()
+
+
+def test_chain_coefficients_are_checked():
+    pg = _torus(12, 10)
+    with pytest.raises(GridError, match=r"\(2, 12, 9\).*\(2, 12, 10\)"):
+        SurfaceRegion(pg, 1, np.zeros((2, 12, 9), dtype=int))
+    for dtype in ("float64", "uint8"):
+        with pytest.raises(GridError, match=dtype):
+            SurfaceRegion(pg, 1, np.zeros((2, 12, 10), dtype=dtype))
+    with pytest.raises(GridError, match="one index per axis"):
+        SurfaceRegion.cell_block(pg, (0,), (3,))
+    with pytest.raises(DegreeMismatchError):
+        boundary(SurfaceRegion(pg, 0, np.ones((1, 12, 10), dtype=int)))
+    form = FormField(_torus(12, 9), 1)
+    with pytest.raises(GridError, match=r"\(12, 10\).*\(12, 9\)"):
+        surface_integral(form, SurfaceRegion.axis_loop(pg, 0, (0, 0)))
+
+
+def test_surface_integral_is_the_facet_loop():
+    # one facet at a time, from zero, in base order: the same bits
+    pg = ProductGrid((Grid1D.periodic(0.0, 2.0, 9), Grid1D.periodic(0.0, 1.3, 7)), 2)
+    rng = np.random.default_rng(4)
+    shp = pg.shape + (2,)
+    forms = [FormField(pg, k, {S: rng.standard_normal(shp) + 1j * rng.standard_normal(shp)
+                               for S in _subsets(2, k)}) for k in (1, 2)]
+    cases = [(forms[1], SurfaceRegion.cell_block(pg, (1, 2), (8, 6)), (0, 1), (1, 2), (8, 6)),
+             (forms[0], SurfaceRegion.axis_loop(pg, 1, (3, 0)), (1,), (3, 0), (4, 7))]
+    for form, chain, S, lo, hi in cases:
+        weight = math.prod(pg.axes[a].h for a in S)
+        want = np.zeros(2, dtype=complex)
+        for base in np.ndindex(*(h - l for l, h in zip(lo, hi))):
+            want += weight * form.component(S)[tuple(np.add(base, lo))]
+        assert surface_integral(form, chain).tobytes() == want.tobytes()
+
+
+def test_cell_blocks_wrap_drop_and_add_up():
+    pg = ProductGrid((Grid1D.periodic(0.0, 1.0, 5), Grid1D.dirichlet(0.0, 1.0, 5)))
+    coef = SurfaceRegion.cell_block(pg, (-1, -2), (6, 2)).coef[0]
+    # periodic bases -1..5 wrap (0 is hit twice, by 0 and 5); Dirichlet
+    # bases -2 and -1 leave the grid
+    want = np.zeros((5, 5), dtype=int)
+    want[:, :2] = 1
+    want[[0, 4], :2] = 2
+    np.testing.assert_array_equal(coef, want)

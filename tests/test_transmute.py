@@ -359,6 +359,37 @@ def test_pair_intertwiner_rejects_non_finite(where):
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])
+def test_pair_intertwiner_rejects_a_zero_off_diagonal(sign):
+    # c = 0 would be divided by in the march, giving a kernel of inf and NaN
+    L = np.diag(np.arange(6.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DiscretizationError, match="nonzero off-diagonal"):
+            pair_intertwiner(L, L + np.eye(6), sign)
+
+
+def _sign_entry_points():
+    *_, fam_data = _family_data(n=20)
+    _, _, kernel_data = _kernel_data(n=20)
+    _, L, T = _soliton(40, 8.0)
+    return {"TransmutationData.operator": fam_data.operator,
+            "TransmutationData.inverse": fam_data.inverse,
+            "TransmutationData.apply": lambda s: fam_data.apply(np.ones(20), s),
+            "KernelData.operator": kernel_data.operator,
+            "KernelData.inverse": kernel_data.inverse,
+            "pair_intertwiner": lambda s: pair_intertwiner(L, T, s)}
+
+
+@pytest.mark.parametrize("entry", ["TransmutationData.operator", "TransmutationData.inverse",
+                                   "TransmutationData.apply", "KernelData.operator",
+                                   "KernelData.inverse", "pair_intertwiner"])
+def test_unknown_sign_is_named(entry):
+    call = _sign_entry_points()[entry]
+    with pytest.raises(DiscretizationError, match="got 'x'"):
+        call("x")
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
 def test_pair_intertwiner_rejects_a_grid_of_another_size(sign):
     # the grid is checked against the operators' size, not stored
     _, L, T = _soliton(100, 8.0)
