@@ -9,6 +9,13 @@ dimensions reproduce the product-topology Betti numbers (times the
 joint-kernel dimension of the fiber generators for flat families
 L_j = D_j - A_j).
 
+On a torus whose axis operators are translation invariant (block
+circulant over the nodes, as for the plain complex and flat families with
+constant generators) the node DFT block-diagonalizes the whole complex:
+each Fourier mode carries C(r, k) N-sized blocks built from the modes'
+N x N symbols by the same block rule, and the harmonic spaces come from
+those blocks instead of the dense Laplace-Hodge matrix.
+
 Period mappings pair closed forms with oriented cycles through a fiber
 contraction against a dual-flat zero-form; on the torus with trivial fiber
 the fundamental loops recover the axis periods exactly.
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -92,6 +100,47 @@ class GenComplex:
             self._dmats[degree] = d_matrix(self.grid, degree, self.axis_mats)
         return self._dmats[degree]
 
+    @cached_property
+    def _symbols(self) -> list | None:
+        """Per-mode symbols of the axis operators (see :func:`_mode_symbols`),
+        or None when the family is not translation invariant on a torus."""
+        return _mode_symbols(self.grid, self.axis_mats)
+
+
+def _mode_symbols(grid: ProductGrid, axis_mats: list) -> list | None:
+    """The N x N symbols of translation-invariant axis operators, one
+    (P, N, N) stack per axis with the P node modes in C order; None unless
+    every axis is periodic and every operator passes the invariance test.
+
+    Conjugating an operator M on flattened fields by the unitary node DFT
+    (F (x) 1_N) M (F (x) 1_N)^H gives N x N blocks B[m, m'].  Its diagonal
+    blocks are the DFT  B[m, m] = sum_s k(s) exp(-2 pi i m.s / n)  of the
+    translation average k(s) = mean_p M[p, p - s] of M's node blocks, and by
+    Parseval the off-diagonal part has the norm of M's deviation from that
+    average, which is computed directly (a difference of squared norms
+    would floor at roundoff of the squares).  M is taken as translation
+    invariant when that residual is at most 1e-12 of ||M||_F; then M maps
+    the plane wave exp(2 pi i m.p / n) z to the same wave times B[m, m] z.
+    """
+    if any(g.boundary != "periodic" for g in grid.axes):
+        return None
+    shape, N, r, P = grid.shape, grid.fiber_dim, grid.ndim, grid.nnodes
+    symbols = []
+    for M in axis_mats:
+        X = M.reshape(shape + (N,) + shape + (N,))
+        for a, n in enumerate(shape):
+            # shear one axis: (p_a, q_a) -> (s_a, p_a) with q_a = p_a - s_a
+            i = np.arange(n)
+            X = np.moveaxis(X, (a, r + 1 + a), (0, 1))[i, (i - i[:, None]) % n]
+            X = np.moveaxis(X, (0, 1), (r + 1 + a, a))
+        X = X.reshape(P, N, P, N)  # X[p, u, s, v] = M[(p, u), (p - s, v)]
+        k = X.mean(axis=0)
+        if not (np.linalg.norm(X - k) <= 1e-12 * np.linalg.norm(M)):
+            return None
+        k = np.moveaxis(k, 1, 0).reshape(shape + (N, N))
+        symbols.append(np.fft.fftn(k, axes=tuple(range(r))).reshape(P, N, N))
+    return symbols
+
 
 def plain_complex(grid: ProductGrid) -> GenComplex:
     """The untwisted complex, L_j = D_j, with D_j the forward difference
@@ -112,6 +161,33 @@ def _matched_generator(g: Grid1D, A: np.ndarray) -> np.ndarray:
     return (scipy.linalg.expm(g.h * A) - np.eye(A.shape[0])) / g.h
 
 
+def _fiber_generators(what: str, generators: list, grid: ProductGrid | None = None,
+                      start=None) -> list:
+    """The fiber generators as complex arrays, after checking that they are
+    square and of one size: with a ``grid``, one (N, N) generator per axis
+    for its fiber size N and, with a ``start`` vector, that it has shape
+    (N,).  Raises :class:`DiscretizationError` naming the shapes."""
+    gens = [np.asarray(A, dtype=complex) for A in generators]
+    shapes = [A.shape for A in gens]
+    if grid is None:
+        N = shapes[0][0] if shapes and shapes[0] else 0
+        want = "one or more square generators of one size"
+        ok = N > 0
+    else:
+        N = grid.fiber_dim
+        want = f"{grid.ndim} generators of shape ({N}, {N})"
+        ok = len(gens) == grid.ndim
+    ok = ok and all(sh == (N, N) for sh in shapes)
+    got = f"got {shapes}"
+    if start is not None:
+        want += f" and a start vector of shape ({N},)"
+        got += f" and {np.shape(start)}"
+        ok = ok and np.shape(start) == (N,)
+    if not ok:
+        raise DiscretizationError(f"{what} needs {want}, {got}")
+    return gens
+
+
 def flat_complex(grid: ProductGrid, generators: list) -> GenComplex:
     """Twisted complex L_j = D_j - Aeff_j with constant commuting fiber
     matrices A_j.
@@ -120,10 +196,7 @@ def flat_complex(grid: ProductGrid, generators: list) -> GenComplex:
     nodal samples of t -> exp(sum t_j A_j) v0 (see :func:`flat_section`)
     lie exactly in ker L_j.
     """
-    N = grid.fiber_dim
-    gens = [np.asarray(A, dtype=complex) for A in generators]
-    if len(gens) != grid.ndim or any(A.shape != (N, N) for A in gens):
-        raise DiscretizationError("one (N, N) generator per axis is required")
+    gens = _fiber_generators("a flat complex", generators, grid)
     mats = [forward_diff_matrix(grid, a)
             - np.kron(np.eye(grid.nnodes), _matched_generator(g, A))
             for a, (g, A) in enumerate(zip(grid.axes, gens))]
@@ -134,11 +207,7 @@ def _march(grid: ProductGrid, steps: list, v0: np.ndarray) -> np.ndarray:
     """Nodal section v(i) = steps[r-1]^(i_{r-1}) ... steps[0]^(i_0) v0,
     i.e. v(i + e_a) = steps[a] v(i) from v(0) = v0: each axis's step powers
     applied to the section of the axes before it in one product."""
-    N, out = grid.fiber_dim, np.asarray(v0, dtype=complex)
-    if len(steps) != grid.ndim or out.shape != (N,) or any(S.shape != (N, N) for S in steps):
-        raise DiscretizationError(
-            f"a flat section needs {grid.ndim} generators of shape ({N}, {N}) and a start "
-            f"vector of shape ({N},), got {[S.shape for S in steps]} and {out.shape}")
+    out = np.asarray(v0, dtype=complex)
     for g, S in zip(grid.axes, steps):
         powers = np.stack([np.linalg.matrix_power(S, i) for i in range(g.n)])
         out = np.einsum("iuv,...v->...iu", powers, out)
@@ -147,8 +216,8 @@ def _march(grid: ProductGrid, steps: list, v0: np.ndarray) -> np.ndarray:
 
 def flat_section(grid: ProductGrid, generators: list, v0: np.ndarray) -> np.ndarray:
     """Sample t -> exp(t_1 A_1) ... exp(t_r A_r) v0 on the nodes."""
-    steps = [scipy.linalg.expm(g.h * np.asarray(A, dtype=complex))
-             for g, A in zip(grid.axes, generators)]
+    gens = _fiber_generators("a flat section", generators, grid, v0)
+    steps = [scipy.linalg.expm(g.h * A) for g, A in zip(grid.axes, gens)]
     return _march(grid, steps, v0)
 
 
@@ -161,15 +230,15 @@ def dual_flat_section(grid: ProductGrid, generators: list, w0: np.ndarray) -> np
     generator Aeff_j the step matrix is exp(-h A_j^*).
     """
     steps = []
-    for g, A in zip(grid.axes, generators):
-        Ae = _matched_generator(g, np.asarray(A, dtype=complex))
+    for g, A in zip(grid.axes, _fiber_generators("a flat section", generators, grid, w0)):
+        Ae = _matched_generator(g, A)
         steps.append(np.linalg.inv(np.eye(len(Ae)) + g.h * Ae.conj().T))
     return _march(grid, steps, w0)
 
 
 def flat_dimension(generators: list) -> int:
     """Dimension of the joint kernel of the fiber generators."""
-    gens = [np.asarray(A, dtype=complex) for A in generators]
+    gens = _fiber_generators("a joint kernel", generators)
     stacked = np.vstack(gens)
     s = np.linalg.svd(stacked, compute_uv=False)
     smax = float(s[0]) if s.size else 0.0
@@ -194,16 +263,25 @@ def laplace_hodge(c: GenComplex, degree: int) -> np.ndarray:
     scalar), so ker Delta = ker d  intersect  ker d' holds exactly.  The
     dtype is that of the complex's axis operators.
     """
-    r = c.grid.ndim
-    _check_degree(r, degree)
-    ncols = math.comb(r, degree) * c.grid.total_dim
-    Delta = np.zeros((ncols, ncols), dtype=c.axis_mats[0].dtype)
+    _check_degree(c.grid.ndim, degree)
+    return _hodge_sum(c.grid.ndim, degree, c.d_matrix)
+
+
+def _adjoint(D: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.swapaxes(D.conj(), -1, -2)
+
+
+def _hodge_sum(r: int, degree: int, coboundary) -> np.ndarray:
+    """d_k' d_k + d_{k-1} d_{k-1}' from ``coboundary(j)``, the degree-j
+    coboundary as one matrix or as a stack of per-mode blocks."""
+    Delta = 0
     if degree < r:
-        Dk = c.d_matrix(degree)
-        Delta += Dk.conj().T @ Dk
+        Dk = coboundary(degree)
+        Delta = _adjoint(Dk) @ Dk
     if degree > 0:
-        Dm = c.d_matrix(degree - 1)
-        Delta += Dm @ Dm.conj().T
+        Dm = coboundary(degree - 1)
+        Delta = Delta + Dm @ _adjoint(Dm)
     return Delta
 
 
@@ -215,9 +293,15 @@ def laplace_hodge(c: GenComplex, degree: int) -> np.ndarray:
 class HarmonicReport:
     """Null-space data of one Laplace-Hodge block.
 
-    ``gap`` is the ratio between the smallest retained (nonzero) and the
-    largest rejected (null) singular value; a dimension claim with
-    ``gap < 1e4`` is flagged ambiguous rather than trusted.
+    ``singular_values`` holds every eigenvalue magnitude in ascending
+    order.  ``gap`` is the smallest retained (nonzero) eigenvalue over the
+    null threshold 1e-8 times the largest, inf when nothing is retained; it
+    is measured against the threshold rather than the null eigenvalues,
+    which are roundoff, and a dimension claim with ``gap < 1e4`` is flagged
+    ambiguous rather than trusted.  ``basis`` holds orthonormal columns in
+    the stacked layout of :meth:`FormField.stack`; from per-mode blocks
+    (see :func:`harmonic_space`) they are plane waves times block null
+    vectors, complex even for a real complex.
     """
 
     degree: int
@@ -232,27 +316,51 @@ class HarmonicReport:
                 "betti_expected": betti_expected}
 
 
+def _plane_waves(grid: ProductGrid, modes: np.ndarray) -> np.ndarray:
+    """Unit node plane waves exp(2 pi i m.p / n) / sqrt(P), one row per
+    mode index m (C order), one column per node p."""
+    m = np.unravel_index(modes, grid.shape)
+    p = np.indices(grid.shape).reshape(grid.ndim, -1)
+    turns = sum((ma[:, None] * pa) % n / n for ma, pa, n in zip(m, p, grid.shape))
+    return np.exp(2j * np.pi * turns) / math.sqrt(grid.nnodes)
+
+
 def harmonic_space(c: GenComplex, degree: int) -> HarmonicReport:
     """Null space of Delta_degree: eigenvalues at most 1e-8 times the
-    largest count as zero."""
-    Delta = laplace_hodge(c, degree)
+    largest count as zero.
+
+    On a torus with a translation-invariant family Delta is block diagonal
+    over the node Fourier modes, so one stacked ``eigh`` of the per-mode
+    C(r, k) N blocks, built from the symbols by the block rule of
+    :func:`d_matrix`, replaces the dense ``eigh`` of Delta; the threshold
+    applies to all eigenvalues at once, and each null vector z of mode m
+    becomes the plane wave of m times z.  Any other complex takes the dense
+    route.
+    """
+    r = c.grid.ndim
+    _check_degree(r, degree)
+    symbols = c._symbols
+    if symbols is None:
+        Delta = laplace_hodge(c, degree)
+    else:
+        Delta = _hodge_sum(r, degree, lambda k: d_matrix(c.grid, k, symbols))
     # Hermitian nonnegative by construction: d'd + dd'
-    w, V = np.linalg.eigh((Delta + Delta.conj().T) / 2.0)
+    w, V = np.linalg.eigh((Delta + _adjoint(Delta)) / 2.0)
     w = np.abs(w)
-    smax = float(w[-1]) if w.size else 0.0
+    smax = float(w.max()) if w.size else 0.0
     thr = 1e-8 * max(smax, 1e-300)
     null = w <= thr
-    dim = int(np.count_nonzero(null))
-    rejected = w[null]
     retained = w[~null]
-    if retained.size == 0:
-        gap = np.inf
-    elif rejected.size == 0 or float(rejected.max()) == 0.0:
-        gap = np.inf
+    gap = float(retained.min() / thr) if retained.size else np.inf
+    if symbols is None:
+        basis = V[:, null]
     else:
-        gap = float(retained.min() / rejected.max())
-    return HarmonicReport(degree, dim, gap, V[:, null], w,
-                          ambiguous=bool(gap < 1e4))
+        modes, cols = np.nonzero(null)
+        Z = V[modes, :, cols].reshape(len(modes), -1, 1, c.grid.fiber_dim)
+        waves = _plane_waves(c.grid, modes)[:, None, :, None]
+        basis = (Z * waves).reshape(len(modes), -1).T
+    return HarmonicReport(degree, int(np.count_nonzero(null)), gap, basis,
+                          np.sort(w, axis=None), ambiguous=bool(gap < 1e4))
 
 
 def hodge_decompose(c: GenComplex, beta: FormField):

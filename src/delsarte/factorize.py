@@ -65,10 +65,17 @@ def _in_stack(bad: np.ndarray) -> str:
 def _frobenius(X: np.ndarray) -> np.ndarray:
     """Frobenius norm over the last two axes, summed the way
     ``np.linalg.norm`` sums one matrix (a BLAS dot of the raveled real and
-    imaginary parts), so a stack gives the single-matrix bits."""
-    v = X.reshape(X.shape[:-2] + (1, -1))
+    imaginary parts), so a stack gives the single-matrix bits.
+
+    Each matrix is first scaled by the power of two at or above its largest
+    entry, which is exact, so the squares cannot overflow and a finite
+    matrix has a finite norm, with the bits of the unscaled sum wherever
+    that sum neither overflows nor underflows."""
+    X = np.asarray(X)
+    scale = np.ldexp(1.0, np.frexp(np.max(np.abs(X), axis=(-2, -1), initial=0.0))[1])
+    v = (X / scale[..., None, None]).reshape(X.shape[:-2] + (1, -1))
     parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
-    return np.sqrt(sum(p @ np.swapaxes(p, -1, -2) for p in parts))[..., 0, 0]
+    return scale * np.sqrt(sum(p @ np.swapaxes(p, -1, -2) for p in parts))[..., 0, 0]
 
 
 def _unit_triangular_solve(T: np.ndarray, B: np.ndarray, **kw) -> np.ndarray:
@@ -154,7 +161,7 @@ def _ldu(M: np.ndarray):
                 r = slice(k + 1, b1)
                 L[..., r, k] = A[..., r, k] / piv[..., None]
                 U[..., k, r] = A[..., k, r] / piv[..., None]
-                A[..., r, r] -= A[..., r, k, None] * A[..., k, None, r] / piv[..., None, None]
+                A[..., r, r] -= L[..., r, k, None] * A[..., k, None, r]
         if b1 < n:
             blk = slice(b0, b1)
             # A21 = L21 D11 U11 and A12 = L11 D11 U12
@@ -234,9 +241,10 @@ def glm_solve(Phi: np.ndarray):
 
 
 def glm_residual(Phi: np.ndarray, K_plus: np.ndarray, K_minus: np.ndarray) -> float:
-    """|| K_plus + Phi + K_plus Phi - K_minus ||_F / max(||Phi||_F, 1)."""
+    """|| K_plus + Phi + K_plus Phi - K_minus ||_F / max(||Phi||_F, 1), with
+    the scale-safe norms of :func:`_frobenius`."""
     R = K_plus + Phi + K_plus @ Phi - K_minus
-    return float(np.linalg.norm(R) / max(np.linalg.norm(Phi), 1.0))
+    return float(_frobenius(R) / max(float(_frobenius(Phi)), 1.0))
 
 
 def commutation_check(Phi: np.ndarray, L: np.ndarray) -> float:

@@ -186,15 +186,20 @@ def d_matrix(grid: ProductGrid, degree: int, axis_mats: list | None = None) -> n
     """Matrix of the coboundary from degree k to k+1 on stacked components;
     its dtype is the common type of the axis operators (real for the plain
     forward differences).  The degree runs over 0..r; from degree r the
-    coboundary is the zero map into the empty degree r + 1."""
+    coboundary is the zero map into the empty degree r + 1.
+
+    The axis operators may also be stacks (..., b, b) of blocks, such as
+    the per-mode symbols of a translation-invariant family; the block rule
+    then builds one coboundary per stack entry, of shape
+    (..., C(r, k+1) b, C(r, k) b)."""
     r = grid.ndim
     _check_degree(r, degree)
     if axis_mats is None:
         axis_mats = [forward_diff_matrix(grid, a) for a in range(r)]
     rows = _subsets(r, degree + 1)
     cols = _subsets(r, degree)
-    block = grid.total_dim
-    D = np.zeros((len(rows) * block, len(cols) * block),
+    lead, block = axis_mats[0].shape[:-2], axis_mats[0].shape[-1]
+    D = np.zeros(lead + (len(rows) * block, len(cols) * block),
                  dtype=np.result_type(*axis_mats))
     for cj, S in enumerate(cols):
         for a in range(r):
@@ -203,7 +208,7 @@ def d_matrix(grid: ProductGrid, degree: int, axis_mats: list | None = None) -> n
             T = tuple(sorted(S + (a,)))
             ri = rows.index(T)
             sign = (-1) ** T.index(a)
-            D[ri * block:(ri + 1) * block, cj * block:(cj + 1) * block] = sign * axis_mats[a]
+            D[..., ri * block:(ri + 1) * block, cj * block:(cj + 1) * block] = sign * axis_mats[a]
     return D
 
 

@@ -313,12 +313,14 @@ def test_library_parameters_are_read():
 
 def test_axis_layout_lives_in_two_helpers():
     """The Kronecker layout of flattened fields is spelled out only by
-    ``grid_ops._apply_along`` (``np.tensordot``) and ``derham.flat_complex``
-    (``np.kron``, the fiber generator on every node); ``np.roll`` appears
-    nowhere."""
+    ``grid_ops._apply_along`` (``np.tensordot``), ``derham.flat_complex``
+    (``np.kron``, the fiber generator on every node) and
+    ``derham._mode_symbols`` (``np.fft``, the node DFT); ``np.roll``
+    appears nowhere."""
     import delsarte
     allowed = {"tensordot": {("grid_ops.py", "_apply_along")},
                "kron": {("derham.py", "flat_complex")},
+               "fft": {("derham.py", "_mode_symbols")},
                "roll": set()}
     offenders = []
 
@@ -529,9 +531,12 @@ def test_non_finite_phi_file_gives_computation_error(tmp_path, capsys):
 
 
 def test_overflowing_phi_file_gives_computation_error(tmp_path, capsys):
-    # finite entries at scale 1e155 overflow the LDU's first update
+    # pivot 1e290 beside entries 1e300: the LDU's first update overflows
     pf = tmp_path / "phi_in.csv"
-    save_matrix_csv(pf, 1e155 * np.random.default_rng(0).uniform(0.5, 1.0, (6, 6)))
+    Phi = np.zeros((6, 6))
+    Phi[0, 0] = 1e290
+    Phi[0, 1:] = Phi[1:, 0] = 1e300
+    save_matrix_csv(pf, Phi)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, _ = _run(tmp_path, {"command": "factorize", "phi_file": str(pf)})

@@ -138,10 +138,78 @@ def _mixed_tori(draw):
 @settings(derandomize=True, deadline=None, max_examples=12)
 @given(pg=_mixed_tori())
 def test_harmonic_dims_are_fiber_times_betti(pg):
+    # tori take the per-mode route, boxes with a Dirichlet axis the dense
+    # one; either way the spectrum is that of the dense Laplace-Hodge matrix
     c = plain_complex(pg)
     betti = expected_betti(pg)
     for k in range(pg.ndim + 1):
-        assert harmonic_space(c, k).dim == pg.fiber_dim * betti[k]
+        rep = harmonic_space(c, k)
+        assert rep.dim == pg.fiber_dim * betti[k]
+        dense = np.sort(np.abs(np.linalg.eigvalsh(laplace_hodge(c, k))))
+        assert np.abs(rep.singular_values - dense).max() <= 1e-13 * dense.max()
+
+
+def _null_projector(vectors):
+    return vectors @ vectors.conj().T
+
+
+def _dense_harmonic(c, k):
+    """The dense reference: null projector and sorted spectrum of Delta_k."""
+    D = laplace_hodge(c, k)
+    w, V = np.linalg.eigh((D + D.conj().T) / 2.0)
+    w = np.abs(w)
+    return _null_projector(V[:, w <= 1e-8 * w.max()]), np.sort(w)
+
+
+@pytest.mark.parametrize("shape", [(8, 6), (5, 5, 6)])
+@pytest.mark.parametrize("fiber", [1, 2])
+@pytest.mark.parametrize("twist", ["plain", "winding"])
+def test_per_mode_route_matches_the_dense_route(shape, fiber, twist):
+    pg = ProductGrid(tuple(Grid1D.periodic(0.0, 1.0 + 0.5 * a, n)
+                           for a, n in enumerate(shape)), fiber_dim=fiber)
+    if twist == "plain":
+        c = plain_complex(pg)
+    else:
+        # fiber component u winds u + 1 times along axis 0 (trivial
+        # monodromy), mixed by a fixed unitary: the null modes sit at m != 0
+        T0 = pg.axes[0].length
+        Q = np.linalg.qr(np.array([[1.0, 2.0j], [0.5, -1.0]])[:fiber, :fiber])[0]
+        wind = Q @ np.diag(2j * np.pi * np.arange(1, fiber + 1) / T0) @ Q.conj().T
+        c = flat_complex(pg, [wind] + [np.zeros((fiber, fiber))] * (pg.ndim - 1))
+    assert c._symbols is not None
+    betti = expected_betti(pg)
+    for k in range(pg.ndim + 1):
+        rep = harmonic_space(c, k)
+        proj, spectrum = _dense_harmonic(c, k)
+        assert rep.dim == fiber * betti[k]
+        assert np.abs(_null_projector(rep.basis) - proj).max() <= 1e-10
+        assert np.abs(rep.singular_values - spectrum).max() <= 1e-13 * spectrum.max()
+        # the gap is read against the threshold, so it is finite and the
+        # same on both routes although mode 0 has exact zeros
+        retained = spectrum[spectrum > 1e-8 * spectrum.max()]
+        assert rep.gap == pytest.approx(retained.min() / (1e-8 * spectrum.max()), rel=1e-10)
+        assert 1e4 < rep.gap < np.inf
+    if twist == "winding":
+        # no harmonic zero-form is constant along the fiber: mode 0 is not null
+        assert np.abs(harmonic_space(c, 0).basis.reshape(pg.nnodes, fiber, -1)
+                      .sum(axis=0)).max() <= 1e-10
+
+
+def test_non_invariant_family_takes_the_dense_route():
+    # a periodic plain family conjugated by a fixed orthogonal matrix that is
+    # not block circulant: the invariance residual fails, the dense route
+    # runs, and the unitarily equivalent Laplacians keep dimensions and spectra
+    pg = _torus(6, 5)
+    plain = plain_complex(pg)
+    Q = np.linalg.qr(np.random.default_rng(11).standard_normal((pg.total_dim,) * 2))[0]
+    c = GenComplex(pg, [Q @ M @ Q.T for M in plain.axis_mats])
+    assert plain._symbols is not None and c._symbols is None
+    for k in range(3):
+        rep, ref = harmonic_space(c, k), harmonic_space(plain, k)
+        assert rep.dim == ref.dim == (1, 2, 1)[k]
+        s = ref.singular_values
+        assert np.abs(rep.singular_values - s).max() <= 1e-13 * s.max()
+        assert np.isrealobj(rep.basis)
 
 
 def test_flat_family_multiplies_betti_by_kernel_dim():
@@ -158,6 +226,22 @@ def test_trivial_generators_double_everything():
     c = flat_complex(pg, gens)
     assert flat_dimension(gens) == 2
     assert tuple(harmonic_space(c, k).dim for k in range(3)) == (2, 4, 2)
+
+
+@pytest.mark.parametrize("gens", [[np.zeros((2, 3))] * 2,
+                                  [np.zeros((2, 2)), np.zeros((3, 3))],
+                                  [np.zeros(2)] * 2])
+def test_generators_are_checked_once(gens):
+    # flat_dimension took the rows of a (2, 3) generator for a kernel of 2
+    pg = _torus(5, 6, fiber=2)
+    shapes = str([np.shape(A) for A in gens])
+    calls = [lambda: flat_dimension(gens), lambda: flat_complex(pg, gens),
+             lambda: flat_section(pg, gens, np.ones(2)),
+             lambda: dual_flat_section(pg, gens, np.ones(2))]
+    for call in calls:
+        with pytest.raises(DiscretizationError) as err:
+            call()
+        assert shapes in str(err.value), str(err.value)
 
 
 def test_flat_dimension_matches_stacked_nullity():

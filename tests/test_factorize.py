@@ -203,7 +203,7 @@ def _rank_one_ldu(M):
         d[k] = piv
         L[k + 1:, k] = A[k + 1:, k] / piv
         U[k, k + 1:] = A[k, k + 1:] / piv
-        A[k + 1:, k + 1:] -= np.outer(A[k + 1:, k], A[k, k + 1:]) / piv
+        A[k + 1:, k + 1:] -= np.outer(L[k + 1:, k], A[k, k + 1:])
     return L, d, U
 
 
@@ -237,12 +237,32 @@ def test_blocked_ldu_names_first_singular_minor(k):
 
 
 def test_overflowing_elimination_is_a_singular_minor():
-    # a finite kernel at scale 1e155: the first rank-one update overflows
-    Phi = 1e155 * np.random.default_rng(0).uniform(0.5, 1.0, (6, 6))
+    # pivot 1e290 beside entries 1e300: the second pivot 1 - 1e310 is past
+    # the float range, so the first rank-one update overflows
+    Phi = np.zeros((6, 6))
+    Phi[0, 0] = 1e290
+    Phi[0, 1:] = Phi[1:, 0] = 1e300
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularMinorError, match="row 1 elimination overflowed"):
             gk_factorize(Phi)
+
+
+def test_large_finite_kernel_factors_without_overflow():
+    # at scale 1e155 the factors are of order one (D of order 1e155): the
+    # rank-one update multiplies by the formed L instead of squaring the
+    # scale, and the residual norms are taken scale-safely
+    Phi = 1e155 * np.random.default_rng(0).uniform(0.5, 1.0, (6, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = gk_factorize(Phi)
+        Kp, Km = glm_solve(Phi)
+        glm = glm_residual(Phi, Kp, Km)
+    for X in (pair.K_plus, pair.D, pair.K_minus):
+        assert np.all(np.isfinite(X))
+    np.testing.assert_allclose(pair.K_plus, Kp, rtol=0, atol=1e-12 * np.abs(Kp).max())
+    assert pair.residual <= 1e-14
+    assert np.isfinite(glm) and glm <= 1e-14
 
 
 def test_overflowing_panel_is_a_singular_minor():
