@@ -161,30 +161,16 @@ def _matched_generator(g: Grid1D, A: np.ndarray) -> np.ndarray:
     return (scipy.linalg.expm(g.h * A) - np.eye(A.shape[0])) / g.h
 
 
-def _fiber_generators(what: str, generators: list, grid: ProductGrid | None = None,
-                      start=None) -> list:
+def _fiber_generators(what: str, generators: list) -> list:
     """The fiber generators as complex arrays, after checking that they are
-    square and of one size: with a ``grid``, one (N, N) generator per axis
-    for its fiber size N and, with a ``start`` vector, that it has shape
-    (N,).  Raises :class:`DiscretizationError` naming the shapes."""
+    square and of one size; raises :class:`DiscretizationError` naming the
+    shapes."""
     gens = [np.asarray(A, dtype=complex) for A in generators]
     shapes = [A.shape for A in gens]
-    if grid is None:
-        N = shapes[0][0] if shapes and shapes[0] else 0
-        want = "one or more square generators of one size"
-        ok = N > 0
-    else:
-        N = grid.fiber_dim
-        want = f"{grid.ndim} generators of shape ({N}, {N})"
-        ok = len(gens) == grid.ndim
-    ok = ok and all(sh == (N, N) for sh in shapes)
-    got = f"got {shapes}"
-    if start is not None:
-        want += f" and a start vector of shape ({N},)"
-        got += f" and {np.shape(start)}"
-        ok = ok and np.shape(start) == (N,)
-    if not ok:
-        raise DiscretizationError(f"{what} needs {want}, {got}")
+    N = shapes[0][0] if shapes and shapes[0] else 0
+    if N == 0 or any(sh != (N, N) for sh in shapes):
+        raise DiscretizationError(
+            f"{what} needs square generators of one size, got {shapes}")
     return gens
 
 
@@ -196,19 +182,30 @@ def flat_complex(grid: ProductGrid, generators: list) -> GenComplex:
     nodal samples of t -> exp(sum t_j A_j) v0 (see :func:`flat_section`)
     lie exactly in ker L_j.
     """
-    gens = _fiber_generators("a flat complex", generators, grid)
+    gens = _fiber_generators("flat_complex", generators)
+    N = grid.fiber_dim
+    if len(gens) != grid.ndim or gens[0].shape != (N, N):
+        raise DiscretizationError(
+            f"flat_complex needs {grid.ndim} generators of shape ({N}, {N}), "
+            f"got {[A.shape for A in gens]}")
     mats = [forward_diff_matrix(grid, a)
             - np.kron(np.eye(grid.nnodes), _matched_generator(g, A))
             for a, (g, A) in enumerate(zip(grid.axes, gens))]
     return GenComplex(grid, mats)
 
 
-def _march(grid: ProductGrid, steps: list, v0: np.ndarray) -> np.ndarray:
-    """Nodal section v(i) = steps[r-1]^(i_{r-1}) ... steps[0]^(i_0) v0,
-    i.e. v(i + e_a) = steps[a] v(i) from v(0) = v0: each axis's step powers
-    applied to the section of the axes before it in one product."""
-    out = np.asarray(v0, dtype=complex)
-    for g, S in zip(grid.axes, steps):
+def _march(what: str, grid: ProductGrid, gens: list, v0: np.ndarray, step) -> np.ndarray:
+    """Nodal section v(i) = S_{r-1}^(i_{r-1}) ... S_0^(i_0) v0 for the axis
+    steps S_a = step(axis a, gens[a]), i.e. v(i + e_a) = S_a v(i) from
+    v(0) = v0: each axis's step powers applied to the section of the axes
+    before it in one product."""
+    N, out = grid.fiber_dim, np.asarray(v0, dtype=complex)
+    if len(gens) != grid.ndim or out.shape != (N,) or gens[0].shape != (N, N):
+        raise DiscretizationError(
+            f"{what} needs {grid.ndim} generators of shape ({N}, {N}) and a start "
+            f"vector of shape ({N},), got {[A.shape for A in gens]} and {out.shape}")
+    for g, A in zip(grid.axes, gens):
+        S = step(g, A)
         powers = np.stack([np.linalg.matrix_power(S, i) for i in range(g.n)])
         out = np.einsum("iuv,...v->...iu", powers, out)
     return out
@@ -216,9 +213,8 @@ def _march(grid: ProductGrid, steps: list, v0: np.ndarray) -> np.ndarray:
 
 def flat_section(grid: ProductGrid, generators: list, v0: np.ndarray) -> np.ndarray:
     """Sample t -> exp(t_1 A_1) ... exp(t_r A_r) v0 on the nodes."""
-    gens = _fiber_generators("a flat section", generators, grid, v0)
-    steps = [scipy.linalg.expm(g.h * A) for g, A in zip(grid.axes, gens)]
-    return _march(grid, steps, v0)
+    return _march("flat_section", grid, _fiber_generators("flat_section", generators),
+                  v0, lambda g, A: scipy.linalg.expm(g.h * A))
 
 
 def dual_flat_section(grid: ProductGrid, generators: list, w0: np.ndarray) -> np.ndarray:
@@ -229,16 +225,15 @@ def dual_flat_section(grid: ProductGrid, generators: list, w0: np.ndarray) -> np
     solves (D_j - Aeff_j)^* phi = 0 exactly on inner nodes; with the matched
     generator Aeff_j the step matrix is exp(-h A_j^*).
     """
-    steps = []
-    for g, A in zip(grid.axes, _fiber_generators("a flat section", generators, grid, w0)):
-        Ae = _matched_generator(g, A)
-        steps.append(np.linalg.inv(np.eye(len(Ae)) + g.h * Ae.conj().T))
-    return _march(grid, steps, w0)
+    def step(g, A):
+        return np.linalg.inv(np.eye(len(A)) + g.h * _matched_generator(g, A).conj().T)
+    return _march("dual_flat_section", grid,
+                  _fiber_generators("dual_flat_section", generators), w0, step)
 
 
 def flat_dimension(generators: list) -> int:
     """Dimension of the joint kernel of the fiber generators."""
-    gens = _fiber_generators("a joint kernel", generators)
+    gens = _fiber_generators("flat_dimension", generators)
     stacked = np.vstack(gens)
     s = np.linalg.svd(stacked, compute_uv=False)
     smax = float(s[0]) if s.size else 0.0
@@ -356,9 +351,10 @@ def harmonic_space(c: GenComplex, degree: int) -> HarmonicReport:
         basis = V[:, null]
     else:
         modes, cols = np.nonzero(null)
-        Z = V[modes, :, cols].reshape(len(modes), -1, 1, c.grid.fiber_dim)
+        C = math.comb(r, degree)
+        Z = V[modes, :, cols].reshape(len(modes), C, 1, c.grid.fiber_dim)
         waves = _plane_waves(c.grid, modes)[:, None, :, None]
-        basis = (Z * waves).reshape(len(modes), -1).T
+        basis = (Z * waves).reshape(len(modes), C * c.grid.total_dim).T
     return HarmonicReport(degree, int(np.count_nonzero(null)), gap, basis,
                           np.sort(w, axis=None), ambiguous=bool(gap < 1e4))
 

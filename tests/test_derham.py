@@ -195,6 +195,22 @@ def test_per_mode_route_matches_the_dense_route(shape, fiber, twist):
                       .sum(axis=0)).max() <= 1e-10
 
 
+@pytest.mark.parametrize("shape", [(8, 6), (5, 5, 6)])
+def test_per_mode_route_with_no_harmonic_forms(shape):
+    # a real generator gives the flat sections a monodromy exp(0.7 T) != 1:
+    # no mode has a null block, and every degree reports dimension 0
+    pg = ProductGrid(tuple(Grid1D.periodic(0.0, 1.0 + 0.5 * a, n)
+                           for a, n in enumerate(shape)), fiber_dim=1)
+    c = flat_complex(pg, [np.diag([0.7])] * pg.ndim)
+    assert c._symbols is not None
+    for k in range(pg.ndim + 1):
+        rep = harmonic_space(c, k)
+        proj, spectrum = _dense_harmonic(c, k)
+        assert rep.dim == 0 and not proj.any()
+        assert rep.basis.shape == (math.comb(pg.ndim, k) * pg.total_dim, 0)
+        assert np.abs(rep.singular_values - spectrum).max() <= 1e-13 * spectrum.max()
+
+
 def test_non_invariant_family_takes_the_dense_route():
     # a periodic plain family conjugated by a fixed orthogonal matrix that is
     # not block circulant: the invariance residual fails, the dense route
@@ -235,13 +251,15 @@ def test_generators_are_checked_once(gens):
     # flat_dimension took the rows of a (2, 3) generator for a kernel of 2
     pg = _torus(5, 6, fiber=2)
     shapes = str([np.shape(A) for A in gens])
-    calls = [lambda: flat_dimension(gens), lambda: flat_complex(pg, gens),
-             lambda: flat_section(pg, gens, np.ones(2)),
-             lambda: dual_flat_section(pg, gens, np.ones(2))]
-    for call in calls:
+    calls = {"flat_dimension": lambda: flat_dimension(gens),
+             "flat_complex": lambda: flat_complex(pg, gens),
+             "flat_section": lambda: flat_section(pg, gens, np.ones(2)),
+             "dual_flat_section": lambda: dual_flat_section(pg, gens, np.ones(2))}
+    for name, call in calls.items():
         with pytest.raises(DiscretizationError) as err:
             call()
-        assert shapes in str(err.value), str(err.value)
+        assert str(err.value).startswith(name + " ") and shapes in str(err.value), \
+            str(err.value)
 
 
 def test_flat_dimension_matches_stacked_nullity():
