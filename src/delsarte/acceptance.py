@@ -29,7 +29,7 @@ from .derham import (d_L, expected_betti, flat_complex, flat_dimension,
 from .errors import SingularMinorError
 from .factorize import (break_relation_defect, gk_factorize, glm_residual,
                         glm_solve, random_unit_minor)
-from .grid_ops import DiffOp, Grid1D, ProductGrid, inner
+from .grid_ops import DiffOp, Grid1D, ProductGrid, _operator_product, inner
 from .lagrange import FormField, SurfaceRegion, divergence_residual
 from .spectral import (congruence_residual, eigensolve, elementary_kernel,
                        kernel_from_measure, nearest_indices,
@@ -59,9 +59,13 @@ VERIFY_NAMES = {
 }
 
 
-def _row(name: str, value: float, threshold: float, direction: str = "max") -> dict:
-    value = float(value)
-    if direction == "max":
+def _row(name: str, value: float | None, threshold: float, direction: str = "max") -> dict:
+    """One result row.  A non-finite value (or ``None``, the record of one)
+    fails and is recorded as ``None``, since report JSON has no NaN or inf."""
+    value = math.nan if value is None else float(value)
+    if not math.isfinite(value):
+        passed, value = False, None
+    elif direction == "max":
         passed = value <= threshold
     elif direction == "min":
         passed = value >= threshold
@@ -112,12 +116,12 @@ def soliton_pair(domain, n: int, kappa: float = 1.0, parity: str = "even",
 
 def _bound_state_rows(comp: dict, kappa: float) -> list:
     """Exactly one new negative eigenvalue, at -kappa^2, from
-    :func:`spectrum_compare` output; the error reads 1e300 when none
-    appeared (report JSON forbids inf and nan)."""
+    :func:`spectrum_compare` output; when none appeared the error is
+    infinite, a failing row recorded as null."""
     new = comp["new_negative"]
     return [_row("new_negative_count", float(len(new)), 1.0, "eq"),
             _row("bound_state_error",
-                 abs(new[0] + kappa ** 2) if new else 1e300, 5e-3)]
+                 abs(new[0] + kappa ** 2) if new else math.inf, 5e-3)]
 
 
 def darboux_check(domain, n: int, kappa: float, parity: str = "even",
@@ -155,7 +159,8 @@ def pair_conjugation_rows(L: np.ndarray, T: np.ndarray, grid: Grid1D,
              float(np.max(np.abs(Ltil[: n - 1] - T[: n - 1]))), 1e-6),
         _row("offband_ratio", locality_check(Ltil, bandwidth=1), 1e-6),
         _row("intertwining_residual",
-             float(np.linalg.norm((M @ L - T @ M)[: n - 1])
+             float(np.linalg.norm((_operator_product(L, M, right=True)
+                                   - _operator_product(T, M))[: n - 1])
                    / (np.linalg.norm(M) * np.linalg.norm(L))), 1e-9),
     ]
     return rows, om
@@ -181,7 +186,9 @@ def dressing_data(grid: Grid1D, L: np.ndarray, family_size: int = 3):
 def transmute_check(domain, n: int, kappa: float, center: float = 0.0,
                     family_size: int = 3):
     """Both dressing operators with the full diagnostic battery; arrays
-    ``x`` (nodes), ``pair_kernel`` and ``family_kernel_plus``."""
+    ``x`` (nodes), ``pair_kernel`` and ``family_generators``, the family's
+    plus kernel as its (n, 2m) generators [U | C] with
+    K_+ = -tril(U C^T, -1)."""
     base, dressed = soliton_pair(domain, n, kappa, "even", center)
     g = base.grid
     L, T = base.matrix().A, dressed.operator.matrix().A
@@ -207,7 +214,7 @@ def transmute_check(domain, n: int, kappa: float, center: float = 0.0,
         _row("adjoint_compatibility", adjoint_compat_check(data), 1e-9),
     ]
     return rows, {"x": g.x, "pair_kernel": om.kernel,
-                  "family_kernel_plus": plus.kernel}
+                  "family_generators": data._generators()}
 
 
 def criterion_2() -> list:
@@ -426,7 +433,8 @@ def torus_rows(c):
         out["spectra"].append(rep.singular_values)
         if rep.dim != pg.fiber_dim * betti[k]:
             dims_ok = 1.0
-        min_gap = min(min_gap, min(rep.gap, 1e300))  # report JSON forbids inf
+        # an infinite gap passes this min row, so it is capped, not failed
+        min_gap = min(min_gap, min(rep.gap, 1e300))
     rows.append(_row("harmonic_dims_match_betti", dims_ok, 0.0))
     rows.append(_row("harmonic_gap", min_gap, 1e4, "min"))
 

@@ -196,7 +196,7 @@ def _spectrum_plot(data: dict):
 COMMANDS = {
     "darboux": (_darboux, ("potential", "spectrum"),
                 ("potential.svg", _potential_plot)),
-    "transmute": (_transmute, ("pair_kernel", "family_kernel_plus"),
+    "transmute": (_transmute, ("pair_kernel", "family_generators"),
                   ("kernel_rows.svg", _kernel_rows_plot)),
     "factorize": (_factorize, ("phi", "k_plus", "k_minus", "diag"),
                   ("diag.svg", _diag_plot)),
@@ -311,7 +311,8 @@ def main(argv=None) -> int:
     for r in report["rows"]:
         verdict = "PASS" if r["passed"] else "FAIL"
         rel = {"max": "<=", "min": ">=", "eq": "=="}[r["direction"]]
-        print(f"{r['name']:<36} {r['value']:>12.4e} {rel} "
+        value = "null" if r["value"] is None else f"{r['value']:.4e}"
+        print(f"{r['name']:<36} {value:>12} {rel} "
               f"{r['threshold']:<12.4e} {verdict}")
     print(f"report digest: {report['digest']}")
     print(f"report written to {out_dir / 'report.json'}")

@@ -46,6 +46,17 @@ __all__ = [
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
+def _half_exponentials(kappa: float, center: float):
+    """(k, e^{-k c}/2, e^{k c}/2) with k = kappa as a complex number;
+    DiscretizationError when either coefficient passes the float range."""
+    k = complex(kappa)
+    if abs(k.real * center) > _LOG_FLOAT_MAX:
+        raise DiscretizationError(
+            f"seed coefficients e^(+-kappa center) pass the float range "
+            f"at kappa = {kappa}, center = {center}")
+    return k, 0.5 * np.exp(-k * center), 0.5 * np.exp(k * center)
+
+
 class ExpPoly:
     """Finite sum  sum_mu c_mu e^{mu x}  with exact calculus.
 
@@ -66,13 +77,13 @@ class ExpPoly:
 
     @classmethod
     def cosh(cls, kappa: float, center: float = 0.0) -> "ExpPoly":
-        k = complex(kappa)
-        return cls({k: 0.5 * np.exp(-k * center), -k: 0.5 * np.exp(k * center)})
+        k, a, b = _half_exponentials(kappa, center)
+        return cls({k: a, -k: b})
 
     @classmethod
     def sinh(cls, kappa: float, center: float = 0.0) -> "ExpPoly":
-        k = complex(kappa)
-        return cls({k: 0.5 * np.exp(-k * center), -k: -0.5 * np.exp(k * center)})
+        k, a, b = _half_exponentials(kappa, center)
+        return cls({k: a, -k: -b})
 
     def derivative(self) -> "ExpPoly":
         return ExpPoly({mu: mu * c for mu, c in self.terms.items()})
@@ -120,10 +131,14 @@ class ExpPoly:
         return np.where(over, np.inf, S0 * np.exp(np.where(over, 0.0, m)))
 
     def log_second_derivative(self, x) -> np.ndarray:
-        """(ln f)'' = (f'' f - f'^2)/f^2, evaluated with the common shift cancelled."""
+        """(ln f)'' = (f'' f - f'^2)/f^2, evaluated with the common shift
+        cancelled and the sums scaled by the power of two at or above |f|
+        at each point: exact, and the products cannot overflow."""
         S0, S1, S2, _ = self._scaled_sums(x)
         if np.any(S0 == 0):
             raise SeedNodeError("seed vanishes at an evaluation point")
+        scale = np.ldexp(1.0, np.frexp(np.abs(S0))[1])
+        S0, S1, S2 = S0 / scale, S1 / scale, S2 / scale
         return (S2 * S0 - S1 ** 2) / (S0 ** 2)
 
     @staticmethod
@@ -220,9 +235,12 @@ def _check_seed(op: SchrodingerOp, seed: DressingSeed) -> None:
         raise DiscretizationError("seed sampled on the wrong grid")
     if not np.all(np.isfinite(vals)):
         raise DiscretizationError("seed values overflow on the grid")
-    re = np.real(vals)
-    if np.any(re[:-1] * re[1:] <= 0.0):
+    sign = np.sign(np.real(vals))
+    if np.any(sign[:-1] * sign[1:] <= 0.0):
         raise SeedNodeError("seed changes sign between neighboring nodes")
+    # the gate is relative, so the seed is first scaled by the power of two
+    # at or above its largest entry: exact, and no product overflows
+    vals = vals / np.ldexp(1.0, np.frexp(np.max(np.abs(vals)))[1])
     # residual gate on interior rows; boundary rows see the eliminated nodes
     w = 3  # rows touched by the one-sided truncation of the 3-point stencil
     if op.grid.n - 2 * w < 1:

@@ -26,6 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DiscretizationError, SingularMinorError
+from .grid_ops import _operator_product
 
 __all__ = [
     "TriangularPair",
@@ -248,19 +249,23 @@ def glm_residual(Phi: np.ndarray, K_plus: np.ndarray, K_minus: np.ndarray) -> fl
 
 
 def commutation_check(Phi: np.ndarray, L: np.ndarray) -> float:
-    """Normalized commutator ||[Phi, L]||_F / (||Phi||_F ||L||_F)."""
+    """Normalized commutator ||[Phi, L]||_F / (||Phi||_F ||L||_F); both
+    products run on the band of a narrow Hermitian L."""
     Phi = np.asarray(Phi)
     L = np.asarray(L)
     denom = np.linalg.norm(Phi) * np.linalg.norm(L)
     if denom == 0.0:
         return 0.0
-    return float(np.linalg.norm(Phi @ L - L @ Phi) / denom)
+    return float(np.linalg.norm(_operator_product(L, Phi, right=True)
+                                - _operator_product(L, Phi)) / denom)
 
 
 def _conjugate(M: np.ndarray, L: np.ndarray, lower: bool) -> np.ndarray:
     """M L M^{-1} for a triangular M (lower or upper as the caller says),
-    by one triangular solve M^T X^T = (M L)^T, without forming the inverse."""
-    return scipy.linalg.solve_triangular(M, (M @ L).T, trans="T", lower=lower).T
+    by one triangular solve M^T X^T = (M L)^T, without forming the inverse.
+    M L runs on the band of a narrow Hermitian L."""
+    return scipy.linalg.solve_triangular(
+        M, _operator_product(L, M, right=True).T, trans="T", lower=lower).T
 
 
 def break_relation_defect(K: np.ndarray) -> float:

@@ -20,7 +20,8 @@ connects, so :func:`discretize` (and ``lagrange.forward_diff_matrix``)
 writes each stencil weight straight onto the nonzeros of the operator
 I x ... x D1 x ... x I x I_N on flattened fields.  The band of an
 assembled matrix is likewise read in one place: :func:`_upper_band` packs
-it from the matrix's own nonzeros and :func:`_band_matvec` multiplies by it.
+it from the matrix's own nonzeros and :func:`_band_matvec` multiplies by it;
+:func:`_operator_product` takes that route for narrow Hermitian operators.
 """
 
 from __future__ import annotations
@@ -420,6 +421,9 @@ def _upper_band(A: np.ndarray) -> np.ndarray:
     return ab
 
 
+_BAND_PRODUCT_WIDTH = 4  # widest half-band an operator is multiplied through
+
+
 def _band_matvec(ab: np.ndarray, V: np.ndarray) -> np.ndarray:
     """A @ V for the Hermitian A held in upper banded storage ``ab`` (the
     :func:`_upper_band` layout); V is a vector or a block of columns."""
@@ -431,6 +435,23 @@ def _band_matvec(ab: np.ndarray, V: np.ndarray) -> np.ndarray:
         out[:-d] += u * V[d:]
         out[d:] += u.conj() * V[:-d]
     return out
+
+
+def _operator_product(A: np.ndarray, X: np.ndarray, right: bool = False) -> np.ndarray:
+    """A @ X, or X @ A when ``right``, for a square operator matrix A.
+
+    A Hermitian A with a half-bandwidth of at most ``_BAND_PRODUCT_WIDTH``
+    is multiplied through its band (:func:`_upper_band`, :func:`_band_matvec`),
+    the right product as X A = (A X^H)^H; any other A (non-Hermitian,
+    periodic, dense) takes the dense product.
+    """
+    if np.array_equal(A, A.conj().T):
+        ab = _upper_band(A)
+        if ab.shape[0] - 1 <= _BAND_PRODUCT_WIDTH:
+            if right:
+                return _band_matvec(ab, X.conj().T).conj().T
+            return _band_matvec(ab, X)
+    return X @ A if right else A @ X
 
 
 def commutator(A, B) -> np.ndarray:

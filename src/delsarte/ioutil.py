@@ -60,9 +60,24 @@ def load_matrix_csv(path: str | Path) -> np.ndarray:
 
 
 def _format_rows(A: np.ndarray) -> str:
-    # full double precision: round-tripping a matrix through disk must not
-    # perturb downstream residual checks
-    lines = [",".join(map(repr, row)) for row in A.tolist()]
+    """The rows of a real 2-D array as ``",".join(map(repr, row))`` lines.
+
+    Full double precision: round-tripping a matrix through disk must not
+    perturb downstream residual checks.  ``repr`` runs only from each row's
+    first to its last entry that is not +0.0 (-0.0 and NaN included); the
+    +0.0 runs before and after are slices of one ``"0.0,...,0.0"`` line.
+    """
+    cols = A.shape[1]
+    zeros = ",".join(["0.0"] * cols)
+    lines = [zeros] * A.shape[0]
+    nz = (A != 0) | np.signbit(A)
+    rows = np.flatnonzero(nz.any(axis=1))
+    if rows.size:
+        first = nz[rows].argmax(axis=1).tolist()
+        stop = (cols - nz[rows, ::-1].argmax(axis=1)).tolist()
+        for i, f, s in zip(rows.tolist(), first, stop):
+            lines[i] = (zeros[:4 * f] + ",".join(map(repr, A[i, f:s].tolist()))
+                        + zeros[len(zeros) - 4 * (cols - s):])
     return "\n".join(lines) + "\n"
 
 

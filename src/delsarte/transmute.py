@@ -183,12 +183,19 @@ class TransmutationData:
         np.cumsum(moments[:-1], axis=0, out=S[1:])  # strict prefix
         return f - np.einsum("im,im->i", U, S)
 
+    def _generators(self) -> np.ndarray:
+        """The plus kernel's rank-m generators [U | C], shape (n, 2m), with
+        K_+ = -tril(U C^T, -1): U the dressed rows (:meth:`_dressed_rows`)
+        and C[j] = conj(phi(x_j)) h rho_j."""
+        C = np.conj(self.left) * (self.grid.h * self.weights)[:, None]
+        return np.hstack([self._dressed_rows(), C])
+
     def operator(self, sign: str = "+") -> DelsarteOp:
-        """Dense triangular dressing operator for the requested sign."""
+        """Dense triangular dressing operator for the requested sign; the
+        plus kernel is formed from :meth:`_generators`."""
         if _minus(sign):
             return _mirror(self._reversed().operator("+"))
-        U = self._dressed_rows()
-        C = np.conj(self.left) * (self.grid.h * self.weights)[:, None]
+        U, C = np.hsplit(self._generators(), 2)
         return DelsarteOp("+", -np.tril(U @ C.T, -1))
 
     def inverse(self, sign: str = "+") -> DelsarteOp:

@@ -369,6 +369,28 @@ def test_band_diagonals_are_read_in_one_place():
 # exit code 1: a residual fails
 # ---------------------------------------------------------------------------
 
+def test_non_finite_value_fails_as_a_null_row(tmp_path, monkeypatch, capsys):
+    """A check returning NaN fails its row, recorded as null: the run exits 1
+    and still writes its report."""
+    monkeypatch.setattr(acceptance, "adjoint_compat_check", lambda data: math.nan)
+    cfg = {"command": "transmute", "domain": [-8.0, 8.0], "n": 60, "kappa": 1.0}
+    code, out = _run(tmp_path, cfg)
+    assert code == 1
+    report = json.loads((out / "report.json").read_text())
+    bad = [r for r in report["rows"] if not r["passed"]]
+    assert [(r["name"], r["value"]) for r in bad] == [("adjoint_compatibility", None)]
+    assert "null" in capsys.readouterr().out
+
+
+def test_verify_rescale_keeps_a_null_row_failing(monkeypatch):
+    rows = [acceptance._row("finite", 0.5, 1.0), acceptance._row("nan", math.nan, 1.0),
+            acceptance._row("inf", math.inf, 0.0, "min")]
+    monkeypatch.setattr(acceptance, "run_all", lambda seed: {"rows": rows})
+    got, _ = cli._verify({"seed": 0, "tolerance_scale": 2.0})
+    assert [(r["value"], r["threshold"], r["passed"]) for r in got] == [
+        (0.5, 2.0, True), (None, 2.0, False), (None, 0.0, False)]
+
+
 def test_zero_tolerance_scale_fails_residuals(tmp_path, cached_verify_battery):
     code, out = _run(tmp_path, {"command": "verify", "tolerance_scale": 0.0})
     assert code == 1
@@ -613,8 +635,9 @@ def _derham_configs(draw):
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(cfg=st.one_of(_line_configs(), _factorize_configs, _derham_configs()))
 def test_drawn_configs_keep_the_exit_code_contract(cfg, tmp_path_factory):
-    # a drawn config either reports finite rows (exit 0 or 1) or names a
-    # library error (exit 3); it never ends as an unexpected exception
+    # a drawn config either reports rows (exit 0 or 1), each finite or a
+    # failing null, or names a library error (exit 3); it never ends as an
+    # unexpected exception
     tmp = tmp_path_factory.mktemp("drawn")
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
@@ -627,7 +650,8 @@ def test_drawn_configs_keep_the_exit_code_contract(cfg, tmp_path_factory):
         assert "computation failed" in err
     else:
         report = json.loads((out / "report.json").read_text())
-        assert all(math.isfinite(r["value"]) for r in report["rows"])
+        assert all(not r["passed"] if r["value"] is None else math.isfinite(r["value"])
+                   for r in report["rows"])
 
 
 # ---------------------------------------------------------------------------
@@ -713,6 +737,35 @@ def test_matrix_csv_bytes_are_repr_of_each_float(tmp_path):
             flat = A2.astype(float)
         body = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in flat)
         assert p.read_text().split("\n", 1)[1] == body
+
+
+def test_matrix_csv_zero_runs_keep_the_repr_bytes(tmp_path):
+    """Rows with runs of +0.0 (leading, trailing, interior or the whole
+    row) and of -0.0 keep the bytes of ``",".join(map(repr, row))``."""
+    rng = np.random.default_rng(8)
+    lower = np.tril(rng.standard_normal((6, 6)), -1)
+    cases = {
+        "strictly lower": lower,
+        "-0.0 upper triangle": -np.tril(rng.standard_normal((5, 5)), -1),
+        "leading zeros": np.triu(rng.standard_normal((5, 5)), 1),
+        "all-zero rows": np.vstack([np.zeros(4), [1.5, 0.0, 0.0, -2.0], np.zeros(4)]),
+        "all -0.0": -np.zeros((2, 3)),
+        "interior and mixed": np.array([[0.0, 1.0, 0.0, 0.0, -0.0, 0.0],
+                                        [np.nan, 0.0, 0.0, 0.0, 0.0, np.inf],
+                                        [0.0, 0.0, -np.inf, 0.0, 0.0, 5e-324]]),
+        "one column": np.array([[0.0], [-0.0], [3.25], [0.0]]),
+        "complex": lower[:, :3] + 1j * lower[:, 3:],
+    }
+    for name, A in cases.items():
+        p = tmp_path / "m.csv"
+        save_matrix_csv(p, A)
+        if np.iscomplexobj(A):
+            flat = np.empty((A.shape[0], 2 * A.shape[1]))
+            flat[:, 0::2], flat[:, 1::2] = A.real, A.imag
+        else:
+            flat = A
+        body = "".join(",".join(map(repr, row)) + "\n" for row in flat.tolist())
+        assert p.read_text().split("\n", 1)[1] == body, name
 
 
 def test_matrix_csv_round_trip_complex(tmp_path):

@@ -172,6 +172,31 @@ def test_overflowing_seed_rejected():
         darboux_once(op, seed)
 
 
+def test_large_seed_coefficients_dress_without_overflow():
+    """cosh(20 (x - 18)) on [-5, 20]: the seed stays below 1e199, but its
+    coefficient e^360 and the neighbor products pass the float range, so
+    the gates compare signs and the sums are scaled (warnings are errors
+    here)."""
+    g = Grid1D.dirichlet(-5.0, 20.0, 200)
+    kappa, center = 20.0, 18.0
+    dressed = darboux_once(SchrodingerOp.free(g),
+                           DressingSeed.hyperbolic(g, kappa, "even", center))
+    want = -2.0 * kappa ** 2 * (1.0 / np.cosh(kappa * (g.x - center))) ** 2
+    assert np.max(np.abs(dressed.qtilde - want)) <= 1e-9 * 2.0 * kappa ** 2
+    with pytest.raises(DiscretizationError, match="float range"):
+        ExpPoly.cosh(24.0, 30.0)
+
+
+def test_scaled_log_second_derivative_keeps_the_bits():
+    """Scaling the sums by a power of two is exact where the plain
+    quotient does not overflow."""
+    f = ExpPoly.cosh(1.03, center=0.37)
+    x = Grid1D.dirichlet(-8.0, 8.0, 600).x
+    S0, S1, S2, _ = f._scaled_sums(x)
+    plain = (S2 * S0 - S1 ** 2) / (S0 ** 2)
+    assert f.log_second_derivative(x).tobytes() == plain.tobytes()
+
+
 def test_spectrum_compare_trivial_dressing():
     g, op, _ = _setup(n=200)
     comp = spectrum_compare(op, op)

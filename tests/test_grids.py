@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from delsarte import (DiffOp, DiscretizationError, Grid1D, GridError,
                       ProductGrid, adjoint_defect, commutator,
                       derivative_matrix, discretize, formal_adjoint, inner)
-from delsarte.grid_ops import (_band_matvec, _upper_band, fd_weights,
-                               stencil_half_width)
+from delsarte import grid_ops
+from delsarte.grid_ops import (_band_matvec, _operator_product, _upper_band,
+                               fd_weights, stencil_half_width)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +301,66 @@ def test_band_helpers_match_dense_matrix(M, seed):
         V = V + 1j * rng.integers(-4, 5, (n, 3))
     np.testing.assert_allclose(_band_matvec(ab, V), M @ V, rtol=1e-13)
     np.testing.assert_allclose(_band_matvec(ab, V[:, 0]), M @ V[:, 0], rtol=1e-13)
+
+
+def _counting_band_products(monkeypatch):
+    """Count the calls of ``_band_matvec`` made by ``_operator_product``."""
+    calls = []
+
+    def counted(ab, V):
+        calls.append(ab.shape)
+        return _band_matvec(ab, V)
+
+    monkeypatch.setattr(grid_ops, "_band_matvec", counted)
+    return calls
+
+
+def _tridiagonal(n, rng, complex_):
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(n - 1)
+    if complex_:
+        e = e + 1j * rng.standard_normal(n - 1)
+    return np.diag(d) + np.diag(e, 1) + np.diag(e.conj(), -1)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_operator_product_runs_on_the_band_of_hermitian_operators(complex_, monkeypatch):
+    """A @ X and X @ A for a Hermitian tridiagonal A take the band route
+    and agree with the dense products to a few ulps of |A| |X|."""
+    calls = _counting_band_products(monkeypatch)
+    rng = np.random.default_rng(5)
+    n = 40
+    A = _tridiagonal(n, rng, complex_)
+    eps = np.finfo(float).eps
+    for X in (rng.standard_normal((n, n)),
+              rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))):
+        for got, want, bound in (
+                (_operator_product(A, X), A @ X, np.abs(A) @ np.abs(X)),
+                (_operator_product(A, X, right=True), X @ A, np.abs(X) @ np.abs(A))):
+            assert got.dtype == want.dtype
+            assert np.all(np.abs(got - want) <= 4 * eps * bound)
+    assert calls == [(2, n)] * 4
+
+
+def test_operator_product_keeps_the_dense_route_otherwise(monkeypatch):
+    """Non-Hermitian, periodic (full band) and dense operators, and a band
+    wider than ``_BAND_PRODUCT_WIDTH``, give the dense products bit for bit."""
+    calls = _counting_band_products(monkeypatch)
+    rng = np.random.default_rng(6)
+    n = 24
+    X = rng.standard_normal((n, n))
+    upwind = np.diag(np.ones(n)) - np.diag(np.ones(n - 1), -1)
+    periodic = discretize(DiffOp(ProductGrid.line(Grid1D.periodic(0.0, 1.0, n)),
+                                 {(2,): -1.0})).A
+    dense = rng.standard_normal((n, n))
+    dense = dense + dense.T
+    w = grid_ops._BAND_PRODUCT_WIDTH + 1
+    wide = np.triu(np.tril(dense, w), -w)
+    assert np.array_equal(periodic, periodic.T)
+    for A in (upwind, periodic, dense, wide):
+        assert _operator_product(A, X).tobytes() == (A @ X).tobytes()
+        assert _operator_product(A, X, right=True).tobytes() == (X @ A).tobytes()
+    assert calls == []
 
 
 def test_commutator_with_position_is_neighbor_averaging():

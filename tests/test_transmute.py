@@ -22,8 +22,11 @@ from delsarte import (ConditionNumberError, DelsarteOp, DiffOp, DressingSeed,
                       random_unit_minor, spectrum_compare, transform_operator)
 from delsarte import acceptance
 from delsarte.acceptance import transmute_check
+from delsarte.cli import run_command
 from delsarte.errors import DiscretizationError
 from delsarte.factorize import _conjugate
+from delsarte.grid_ops import _operator_product
+from delsarte.ioutil import load_matrix_csv, save_matrix_csv
 from delsarte.spectral import nearest_indices
 
 
@@ -613,6 +616,32 @@ def _complex_data(data):
         data.weights, data.omega0.astype(complex))
 
 
+def _kernel_from_generators(G):
+    """K_+ = -tril(U C^T, -1) from the (n, 2m) table [U | C]."""
+    U, C = np.hsplit(G, 2)
+    return -np.tril(U @ C.T, -1)
+
+
+def test_family_generators_table_rebuilds_the_plus_kernel(tmp_path):
+    """The ``family_generators`` table the transmute command writes, read
+    back, gives the family's plus kernel bit for bit; so does a complex
+    family's table."""
+    cfg = {"command": "transmute", "domain": [-8.0, 8.0], "n": 120,
+           "kappa": 1.03, "center": 0.37}
+    run_command("transmute", cfg, tmp_path / "out")
+    G = load_matrix_csv(tmp_path / "out" / "family_generators.csv")
+    base, _ = acceptance.soliton_pair(cfg["domain"], cfg["n"], cfg["kappa"],
+                                      "even", cfg["center"])
+    data, _ = acceptance.dressing_data(base.grid, base.matrix().A)
+    assert G.shape == (cfg["n"], 6) and G.dtype == np.float64
+    assert _kernel_from_generators(G).tobytes() == data.operator("+").kernel.tobytes()
+    cplx = _complex_data(data)
+    save_matrix_csv(tmp_path / "c.csv", cplx._generators())
+    Gc = load_matrix_csv(tmp_path / "c.csv")
+    assert Gc.dtype == np.complex128
+    assert _kernel_from_generators(Gc).tobytes() == cplx.operator("+").kernel.tobytes()
+
+
 @pytest.mark.parametrize("n", [200, 600])
 def test_real_family_route_matches_complex_cast(n, monkeypatch):
     def run(cast):
@@ -635,14 +664,14 @@ def test_real_family_route_matches_complex_cast(n, monkeypatch):
     assert all(d.L.dtype == np.float64 for d in real)
     assert [type(d) for d in real] == [type(d) for d in cplx] == [
         TransmutationData, KernelData]
-    assert tables["family_kernel_plus"].dtype == np.float64
-    assert tables_c["family_kernel_plus"].dtype == np.complex128
+    assert tables["family_generators"].dtype == np.float64
+    assert tables_c["family_generators"].dtype == np.complex128
     # the rows are relative residuals, so 1e-13 is relative to their scale
     assert [r["name"] for r in rows] == [r["name"] for r in rows_c]
     for r, rc in zip(rows, rows_c):
         assert r["passed"] and rc["passed"]
         assert abs(r["value"] - rc["value"]) <= 1e-13, r["name"]
-    for name in ("pair_kernel", "family_kernel_plus"):
+    for name in ("pair_kernel", "family_generators"):
         want = tables_c[name]
         assert np.abs(tables[name] - want).max() <= 1e-13 * np.abs(want).max()
     for d, dc in zip(real, cplx):
@@ -662,10 +691,11 @@ def test_dressing_data_family_is_eigensolve_count(m):
 
 def test_triangular_conjugation_matches_lu_route():
     # the unit lower pair factor at n=600: the triangular solve is the LU
-    # route without its (here empty) pivoting, so the bits agree
+    # route without its (here empty) pivoting, so the bits agree on the
+    # product M L that _conjugate forms (on the band of the tridiagonal L)
     g, L, T = _soliton(600, 8.0)
     M = pair_intertwiner(L, T, "+", grid=g).matrix()
-    want = np.linalg.solve(M.T, (M @ L).T).T
+    want = np.linalg.solve(M.T, _operator_product(L, M, right=True).T).T
     assert _conjugate(M, L, lower=True).tobytes() == want.tobytes()
 
 
