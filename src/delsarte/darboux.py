@@ -106,40 +106,50 @@ class ExpPoly:
 
     __rmul__ = __mul__
 
-    def _scaled_sums(self, x: np.ndarray):
-        """S_p(x) = sum c mu^p e^{mu x - m(x)} for p = 0, 1, 2 (common shift m)."""
+    def _mu_unit(self) -> float:
+        """The power of two above every |mu| (at least 2): S1 and S2 are
+        summed in units of it and its square, so c mu^p cannot overflow."""
+        top = max((abs(mu) for mu in self.terms), default=1.0)
+        return math.ldexp(1.0, max(1, math.frexp(top)[1]))
+
+    def _scaled_sums(self, x: np.ndarray, unit: float = 1.0):
+        """S_p(x) = sum c (mu/unit)^p e^{mu x - m(x)} for p = 0, 1, 2 (common
+        shift m); a power-of-two ``unit`` scales S1 and S2 exactly."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if not self.terms:
             z = np.zeros_like(x, dtype=complex)
             return z, z, z, np.zeros_like(x)
         mus = np.array(list(self.terms.keys()))
         cs = np.array([self.terms[mu] for mu in mus])
+        units = mus / unit
         expo = np.real(mus)[None, :] * x[:, None]
         m = np.max(expo, axis=1)
         ph = np.exp(expo - m[:, None] + 1j * np.imag(mus)[None, :] * x[:, None])
         S0 = ph @ cs
-        S1 = ph @ (cs * mus)
-        S2 = ph @ (cs * mus ** 2)
+        S1 = ph @ (cs * units)
+        S2 = ph @ (cs * units ** 2)
         return S0, S1, S2, m
 
     def eval(self, x) -> np.ndarray:
         """S0 e^m, and inf wherever that passes the float range.  The
         overflow is read off m + log|S0| before exponentiating, so it is
         never computed (and never warns)."""
-        S0, _, _, m = self._scaled_sums(x)
+        S0, _, _, m = self._scaled_sums(x, self._mu_unit())
         over = m + np.log(np.maximum(np.abs(S0), 1.0)) > _LOG_FLOAT_MAX
         return np.where(over, np.inf, S0 * np.exp(np.where(over, 0.0, m)))
 
     def log_second_derivative(self, x) -> np.ndarray:
         """(ln f)'' = (f'' f - f'^2)/f^2, evaluated with the common shift
-        cancelled and the sums scaled by the power of two at or above |f|
-        at each point: exact, and the products cannot overflow."""
-        S0, S1, S2, _ = self._scaled_sums(x)
+        cancelled, S1 and S2 in units of :meth:`_mu_unit`, and the sums
+        scaled by the power of two at or above |f| at each point: exact,
+        and the products cannot overflow."""
+        unit = self._mu_unit()
+        S0, S1, S2, _ = self._scaled_sums(x, unit)
         if np.any(S0 == 0):
             raise SeedNodeError("seed vanishes at an evaluation point")
         scale = np.ldexp(1.0, np.frexp(np.abs(S0))[1])
         S0, S1, S2 = S0 / scale, S1 / scale, S2 / scale
-        return (S2 * S0 - S1 ** 2) / (S0 ** 2)
+        return (S2 * S0 - S1 ** 2) / (S0 ** 2) * unit ** 2
 
     @staticmethod
     def wronskian(funcs: list) -> "ExpPoly":

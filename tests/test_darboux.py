@@ -185,6 +185,22 @@ def test_large_seed_coefficients_dress_without_overflow():
     assert np.max(np.abs(dressed.qtilde - want)) <= 1e-9 * 2.0 * kappa ** 2
     with pytest.raises(DiscretizationError, match="float range"):
         ExpPoly.cosh(24.0, 30.0)
+    # kappa center = 705: the coefficient e^705 / 2 is a float but its
+    # products with mu^2 = 625 are not, so S1 and S2 are summed in units of
+    # a power of two above |mu|
+    kappa, center = 25.0, 28.2
+    for b in (14.0, 30.0):
+        g = Grid1D.dirichlet(0.0, b, 200)
+        seed = DressingSeed.hyperbolic(g, kappa, "even", center)
+        if b == 30.0:
+            # near the center the shifted e^{-kappa x} term underflows, so
+            # the seed reads as overflowing: a named error, not a warning
+            with pytest.raises(DiscretizationError, match="overflow"):
+                darboux_once(SchrodingerOp.free(g), seed)
+            continue
+        dressed = darboux_once(SchrodingerOp.free(g), seed)
+        want = -2.0 * kappa ** 2 * (1.0 / np.cosh(kappa * (g.x - center))) ** 2
+        assert np.max(np.abs(dressed.qtilde - want)) <= 1e-9 * 2.0 * kappa ** 2
 
 
 def test_scaled_log_second_derivative_keeps_the_bits():
@@ -194,6 +210,7 @@ def test_scaled_log_second_derivative_keeps_the_bits():
     x = Grid1D.dirichlet(-8.0, 8.0, 600).x
     S0, S1, S2, _ = f._scaled_sums(x)
     plain = (S2 * S0 - S1 ** 2) / (S0 ** 2)
+    assert f._mu_unit() == 2.0
     assert f.log_second_derivative(x).tobytes() == plain.tobytes()
 
 

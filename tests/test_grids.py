@@ -358,6 +358,7 @@ def test_operator_product_keeps_the_dense_route_otherwise(monkeypatch):
     wide = np.triu(np.tril(dense, w), -w)
     assert np.array_equal(periodic, periodic.T)
     for A in (upwind, periodic, dense, wide):
+        assert (_upper_band(A, grid_ops._BAND_PRODUCT_WIDTH) is None) == (A is not upwind)
         assert _operator_product(A, X).tobytes() == (A @ X).tobytes()
         assert _operator_product(A, X, right=True).tobytes() == (X @ A).tobytes()
     assert calls == []
