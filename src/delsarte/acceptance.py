@@ -288,29 +288,26 @@ def factorization_sweep(stacks):
     each stack factored in lockstep; the rows hold the worst case.  Returns
     the rows and the last kernel's ``phi``, ``k_plus``, ``k_minus`` and
     ``diag`` tables."""
-    worst_recon = 0.0
-    worst_diag = 0.0
-    worst_glm = 0.0
-    worst_agree = 0.0
+    # per-kernel values, reduced by np.max so that a NaN fails its row
+    recon, diag, glm, agree = [], [], [], []
     structural = 0.0
     for Phi in stacks:
         pair = gk_factorize(Phi)
-        worst_recon = max(worst_recon, float(np.max(pair.residual)))
-        worst_diag = max(worst_diag,
-                         break_relation_defect(pair.K_plus),
-                         break_relation_defect(pair.K_minus))
+        recon.append(np.max(pair.residual))
+        diag += [break_relation_defect(pair.K_plus),
+                 break_relation_defect(pair.K_minus)]
         if np.count_nonzero(np.triu(pair.K_plus, 0)) \
                 or np.count_nonzero(np.tril(pair.K_minus, 0)):
             structural = 1.0
         Kp, Km = glm_solve(Phi)
-        worst_glm = max([worst_glm] + [glm_residual(*k) for k in zip(Phi, Kp, Km)])
-        worst_agree = max(worst_agree, float(np.max(np.abs(Kp - pair.K_plus))))
+        glm += [glm_residual(*k) for k in zip(Phi, Kp, Km)]
+        agree.append(np.max(np.abs(Kp - pair.K_plus)))
     rows = [
-        _row("gk_reconstruction_residual", worst_recon, 1e-10),
+        _row("gk_reconstruction_residual", np.max(recon), 1e-10),
         _row("structural_zeros_exact", structural, 0.0),
-        _row("break_relation_defect", worst_diag, 0.0),
-        _row("glm_residual", worst_glm, 1e-10),
-        _row("glm_vs_gk_agreement", worst_agree, 1e-9),
+        _row("break_relation_defect", np.max(diag), 0.0),
+        _row("glm_residual", np.max(glm), 1e-10),
+        _row("glm_vs_gk_agreement", np.max(agree), 1e-9),
     ]
     return rows, {"phi": Phi[-1], "k_plus": pair.K_plus[-1],
                   "k_minus": pair.K_minus[-1], "diag": pair.D[-1]}
@@ -425,7 +422,7 @@ def torus_rows(c):
         rows.append(_row("d_squared_zero", nil, 1e-12))
     betti = expected_betti(pg)
     dims_ok = 0.0
-    min_gap = 1e300
+    gaps = []
     out = {"harmonic": [], "spectra": []}
     for k in range(r + 1):
         rep = harmonic_space(c, k)
@@ -433,10 +430,11 @@ def torus_rows(c):
         out["spectra"].append(rep.singular_values)
         if rep.dim != pg.fiber_dim * betti[k]:
             dims_ok = 1.0
-        # an infinite gap passes this min row, so it is capped, not failed
-        min_gap = min(min_gap, min(rep.gap, 1e300))
+        gaps.append(rep.gap)
     rows.append(_row("harmonic_dims_match_betti", dims_ok, 0.0))
-    rows.append(_row("harmonic_gap", min_gap, 1e4, "min"))
+    # an infinite gap passes this min row, so it is capped, not failed;
+    # np.minimum and np.min keep a NaN gap, which fails
+    rows.append(_row("harmonic_gap", np.min(np.minimum(gaps, 1e300)), 1e4, "min"))
 
     if r >= 1 and pg.fiber_dim == 1:
         shp = pg.shape + (1,)
@@ -517,10 +515,9 @@ def criterion_8() -> list:
     L2, T2 = base2.matrix().A, dressed2.operator.matrix().A
     ops.append(pair_intertwiner(L2, T2, "+"))
     ops.append(pair_intertwiner(L2, T2, "-"))
-    worst = 0.0
-    for op in ops:
-        scale = max(float(np.linalg.norm(op.kernel)), 1e-300)
-        worst = max(worst, op.volterra_defect() / scale)
+    # np.max, not a running max(), so that a NaN defect fails the row
+    worst = np.max([op.volterra_defect()
+                    / max(float(np.linalg.norm(op.kernel)), 1e-300) for op in ops])
     return [_row("volterra_eigenvalue_bound", worst, 1e-10)]
 
 

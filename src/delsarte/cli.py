@@ -14,14 +14,20 @@ the report for every command.
 
 Reports are reproducible: identical config + seed give byte-identical
 digest lines; wall-clock timings live in a ``*_seconds`` field that the
-digest ignores.
+digest ignores.  Each job runs with every OpenBLAS loaded in the process
+set to one thread (see :func:`_one_blas_thread`), so the digest does not
+depend on the BLAS thread count either.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
+import ctypes
 import json
 import math
+import os
 import sys
 import time
 from importlib import resources
@@ -205,44 +211,110 @@ COMMANDS = {
 }
 
 
+# one OpenBLAS: file name, build string, and its thread-count getter and setter
+_Pool = collections.namedtuple("_Pool", "library config get put")
+
+
+def _openblas_pools() -> list:
+    """A :data:`_Pool` for each OpenBLAS mapped into this process, sorted
+    by path.
+
+    numpy and SciPy each ship their own OpenBLAS, with its own thread pool
+    and symbol names.  Without ``/proc`` or an OpenBLAS the list is empty.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].rstrip("\n") for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return []
+    pools = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+                               ("openblas_", "64_"), ("openblas_", "")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            config = getattr(lib, f"{prefix}get_config{suffix}", None)
+            if get is not None and put is not None and config is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                config.argtypes, config.restype = [], ctypes.c_char_p
+                pools.append(_Pool(os.path.basename(path), config().decode(), get, put))
+                break
+    return pools
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every OpenBLAS pool of the process at one thread,
+    and give each pool back its own count afterwards, also on error.
+
+    numpy's and SciPy's pools each start a thread per core, and a job
+    alternates between them, so on a few cores the two pools' spinning
+    threads contend; the thread count also changes the roundoff of the
+    blocked kernels.  Yields one ``{library, config, threads}`` entry per
+    pool, the threads read back after the change; an empty list when no
+    OpenBLAS was found (another BLAS, or no ``/proc``), which is left as
+    it is.  The counts are process-wide: jobs run concurrently in threads
+    of one process would share them.
+    """
+    pools = _openblas_pools()
+    before = [pool.get() for pool in pools]
+    try:
+        for pool in pools:
+            pool.put(1)
+        yield [{"library": pool.library, "config": pool.config, "threads": pool.get()}
+               for pool in pools]
+    finally:
+        for pool, threads in zip(pools, before):
+            pool.put(threads)
+
+
 def run_command(command: str, config: dict, out_dir: Path, seed: int = 0,
                 plots: bool = False) -> dict:
     """Run one command's check, write its artifacts and ``report.json``
     into ``out_dir``, and return the report.
 
-    The report records ``config`` as given, with ``seed`` alongside it.
-    The check and the artifact writes are timed under ``timings_seconds``,
-    which the digest ignores.
+    The report records ``config`` as given, with ``seed`` alongside it,
+    and ``health.blas``, the OpenBLAS pools the job ran on (one thread
+    each, see :func:`_one_blas_thread`).  The check and the artifact
+    writes are timed under ``timings_seconds``, which the digest ignores.
     """
     check, tables, plot = COMMANDS[command]
-    t0 = time.perf_counter()
-    rows, data = check(dict(config, seed=seed))
-    t1 = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = []
-    if "harmonic" in data:
-        save_json(out_dir / "harmonic.json", data["harmonic"])
-        artifacts.append("harmonic.json")
-    for name in tables:
-        if name in data:
-            save_matrix_csv(out_dir / f"{name}.csv", data[name])
-            artifacts.append(f"{name}.csv")
-    if plots and plot is not None:
-        name, series = plot
-        _svg_plot(out_dir / name, *series(data))
-        artifacts.append(name)
-    report = {
-        "command": command,
-        "config": config,
-        "seed": int(seed),
-        "rows": rows,
-        "all_passed": bool(all(r["passed"] for r in rows)),
-        "artifacts": sorted(artifacts),
-        "timings_seconds": {"check": t1 - t0,
-                            "artifacts": time.perf_counter() - t1},
-    }
-    report["digest"] = report_digest(report)
-    save_json(out_dir / "report.json", report)
+    with _one_blas_thread() as blas:
+        t0 = time.perf_counter()
+        rows, data = check(dict(config, seed=seed))
+        t1 = time.perf_counter()
+        out_dir.mkdir(parents=True, exist_ok=True)
+        artifacts = []
+        if "harmonic" in data:
+            save_json(out_dir / "harmonic.json", data["harmonic"])
+            artifacts.append("harmonic.json")
+        for name in tables:
+            if name in data:
+                save_matrix_csv(out_dir / f"{name}.csv", data[name])
+                artifacts.append(f"{name}.csv")
+        if plots and plot is not None:
+            name, series = plot
+            _svg_plot(out_dir / name, *series(data))
+            artifacts.append(name)
+        report = {
+            "command": command,
+            "config": config,
+            "seed": int(seed),
+            "rows": rows,
+            "all_passed": bool(all(r["passed"] for r in rows)),
+            "artifacts": sorted(artifacts),
+            "health": {"blas": blas},
+            "timings_seconds": {"check": t1 - t0,
+                                "artifacts": time.perf_counter() - t1},
+        }
+        report["digest"] = report_digest(report)
+        save_json(out_dir / "report.json", report)
     return report
 
 

@@ -296,8 +296,8 @@ def crum_iterate(op: SchrodingerOp, seeds: list) -> list:
     results = []
     for k in range(1, len(seeds) + 1):
         W = ExpPoly.wronskian([s.expr for s in seeds[:k]])
-        Wv = np.real(W.eval(x))
-        if np.any(Wv[:-1] * Wv[1:] <= 0.0):
+        sign = np.sign(np.real(W.eval(x)))
+        if np.any(sign[:-1] * sign[1:] <= 0.0):
             raise SeedNodeError(f"stage {k} Wronskian changes sign on the grid")
         qtilde = -2.0 * np.real(W.log_second_derivative(x))
         results.append(DressedResult(SchrodingerOp(op.grid, qtilde), qtilde, W,

@@ -1,10 +1,14 @@
 """End-to-end battery: every headline capability, one test each, printed
 as a pass/fail line per residual row."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from delsarte import acceptance, cli
+from delsarte.transmute import DelsarteOp
 
 
 def _assert_rows(rows):
@@ -68,6 +72,46 @@ def test_torus_harmonics_and_periods():
 
 def test_volterra_property_of_all_kernels():
     _assert_rows(acceptance.criterion_8())
+
+
+def _nan_on_second_call(fn, nan):
+    """``fn``, except that its second call returns ``nan(result)``: one
+    non-finite value after a finite one."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        result = fn(*args, **kwargs)
+        return nan(result) if len(calls) == 2 else result
+    return wrapped
+
+
+def _only_failing_row(rows):
+    bad = [r for r in rows if not r["passed"]]
+    assert len(bad) == 1 and bad[0]["value"] is None
+    return bad[0]["name"]
+
+
+# the worst-case reductions keep a NaN, so its row fails as a null
+def test_nan_glm_residual_fails_the_sweep(monkeypatch):
+    monkeypatch.setattr(acceptance, "glm_residual", _nan_on_second_call(
+        acceptance.glm_residual, lambda value: math.nan))
+    stacks = acceptance.unit_minors(np.random.default_rng(3), 12, 3)
+    rows, _ = acceptance.factorization_sweep(stacks)
+    assert _only_failing_row(rows) == "glm_residual"
+
+
+def test_nan_volterra_defect_fails_criterion_8(monkeypatch):
+    monkeypatch.setattr(DelsarteOp, "volterra_defect", _nan_on_second_call(
+        DelsarteOp.volterra_defect, lambda value: math.nan))
+    assert _only_failing_row(acceptance.criterion_8()) == "volterra_eigenvalue_bound"
+
+
+def test_nan_harmonic_gap_fails_the_torus_rows(monkeypatch):
+    monkeypatch.setattr(acceptance, "harmonic_space", _nan_on_second_call(
+        acceptance.harmonic_space, lambda rep: dataclasses.replace(rep, gap=math.nan)))
+    rows, _ = acceptance.torus_rows(acceptance.torus_complex((6, 6), (1.0, 2.0)))
+    assert _only_failing_row(rows) == "harmonic_gap"
 
 
 def test_verify_report_determinism(tmp_path):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from delsarte import acceptance, cli
 from delsarte.cli import main
+from delsarte.errors import DelsarteError
 from delsarte.factorize import gk_factorize, random_unit_minor
 from delsarte.ioutil import load_matrix_csv, report_digest, save_matrix_csv
 
@@ -695,6 +696,83 @@ def test_digest_ignores_timings(tmp_path):
     stored = report.pop("digest")
     report["timings_seconds"] = {"dressing": 99.0, "spectra": -1.0}
     assert report_digest(report) == stored
+
+
+def _pool_threads():
+    return [pool.get() for pool in cli._openblas_pools()]
+
+
+@pytest.fixture
+def two_thread_pools():
+    """Every OpenBLAS pool of this process set to 2 threads, so that a pool
+    left at 1 shows; the counts found are given back afterwards."""
+    pools = cli._openblas_pools()
+    before = _pool_threads()
+    for pool in pools:
+        pool.put(2)
+    yield pools
+    for pool, threads in zip(pools, before):
+        pool.put(threads)
+
+
+def _probe(seen, error=None):
+    """A check that records the pools' thread counts, then passes or raises."""
+    def check(config):
+        seen.append(_pool_threads())
+        if error is not None:
+            raise error
+        return [acceptance._row("probe", 0.0, 1.0)], {}
+    return check
+
+
+def test_job_runs_on_one_blas_thread_and_restores_each_pool(
+        tmp_path, monkeypatch, two_thread_pools):
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "verify", (_probe(seen), (), None))
+    report = cli.run_command("verify", {"command": "verify"}, tmp_path)
+    pools = two_thread_pools
+    assert seen == [[1] * len(pools)]
+    assert _pool_threads() == [2] * len(pools)
+    assert report["health"]["blas"] == [
+        {"library": pool.library, "config": pool.config, "threads": 1}
+        for pool in pools]
+
+
+def test_failed_job_restores_each_pool(tmp_path, monkeypatch, two_thread_pools):
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "verify", (
+        _probe(seen, DelsarteError("probe failed")), (), None))
+    code, _ = _run(tmp_path, {"command": "verify"})
+    assert code == 3
+    assert seen == [[1] * len(two_thread_pools)]
+    assert _pool_threads() == [2] * len(two_thread_pools)
+
+
+def test_digests_do_not_depend_on_the_blas_thread_setting(tmp_path):
+    """``verify`` and a small ``transmute`` give the same digests with
+    ``OPENBLAS_NUM_THREADS`` unset, 1 and 2, each setting in a fresh
+    interpreter (the variable is read when OpenBLAS loads)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    configs = {"verify": {"command": "verify"}, "transmute": TRANSMUTE_CFG}
+    code = ("import json, sys; from pathlib import Path; from delsarte import cli\n"
+            "for name, cfg in json.loads(sys.argv[2]).items():\n"
+            "    report = cli.run_command(name, cfg, Path(sys.argv[1]) / name, seed=5)\n"
+            "    print(name, report['digest'], report['all_passed'])\n")
+    outputs = []
+    for setting in (None, "1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if setting is not None:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / f"threads-{setting}"),
+             json.dumps(configs)],
+            env=env, check=True, capture_output=True, text=True, timeout=300)
+        outputs.append(proc.stdout.split())
+    assert outputs[0][2::3] == ["True", "True"]
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,21 @@ def test_crum_two_bound_states():
     assert got[1] == pytest.approx(-1.0, abs=5e-3)
 
 
+def test_crum_sign_gate_compares_signs_not_products():
+    # stage Wronskians above 1e154: their neighbor products overflow, which
+    # the suite's warnings-as-errors turns into a failure
+    g = Grid1D.dirichlet(-5.0, 25.0, 300)
+    op = SchrodingerOp.free(g)
+    seeds = [DressingSeed.hyperbolic(g, 10.0, "even", 20.0),
+             DressingSeed.hyperbolic(g, 12.0, "odd", 20.0)]
+    stages = crum_iterate(op, seeds)
+    assert len(stages) == 2
+    assert np.max(np.abs(stages[1].log_tau.eval(g.x))) > 1e154
+    assert all(np.all(np.isfinite(s.qtilde)) for s in stages)
+    one_soliton = -200.0 / np.cosh(10.0 * (g.x - 20.0)) ** 2
+    assert np.max(np.abs(stages[0].qtilde - one_soliton)) < 1e-12 * 200.0
+
+
 def test_crum_wrong_order_is_singular():
     # swapping the parities puts a node in the stage-2 Wronskian
     g = Grid1D.dirichlet(-20.0, 20.0, 400)
