@@ -25,6 +25,7 @@ import argparse
 import collections
 import contextlib
 import ctypes
+import functools
 import json
 import math
 import os
@@ -57,9 +58,21 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
+@functools.cache
+def _validator():
+    """The schema's validator, checked against its metaschema once."""
+    schema = load_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def validate_config(config: dict) -> None:
-    """Raises jsonschema.ValidationError when the config is malformed."""
-    jsonschema.validate(instance=config, schema=load_schema())
+    """Raises jsonschema.ValidationError when the config is malformed: the
+    error ``jsonschema.validate`` would raise."""
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(config))
+    if error is not None:
+        raise error
 
 
 # ---------------------------------------------------------------------------

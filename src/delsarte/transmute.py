@@ -325,15 +325,16 @@ class DelsarteOp:
     def cond(self) -> float:
         """Upper bound sqrt(kappa_1 kappa_inf) on the 2-norm condition number.
 
-        The factor is triangular, so one triangular solve gives its inverse
-        and the 1- and inf-norm condition numbers exactly.  Because
-        ||A||_2 <= sqrt(||A||_1 ||A||_inf), their geometric mean bounds
-        kappa_2 from above (and exceeds it by at most a factor n), so a guard
-        on this value rejects every factor a 2-norm guard rejects.  A
-        non-finite or singular factor, or a kernel with entries outside its
-        strict triangle, gives inf.  The first call stores the bound in
-        ``_cond`` and later calls return it without another solve, so the
-        kernel and diagonal are not to be changed once it is asked for.
+        The factor is triangular, so one triangular inversion (LAPACK
+        ``trtri``) gives its inverse and the 1- and inf-norm condition
+        numbers exactly.  Because ||A||_2 <= sqrt(||A||_1 ||A||_inf), their
+        geometric mean bounds kappa_2 from above (and exceeds it by at most
+        a factor n), so a guard on this value rejects every factor a 2-norm
+        guard rejects.  A non-finite or singular factor, or a kernel with
+        entries outside its strict triangle, gives inf.  The first call
+        stores the bound in ``_cond`` and later calls return it without
+        another inversion, so the kernel and diagonal are not to be changed
+        once it is asked for.
         """
         if self._cond is None:
             self._cond = self._cond_bound()
@@ -343,11 +344,11 @@ class DelsarteOp:
         M = self.matrix()
         if not (self.volterra_defect() == 0.0 and np.all(np.isfinite(M))):
             return float("inf")
-        try:
-            Minv = scipy.linalg.solve_triangular(
-                M, np.eye(M.shape[0]), lower=self.sign == "+",
-                unit_diagonal=self.diag is None, check_finite=False)
-        except np.linalg.LinAlgError:
+        # the other triangle of M is zero, and with a unit diagonal the
+        # diagonal LAPACK leaves untouched is the inverse's
+        trtri = scipy.linalg.lapack.get_lapack_funcs("trtri", (M,))
+        Minv, info = trtri(M, lower=self.sign == "+", unitdiag=self.diag is None)
+        if info != 0:
             return float("inf")
         k1 = np.linalg.norm(M, 1) * np.linalg.norm(Minv, 1)
         kinf = np.linalg.norm(M, np.inf) * np.linalg.norm(Minv, np.inf)
@@ -368,10 +369,13 @@ def _mirror(op: DelsarteOp) -> DelsarteOp:
 def _extract_tridiag(M: np.ndarray):
     if M.ndim != 2 or M.shape[0] < 2:
         raise DiscretizationError("pair intertwiner needs operators of size 2 or more")
-    scale = float(np.max(np.abs(M)))
+    A = np.abs(M)
+    scale = float(np.max(A))
     if not np.isfinite(scale):
         raise DiscretizationError("pair intertwiner needs finite operators")
-    band = float(np.max(np.abs(M - np.triu(np.tril(M, 1), -1))))
+    for k in (-1, 0, 1):
+        np.fill_diagonal(A[max(-k, 0):, max(k, 0):], 0.0)
+    band = float(np.max(A))
     if not (band <= 1e-12 * scale):
         raise DiscretizationError("pair intertwiner needs tridiagonal operators")
     sup = np.diagonal(M, 1)

@@ -3,6 +3,7 @@ as a pass/fail line per residual row."""
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -40,18 +41,57 @@ def test_dressing_spectrum_bookkeeping():
 def test_spectrum_oracle_sees_a_real_matrix(monkeypatch):
     # the dense eig oracle of criterion 3 runs on the real conjugate
     seen = []
-    eigvals = acceptance.scipy.linalg.eigvals
+    eigvals = np.linalg.eigvals
 
     def recording(a, *args, **kwargs):
         seen.append(np.asarray(a).dtype)
         return eigvals(a, *args, **kwargs)
 
-    monkeypatch.setattr(acceptance.scipy.linalg, "eigvals", recording)
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
     rows = acceptance.criterion_3()
     assert seen == [np.float64]
     preserved = [r for r in rows if r["name"] == "conjugation_spectrum_preserved"]
     assert len(preserved) == 1
     _assert_rows(preserved)
+
+
+def test_criterion_3_alone_matches_the_battery(verify_battery):
+    # run_all joins the oracle late, criterion_3() alone at once: same rows
+    alone = acceptance.criterion_3()
+    names = [r["name"] for r in alone]
+    inside = [r for r in verify_battery["rows"] if r["name"] in names]
+    assert inside == alone
+
+
+def test_run_all_leaves_no_thread():
+    before = threading.active_count()
+    acceptance.run_all(seed=0)
+    assert threading.active_count() == before
+
+
+def test_failed_criterion_joins_the_oracle(monkeypatch):
+    # a criterion that raises while the oracle runs: the error propagates
+    # only after the worker has finished, and no thread is left
+    finished = []
+    eigvals = np.linalg.eigvals
+
+    def recording(a):
+        out = eigvals(a)
+        finished.append(True)
+        return out
+
+    def failing(seed=0):
+        raise RuntimeError("criterion 4 failed")
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    for k in (1, 2):
+        monkeypatch.setattr(acceptance, f"criterion_{k}", lambda: [])
+    monkeypatch.setattr(acceptance, "criterion_4", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="criterion 4 failed"):
+        acceptance.run_all(seed=0)
+    assert finished == [True]
+    assert threading.active_count() == before
 
 
 def test_triangular_factorization_battery():

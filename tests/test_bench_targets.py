@@ -4,14 +4,19 @@
 renamed or deleted function would break only the traced benchmark, which
 this suite does not run.  The names are read from ``bench/run.py`` with
 ``ast`` and resolved the way ``Tracer.install`` in ``bench/tracer.py``
-resolves them.  Nothing under ``bench/`` is written.
+resolves them.  Nothing under ``bench/`` is written.  The tracer keeps one
+span stack per process, so the verify battery's worker thread may run no
+traced function either.
 """
 
 import ast
+import concurrent.futures
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
+
+from delsarte import acceptance
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TARGET_PARTS = ("LAYER_FUNCTIONS", "CRITERIA", "TRACE_TARGETS")
@@ -55,3 +60,24 @@ def test_ladder_imports(monkeypatch):
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
     assert callable(ladder.run_ladders)
+
+
+def test_run_all_hands_its_pool_no_traced_function(monkeypatch):
+    # the tracer keeps one span stack per process and times CPU with
+    # process_time: a traced call in verify's worker thread would nest its
+    # span under whatever span the main thread has open
+    submitted = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    acceptance.run_all(seed=0)
+    traced = {getattr(raw, "__func__", raw) for raw in map(_resolve, _trace_targets())}
+    assert submitted
+    for fn in submitted:
+        assert fn not in traced, fn
+        # nor a library function, which could call a traced one
+        assert not fn.__module__.startswith("delsarte"), fn
