@@ -802,9 +802,17 @@ def test_factorize_reads_phi_from_file(tmp_path):
 
 
 def test_matrix_csv_bytes_are_repr_of_each_float(tmp_path):
-    # the writer must keep the bytes of the per-value repr(float(v)) form
-    real = np.array([[-0.0, 5e-324, 2.2e-310, 1e300],
-                     [3.0, -7.0, 1.0 / 3.0, 2.0 ** 60]])
+    # the writer must keep the bytes of the per-value repr(float(v)) form;
+    # the last rows hold repr's format switch points with their neighbours:
+    # exponent form below 1e-4 and from 1e16 on, and the 16-digit edge at
+    # 9999999999999998.0 and 2**53 (neighbours 2**53 - 1 and 2**53 + 2)
+    switch = np.array([1e-4, 1e-5, 1e16, 9999999999999998.0, 2.0 ** 53, 1e15,
+                       1e17, 0.1, 123.0, 1e22, 1e23, 1.7976931348623157e308])
+    switch = np.concatenate([switch, np.nextafter(switch, 0.0),
+                             np.nextafter(switch[:-1], np.inf), [2.0 ** 53 - 1]])
+    real = np.vstack([[[-0.0, 5e-324, 2.2e-310, 1e300],
+                       [3.0, -7.0, 1.0 / 3.0, 2.0 ** 60]],
+                      np.concatenate([switch, -switch]).reshape(-1, 4)])
     cplx = real[:, :3] + 1j * real[:, 1:]
     for A in (real, cplx, real[0], np.arange(4)):
         p = tmp_path / "m.csv"
@@ -835,6 +843,8 @@ def test_matrix_csv_zero_runs_keep_the_repr_bytes(tmp_path):
                                         [0.0, 0.0, -np.inf, 0.0, 0.0, 5e-324]]),
         "one column": np.array([[0.0], [-0.0], [3.25], [0.0]]),
         "complex": lower[:, :3] + 1j * lower[:, 3:],
+        # 19900 entries: rows straddle the formatter's chunks of values
+        "strictly lower, several chunks": np.tril(rng.standard_normal((200, 200)), -1),
     }
     for name, A in cases.items():
         p = tmp_path / "m.csv"
@@ -846,6 +856,38 @@ def test_matrix_csv_zero_runs_keep_the_repr_bytes(tmp_path):
             flat = A
         body = "".join(",".join(map(repr, row)) + "\n" for row in flat.tolist())
         assert p.read_text().split("\n", 1)[1] == body, name
+
+
+@pytest.mark.parametrize("config", [DARBOUX_CFG, TRANSMUTE_CFG, FACTORIZE_CFG, DERHAM_CFG],
+                         ids=lambda c: c["command"])
+def test_job_tables_are_the_repr_bytes_of_the_check(tmp_path, monkeypatch, config):
+    """The digest covers the artifact names, not their bytes: each CSV a job
+    writes is its header plus one ``",".join(map(repr, row))`` line per row
+    of the table its check returned."""
+    command = config["command"]
+    check, tables, plot = cli.COMMANDS[command]
+    returned = {}
+
+    def recording(cfg):
+        rows, data = check(cfg)
+        returned.update(data)
+        return rows, data
+
+    monkeypatch.setitem(cli.COMMANDS, command, (recording, tables, plot))
+    report = cli.run_command(command, config, tmp_path, seed=3)
+    written = [a[:-4] for a in report["artifacts"] if a.endswith(".csv")]
+    assert written and sorted(written) == sorted(t for t in tables if t in returned)
+    for name in written:
+        A = np.atleast_2d(returned[name])
+        if np.iscomplexobj(A):
+            header = ",".join(f"re_{j},im_{j}" for j in range(A.shape[1]))
+            flat = np.empty((A.shape[0], 2 * A.shape[1]))
+            flat[:, 0::2], flat[:, 1::2] = A.real, A.imag
+        else:
+            header = ",".join(f"c_{j}" for j in range(A.shape[1]))
+            flat = A.astype(float)
+        lines = [header] + [",".join(map(repr, row)) for row in flat.tolist()]
+        assert (tmp_path / f"{name}.csv").read_bytes() == ("\n".join(lines) + "\n").encode(), name
 
 
 def test_matrix_csv_round_trip_complex(tmp_path):

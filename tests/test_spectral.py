@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delsarte
 from delsarte import (DefectiveFamilyError, DiffOp, DiscretizationError,
@@ -193,6 +195,23 @@ def test_weighted_pairing_normalization():
         np.testing.assert_allclose(G, np.eye(len(fam)), atol=1e-10)
         np.testing.assert_allclose(projection_measure(fam), np.eye(g.n), atol=1e-13)
         assert fam.residual_left < 1e-13
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(2, 64), complex_entries=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_weighted_two_sided_family_is_biorthogonal(n, complex_entries, seed):
+    # the two-sided eig path with node weights from U(0.5, 2); 1000 scratch
+    # draws of this kind (n <= 64) gave defects up to 2.1e-13
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    if complex_entries:
+        A = A + 1j * rng.standard_normal((n, n))
+    w = rng.uniform(0.5, 2.0, n)
+    fam = eigensolve(A, weights=w)
+    assert fam.left is not fam.right
+    G = fam.left.conj().T @ (w[:, None] * fam.right)
+    assert np.linalg.norm(G - np.eye(n)) <= 1e-12
 
 
 def _phase_fixed(V):
