@@ -40,6 +40,6 @@ from .darboux import (DressedResult, DressingSeed, ExpPoly, SchrodingerOp,
 from .derham import (GenComplex, HarmonicReport, d_L, dual_flat_section,
                      expected_betti, flat_complex, flat_dimension,
                      flat_section, harmonic_space, hodge_decompose,
-                     laplace_hodge, plain_complex, skrypnik_map)
+                     plain_complex, skrypnik_map)
 
 __version__ = "0.1.0"

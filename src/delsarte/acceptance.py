@@ -32,7 +32,7 @@ from .errors import SingularMinorError
 from .factorize import (break_relation_defect, gk_factorize, glm_residual,
                         glm_solve, random_unit_minor)
 from .grid_ops import DiffOp, Grid1D, ProductGrid, _operator_product, inner
-from .lagrange import FormField, SurfaceRegion, divergence_residual
+from .lagrange import FormField, SurfaceRegion, d_matrix, divergence_residual
 from .spectral import (congruence_residual, eigensolve, elementary_kernel,
                        kernel_from_measure, nearest_indices,
                        projection_measure)
@@ -435,8 +435,9 @@ def torus_rows(c):
     r = pg.ndim
     rows = []
     if r > 1:
-        d_hi = c.d_matrix(1)
-        d_lo = c.d_matrix(0)
+        # over the complex's blocks: per mode on a translation-invariant torus
+        d_hi = d_matrix(pg, 1, c._blocks)
+        d_lo = d_matrix(pg, 0, c._blocks)
         nil = float(np.linalg.norm(d_hi @ d_lo)
                     / max(np.linalg.norm(d_hi) * np.linalg.norm(d_lo), 1e-300))
         rows.append(_row("d_squared_zero", nil, 1e-12))

@@ -114,7 +114,10 @@ class ExpPoly:
 
     def _scaled_sums(self, x: np.ndarray, unit: float = 1.0):
         """S_p(x) = sum c (mu/unit)^p e^{mu x - m(x)} for p = 0, 1, 2 (common
-        shift m); a power-of-two ``unit`` scales S1 and S2 exactly."""
+        shift m); a power-of-two ``unit`` scales S1 and S2 exactly.  The
+        shift m = max (Re mu x + log|c|) is that of the largest term, so no
+        term that a large coefficient pays for underflows before it is
+        multiplied by that coefficient, and every term stays at most 1."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if not self.terms:
             z = np.zeros_like(x, dtype=complex)
@@ -123,7 +126,7 @@ class ExpPoly:
         cs = np.array([self.terms[mu] for mu in mus])
         units = mus / unit
         expo = np.real(mus)[None, :] * x[:, None]
-        m = np.max(expo, axis=1)
+        m = np.max(expo + np.log(np.abs(cs)), axis=1)
         ph = np.exp(expo - m[:, None] + 1j * np.imag(mus)[None, :] * x[:, None])
         S0 = ph @ cs
         S1 = ph @ (cs * units)

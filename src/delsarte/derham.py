@@ -13,8 +13,9 @@ On a torus whose axis operators are translation invariant (block
 circulant over the nodes, as for the plain complex and flat families with
 constant generators) the node DFT block-diagonalizes the whole complex:
 each Fourier mode carries C(r, k) N-sized blocks built from the modes'
-N x N symbols by the same block rule, and the harmonic spaces come from
-those blocks instead of the dense Laplace-Hodge matrix.
+N x N symbols by the same block rule.  The commutation guard, the
+nilpotency residual and the harmonic spaces run over the family as a stack
+of such blocks; any other complex is the stack of one dense block.
 
 Period mappings pair closed forms with oriented cycles through a fiber
 contraction against a dual-flat zero-form; on the torus with trivial fiber
@@ -46,7 +47,6 @@ __all__ = [
     "dual_flat_section",
     "flat_dimension",
     "d_L",
-    "laplace_hodge",
     "harmonic_space",
     "hodge_decompose",
     "skrypnik_map",
@@ -63,11 +63,11 @@ class GenComplex:
     """A commuting family of axis operators acting on fiber-valued fields.
 
     ``axis_mats[j]`` is the matrix of L_j on flattened fields.  Pairwise
-    commutation is checked on construction; it is what makes d_L nilpotent.
+    commutation is checked on construction, over the blocks of
+    :attr:`_blocks`; it is what makes d_L nilpotent.
     The scalar product carries the uniform node weight ``grid.vol``.  The
     operators share one dtype, the common type of the inputs: real axis
-    operators stay real, and so do the coboundary and Laplace-Hodge
-    matrices built from them.
+    operators stay real, and so does the coboundary matrix built from them.
     """
 
     grid: ProductGrid
@@ -85,15 +85,19 @@ class GenComplex:
             if M.shape != (d, d):
                 raise DiscretizationError(
                     f"axis operators must be {d} x {d} on flattened fields")
-        for j in range(len(self.axis_mats)):
-            for k in range(j + 1, len(self.axis_mats)):
-                A, B = self.axis_mats[j], self.axis_mats[k]
-                scale = np.linalg.norm(A) * np.linalg.norm(B)
-                gap = np.linalg.norm(A @ B - B @ A)
-                if not (gap <= 1e-12 * max(scale, 1.0)):
-                    raise NonCommutingFamilyError(
-                        f"axis operators {j} and {k} do not commute: "
-                        f"residual {gap:.3e} vs scale {scale:.3e}")
+        # by Parseval the per-mode norms are those of the dense operators; a
+        # non-finite entry fails the invariance test and leaves a NaN gap
+        with np.errstate(invalid="ignore"):
+            blocks = self._blocks
+            for j in range(len(blocks)):
+                for k in range(j + 1, len(blocks)):
+                    A, B = blocks[j], blocks[k]
+                    scale = np.linalg.norm(A) * np.linalg.norm(B)
+                    gap = np.linalg.norm(A @ B - B @ A)
+                    if not (gap <= 1e-12 * max(scale, 1.0)):
+                        raise NonCommutingFamilyError(
+                            f"axis operators {j} and {k} do not commute: "
+                            f"residual {gap:.3e} vs scale {scale:.3e}")
 
     def d_matrix(self, degree: int) -> np.ndarray:
         if degree not in self._dmats:
@@ -105,6 +109,15 @@ class GenComplex:
         """Per-mode symbols of the axis operators (see :func:`_mode_symbols`),
         or None when the family is not translation invariant on a torus."""
         return _mode_symbols(self.grid, self.axis_mats)
+
+    @cached_property
+    def _blocks(self) -> list:
+        """The axis family as stacks of blocks: the (P, N, N) symbols on a
+        translation-invariant torus, else each dense operator as a stack
+        of one, (1, M, M)."""
+        if self._symbols is not None:
+            return self._symbols
+        return [M[None] for M in self.axis_mats]
 
 
 def _mode_symbols(grid: ProductGrid, axis_mats: list) -> list | None:
@@ -241,7 +254,7 @@ def flat_dimension(generators: list) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the differential and the Laplacian
+# the differential
 # ---------------------------------------------------------------------------
 
 def d_L(c: GenComplex, beta: FormField) -> FormField:
@@ -251,33 +264,9 @@ def d_L(c: GenComplex, beta: FormField) -> FormField:
     return _apply_d(c.grid, c.d_matrix(beta.degree), beta)
 
 
-def laplace_hodge(c: GenComplex, degree: int) -> np.ndarray:
-    """Delta_k = d_k' d_k + d_{k-1} d_{k-1}' on stacked degree-k components.
-
-    The adjoint is the literal conjugate transpose (the metric is a uniform
-    scalar), so ker Delta = ker d  intersect  ker d' holds exactly.  The
-    dtype is that of the complex's axis operators.
-    """
-    _check_degree(c.grid.ndim, degree)
-    return _hodge_sum(c.grid.ndim, degree, c.d_matrix)
-
-
 def _adjoint(D: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix of a stack."""
     return np.swapaxes(D.conj(), -1, -2)
-
-
-def _hodge_sum(r: int, degree: int, coboundary) -> np.ndarray:
-    """d_k' d_k + d_{k-1} d_{k-1}' from ``coboundary(j)``, the degree-j
-    coboundary as one matrix or as a stack of per-mode blocks."""
-    Delta = 0
-    if degree < r:
-        Dk = coboundary(degree)
-        Delta = _adjoint(Dk) @ Dk
-    if degree > 0:
-        Dm = coboundary(degree - 1)
-        Delta = Delta + Dm @ _adjoint(Dm)
-    return Delta
 
 
 # ---------------------------------------------------------------------------
@@ -321,24 +310,26 @@ def _plane_waves(grid: ProductGrid, modes: np.ndarray) -> np.ndarray:
 
 
 def harmonic_space(c: GenComplex, degree: int) -> HarmonicReport:
-    """Null space of Delta_degree: eigenvalues at most 1e-8 times the
-    largest count as zero.
+    """Null space of Delta_k = d_k' d_k + d_{k-1} d_{k-1}': eigenvalues at
+    most 1e-8 times the largest count as zero.
 
-    On a torus with a translation-invariant family Delta is block diagonal
-    over the node Fourier modes, so one stacked ``eigh`` of the per-mode
-    C(r, k) N blocks, built from the symbols by the block rule of
-    :func:`d_matrix`, replaces the dense ``eigh`` of Delta; the threshold
-    applies to all eigenvalues at once, and each null vector z of mode m
-    becomes the plane wave of m times z.  Any other complex takes the dense
-    route.
+    The adjoint is the literal conjugate transpose (the metric is a uniform
+    scalar), so ker Delta = ker d  intersect  ker d' holds exactly.  Delta
+    is assembled block by block over :attr:`GenComplex._blocks` by the
+    block rule of :func:`d_matrix`, and one stacked ``eigh`` solves it; the
+    threshold applies to all eigenvalues at once.  A null vector z of block
+    m becomes the plane wave of mode m times z on a translation-invariant
+    torus, and z itself (the wave is 1) for the single dense block.
     """
     r = c.grid.ndim
     _check_degree(r, degree)
-    symbols = c._symbols
-    if symbols is None:
-        Delta = laplace_hodge(c, degree)
-    else:
-        Delta = _hodge_sum(r, degree, lambda k: d_matrix(c.grid, k, symbols))
+    Delta = 0
+    if degree < r:
+        Dk = d_matrix(c.grid, degree, c._blocks)
+        Delta = _adjoint(Dk) @ Dk
+    if degree > 0:
+        Dm = d_matrix(c.grid, degree - 1, c._blocks)
+        Delta = Delta + Dm @ _adjoint(Dm)
     # Hermitian nonnegative by construction: d'd + dd'
     w, V = np.linalg.eigh((Delta + _adjoint(Delta)) / 2.0)
     w = np.abs(w)
@@ -347,15 +338,13 @@ def harmonic_space(c: GenComplex, degree: int) -> HarmonicReport:
     null = w <= thr
     retained = w[~null]
     gap = float(retained.min() / thr) if retained.size else np.inf
-    if symbols is None:
-        basis = V[:, null]
-    else:
-        modes, cols = np.nonzero(null)
-        C = math.comb(r, degree)
-        Z = V[modes, :, cols].reshape(len(modes), C, 1, c.grid.fiber_dim)
-        waves = _plane_waves(c.grid, modes)[:, None, :, None]
-        basis = (Z * waves).reshape(len(modes), C * c.grid.total_dim).T
-    return HarmonicReport(degree, int(np.count_nonzero(null)), gap, basis,
+    modes, cols = np.nonzero(null)
+    C, N = math.comb(r, degree), c._blocks[0].shape[-1]
+    Z = V[modes, :, cols].reshape(len(modes), C, 1, N)
+    waves = (np.ones((len(modes), 1)) if c._symbols is None
+             else _plane_waves(c.grid, modes))[:, None, :, None]
+    basis = (Z * waves).reshape(len(modes), C * c.grid.total_dim).T
+    return HarmonicReport(degree, len(modes), gap, basis,
                           np.sort(w, axis=None), ambiguous=bool(gap < 1e4))
 
 

@@ -99,11 +99,12 @@ def _unit_triangular_solve(T: np.ndarray, B: np.ndarray, **kw) -> np.ndarray:
 
 def _square_kernels(Phi) -> np.ndarray:
     """``Phi`` as an array, after checking it is one square kernel (n, n)
-    or a stack of them (B, n, n)."""
+    or a stack of them (B, n, n), with n >= 1."""
     Phi = np.asarray(Phi)
-    if Phi.ndim not in (2, 3) or Phi.shape[-1] != Phi.shape[-2]:
+    if Phi.ndim not in (2, 3) or Phi.shape[-1] != Phi.shape[-2] or Phi.shape[-1] == 0:
         raise DiscretizationError(
-            f"factorization needs a square kernel or a stack of them, got shape {Phi.shape}")
+            f"factorization needs a square kernel of size at least 1 or a stack "
+            f"of them, got shape {Phi.shape}")
     return Phi
 
 

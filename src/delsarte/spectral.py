@@ -127,13 +127,16 @@ def eigensolve(A, count: int | None = None, band=None,
     Raises :class:`DefectiveFamilyError` when a degenerate cluster's
     cross-Gram is singular to working precision, and
     :class:`EmptyBandError` when the selection is empty, and
-    :class:`DiscretizationError` on a non-finite operator or weight.
+    :class:`DiscretizationError` on a non-finite operator or weight, or on
+    an operator that is not square or weights that are not one per row.
     """
     M = _as_matrix(A)
-    n = M.shape[0]
-    if weights is None:
-        weights = np.ones(n)
-    weights = np.asarray(weights, dtype=float)
+    n = M.shape[0] if M.ndim == 2 else 0
+    weights = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    if n == 0 or M.shape != (n, n) or weights.shape != (n,):
+        raise DiscretizationError(
+            f"eigensolve needs a square operator of size at least 1 and one weight "
+            f"per row, got shapes {M.shape} and {weights.shape}")
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(weights))):
         raise DiscretizationError("eigensolve needs a finite operator and weights")
     scale = np.linalg.norm(M, ord=np.inf) or 1.0

@@ -108,8 +108,10 @@ class TransmutationData:
             right = right.T
         if left.shape[0] == 1 and left.shape[1] == grid.n:
             left = left.T
-        if right.shape[0] != grid.n or left.shape != right.shape:
-            raise DiscretizationError("family arrays must be (n_nodes, m)")
+        if right.shape[0] != grid.n or left.shape != right.shape or right.shape[1] == 0:
+            raise DiscretizationError(
+                f"family arrays must be ({grid.n}, m) with m >= 1, got right "
+                f"{right.shape} and left {left.shape}")
         m = right.shape[1]
         om = om.astype(dtype, copy=False)
         w = np.ones(grid.n) if weights is None else np.asarray(weights, dtype=float)
@@ -175,6 +177,9 @@ class TransmutationData:
         The result has the dtype numpy promotes ``f`` and the data to.
         """
         f = np.asarray(f)
+        if f.shape != (self.grid.n,):
+            raise DiscretizationError(
+                f"apply needs one value per node, shape ({self.grid.n},), got {f.shape}")
         if _minus(sign):
             return self._reversed().apply(f[::-1], "+")[::-1]
         U = self._dressed_rows()
@@ -440,14 +445,17 @@ def transform_operator(L, om: DelsarteOp, cond_guard: float = 1e10) -> np.ndarra
     """Ltil = Omega L Omega^{-1}, computed by linear solves.
 
     Refuses (with :class:`ConditionNumberError`) factors whose condition
-    number would erase more than the guard allows.
+    number would erase more than the guard allows, and (with
+    :class:`DiscretizationError`) an operator that is not finite or not of
+    the factor's size.
     """
+    Lm = _checked_operator(L, om.kernel.shape[0])
     cond = om.cond()
     if not np.isfinite(cond) or cond > cond_guard:
         raise ConditionNumberError(
             f"conjugation by the {om.sign} factor rejected: cond = {cond:.3e} "
             f"exceeds guard {cond_guard:.1e}")
-    return _conjugate(om.matrix(), _as_matrix(L), lower=om.sign == "+")
+    return _conjugate(om.matrix(), Lm, lower=om.sign == "+")
 
 
 def locality_check(Ltil, bandwidth: int) -> float:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -773,6 +774,28 @@ def test_digests_do_not_depend_on_the_blas_thread_setting(tmp_path):
     assert outputs[0][2::3] == ["True", "True"]
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+BASELINE = json.loads((Path(__file__).parent / "baseline_digests.json").read_text("utf-8"))
+
+
+@pytest.mark.parametrize("command", sorted(BASELINE["configs"]))
+def test_baseline_digest_is_pinned(command, tmp_path):
+    """The baseline configs at their seed give the digests checked in for
+    this machine: the OpenBLAS build of every pool in ``health.blas`` and
+    the numpy and SciPy versions.  A change that moves a digest updates
+    ``baseline_digests.json`` and says which rows moved; on a machine the
+    table does not list, the test skips."""
+    report = cli.run_command(command, BASELINE["configs"][command], tmp_path,
+                             seed=BASELINE["seed"])
+    key = {"blas": [pool["config"] for pool in report["health"]["blas"]],
+           "numpy": np.__version__, "scipy": scipy.__version__}
+    pinned = [m["digests"] for m in BASELINE["machines"]
+              if {k: m[k] for k in key} == key]
+    if not pinned:
+        pytest.skip(f"no pinned digests for {key}")
+    assert report["all_passed"]
+    assert report["digest"] == pinned[0][command]
 
 
 # ---------------------------------------------------------------------------

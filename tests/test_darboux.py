@@ -141,6 +141,14 @@ def test_crum_sign_gate_compares_signs_not_products():
     assert all(np.all(np.isfinite(s.qtilde)) for s in stages)
     one_soliton = -200.0 / np.cosh(10.0 * (g.x - 20.0)) ** 2
     assert np.max(np.abs(stages[0].qtilde - one_soliton)) < 1e-12 * 200.0
+    # stage 2 is -2 (ln W)'' with W = cosh 22 xi + 11 cosh 2 xi, xi = x - 20
+    # (up to a constant factor); its depth is 2 * 12^2
+    xi = g.x - 20.0
+    W = np.cosh(22.0 * xi) + 11.0 * np.cosh(2.0 * xi)
+    dW = (22.0 * np.sinh(22.0 * xi) + 22.0 * np.sinh(2.0 * xi)) / W
+    ddW = (484.0 * np.cosh(22.0 * xi) + 44.0 * np.cosh(2.0 * xi)) / W
+    two_soliton = -2.0 * (ddW - dW ** 2)
+    assert np.max(np.abs(stages[1].qtilde - two_soliton)) < 1e-12 * 288.0
 
 
 def test_crum_wrong_order_is_singular():
@@ -202,17 +210,12 @@ def test_large_seed_coefficients_dress_without_overflow():
         ExpPoly.cosh(24.0, 30.0)
     # kappa center = 705: the coefficient e^705 / 2 is a float but its
     # products with mu^2 = 625 are not, so S1 and S2 are summed in units of
-    # a power of two above |mu|
+    # a power of two above |mu|; past the center the e^{kappa x} term, whose
+    # coefficient is e^-705 / 2, dominates, and the shift follows it there
     kappa, center = 25.0, 28.2
     for b in (14.0, 30.0):
         g = Grid1D.dirichlet(0.0, b, 200)
         seed = DressingSeed.hyperbolic(g, kappa, "even", center)
-        if b == 30.0:
-            # near the center the shifted e^{-kappa x} term underflows, so
-            # the seed reads as overflowing: a named error, not a warning
-            with pytest.raises(DiscretizationError, match="overflow"):
-                darboux_once(SchrodingerOp.free(g), seed)
-            continue
         dressed = darboux_once(SchrodingerOp.free(g), seed)
         want = -2.0 * kappa ** 2 * (1.0 / np.cosh(kappa * (g.x - center))) ** 2
         assert np.max(np.abs(dressed.qtilde - want)) <= 1e-9 * 2.0 * kappa ** 2

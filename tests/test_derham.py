@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from delsarte import (FormField, GenComplex, Grid1D, ProductGrid,
                       SurfaceRegion, d_L, dual_flat_section, expected_betti,
                       flat_complex, flat_dimension, flat_section, form_norm,
-                      harmonic_space, hodge_decompose, inner, laplace_hodge,
+                      harmonic_space, hodge_decompose, inner,
                       plain_complex, skrypnik_map)
+from delsarte import acceptance, derham
+from delsarte.acceptance import torus_rows
 from delsarte.errors import (DegreeMismatchError, DiscretizationError,
                              NonCommutingFamilyError, NotClosedError)
 from delsarte.lagrange import forward_diff_matrix
@@ -28,6 +30,26 @@ def _torus(n1=8, n2=10, fiber=1):
 def _random_form(pg, degree, rng, subsets):
     shp = pg.shape + (pg.fiber_dim,)
     return FormField(pg, degree, {S: rng.standard_normal(shp) for S in subsets})
+
+
+def _dense_laplacian(c, k):
+    """The dense reference Delta_k = d_k' d_k + d_{k-1} d_{k-1}', from the
+    complex's dense coboundary matrices."""
+    Delta = 0
+    if k < c.grid.ndim:
+        Delta = c.d_matrix(k).conj().T @ c.d_matrix(k)
+    if k > 0:
+        Delta = Delta + c.d_matrix(k - 1) @ c.d_matrix(k - 1).conj().T
+    return Delta
+
+
+def _dense_eigh(c, k):
+    """Eigenvalue magnitudes and null vectors of the dense Delta_k, by the
+    threshold of :func:`harmonic_space`."""
+    D = _dense_laplacian(c, k)
+    w, V = np.linalg.eigh((D + D.conj().T) / 2.0)
+    w = np.abs(w)
+    return w, V[:, w <= 1e-8 * max(w.max(), 1e-300)]
 
 
 # ---------------------------------------------------------------------------
@@ -53,17 +75,38 @@ def test_noncommuting_axis_family_rejected():
 
 
 def test_non_finite_axis_operator_rejected():
+    # a NaN or infinite entry fails the invariance test, and the dense
+    # guard reads a NaN residual instead of warning in its products
     pg = _torus(6, 6)
-    mats = [forward_diff_matrix(pg, a) for a in range(2)]
-    mats[0][2, 3] = np.nan
-    with pytest.raises(NonCommutingFamilyError):
-        GenComplex(pg, mats)
+    for bad in (np.nan, np.inf):
+        mats = [forward_diff_matrix(pg, a) for a in range(2)]
+        mats[0][2, 3] = bad
+        with pytest.raises(NonCommutingFamilyError):
+            GenComplex(pg, mats)
 
 
-def test_laplace_degree_out_of_range():
-    c = plain_complex(_torus())
-    with pytest.raises(DegreeMismatchError):
-        laplace_hodge(c, 3)
+def test_non_commuting_flat_family_is_rejected_per_mode(monkeypatch):
+    # nilpotent generators that do not commute: the family is translation
+    # invariant, so the guard runs on the per-mode symbols, and by Parseval
+    # its residual is the dense ||AB - BA||_F
+    pg = _torus(6, 5, fiber=2)
+    gens = [np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])]
+    seen, symbols = [], derham._mode_symbols
+
+    def recorded(grid, axis_mats):
+        seen.append((axis_mats, symbols(grid, axis_mats)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(derham, "_mode_symbols", recorded)
+    with pytest.raises(NonCommutingFamilyError) as err:
+        flat_complex(pg, gens)
+    [((A, B), blocks)] = seen
+    assert blocks is not None
+    SA, SB = blocks
+    dense = np.linalg.norm(A @ B - B @ A)
+    per_mode = np.linalg.norm(SA @ SB - SB @ SA)
+    assert abs(per_mode - dense) <= 1e-12 * dense
+    assert f"residual {per_mode:.3e} " in str(err.value)
 
 
 @pytest.mark.parametrize("degree", [-1, 3, 5])
@@ -74,6 +117,8 @@ def test_out_of_range_degree_is_named(degree):
         FormField.from_stack(pg, degree, np.zeros(0))
     with pytest.raises(DegreeMismatchError, match=f"degree {degree} out of range"):
         plain_complex(pg).d_matrix(degree)
+    with pytest.raises(DegreeMismatchError, match=f"degree {degree} out of range"):
+        harmonic_space(plain_complex(pg), degree)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +190,7 @@ def test_harmonic_dims_are_fiber_times_betti(pg):
     for k in range(pg.ndim + 1):
         rep = harmonic_space(c, k)
         assert rep.dim == pg.fiber_dim * betti[k]
-        dense = np.sort(np.abs(np.linalg.eigvalsh(laplace_hodge(c, k))))
+        dense = np.sort(np.abs(np.linalg.eigvalsh(_dense_laplacian(c, k))))
         assert np.abs(rep.singular_values - dense).max() <= 1e-13 * dense.max()
 
 
@@ -155,16 +200,14 @@ def _null_projector(vectors):
 
 def _dense_harmonic(c, k):
     """The dense reference: null projector and sorted spectrum of Delta_k."""
-    D = laplace_hodge(c, k)
-    w, V = np.linalg.eigh((D + D.conj().T) / 2.0)
-    w = np.abs(w)
-    return _null_projector(V[:, w <= 1e-8 * w.max()]), np.sort(w)
+    w, null = _dense_eigh(c, k)
+    return _null_projector(null), np.sort(w)
 
 
 @pytest.mark.parametrize("shape", [(8, 6), (5, 5, 6)])
 @pytest.mark.parametrize("fiber", [1, 2])
 @pytest.mark.parametrize("twist", ["plain", "winding"])
-def test_per_mode_route_matches_the_dense_route(shape, fiber, twist):
+def test_per_mode_route_matches_the_dense_route(shape, fiber, twist, monkeypatch):
     pg = ProductGrid(tuple(Grid1D.periodic(0.0, 1.0 + 0.5 * a, n)
                            for a, n in enumerate(shape)), fiber_dim=fiber)
     if twist == "plain":
@@ -193,6 +236,14 @@ def test_per_mode_route_matches_the_dense_route(shape, fiber, twist):
         # no harmonic zero-form is constant along the fiber: mode 0 is not null
         assert np.abs(harmonic_space(c, 0).basis.reshape(pg.nnodes, fiber, -1)
                       .sum(axis=0)).max() <= 1e-10
+    # the nilpotency row, read from the blocks, is the dense one; a twisted
+    # complex has no constant closed forms, so the period row is stubbed out
+    d1, d0 = c.d_matrix(1), c.d_matrix(0)
+    dense = np.linalg.norm(d1 @ d0) / (np.linalg.norm(d1) * np.linalg.norm(d0))
+    monkeypatch.setattr(acceptance, "skrypnik_map", lambda c, *args: np.eye(c.grid.ndim))
+    row = torus_rows(c)[0][0]
+    assert row["name"] == "d_squared_zero"
+    assert abs(row["value"] - dense) <= 1e-15
 
 
 @pytest.mark.parametrize("shape", [(8, 6), (5, 5, 6)])
@@ -226,6 +277,10 @@ def test_non_invariant_family_takes_the_dense_route():
         s = ref.singular_values
         assert np.abs(rep.singular_values - s).max() <= 1e-13 * s.max()
         assert np.isrealobj(rep.basis)
+        # the single dense block keeps the bits of the dense reference
+        w, null = _dense_eigh(c, k)
+        assert rep.singular_values.tobytes() == np.sort(w).tobytes()
+        assert rep.basis.dtype == null.dtype and rep.basis.tobytes() == null.tobytes()
 
 
 def test_flat_family_multiplies_betti_by_kernel_dim():
@@ -286,7 +341,7 @@ def test_hodge_decomposition_orthogonal_and_complete():
     # its own harmonic part
     dt1 = FormField(pg, 1, {(0,): np.ones(pg.shape + (1,)),
                             (1,): np.zeros(pg.shape + (1,))})
-    Delta = laplace_hodge(c, 1)
+    Delta = _dense_laplacian(c, 1)
     for beta in (_random_form(pg, 1, rng, [(0,), (1,)]), dt1):
         h, e, co = hodge_decompose(c, beta)
         parts = [p.stack() for p in (h, e, co)]
@@ -472,7 +527,7 @@ def _dtypes(c):
     r = c.grid.ndim
     return ({M.dtype for M in c.axis_mats}
             | {c.d_matrix(k).dtype for k in range(r)}
-            | {laplace_hodge(c, k).dtype for k in range(r + 1)})
+            | {_dense_laplacian(c, k).dtype for k in range(r + 1)})
 
 
 def test_plain_complex_stays_real():

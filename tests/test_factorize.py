@@ -1,6 +1,7 @@
 """Triangular splitting of 1 + Phi along projector chains, and the
 row-elimination route to the same kernels."""
 
+import re
 import warnings
 
 import numpy as np
@@ -52,6 +53,15 @@ def test_non_finite_kernel_is_rejected(bad):
     Phi[5, 2] = bad
     with pytest.raises(DiscretizationError):
         gk_factorize(Phi)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (2, 3), (2, 2, 2, 2)])
+def test_kernel_shapes_are_named(shape):
+    # an empty kernel has no minor to factor; numpy's reductions used to
+    # fail on it with a bare ValueError
+    for solve in (gk_factorize, glm_solve):
+        with pytest.raises(DiscretizationError, match=re.escape(str(shape))):
+            solve(np.zeros(shape))
 
 
 def test_interior_singular_minor_index():

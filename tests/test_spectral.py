@@ -1,6 +1,7 @@
 """Biorthogonal eigenfamilies, spectral measures, and kernel calculus."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,11 @@ def test_non_finite_input_rejected():
     w[4] = np.inf
     with pytest.raises(DiscretizationError):
         eigensolve(L, weights=w)
+    # bad shapes are named, not numpy's broadcast or index errors
+    for A, w, shape in ((L.A[:, :-1], None, "(20, 19)"), (np.zeros((0, 0)), None, "(0, 0)"),
+                        (L, np.ones(19), "(19,)")):
+        with pytest.raises(DiscretizationError, match=re.escape(shape)):
+            eigensolve(A, weights=w)
 
 
 def test_nan_cross_gram_is_rejected(monkeypatch):

@@ -131,6 +131,26 @@ def test_family_data_needs_a_finite_operator_of_grid_size():
             TransmutationData.from_family(g, L, fam.right, fam.left)
 
 
+def test_conjugation_needs_a_finite_operator_of_factor_size():
+    g, L, T = _soliton(40, 8.0)
+    om = pair_intertwiner(L, T, grid=g)
+    for bad in _bad_operators(g.n):
+        with pytest.raises(DiscretizationError, match=_shape_message(bad)):
+            transform_operator(bad, om)
+
+
+def test_family_shapes_are_named():
+    # a family without columns, and a field of another length: each is a
+    # named error, not numpy's IndexError or broadcast ValueError
+    g, A, _, data = _family_data(n=20, m=2)
+    empty = np.zeros((g.n, 0))
+    with pytest.raises(DiscretizationError, match=re.escape("(20, 0)")):
+        TransmutationData.from_family(g, A, empty, empty)
+    for sign in "+-":
+        with pytest.raises(DiscretizationError, match=re.escape("(20,), got (19,)")):
+            data.apply(np.ones(g.n - 1), sign)
+
+
 def test_kernel_data_needs_a_finite_operator_of_kernel_size():
     _, A, datak = _kernel_data()
     for L in _bad_operators(A.shape[0]):
