@@ -435,7 +435,7 @@ def torus_rows(c):
     r = pg.ndim
     rows = []
     if r > 1:
-        # over the complex's blocks: per mode on a translation-invariant torus
+        # over the complex's blocks: 1 x 1 singular values for a separable family
         d_hi = d_matrix(pg, 1, c._blocks)
         d_lo = d_matrix(pg, 0, c._blocks)
         nil = float(np.linalg.norm(d_hi @ d_lo)

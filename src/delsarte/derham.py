@@ -9,13 +9,14 @@ dimensions reproduce the product-topology Betti numbers (times the
 joint-kernel dimension of the fiber generators for flat families
 L_j = D_j - A_j).
 
-On a torus whose axis operators are translation invariant (block
-circulant over the nodes, as for the plain complex and flat families with
-constant generators) the node DFT block-diagonalizes the whole complex:
-each Fourier mode carries C(r, k) N-sized blocks built from the modes'
-N x N symbols by the same block rule.  The commutation guard, the
-nilpotency residual and the harmonic spaces run over the family as a stack
-of such blocks; any other complex is the stack of one dense block.
+A separable family (the plain complex, flat families with diagonal
+generators) acts on axis j and fiber component u through the 1-D factor
+B_{j,u} = D_j - alpha_{j,u} 1.  In the tensor bases of the factors'
+singular vectors (left on the axes a component spans, right on the
+others) every axis operator is diagonal (the Kuenneth formula), so the
+commutation guard, the nilpotency residual and the harmonic spaces run
+over one 1 x 1 block per node and fiber component, holding the singular
+values; any other complex is the stack of one dense block.
 
 Period mappings pair closed forms with oriented cycles through a fiber
 contraction against a dual-flat zero-form; on the torus with trivial fiber
@@ -64,7 +65,8 @@ class GenComplex:
 
     ``axis_mats[j]`` is the matrix of L_j on flattened fields.  Pairwise
     commutation is checked on construction, over the blocks of
-    :attr:`_blocks`; it is what makes d_L nilpotent.
+    :attr:`_blocks`; it is what makes d_L nilpotent.  Only
+    :func:`plain_complex` and :func:`flat_complex` set ``_factors``.
     The scalar product carries the uniform node weight ``grid.vol``.  The
     operators share one dtype, the common type of the inputs: real axis
     operators stay real, and so does the coboundary matrix built from them.
@@ -73,6 +75,7 @@ class GenComplex:
     grid: ProductGrid
     axis_mats: list
     _dmats: dict = field(default_factory=dict, repr=False)
+    _factors: list | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if len(self.axis_mats) != self.grid.ndim:
@@ -85,8 +88,8 @@ class GenComplex:
             if M.shape != (d, d):
                 raise DiscretizationError(
                     f"axis operators must be {d} x {d} on flattened fields")
-        # by Parseval the per-mode norms are those of the dense operators; a
-        # non-finite entry fails the invariance test and leaves a NaN gap
+        # the blocks are unitarily equivalent to the dense operators, so
+        # their norms are the dense ones; a non-finite entry leaves a NaN gap
         with np.errstate(invalid="ignore"):
             blocks = self._blocks
             for j in range(len(blocks)):
@@ -105,54 +108,28 @@ class GenComplex:
         return self._dmats[degree]
 
     @cached_property
-    def _symbols(self) -> list | None:
-        """Per-mode symbols of the axis operators (see :func:`_mode_symbols`),
-        or None when the family is not translation invariant on a torus."""
-        return _mode_symbols(self.grid, self.axis_mats)
+    def _svds(self) -> list:
+        """(U, s, Vh) of each axis's stacked 1-D factors."""
+        return [np.linalg.svd(B) for B in self._factors]
 
     @cached_property
     def _blocks(self) -> list:
-        """The axis family as stacks of blocks: the (P, N, N) symbols on a
-        translation-invariant torus, else each dense operator as a stack
-        of one, (1, M, M)."""
-        if self._symbols is not None:
-            return self._symbols
-        return [M[None] for M in self.axis_mats]
+        """The axis family as stacks of blocks: for a separable family, the
+        (P N, 1, 1) singular values s_{j,u,i_j} of the factors at block
+        (i, u), nodes in C order then the fiber; else each dense operator
+        as a stack of one, (1, M, M)."""
+        if self._factors is None:
+            return [M[None] for M in self.axis_mats]
+        r, shape = self.grid.ndim, self.grid.shape + (self.grid.fiber_dim,)
+        return [np.broadcast_to(np.expand_dims(s.T, tuple(b for b in range(r) if b != a)), shape)
+                .reshape(-1, 1, 1) for a, (_, s, _) in enumerate(self._svds)]
 
 
-def _mode_symbols(grid: ProductGrid, axis_mats: list) -> list | None:
-    """The N x N symbols of translation-invariant axis operators, one
-    (P, N, N) stack per axis with the P node modes in C order; None unless
-    every axis is periodic and every operator passes the invariance test.
-
-    Conjugating an operator M on flattened fields by the unitary node DFT
-    (F (x) 1_N) M (F (x) 1_N)^H gives N x N blocks B[m, m'].  Its diagonal
-    blocks are the DFT  B[m, m] = sum_s k(s) exp(-2 pi i m.s / n)  of the
-    translation average k(s) = mean_p M[p, p - s] of M's node blocks, and by
-    Parseval the off-diagonal part has the norm of M's deviation from that
-    average, which is computed directly (a difference of squared norms
-    would floor at roundoff of the squares).  M is taken as translation
-    invariant when that residual is at most 1e-12 of ||M||_F; then M maps
-    the plane wave exp(2 pi i m.p / n) z to the same wave times B[m, m] z.
-    """
-    if any(g.boundary != "periodic" for g in grid.axes):
-        return None
-    shape, N, r, P = grid.shape, grid.fiber_dim, grid.ndim, grid.nnodes
-    symbols = []
-    for M in axis_mats:
-        X = M.reshape(shape + (N,) + shape + (N,))
-        for a, n in enumerate(shape):
-            # shear one axis: (p_a, q_a) -> (s_a, p_a) with q_a = p_a - s_a
-            i = np.arange(n)
-            X = np.moveaxis(X, (a, r + 1 + a), (0, 1))[i, (i - i[:, None]) % n]
-            X = np.moveaxis(X, (0, 1), (r + 1 + a, a))
-        X = X.reshape(P, N, P, N)  # X[p, u, s, v] = M[(p, u), (p - s, v)]
-        k = X.mean(axis=0)
-        if not (np.linalg.norm(X - k) <= 1e-12 * np.linalg.norm(M)):
-            return None
-        k = np.moveaxis(k, 1, 0).reshape(shape + (N, N))
-        symbols.append(np.fft.fftn(k, axes=tuple(range(r))).reshape(P, N, N))
-    return symbols
+def _axis_factors(grid: ProductGrid, alphas: list) -> list:
+    """The factors D_j - alphas[j][u] 1, one (N, n_j, n_j) stack per axis."""
+    return [forward_diff_matrix(ProductGrid.line(g), 0)
+            - np.asarray(alpha)[:, None, None] * np.eye(g.n)
+            for g, alpha in zip(grid.axes, alphas)]
 
 
 def plain_complex(grid: ProductGrid) -> GenComplex:
@@ -165,7 +142,8 @@ def plain_complex(grid: ProductGrid) -> GenComplex:
     that a BLAS product of the real matrices may leave.
     """
     mats = [forward_diff_matrix(grid, a) for a in range(grid.ndim)]
-    return GenComplex(grid, mats)
+    factors = _axis_factors(grid, [np.zeros(grid.fiber_dim)] * grid.ndim)
+    return GenComplex(grid, mats, _factors=factors)
 
 
 def _matched_generator(g: Grid1D, A: np.ndarray) -> np.ndarray:
@@ -176,14 +154,15 @@ def _matched_generator(g: Grid1D, A: np.ndarray) -> np.ndarray:
 
 def _fiber_generators(what: str, generators: list) -> list:
     """The fiber generators as complex arrays, after checking that they are
-    square and of one size; raises :class:`DiscretizationError` naming the
-    shapes."""
+    finite, square and of one size; raises :class:`DiscretizationError`
+    naming the caller and the shapes."""
     gens = [np.asarray(A, dtype=complex) for A in generators]
     shapes = [A.shape for A in gens]
     N = shapes[0][0] if shapes and shapes[0] else 0
-    if N == 0 or any(sh != (N, N) for sh in shapes):
+    if (N == 0 or any(sh != (N, N) for sh in shapes)
+            or not all(np.isfinite(A).all() for A in gens)):
         raise DiscretizationError(
-            f"{what} needs square generators of one size, got {shapes}")
+            f"{what} needs finite square generators of one size, got {shapes}")
     return gens
 
 
@@ -193,7 +172,7 @@ def flat_complex(grid: ProductGrid, generators: list) -> GenComplex:
 
     The matched generator Aeff_j = (exp(h A_j)-1)/h stands in for A_j, so
     nodal samples of t -> exp(sum t_j A_j) v0 (see :func:`flat_section`)
-    lie exactly in ker L_j.
+    lie exactly in ker L_j.  Diagonal Aeff_j give a separable family.
     """
     gens = _fiber_generators("flat_complex", generators)
     N = grid.fiber_dim
@@ -201,10 +180,12 @@ def flat_complex(grid: ProductGrid, generators: list) -> GenComplex:
         raise DiscretizationError(
             f"flat_complex needs {grid.ndim} generators of shape ({N}, {N}), "
             f"got {[A.shape for A in gens]}")
-    mats = [forward_diff_matrix(grid, a)
-            - np.kron(np.eye(grid.nnodes), _matched_generator(g, A))
-            for a, (g, A) in enumerate(zip(grid.axes, gens))]
-    return GenComplex(grid, mats)
+    eff = [_matched_generator(g, A) for g, A in zip(grid.axes, gens)]
+    mats = [forward_diff_matrix(grid, a) - np.kron(np.eye(grid.nnodes), E)
+            for a, E in enumerate(eff)]
+    diagonal = all(np.array_equal(E, np.diag(np.diag(E))) for E in eff)
+    factors = _axis_factors(grid, [np.diag(E) for E in eff]) if diagonal else None
+    return GenComplex(grid, mats, _factors=factors)
 
 
 def _march(what: str, grid: ProductGrid, gens: list, v0: np.ndarray, step) -> np.ndarray:
@@ -283,9 +264,9 @@ class HarmonicReport:
     is measured against the threshold rather than the null eigenvalues,
     which are roundoff, and a dimension claim with ``gap < 1e4`` is flagged
     ambiguous rather than trusted.  ``basis`` holds orthonormal columns in
-    the stacked layout of :meth:`FormField.stack`; from per-mode blocks
-    (see :func:`harmonic_space`) they are plane waves times block null
-    vectors, complex even for a real complex.
+    the stacked layout of :meth:`FormField.stack`; for a separable complex
+    (see :func:`harmonic_space`) they are tensor products of the 1-D
+    factors' singular vectors, real for a real complex.
     """
 
     degree: int
@@ -300,13 +281,21 @@ class HarmonicReport:
                 "betti_expected": betti_expected}
 
 
-def _plane_waves(grid: ProductGrid, modes: np.ndarray) -> np.ndarray:
-    """Unit node plane waves exp(2 pi i m.p / n) / sqrt(P), one row per
-    mode index m (C order), one column per node p."""
-    m = np.unravel_index(modes, grid.shape)
-    p = np.indices(grid.shape).reshape(grid.ndim, -1)
-    turns = sum((ma[:, None] * pa) % n / n for ma, pa, n in zip(m, p, grid.shape))
-    return np.exp(2j * np.pi * turns) / math.sqrt(grid.nnodes)
+def _singular_vector_lift(c: GenComplex, degree: int, index: np.ndarray) -> np.ndarray:
+    """(len(index), C(r, k), M): block (i, u) of a separable complex in
+    component S as the field (x)_{j in S} U_{j,u}[:, i_j] (x)_{j not in S}
+    V_{j,u}[:, i_j] (x) e_u, axes in C order and the fiber last."""
+    grid = c.grid
+    *node, u = np.unravel_index(index, grid.shape + (grid.fiber_dim,))
+    comps = []
+    for S in _subsets(grid.ndim, degree):
+        out = np.eye(grid.fiber_dim)[u]
+        for a in reversed(range(grid.ndim)):
+            U, _, Vh = c._svds[a]
+            w = U[u, :, node[a]] if a in S else Vh[u, node[a], :].conj()
+            out = (w[:, :, None] * out[:, None, :]).reshape(len(index), w.shape[1] * out.shape[1])
+        comps.append(out)
+    return np.stack(comps, axis=1)
 
 
 def harmonic_space(c: GenComplex, degree: int) -> HarmonicReport:
@@ -317,9 +306,10 @@ def harmonic_space(c: GenComplex, degree: int) -> HarmonicReport:
     scalar), so ker Delta = ker d  intersect  ker d' holds exactly.  Delta
     is assembled block by block over :attr:`GenComplex._blocks` by the
     block rule of :func:`d_matrix`, and one stacked ``eigh`` solves it; the
-    threshold applies to all eigenvalues at once.  A null vector z of block
-    m becomes the plane wave of mode m times z on a translation-invariant
-    torus, and z itself (the wave is 1) for the single dense block.
+    threshold applies to all eigenvalues at once.  A null vector of a
+    separable complex's block holds one coefficient per component, which
+    scales that component's singular-vector product; for the single dense
+    block it is the form itself.
     """
     r = c.grid.ndim
     _check_degree(r, degree)
@@ -338,13 +328,13 @@ def harmonic_space(c: GenComplex, degree: int) -> HarmonicReport:
     null = w <= thr
     retained = w[~null]
     gap = float(retained.min() / thr) if retained.size else np.inf
-    modes, cols = np.nonzero(null)
-    C, N = math.comb(r, degree), c._blocks[0].shape[-1]
-    Z = V[modes, :, cols].reshape(len(modes), C, 1, N)
-    waves = (np.ones((len(modes), 1)) if c._symbols is None
-             else _plane_waves(c.grid, modes))[:, None, :, None]
-    basis = (Z * waves).reshape(len(modes), C * c.grid.total_dim).T
-    return HarmonicReport(degree, len(modes), gap, basis,
+    index, cols = np.nonzero(null)
+    C, b = math.comb(r, degree), c._blocks[0].shape[-1]
+    Z = V[index, :, cols].reshape(len(index), C, b)
+    if c._factors is not None:
+        Z = Z * _singular_vector_lift(c, degree, index)
+    basis = Z.reshape(len(index), C * c.grid.total_dim).T
+    return HarmonicReport(degree, len(index), gap, basis,
                           np.sort(w, axis=None), ambiguous=bool(gap < 1e4))
 
 

@@ -244,7 +244,13 @@ def glm_solve(Phi: np.ndarray):
 
 def glm_residual(Phi: np.ndarray, K_plus: np.ndarray, K_minus: np.ndarray) -> float:
     """|| K_plus + Phi + K_plus Phi - K_minus ||_F / max(||Phi||_F, 1), with
-    the scale-safe norms of :func:`_frobenius`."""
+    the scale-safe norms of :func:`_frobenius`.  Operands that are empty,
+    not square or not of one shape raise :class:`DiscretizationError`."""
+    shapes = [np.shape(X) for X in (Phi, K_plus, K_minus)]
+    n = shapes[0][0] if len(shapes[0]) == 2 else 0
+    if n == 0 or any(sh != (n, n) for sh in shapes):
+        raise DiscretizationError(
+            f"glm_residual needs three nonempty square matrices of one shape, got {shapes}")
     R = K_plus + Phi + K_plus @ Phi - K_minus
     return float(_frobenius(R) / max(float(_frobenius(Phi)), 1.0))
 

@@ -189,7 +189,7 @@ def d_matrix(grid: ProductGrid, degree: int, axis_mats: list | None = None) -> n
     coboundary is the zero map into the empty degree r + 1.
 
     The axis operators may also be stacks (..., b, b) of blocks, such as
-    the per-mode symbols of a translation-invariant family; the block rule
+    the 1 x 1 singular-value blocks of a separable family; the block rule
     then builds one coboundary per stack entry, of shape
     (..., C(r, k+1) b, C(r, k) b)."""
     r = grid.ndim

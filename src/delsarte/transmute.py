@@ -240,8 +240,7 @@ class KernelData:
 
     1 + Phi = (1 + K_+)^{-1} D (1 + K_-) gives both signs at once:
     :meth:`operator` and :meth:`inverse` read the cached
-    :meth:`factorization`, and :meth:`adjoint` factors Phi^dagger.  A real
-    kernel gives real factors.
+    :meth:`factorization`.  A real kernel gives real factors.
     """
 
     L: np.ndarray
@@ -281,10 +280,6 @@ class KernelData:
             eye + pair.K_minus, eye, lower=False, unit_diagonal=True)
         return DelsarteOp("-", (pair.D[:, None] * B) / pair.D[None, :] - eye,
                           diag=1.0 / pair.D)
-
-    def adjoint(self) -> DelsarteOp:
-        """(1 + K_+)^{-dagger}: the unit-upper factor of Phi^dagger."""
-        return DelsarteOp("-", gk_factorize(self.Phi.conj().T).K_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +459,13 @@ def locality_check(Ltil, bandwidth: int) -> float:
     Rows within ``bandwidth + 2`` of either end are excluded: the dressing
     necessarily dumps its defect there (last or first row) and the
     discretization truncates stencils there anyway.  Raises
-    :class:`DiscretizationError` when no interior row is left.
+    :class:`DiscretizationError` for an operator that is not square or has
+    no interior row left.
     """
     A = _as_matrix(Ltil)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DiscretizationError(
+            f"locality check needs a square operator, got shape {A.shape}")
     n = A.shape[0]
     edge = bandwidth + 2
     if n - 2 * edge < 1:
@@ -497,13 +496,16 @@ def independence_check(data: TransmutationData | KernelData):
     return gap, commutation_check(ratio, L)
 
 
-def adjoint_compat_check(data: TransmutationData | KernelData) -> float:
+def adjoint_compat_check(data: TransmutationData) -> float:
     """|| (Omega L Omega^{-1})^dagger - Omega_adj L^dagger Omega_adj^{-1} ||_F / ||L||_F.
 
-    Omega_adj is constructed independently from the swapped family (or the
-    adjoint kernel), so agreement certifies that dressing and taking
-    adjoints commute for this data.
+    Omega_adj is constructed independently from the swapped family, so
+    agreement certifies that dressing and taking adjoints commute for this
+    data.  Any other input raises :class:`DiscretizationError`.
     """
+    if not isinstance(data, TransmutationData):
+        raise DiscretizationError(
+            f"adjoint_compat_check needs TransmutationData, got {type(data).__name__}")
     L = data.L
     M = data.operator("+").matrix()
     Madj = data.adjoint().matrix()

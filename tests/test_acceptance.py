@@ -63,12 +63,6 @@ def test_criterion_3_alone_matches_the_battery(verify_battery):
     assert inside == alone
 
 
-def test_run_all_leaves_no_thread():
-    before = threading.active_count()
-    acceptance.run_all(seed=0)
-    assert threading.active_count() == before
-
-
 def test_failed_criterion_joins_the_oracle(monkeypatch):
     # a criterion that raises while the oracle runs: the error propagates
     # only after the worker has finished, and no thread is left

@@ -6,7 +6,7 @@ this suite does not run.  The names are read from ``bench/run.py`` with
 ``ast`` and resolved the way ``Tracer.install`` in ``bench/tracer.py``
 resolves them.  Nothing under ``bench/`` is written.  The tracer keeps one
 span stack per process, so the verify battery's worker thread may run no
-traced function either.
+traced function either, and it must be gone once the battery returns.
 """
 
 import ast
@@ -14,6 +14,7 @@ import concurrent.futures
 import importlib
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 from delsarte import acceptance
@@ -74,7 +75,10 @@ def test_run_all_hands_its_pool_no_traced_function(monkeypatch):
             return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    before = threading.active_count()
     acceptance.run_all(seed=0)
+    # the battery joins its worker and leaves no thread behind
+    assert threading.active_count() == before
     traced = {getattr(raw, "__func__", raw) for raw in map(_resolve, _trace_targets())}
     assert submitted
     for fn in submitted:

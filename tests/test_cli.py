@@ -314,15 +314,14 @@ def test_library_parameters_are_read():
 
 
 def test_axis_layout_lives_in_two_helpers():
-    """The Kronecker layout of flattened fields is spelled out only by
-    ``grid_ops._apply_along`` (``np.tensordot``), ``derham.flat_complex``
-    (``np.kron``, the fiber generator on every node) and
-    ``derham._mode_symbols`` (``np.fft``, the node DFT); ``np.roll``
-    appears nowhere."""
+    """``np.tensordot`` and ``np.kron``, which spell out the Kronecker layout
+    of flattened fields, appear only in ``grid_ops._apply_along`` and in
+    ``derham.flat_complex`` (the fiber generator on every node); ``np.fft``
+    and ``np.roll`` appear nowhere."""
     import delsarte
     allowed = {"tensordot": {("grid_ops.py", "_apply_along")},
                "kron": {("derham.py", "flat_complex")},
-               "fft": {("derham.py", "_mode_symbols")},
+               "fft": set(),
                "roll": set()}
     offenders = []
 

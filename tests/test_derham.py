@@ -2,6 +2,7 @@
 decomposition, flat families, and period matrices."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,8 +76,8 @@ def test_noncommuting_axis_family_rejected():
 
 
 def test_non_finite_axis_operator_rejected():
-    # a NaN or infinite entry fails the invariance test, and the dense
-    # guard reads a NaN residual instead of warning in its products
+    # a caller-built complex takes the dense route, and a NaN or infinite
+    # entry makes the guard read a NaN residual instead of warning
     pg = _torus(6, 6)
     for bad in (np.nan, np.inf):
         mats = [forward_diff_matrix(pg, a) for a in range(2)]
@@ -85,28 +86,17 @@ def test_non_finite_axis_operator_rejected():
             GenComplex(pg, mats)
 
 
-def test_non_commuting_flat_family_is_rejected_per_mode(monkeypatch):
-    # nilpotent generators that do not commute: the family is translation
-    # invariant, so the guard runs on the per-mode symbols, and by Parseval
-    # its residual is the dense ||AB - BA||_F
+def test_non_commuting_flat_family_is_rejected_on_the_dense_route():
+    # nilpotent generators that do not commute are not diagonal, so the
+    # family keeps its dense operators and the guard reads their ||AB - BA||_F
     pg = _torus(6, 5, fiber=2)
     gens = [np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])]
-    seen, symbols = [], derham._mode_symbols
-
-    def recorded(grid, axis_mats):
-        seen.append((axis_mats, symbols(grid, axis_mats)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(derham, "_mode_symbols", recorded)
-    with pytest.raises(NonCommutingFamilyError) as err:
-        flat_complex(pg, gens)
-    [((A, B), blocks)] = seen
-    assert blocks is not None
-    SA, SB = blocks
+    A, B = (forward_diff_matrix(pg, a)
+            - np.kron(np.eye(pg.nnodes), derham._matched_generator(g, G.astype(complex)))
+            for a, (g, G) in enumerate(zip(pg.axes, gens)))
     dense = np.linalg.norm(A @ B - B @ A)
-    per_mode = np.linalg.norm(SA @ SB - SB @ SA)
-    assert abs(per_mode - dense) <= 1e-12 * dense
-    assert f"residual {per_mode:.3e} " in str(err.value)
+    with pytest.raises(NonCommutingFamilyError, match=re.escape(f"residual {dense:.3e} ")):
+        flat_complex(pg, gens)
 
 
 @pytest.mark.parametrize("degree", [-1, 3, 5])
@@ -183,8 +173,8 @@ def _mixed_tori(draw):
 @settings(derandomize=True, deadline=None, max_examples=12)
 @given(pg=_mixed_tori())
 def test_harmonic_dims_are_fiber_times_betti(pg):
-    # tori take the per-mode route, boxes with a Dirichlet axis the dense
-    # one; either way the spectrum is that of the dense Laplace-Hodge matrix
+    # every box takes the factor route, and its spectrum is that of the
+    # dense Laplace-Hodge matrix
     c = plain_complex(pg)
     betti = expected_betti(pg)
     for k in range(pg.ndim + 1):
@@ -204,56 +194,88 @@ def _dense_harmonic(c, k):
     return _null_projector(null), np.sort(w)
 
 
-@pytest.mark.parametrize("shape", [(8, 6), (5, 5, 6)])
-@pytest.mark.parametrize("fiber", [1, 2])
-@pytest.mark.parametrize("twist", ["plain", "winding"])
-def test_per_mode_route_matches_the_dense_route(shape, fiber, twist, monkeypatch):
-    pg = ProductGrid(tuple(Grid1D.periodic(0.0, 1.0 + 0.5 * a, n)
-                           for a, n in enumerate(shape)), fiber_dim=fiber)
-    if twist == "plain":
-        c = plain_complex(pg)
-    else:
-        # fiber component u winds u + 1 times along axis 0 (trivial
-        # monodromy), mixed by a fixed unitary: the null modes sit at m != 0
-        T0 = pg.axes[0].length
-        Q = np.linalg.qr(np.array([[1.0, 2.0j], [0.5, -1.0]])[:fiber, :fiber])[0]
-        wind = Q @ np.diag(2j * np.pi * np.arange(1, fiber + 1) / T0) @ Q.conj().T
-        c = flat_complex(pg, [wind] + [np.zeros((fiber, fiber))] * (pg.ndim - 1))
-    assert c._symbols is not None
+def _box(shape, boundaries):
+    """Axes of lengths 1, 1.5, 2, ... with sides ``shape``; boundary "p" is
+    periodic and "d" Dirichlet, one letter per axis."""
+    make = {"p": Grid1D.periodic, "d": Grid1D.dirichlet}
+    return tuple(make[b](0.0, 1.0 + 0.5 * a, n)
+                 for a, (n, b) in enumerate(zip(shape, boundaries)))
+
+
+_BOXES = [((8, 6), "pp"), ((5, 5, 6), "ppp"), ((6, 5), "dp"), ((5, 6, 5), "ppd")]
+
+
+def _winding(pg, Q):
+    """Fiber component u winds u + 1 times along axis 0 (trivial monodromy
+    on a periodic axis), mixed by the unitary Q; the other generators vanish."""
+    fiber = pg.fiber_dim
+    wind = Q @ np.diag(2j * np.pi * np.arange(1, fiber + 1) / pg.axes[0].length) @ Q.conj().T
+    return flat_complex(pg, [wind] + [np.zeros((fiber, fiber))] * (pg.ndim - 1))
+
+
+def _assert_matches_the_dense_route(c, monkeypatch):
+    """Dimensions, null projectors, spectra, gaps and the nilpotency row of
+    ``c`` against the dense Laplace-Hodge matrices."""
+    pg = c.grid
     betti = expected_betti(pg)
     for k in range(pg.ndim + 1):
         rep = harmonic_space(c, k)
         proj, spectrum = _dense_harmonic(c, k)
-        assert rep.dim == fiber * betti[k]
+        assert rep.dim == pg.fiber_dim * betti[k]
         assert np.abs(_null_projector(rep.basis) - proj).max() <= 1e-10
         assert np.abs(rep.singular_values - spectrum).max() <= 1e-13 * spectrum.max()
         # the gap is read against the threshold, so it is finite and the
-        # same on both routes although mode 0 has exact zeros
+        # same on both routes although some blocks have exact zeros
         retained = spectrum[spectrum > 1e-8 * spectrum.max()]
         assert rep.gap == pytest.approx(retained.min() / (1e-8 * spectrum.max()), rel=1e-10)
         assert 1e4 < rep.gap < np.inf
-    if twist == "winding":
-        # no harmonic zero-form is constant along the fiber: mode 0 is not null
-        assert np.abs(harmonic_space(c, 0).basis.reshape(pg.nnodes, fiber, -1)
-                      .sum(axis=0)).max() <= 1e-10
     # the nilpotency row, read from the blocks, is the dense one; a twisted
-    # complex has no constant closed forms, so the period row is stubbed out
+    # complex has no constant closed forms and a Dirichlet axis no loops, so
+    # the period row is stubbed out
     d1, d0 = c.d_matrix(1), c.d_matrix(0)
     dense = np.linalg.norm(d1 @ d0) / (np.linalg.norm(d1) * np.linalg.norm(d0))
+    monkeypatch.setattr(acceptance.SurfaceRegion, "axis_loop", lambda *args: None)
     monkeypatch.setattr(acceptance, "skrypnik_map", lambda c, *args: np.eye(c.grid.ndim))
     row = torus_rows(c)[0][0]
     assert row["name"] == "d_squared_zero"
     assert abs(row["value"] - dense) <= 1e-15
 
 
-@pytest.mark.parametrize("shape", [(8, 6), (5, 5, 6)])
+@pytest.mark.parametrize("shape", _BOXES)
+@pytest.mark.parametrize("fiber", [1, 2])
+@pytest.mark.parametrize("twist", ["plain", "winding"])
+def test_per_mode_route_matches_the_dense_route(shape, fiber, twist, monkeypatch):
+    # the factor route of plain and diagonal flat complexes against the
+    # dense route, on tori and on Dirichlet and mixed boxes
+    pg = ProductGrid(_box(*shape), fiber_dim=fiber)
+    c = plain_complex(pg) if twist == "plain" else _winding(pg, np.eye(fiber))
+    assert c._factors is not None
+    _assert_matches_the_dense_route(c, monkeypatch)
+    basis = harmonic_space(c, 0).basis
+    if twist == "winding" and basis.size:
+        # no harmonic zero-form is constant along the fiber
+        assert np.abs(basis.reshape(pg.nnodes, fiber, -1).sum(axis=0)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [((8, 6), "pp"), ((6, 5), "dp")])
+def test_mixed_winding_takes_the_dense_route(shape, monkeypatch):
+    # a fixed unitary leaves the winding generator non-diagonal, so the
+    # family keeps its dense operators
+    pg = ProductGrid(_box(*shape), fiber_dim=2)
+    Q = np.linalg.qr(np.array([[1.0, 2.0j], [0.5, -1.0]]))[0]
+    c = _winding(pg, Q)
+    assert c._factors is None
+    _assert_matches_the_dense_route(c, monkeypatch)
+
+
+@pytest.mark.parametrize("shape", [((8, 6), "pp"), ((5, 5, 6), "ppp"), ((7, 6), "dp")])
 def test_per_mode_route_with_no_harmonic_forms(shape):
-    # a real generator gives the flat sections a monodromy exp(0.7 T) != 1:
-    # no mode has a null block, and every degree reports dimension 0
-    pg = ProductGrid(tuple(Grid1D.periodic(0.0, 1.0 + 0.5 * a, n)
-                           for a, n in enumerate(shape)), fiber_dim=1)
+    # a real generator gives the flat sections a monodromy exp(0.7 T) != 1
+    # on a periodic axis, and a Dirichlet axis kills everything: no block
+    # is null, and every degree reports dimension 0
+    pg = ProductGrid(_box(*shape), fiber_dim=1)
     c = flat_complex(pg, [np.diag([0.7])] * pg.ndim)
-    assert c._symbols is not None
+    assert c._factors is not None
     for k in range(pg.ndim + 1):
         rep = harmonic_space(c, k)
         proj, spectrum = _dense_harmonic(c, k)
@@ -262,21 +284,46 @@ def test_per_mode_route_with_no_harmonic_forms(shape):
         assert np.abs(rep.singular_values - spectrum).max() <= 1e-13 * spectrum.max()
 
 
+@pytest.mark.parametrize("boundaries", ["pp", "dp", "pd", "dd"])
+@pytest.mark.parametrize("fiber", [1, 2])
+def test_separable_complexes_build_factor_blocks(boundaries, fiber):
+    # plain and diagonal flat complexes keep their 1-D factors on every box:
+    # one 1 x 1 block per node and fiber component, holding a singular value
+    # of the axis factor D_a - alpha 1
+    pg = ProductGrid(_box((6, 5), boundaries), fiber_dim=fiber)
+    gens = [np.diag([0.0, 0.7][:fiber]), np.diag([0.31, 0.0][:fiber])]
+    for c in (plain_complex(pg), flat_complex(pg, gens)):
+        for a, (B, blocks) in enumerate(zip(c._factors, c._blocks)):
+            # the factors, lifted to the nodes and the fiber, are the dense
+            # axis operators entry for entry
+            lift = sum(np.kron(np.kron(np.kron(np.eye(math.prod(pg.shape[:a])), B[u]),
+                                       np.eye(math.prod(pg.shape[a + 1:]))),
+                               np.diag(np.eye(fiber)[u]))
+                       for u in range(fiber))
+            assert np.array_equal(lift, c.axis_mats[a])
+            assert blocks.shape == (pg.total_dim, 1, 1)
+            per_axis = np.moveaxis(blocks.reshape(pg.shape + (fiber,)), a, 0)
+            for u in range(fiber):
+                s = np.linalg.svd(B[u], compute_uv=False)
+                assert np.allclose(per_axis[..., u].reshape(pg.shape[a], -1).T, s,
+                                   rtol=1e-14, atol=0.0)
+
+
 def test_non_invariant_family_takes_the_dense_route():
-    # a periodic plain family conjugated by a fixed orthogonal matrix that is
-    # not block circulant: the invariance residual fails, the dense route
-    # runs, and the unitarily equivalent Laplacians keep dimensions and spectra
+    # a plain family conjugated by a fixed orthogonal matrix, built by the
+    # caller: it has no factors, the dense route runs, and the unitarily
+    # equivalent Laplacians keep dimensions and spectra
     pg = _torus(6, 5)
     plain = plain_complex(pg)
     Q = np.linalg.qr(np.random.default_rng(11).standard_normal((pg.total_dim,) * 2))[0]
     c = GenComplex(pg, [Q @ M @ Q.T for M in plain.axis_mats])
-    assert plain._symbols is not None and c._symbols is None
+    assert plain._factors is not None and c._factors is None
     for k in range(3):
         rep, ref = harmonic_space(c, k), harmonic_space(plain, k)
         assert rep.dim == ref.dim == (1, 2, 1)[k]
         s = ref.singular_values
         assert np.abs(rep.singular_values - s).max() <= 1e-13 * s.max()
-        assert np.isrealobj(rep.basis)
+        assert np.isrealobj(rep.basis) and np.isrealobj(ref.basis)
         # the single dense block keeps the bits of the dense reference
         w, null = _dense_eigh(c, k)
         assert rep.singular_values.tobytes() == np.sort(w).tobytes()
@@ -301,9 +348,12 @@ def test_trivial_generators_double_everything():
 
 @pytest.mark.parametrize("gens", [[np.zeros((2, 3))] * 2,
                                   [np.zeros((2, 2)), np.zeros((3, 3))],
-                                  [np.zeros(2)] * 2])
+                                  [np.zeros(2)] * 2,
+                                  [np.diag([np.inf, 0.0]), np.zeros((2, 2))],
+                                  [np.zeros((2, 2)), np.diag([np.nan, 0.0])]])
 def test_generators_are_checked_once(gens):
-    # flat_dimension took the rows of a (2, 3) generator for a kernel of 2
+    # flat_dimension took the rows of a (2, 3) generator for a kernel of 2;
+    # an infinite generator warned in expm, and flat_section passed a NaN
     pg = _torus(5, 6, fiber=2)
     shapes = str([np.shape(A) for A in gens])
     calls = {"flat_dimension": lambda: flat_dimension(gens),

@@ -62,6 +62,14 @@ def test_kernel_shapes_are_named(shape):
     for solve in (gk_factorize, glm_solve):
         with pytest.raises(DiscretizationError, match=re.escape(str(shape))):
             solve(np.zeros(shape))
+    with pytest.raises(DiscretizationError, match=re.escape(str(shape))):
+        glm_residual(*[np.zeros(shape)] * 3)
+
+
+def test_glm_residual_names_mismatched_shapes():
+    # numpy's broadcast ValueError used to end this
+    with pytest.raises(DiscretizationError, match=re.escape("[(4, 4), (5, 5), (4, 4)]")):
+        glm_residual(np.eye(4), np.eye(5), np.eye(4))
 
 
 def test_interior_singular_minor_index():

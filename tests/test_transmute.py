@@ -191,7 +191,6 @@ def test_dressing_data_is_exact_on_soliton_operators(kappa, half_width, n, m):
                                atol=1e-12)
     assert adj.volterra_defect() == 0.0
     kops = [datak.operator(s) for s in "+-"] + [datak.inverse(s) for s in "+-"]
-    kops.append(datak.adjoint())
     assert all(op.volterra_defect() == 0.0 for op in kops)
     np.testing.assert_allclose(kops[2].matrix() @ kops[1].matrix(),
                                eye + datak.Phi, atol=1e-12)
@@ -491,6 +490,9 @@ def test_locality_check_needs_an_interior_row():
     # there is no mass to measure; 0.0 would pass any threshold
     with pytest.raises(DiscretizationError, match="no interior rows"):
         locality_check(np.ones((6, 6)), bandwidth=1)
+    # a vector is not an operator: named, not numpy's IndexError
+    with pytest.raises(DiscretizationError, match=re.escape("got shape (10,)")):
+        locality_check(np.ones(10), 1)
     # one interior row: rows 0-2 and 4-6 are edges, row 3 keeps |j - 3| <= 1
     A = np.ones((7, 7))
     assert locality_check(A, bandwidth=1) == pytest.approx(2.0 / np.sqrt(7.0), rel=1e-15)
@@ -516,10 +518,13 @@ def test_independence_gap_nonzero_for_one_sided_family():
 
 
 def test_adjoint_compatibility_both_kinds():
+    # family data builds its adjoint factor from the left family; kernel
+    # data has none, and is named rather than measured
     _, _, _, data = _family_data()
     assert adjoint_compat_check(data) < 1e-12
     _, _, datak = _kernel_data()
-    assert adjoint_compat_check(datak) < 1e-12
+    with pytest.raises(DiscretizationError, match="needs TransmutationData, got KernelData"):
+        adjoint_compat_check(datak)
 
 
 def test_transform_family_preserves_commutators():
@@ -597,13 +602,13 @@ def test_real_pair_factor_stays_real():
 
 
 def _factors(data):
-    """Every factor the data builds; family data adds its streamed action."""
+    """Every factor the data builds; family data adds its adjoint factor
+    and its streamed action."""
     ops = [data.operator(s) for s in "+-"]
     ops += [data.inverse(s) for s in "+-"]
-    ops.append(data.adjoint())
-    mats = [op.matrix() for op in ops]
     if isinstance(data, KernelData):
-        return mats
+        return [op.matrix() for op in ops]
+    mats = [op.matrix() for op in ops + [data.adjoint()]]
     f = np.linspace(1.0, 2.0, data.L.shape[0])
     return mats + [data.apply(f, s) for s in "+-"]
 
