@@ -1,6 +1,9 @@
 """Fixtures shared across test modules."""
 
+import concurrent.futures
 import copy
+import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,10 +11,33 @@ from delsarte import acceptance
 
 
 @pytest.fixture(scope="session")
-def verify_battery():
-    """One run of the verify battery at seed 0, for the tests that only
-    read its rows; ``test_verify_report_determinism`` still runs it twice."""
-    return acceptance.run_all(seed=0)
+def battery_run():
+    """One run of the verify battery at seed 0, with what it leaves behind:
+    ``rows`` is its result, ``submitted`` every callable it handed a thread
+    pool, ``threads_before`` and ``threads_after`` the live thread counts
+    around the call.  The pool is a recording subclass and otherwise the
+    library's own."""
+    submitted = []
+
+    class Recording(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        before = threading.active_count()
+        rows = acceptance.run_all(seed=0)
+        after = threading.active_count()
+    return SimpleNamespace(rows=rows, submitted=submitted,
+                           threads_before=before, threads_after=after)
+
+
+@pytest.fixture(scope="session")
+def verify_battery(battery_run):
+    """The rows of the shared battery run, for the tests that only read
+    them; ``test_verify_report_determinism`` still runs it twice."""
+    return battery_run.rows
 
 
 @pytest.fixture

@@ -63,6 +63,11 @@ def test_criterion_3_alone_matches_the_battery(verify_battery):
     assert inside == alone
 
 
+def test_run_all_leaves_no_thread(battery_run):
+    # the battery joins its worker and leaves no thread behind
+    assert battery_run.threads_after == battery_run.threads_before
+
+
 def test_failed_criterion_joins_the_oracle(monkeypatch):
     # a criterion that raises while the oracle runs: the error propagates
     # only after the worker has finished, and no thread is left

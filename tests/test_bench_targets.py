@@ -6,18 +6,16 @@ this suite does not run.  The names are read from ``bench/run.py`` with
 ``ast`` and resolved the way ``Tracer.install`` in ``bench/tracer.py``
 resolves them.  Nothing under ``bench/`` is written.  The tracer keeps one
 span stack per process, so the verify battery's worker thread may run no
-traced function either, and it must be gone once the battery returns.
+traced function either; the recording comes from the session's shared
+battery run in ``conftest.py``.
 """
 
 import ast
-import concurrent.futures
 import importlib
 import importlib.util
 import sys
-import threading
 from pathlib import Path
 
-from delsarte import acceptance
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TARGET_PARTS = ("LAYER_FUNCTIONS", "CRITERIA", "TRACE_TARGETS")
@@ -63,22 +61,11 @@ def test_ladder_imports(monkeypatch):
     assert callable(ladder.run_ladders)
 
 
-def test_run_all_hands_its_pool_no_traced_function(monkeypatch):
+def test_run_all_hands_its_pool_no_traced_function(battery_run):
     # the tracer keeps one span stack per process and times CPU with
     # process_time: a traced call in verify's worker thread would nest its
     # span under whatever span the main thread has open
-    submitted = []
-
-    class Recording(concurrent.futures.ThreadPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            submitted.append(fn)
-            return super().submit(fn, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-    before = threading.active_count()
-    acceptance.run_all(seed=0)
-    # the battery joins its worker and leaves no thread behind
-    assert threading.active_count() == before
+    submitted = battery_run.submitted
     traced = {getattr(raw, "__func__", raw) for raw in map(_resolve, _trace_targets())}
     assert submitted
     for fn in submitted:
