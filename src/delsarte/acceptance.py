@@ -33,7 +33,7 @@ from .factorize import (break_relation_defect, gk_factorize, glm_residual,
                         glm_solve, random_unit_minor)
 from .grid_ops import DiffOp, Grid1D, ProductGrid, _operator_product, inner
 from .lagrange import FormField, SurfaceRegion, d_matrix, divergence_residual
-from .spectral import (congruence_residual, eigensolve, elementary_kernel,
+from .spectral import (_two_norm, congruence_residual, eigensolve, elementary_kernel,
                        kernel_from_measure, nearest_indices,
                        projection_measure)
 from .transmute import (KernelData, TransmutationData, adjoint_compat_check,
@@ -393,7 +393,7 @@ def criterion_6() -> list:
     lam5 = complex(fam.lambdas[5])
     Z = elementary_kernel(fam, lam5)
     cong = float(np.linalg.norm(A @ Z - lam5 * Z)
-                 / (np.linalg.norm(Z) * np.linalg.norm(A, 2)))
+                 / (np.linalg.norm(Z) * _two_norm(A)))
     comm = congruence_residual(Z, A, A)
 
     K = kernel_from_measure(fam, lambda lam: 1.0 / (1.0 + lam))

@@ -148,8 +148,23 @@ def plain_complex(grid: ProductGrid) -> GenComplex:
 
 def _matched_generator(g: Grid1D, A: np.ndarray) -> np.ndarray:
     """(exp(h A) - 1)/h: the fiber generator whose flat sections are the
-    sampled continuum flat sections, exactly."""
-    return (scipy.linalg.expm(g.h * A) - np.eye(A.shape[0])) / g.h
+    sampled continuum flat sections, exactly; not finite, without a
+    warning, where exp(h A) overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (scipy.linalg.expm(g.h * A) - np.eye(A.shape[0])) / g.h
+
+
+def _finite_matched_generator(what: str, grid: ProductGrid, axis: int,
+                              A: np.ndarray) -> np.ndarray:
+    """:func:`_matched_generator` of one axis of ``grid``, after checking that
+    it is finite; raises :class:`DiscretizationError` naming the axis and h A."""
+    g = grid.axes[axis]
+    E = _matched_generator(g, A)
+    if not np.isfinite(E).all():
+        raise DiscretizationError(
+            f"{what}: the matched generator of axis {axis} overflows, "
+            f"max |h A| = {g.h * np.max(np.abs(A)):.4g}")
+    return E
 
 
 def _fiber_generators(what: str, generators: list) -> list:
@@ -180,7 +195,7 @@ def flat_complex(grid: ProductGrid, generators: list) -> GenComplex:
         raise DiscretizationError(
             f"flat_complex needs {grid.ndim} generators of shape ({N}, {N}), "
             f"got {[A.shape for A in gens]}")
-    eff = [_matched_generator(g, A) for g, A in zip(grid.axes, gens)]
+    eff = [_finite_matched_generator("flat_complex", grid, a, A) for a, A in enumerate(gens)]
     mats = [forward_diff_matrix(grid, a) - np.kron(np.eye(grid.nnodes), E)
             for a, E in enumerate(eff)]
     diagonal = all(np.array_equal(E, np.diag(np.diag(E))) for E in eff)
@@ -190,7 +205,7 @@ def flat_complex(grid: ProductGrid, generators: list) -> GenComplex:
 
 def _march(what: str, grid: ProductGrid, gens: list, v0: np.ndarray, step) -> np.ndarray:
     """Nodal section v(i) = S_{r-1}^(i_{r-1}) ... S_0^(i_0) v0 for the axis
-    steps S_a = step(axis a, gens[a]), i.e. v(i + e_a) = S_a v(i) from
+    steps S_a = step(a, gens[a]), i.e. v(i + e_a) = S_a v(i) from
     v(0) = v0: each axis's step powers applied to the section of the axes
     before it in one product."""
     N, out = grid.fiber_dim, np.asarray(v0, dtype=complex)
@@ -198,9 +213,9 @@ def _march(what: str, grid: ProductGrid, gens: list, v0: np.ndarray, step) -> np
         raise DiscretizationError(
             f"{what} needs {grid.ndim} generators of shape ({N}, {N}) and a start "
             f"vector of shape ({N},), got {[A.shape for A in gens]} and {out.shape}")
-    for g, A in zip(grid.axes, gens):
-        S = step(g, A)
-        powers = np.stack([np.linalg.matrix_power(S, i) for i in range(g.n)])
+    for a, A in enumerate(gens):
+        S = step(a, A)
+        powers = np.stack([np.linalg.matrix_power(S, i) for i in range(grid.axes[a].n)])
         out = np.einsum("iuv,...v->...iu", powers, out)
     return out
 
@@ -208,7 +223,7 @@ def _march(what: str, grid: ProductGrid, gens: list, v0: np.ndarray, step) -> np
 def flat_section(grid: ProductGrid, generators: list, v0: np.ndarray) -> np.ndarray:
     """Sample t -> exp(t_1 A_1) ... exp(t_r A_r) v0 on the nodes."""
     return _march("flat_section", grid, _fiber_generators("flat_section", generators),
-                  v0, lambda g, A: scipy.linalg.expm(g.h * A))
+                  v0, lambda a, A: scipy.linalg.expm(grid.axes[a].h * A))
 
 
 def dual_flat_section(grid: ProductGrid, generators: list, w0: np.ndarray) -> np.ndarray:
@@ -219,8 +234,9 @@ def dual_flat_section(grid: ProductGrid, generators: list, w0: np.ndarray) -> np
     solves (D_j - Aeff_j)^* phi = 0 exactly on inner nodes; with the matched
     generator Aeff_j the step matrix is exp(-h A_j^*).
     """
-    def step(g, A):
-        return np.linalg.inv(np.eye(len(A)) + g.h * _matched_generator(g, A).conj().T)
+    def step(a, A):
+        E = _finite_matched_generator("dual_flat_section", grid, a, A)
+        return np.linalg.inv(np.eye(len(A)) + grid.axes[a].h * E.conj().T)
     return _march("dual_flat_section", grid,
                   _fiber_generators("dual_flat_section", generators), w0, step)
 

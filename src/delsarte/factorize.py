@@ -14,7 +14,7 @@ order p, factor Phi[p][:, p] and scatter the kernels back with the inverse
 permutation.
 
 Besides the elimination the module carries the layer-stripping route, the
-discrete GLM equation, which sweeps the chain one row of K_plus per step.
+discrete GLM equation, which sweeps the chain in blocks of rows of K_plus.
 Both take one kernel (n, n) or a stack (B, n, n) in lockstep.
 """
 
@@ -55,7 +55,7 @@ class TriangularPair:
 
 
 
-_LDU_BLOCK = 64  # order of the diagonal blocks eliminated by rank-one updates
+_LDU_BLOCK = 64  # order of the diagonal blocks of the elimination and of the GLM sweep
 
 
 def _in_stack(bad: np.ndarray) -> str:
@@ -204,27 +204,80 @@ def gk_factorize(Phi: np.ndarray) -> TriangularPair:
                           residual if residual.ndim else float(residual))
 
 
-def _glm_sweep(Phi: np.ndarray) -> np.ndarray:
-    """K_plus of the GLM equation in one O(n^3) sweep along the chain.
+def _check_rows(finite: np.ndarray, piv: np.ndarray, tiny: np.ndarray, i0: int) -> None:
+    """Raise the sweep's error at the first of rows i0, i0 + 1, ... (the last
+    axis of ``finite`` and ``piv``) where a kernel's row of K_plus went
+    non-finite or its pivot is bad; a row's overflow comes before its
+    pivot, as a check after every row would find them."""
+    a = np.abs(piv)
+    if (ok := finite & (a < np.inf) & (a > tiny[..., None])).all():
+        return
+    r = int(np.argmin(ok.reshape(-1, ok.shape[-1]).all(axis=0)))
+    if not finite[..., r].all():
+        raise SingularMinorError(
+            i0 + r, f"row {i0 + r} elimination overflowed{_in_stack(~finite[..., r])}")
+    _check_pivot(piv[..., r], tiny, i0 + r)
 
-    Row i is -Phi[i, :i] M_i^{-1} (M_i the leading block of M = 1 + Phi) and
-    M_i^{-1} = V_i (1 + K_plus)_i, V_i = U_i^{-1} for the upper triangular
-    U = (1 + K_plus) M; V gains column i from U's column i at step i.  Each
-    product is one ``einsum`` for a whole stack, so a kernel keeps its bits.
+
+def _glm_rows(S: np.ndarray, K: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The row sweep of one diagonal block, in place; returns its pivots.
+
+    S is the block's Schur complement of 1 + Phi, minus 1; K and V are
+    views of the block's part of K_plus and V.  Row r of K is
+    -S[r, :r] (1 + S)_r^{-1}, with (1 + S)_r^{-1} = V_r (1 + K)_r, and V
+    gains column r from column r of the upper triangular (1 + K)(1 + S)
+    and its pivot.  Nothing is checked here: a bad row only spoils the
+    rows after it, which :func:`_check_rows` never reaches.
     """
-    tiny = _pivot_floor(np.eye(Phi.shape[-1]) + Phi)
+    piv = np.empty(S.shape[:-1], S.dtype)
+    for r in range(S.shape[-1]):
+        w = S[..., r:r + 1, :r] @ V[..., :r, :r]
+        K[..., r:r + 1, :r] = -(w + w @ K[..., :r, :r])
+        # column r of (1 + K)(1 + S); only its pivot holds the 1 of 1 + S
+        u = S[..., :r + 1, r:r + 1] + K[..., :r + 1, :r] @ S[..., :r, r:r + 1]
+        piv[..., r] = p = u[..., r, 0] + 1.0
+        V[..., :r, r:r + 1] = -(V[..., :r, :r] @ u[..., :r, :]) / p[..., None, None]
+        V[..., r, r] = 1.0 / p
+    return piv
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _glm_sweep(Phi: np.ndarray) -> np.ndarray:
+    """K_plus of the GLM equation in one blocked O(n^3) sweep along the chain.
+
+    U = (1 + K_plus) M is upper triangular for M = 1 + Phi, and its inverse V
+    holds the inverse of every leading block: M_H^{-1} = V_H (1 + K_plus)_H.
+    The rows run in blocks I of order ``_LDU_BLOCK``, after the rows H
+    before them.  G = Phi[I, H] M_H^{-1} and the Schur complement of M_H,
+    1 + S with S = Phi[I, I] - G Phi[H, I], are matrix products;
+    :func:`_glm_rows` sweeps S row by row for the diagonal blocks of K_plus
+    and V; then K[I, H] = -(1 + K[I, I]) G, and
+    V[H, I] = -V_H U[H, I] V[I, I] with U[H, I] = (1 + K_plus)_H Phi[H, I].
+    A kernel up to the block order is a single block.  Beside K_plus and V
+    the sweep holds O(n _LDU_BLOCK) entries per kernel.  Each product is one
+    ``matmul`` for a whole stack, so a kernel keeps the bits it gets alone.
+    Each block's rows and pivots are checked before the next block starts
+    (:func:`_check_rows`), every pivot against the floor of its whole
+    matrix, so the first bad leading minor or non-finite row raises,
+    without a warning, naming the row and, in a stack, the kernel.
+    """
+    n = Phi.shape[-1]
+    tiny = _pivot_floor(np.eye(n) + Phi)
     K, V = (np.zeros(Phi.shape, np.result_type(Phi, float)) for _ in range(2))
-    for i in range(Phi.shape[-1]):
-        w = np.einsum("...j,...jk->...k", Phi[..., i, :i], V[..., :i, :i])
-        k = -(w + np.einsum("...j,...jk->...k", w, K[..., :i, :i]))
-        if not (finite := np.isfinite(k).all(axis=-1)).all():
-            raise SingularMinorError(i, f"row {i} elimination overflowed{_in_stack(~finite)}")
-        K[..., i, :i] = k
-        # U[:i+1, i] = M[:i+1, i] + K[:i+1, :i] M[:i, i]; only U[i, i] holds M's 1
-        u = Phi[..., :i + 1, i] + np.einsum("...jk,...k->...j", K[..., :i + 1, :i], Phi[..., :i, i])
-        p = _check_pivot(u[..., i] + 1.0, tiny, i)
-        V[..., :i, i] = -np.einsum("...jk,...k->...j", V[..., :i, :i], u[..., :i]) / p[..., None]
-        V[..., i, i] = 1.0 / p
+    for i0 in range(0, n, _LDU_BLOCK):
+        I, H = slice(i0, min(i0 + _LDU_BLOCK, n)), slice(0, i0)
+        W = Phi[..., I, H] @ V[..., H, H]
+        G = W + W @ K[..., H, H]
+        piv = _glm_rows(Phi[..., I, I] - G @ Phi[..., H, I], K[..., I, I], V[..., I, I])
+        # a non-finite row of G leaves its row of K[I, H] non-finite; the
+        # product takes G only up to it, since the zeros above the diagonal
+        # of K[I, I] would carry its NaN into the rows before it
+        G_ok = np.logical_and.accumulate(np.isfinite(G).all(axis=-1), axis=-1)
+        K[..., I, H] = -(G + K[..., I, I] @ np.where(G_ok[..., None], G, 0.0))
+        _check_rows(np.isfinite(K[..., I, :I.stop]).all(axis=-1), piv, tiny, i0)
+        if I.stop < n:  # only the blocks after I read V[H, I]
+            U = Phi[..., H, I] + K[..., H, H] @ Phi[..., H, I]
+            V[..., H, I] = -(V[..., H, H] @ U) @ V[..., I, I]
     return K
 
 
@@ -233,9 +286,13 @@ def glm_solve(Phi: np.ndarray):
 
     Row i of K_plus is the strictly-lower row that clears the strictly lower
     part of the left side; K_minus is the upper remainder, diagonal included.
-    ``Phi`` is one kernel (n, n) or a stack (B, n, n) swept in lockstep, each
-    kernel keeping its bits; real for a real Phi.  Raises DiscretizationError
-    on a non-square kernel and SingularMinorError where gk_factorize does.
+    K_plus comes from the blocked sweep of :func:`_glm_sweep`: row sweeps on
+    the diagonal blocks of order ``_LDU_BLOCK``, matrix products beside
+    them, and O(n _LDU_BLOCK) temporaries beside K_plus and V.  ``Phi`` is
+    one kernel (n, n) or a stack (B, n, n) swept in lockstep, each kernel
+    keeping its bits; real for a real Phi.  Raises DiscretizationError on a
+    non-square kernel and SingularMinorError where gk_factorize does, and
+    at the first row that overflows.
     """
     Phi = _square_kernels(Phi)
     K = _glm_sweep(Phi)

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DefectiveFamilyError, DiscretizationError, EmptyBandError
-from .grid_ops import _as_matrix, _band_matvec, _upper_band
+from .grid_ops import _BAND_PRODUCT_WIDTH, _as_matrix, _band_matvec, _upper_band
 
 __all__ = [
     "EigenFamily",
@@ -230,11 +230,27 @@ def kernel_from_measure(fam: EigenFamily, weight_fn) -> np.ndarray:
     return (fam.right * vals[None, :]) @ (fam.left.conj().T * fam.weights[None, :])
 
 
+def _two_norm(A: np.ndarray) -> float:
+    """||A||_2 of a square operator matrix.  A Hermitian A of half-bandwidth
+    at most ``_BAND_PRODUCT_WIDTH`` (tridiagonal) takes it from the two
+    extreme eigenvalues of its band; any other A, which
+    :func:`_upper_band` refuses or which is not Hermitian, from the dense
+    SVD."""
+    ab = _upper_band(A, _BAND_PRODUCT_WIDTH)
+    if ab is None or not np.array_equal(A, A.conj().T):
+        return float(np.linalg.norm(A, 2))
+    ends = [scipy.linalg.eig_banded(ab, eigvals_only=True, select="i",
+                                    select_range=(k, k), check_finite=False)
+            for k in (0, ab.shape[1] - 1)]
+    return float(max(abs(e[0]) for e in ends))
+
+
 def congruence_residual(K, Ltil, L) -> float:
-    """|| Ltil K - K L ||_F normalized by ||K||_F max(||L||, ||Ltil||)."""
+    """|| Ltil K - K L ||_F normalized by ||K||_F max(||L||_2, ||Ltil||_2),
+    each 2-norm from :func:`_two_norm`."""
     Km = _as_matrix(K)
     Lm, Tm = _as_matrix(L), _as_matrix(Ltil)
-    denom = np.linalg.norm(Km) * max(np.linalg.norm(Lm, 2), np.linalg.norm(Tm, 2))
+    denom = np.linalg.norm(Km) * max(_two_norm(Lm), _two_norm(Tm))
     if denom == 0.0:
         return 0.0
     return float(np.linalg.norm(Tm @ Km - Km @ Lm) / denom)

@@ -3,6 +3,7 @@ decomposition, flat families, and period matrices."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,28 @@ def test_non_commuting_flat_family_is_rejected_on_the_dense_route():
     dense = np.linalg.norm(A @ B - B @ A)
     with pytest.raises(NonCommutingFamilyError, match=re.escape(f"residual {dense:.3e} ")):
         flat_complex(pg, gens)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_overflowing_matched_generator_is_named(axis):
+    # diag(1e4, 0) on the unit axis of 6 nodes has h A = 1667, and exp(h A)
+    # overflows; the complex's guard would only see NaN residuals
+    pg = ProductGrid((Grid1D.periodic(0.0, 1.0, 6), Grid1D.periodic(0.0, 1.0, 6)),
+                     fiber_dim=2)
+    gens = [np.zeros((2, 2)), np.zeros((2, 2))]
+    gens[axis] = np.diag([1e4, 0.0])
+    for name, call in (("flat_complex", lambda: flat_complex(pg, gens)),
+                       ("dual_flat_section",
+                        lambda: dual_flat_section(pg, gens, np.ones(2)))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DiscretizationError, match=re.escape(
+                    f"{name}: the matched generator of axis {axis} overflows, "
+                    f"max |h A| = 1667")):
+                call()
+    # a large h A whose exponential is representable builds as before
+    gens[axis] = np.diag([6 * 30.0, 0.0])
+    assert flat_complex(pg, gens).grid is pg
 
 
 @pytest.mark.parametrize("degree", [-1, 3, 5])

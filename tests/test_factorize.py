@@ -300,6 +300,43 @@ def test_overflowing_panel_is_a_singular_minor():
     assert err.value.index == 65
 
 
+@pytest.mark.parametrize("row, entries", [
+    (64, {(64, 0): 1e9}),                   # the block's first row, left of it
+    (70, {(70, 0): 1e9}),                   # a later row of the block
+    (65, {(64, 0): 1e8, (65, 64): 10.0}),   # finite parts, overflowing product
+])
+def test_overflowing_glm_row_in_a_later_block_is_named(row, entries):
+    # M = 1 + 1e6 N on the leading 51 x 51 block (N strictly upper ones) has
+    # an inverse of order 1e300, still finite; the rows of the sweep's second
+    # block that take a large multiple of its first row overflow
+    n = 2 * factorize._LDU_BLOCK + 2
+    Phi = np.zeros((n, n))
+    Phi[:51, :51] = 1e6 * np.triu(np.ones((51, 51)), 1)
+    for ij, value in entries.items():
+        Phi[ij] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMinorError,
+                           match=f"row {row} elimination overflowed$") as err:
+            glm_solve(Phi)
+        assert err.value.index == row
+        with pytest.raises(SingularMinorError,
+                           match=f"row {row} elimination overflowed of kernel 1 in the stack"):
+            glm_solve(np.stack([np.zeros((n, n)), Phi]))
+    # the rows before it are finite across the block edge
+    assert np.isfinite(glm_solve(Phi[:row, :row])[0]).all()
+
+
+@pytest.mark.parametrize("j", [63, 64, 65, 127, 128, 129])
+def test_glm_leading_block_is_the_leading_kernels_glm(j):
+    # row i of K_plus sees only the leading (i + 1) x (i + 1) block of Phi,
+    # so cutting the kernel on either side of a block edge cuts K_plus
+    n = 2 * factorize._LDU_BLOCK + 20
+    Phi = random_unit_minor(n, np.random.default_rng(j), 0.3 / np.sqrt(n))
+    got, want = glm_solve(Phi)[0][:j, :j], glm_solve(Phi[:j, :j])[0]
+    assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0)
+
+
 def test_glm_dtype_follows_phi():
     Phi = random_unit_minor(20, np.random.default_rng(4))
     for data, dtype in ((Phi, np.float64), (Phi.astype(complex), np.complex128)):
@@ -391,7 +428,7 @@ def test_stack_factors_each_kernel_as_alone(count, n, scale, complex_kernels, se
                 np.testing.assert_array_equal(got, want if single else want[0])
 
 
-@pytest.mark.parametrize("k", [5, 70])
+@pytest.mark.parametrize("k", [5, 70, factorize._LDU_BLOCK, factorize._LDU_BLOCK + 1])
 def test_stack_names_the_singular_kernel(k):
     rng = np.random.default_rng(k)
     n = 80

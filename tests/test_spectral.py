@@ -17,6 +17,7 @@ from delsarte import (DefectiveFamilyError, DiffOp, DiscretizationError,
                       discretize, eigensolve, elementary_kernel,
                       kernel_from_measure, projection_measure)
 from delsarte.grid_ops import _band_matvec, _upper_band
+from delsarte.spectral import _two_norm
 
 
 def _dirichlet_laplacian(n=40, length=np.pi):
@@ -298,6 +299,35 @@ def test_band_products_match_dense_products():
         V = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
         np.testing.assert_allclose(_band_matvec(ab, V), M @ V, rtol=1e-13)
         np.testing.assert_allclose(_band_matvec(ab, V[:, 0]), M @ V[:, 0], rtol=1e-13)
+
+
+def test_two_norm_of_a_tridiagonal_operator_comes_from_its_band(monkeypatch):
+    # a Hermitian tridiagonal operator's 2-norm is its largest |eigenvalue|,
+    # read from the band; a wider, periodic or non-Hermitian operator keeps
+    # the dense SVD, bit for bit
+    rng = np.random.default_rng(6)
+    _, L = _dirichlet_laplacian(60)
+    T = L.A + np.diag(rng.standard_normal(60))
+    H = T + 1j * (np.diag(np.full(59, 2.0), 1) - np.diag(np.full(59, 2.0), -1))
+    periodic = ProductGrid.line(Grid1D.periodic(0.0, 1.0, 30))
+    dense = [T + np.diag(np.ones(58), 2) + np.diag(np.ones(58), -2),
+             T + np.diag(np.ones(59), 1),
+             discretize(DiffOp(periodic, {(2,): -1.0})).A,
+             rng.standard_normal((7, 7))]
+    want = [np.linalg.norm(M, 2) for M in (T, -T, H, 0 * T)]
+    for M in dense:
+        assert _two_norm(M) == np.linalg.norm(M, 2)
+    norm = np.linalg.norm
+
+    def frobenius_only(x, ord=None, *args, **kw):
+        if ord is not None:
+            raise AssertionError("dense 2-norm of a tridiagonal operator")
+        return norm(x, ord, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "norm", frobenius_only)
+    for M, w in zip((T, -T, H, 0 * T), want):
+        assert abs(_two_norm(M) - w) <= 1e-14 * max(w, 1.0)
+    assert congruence_residual(np.eye(60), T, T) == 0.0
 
 
 def _eig_banded_calls(tree):
