@@ -150,9 +150,11 @@ def darboux_check(domain, n: int, kappa: float, parity: str = "even",
 
 def pair_conjugation_rows(L: np.ndarray, T: np.ndarray, grid: Grid1D,
                           cond_guard: float = 1e10):
-    """Conjugate L by the pair intertwiner of (L, T); returns (rows, factor)."""
+    """Conjugate L by the pair intertwiner of (L, T); returns (rows, factor).
+
+    The conjugate is dropped once its rows are read, before the factor's
+    matrix is assembled for the intertwining residual."""
     om = pair_intertwiner(L, T, "+", grid=grid)
-    M = om.matrix()
     Ltil = transform_operator(L, om, cond_guard=cond_guard)
     n = grid.n
     # the marching closure dumps its whole defect into the final row
@@ -160,11 +162,13 @@ def pair_conjugation_rows(L: np.ndarray, T: np.ndarray, grid: Grid1D,
         _row("interior_rows_match",
              float(np.max(np.abs(Ltil[: n - 1] - T[: n - 1]))), 1e-6),
         _row("offband_ratio", locality_check(Ltil, bandwidth=1), 1e-6),
-        _row("intertwining_residual",
-             float(np.linalg.norm((_operator_product(L, M, right=True)
-                                   - _operator_product(T, M))[: n - 1])
-                   / (np.linalg.norm(M) * np.linalg.norm(L))), 1e-9),
     ]
+    del Ltil
+    M = om.matrix()
+    rows.append(_row("intertwining_residual",
+                     float(np.linalg.norm((_operator_product(L, M, right=True)
+                                           - _operator_product(T, M))[: n - 1])
+                           / (np.linalg.norm(M) * np.linalg.norm(L))), 1e-9))
     return rows, om
 
 
@@ -190,11 +194,18 @@ def transmute_check(domain, n: int, kappa: float, center: float = 0.0,
     """Both dressing operators with the full diagnostic battery; arrays
     ``x`` (nodes), ``pair_kernel`` and ``family_generators``, the family's
     plus kernel as its (n, 2m) generators [U | C] with
-    K_+ = -tril(U C^T, -1)."""
+    K_+ = -tril(U C^T, -1).
+
+    Each route's n x n arrays die with the route: the dressed operator T
+    after the pair rows, the family factor and its inverse after
+    ``inverse_kernel_exactness``, the kernel data (the kernel and its
+    factorization) after the sign rows, and every conjugate once its
+    norms are read.  Beside the base operator and the pair kernel, which
+    live throughout, a route holds a few n x n arrays at a time."""
     base, dressed = soliton_pair(domain, n, kappa, "even", center)
     g = base.grid
-    L, T = base.matrix().A, dressed.operator.matrix().A
-    rows, om = pair_conjugation_rows(L, T, g)
+    L = base.matrix().A
+    rows, om = pair_conjugation_rows(L, dressed.operator.matrix().A, g)
     rows += [
         _row("pair_kernel_volterra",
              om.volterra_defect() / max(float(np.linalg.norm(om.kernel)), 1e-300),
@@ -204,13 +215,12 @@ def transmute_check(domain, n: int, kappa: float, center: float = 0.0,
     # family route on the base operator's own eigenvectors: exact inverses,
     # sign independence, adjoint compatibility
     data, datak = dressing_data(g, L, family_size)
-    plus = data.operator("+")
-    Minv = data.inverse("+").matrix()
+    exactness = float(np.linalg.norm(data.operator("+").matrix() @ data.inverse("+").matrix()
+                                     - np.eye(g.n)) / np.sqrt(g.n))
     gap, comm = independence_check(datak)
+    del datak
     rows += [
-        _row("inverse_kernel_exactness",
-             float(np.linalg.norm(plus.matrix() @ Minv - np.eye(g.n))
-                   / np.sqrt(g.n)), 1e-10),
+        _row("inverse_kernel_exactness", exactness, 1e-10),
         _row("sign_independence_gap", gap, 1e-8),
         _row("sign_commutation", comm, 1e-8),
         _row("adjoint_compatibility", adjoint_compat_check(data), 1e-9),
@@ -248,8 +258,8 @@ def _start_criterion_3(submit):
     oracle = submit(np.linalg.eigvals, transform_operator(Lm.A, om))
     # preservation needs the whole spectrum; the bound state and the drift
     # take the low end that spectrum_compare (so the darboux command) reads
-    return oracle, _band_eigvals(Lm), _compare_spectra(_low_spectrum(Lm),
-                                                       _low_spectrum(Tm))
+    return oracle, _band_eigvals(Lm), _compare_spectra(
+        _low_spectrum(Lm.to_banded()), _low_spectrum(Tm.to_banded()))
 
 
 def criterion_3(started=None) -> list:
@@ -267,8 +277,8 @@ def criterion_3(started=None) -> list:
     drifts = []
     for n, w in ((400, 20.0), (800, 40.0)):
         base, dressed = soliton_pair((-w, w), n)
-        pb = _low_spectrum(base.matrix())
-        pa = _low_spectrum(dressed.operator.matrix())
+        pb = _low_spectrum(base.to_banded())
+        pa = _low_spectrum(dressed.operator.to_banded())
         pb = pb[pb > 0.0][:8]
         pa = pa[pa > 0.0][:8]
         m = min(len(pa), len(pb))

@@ -26,7 +26,7 @@ import scipy.linalg
 
 from .errors import DiscretizationError, SeedNodeError
 from .grid_ops import (DiffOp, Grid1D, OperatorMatrix, ProductGrid,
-                       _band_matvec, discretize)
+                       _band_matvec, _stencil, discretize)
 
 __all__ = [
     "ExpPoly",
@@ -197,6 +197,23 @@ class SchrodingerOp:
         real potential."""
         return discretize(self.diffop())
 
+    def to_banded(self) -> np.ndarray:
+        """``matrix().to_banded()``, on a Dirichlet grid without the dense
+        matrix: the tridiagonal band is written from q and the 3-point
+        weights with the sums :func:`discretize` forms, in its order, so it
+        has the same bits.  A periodic grid's wrap entries make the band
+        the whole matrix, which is then assembled."""
+        op = self.diffop()
+        if self.grid.boundary != "dirichlet":
+            return discretize(op).to_banded()
+        _, (_, w0, w1) = _stencil(self.grid, 2, 2)
+        q, c = op.terms[(0,)][:, 0, 0], op.terms[(2,)][:, 0, 0]
+        ab = np.zeros((2, self.grid.n), np.result_type(*op.terms.values(), float))
+        ab[1] += q
+        ab[1] += c * w0
+        ab[0, 1:] += c[:-1] * w1
+        return ab
+
 
 @dataclass
 class DressingSeed:
@@ -260,7 +277,7 @@ def _check_seed(op: SchrodingerOp, seed: DressingSeed) -> None:
         raise DiscretizationError(
             f"grid of {op.grid.n} nodes has no interior rows for the seed "
             f"residual gate; at least {2 * w + 1} are needed")
-    ab = op.matrix().to_banded()
+    ab = op.to_banded()
     r = _band_matvec(ab, vals) - seed.stencil_energy() * vals
     res = np.max(np.abs(r[w:op.grid.n - w]))
     # ||L||_inf: the largest row sum of |L|
@@ -318,11 +335,10 @@ def _band_eigvals(A: OperatorMatrix) -> np.ndarray:
     return scipy.linalg.eig_banded(A.to_banded(), eigvals_only=True)
 
 
-def _low_spectrum(A: OperatorMatrix) -> np.ndarray:
-    """The ascending eigenvalues of a symmetric operator that
-    :func:`_compare_spectra` reads: every one <= 0 and the ``_N_LOW`` after
-    them (fewer on a smaller operator), selected from its band."""
-    ab = A.to_banded()
+def _low_spectrum(ab: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues of a symmetric operator, given by its
+    upper band ``ab``, that :func:`_compare_spectra` reads: every one <= 0
+    and the ``_N_LOW`` after them (fewer on a smaller operator)."""
     # Gershgorin lower bound a_ii - sum_{j != i} |a_ij|, moved down since
     # select='v' excludes its left end
     abs_rows = _band_matvec(np.abs(ab), np.ones(ab.shape[1]))
@@ -344,10 +360,11 @@ def spectrum_compare(before: SchrodingerOp, after: SchrodingerOp) -> dict:
     band over its lowest ``_N_LOW`` values.  Only those eigenvalues are
     computed: ``eig_banded`` on each banded symmetric discretization counts
     the ones <= 0 by value, then selects them and the next ``_N_LOW`` by
-    index.
+    index.  The bands come from :meth:`SchrodingerOp.to_banded`, so on a
+    Dirichlet grid no dense matrix is formed.
     """
-    return _compare_spectra(_low_spectrum(before.matrix()),
-                            _low_spectrum(after.matrix()))
+    return _compare_spectra(_low_spectrum(before.to_banded()),
+                            _low_spectrum(after.to_banded()))
 
 
 def _compare_spectra(lb: np.ndarray, la: np.ndarray) -> dict:

@@ -146,25 +146,59 @@ def plain_complex(grid: ProductGrid) -> GenComplex:
     return GenComplex(grid, mats, _factors=factors)
 
 
+def _step(g: Grid1D, A: np.ndarray) -> np.ndarray:
+    """exp(h A), the step of a flat section along the axis; not finite,
+    without a warning, where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return scipy.linalg.expm(g.h * A)
+
+
 def _matched_generator(g: Grid1D, A: np.ndarray) -> np.ndarray:
     """(exp(h A) - 1)/h: the fiber generator whose flat sections are the
     sampled continuum flat sections, exactly; not finite, without a
     warning, where exp(h A) overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return (scipy.linalg.expm(g.h * A) - np.eye(A.shape[0])) / g.h
+        return (_step(g, A) - np.eye(A.shape[0])) / g.h
 
 
-def _finite_matched_generator(what: str, grid: ProductGrid, axis: int,
-                              A: np.ndarray) -> np.ndarray:
-    """:func:`_matched_generator` of one axis of ``grid``, after checking that
-    it is finite; raises :class:`DiscretizationError` naming the axis and h A."""
-    g = grid.axes[axis]
-    E = _matched_generator(g, A)
-    if not np.isfinite(E).all():
-        raise DiscretizationError(
-            f"{what}: the matched generator of axis {axis} overflows, "
-            f"max |h A| = {g.h * np.max(np.abs(A)):.4g}")
-    return E
+def _overflow_error(what: str, grid: ProductGrid, axis: int, A: np.ndarray,
+                    part: str = "the matched generator") -> DiscretizationError:
+    """The error for an axis whose generator A overflows ``part``, naming
+    the caller, the axis and max |h A|."""
+    return DiscretizationError(
+        f"{what}: {part} of axis {axis} overflows, "
+        f"max |h A| = {grid.axes[axis].h * np.max(np.abs(A)):.4g}")
+
+
+def _finite(what: str, grid: ProductGrid, axis: int, A: np.ndarray,
+            X: np.ndarray) -> np.ndarray:
+    """X, the step or the matched generator of the generator A of one axis
+    of ``grid``, after checking that it is finite; raises
+    :class:`DiscretizationError` naming the axis and h A."""
+    if not np.isfinite(X).all():
+        raise _overflow_error(what, grid, axis, A)
+    return X
+
+
+def _overflowing_axis(grid: ProductGrid, eff: list) -> int | None:
+    """The axis to blame when the operators L_j = D_j - Aeff_j are too large
+    for the complex, else None.
+
+    Each L_j has row and column sums of |entries| at most
+    b_j = 2/h_j + max(||Aeff_j||_1, ||Aeff_j||_inf).  On M unknowns the
+    commutation guard's Frobenius norms reach sqrt(M) b_j and
+    2 sqrt(M) b_j b_k (j != k), and the Hodge Laplacian's entries and the
+    partial sums of its products reach 2 (sum_j b_j)^2; when a square of
+    one of them passes half the float range, the axis of the largest b_j
+    is named."""
+    with np.errstate(over="ignore"):
+        b = np.array([2.0 / g.h + max(np.linalg.norm(E, 1), np.linalg.norm(E, np.inf))
+                      for g, E in zip(grid.axes, eff)])
+        cross = np.outer(b, b)
+        np.fill_diagonal(cross, 0.0)
+        M = grid.total_dim
+        worst = max(2.0 * np.sum(b) ** 2, M * np.max(b) ** 2, 4.0 * M * np.max(cross) ** 2)
+    return None if worst <= np.finfo(float).max / 2.0 else int(np.argmax(b))
 
 
 def _fiber_generators(what: str, generators: list) -> list:
@@ -188,6 +222,11 @@ def flat_complex(grid: ProductGrid, generators: list) -> GenComplex:
     The matched generator Aeff_j = (exp(h A_j)-1)/h stands in for A_j, so
     nodal samples of t -> exp(sum t_j A_j) v0 (see :func:`flat_section`)
     lie exactly in ker L_j.  Diagonal Aeff_j give a separable family.
+
+    Raises :class:`DiscretizationError`, naming the axis and max |h A|,
+    where a matched generator overflows, and where it is finite but its
+    square does: the complex multiplies two axis operators in its
+    commutation guard and its Hodge Laplacian (:func:`_overflowing_axis`).
     """
     gens = _fiber_generators("flat_complex", generators)
     N = grid.fiber_dim
@@ -195,7 +234,11 @@ def flat_complex(grid: ProductGrid, generators: list) -> GenComplex:
         raise DiscretizationError(
             f"flat_complex needs {grid.ndim} generators of shape ({N}, {N}), "
             f"got {[A.shape for A in gens]}")
-    eff = [_finite_matched_generator("flat_complex", grid, a, A) for a, A in enumerate(gens)]
+    eff = [_finite("flat_complex", grid, a, A, _matched_generator(g, A))
+           for a, (g, A) in enumerate(zip(grid.axes, gens))]
+    if (a := _overflowing_axis(grid, eff)) is not None:
+        raise _overflow_error("flat_complex", grid, a, gens[a],
+                              "the square of the matched generator")
     mats = [forward_diff_matrix(grid, a) - np.kron(np.eye(grid.nnodes), E)
             for a, E in enumerate(eff)]
     diagonal = all(np.array_equal(E, np.diag(np.diag(E))) for E in eff)
@@ -221,9 +264,15 @@ def _march(what: str, grid: ProductGrid, gens: list, v0: np.ndarray, step) -> np
 
 
 def flat_section(grid: ProductGrid, generators: list, v0: np.ndarray) -> np.ndarray:
-    """Sample t -> exp(t_1 A_1) ... exp(t_r A_r) v0 on the nodes."""
+    """Sample t -> exp(t_1 A_1) ... exp(t_r A_r) v0 on the nodes.
+
+    The step exp(h A_j) = 1 + h Aeff_j along axis j is the one of the
+    matched generator of :func:`flat_complex`; where it overflows, a
+    :class:`DiscretizationError` names the axis and max |h A|, as
+    :func:`flat_complex` and :func:`dual_flat_section` do."""
     return _march("flat_section", grid, _fiber_generators("flat_section", generators),
-                  v0, lambda a, A: scipy.linalg.expm(grid.axes[a].h * A))
+                  v0, lambda a, A: _finite("flat_section", grid, a, A,
+                                           _step(grid.axes[a], A)))
 
 
 def dual_flat_section(grid: ProductGrid, generators: list, w0: np.ndarray) -> np.ndarray:
@@ -235,7 +284,7 @@ def dual_flat_section(grid: ProductGrid, generators: list, w0: np.ndarray) -> np
     generator Aeff_j the step matrix is exp(-h A_j^*).
     """
     def step(a, A):
-        E = _finite_matched_generator("dual_flat_section", grid, a, A)
+        E = _finite("dual_flat_section", grid, a, A, _matched_generator(grid.axes[a], A))
         return np.linalg.inv(np.eye(len(A)) + grid.axes[a].h * E.conj().T)
     return _march("dual_flat_section", grid,
                   _fiber_generators("dual_flat_section", generators), w0, step)

@@ -20,7 +20,8 @@ Both take one kernel (n, n) or a stack (B, n, n) in lockstep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -46,13 +47,34 @@ class TriangularPair:
     K_plus is strictly lower and K_minus strictly upper; D is stored as the
     vector of diagonal entries.  For a stack of kernels every field carries
     the stack axis first and ``residual`` is one value per kernel.
+
+    ``residual``, the relative Frobenius reconstruction error
+    ||(1 + K_plus)^{-1} D (1 + K_minus) - (1 + Phi)|| / ||1 + Phi||, is
+    computed on its first read and then kept: 1 + K_plus and 1 + K_minus
+    come back exactly from the kernels, so it has the bits of a residual
+    taken at factorization time.  The pair holds the factored kernel
+    ``Phi`` by reference for it, so that kernel is not to be changed
+    before the residual is read.
     """
 
     K_plus: np.ndarray
     D: np.ndarray
     K_minus: np.ndarray
-    residual: float | np.ndarray
+    Phi: np.ndarray = field(repr=False, compare=False)
 
+    @cached_property
+    def residual(self) -> float | np.ndarray:
+        eye = np.eye(self.D.shape[-1])
+        M = eye + self.Phi
+        # the elimination's 1 + K_plus was Fortran-ordered, and only its
+        # strict lower triangle is read; the same layout takes LAPACK's
+        # same path
+        Lf = np.empty(self.K_plus.shape, self.K_plus.dtype).swapaxes(-1, -2)
+        Lf[...] = self.K_plus
+        recon = _unit_triangular_solve(Lf, self.D[..., None] * (eye + self.K_minus),
+                                       lower=True)
+        residual = _frobenius(recon - M) / np.maximum(_frobenius(M), 1e-300)
+        return residual if residual.ndim else float(residual)
 
 
 _LDU_BLOCK = 64  # order of the diagonal blocks of the elimination and of the GLM sweep
@@ -85,16 +107,25 @@ def _unit_triangular_solve(T: np.ndarray, B: np.ndarray, **kw) -> np.ndarray:
     SciPy takes stacks only from 1.15, so a stack is solved one kernel at a
     time (as SciPy's own batching does); each kernel gets its 2-D bits.
     The stack's slices are Fortran-ordered, the layout LAPACK returns each
-    solution in, so filling them is a plain copy and not a transpose.
+    solution in, so filling them is a plain copy and not a transpose.  On
+    one matrix ``overwrite_b=True`` lets LAPACK solve into a
+    Fortran-ordered B; a stack's B may be a read-only broadcast, so its
+    solutions always go to new arrays.
     """
     if T.ndim == 2:
         return scipy.linalg.solve_triangular(T, B, unit_diagonal=True, **kw)
+    kw.pop("overwrite_b", None)
     B = np.broadcast_to(B, T.shape[:-2] + B.shape[-2:])
     X = np.empty((len(B), B.shape[-1], B.shape[-2]),
                  np.result_type(T, B, float)).swapaxes(-1, -2)
     for t, b, x in zip(T, B, X):
         x[...] = scipy.linalg.solve_triangular(t, b, unit_diagonal=True, **kw)
     return X
+
+
+def _diagonal(A: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of each matrix of a C-ordered A."""
+    return A.reshape(A.shape[:-2] + (-1,))[..., :: A.shape[-1] + 1]
 
 
 def _square_kernels(Phi) -> np.ndarray:
@@ -130,30 +161,30 @@ def _overflow(finite: np.ndarray, k: int) -> SingularMinorError:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _ldu(M: np.ndarray):
-    """Unpivoted Doolittle LDU of a matrix or a stack (..., n, n); raises
+def _ldu(A: np.ndarray) -> np.ndarray:
+    """Unpivoted Doolittle LDU of a C-ordered float matrix or stack
+    (..., n, n), in place; returns the pivots d and raises
     SingularMinorError at the first bad pivot.
 
-    Blocked right-looking elimination: rank-one updates run only inside each
-    diagonal block of order ``_LDU_BLOCK``, the panels beside it come from
-    unit-triangular solves, and the trailing matrix takes one matrix-product
-    Schur update per block.  Matrices up to the block order take the plain
-    rank-one loop.  A stack is eliminated in lockstep: each rank-one step
-    and Schur update is one numpy call for all its matrices, the panel
-    solves run matrix by matrix, and each matrix gets the bits it gets
-    alone.  Every pivot is held against a threshold set from its whole
-    matrix, so the first bad leading minor is named exactly, with the
-    kernel's position when a stack is factored; an update that overflows
-    raises it, without a warning, at the first non-finite pivot or panel.
-    The factors take the dtype ``np.result_type(M, float)``: real for a
-    real matrix.
+    A ends in the packed layout of LAPACK ``getrf``: the unit lower L
+    strictly below the diagonal, the unit upper U strictly above it, and
+    on the diagonal the pivots that d copies.  Blocked right-looking
+    elimination: rank-one updates run only inside each diagonal block of
+    order ``_LDU_BLOCK``, the panels beside it come from unit-triangular
+    solves that read one triangle of the block, and the trailing matrix
+    takes one matrix-product Schur update per block.  Matrices up to the
+    block order take the plain rank-one loop.  A stack is eliminated in
+    lockstep: each rank-one step and Schur update is one numpy call for
+    all its matrices, the panel solves run matrix by matrix, and each
+    matrix gets the bits it gets alone.  Every pivot is held against a
+    threshold set from its whole matrix, so the first bad leading minor is
+    named exactly, with the kernel's position when a stack is factored; an
+    update that overflows raises it, without a warning, at the first
+    non-finite pivot or panel.
     """
-    A = np.array(M, dtype=np.result_type(M, float))
     n = A.shape[-1]
-    L = np.broadcast_to(np.eye(n, dtype=A.dtype), A.shape).copy()
-    U = L.copy()
     d = np.zeros(A.shape[:-1], dtype=A.dtype)
-    tiny = _pivot_floor(M)
+    tiny = _pivot_floor(A)
     for b0 in range(0, n, _LDU_BLOCK):
         b1 = min(b0 + _LDU_BLOCK, n)
         for k in range(b0, b1):
@@ -161,24 +192,25 @@ def _ldu(M: np.ndarray):
             d[..., k] = piv
             if k + 1 < b1:
                 r = slice(k + 1, b1)
-                L[..., r, k] = A[..., r, k] / piv[..., None]
-                U[..., k, r] = A[..., k, r] / piv[..., None]
-                A[..., r, r] -= L[..., r, k, None] * A[..., k, None, r]
+                # column k of L, the update with row k of U unscaled, then row k of U
+                A[..., r, k] /= piv[..., None]
+                A[..., r, r] -= A[..., r, k, None] * A[..., k, None, r]
+                A[..., k, r] /= piv[..., None]
         if b1 < n:
             blk = slice(b0, b1)
             # A21 = L21 D11 U11 and A12 = L11 D11 U12
             X = np.swapaxes(_unit_triangular_solve(
-                U[..., blk, blk], np.swapaxes(A[..., b1:, blk], -1, -2), trans="T",
+                A[..., blk, blk], np.swapaxes(A[..., b1:, blk], -1, -2), trans="T",
                 lower=False, check_finite=False), -1, -2)
-            Y = _unit_triangular_solve(L[..., blk, blk], A[..., blk, b1:], lower=True,
+            Y = _unit_triangular_solve(A[..., blk, blk], A[..., blk, b1:], lower=True,
                                        check_finite=False)
             if not (finite := (np.isfinite(X).all(axis=(-2, -1))
                                & np.isfinite(Y).all(axis=(-2, -1)))).all():
                 raise _overflow(finite, b1)
-            L[..., b1:, blk] = X / d[..., None, blk]
-            U[..., blk, b1:] = Y / d[..., blk, None]
-            A[..., b1:, b1:] -= X @ U[..., blk, b1:]
-    return L, d, U
+            A[..., b1:, blk] = X / d[..., None, blk]
+            A[..., blk, b1:] = Y / d[..., blk, None]
+            A[..., b1:, b1:] -= X @ A[..., blk, b1:]
+    return d
 
 
 def gk_factorize(Phi: np.ndarray) -> TriangularPair:
@@ -186,22 +218,31 @@ def gk_factorize(Phi: np.ndarray) -> TriangularPair:
 
     ``Phi`` is one kernel (n, n) or a stack (B, n, n) factored in lockstep;
     each kernel of a stack gets the bits it gets alone.  The factors are
-    real for a real kernel and complex for a complex one.  Raises
-    :class:`DiscretizationError` on a non-square or non-finite kernel.
+    real for a real kernel and complex for a complex one.  The function's
+    own 1 + Phi is eliminated in place (:func:`_ldu`), and the packed
+    array's strict upper triangle becomes K_minus; 1 + K_plus = L^{-1} is
+    solved into a Fortran-ordered identity and copied to the C order the
+    kernel routes read, so three n x n arrays per kernel are the most it
+    holds.  The reconstruction residual is left to the first read of
+    :attr:`TriangularPair.residual`.  Raises :class:`DiscretizationError`
+    on a non-square or non-finite kernel.
     """
     Phi = _square_kernels(Phi)
     if not np.all(np.isfinite(Phi)):
         raise DiscretizationError("factorization needs a finite kernel")
-    eye = np.eye(Phi.shape[-1])
-    M = eye + Phi
-    L, d, U = _ldu(M)
+    n = Phi.shape[-1]
+    # the bits of eye + Phi: 0.0 + x turns -0.0 into 0.0 as Phi + 0.0 does
+    A = np.add(Phi, 0.0, dtype=np.result_type(Phi, float), order="C")
+    _diagonal(A)[...] += 1.0
+    d = _ldu(A)
     # 1 + K_plus = L^{-1} (unit lower), 1 + K_minus = U (unit upper)
-    Linv = _unit_triangular_solve(L, eye, lower=True)
-    # (1 + K_plus)^{-1} D (1 + K_minus), with 1 + K_plus unit lower
-    recon = _unit_triangular_solve(Linv, d[..., None] * U, lower=True)
-    residual = _frobenius(recon - M) / np.maximum(_frobenius(M), 1e-300)
-    return TriangularPair(Linv - eye, d, U - eye,
-                          residual if residual.ndim else float(residual))
+    Linv = _unit_triangular_solve(A, np.eye(n, dtype=A.dtype, order="F"), lower=True,
+                                  overwrite_b=True)
+    K_plus = np.array(Linv, order="C")
+    del Linv
+    _diagonal(K_plus)[...] -= 1.0
+    np.copyto(A, 0.0, where=np.tri(n, dtype=bool))
+    return TriangularPair(K_plus, d, A, Phi)
 
 
 def _check_rows(finite: np.ndarray, piv: np.ndarray, tiny: np.ndarray, i0: int) -> None:
@@ -314,22 +355,26 @@ def glm_residual(Phi: np.ndarray, K_plus: np.ndarray, K_minus: np.ndarray) -> fl
 
 def commutation_check(Phi: np.ndarray, L: np.ndarray) -> float:
     """Normalized commutator ||[Phi, L]||_F / (||Phi||_F ||L||_F); both
-    products run on the band of a narrow Hermitian L."""
+    products run on the band of a narrow Hermitian L, and the second is
+    subtracted in place from the first."""
     Phi = np.asarray(Phi)
     L = np.asarray(L)
     denom = np.linalg.norm(Phi) * np.linalg.norm(L)
     if denom == 0.0:
         return 0.0
-    return float(np.linalg.norm(_operator_product(L, Phi, right=True)
-                                - _operator_product(L, Phi)) / denom)
+    C = _operator_product(L, Phi, right=True)
+    C -= _operator_product(L, Phi)
+    return float(np.linalg.norm(C) / denom)
 
 
 def _conjugate(M: np.ndarray, L: np.ndarray, lower: bool) -> np.ndarray:
     """M L M^{-1} for a triangular M (lower or upper as the caller says),
     by one triangular solve M^T X^T = (M L)^T, without forming the inverse.
-    M L runs on the band of a narrow Hermitian L."""
+    M L runs on the band of a narrow Hermitian L, and the solve overwrites
+    it, the product being this function's own."""
     return scipy.linalg.solve_triangular(
-        M, _operator_product(L, M, right=True).T, trans="T", lower=lower).T
+        M, _operator_product(L, M, right=True).T, trans="T", lower=lower,
+        overwrite_b=True).T
 
 
 def break_relation_defect(K: np.ndarray) -> float:

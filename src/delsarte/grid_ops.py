@@ -432,16 +432,28 @@ def _upper_band(A: np.ndarray, max_width: int | None = None) -> np.ndarray | Non
 _BAND_PRODUCT_WIDTH = 1
 
 
+_BAND_ROWS = 64  # rows of V a temporary of :func:`_band_matvec` spans
+
+
 def _band_matvec(ab: np.ndarray, V: np.ndarray) -> np.ndarray:
     """A @ V for the Hermitian A held in upper banded storage ``ab`` (the
-    :func:`_upper_band` layout); V is a vector or a block of columns."""
-    bw = ab.shape[0] - 1
+    :func:`_upper_band` layout); V is a vector or a block of columns.
+
+    The off-diagonal terms are added in blocks of ``_BAND_ROWS`` rows, so
+    beside the result a product holds one block's temporary; each entry
+    takes its terms in the order of the whole-array sums, diagonal first
+    and then, offset by offset, the one above before the one below."""
+    bw, n = ab.shape[0] - 1, ab.shape[1]
     ab = ab.reshape(ab.shape + (1,) * (V.ndim - 1))
     out = ab[bw] * V
-    for d in range(1, bw + 1):
-        u = ab[bw - d, d:]
-        out[:-d] += u * V[d:]
-        out[d:] += u.conj() * V[:-d]
+    for r0 in range(0, n, _BAND_ROWS):
+        r1 = min(r0 + _BAND_ROWS, n)
+        for d in range(1, bw + 1):
+            hi, lo = min(r1, n - d), max(r0, d)
+            if r0 < hi:
+                out[r0:hi] += ab[bw - d, r0 + d:hi + d] * V[r0 + d:hi + d]
+            if lo < r1:
+                out[lo:r1] += ab[bw - d, lo:r1].conj() * V[lo - d:r1 - d]
     return out
 
 

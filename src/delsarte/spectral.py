@@ -14,7 +14,8 @@ the elementary kernels Z_lam = psi_lam phi_lam^* satisfy the two-sided
 congruences A Z = lam Z and Z A = lam Z.  Each cluster of numerically
 equal eigenvalues is normalized through an SVD of its cross-Gram; clusters
 of one size share one stacked SVD, so all simple eigenvalues take a single
-call.  A Hermitian operator is solved from its band by ``eig_banded``.
+call.  A Hermitian operator is solved from its band: a real tridiagonal
+band by LAPACK ``stevd``, any other by ``eig_banded``.
 """
 
 from __future__ import annotations
@@ -106,6 +107,21 @@ def _normalize_clusters(lams, right, left, weights, cols) -> None:
         left[:, cols] = ((Lv @ U) * inv_sqrt).transpose(1, 0, 2)
 
 
+def _tridiagonal_eigh(ab: np.ndarray):
+    """Ascending eigenvalues and eigenvectors of a real symmetric
+    tridiagonal band in upper storage, by LAPACK ``stevd``.  It runs the
+    divide and conquer of ``sbevd`` (what ``eig_banded`` calls) on the same
+    diagonals, without ``sbevd``'s n x n Q = I and the product that
+    multiplies it in, so it returns the same eigenpairs bit for bit once
+    0.0 is added, as that product adds it, to the zero entries."""
+    stevd = scipy.linalg.lapack.get_lapack_funcs("stevd", (ab,))
+    lams, vecs, info = stevd(ab[1], ab[0, 1:])
+    if info != 0:
+        raise np.linalg.LinAlgError(f"stevd failed with info = {info}")
+    vecs += 0.0
+    return lams, vecs
+
+
 def eigensolve(A, count: int | None = None, band=None,
                weights: np.ndarray | None = None,
                hermitian: bool | None = None) -> EigenFamily:
@@ -115,14 +131,16 @@ def eigensolve(A, count: int | None = None, band=None,
     :func:`nearest_indices`); ``band`` keeps those inside the axis-aligned
     rectangle spanned by two complex corners.  Weights default to 1.
     Hermitian input (detected, or forced with the flag) takes the one-sided
-    path: ``eig_banded`` on the upper band of the operator, as wide as its
-    farthest nonzero diagonal (a periodic or dense operator is its own full
-    band).  It keeps the operator's dtype, so a real symmetric operator
-    gives real eigenvalues and real vectors, and with unit weights the
-    left family is the right one; its eigen-residuals are taken from the
-    same band.  Other input takes the two-sided ``eig`` path, whose
-    eigenvalues are complex and whose residuals come from dense products
-    (its solve is already O(n^3)).
+    path: the upper band of the operator, as wide as its farthest nonzero
+    diagonal (a periodic or dense operator is its own full band), goes to
+    LAPACK ``stevd`` when it is real and tridiagonal
+    (:func:`_tridiagonal_eigh`, with the bits ``eig_banded`` gives) and to
+    ``eig_banded`` otherwise.  It keeps the operator's dtype, so a real
+    symmetric operator gives real eigenvalues and real vectors, and with
+    unit weights the left family is the right one; its eigen-residuals are
+    taken from the same band.  Other input takes the two-sided ``eig``
+    path, whose eigenvalues are complex and whose residuals come from dense
+    products (its solve is already O(n^3)).
 
     Raises :class:`DefectiveFamilyError` when a degenerate cluster's
     cross-Gram is singular to working precision, and
@@ -146,7 +164,10 @@ def eigensolve(A, count: int | None = None, band=None,
 
     if hermitian:
         ab = _upper_band(M)
-        lams, right = scipy.linalg.eig_banded(ab, check_finite=False)
+        if ab.shape[0] == 2 and not np.iscomplexobj(ab):
+            lams, right = _tridiagonal_eigh(ab)
+        else:
+            lams, right = scipy.linalg.eig_banded(ab, check_finite=False)
         left = right
     else:
         lams, left, right = scipy.linalg.eig(M, left=True, right=True)

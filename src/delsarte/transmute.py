@@ -334,14 +334,15 @@ class DelsarteOp:
         entries outside its strict triangle, gives inf.  The first call
         stores the bound in ``_cond`` and later calls return it without
         another inversion, so the kernel and diagonal are not to be changed
-        once it is asked for.
+        once it is asked for.  :func:`transform_operator` stores it from the
+        factor it assembles for the conjugation.
         """
         if self._cond is None:
-            self._cond = self._cond_bound()
+            self._cond = self._cond_bound(self.matrix())
         return self._cond
 
-    def _cond_bound(self) -> float:
-        M = self.matrix()
+    def _cond_bound(self, M: np.ndarray) -> float:
+        """:meth:`cond` of the assembled factor ``M`` (:meth:`matrix`)."""
         if not (self.volterra_defect() == 0.0 and np.all(np.isfinite(M))):
             return float("inf")
         # the other triangle of M is zero, and with a unit diagonal the
@@ -442,15 +443,20 @@ def transform_operator(L, om: DelsarteOp, cond_guard: float = 1e10) -> np.ndarra
     Refuses (with :class:`ConditionNumberError`) factors whose condition
     number would erase more than the guard allows, and (with
     :class:`DiscretizationError`) an operator that is not finite or not of
-    the factor's size.
+    the factor's size.  The factor is assembled once: the guard's
+    :meth:`DelsarteOp.cond`, when not yet stored, and the conjugation
+    share it.
     """
     Lm = _checked_operator(L, om.kernel.shape[0])
-    cond = om.cond()
+    M = om.matrix()
+    if om._cond is None:
+        om._cond = om._cond_bound(M)
+    cond = om._cond
     if not np.isfinite(cond) or cond > cond_guard:
         raise ConditionNumberError(
             f"conjugation by the {om.sign} factor rejected: cond = {cond:.3e} "
             f"exceeds guard {cond_guard:.1e}")
-    return _conjugate(om.matrix(), Lm, lower=om.sign == "+")
+    return _conjugate(M, Lm, lower=om.sign == "+")
 
 
 def locality_check(Ltil, bandwidth: int) -> float:
@@ -483,16 +489,22 @@ def independence_check(data: TransmutationData | KernelData):
     The conjugations by Omega_plus and by Omega_minus agree exactly when
     Omega_plus^{-1} Omega_minus commutes with L; both deviations are
     returned so valid dressing data can be certified and generic data
-    flagged.
+    flagged.  Each factor's matrix lives only while it is needed, and the
+    two conjugates only until their gap is read.
     """
-    Mp = data.operator("+").matrix()
-    Mm = data.operator("-").matrix()
     L = data.L
-    Ltp = _conjugate(Mp, L, lower=True)
+    plus = data.operator("+")
+    Ltp = _conjugate(plus.matrix(), L, lower=True)
+    Mm = data.operator("-").matrix()
     Ltm = _conjugate(Mm, L, lower=False)
-    gap = float(np.linalg.norm(Ltp - Ltm) / max(np.linalg.norm(Ltp), 1e-300))
-    # Omega_plus is unit lower triangular for both data classes
-    ratio = scipy.linalg.solve_triangular(Mp, Mm, lower=True, unit_diagonal=True)
+    scale = np.linalg.norm(Ltp)
+    Ltp -= Ltm
+    gap = float(np.linalg.norm(Ltp) / max(scale, 1e-300))
+    del Ltp, Ltm
+    # Omega_plus is unit lower triangular for both data classes, so the
+    # solve reads only the strict lower triangle, which is its kernel's
+    ratio = scipy.linalg.solve_triangular(plus.kernel, Mm, lower=True, unit_diagonal=True)
+    del Mm
     return gap, commutation_check(ratio, L)
 
 
@@ -507,8 +519,6 @@ def adjoint_compat_check(data: TransmutationData) -> float:
         raise DiscretizationError(
             f"adjoint_compat_check needs TransmutationData, got {type(data).__name__}")
     L = data.L
-    M = data.operator("+").matrix()
-    Madj = data.adjoint().matrix()
-    A = _conjugate(M, L, lower=True).conj().T
-    B = _conjugate(Madj, L.conj().T, lower=False)
+    A = _conjugate(data.operator("+").matrix(), L, lower=True).conj().T
+    B = _conjugate(data.adjoint().matrix(), L.conj().T, lower=False)
     return float(np.linalg.norm(A - B) / max(np.linalg.norm(L), 1e-300))

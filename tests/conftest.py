@@ -3,6 +3,7 @@
 import concurrent.futures
 import copy
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -50,3 +51,18 @@ def cached_verify_battery(verify_battery, monkeypatch):
         return copy.deepcopy(verify_battery) if seed == 0 else run_all(seed)
 
     monkeypatch.setattr(acceptance, "run_all", cached)
+
+
+@pytest.fixture
+def traced_peak():
+    """A function that calls ``fn(*args)`` under ``tracemalloc`` and returns
+    its result and the peak of the memory traced during the call, in bytes
+    (numpy reports its array buffers to ``tracemalloc``)."""
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from delsarte import (DressingSeed, ExpPoly, Grid1D, SchrodingerOp,
                       SeedNodeError, crum_iterate, darboux_once, discretize,
                       spectrum_compare)
+from delsarte.acceptance import darboux_check
 from delsarte.darboux import _band_eigvals, _compare_spectra
 from delsarte.errors import DiscretizationError
+from delsarte.grid_ops import _upper_band
 
 
 def _setup(n=400, w=20.0, kappa=1.0, parity="even"):
@@ -372,3 +374,27 @@ def test_selected_spectrum_matches_full_spectrum(make):
         assert len(got[key]) == len(want[key])
         np.testing.assert_allclose(got[key], want[key], rtol=1e-10, atol=0.0)
     np.testing.assert_allclose(got["band_drift"], want["band_drift"], rtol=1e-10)
+
+
+@pytest.mark.parametrize("n", [50, 400, 1600])
+def test_band_is_written_with_the_bits_of_the_matrix(n):
+    g = Grid1D.dirichlet(-8.0, 8.0, n)
+    rng = np.random.default_rng(n)
+    for q in (np.zeros(n), rng.normal(size=n), rng.normal(size=n) + 0.5j,
+              darboux_once(SchrodingerOp.free(g), DressingSeed.hyperbolic(g, 1.1)).qtilde):
+        op = SchrodingerOp(g, q)
+        got, want = op.to_banded(), _upper_band(op.matrix().A)
+        assert got.dtype == want.dtype and got.shape == want.shape == (2, n)
+        assert got.tobytes() == want.tobytes()
+    # a periodic operator's wrap entries make its band the whole matrix
+    op = SchrodingerOp(Grid1D.periodic(0.0, 1.0, 12), rng.normal(size=12))
+    assert op.to_banded().tobytes() == _upper_band(op.matrix().A).tobytes()
+
+
+def test_darboux_check_forms_no_dense_matrix(traced_peak):
+    # at n=1600 a dense operator is 2.56e6 entries; the seed gate and the
+    # spectra read the band, so no array of n^2 entries (even of bytes) is made
+    n = 1600
+    (rows, _), peak = traced_peak(darboux_check, (-8.0, 8.0), n, 1.03, "even", 0.37)
+    assert all(r["passed"] for r in rows)
+    assert peak < n * n

@@ -122,6 +122,39 @@ def test_overflowing_matched_generator_is_named(axis):
     assert flat_complex(pg, gens).grid is pg
 
 
+@pytest.mark.parametrize("hA", [300, 400, 700])
+def test_matched_generator_whose_square_overflows_is_named(hA):
+    # (exp(hA) - 1)/h is finite up to hA = 709, but the Hodge Laplacian
+    # squares it: past hA ~ 352 its spaces came back empty with NaN values
+    pg = ProductGrid((Grid1D.periodic(0.0, 1.0, 6), Grid1D.periodic(0.0, 1.0, 6)),
+                     fiber_dim=2)
+    gens = [np.diag([6.0 * hA, 0.0]), np.zeros((2, 2))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if hA == 300:
+            rep = harmonic_space(flat_complex(pg, gens), 1)
+            assert rep.dim == 72 and np.all(np.isfinite(rep.singular_values))
+            return
+        with pytest.raises(DiscretizationError, match=re.escape(
+                f"flat_complex: the square of the matched generator of axis 0 "
+                f"overflows, max |h A| = {hA}")):
+            flat_complex(pg, gens)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_overflowing_flat_section_step_is_named(axis):
+    pg = ProductGrid((Grid1D.periodic(0.0, 1.0, 6), Grid1D.periodic(0.0, 1.0, 6)),
+                     fiber_dim=2)
+    gens = [np.zeros((2, 2)), np.zeros((2, 2))]
+    gens[axis] = np.diag([1e4, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DiscretizationError, match=re.escape(
+                f"flat_section: the matched generator of axis {axis} overflows, "
+                f"max |h A| = 1667")):
+            flat_section(pg, gens, np.ones(2))
+
+
 @pytest.mark.parametrize("degree", [-1, 3, 5])
 def test_out_of_range_degree_is_named(degree):
     # forms and coboundaries exist for degrees 0..r only

@@ -229,13 +229,27 @@ def _rank_one_ldu(M):
 def test_blocked_ldu_matches_rank_one_loop(n):
     rng = np.random.default_rng(n)
     M = np.eye(n) + random_unit_minor(n, rng, 0.35 / np.sqrt(n))
-    got = factorize._ldu(M)
+    # the elimination packs L below the diagonal and U above it, in place
+    packed = M.copy()
+    d = factorize._ldu(packed)
+    got = (np.tril(packed, -1) + np.eye(n), d, np.triu(packed, 1) + np.eye(n))
     want = _rank_one_ldu(M)
     for g, w in zip(got, want):
         if n <= factorize._LDU_BLOCK:
             np.testing.assert_array_equal(g, w)
         else:
             assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+
+
+def test_factorization_holds_one_packed_array(traced_peak):
+    # 1 + Phi eliminated in place, L^{-1} solved into the identity, and
+    # K_plus copied from it: three n x n arrays at the peak, where three
+    # separate factors, their reconstruction and its solves held eight
+    n = 600
+    Phi = random_unit_minor(n, np.random.default_rng(0), 0.35 / np.sqrt(n))
+    pair, peak = traced_peak(gk_factorize, Phi)
+    assert peak <= 3.2 * Phi.nbytes
+    assert pair.residual < 1e-12
 
 
 @pytest.mark.parametrize("k", [64, 65, 70, 129])

@@ -17,7 +17,7 @@ from delsarte import (DefectiveFamilyError, DiffOp, DiscretizationError,
                       discretize, eigensolve, elementary_kernel,
                       kernel_from_measure, projection_measure)
 from delsarte.grid_ops import _band_matvec, _upper_band
-from delsarte.spectral import _two_norm
+from delsarte.spectral import _tridiagonal_eigh, _two_norm
 
 
 def _dirichlet_laplacian(n=40, length=np.pi):
@@ -372,3 +372,22 @@ def test_spectra_come_from_the_band():
     assert bad == []
     assert full == {("darboux.py", "_band_eigvals", True),
                     ("spectral.py", "eigensolve", False)}
+
+
+@pytest.mark.parametrize("n", [200, 600])
+def test_tridiagonal_eigenpairs_match_eig_banded_bitwise(n, monkeypatch):
+    # stevd runs sbevd's divide and conquer without its Q = I product
+    g = Grid1D.dirichlet(-8.0, 8.0, n)
+    base = SchrodingerOp.free(g)
+    dressed = darboux_once(base, DressingSeed.hyperbolic(g, 1.03, "even", 0.37)).operator
+    split = base.to_banded()
+    split[0, n // 2] = 0.0  # two decoupled blocks: eigenvectors with exact zeros
+    for ab in (base.to_banded(), dressed.to_banded(), split):
+        lams, vecs = _tridiagonal_eigh(ab)
+        want_lams, want_vecs = scipy.linalg.eig_banded(ab, check_finite=False)
+        assert lams.tobytes() == want_lams.tobytes()
+        assert vecs.tobytes() == want_vecs.tobytes()
+    # the full family of a real tridiagonal operator takes that route
+    monkeypatch.setattr(scipy.linalg, "eig_banded", None)
+    fam = eigensolve(dressed.matrix(), hermitian=True)
+    assert fam.right.dtype == np.float64 and len(fam) == n

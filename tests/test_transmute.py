@@ -24,6 +24,7 @@ from delsarte import acceptance
 from delsarte.acceptance import transmute_check
 from delsarte.cli import run_command
 from delsarte.errors import DiscretizationError
+from delsarte import factorize
 from delsarte.factorize import _conjugate
 from delsarte.grid_ops import _operator_product
 from delsarte.ioutil import load_matrix_csv, save_matrix_csv
@@ -458,9 +459,9 @@ def test_transmute_check_solves_for_the_condition_number_once(monkeypatch):
     calls = []
     bound = DelsarteOp._cond_bound
 
-    def counted(self):
+    def counted(self, M):
         calls.append(self)
-        return bound(self)
+        return bound(self, M)
 
     monkeypatch.setattr(DelsarteOp, "_cond_bound", counted)
     rows, data = transmute_check((-8.0, 8.0), 120, 1.0)
@@ -733,3 +734,44 @@ def test_real_conjugation_matches_complex_cast(n):
     assert np.abs(real - cast).max() <= 1e-13 * np.abs(real).max()
     # equal here; other boxes differ by an ulp (4.333e6 on [-10, 10], n=240)
     assert om.cond() == pytest.approx(_complex_cast(om).cond(), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# working set of the dressing path
+# ---------------------------------------------------------------------------
+
+def test_transmute_check_working_set_is_bounded(traced_peak):
+    # at n=600 one n x n array is 2.88 MB; the routes hold L, the pair
+    # kernel and a few arrays of their own at a time (46 MB, some 16
+    # arrays, when every route kept its arrays to the end)
+    (rows, _), peak = traced_peak(transmute_check, (-8, 8), 600, 1.03, 0.37)
+    assert all(r["passed"] for r in rows)
+    assert peak <= 26e6
+
+
+def test_kernel_route_never_reads_the_reconstruction_residual(monkeypatch):
+    reads = []
+    monkeypatch.setattr(factorize.TriangularPair, "residual",
+                        property(lambda pair: reads.append(pair) or 0.0))
+    rows, _ = transmute_check((-8.0, 8.0), 120, 1.0)
+    assert all(r["passed"] for r in rows)
+    assert reads == []
+    # the factorize route reads it, through the same property
+    acceptance.factorization_sweep(acceptance.unit_minors(np.random.default_rng(0), 8, 2))
+    assert len(reads) == 1
+
+
+def test_conjugation_solves_into_its_own_product(monkeypatch):
+    g, L, T = _soliton(200, 8.0)
+    M = pair_intertwiner(L, T, "+", grid=g).matrix()
+    seen = []
+    solve = scipy.linalg.solve_triangular
+
+    def recording(a, b, *args, **kw):
+        x = solve(a, b, *args, **kw)
+        seen.append(np.shares_memory(x, b))
+        return x
+
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", recording)
+    _conjugate(M, L, lower=True)
+    assert seen == [True]
