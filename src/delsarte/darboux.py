@@ -60,10 +60,10 @@ def _half_exponentials(kappa: float, center: float):
 class ExpPoly:
     """Finite sum  sum_mu c_mu e^{mu x}  with exact calculus.
 
-    Closed under +, *, and d/dx, so Wronskians of seed families stay inside
-    the class and (ln tau)'' can be evaluated in closed form.  Evaluation
-    shifts out the dominant exponent per node, so ratios of derivatives are
-    stable far beyond the naive overflow range.
+    Wronskians of such sums stay in the class (:meth:`wronskian`), and
+    (ln f)'' is evaluated in closed form.  Evaluation shifts out the dominant
+    exponent per node, so ratios of derivatives are stable far beyond the
+    naive overflow range.
     """
 
     def __init__(self, terms: dict):
@@ -84,27 +84,6 @@ class ExpPoly:
     def sinh(cls, kappa: float, center: float = 0.0) -> "ExpPoly":
         k, a, b = _half_exponentials(kappa, center)
         return cls({k: a, -k: -b})
-
-    def derivative(self) -> "ExpPoly":
-        return ExpPoly({mu: mu * c for mu, c in self.terms.items()})
-
-    def __add__(self, other: "ExpPoly") -> "ExpPoly":
-        out = dict(self.terms)
-        for mu, c in other.terms.items():
-            out[mu] = out.get(mu, 0.0) + c
-        return ExpPoly(out)
-
-    def __mul__(self, other) -> "ExpPoly":
-        if isinstance(other, ExpPoly):
-            out: dict = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    mu = m1 + m2
-                    out[mu] = out.get(mu, 0.0) + c1 * c2
-            return ExpPoly(out)
-        return ExpPoly({mu: c * other for mu, c in self.terms.items()})
-
-    __rmul__ = __mul__
 
     def _mu_unit(self) -> float:
         """The power of two above every |mu| (at least 2): S1 and S2 are
@@ -156,21 +135,19 @@ class ExpPoly:
 
     @staticmethod
     def wronskian(funcs: list) -> "ExpPoly":
-        """Wronskian determinant, expanded symbolically (small families)."""
-        k = len(funcs)
-        rows = [funcs]
-        for _ in range(k - 1):
-            rows.append([f.derivative() for f in rows[-1]])
-        total = ExpPoly({})
-        for perm in itertools.permutations(range(k)):
-            # permutation parity by counting inversions
-            inv = sum(1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j])
-            sign = -1 if inv % 2 else 1
-            prod = ExpPoly({0.0: float(sign)})
-            for r in range(k):
-                prod = prod * rows[r][perm[r]]
-            total = total + prod
-        return total
+        """Wronskian W(f_1 .. f_k) in closed form.  W is multilinear, and
+        for one term c_j e^{mu_j x} of each f_j it is the Vandermonde form
+        prod c_j prod_{i<j} (mu_j - mu_i) e^{(sum mu) x}; W sums that over
+        every choice of terms.  No permutation terms cancel, so close
+        exponents keep their differences mu_j - mu_i to relative precision."""
+        total: dict = {}
+        for choice in itertools.product(*(f.terms.items() for f in funcs)):
+            mus = [mu for mu, _ in choice]
+            coef = (math.prod(c for _, c in choice)
+                    * math.prod(mj - mi for mi, mj in itertools.combinations(mus, 2)))
+            mu = sum(mus)
+            total[mu] = total.get(mu, 0.0) + coef
+        return ExpPoly(total)
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +236,14 @@ class DressedResult:
         return np.real(-2.0 * self.log_tau.log_second_derivative(xa))
 
 
-def _check_seed(op: SchrodingerOp, seed: DressingSeed) -> None:
-    vals = np.asarray(seed.values)
-    if vals.shape != (op.grid.n,):
+def _check_grid(op: SchrodingerOp, seed: DressingSeed) -> None:
+    if np.shape(seed.values) != (op.grid.n,):
         raise DiscretizationError("seed sampled on the wrong grid")
+
+
+def _check_seed(op: SchrodingerOp, seed: DressingSeed) -> None:
+    _check_grid(op, seed)
+    vals = np.asarray(seed.values)
     if not np.all(np.isfinite(vals)):
         raise DiscretizationError("seed values overflow on the grid")
     sign = np.sign(np.real(vals))
@@ -301,12 +282,14 @@ def darboux_once(op: SchrodingerOp, seed: DressingSeed) -> DressedResult:
 def crum_iterate(op: SchrodingerOp, seeds: list) -> list:
     """Stacked dressing; returns the list of per-stage results.
 
-    The Wronskians W(tau_1..tau_k) are formed symbolically from the seeds'
-    closed forms, so the starting potential must vanish.  A single seed
-    routes through :func:`darboux_once` unchanged.
+    Stage k is -2 (ln W(tau_1..tau_k))'' with W in closed form from the seeds'
+    expressions (:meth:`ExpPoly.wronskian`), so the starting potential must
+    vanish.  A single seed routes through :func:`darboux_once` unchanged.
     """
     if len(seeds) == 1:
         return [darboux_once(op, seeds[0])]
+    for s in seeds:
+        _check_grid(op, s)
     if np.max(np.abs(op.q)) != 0.0:
         raise DiscretizationError("iterated closed-form dressing starts from q = 0")
     energies = [s.energy for s in seeds]

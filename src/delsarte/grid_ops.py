@@ -20,7 +20,8 @@ connects, so :func:`discretize` (and ``lagrange.forward_diff_matrix``)
 writes each stencil weight straight onto the nonzeros of the operator
 I x ... x D1 x ... x I x I_N on flattened fields.  The band of an
 assembled matrix is likewise read in one place: :func:`_upper_band` packs
-it from the matrix's own nonzeros and :func:`_band_matvec` multiplies by it;
+it from the matrix's own nonzeros, :func:`_is_hermitian` decides from it
+whether the matrix is Hermitian, and :func:`_band_matvec` multiplies by it;
 :func:`_operator_product` takes that route for narrow Hermitian operators.
 """
 
@@ -427,6 +428,16 @@ def _upper_band(A: np.ndarray, max_width: int | None = None) -> np.ndarray | Non
     return ab
 
 
+def _is_hermitian(A: np.ndarray, ab: np.ndarray, atol: float = 0.0) -> bool:
+    """|A - A^H| <= atol entrywise (``np.allclose``, rtol 0), in O(bw n): A is
+    zero beyond its upper band ``ab``, so each diagonal below meets its partner."""
+    bw = ab.shape[0] - 1
+    lower = np.zeros_like(ab)
+    for d in range(bw + 1):
+        lower[bw - d, d:] = np.diagonal(A, offset=-d)
+    return bool(np.allclose(lower, ab.conj(), rtol=0.0, atol=atol))
+
+
 # widest half-band an operator is multiplied through: at n = 600 the band
 # product beats the dense one only for tridiagonal operators when BLAS is idle
 _BAND_PRODUCT_WIDTH = 1
@@ -467,7 +478,7 @@ def _operator_product(A: np.ndarray, X: np.ndarray, right: bool = False) -> np.n
     is never built.
     """
     ab = _upper_band(A, _BAND_PRODUCT_WIDTH)
-    if ab is not None and np.array_equal(A, A.conj().T):
+    if ab is not None and _is_hermitian(A, ab):
         if right:
             return _band_matvec(ab, X.conj().T).conj().T
         return _band_matvec(ab, X)

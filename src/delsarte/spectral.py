@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DefectiveFamilyError, DiscretizationError, EmptyBandError
-from .grid_ops import _BAND_PRODUCT_WIDTH, _as_matrix, _band_matvec, _upper_band
+from .grid_ops import _BAND_PRODUCT_WIDTH, _as_matrix, _band_matvec, _is_hermitian, _upper_band
 
 __all__ = [
     "EigenFamily",
@@ -130,7 +130,8 @@ def eigensolve(A, count: int | None = None, band=None,
     ``count`` keeps that many eigenvalues closest to the origin (the rule of
     :func:`nearest_indices`); ``band`` keeps those inside the axis-aligned
     rectangle spanned by two complex corners.  Weights default to 1.
-    Hermitian input (detected, or forced with the flag) takes the one-sided
+    Hermitian input (|A - A^H| <= 1e-14 ||A||_inf entrywise, tested on the
+    band: detected, or required by ``hermitian=True``) takes the one-sided
     path: the upper band of the operator, as wide as its farthest nonzero
     diagonal (a periodic or dense operator is its own full band), goes to
     LAPACK ``stevd`` when it is real and tridiagonal
@@ -145,8 +146,8 @@ def eigensolve(A, count: int | None = None, band=None,
     Raises :class:`DefectiveFamilyError` when a degenerate cluster's
     cross-Gram is singular to working precision, and
     :class:`EmptyBandError` when the selection is empty, and
-    :class:`DiscretizationError` on a non-finite operator or weight, or on
-    an operator that is not square or weights that are not one per row.
+    :class:`DiscretizationError` on a non-finite operator or weight, a non-square
+    operator, weights not one per row, or ``hermitian=True`` on a non-Hermitian one.
     """
     M = _as_matrix(A)
     n = M.shape[0] if M.ndim == 2 else 0
@@ -159,11 +160,15 @@ def eigensolve(A, count: int | None = None, band=None,
         raise DiscretizationError("eigensolve needs a finite operator and weights")
     scale = np.linalg.norm(M, ord=np.inf) or 1.0
 
-    if hermitian is None:
-        hermitian = bool(np.allclose(M, M.conj().T, atol=1e-14 * scale, rtol=0.0))
+    if hermitian is not False:
+        ab = _upper_band(M)
+        symmetric = _is_hermitian(M, ab, atol=1e-14 * scale)
+        if hermitian and not symmetric:
+            raise DiscretizationError(f"hermitian=True, but the operator is not Hermitian: max "
+                                      f"|A - A^H| = {np.max(np.abs(M - M.conj().T)):.3e}")
+        hermitian = symmetric
 
     if hermitian:
-        ab = _upper_band(M)
         if ab.shape[0] == 2 and not np.iscomplexobj(ab):
             lams, right = _tridiagonal_eigh(ab)
         else:
@@ -258,7 +263,7 @@ def _two_norm(A: np.ndarray) -> float:
     :func:`_upper_band` refuses or which is not Hermitian, from the dense
     SVD."""
     ab = _upper_band(A, _BAND_PRODUCT_WIDTH)
-    if ab is None or not np.array_equal(A, A.conj().T):
+    if ab is None or not _is_hermitian(A, ab):
         return float(np.linalg.norm(A, 2))
     ends = [scipy.linalg.eig_banded(ab, eigvals_only=True, select="i",
                                     select_range=(k, k), check_finite=False)

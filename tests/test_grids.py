@@ -11,8 +11,8 @@ from delsarte import (DiffOp, DiscretizationError, Grid1D, GridError,
                       ProductGrid, adjoint_defect, commutator,
                       derivative_matrix, discretize, formal_adjoint, inner)
 from delsarte import grid_ops
-from delsarte.grid_ops import (_band_matvec, _operator_product, _upper_band,
-                               fd_weights, stencil_half_width)
+from delsarte.grid_ops import (_band_matvec, _is_hermitian, _operator_product,
+                               _upper_band, fd_weights, stencil_half_width)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +284,7 @@ def test_band_helpers_match_dense_matrix(M, seed):
     bw = int(np.max(np.abs(cols - rows), initial=0))
     ab = _upper_band(M)
     assert ab.shape == (bw + 1, n) and ab.dtype == M.dtype
+    assert _is_hermitian(M, ab)
     back = np.zeros_like(M)
     for d in range(bw + 1):
         np.testing.assert_array_equal(ab[bw - d, d:], np.diagonal(M, d))
@@ -321,6 +322,33 @@ def _tridiagonal(n, rng, complex_):
     if complex_:
         e = e + 1j * rng.standard_normal(n - 1)
     return np.diag(d) + np.diag(e, 1) + np.diag(e.conj(), -1)
+
+
+def test_hermitian_test_reads_the_band():
+    """``_is_hermitian`` on the band decides as the dense tests do:
+    ``np.array_equal(A, A^H)`` at atol 0 and ``np.allclose`` at 1e-14
+    ||A||_inf, for an exact and a slightly asymmetric tridiagonal matrix, a
+    stencil, a triangular, a general and a complex Hermitian matrix, and an
+    imaginary diagonal."""
+    rng = np.random.default_rng(11)
+    n = 30
+    T = _tridiagonal(n, rng, False)
+    nudged = T.copy()
+    nudged[4, 5] += 1e-15 * np.max(np.abs(T))
+    # this stencil's weights differ between rows by roundoff
+    stencil = -derivative_matrix(Grid1D.dirichlet(0.0, 1.0, n), 2)
+    G = rng.standard_normal((n, n))
+    H = G + 1j * rng.standard_normal((n, n))
+    cases = [T, nudged, stencil, np.triu(G), G, H + H.conj().T, np.diag(np.full(n, 1j))]
+    decisions = []
+    for A in cases:
+        ab = _upper_band(A)
+        atol = 1e-14 * np.linalg.norm(A, np.inf)
+        assert _is_hermitian(A, ab) == np.array_equal(A, A.conj().T)
+        assert _is_hermitian(A, ab, atol) == np.allclose(A, A.conj().T, rtol=0.0, atol=atol)
+        decisions.append((_is_hermitian(A, ab), _is_hermitian(A, ab, atol)))
+    assert decisions == [(True, True), (False, True), (False, True), (False, False),
+                         (False, False), (True, True), (False, False)]
 
 
 @pytest.mark.parametrize("complex_", [False, True])

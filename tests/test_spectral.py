@@ -102,6 +102,34 @@ def test_non_finite_input_rejected():
             eigensolve(A, weights=w)
 
 
+def test_hermitian_flag_is_checked():
+    # hermitian=True is held to the test hermitian=None applies,
+    # |A - A^H| <= 1e-14 ||A||_inf: an upper-triangular perturbation of
+    # diag(1..6) is named, where the band of its upper half would give
+    # wrong eigenvalues with a tiny recorded residual
+    rng = np.random.default_rng(0)
+    A = np.diag(np.arange(1.0, 7.0)) + 0.5 * np.triu(rng.standard_normal((6, 6)), 1)
+    with pytest.raises(DiscretizationError, match=r"not Hermitian: max \|A - A\^H\| = 6\.3"):
+        eigensolve(A, hermitian=True)
+    np.testing.assert_allclose(eigensolve(A).lambdas, np.arange(1.0, 7.0), rtol=1e-12)
+    # an asymmetry just inside the tolerance passes both ways, with the same
+    # family; one just outside is named, and detected as non-Hermitian
+    _, L = _dirichlet_laplacian(20)
+    tol = 1e-14 * np.linalg.norm(L.A, np.inf)
+    for eps, symmetric in ((0.5 * tol, True), (2.0 * tol, False)):
+        B = L.A.copy()
+        B[3, 4] += eps
+        detected = eigensolve(B)
+        assert (detected.left is detected.right) == symmetric
+        if symmetric:
+            forced = eigensolve(B, hermitian=True)
+            assert forced.lambdas.tobytes() == detected.lambdas.tobytes()
+            assert forced.right.tobytes() == detected.right.tobytes()
+        else:
+            with pytest.raises(DiscretizationError, match="not Hermitian"):
+                eigensolve(B, hermitian=True)
+
+
 def test_nan_cross_gram_is_rejected(monkeypatch):
     # the floor gate must fail closed when the singular values are NaN
     _, L = _dirichlet_laplacian(20)
