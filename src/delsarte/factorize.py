@@ -260,14 +260,16 @@ def _check_rows(finite: np.ndarray, piv: np.ndarray, tiny: np.ndarray, i0: int) 
     _check_pivot(piv[..., r], tiny, i0 + r)
 
 
-def _glm_rows(S: np.ndarray, K: np.ndarray, V: np.ndarray) -> np.ndarray:
+def _glm_rows(S: np.ndarray, K: np.ndarray, V: np.ndarray, Km: np.ndarray) -> np.ndarray:
     """The row sweep of one diagonal block, in place; returns its pivots.
 
-    S is the block's Schur complement of 1 + Phi, minus 1; K and V are
-    views of the block's part of K_plus and V.  Row r of K is
+    S is the block's Schur complement of 1 + Phi, minus 1; K, V and Km are
+    views of the block's part of K_plus, V and K_minus.  Row r of K is
     -S[r, :r] (1 + S)_r^{-1}, with (1 + S)_r^{-1} = V_r (1 + K)_r, and V
     gains column r from column r of the upper triangular (1 + K)(1 + S)
-    and its pivot.  Nothing is checked here: a bad row only spoils the
+    and its pivot.  That product is the block's diagonal block of
+    U = (1 + K_plus)(1 + Phi), and its column r, less the 1 of its pivot,
+    is column r of Km.  Nothing is checked here: a bad row only spoils the
     rows after it, which :func:`_check_rows` never reaches.
     """
     piv = np.empty(S.shape[:-1], S.dtype)
@@ -275,7 +277,8 @@ def _glm_rows(S: np.ndarray, K: np.ndarray, V: np.ndarray) -> np.ndarray:
         w = S[..., r:r + 1, :r] @ V[..., :r, :r]
         K[..., r:r + 1, :r] = -(w + w @ K[..., :r, :r])
         # column r of (1 + K)(1 + S); only its pivot holds the 1 of 1 + S
-        u = S[..., :r + 1, r:r + 1] + K[..., :r + 1, :r] @ S[..., :r, r:r + 1]
+        Km[..., :r + 1, r:r + 1] = u = (S[..., :r + 1, r:r + 1]
+                                        + K[..., :r + 1, :r] @ S[..., :r, r:r + 1])
         piv[..., r] = p = u[..., r, 0] + 1.0
         V[..., :r, r:r + 1] = -(V[..., :r, :r] @ u[..., :r, :]) / p[..., None, None]
         V[..., r, r] = 1.0 / p
@@ -283,8 +286,9 @@ def _glm_rows(S: np.ndarray, K: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _glm_sweep(Phi: np.ndarray) -> np.ndarray:
-    """K_plus of the GLM equation in one blocked O(n^3) sweep along the chain.
+def _glm_sweep(Phi: np.ndarray):
+    """(K_plus, K_minus) of the GLM equation in one blocked O(n^3) sweep
+    along the chain.
 
     U = (1 + K_plus) M is upper triangular for M = 1 + Phi, and its inverse V
     holds the inverse of every leading block: M_H^{-1} = V_H (1 + K_plus)_H.
@@ -294,9 +298,11 @@ def _glm_sweep(Phi: np.ndarray) -> np.ndarray:
     :func:`_glm_rows` sweeps S row by row for the diagonal blocks of K_plus
     and V; then K[I, H] = -(1 + K[I, I]) G, and
     V[H, I] = -V_H U[H, I] V[I, I] with U[H, I] = (1 + K_plus)_H Phi[H, I].
-    A kernel up to the block order is a single block.  Beside K_plus and V
-    the sweep holds O(n _LDU_BLOCK) entries per kernel.  Each product is one
-    ``matmul`` for a whole stack, so a kernel keeps the bits it gets alone.
+    K_minus = U - 1 takes its diagonal blocks from the row sweeps and
+    U[H, I] above them.  A kernel up to the block order is a single block.
+    Beside K_plus, K_minus and V the sweep holds O(n _LDU_BLOCK) entries
+    per kernel.  Each product is one ``matmul`` for a whole stack, so a
+    kernel keeps the bits it gets alone.
     Each block's rows and pivots are checked before the next block starts
     (:func:`_check_rows`), every pivot against the floor of its whole
     matrix, so the first bad leading minor or non-finite row raises,
@@ -304,22 +310,23 @@ def _glm_sweep(Phi: np.ndarray) -> np.ndarray:
     """
     n = Phi.shape[-1]
     tiny = _pivot_floor(np.eye(n) + Phi)
-    K, V = (np.zeros(Phi.shape, np.result_type(Phi, float)) for _ in range(2))
+    K, V, Km = (np.zeros(Phi.shape, np.result_type(Phi, float)) for _ in range(3))
     for i0 in range(0, n, _LDU_BLOCK):
         I, H = slice(i0, min(i0 + _LDU_BLOCK, n)), slice(0, i0)
         W = Phi[..., I, H] @ V[..., H, H]
         G = W + W @ K[..., H, H]
-        piv = _glm_rows(Phi[..., I, I] - G @ Phi[..., H, I], K[..., I, I], V[..., I, I])
+        piv = _glm_rows(Phi[..., I, I] - G @ Phi[..., H, I], K[..., I, I], V[..., I, I],
+                        Km[..., I, I])
         # a non-finite row of G leaves its row of K[I, H] non-finite; the
         # product takes G only up to it, since the zeros above the diagonal
         # of K[I, I] would carry its NaN into the rows before it
         G_ok = np.logical_and.accumulate(np.isfinite(G).all(axis=-1), axis=-1)
         K[..., I, H] = -(G + K[..., I, I] @ np.where(G_ok[..., None], G, 0.0))
         _check_rows(np.isfinite(K[..., I, :I.stop]).all(axis=-1), piv, tiny, i0)
+        Km[..., H, I] = U = Phi[..., H, I] + K[..., H, H] @ Phi[..., H, I]
         if I.stop < n:  # only the blocks after I read V[H, I]
-            U = Phi[..., H, I] + K[..., H, H] @ Phi[..., H, I]
             V[..., H, I] = -(V[..., H, H] @ U) @ V[..., I, I]
-    return K
+    return K, Km
 
 
 def glm_solve(Phi: np.ndarray):
@@ -327,17 +334,17 @@ def glm_solve(Phi: np.ndarray):
 
     Row i of K_plus is the strictly-lower row that clears the strictly lower
     part of the left side; K_minus is the upper remainder, diagonal included.
-    K_plus comes from the blocked sweep of :func:`_glm_sweep`: row sweeps on
+    Both come from the blocked sweep of :func:`_glm_sweep`: row sweeps on
     the diagonal blocks of order ``_LDU_BLOCK``, matrix products beside
-    them, and O(n _LDU_BLOCK) temporaries beside K_plus and V.  ``Phi`` is
-    one kernel (n, n) or a stack (B, n, n) swept in lockstep, each kernel
-    keeping its bits; real for a real Phi.  Raises DiscretizationError on a
+    them, and O(n _LDU_BLOCK) temporaries beside K_plus, K_minus and V;
+    K_minus = (1 + K_plus)(1 + Phi) - 1 is read from the sweep's products,
+    so no product is formed after it.  ``Phi`` is one kernel (n, n) or a
+    stack (B, n, n) swept in lockstep, each kernel keeping its bits; real
+    for a real Phi.  Raises DiscretizationError on a
     non-square kernel and SingularMinorError where gk_factorize does, and
     at the first row that overflows.
     """
-    Phi = _square_kernels(Phi)
-    K = _glm_sweep(Phi)
-    return K, np.triu(K + Phi + K @ Phi, 0)
+    return _glm_sweep(_square_kernels(Phi))
 
 
 def glm_residual(Phi: np.ndarray, K_plus: np.ndarray, K_minus: np.ndarray) -> float:

@@ -2,8 +2,10 @@
 
 A differential expression  L = sum_alpha a_alpha(x) d^alpha  with N x N
 matrix coefficients is discretized on a product of uniform 1-D grids by
-centered stencils of a requested even order.  The module also provides the
-formal adjoint
+centered stencils of a requested even order, whose weights are exact
+mirror images (:func:`fd_weights`), so real even-order terms with constant
+coefficients plus a real potential assemble to an exactly symmetric matrix.
+The module also provides the formal adjoint
 
     L* = sum_alpha (-1)^|alpha| d^alpha ( conj(a_alpha)^T . )
 
@@ -166,6 +168,10 @@ def fd_weights(nodes: np.ndarray, x0: float, m: int) -> np.ndarray:
     """Finite-difference weights for the m-th derivative at x0 on given nodes.
 
     Fornberg's recursion; works for one-sided and centered windows alike.
+    On nodes symmetric about x0 the weights are made exact mirror images,
+    w <- (w + (-1)^m w[::-1]) / 2, so that a centered stencil of even order
+    assembles to an exactly symmetric matrix (the recursion alone leaves
+    w_-k and w_k an ulp apart on many spacings).
     """
     nodes = np.asarray(nodes, dtype=float)
     n = len(nodes)
@@ -191,7 +197,10 @@ def fd_weights(nodes: np.ndarray, x0: float, m: int) -> np.ndarray:
                 C[j, k] = (c4 * C[j, k] - k * C[j, k - 1]) / c3
             C[j, 0] = c4 * C[j, 0] / c3
         c1 = c2
-    return C[:, m]
+    w = C[:, m]
+    if np.array_equal(nodes - x0, x0 - nodes[::-1]):
+        w = (w + (-1) ** m * w[::-1]) / 2
+    return w
 
 
 def stencil_half_width(order: int, scheme_order: int) -> int:

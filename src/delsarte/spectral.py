@@ -11,11 +11,14 @@ normalization
 
 are honest spectral objects: E is multiplicative, K_f commutes with A, and
 the elementary kernels Z_lam = psi_lam phi_lam^* satisfy the two-sided
-congruences A Z = lam Z and Z A = lam Z.  Each cluster of numerically
-equal eigenvalues is normalized through an SVD of its cross-Gram; clusters
-of one size share one stacked SVD, so all simple eigenvalues take a single
-call.  A Hermitian operator is solved from its band: a real tridiagonal
-band by LAPACK ``stevd``, any other by ``eig_banded``.
+congruences A Z = lam Z and Z A = lam Z.  A Hermitian operator is solved
+from its band: a real tridiagonal band by LAPACK ``stevd``, any other by
+``eig_banded``; their eigenvectors are orthonormal as LAPACK returns them,
+so the left family is the right one scaled by 1/rho.  A general operator
+takes the two-sided ``eig``, whose vectors are not biorthonormal: each
+cluster of numerically equal eigenvalues is normalized through an SVD of
+its cross-Gram, and clusters of one size share one stacked SVD, so all
+simple eigenvalues take a single call.
 """
 
 from __future__ import annotations
@@ -89,10 +92,10 @@ def _eigen_residual(AV: np.ndarray, V: np.ndarray, lams: np.ndarray) -> float:
 
 def _normalize_clusters(lams, right, left, weights, cols) -> None:
     """Biorthonormalize, in place, k clusters of m columns each (``cols`` is
-    k x m) through one stacked SVD of their k cross-Grams left^* W right.
-    Only ``right`` is rescaled when ``left is right``."""
+    k x m) of the two-sided ``eig`` families through one stacked SVD of
+    their k cross-Grams left^* W right."""
     R = right[:, cols].transpose(1, 0, 2)  # k x n x m
-    Lv = R if left is right else left[:, cols].transpose(1, 0, 2)
+    Lv = left[:, cols].transpose(1, 0, 2)
     U, s, Vh = np.linalg.svd(Lv.conj().swapaxes(1, 2) @ (weights[:, None] * R))
     # NaN-safe floor gate: a NaN singular value fails the comparison
     ok = s[:, -1] >= _GRAM_FLOOR * np.maximum(s[:, 0], 1.0)
@@ -103,8 +106,7 @@ def _normalize_clusters(lams, right, left, weights, cols) -> None:
             f"{s[k].min():.3e} .. {s[k].max():.3e}; family is defective")
     inv_sqrt = 1.0 / np.sqrt(s)[:, None, :]
     right[:, cols] = ((R @ Vh.conj().swapaxes(1, 2)) * inv_sqrt).transpose(1, 0, 2)
-    if left is not right:
-        left[:, cols] = ((Lv @ U) * inv_sqrt).transpose(1, 0, 2)
+    left[:, cols] = ((Lv @ U) * inv_sqrt).transpose(1, 0, 2)
 
 
 def _tridiagonal_eigh(ab: np.ndarray):
@@ -137,14 +139,18 @@ def eigensolve(A, count: int | None = None, band=None,
     LAPACK ``stevd`` when it is real and tridiagonal
     (:func:`_tridiagonal_eigh`, with the bits ``eig_banded`` gives) and to
     ``eig_banded`` otherwise.  It keeps the operator's dtype, so a real
-    symmetric operator gives real eigenvalues and real vectors, and with
-    unit weights the left family is the right one; its eigen-residuals are
-    taken from the same band.  Other input takes the two-sided ``eig``
-    path, whose eigenvalues are complex and whose residuals come from dense
-    products (its solve is already O(n^3)).
+    symmetric operator gives real eigenvalues and real vectors.  Its
+    eigenvectors are taken as LAPACK returns them, orthonormal, with no
+    further normalization: with unit weights the left family is the right
+    one, and otherwise it is the right one scaled by 1/weights.  Its
+    eigen-residuals are taken from the same band.  Other input takes the
+    two-sided ``eig`` path, whose eigenvalues are complex, whose families
+    are biorthonormalized cluster by cluster (:func:`_normalize_clusters`)
+    and whose residuals come from dense products (its solve is already
+    O(n^3)).
 
-    Raises :class:`DefectiveFamilyError` when a degenerate cluster's
-    cross-Gram is singular to working precision, and
+    Raises :class:`DefectiveFamilyError` when a cluster's cross-Gram on the
+    two-sided path is singular to working precision, and
     :class:`EmptyBandError` when the selection is empty, and
     :class:`DiscretizationError` on a non-finite operator or weight, a non-square
     operator, weights not one per row, or ``hermitian=True`` on a non-Hermitian one.
@@ -193,17 +199,18 @@ def eigensolve(A, count: int | None = None, band=None,
     # family under <u, v>_W = u^H W v
     left = right if one_sided else left[:, keep] / weights[:, None]
 
-    # biorthonormalization against the weighted pairing, one stacked SVD per
-    # cluster size (the simple eigenvalues are the clusters of size one)
-    cluster_tol = 1e-8 * max(scale, 1.0)
-    starts = np.r_[0, np.flatnonzero(np.abs(np.diff(lams)) > cluster_tol) + 1]
-    sizes = np.diff(np.r_[starts, len(lams)])
-    for m in np.unique(sizes):
-        cols = starts[sizes == m][:, None] + np.arange(m)
-        _normalize_clusters(lams, right, left, weights, cols)
+    if not hermitian:
+        # biorthonormalization against the weighted pairing, one stacked SVD
+        # per cluster size (the simple eigenvalues are the clusters of size one)
+        cluster_tol = 1e-8 * max(scale, 1.0)
+        starts = np.r_[0, np.flatnonzero(np.abs(np.diff(lams)) > cluster_tol) + 1]
+        sizes = np.diff(np.r_[starts, len(lams)])
+        for m in np.unique(sizes):
+            cols = starts[sizes == m][:, None] + np.arange(m)
+            _normalize_clusters(lams, right, left, weights, cols)
     # tie-break inside an exactly degenerate cluster: rotate each pair's
     # phase so the left vector's largest component is positive real (the
-    # gate above leaves no zero column)
+    # gate above, or LAPACK's orthonormal columns, leave no zero column)
     piv = left[np.argmax(np.abs(left), axis=0), np.arange(len(lams))]
     ph = piv / np.abs(piv)
     left /= ph

@@ -41,7 +41,7 @@ from .errors import (ConditionNumberError, DiscretizationError, GridError,
                      SingularKernelError)
 from .factorize import (TriangularPair, _conjugate, commutation_check,
                         gk_factorize)
-from .grid_ops import Grid1D, _as_matrix
+from .grid_ops import Grid1D, _as_matrix, _is_hermitian, _upper_band
 
 __all__ = [
     "TransmutationData",
@@ -368,36 +368,42 @@ def _mirror(op: DelsarteOp) -> DelsarteOp:
 # ---------------------------------------------------------------------------
 
 def _extract_tridiag(M: np.ndarray):
+    """Diagonal and off-diagonal scale c of a real symmetric tridiagonal
+    operator with constant off-diagonals -c, read from its upper band
+    (:func:`grid_ops._upper_band`); anything else is named and refused."""
     if M.ndim != 2 or M.shape[0] < 2:
         raise DiscretizationError("pair intertwiner needs operators of size 2 or more")
-    A = np.abs(M)
-    scale = float(np.max(A))
-    if not np.isfinite(scale):
+    if not np.all(np.isfinite(M)):
         raise DiscretizationError("pair intertwiner needs finite operators")
-    for k in (-1, 0, 1):
-        np.fill_diagonal(A[max(-k, 0):, max(k, 0):], 0.0)
-    band = float(np.max(A))
-    if not (band <= 1e-12 * scale):
+    ab = _upper_band(M, 1)
+    if ab is None:
         raise DiscretizationError("pair intertwiner needs tridiagonal operators")
-    sup = np.diagonal(M, 1)
-    sub = np.diagonal(M, -1)
-    c = -sup[0]
-    if c == 0:
+    if np.iscomplexobj(ab) and np.any(ab.imag):
+        raise DiscretizationError("pair intertwiner needs real operators, got complex "
+                                  "entries (a complex potential or off-diagonal)")
+    if not _is_hermitian(M, ab):
+        raise DiscretizationError("pair intertwiner needs symmetric operators, got "
+                                  "unequal off-diagonals")
+    if len(ab) == 1 or ab[0, 1] == 0:
         raise DiscretizationError("pair intertwiner needs a nonzero off-diagonal, got c = 0")
-    if not (np.max(np.abs(sup + c)) <= 1e-10 * abs(c)
-            and np.max(np.abs(sub + c)) <= 1e-10 * abs(c)):
+    if not np.all(ab[0, 1:] == ab[0, 1]):
         raise DiscretizationError("pair intertwiner needs constant equal off-diagonals")
-    return np.real(np.diagonal(M).copy()), complex(c)
+    return np.real(ab[1]), -float(np.real(ab[0, 1]))
 
 
 def pair_intertwiner(L, Ltil, sign: str = "+", grid: Grid1D | None = None) -> DelsarteOp:
     """Strictly triangular K with (1 + K) L = Ltil (1 + K) on interior rows.
 
-    Both operators must be tridiagonal with the same constant off-diagonal
-    (the standard second-difference shape); they may differ in their
-    diagonals, i.e. in the potential.  The kernel is marched row by row from
-    the zero first row; each new row cancels one row of the intertwining
-    defect, leaving all of it in the final row (first row for sign "-").
+    Both operators must be real, symmetric and tridiagonal with the same
+    constant off-diagonal (the standard second-difference shape); they may
+    differ in their diagonals, i.e. in the potential.  Each is read through
+    its band (:func:`_extract_tridiag`) with no tolerance: a complex entry
+    (a complex potential), any nonzero off the band or unequal
+    off-diagonals raise :class:`DiscretizationError` naming the cause, as
+    :func:`discretize` assembles every real -d^2 + q exactly symmetric.
+    The kernel is marched row by row from the zero first row; each new row
+    cancels one row of the intertwining defect, leaving all of it in the
+    final row (first row for sign "-").
     A ``grid``, when given, must have one node per row of L.
     """
     Lm = _as_matrix(L)
@@ -409,11 +415,10 @@ def pair_intertwiner(L, Ltil, sign: str = "+", grid: Grid1D | None = None) -> De
                                   f"are {Lm.shape[0]}x{Lm.shape[1]}")
     if _minus(sign):
         return _mirror(pair_intertwiner(Lm[::-1, ::-1], Tm[::-1, ::-1], "+"))
-    dL, cL = _extract_tridiag(Lm)
+    dL, c = _extract_tridiag(Lm)
     dT, cT = _extract_tridiag(Tm)
-    if abs(cL - cT) > 1e-10 * abs(cL):
+    if abs(c - cT) > 1e-10 * abs(c):
         raise DiscretizationError("off-diagonal scales differ between the pair")
-    c = float(np.real(cL))
     n = Lm.shape[0]
     K = np.zeros((n, n))
     # K[i+1,j] = -K[i-1,j] + K[i,j-1] + K[i,j+1] + (dT_i - dL_j)/c K[i,j]

@@ -342,13 +342,11 @@ def test_axis_layout_lives_in_two_helpers():
 
 def test_band_diagonals_are_read_in_one_place():
     """``np.diagonal`` with an offset, which reads one band diagonal, appears
-    only in ``grid_ops._upper_band`` (the one band packer), in
+    only in ``grid_ops._upper_band`` (the one band packer) and in
     ``grid_ops._is_hermitian`` (which reads the lower partner of each packed
-    diagonal) and in ``transmute._extract_tridiag`` (which validates its
-    input)."""
+    diagonal)."""
     import delsarte
-    allowed = {("grid_ops.py", "_upper_band"), ("grid_ops.py", "_is_hermitian"),
-               ("transmute.py", "_extract_tridiag")}
+    allowed = {("grid_ops.py", "_upper_band"), ("grid_ops.py", "_is_hermitian")}
     offenders = []
 
     def visit(node, path, where):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from delsarte import (DiffOp, DiscretizationError, Grid1D, GridError,
                       ProductGrid, adjoint_defect, commutator,
                       derivative_matrix, discretize, formal_adjoint, inner)
-from delsarte import grid_ops
+from delsarte import acceptance, grid_ops
 from delsarte.grid_ops import (_band_matvec, _is_hermitian, _operator_product,
                                _upper_band, fd_weights, stencil_half_width)
 
@@ -82,6 +82,30 @@ def test_stencil_half_width():
     assert stencil_half_width(2, 2) == 1
     assert stencil_half_width(2, 4) == 2
     assert stencil_half_width(4, 2) == 2
+
+
+_BOUNDARY = {"dirichlet": Grid1D.dirichlet, "periodic": Grid1D.periodic}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n=st.integers(9, 400), a=st.integers(6, 20),
+       kinds=st.tuples(*[st.sampled_from(sorted(_BOUNDARY))] * 2),
+       scheme_order=st.sampled_from([2, 4]), ny=st.integers(9, 24))
+def test_real_even_order_operators_are_exactly_symmetric(n, a, kinds, scheme_order, ny):
+    """Centered weights are exact mirror images (``fd_weights`` mirrors
+    them on nodes symmetric about x0), so every real even-order operator of
+    constant leading coefficients plus a real potential assembles to a
+    matrix equal to its transpose, bit for bit: -d^2 + q on [-a, a], and a
+    2-D operator with mixed d_x d_y and fourth-order terms."""
+    gx = _BOUNDARY[kinds[0]](-a, a, n)
+    schrodinger = DiffOp(ProductGrid.line(gx), {(2,): -1.0, (0,): -2.0 / np.cosh(gx.x) ** 2})
+    g2 = ProductGrid((_BOUNDARY[kinds[0]](-a, a, ny + 3), _BOUNDARY[kinds[1]](0.0, a, ny)))
+    X, Y = np.meshgrid(g2.axes[0].x, g2.axes[1].x, indexing="ij")
+    mixed = DiffOp(g2, {(2, 0): -1.0, (0, 2): -1.3, (1, 1): 0.7, (4, 0): 0.2,
+                        (0, 4): 0.1, (0, 0): np.sin(X) * np.cos(Y)})
+    for op in (schrodinger, mixed):
+        A = discretize(op, scheme_order).A
+        assert np.array_equal(A, A.T)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +359,7 @@ def test_hermitian_test_reads_the_band():
     T = _tridiagonal(n, rng, False)
     nudged = T.copy()
     nudged[4, 5] += 1e-15 * np.max(np.abs(T))
-    # this stencil's weights differ between rows by roundoff
+    # the stencil is exactly symmetric: fd_weights mirrors centered weights
     stencil = -derivative_matrix(Grid1D.dirichlet(0.0, 1.0, n), 2)
     G = rng.standard_normal((n, n))
     H = G + 1j * rng.standard_normal((n, n))
@@ -347,7 +371,7 @@ def test_hermitian_test_reads_the_band():
         assert _is_hermitian(A, ab) == np.array_equal(A, A.conj().T)
         assert _is_hermitian(A, ab, atol) == np.allclose(A, A.conj().T, rtol=0.0, atol=atol)
         decisions.append((_is_hermitian(A, ab), _is_hermitian(A, ab, atol)))
-    assert decisions == [(True, True), (False, True), (False, True), (False, False),
+    assert decisions == [(True, True), (False, True), (True, True), (False, False),
                          (False, False), (True, True), (False, False)]
 
 
@@ -390,6 +414,21 @@ def test_operator_product_keeps_the_dense_route_otherwise(monkeypatch):
         assert _operator_product(A, X).tobytes() == (A @ X).tobytes()
         assert _operator_product(A, X, right=True).tobytes() == (X @ A).tobytes()
     assert calls == []
+
+
+def test_pair_conjugation_takes_the_band_route_on_every_grid(monkeypatch):
+    """The free and dressed operators on [-8, 8] are exactly symmetric at
+    n = 599 as at n = 600, so the pair check multiplies through their band
+    equally often on both."""
+    calls = _counting_band_products(monkeypatch)
+    counts = []
+    for n in (599, 600):
+        base, dressed = acceptance.soliton_pair((-8.0, 8.0), n)
+        del calls[:]
+        acceptance.pair_conjugation_rows(base.matrix().A, dressed.operator.matrix().A,
+                                         base.grid)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_commutator_with_position_is_neighbor_averaging():

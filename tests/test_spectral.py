@@ -131,7 +131,8 @@ def test_hermitian_flag_is_checked():
 
 
 def test_nan_cross_gram_is_rejected(monkeypatch):
-    # the floor gate must fail closed when the singular values are NaN
+    # the floor gate must fail closed when the singular values are NaN; it
+    # runs on the two-sided path only, so that path is forced
     _, L = _dirichlet_laplacian(20)
     svd = np.linalg.svd
 
@@ -141,7 +142,26 @@ def test_nan_cross_gram_is_rejected(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", nan_svd)
     with pytest.raises(DefectiveFamilyError):
-        eigensolve(L, count=2)
+        eigensolve(L, count=2, hermitian=False)
+
+
+def test_hermitian_path_takes_lapack_vectors_without_an_svd(monkeypatch):
+    # LAPACK returns the Hermitian eigenvectors orthonormal, so only the
+    # two-sided path biorthonormalizes through an SVD
+    _, L = _dirichlet_laplacian(60)
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    fam = eigensolve(L, hermitian=True)
+    assert calls == []
+    assert fam.biorthogonality_defect() < 1e-12
+    eigensolve(L, hermitian=False)
+    assert calls
 
 
 def test_degenerate_but_diagonalizable_cluster():

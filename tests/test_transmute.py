@@ -391,6 +391,26 @@ def test_pair_intertwiner_rejects_a_zero_off_diagonal(sign):
             pair_intertwiner(L, L + np.eye(6), sign)
 
 
+def test_pair_intertwiner_names_what_its_band_reader_refuses():
+    """A complex potential, off-band fill and an off-diagonal asymmetry are
+    each refused by name; the imaginary part of a potential is not dropped."""
+    g = Grid1D.dirichlet(-5.0, 5.0, 80)
+    L = SchrodingerOp.free(g).matrix().A
+    q = -2.0 / np.cosh(g.x) ** 2 * (1.0 + 0.3j)
+    T = discretize(DiffOp(ProductGrid.line(g), {(2,): -1.0, (0,): q})).A
+    with pytest.raises(DiscretizationError, match="complex potential"):
+        pair_intertwiner(L, T, grid=g)
+    T = SchrodingerOp(g, q.real).matrix().A
+    fill = T.copy()
+    fill[40, 3] = 1e-13 * np.max(np.abs(T))
+    with pytest.raises(DiscretizationError, match="tridiagonal"):
+        pair_intertwiner(L, fill, grid=g)
+    skew = T.copy()
+    skew[41, 40] *= 1.0 + 1e-11
+    with pytest.raises(DiscretizationError, match="symmetric"):
+        pair_intertwiner(L, skew, grid=g)
+
+
 def _sign_entry_points():
     *_, fam_data = _family_data(n=20)
     _, _, kernel_data = _kernel_data(n=20)
