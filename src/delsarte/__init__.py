@@ -4,7 +4,7 @@ Darboux potentials, and the generalized de Rham/Hodge layer.
 The package is organized bottom-up:
 
 - ``grid_ops``: grids, stencils, operator discretization, formal adjoints
-- ``spectral``: biorthogonal eigenfamilies, spectral measures, kernels
+- ``spectral``: Hermitian eigenfamilies, spectral measures, kernels
 - ``lagrange``: the divergence form of the Lagrange identity; discrete forms,
   regions, Stokes bookkeeping
 - ``transmute``: the triangular dressing operators and their exact inverses,
@@ -15,11 +15,10 @@ The package is organized bottom-up:
 - ``cli``: batch commands over JSON configs
 """
 
-from .errors import (ConditionNumberError, DefectiveFamilyError,
-                     DegreeMismatchError, DelsarteError, DiscretizationError,
-                     EmptyBandError, GridError, NonCommutingFamilyError,
-                     NotClosedError, SeedNodeError, SingularKernelError,
-                     SingularMinorError)
+from .errors import (ConditionNumberError, DegreeMismatchError,
+                     DelsarteError, DiscretizationError, EmptyBandError,
+                     GridError, NonCommutingFamilyError, NotClosedError,
+                     SeedNodeError, SingularKernelError, SingularMinorError)
 from .grid_ops import (DiffOp, Grid1D, OperatorMatrix, ProductGrid,
                        adjoint_defect, commutator, derivative_matrix,
                        discretize, formal_adjoint, inner)

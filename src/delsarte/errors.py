@@ -24,15 +24,6 @@ class DegreeMismatchError(DelsarteError):
     """Cochain degrees incompatible with the requested operation."""
 
 
-class DefectiveFamilyError(DelsarteError):
-    """Left/right eigenvector families that cannot be biorthonormalized.
-
-    Raised when a degenerate cluster has (numerically) defective geometry:
-    the cross-Gram matrix of the cluster is singular to working precision,
-    so no rescaling makes the families biorthogonal.
-    """
-
-
 class EmptyBandError(DelsarteError):
     """No spectrum found in the requested window."""
 

@@ -398,9 +398,11 @@ def pair_intertwiner(L, Ltil, sign: str = "+", grid: Grid1D | None = None) -> De
     constant off-diagonal (the standard second-difference shape); they may
     differ in their diagonals, i.e. in the potential.  Each is read through
     its band (:func:`_extract_tridiag`) with no tolerance: a complex entry
-    (a complex potential), any nonzero off the band or unequal
-    off-diagonals raise :class:`DiscretizationError` naming the cause, as
-    :func:`discretize` assembles every real -d^2 + q exactly symmetric.
+    (a complex potential), any nonzero off the band, unequal off-diagonals
+    or off-diagonal scales that differ between L and Ltil by any amount
+    raise :class:`DiscretizationError` naming the cause, as
+    :func:`discretize` assembles every real -d^2 + q on one grid exactly
+    symmetric, with the same off-diagonal bits.
     The kernel is marched row by row from the zero first row; each new row
     cancels one row of the intertwining defect, leaving all of it in the
     final row (first row for sign "-").
@@ -417,8 +419,9 @@ def pair_intertwiner(L, Ltil, sign: str = "+", grid: Grid1D | None = None) -> De
         return _mirror(pair_intertwiner(Lm[::-1, ::-1], Tm[::-1, ::-1], "+"))
     dL, c = _extract_tridiag(Lm)
     dT, cT = _extract_tridiag(Tm)
-    if abs(c - cT) > 1e-10 * abs(c):
-        raise DiscretizationError("off-diagonal scales differ between the pair")
+    if c != cT:
+        raise DiscretizationError(f"off-diagonal scales differ between the pair: "
+                                  f"c = {c!r} for L, {cT!r} for Ltil")
     n = Lm.shape[0]
     K = np.zeros((n, n))
     # K[i+1,j] = -K[i-1,j] + K[i,j-1] + K[i,j+1] + (dT_i - dL_j)/c K[i,j]

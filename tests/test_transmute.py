@@ -18,8 +18,8 @@ from delsarte import (ConditionNumberError, DelsarteOp, DiffOp, DressingSeed,
                       adjoint_compat_check, commutation_check, darboux_once,
                       discretize, eigensolve, gk_factorize,
                       independence_check, kernel_from_measure,
-                      locality_check, pair_intertwiner, projection_measure,
-                      random_unit_minor, spectrum_compare, transform_operator)
+                      locality_check, pair_intertwiner, random_unit_minor,
+                      spectrum_compare, transform_operator)
 from delsarte import acceptance
 from delsarte.acceptance import transmute_check
 from delsarte.cli import run_command
@@ -202,16 +202,19 @@ def test_dressing_data_is_exact_on_soliton_operators(kappa, half_width, n, m):
        n=st.integers(30, 150), m=st.sampled_from([1, 2, 3]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_family_route_is_exact_with_varying_weights(kappa, center, n, m, seed):
-    # the weighted pairing on the band route: node weights from U(0.5, 2)
+    # the weighted pairing <u, v>_W = u^* W v, node weights from U(0.5, 2):
+    # the left family right / w holds the eigenvectors of the W-adjoint
+    # W^-1 L^* W and pairs with the orthonormal right family to I
     w = np.random.default_rng(seed).uniform(0.5, 2.0, n)
     base, dressed = acceptance.soliton_pair((-8.0, 8.0), n, kappa, "even", center)
     L = dressed.operator.matrix().A
-    fam = eigensolve(L, weights=w, hermitian=True)
-    assert fam.biorthogonality_defect() <= 1e-12
-    assert np.max(np.abs(projection_measure(fam) - np.eye(n))) <= 1e-12
+    fam = eigensolve(L, hermitian=True)
+    right, left = fam.right, fam.right / w[:, None]
+    assert np.linalg.norm(left.T @ (w[:, None] * right) - np.eye(n)) <= 1e-12
+    assert np.max(np.abs(right @ (left.T * w[None, :]) - np.eye(n))) <= 1e-12
     k = nearest_indices(fam.lambdas, m)
-    data = TransmutationData.from_family(base.grid, L, fam.right[:, k],
-                                         fam.left[:, k], weights=w)
+    data = TransmutationData.from_family(base.grid, L, right[:, k], left[:, k],
+                                         weights=w)
     for sign in "+-":
         np.testing.assert_allclose(
             data.operator(sign).matrix() @ data.inverse(sign).matrix(),
@@ -234,11 +237,15 @@ def _nonsymmetric(n, drift, amp, half_width=8.0):
        m=st.sampled_from([1, 2, 3]))
 def test_dressing_routes_are_exact_on_nonsymmetric_operators(n, drift, amp_re,
                                                              amp_im, m):
-    # both data classes on the two-sided eig path: the family route is
-    # exact and adjoint-compatible, the kernel route sign-independent
+    # both data classes from the two-sided eigenbasis L = V diag(lam) V^-1
+    # (simple eigenvalues), with left = V^-H so that left^* right = I: the
+    # family route is exact and adjoint-compatible, the kernel route
+    # sign-independent
     g, L = _nonsymmetric(n, drift, complex(amp_re, amp_im))
-    fam = eigensolve(L, count=m, hermitian=False)
-    data = TransmutationData.from_family(g, L, fam.right, fam.left)
+    lams, V = scipy.linalg.eig(L)
+    Vinv = np.linalg.inv(V)
+    k = nearest_indices(lams, m)
+    data = TransmutationData.from_family(g, L, V[:, k], Vinv[k].conj().T)
     eye = np.eye(n)
     f = np.linspace(-1.0, 1.0, n)
     for sign in "+-":
@@ -246,8 +253,7 @@ def test_dressing_routes_are_exact_on_nonsymmetric_operators(n, drift, amp_re,
         np.testing.assert_allclose(M @ data.inverse(sign).matrix(), eye, atol=1e-12)
         np.testing.assert_allclose(data.apply(f, sign), M @ f, atol=1e-12)
     assert adjoint_compat_check(data) <= 1e-12
-    Phi = kernel_from_measure(eigensolve(L, hermitian=False),
-                              lambda lam: 0.4 / (1.0 + abs(lam)))
+    Phi = (V * (0.4 / (1.0 + np.abs(lams)))) @ Vinv
     assert independence_check(KernelData(L, Phi))[0] <= 1e-10
 
 
@@ -279,13 +285,14 @@ def test_omega_homotopy_normalization_bit_exact():
 
 
 def test_omega_full_domain_completeness():
-    # family biorthonormalized against the h-weighted pairing: the full-range
-    # Gram is the identity, so Omega at the right edge is 2*identity
+    # left = right / h pairs with the orthonormal right family to I under
+    # the h-weighted pairing: the full-range Gram is the identity, so Omega
+    # at the right edge is 2*identity
     n, m = 60, 4
     g = Grid1D.dirichlet(0.0, np.pi, n)
     A = SchrodingerOp.free(g).matrix().A
-    fam = eigensolve(A, count=m, hermitian=True, weights=np.full(n, g.h))
-    data = TransmutationData.from_family(g, A, fam.right, fam.left)
+    fam = eigensolve(A, count=m, hermitian=True)
+    data = TransmutationData.from_family(g, A, fam.right, fam.right / g.h)
     K = data.omega_at(g.x[-1])
     np.testing.assert_allclose(K, 2.0 * np.eye(m), atol=1e-10)
 
@@ -392,8 +399,9 @@ def test_pair_intertwiner_rejects_a_zero_off_diagonal(sign):
 
 
 def test_pair_intertwiner_names_what_its_band_reader_refuses():
-    """A complex potential, off-band fill and an off-diagonal asymmetry are
-    each refused by name; the imaginary part of a potential is not dropped."""
+    """A complex potential, off-band fill, an off-diagonal asymmetry and
+    off-diagonal scales that differ between the pair are each refused by
+    name; the imaginary part of a potential is not dropped."""
     g = Grid1D.dirichlet(-5.0, 5.0, 80)
     L = SchrodingerOp.free(g).matrix().A
     q = -2.0 / np.cosh(g.x) ** 2 * (1.0 + 0.3j)
@@ -409,6 +417,12 @@ def test_pair_intertwiner_names_what_its_band_reader_refuses():
     skew[41, 40] *= 1.0 + 1e-11
     with pytest.raises(DiscretizationError, match="symmetric"):
         pair_intertwiner(L, skew, grid=g)
+    # a symmetric T with constant off-diagonals 5e-11 off L's: L's scale
+    # would leave the conjugate 3.3e-9 off T's interior rows
+    scaled = T + (5e-11 * (np.diag(np.diag(T, 1), 1) + np.diag(np.diag(T, -1), -1)))
+    assert np.array_equal(scaled, scaled.T) and len(set(np.diag(scaled, 1))) == 1
+    with pytest.raises(DiscretizationError, match="off-diagonal scales differ"):
+        pair_intertwiner(L, scaled, grid=g)
 
 
 def _sign_entry_points():
