@@ -31,7 +31,8 @@ from .derham import (d_L, expected_betti, flat_complex, flat_dimension,
 from .errors import SingularMinorError
 from .factorize import (break_relation_defect, gk_factorize, glm_residual,
                         glm_solve, random_unit_minor)
-from .grid_ops import DiffOp, Grid1D, ProductGrid, _operator_product, inner
+from .grid_ops import (_BAND_ROWS, DiffOp, Grid1D, ProductGrid, _band_matvec,
+                       _operator_product, inner)
 from .lagrange import FormField, SurfaceRegion, d_matrix, divergence_residual
 from .spectral import (_two_norm, congruence_residual, eigensolve, elementary_kernel,
                        kernel_from_measure, nearest_indices,
@@ -148,26 +149,40 @@ def darboux_check(domain, n: int, kappa: float, parity: str = "even",
     }
 
 
-def pair_conjugation_rows(L: np.ndarray, T: np.ndarray, grid: Grid1D,
+def pair_conjugation_rows(L: np.ndarray, dressed: SchrodingerOp, grid: Grid1D,
                           cond_guard: float = 1e10):
-    """Conjugate L by the pair intertwiner of (L, T); returns (rows, factor).
+    """Conjugate L by the pair intertwiner of L and the ``dressed``
+    operator T; returns (rows, factor).
 
-    The conjugate is dropped once its rows are read, before the factor's
-    matrix is assembled for the intertwining residual."""
-    om = pair_intertwiner(L, T, "+", grid=grid)
+    T is assembled densely only for :func:`pair_intertwiner`; the rows read
+    its band (:meth:`SchrodingerOp.to_banded`, the bits of the dense
+    matrix's).  The conjugate is dropped once its rows are read, before the
+    factor's matrix is assembled for the intertwining residual, and T M is
+    subtracted from M L a block of columns at a time, so beside L and the
+    pair kernel the rows hold three n x n arrays at most."""
+    om = pair_intertwiner(L, dressed.matrix().A, "+", grid=grid)
     Ltil = transform_operator(L, om, cond_guard=cond_guard)
+    tb = dressed.to_banded()
     n = grid.n
+    offband = locality_check(Ltil, bandwidth=1)
+    # |Ltil - T| in place: T is its band, exactly symmetric (pair_intertwiner
+    # refuses any other), and an exact zero off it
+    i = np.arange(n)
+    Ltil[i, i] -= tb[1]
+    Ltil[i[:-1], i[1:]] -= tb[0, 1:]
+    Ltil[i[1:], i[:-1]] -= tb[0, 1:]
+    np.abs(Ltil, out=Ltil)
     # the marching closure dumps its whole defect into the final row
-    rows = [
-        _row("interior_rows_match",
-             float(np.max(np.abs(Ltil[: n - 1] - T[: n - 1]))), 1e-6),
-        _row("offband_ratio", locality_check(Ltil, bandwidth=1), 1e-6),
-    ]
+    rows = [_row("interior_rows_match", float(np.max(Ltil[: n - 1])), 1e-6),
+            _row("offband_ratio", offband, 1e-6)]
     del Ltil
     M = om.matrix()
+    R = _operator_product(L, M, right=True)
+    # T M by columns, each entry with the bits of the whole product
+    for c in range(0, n, _BAND_ROWS):
+        R[:, c:c + _BAND_ROWS] -= _band_matvec(tb, M[:, c:c + _BAND_ROWS])
     rows.append(_row("intertwining_residual",
-                     float(np.linalg.norm((_operator_product(L, M, right=True)
-                                           - _operator_product(T, M))[: n - 1])
+                     float(np.linalg.norm(R[: n - 1])
                            / (np.linalg.norm(M) * np.linalg.norm(L))), 1e-9))
     return rows, om
 
@@ -196,22 +211,17 @@ def transmute_check(domain, n: int, kappa: float, center: float = 0.0,
     plus kernel as its (n, 2m) generators [U | C] with
     K_+ = -tril(U C^T, -1).
 
-    Each route's n x n arrays die with the route: the dressed operator T
-    after the pair rows, the family factor and its inverse after
-    ``inverse_kernel_exactness``, the kernel data (the kernel and its
-    factorization) after the sign rows, and every conjugate once its
-    norms are read.  Beside the base operator and the pair kernel, which
-    live throughout, a route holds a few n x n arrays at a time."""
+    The family and kernel routes run first and the pair route last, so the
+    pair kernel is not alive while the others run; the rows keep the
+    pair-first order.  Each route's n x n arrays die with the route: the
+    family factor and its inverse after ``inverse_kernel_exactness``, the
+    kernel data (the kernel and its factorization) after the sign rows,
+    the dense dressed operator T once the pair kernel is marched, and every
+    conjugate once its norms are read.  Beside the base operator, which
+    lives throughout, a route holds a few n x n arrays at a time."""
     base, dressed = soliton_pair(domain, n, kappa, "even", center)
     g = base.grid
     L = base.matrix().A
-    rows, om = pair_conjugation_rows(L, dressed.operator.matrix().A, g)
-    rows += [
-        _row("pair_kernel_volterra",
-             om.volterra_defect() / max(float(np.linalg.norm(om.kernel)), 1e-300),
-             1e-10),
-        _row("pair_condition_number", om.cond(), 1e10),
-    ]
     # family route on the base operator's own eigenvectors: exact inverses,
     # sign independence, adjoint compatibility
     data, datak = dressing_data(g, L, family_size)
@@ -219,22 +229,29 @@ def transmute_check(domain, n: int, kappa: float, center: float = 0.0,
                                      - np.eye(g.n)) / np.sqrt(g.n))
     gap, comm = independence_check(datak)
     del datak
-    rows += [
+    family_rows = [
         _row("inverse_kernel_exactness", exactness, 1e-10),
         _row("sign_independence_gap", gap, 1e-8),
         _row("sign_commutation", comm, 1e-8),
         _row("adjoint_compatibility", adjoint_compat_check(data), 1e-9),
     ]
-    return rows, {"x": g.x, "pair_kernel": om.kernel,
-                  "family_generators": data._generators()}
+    rows, om = pair_conjugation_rows(L, dressed.operator, g)
+    rows += [
+        _row("pair_kernel_volterra",
+             om.volterra_defect() / max(float(np.linalg.norm(om.kernel)), 1e-300),
+             1e-10),
+        _row("pair_condition_number", om.cond(), 1e10),
+    ]
+    return rows + family_rows, {"x": g.x, "pair_kernel": om.kernel,
+                                "family_generators": data._generators()}
 
 
 def criterion_2() -> list:
     base, dressed = soliton_pair((-20.0, 20.0), 400)
     # the dressing kernel's dynamic range puts cond(M) near 8e10 on this
     # domain; the conjugation stays accurate because M is unit triangular
-    rows, _ = pair_conjugation_rows(base.matrix().A, dressed.operator.matrix().A,
-                                    base.grid, cond_guard=1e12)
+    rows, _ = pair_conjugation_rows(base.matrix().A, dressed.operator, base.grid,
+                                    cond_guard=1e12)
     return _verify_names(rows)
 
 
@@ -246,20 +263,27 @@ def _start_criterion_3(submit):
     """Criterion 3's one-soliton pair on [-8, 8], n=800: hands
     ``np.linalg.eigvals`` of the dense conjugate L~ = Omega L Omega^{-1}
     to ``submit`` and returns what ``submit`` returned, with the band side
-    of the pair (the spectrum of L, the bound-state comparison).  The
-    dense L, T and Omega are dropped on return; only the oracle holds L~.
+    of the pair (the spectrum of L, the bound-state comparison).
+
+    The dense dressed operator T lives only for :func:`pair_intertwiner`,
+    so until the hand-off the main thread holds L, the kernel K, the factor
+    M = 1 + K and its inverse at most (or M and the product M L the
+    conjugation solves into).  L and K are dropped once the oracle has L~,
+    and the band side reads the operators' bands
+    (:meth:`SchrodingerOp.to_banded`).
     """
     # preservation is checked where the conjugation is well conditioned;
     # the seed grows like e^{|x|}, so a narrower box keeps cond(M) ~ 1e5
     base, dressed = soliton_pair((-8.0, 8.0), 800)
-    Lm, Tm = base.matrix(), dressed.operator.matrix()
-    om = pair_intertwiner(Lm.A, Tm.A, "+", grid=base.grid)
+    L = base.matrix().A
+    om = pair_intertwiner(L, dressed.operator.matrix().A, "+", grid=base.grid)
     # numpy's eigvals releases the GIL while LAPACK runs (SciPy's does not)
-    oracle = submit(np.linalg.eigvals, transform_operator(Lm.A, om))
+    oracle = submit(np.linalg.eigvals, transform_operator(L, om))
+    del L, om
     # preservation needs the whole spectrum; the bound state and the drift
     # take the low end that spectrum_compare (so the darboux command) reads
-    return oracle, _band_eigvals(Lm), _compare_spectra(
-        _low_spectrum(Lm.to_banded()), _low_spectrum(Tm.to_banded()))
+    return oracle, _band_eigvals(base), _compare_spectra(
+        _low_spectrum(base.to_banded()), _low_spectrum(dressed.operator.to_banded()))
 
 
 def criterion_3(started=None) -> list:
@@ -400,7 +424,7 @@ def criterion_6() -> list:
     E12 = projection_measure(fam, lambda lam: 3e3 < lam.real < 1e4)
     mult = float(np.linalg.norm(E1 @ E2 - E12) / max(np.linalg.norm(E12), 1e-300))
 
-    lam5 = complex(fam.lambdas[5])
+    lam5 = float(fam.lambdas[5])
     Z = elementary_kernel(fam, lam5)
     cong = float(np.linalg.norm(A @ Z - lam5 * Z)
                  / (np.linalg.norm(Z) * _two_norm(A)))

@@ -312,9 +312,10 @@ _N_LOW = 8  # eigenvalues reported per side, and positive ones compared
 _MATCH_RTOL = 1e-2  # relative distance at which a negative eigenvalue is matched
 
 
-def _band_eigvals(A: OperatorMatrix) -> np.ndarray:
+def _band_eigvals(A: OperatorMatrix | SchrodingerOp) -> np.ndarray:
     """Ascending eigenvalues of a symmetric operator, computed from its band
-    (as wide as its farthest nonzero diagonal)."""
+    (as wide as its farthest nonzero diagonal); a :class:`SchrodingerOp`
+    gives the band without its dense matrix."""
     return scipy.linalg.eig_banded(A.to_banded(), eigvals_only=True)
 
 

@@ -452,7 +452,9 @@ def _is_hermitian(A: np.ndarray, ab: np.ndarray, atol: float = 0.0) -> bool:
 _BAND_PRODUCT_WIDTH = 1
 
 
-_BAND_ROWS = 64  # rows of V a temporary of :func:`_band_matvec` spans
+# rows of V a temporary of :func:`_band_matvec` spans, and rows or columns
+# of a square array read at a time where a whole-array temporary is avoided
+_BAND_ROWS = 64
 
 
 def _band_matvec(ab: np.ndarray, V: np.ndarray) -> np.ndarray:

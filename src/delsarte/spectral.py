@@ -162,10 +162,11 @@ def projection_measure(fam: EigenFamily, delta=None) -> np.ndarray:
         fam, lambda lam: 1.0 if delta is None or delta(lam) else 0.0)
 
 
-def elementary_kernel(fam: EigenFamily, lam: complex) -> np.ndarray:
+def elementary_kernel(fam: EigenFamily, lam: float) -> np.ndarray:
     """Z_lam = sum of psi psi^* over the eigenvalue's cluster.
 
-    The cluster is every eigenvalue within 1e-10 max(|lambda|_max, 1) of lam.
+    The cluster is every eigenvalue within 1e-10 max(|lambda|_max, 1) of
+    the real lam (the family is Hermitian, so its eigenvalues are real).
     """
     scale = max(np.max(np.abs(fam.lambdas)), 1.0)
     keep = np.abs(fam.lambdas - lam) <= 1e-10 * scale

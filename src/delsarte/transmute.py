@@ -41,7 +41,7 @@ from .errors import (ConditionNumberError, DiscretizationError, GridError,
                      SingularKernelError)
 from .factorize import (TriangularPair, _conjugate, commutation_check,
                         gk_factorize)
-from .grid_ops import Grid1D, _as_matrix, _is_hermitian, _upper_band
+from .grid_ops import _BAND_ROWS, Grid1D, _as_matrix, _is_hermitian, _upper_band
 
 __all__ = [
     "TransmutationData",
@@ -304,10 +304,15 @@ class DelsarteOp:
 
     def matrix(self) -> np.ndarray:
         """The assembled factor; its dtype is the kernel's (and the
-        diagonal's), so a real kernel gives a real matrix."""
-        M = np.eye(self.kernel.shape[0], dtype=self.kernel.dtype) + self.kernel
+        diagonal's), so a real kernel gives a real matrix.  The kernel is
+        added to an identity and the diagonal scales the rows in place, so
+        the assembly holds the one n x n array it returns."""
+        dtype = self.kernel.dtype if self.diag is None else \
+            np.result_type(self.kernel, self.diag)
+        M = np.eye(self.kernel.shape[0], dtype=dtype)
+        M += self.kernel
         if self.diag is not None:
-            M = self.diag[:, None] * M
+            M *= self.diag[:, None]
         return M
 
     def volterra_defect(self) -> float:
@@ -316,11 +321,15 @@ class DelsarteOp:
         The kernel of every factor the library builds is strictly triangular
         by construction, so its spectrum is its zero diagonal and the defect
         reads exactly 0.0.  Mass on the diagonal or in the other triangle
-        reads as its largest modulus, and a NaN there reads NaN.
+        reads as its largest modulus, and a NaN there reads NaN.  The kernel
+        is read in blocks of ``_BAND_ROWS`` rows, so the temporaries span
+        one block, never the whole kernel.
         """
         K = self.kernel
-        off = np.triu(K, 0) if self.sign == "+" else np.tril(K, 0)
-        return float(np.max(np.abs(off), initial=0.0))
+        part = np.triu if self.sign == "+" else np.tril
+        # row r0 + i of a block keeps the columns j >= r0 + i ("+") or <= ("-")
+        return float(np.max([np.max(np.abs(part(K[r0:r0 + _BAND_ROWS], r0)), initial=0.0)
+                             for r0 in range(0, K.shape[0], _BAND_ROWS)], initial=0.0))
 
     def cond(self) -> float:
         """Upper bound sqrt(kappa_1 kappa_inf) on the 2-norm condition number.
@@ -335,15 +344,25 @@ class DelsarteOp:
         stores the bound in ``_cond`` and later calls return it without
         another inversion, so the kernel and diagonal are not to be changed
         once it is asked for.  :func:`transform_operator` stores it from the
-        factor it assembles for the conjugation.
+        factor it assembles for the conjugation.  Beside the kernel the
+        first call holds two n x n arrays, the factor and its inverse.
         """
         if self._cond is None:
             self._cond = self._cond_bound(self.matrix())
         return self._cond
 
     def _cond_bound(self, M: np.ndarray) -> float:
-        """:meth:`cond` of the assembled factor ``M`` (:meth:`matrix`)."""
-        if not (self.volterra_defect() == 0.0 and np.all(np.isfinite(M))):
+        """:meth:`cond` of the assembled factor ``M`` (:meth:`matrix`).
+
+        The norms of M and of its inverse are read in blocks
+        (:func:`_norms_1_inf`), so beside the two the bound holds no n x n
+        temporary.  A non-finite entry of M makes a norm non-finite, and
+        the bound inf, before any inversion.
+        """
+        if not self.volterra_defect() == 0.0:
+            return float("inf")
+        m1, minf = _norms_1_inf(M)
+        if not (np.isfinite(m1) and np.isfinite(minf)):
             return float("inf")
         # the other triangle of M is zero, and with a unit diagonal the
         # diagonal LAPACK leaves untouched is the inverse's
@@ -351,10 +370,21 @@ class DelsarteOp:
         Minv, info = trtri(M, lower=self.sign == "+", unitdiag=self.diag is None)
         if info != 0:
             return float("inf")
-        k1 = np.linalg.norm(M, 1) * np.linalg.norm(Minv, 1)
-        kinf = np.linalg.norm(M, np.inf) * np.linalg.norm(Minv, np.inf)
-        bound = float(np.sqrt(k1) * np.sqrt(kinf))
+        i1, iinf = _norms_1_inf(Minv)
+        bound = float(np.sqrt(m1 * i1) * np.sqrt(minf * iinf))
         return bound if np.isfinite(bound) else float("inf")
+
+
+def _norms_1_inf(A: np.ndarray):
+    """``np.linalg.norm(A, 1)`` and ``np.linalg.norm(A, np.inf)`` of a square
+    A, bit for bit, from blocks of ``_BAND_ROWS`` columns and rows: each
+    column and row sum is the one numpy forms over the whole ``abs(A)``, in
+    the same order for C and Fortran order, and a maximum does not depend
+    on how its candidates are grouped."""
+    starts = range(0, A.shape[0], _BAND_ROWS)
+    one = np.max([np.abs(A[:, c:c + _BAND_ROWS]).sum(axis=0).max() for c in starts])
+    inf = np.max([np.abs(A[r:r + _BAND_ROWS]).sum(axis=1).max() for r in starts])
+    return one, inf
 
 
 def _mirror(op: DelsarteOp) -> DelsarteOp:

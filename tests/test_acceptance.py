@@ -55,6 +55,27 @@ def test_spectrum_oracle_sees_a_real_matrix(monkeypatch):
     _assert_rows(preserved)
 
 
+def test_oracle_handoff_working_set_is_bounded(traced_peak):
+    # one 800 x 800 array is 5.12 MB; until the hand-off the main thread
+    # holds L, the pair kernel K, M = 1 + K and M^-1 at most (30.8 MB, six
+    # arrays, while the dense dressed operator and n x n temporaries of the
+    # condition bound were alive)
+    _, peak = traced_peak(acceptance._start_criterion_3, lambda fn, X: None)
+    assert peak <= 4.3 * 800 ** 2 * 8
+
+
+def test_pair_rows_hold_at_most_five_square_arrays(traced_peak):
+    # criterion 2's pair at n = 400: the pair kernel and three n x n arrays
+    # at most, so five with L, which is built before the trace starts (six
+    # without L while the dense T and whole-array temporaries were alive)
+    base, dressed = acceptance.soliton_pair((-20.0, 20.0), 400)
+    L = base.matrix().A
+    (rows, _), peak = traced_peak(acceptance.pair_conjugation_rows, L,
+                                  dressed.operator, base.grid, 1e12)
+    _assert_rows(rows)
+    assert peak <= 4.1 * 400 ** 2 * 8
+
+
 def test_criterion_3_alone_matches_the_battery(verify_battery):
     # run_all joins the oracle late, criterion_3() alone at once: same rows
     alone = acceptance.criterion_3()
