@@ -328,8 +328,9 @@ class DelsarteOp:
         K = self.kernel
         part = np.triu if self.sign == "+" else np.tril
         # row r0 + i of a block keeps the columns j >= r0 + i ("+") or <= ("-")
-        return float(np.max([np.max(np.abs(part(K[r0:r0 + _BAND_ROWS], r0)), initial=0.0)
-                             for r0 in range(0, K.shape[0], _BAND_ROWS)], initial=0.0))
+        worst = [np.max(np.abs(part(K[r0:r0 + _BAND_ROWS], r0)), initial=0.0)
+                 for r0 in range(0, K.shape[0], _BAND_ROWS)]
+        return float(np.max(worst, initial=0.0))
 
     def cond(self) -> float:
         """Upper bound sqrt(kappa_1 kappa_inf) on the 2-norm condition number.
