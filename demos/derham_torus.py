@@ -5,8 +5,11 @@ Harmonic forms and periods on a discrete torus
 A commuting family of axis operators generates a complex whose harmonic
 spaces count topology: on the 2-torus the dimensions come out (1, 2, 1),
 and integrating closed 1-forms over the fundamental loops recovers the
-axis periods as a diagonal matrix.
+axis periods as a diagonal matrix.  A 32^3 torus, kept as its 1-D
+factors, runs the same checks in a fraction of a second.
 """
+
+import time
 
 import numpy as np
 
@@ -14,6 +17,7 @@ from delsarte import (FormField, Grid1D, ProductGrid, SurfaceRegion, d_L,
                       dual_flat_section, expected_betti, flat_complex,
                       flat_dimension, flat_section, form_norm, harmonic_space,
                       hodge_decompose, plain_complex, skrypnik_map)
+from delsarte.acceptance import torus_complex, torus_rows
 
 T1, T2 = 1.0, 2.0
 pg = ProductGrid((Grid1D.periodic(0.0, T1, 10),
@@ -76,3 +80,14 @@ print(f"flat section: |d_L s| = {form_norm(d_L(c2, FormField(pg2, 0, {(): sec}))
 dual = pg2.flatten_field(dual_flat_section(pg2, gens, e0))
 adj = max(np.abs(M.conj().T @ dual).max() for M in c2.axis_mats)
 print(f"dual flat section: max_j |L_j^* s'| = {adj:.2e}")
+
+# a separable complex keeps only its 1-D factors and applies d_L axis by
+# axis, so a 32^3 torus (each dense axis operator would take 8.6 GB) runs
+# its nilpotency, harmonic-dimension, gap and period rows in a fraction of
+# a second
+start = time.perf_counter()
+rows, out = torus_rows(torus_complex((32, 32, 32), (1.3, 2.1, 0.7)))
+elapsed = time.perf_counter() - start
+print(f"32^3 torus: harmonic dims {tuple(h['dim'] for h in out['harmonic'])}, "
+      f"gap {min(h['gap'] for h in out['harmonic']):.2e}, "
+      f"rows passed {all(r['passed'] for r in rows)}, {elapsed:.2f} s")

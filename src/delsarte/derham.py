@@ -26,7 +26,7 @@ the fundamental loops recover the axis periods exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,9 +35,9 @@ import scipy.linalg
 from .errors import (DiscretizationError, NonCommutingFamilyError,
                      NotClosedError)
 from .grid_ops import Grid1D, ProductGrid
-from .lagrange import (FormField, _apply_d, _check_degree, _subsets,
-                       d_matrix, forward_diff_matrix, form_norm,
-                       surface_integral)
+from .lagrange import (FormField, _apply_d, _apply_factors, _axis_factors,
+                       _check_degree, _subsets, d_matrix, forward_diff_matrix,
+                       form_norm, surface_integral)
 
 __all__ = [
     "GenComplex",
@@ -59,35 +59,46 @@ __all__ = [
 # the complex
 # ---------------------------------------------------------------------------
 
-@dataclass
 class GenComplex:
     """A commuting family of axis operators acting on fiber-valued fields.
 
-    ``axis_mats[j]`` is the matrix of L_j on flattened fields.  Pairwise
-    commutation is checked on construction, over the blocks of
-    :attr:`_blocks`; it is what makes d_L nilpotent.  Only
-    :func:`plain_complex` and :func:`flat_complex` set ``_factors``.
-    The scalar product carries the uniform node weight ``grid.vol``.  The
-    operators share one dtype, the common type of the inputs: real axis
-    operators stay real, and so does the coboundary matrix built from them.
+    A separable complex (:func:`plain_complex`, or :func:`flat_complex`
+    with diagonal matched generators) holds only its 1-D factors
+    ``_factors``, one (N, n_j, n_j) stack B_{j,u} = D_j - alpha_{j,u} 1 per
+    axis, and no M x M array: :func:`d_L` applies them axis by axis.  Any
+    other complex is given by its dense operators ``axis_mats``, the matrix
+    of L_j on flattened fields each, and takes the dense one-block route.
+    For a separable complex ``axis_mats`` is a cached densify step, the lift
+    sum_u I (x) B_{j,u} (x) I (x) e_u e_u^T; it and :meth:`d_matrix` serve
+    :func:`hodge_decompose`, criterion 7's brute-force SVD and the tests.
+
+    Pairwise commutation is checked on construction, over the blocks of
+    :attr:`_blocks`; it is what makes d_L nilpotent.  The scalar product
+    carries the uniform node weight ``grid.vol``.  The operators share one
+    dtype, the common type of the inputs: real axis operators stay real,
+    and so does the coboundary matrix built from them.
     """
 
-    grid: ProductGrid
-    axis_mats: list
-    _dmats: dict = field(default_factory=dict, repr=False)
-    _factors: list | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if len(self.axis_mats) != self.grid.ndim:
+    def __init__(self, grid: ProductGrid, axis_mats: list | None = None, *,
+                 _factors: list | None = None):
+        self.grid = grid
+        self._dmats = {}
+        d = grid.total_dim
+        if _factors is not None:
+            dtype = np.result_type(*_factors, float)
+            self._factors = [np.asarray(B, dtype=dtype) for B in _factors]
+        elif axis_mats is None or len(axis_mats) != grid.ndim:
             raise DiscretizationError("one axis operator per axis is required")
-        d = self.grid.total_dim
-        mats = [np.asarray(M) for M in self.axis_mats]
-        dtype = np.result_type(*mats, float)
-        self.axis_mats = [np.asarray(M, dtype=dtype) for M in mats]
-        for M in self.axis_mats:
-            if M.shape != (d, d):
-                raise DiscretizationError(
-                    f"axis operators must be {d} x {d} on flattened fields")
+        else:
+            self._factors = None
+            mats = [np.asarray(M) for M in axis_mats]
+            dtype = np.result_type(*mats, float)
+            # an instance attribute, in place of the densify step
+            self.axis_mats = [np.asarray(M, dtype=dtype) for M in mats]
+            for M in self.axis_mats:
+                if M.shape != (d, d):
+                    raise DiscretizationError(
+                        f"axis operators must be {d} x {d} on flattened fields")
         # the blocks are unitarily equivalent to the dense operators, so
         # their norms are the dense ones; a non-finite entry leaves a NaN gap
         with np.errstate(invalid="ignore"):
@@ -102,7 +113,24 @@ class GenComplex:
                             f"axis operators {j} and {k} do not commute: "
                             f"residual {gap:.3e} vs scale {scale:.3e}")
 
+    @cached_property
+    def axis_mats(self) -> list:
+        """The dense axis operators of a separable complex, lifted from its
+        factors: B_{j,u} on axis j and fiber component u, zeros elsewhere."""
+        grid, N = self.grid, self.grid.fiber_dim
+        mats = []
+        for a, B in enumerate(self._factors):
+            pre, post = math.prod(grid.shape[:a]), math.prod(grid.shape[a + 1:])
+            n = grid.shape[a]
+            D = np.zeros((pre, n, post, N) * 2, dtype=B.dtype)
+            p, i, j, q, u = np.ix_(range(pre), range(n), range(n), range(post), range(N))
+            D[p, i, q, u, p, j, q, u] = B[u, i, j]
+            mats.append(D.reshape(grid.total_dim, grid.total_dim))
+        return mats
+
     def d_matrix(self, degree: int) -> np.ndarray:
+        """The dense coboundary from ``degree``, cached: a densify step built
+        from :attr:`axis_mats`."""
         if degree not in self._dmats:
             self._dmats[degree] = d_matrix(self.grid, degree, self.axis_mats)
         return self._dmats[degree]
@@ -125,25 +153,16 @@ class GenComplex:
                 .reshape(-1, 1, 1) for a, (_, s, _) in enumerate(self._svds)]
 
 
-def _axis_factors(grid: ProductGrid, alphas: list) -> list:
-    """The factors D_j - alphas[j][u] 1, one (N, n_j, n_j) stack per axis."""
-    return [forward_diff_matrix(ProductGrid.line(g), 0)
-            - np.asarray(alpha)[:, None, None] * np.eye(g.n)
-            for g, alpha in zip(grid.axes, alphas)]
-
-
 def plain_complex(grid: ProductGrid) -> GenComplex:
     """The untwisted complex, L_j = D_j, with D_j the forward difference
-    along axis j.
+    along axis j, kept as its 1-D factors (no M x M array).
 
     Forward differences along distinct axes commute exactly, so d*d = 0 is
-    structural, on periodic and Dirichlet axes alike: its entries cancel
-    exactly, up to the fused multiply-add roundoff (about 1e-19 relative)
-    that a BLAS product of the real matrices may leave.
+    structural, on periodic and Dirichlet axes alike: applied axis by axis
+    (or as the product of the dense coboundaries) it vanishes up to the
+    roundoff of the two orders of differencing.
     """
-    mats = [forward_diff_matrix(grid, a) for a in range(grid.ndim)]
-    factors = _axis_factors(grid, [np.zeros(grid.fiber_dim)] * grid.ndim)
-    return GenComplex(grid, mats, _factors=factors)
+    return GenComplex(grid, _factors=_axis_factors(grid))
 
 
 def _step(g: Grid1D, A: np.ndarray) -> np.ndarray:
@@ -221,7 +240,9 @@ def flat_complex(grid: ProductGrid, generators: list) -> GenComplex:
 
     The matched generator Aeff_j = (exp(h A_j)-1)/h stands in for A_j, so
     nodal samples of t -> exp(sum t_j A_j) v0 (see :func:`flat_section`)
-    lie exactly in ker L_j.  Diagonal Aeff_j give a separable family.
+    lie exactly in ker L_j.  Diagonal Aeff_j give a separable family, kept
+    as its 1-D factors D_j - Aeff_j[u, u] 1 with no M x M array; other
+    generators give the dense operators of the one-block route.
 
     Raises :class:`DiscretizationError`, naming the axis and max |h A|,
     where a matched generator overflows, and where it is finite but its
@@ -239,11 +260,10 @@ def flat_complex(grid: ProductGrid, generators: list) -> GenComplex:
     if (a := _overflowing_axis(grid, eff)) is not None:
         raise _overflow_error("flat_complex", grid, a, gens[a],
                               "the square of the matched generator")
-    mats = [forward_diff_matrix(grid, a) - np.kron(np.eye(grid.nnodes), E)
-            for a, E in enumerate(eff)]
-    diagonal = all(np.array_equal(E, np.diag(np.diag(E))) for E in eff)
-    factors = _axis_factors(grid, [np.diag(E) for E in eff]) if diagonal else None
-    return GenComplex(grid, mats, _factors=factors)
+    if all(np.array_equal(E, np.diag(np.diag(E))) for E in eff):
+        return GenComplex(grid, _factors=_axis_factors(grid, [np.diag(E) for E in eff]))
+    return GenComplex(grid, [forward_diff_matrix(grid, a) - np.kron(np.eye(grid.nnodes), E)
+                             for a, E in enumerate(eff)])
 
 
 def _march(what: str, grid: ProductGrid, gens: list, v0: np.ndarray, step) -> np.ndarray:
@@ -304,9 +324,14 @@ def flat_dimension(generators: list) -> int:
 # ---------------------------------------------------------------------------
 
 def d_L(c: GenComplex, beta: FormField) -> FormField:
-    """Twisted exterior derivative sum_j dt_j wedge (L_j beta), applied as
-    the complex's cached coboundary matrix; its dtype is the common type of
-    the axis operators and the form."""
+    """Twisted exterior derivative sum_j dt_j wedge (L_j beta); its dtype is
+    the common type of the axis operators and the form.
+
+    A separable complex applies each 1-D factor along its own axis, per
+    fiber component, at O(M sum_j n_j) cost and with no matrix; any other
+    complex applies its cached dense coboundary matrix."""
+    if c._factors is not None:
+        return _apply_factors(c.grid, c._factors, beta)
     return _apply_d(c.grid, c.d_matrix(beta.degree), beta)
 
 

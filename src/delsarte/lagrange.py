@@ -22,12 +22,15 @@ quadrature.  In that pairing Stokes, <bd c, w> = <c, d w>, is an identity,
 not an approximation, which is what makes telescoping sums and period
 integrals reliable at roundoff level.
 
-There is one exterior derivative, the block matrix :func:`d_matrix`,
+There is one exterior derivative, the block rule
 
     (d w)[T] = sum_{a in T} (-1)^{pos_T(a)} L_a w[T - a]
 
-on stacked components: the forward differences L_a give
+on the components: the forward differences L_a give
 :func:`exterior_derivative`, and a commuting family gives ``derham.d_L``.
+Where each L_a is a 1-D factor per fiber component, :func:`_apply_factors`
+applies the rule axis by axis; :func:`d_matrix` is its dense form, the
+matrix on stacked components.
 """
 
 from __future__ import annotations
@@ -162,24 +165,60 @@ def forward_diff_matrix(grid: ProductGrid, axis: int) -> np.ndarray:
     return D
 
 
-def _apply_d(grid: ProductGrid, D: np.ndarray, form: FormField) -> FormField:
-    """The (k+1)-form D @ form.stack() for a coboundary matrix D from degree
-    k built on ``grid``: the one place a coboundary matrix meets a form."""
-    k = form.degree
-    if k >= grid.ndim:
+def _axis_factors(grid: ProductGrid, alphas: list | None = None) -> list:
+    """The 1-D factors D_j - alphas[j][u] 1 of the forward differences, one
+    (N, n_j, n_j) stack per axis; zero shifts when ``alphas`` is None."""
+    if alphas is None:
+        alphas = [np.zeros(grid.fiber_dim)] * grid.ndim
+    return [forward_diff_matrix(ProductGrid.line(g), 0)
+            - np.asarray(alpha)[:, None, None] * np.eye(g.n)
+            for g, alpha in zip(grid.axes, alphas)]
+
+
+def _check_fits(grid: ProductGrid, form: FormField) -> None:
+    """Raise unless ``form`` has a differential on ``grid``: a top-degree
+    form or one on other nodes or another fiber is named."""
+    if form.degree >= grid.ndim:
         raise DegreeMismatchError("top-degree forms have identically zero differential")
     have = form.grid.shape + (form.grid.fiber_dim,)
     want = grid.shape + (grid.fiber_dim,)
     if have != want:
         raise DiscretizationError(
             f"a form on nodes x fiber {have} does not fit a coboundary built for {want}")
-    return FormField.from_stack(grid, k + 1, D @ form.stack())
+
+
+def _apply_d(grid: ProductGrid, D: np.ndarray, form: FormField) -> FormField:
+    """The (k+1)-form D @ form.stack() for a coboundary matrix D from degree
+    k built on ``grid``: the one place a coboundary matrix meets a form."""
+    _check_fits(grid, form)
+    return FormField.from_stack(grid, form.degree + 1, D @ form.stack())
+
+
+def _apply_factors(grid: ProductGrid, factors: list, form: FormField) -> FormField:
+    """The block rule (d w)[T] = sum_{a in T} (-1)^{pos_T(a)} B_a w[T - a]
+    for 1-D factors, ``factors[a]`` an (N, n_a, n_a) stack: B_{a,u} acts
+    along axis a on fiber component u, at O(M sum_a n_a) cost and with no
+    M x M matrix; :func:`d_matrix` of the lifted factors is its dense form.
+    The dtype is the common type of the factors and the form."""
+    _check_fits(grid, form)
+    comps = {}
+    for T in _subsets(grid.ndim, form.degree + 1):
+        total = 0
+        for j, a in enumerate(T):
+            w = form.component(T[:j] + T[j + 1:])
+            term = np.stack([_apply_along(B, w[..., u], a)
+                             for u, B in enumerate(factors[a])], axis=-1)
+            total = total - term if j % 2 else total + term
+        comps[T] = total
+    return FormField(grid, form.degree + 1, comps)
 
 
 def exterior_derivative(form: FormField) -> FormField:
-    """Plain forward-difference exterior derivative (exactly nilpotent):
-    :func:`d_matrix` applied to the stacked components."""
-    return _apply_d(form.grid, d_matrix(form.grid, form.degree), form)
+    """Plain forward-difference exterior derivative, applied axis by axis
+    by :func:`_apply_factors`; :func:`d_matrix` is its dense form, whose
+    products d_{k+1} d_k vanish exactly, so d d w vanishes up to the
+    roundoff of the two orders of differencing."""
+    return _apply_factors(form.grid, _axis_factors(form.grid), form)
 
 
 def d_matrix(grid: ProductGrid, degree: int, axis_mats: list | None = None) -> np.ndarray:

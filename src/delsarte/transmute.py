@@ -518,7 +518,10 @@ def locality_check(Ltil, bandwidth: int) -> float:
             f"operator of size {n} has no interior rows for the locality "
             f"check at bandwidth {bandwidth}; at least {2 * edge + 1} are needed")
     sub = A[edge:n - edge]
-    off_band = np.abs(np.arange(edge, n - edge)[:, None] - np.arange(n)) > bandwidth
+    # |i - j| > bandwidth for row i of sub at node edge + i, from boolean
+    # triangles: no n x n index array
+    off_band = np.tri(n - 2 * edge, n, edge - bandwidth - 1, dtype=bool)
+    off_band |= ~np.tri(n - 2 * edge, n, edge + bandwidth, dtype=bool)
     return float(np.linalg.norm(sub[off_band]) / max(np.linalg.norm(sub), 1e-300))
 
 

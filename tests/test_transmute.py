@@ -583,6 +583,19 @@ def test_random_kernel_is_not_local():
     assert locality_check(Ltil, bandwidth=1) > 1e-2
 
 
+def test_locality_check_keeps_the_index_mask_bits():
+    # the off-band mask from boolean triangles selects the entries of the
+    # |i - j| > bandwidth index mask, in the same row-major order
+    rng = np.random.default_rng(4)
+    for n in range(7, 40):
+        for bw in range(0, (n - 5) // 2 + 1):
+            A = rng.standard_normal((n, n))
+            edge = bw + 2
+            sub = A[edge:n - edge]
+            mask = np.abs(np.arange(edge, n - edge)[:, None] - np.arange(n)) > bw
+            want = float(np.linalg.norm(sub[mask]) / max(np.linalg.norm(sub), 1e-300))
+            assert locality_check(A, bw) == want
+
 def test_locality_check_needs_an_interior_row():
     # every row of a 6 x 6 matrix lies within bandwidth + 2 of an end, so
     # there is no mass to measure; 0.0 would pass any threshold
