@@ -211,24 +211,30 @@ def transmute_check(domain, n: int, kappa: float, center: float = 0.0,
     plus kernel as its (n, 2m) generators [U | C] with
     K_+ = -tril(U C^T, -1).
 
-    The family and kernel routes run first and the pair route last, so the
-    pair kernel is not alive while the others run; the rows keep the
-    pair-first order.  Each route's n x n arrays die with the route: the
-    family factor and its inverse after ``inverse_kernel_exactness``, the
-    kernel data (the kernel and its factorization) after the sign rows,
+    The kernel route runs first, then the family route and the pair route
+    last, so no route's arrays are alive while another runs; the rows keep
+    the pair-first order.  Each route's n x n arrays die with the route:
+    the kernel data goes to :func:`independence_check` alone, which lets
+    the kernel go once it is factored and each factor once it is read; the
+    family factor and its inverse die after ``inverse_kernel_exactness``,
     the dense dressed operator T once the pair kernel is marched, and every
     conjugate once its norms are read.  Beside the base operator, which
-    lives throughout, a route holds a few n x n arrays at a time."""
+    lives throughout, the job holds four n x n arrays at most: the kernel
+    and its factorization's three, or the sign check's two factors and two
+    conjugates."""
     base, dressed = soliton_pair(domain, n, kappa, "even", center)
     g = base.grid
     L = base.matrix().A
-    # family route on the base operator's own eigenvectors: exact inverses,
-    # sign independence, adjoint compatibility
-    data, datak = dressing_data(g, L, family_size)
-    exactness = float(np.linalg.norm(data.operator("+").matrix() @ data.inverse("+").matrix()
-                                     - np.eye(g.n)) / np.sqrt(g.n))
-    gap, comm = independence_check(datak)
-    del datak
+    # kernel and family routes on the base operator's own eigenvectors:
+    # sign independence, exact inverses, adjoint compatibility; the kernel
+    # data is handed over, not held, so its kernel goes once factored
+    data, *kernel = dressing_data(g, L, family_size)
+    gap, comm = independence_check(kernel.pop())
+    # subtracting the identity changes only the diagonal's bits
+    P = data.operator("+")._spend() @ data.inverse("+")._spend()
+    P[np.arange(g.n), np.arange(g.n)] -= 1.0
+    exactness = float(np.linalg.norm(P) / np.sqrt(g.n))
+    del P
     family_rows = [
         _row("inverse_kernel_exactness", exactness, 1e-10),
         _row("sign_independence_gap", gap, 1e-8),

@@ -400,6 +400,12 @@ def harmonic_space(c: GenComplex, degree: int) -> HarmonicReport:
     separable complex's block holds one coefficient per component, which
     scales that component's singular-vector product; for the single dense
     block it is the form itself.
+
+    Each coboundary stack is dropped once its Gram product is formed, the
+    second product is added into Delta in place, and Delta is symmetrized
+    into one temporary, halved in place and dropped after ``eigh``; so
+    beside ``eigh``'s eigenvectors the solve holds two Delta-sized stacks
+    at most.
     """
     r = c.grid.ndim
     _check_degree(r, degree)
@@ -407,11 +413,21 @@ def harmonic_space(c: GenComplex, degree: int) -> HarmonicReport:
     if degree < r:
         Dk = d_matrix(c.grid, degree, c._blocks)
         Delta = _adjoint(Dk) @ Dk
+        del Dk
     if degree > 0:
         Dm = d_matrix(c.grid, degree - 1, c._blocks)
-        Delta = Delta + Dm @ _adjoint(Dm)
+        # into d'd in place; at the top degree the sum is 0 + dd', a new array
+        if degree < r:
+            Delta += Dm @ _adjoint(Dm)
+        else:
+            Delta = Delta + Dm @ _adjoint(Dm)
+        del Dm
     # Hermitian nonnegative by construction: d'd + dd'
-    w, V = np.linalg.eigh((Delta + _adjoint(Delta)) / 2.0)
+    H = Delta + _adjoint(Delta)
+    del Delta
+    H /= 2.0
+    w, V = np.linalg.eigh(H)
+    del H
     w = np.abs(w)
     smax = float(w.max()) if w.size else 0.0
     thr = 1e-8 * max(smax, 1e-300)

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DiscretizationError, SingularMinorError
-from .grid_ops import _operator_product
+from .grid_ops import _operator_product, _product_rows
 
 __all__ = [
     "TriangularPair",
@@ -363,14 +363,17 @@ def glm_residual(Phi: np.ndarray, K_plus: np.ndarray, K_minus: np.ndarray) -> fl
 def commutation_check(Phi: np.ndarray, L: np.ndarray) -> float:
     """Normalized commutator ||[Phi, L]||_F / (||Phi||_F ||L||_F); both
     products run on the band of a narrow Hermitian L, and the second is
-    subtracted in place from the first."""
+    formed a block of rows at a time (:func:`_product_rows`) and subtracted
+    in place from the first, so beside Phi the check holds one n x n array
+    and one block."""
     Phi = np.asarray(Phi)
     L = np.asarray(L)
     denom = np.linalg.norm(Phi) * np.linalg.norm(L)
     if denom == 0.0:
         return 0.0
     C = _operator_product(L, Phi, right=True)
-    C -= _operator_product(L, Phi)
+    for rows, block in _product_rows(L, Phi):
+        C[rows] -= block
     return float(np.linalg.norm(C) / denom)
 
 

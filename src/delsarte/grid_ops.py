@@ -457,43 +457,66 @@ _BAND_PRODUCT_WIDTH = 1
 _BAND_ROWS = 64
 
 
-def _band_matvec(ab: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """A @ V for the Hermitian A held in upper banded storage ``ab`` (the
-    :func:`_upper_band` layout); V is a vector or a block of columns.
+def _band_matvec(ab: np.ndarray, V: np.ndarray, start: int = 0,
+                 stop: int | None = None) -> np.ndarray:
+    """Rows ``start:stop`` of A @ V (all of it by default) for the Hermitian
+    A held in upper banded storage ``ab`` (the :func:`_upper_band` layout);
+    V is a vector or a block of columns.
 
     The off-diagonal terms are added in blocks of ``_BAND_ROWS`` rows, so
     beside the result a product holds one block's temporary; each entry
     takes its terms in the order of the whole-array sums, diagonal first
-    and then, offset by offset, the one above before the one below."""
+    and then, offset by offset, the one above before the one below, so any
+    range of rows has the bits of the whole product's."""
     bw, n = ab.shape[0] - 1, ab.shape[1]
+    stop = n if stop is None else min(stop, n)
     ab = ab.reshape(ab.shape + (1,) * (V.ndim - 1))
-    out = ab[bw] * V
-    for r0 in range(0, n, _BAND_ROWS):
-        r1 = min(r0 + _BAND_ROWS, n)
+    out = ab[bw, start:stop] * V[start:stop]
+    for r0 in range(start, stop, _BAND_ROWS):
+        r1 = min(r0 + _BAND_ROWS, stop)
         for d in range(1, bw + 1):
             hi, lo = min(r1, n - d), max(r0, d)
             if r0 < hi:
-                out[r0:hi] += ab[bw - d, r0 + d:hi + d] * V[r0 + d:hi + d]
+                out[r0 - start:hi - start] += ab[bw - d, r0 + d:hi + d] * V[r0 + d:hi + d]
             if lo < r1:
-                out[lo:r1] += ab[bw - d, lo:r1].conj() * V[lo - d:r1 - d]
+                out[lo - start:r1 - start] += ab[bw - d, lo:r1].conj() * V[lo - d:r1 - d]
     return out
 
 
-def _operator_product(A: np.ndarray, X: np.ndarray, right: bool = False) -> np.ndarray:
-    """A @ X, or X @ A when ``right``, for a square operator matrix A.
-
-    A Hermitian A with a half-bandwidth of at most ``_BAND_PRODUCT_WIDTH``
-    is multiplied through its band (:func:`_upper_band`, :func:`_band_matvec`),
-    the right product as X A = (A X^H)^H; any other A (wider,
-    non-Hermitian, periodic, dense) takes the dense product, and its band
-    is never built.
-    """
+def _product_band(A: np.ndarray) -> np.ndarray | None:
+    """The band a square operator matrix A is multiplied through: its upper
+    band (:func:`_upper_band`) when A is Hermitian with a half-bandwidth of
+    at most ``_BAND_PRODUCT_WIDTH``, else None (wider, non-Hermitian,
+    periodic or dense, and its band is never built)."""
     ab = _upper_band(A, _BAND_PRODUCT_WIDTH)
-    if ab is not None and _is_hermitian(A, ab):
-        if right:
-            return _band_matvec(ab, X.conj().T).conj().T
-        return _band_matvec(ab, X)
-    return X @ A if right else A @ X
+    return ab if ab is not None and _is_hermitian(A, ab) else None
+
+
+def _operator_product(A: np.ndarray, X: np.ndarray, right: bool = False) -> np.ndarray:
+    """A @ X, or X @ A when ``right``, for a square operator matrix A:
+    through its :func:`_product_band` (:func:`_band_matvec`), the right
+    product as X A = (A X^H)^H, when it has one, else the dense product.
+    """
+    ab = _product_band(A)
+    if ab is None:
+        return X @ A if right else A @ X
+    if right:
+        return _band_matvec(ab, X.conj().T).conj().T
+    return _band_matvec(ab, X)
+
+
+def _product_rows(A: np.ndarray, X: np.ndarray):
+    """A @ X as (rows, block) pairs, ``block`` the rows ``rows`` of the
+    product that :func:`_operator_product` forms: blocks of ``_BAND_ROWS``
+    rows, each with the whole product's bits, through A's band, else one
+    block, the whole dense product."""
+    ab = _product_band(A)
+    if ab is None:
+        yield slice(None), A @ X
+        return
+    for r0 in range(0, len(X), _BAND_ROWS):
+        rows = slice(r0, r0 + _BAND_ROWS)
+        yield rows, _band_matvec(ab, X, r0, r0 + _BAND_ROWS)
 
 
 def commutator(A, B) -> np.ndarray:

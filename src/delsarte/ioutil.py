@@ -4,13 +4,14 @@ Matrices travel as plain CSV so that results can be diffed and inspected
 without any tooling. Real matrices get one column per entry; complex
 matrices get two (``re_j``, ``im_j``). The header row records column names,
 and the loader uses it to decide which layout it is looking at. Each entry
-is written as the bytes of its ``repr``, computed for a whole table at once
-in numpy (``_format_values``).
+is written as the bytes of its ``repr``, computed in numpy
+(``_format_values``) for a block of rows at a time.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 import tempfile
@@ -20,20 +21,43 @@ import numpy as np
 
 
 def save_matrix_csv(path: str | Path, A: np.ndarray) -> None:
-    """Write a 1-D or 2-D array as CSV with a header row."""
+    """Write a 1-D or 2-D array as CSV with a header row.
+
+    The table is formatted and written a block of rows at a time
+    (:func:`_csv_blocks`), so the write holds one block's text, never the
+    whole table's, and its temporaries do not grow with the row count.
+    """
     A = np.atleast_2d(np.asarray(A))
     if A.ndim != 2:
         raise ValueError("save_matrix_csv expects a 1-D or 2-D array")
     path = Path(path)
     if np.iscomplexobj(A):
         header = ",".join(f"re_{j},im_{j}" for j in range(A.shape[1]))
-        flat = np.empty((A.shape[0], 2 * A.shape[1]), dtype=float)
-        flat[:, 0::2] = A.real
-        flat[:, 1::2] = A.imag
     else:
         header = ",".join(f"c_{j}" for j in range(A.shape[1]))
-        flat = np.asarray(A, dtype=float)
-    _atomic_write(path, [header.encode("ascii") + b"\n", *_format_rows(flat)])
+    _atomic_write(path, itertools.chain([header.encode("ascii") + b"\n"], _csv_blocks(A)))
+
+
+def _csv_blocks(A: np.ndarray):
+    """The data lines of :func:`save_matrix_csv` in pieces, formatted
+    (:func:`_format_rows`) from blocks of as many rows as hold about two
+    ``_CHUNK``s of values, at least one row, so that a strictly triangular
+    table, with half its values in zero runs, still formats about one whole
+    chunk per block.  A complex entry is written as its real and imaginary
+    parts side by side.  A table with no rows still gives its one empty
+    line."""
+    cplx = np.iscomplexobj(A)
+    width = A.shape[1] * (2 if cplx else 1)
+    step = max(1, 2 * _CHUNK // max(width, 1))
+    for r0 in range(0, max(A.shape[0], 1), step):
+        block = A[r0:r0 + step]
+        if cplx:
+            flat = np.empty((len(block), width), dtype=float)
+            flat[:, 0::2] = block.real
+            flat[:, 1::2] = block.imag
+        else:
+            flat = np.asarray(block, dtype=float)
+        yield from _format_rows(flat)
 
 
 def load_matrix_csv(path: str | Path) -> np.ndarray:

@@ -86,6 +86,10 @@ class FormField:
     Components are indexed by strictly increasing axis subsets; each value
     has shape (*grid.shape, N) and keeps its data's dtype (real stays real,
     integers become float).  Missing subsets are implicitly (real) zero.
+    A component that is already a float or complex array of that shape (or
+    of the node shape, for the trivial fiber) is held by reference, not
+    copied, so it is not to be changed while the form is in use; a sum of
+    forms holds new arrays.
     """
 
     grid: ProductGrid
@@ -104,7 +108,7 @@ class FormField:
             arr = _with_fiber(self.grid, raw)
             if arr.shape != shape:
                 raise DiscretizationError(f"component {S} has shape {raw.shape}, want {shape}")
-            clean[S] = arr.astype(np.result_type(arr, float))
+            clean[S] = arr.astype(np.result_type(arr, float), copy=False)
         self.comps = clean
 
     def component(self, S) -> np.ndarray:
@@ -117,7 +121,7 @@ class FormField:
             raise DegreeMismatchError("cannot add forms of different degree")
         out = {S: arr.copy() for S, arr in self.comps.items()}
         for S, arr in other.comps.items():
-            out[S] = out[S] + arr if S in out else arr
+            out[S] = out[S] + arr if S in out else arr.copy()
         return FormField(self.grid, self.degree, out)
 
     def stack(self) -> np.ndarray:

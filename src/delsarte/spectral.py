@@ -23,7 +23,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DiscretizationError, EmptyBandError
-from .grid_ops import _BAND_PRODUCT_WIDTH, _as_matrix, _band_matvec, _is_hermitian, _upper_band
+from .grid_ops import (_BAND_PRODUCT_WIDTH, _BAND_ROWS, _as_matrix, _band_matvec, _is_hermitian,
+                       _upper_band)
 
 __all__ = [
     "EigenFamily",
@@ -68,10 +69,15 @@ def nearest_indices(lams: np.ndarray, count: int) -> np.ndarray:
     return np.sort(np.argsort(np.abs(lams), kind="stable")[:count])
 
 
-def _eigen_residual(AV: np.ndarray, V: np.ndarray, lams: np.ndarray) -> float:
-    """Worst column of |A v - lam v| / |v|, given AV = A @ V."""
-    return float(np.max(np.linalg.norm(AV - V * lams, axis=0)
-                        / np.linalg.norm(V, axis=0)))
+def _eigen_residual(ab: np.ndarray, V: np.ndarray, lams: np.ndarray) -> float:
+    """Worst column of |A v - lam v| / |v| for the A of upper band ``ab``,
+    taken ``_BAND_ROWS`` columns at a time, so beside V it holds a few
+    blocks; each column's value has the bits of the whole-array one, and a
+    NaN column reads NaN."""
+    blocks = [slice(c0, c0 + _BAND_ROWS) for c0 in range(0, len(lams), _BAND_ROWS)]
+    worst = [np.linalg.norm(_band_matvec(ab, V[:, c]) - V[:, c] * lams[c], axis=0)
+             / np.linalg.norm(V[:, c], axis=0) for c in blocks]
+    return float(np.max(np.concatenate(worst)))
 
 
 def _tridiagonal_eigh(ab: np.ndarray):
@@ -101,7 +107,11 @@ def eigensolve(A, count: int | None = None, band=None,
     LAPACK returns them; the eigenvectors keep the operator's dtype and are
     taken as LAPACK returns them, orthonormal, each only rotated so that its
     largest component is positive real.  The eigen-residual is taken from
-    the same band.
+    the same band, ``_BAND_ROWS`` columns at a time.  With every eigenvalue
+    kept the family's eigenvectors are LAPACK's own array, never gathered
+    into a copy, so a full solve holds the operator, the eigenvectors and
+    one n x n temporary (LAPACK's workspace, or the moduli that find each
+    vector's largest component) at a time.
 
     ``count`` keeps that many eigenvalues closest to the origin (the rule of
     :func:`nearest_indices`); ``band`` keeps those in the real interval
@@ -141,13 +151,14 @@ def eigensolve(A, count: int | None = None, band=None,
         if count < 1 or count > keep.size:
             raise EmptyBandError(f"requested {count} eigenvalues, {keep.size} available")
         keep = keep[nearest_indices(lams[keep], count)]
-    lams, right = lams[keep], right[:, keep]
+    if keep.size < n:
+        lams, right = lams[keep], right[:, keep]
     # tie-break inside an exactly degenerate cluster: rotate each vector's
     # phase so its largest component is positive real (LAPACK's orthonormal
     # columns leave no zero column)
     piv = right[np.argmax(np.abs(right), axis=0), np.arange(len(lams))]
     right /= piv / np.abs(piv)
-    res = _eigen_residual(_band_matvec(ab, right), right, lams) / scale
+    res = _eigen_residual(ab, right, lams) / scale
     return EigenFamily(lams, right, res)
 
 

@@ -201,7 +201,8 @@ class TransmutationData:
         if _minus(sign):
             return _mirror(self._reversed().operator("+"))
         U, C = np.hsplit(self._generators(), 2)
-        return DelsarteOp("+", -np.tril(U @ C.T, -1))
+        K = _strict_part(U @ C.T, lower=True)
+        return DelsarteOp("+", np.negative(K, out=K))
 
     def inverse(self, sign: str = "+") -> DelsarteOp:
         """Closed-form inverse operator.
@@ -214,7 +215,7 @@ class TransmutationData:
             return _mirror(self._reversed().inverse("+"))
         Wc = (self.grid.h * self.weights)[:, None] * np.linalg.solve(
             self._prefix[1:], np.conj(self.left)[..., None])[..., 0]
-        return DelsarteOp("+", np.tril(self.right @ Wc.T, -1))
+        return DelsarteOp("+", _strict_part(self.right @ Wc.T, lower=True))
 
     def adjoint(self) -> DelsarteOp:
         """The plus factor's dressing operator on the dual side.
@@ -225,7 +226,18 @@ class TransmutationData:
         """
         A = (self.grid.h * self.weights)[:, None] * np.linalg.solve(
             np.conj(self._prefix[1:]), self.left[..., None])[..., 0]
-        return DelsarteOp("-", np.triu(A @ np.conj(self.right).T, 1))
+        return DelsarteOp("-", _strict_part(A @ np.conj(self.right).T, lower=False))
+
+
+def _strict_part(P: np.ndarray, lower: bool) -> np.ndarray:
+    """``np.tril(P, -1)`` (``lower``) or ``np.triu(P, 1)``, bit for bit,
+    written over P itself ``_BAND_ROWS`` rows at a time, so a kernel is
+    formed from its product with no second n x n array."""
+    part = np.tril if lower else np.triu
+    for r0 in range(0, len(P), _BAND_ROWS):
+        rows = P[r0:r0 + _BAND_ROWS]
+        rows[...] = part(rows, r0 - 1 if lower else r0 + 1)
+    return P
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +273,7 @@ class KernelData:
 
     def operator(self, sign: str = "+") -> DelsarteOp:
         """1 + K_+ for sign "+", D (1 + K_-) for sign "-"."""
-        minus = _minus(sign)
-        pair = self.factorization()
-        if not minus:
-            return DelsarteOp("+", pair.K_plus)
-        return DelsarteOp("-", pair.K_minus, diag=pair.D)
+        return _pair_operator(self.factorization(), sign)
 
     def inverse(self, sign: str = "+") -> DelsarteOp:
         """The inverse factor, by a triangular solve."""
@@ -280,6 +288,14 @@ class KernelData:
             eye + pair.K_minus, eye, lower=False, unit_diagonal=True)
         return DelsarteOp("-", (pair.D[:, None] * B) / pair.D[None, :] - eye,
                           diag=1.0 / pair.D)
+
+
+def _pair_operator(pair: TriangularPair, sign: str) -> DelsarteOp:
+    """The factor of one sign that a factorization of the kernel gives;
+    its arrays are the pair's."""
+    if not _minus(sign):
+        return DelsarteOp("+", pair.K_plus)
+    return DelsarteOp("-", pair.K_minus, diag=pair.D)
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +320,25 @@ class DelsarteOp:
 
     def matrix(self) -> np.ndarray:
         """The assembled factor; its dtype is the kernel's (and the
-        diagonal's), so a real kernel gives a real matrix.  The kernel is
-        added to an identity and the diagonal scales the rows in place, so
-        the assembly holds the one n x n array it returns."""
+        diagonal's), so a real kernel gives a real matrix.  It is
+        :meth:`_spend` on a C-ordered copy of the kernel, so the assembly
+        holds the one n x n array it returns."""
         dtype = self.kernel.dtype if self.diag is None else \
             np.result_type(self.kernel, self.diag)
-        M = np.eye(self.kernel.shape[0], dtype=dtype)
-        M += self.kernel
+        return DelsarteOp(self.sign, np.array(self.kernel, dtype=dtype, order="C"),
+                          self.diag)._spend()
+
+    def _spend(self) -> np.ndarray:
+        """The assembled factor, written over the kernel itself, which is
+        the factor's from then on: for an operator no one else reads, whose
+        kernel has the factor's dtype.  Each entry gets the bits of
+        diag * (1 + kernel) with the identity added first: 0.0 is added to
+        every entry as the identity's zeros are (-0.0 becomes 0.0), 1.0 to
+        the diagonal, and then the rows are scaled by the diagonal."""
+        M = self.kernel
+        M += 0.0
+        i = np.arange(M.shape[0])
+        M[i, i] += 1.0
         if self.diag is not None:
             M *= self.diag[:, None]
         return M
@@ -531,22 +559,41 @@ def independence_check(data: TransmutationData | KernelData):
     The conjugations by Omega_plus and by Omega_minus agree exactly when
     Omega_plus^{-1} Omega_minus commutes with L; both deviations are
     returned so valid dressing data can be certified and generic data
-    flagged.  Each factor's matrix lives only while it is needed, and the
-    two conjugates only until their gap is read.
+    flagged.
+
+    The check drops each n x n array once it has been read.  It works on
+    operators of its own, over kernels no one else holds: family data
+    builds its kernels afresh on each call, and kernel data is factored
+    afresh, so a caller's kernel and any factorization it has cached read
+    the same afterwards.  Each factor is assembled over its own kernel
+    (:meth:`DelsarteOp._spend`), and a caller that passes its only
+    reference to kernel data lets the kernel go once it is factored.  The ratio's commutator takes its second product by row
+    blocks (:func:`commutation_check`).  So beside L the kernel route holds
+    four n x n arrays at most, the kernel and its factorization's three or
+    the two factors and the two conjugates, and every value keeps the bits
+    of the whole-array products.
     """
     L = data.L
-    plus = data.operator("+")
-    Ltp = _conjugate(plus.matrix(), L, lower=True)
-    Mm = data.operator("-").matrix()
+    if isinstance(data, KernelData):
+        pair = gk_factorize(data.Phi)
+        plus, minus = _pair_operator(pair, "+"), _pair_operator(pair, "-")
+        del pair
+    else:
+        plus, minus = data.operator("+"), data.operator("-")
+    # with the caller's last reference to kernel data goes its kernel
+    del data
+    Mp, Mm = plus._spend(), minus._spend()
+    del plus, minus
+    Ltp = _conjugate(Mp, L, lower=True)
     Ltm = _conjugate(Mm, L, lower=False)
     scale = np.linalg.norm(Ltp)
     Ltp -= Ltm
     gap = float(np.linalg.norm(Ltp) / max(scale, 1e-300))
     del Ltp, Ltm
     # Omega_plus is unit lower triangular for both data classes, so the
-    # solve reads only the strict lower triangle, which is its kernel's
-    ratio = scipy.linalg.solve_triangular(plus.kernel, Mm, lower=True, unit_diagonal=True)
-    del Mm
+    # solve reads only its strict lower triangle
+    ratio = scipy.linalg.solve_triangular(Mp, Mm, lower=True, unit_diagonal=True)
+    del Mp, Mm
     return gap, commutation_check(ratio, L)
 
 
@@ -561,6 +608,9 @@ def adjoint_compat_check(data: TransmutationData) -> float:
         raise DiscretizationError(
             f"adjoint_compat_check needs TransmutationData, got {type(data).__name__}")
     L = data.L
-    A = _conjugate(data.operator("+").matrix(), L, lower=True).conj().T
-    B = _conjugate(data.adjoint().matrix(), L.conj().T, lower=False)
-    return float(np.linalg.norm(A - B) / max(np.linalg.norm(L), 1e-300))
+    # each factor is assembled over its own fresh kernel, and B - A, the
+    # negated A - B in its C order, is formed in place
+    A = _conjugate(data.operator("+")._spend(), L, lower=True).conj().T
+    B = _conjugate(data.adjoint()._spend(), L.conj().T, lower=False)
+    B -= A
+    return float(np.linalg.norm(B) / max(np.linalg.norm(L), 1e-300))

@@ -462,6 +462,32 @@ def test_32_cube_torus_rows_run_in_seconds():
     assert [h["dim"] for h in out["harmonic"]] == [1, 3, 3, 1]
 
 
+def test_harmonic_space_holds_two_laplacian_stacks(traced_peak):
+    # degrees 1 and 2 of the 32^3 torus: each coboundary stack dropped after
+    # its Gram product, the second added in place and one symmetrized copy
+    # freed after eigh, 8.75 MB traced (14.26 MB, about six copies of the
+    # stack, when each step kept a new array)
+    c = acceptance.torus_complex((32, 32, 32), (1.3, 2.1, 0.7))
+    for k in (1, 2):
+        rep, peak = traced_peak(harmonic_space, c, k)
+        assert rep.dim == 3
+        assert peak <= 9.5e6
+
+
+def test_d_l_allocates_its_result_once(traced_peak):
+    # FormField holds the components d_L builds by reference: a 1-form on
+    # the 32^3 torus peaks at 6.01 arrays of M floats (7.01 when the form
+    # copied each component it was given)
+    c = acceptance.torus_complex((32, 32, 32), (1.3, 2.1, 0.7))
+    M = c.grid.total_dim
+    rng = np.random.default_rng(2)
+    beta = FormField(c.grid, 1, {(a,): rng.standard_normal(c.grid.shape + (1,))
+                                 for a in range(3)})
+    out, peak = traced_peak(d_L, c, beta)
+    assert out.degree == 2
+    assert peak <= 6.1 * M * 8
+
+
 def test_32_cube_harmonic_dimensions():
     # a Dirichlet axis kills every class (fiber x Betti = 0); the fiber-2
     # diagonal flat torus keeps flat_dimension x Betti

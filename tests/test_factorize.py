@@ -16,6 +16,7 @@ from delsarte import (DelsarteOp, KernelData, SingularMinorError,
                       commutation_check, gk_factorize, glm_residual,
                       glm_solve, independence_check, random_unit_minor)
 from delsarte.errors import DiscretizationError
+from delsarte.grid_ops import _operator_product
 
 
 # Worked 2x2 example, frozen: Phi = [[0,1],[1,1]], 1+Phi = [[1,1],[1,2]]
@@ -196,6 +197,26 @@ def test_conjugation_gap_vanishes_for_commuting_kernel():
     Phi_bad = random_unit_minor(n, rng)
     assert commutation_check(Phi_bad, L) > 1e-3
     assert independence_check(KernelData(L, Phi_bad))[0] > 1e-3
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_commutation_check_keeps_the_whole_product_bits(n):
+    # the second product is subtracted a block of rows at a time on the
+    # band of a tridiagonal L, and whole for a periodic (dense-route) L;
+    # the value has the bits of the two whole products' difference
+    rng = np.random.default_rng(n)
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    tri = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    periodic = tri.copy()
+    periodic[0, -1] = periodic[-1, 0] = 1.0
+    for L in (tri, periodic):
+        for Phi in (rng.standard_normal((n, n)),
+                    np.asfortranarray(rng.standard_normal((n, n))),
+                    rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))):
+            C = _operator_product(L, Phi, right=True)
+            C -= _operator_product(L, Phi)
+            want = float(np.linalg.norm(C) / (np.linalg.norm(Phi) * np.linalg.norm(L)))
+            assert commutation_check(Phi, L) == want
 
 
 def test_pair_exactness_flag():

@@ -12,7 +12,7 @@ from delsarte import (DiffOp, DiscretizationError, Grid1D, GridError,
                       derivative_matrix, discretize, formal_adjoint, inner)
 from delsarte import acceptance, grid_ops
 from delsarte.grid_ops import (_band_matvec, _is_hermitian, _operator_product,
-                               _upper_band, fd_weights, stencil_half_width)
+                               _product_rows, _upper_band, fd_weights, stencil_half_width)
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +414,45 @@ def test_operator_product_keeps_the_dense_route_otherwise(monkeypatch):
         assert _operator_product(A, X).tobytes() == (A @ X).tobytes()
         assert _operator_product(A, X, right=True).tobytes() == (X @ A).tobytes()
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 64, 65, 200])
+@pytest.mark.parametrize("bw", [0, 1, 3])
+def test_band_product_rows_have_the_whole_product_bits(n, bw):
+    """Any range of rows of ``_band_matvec`` has the bits of the whole
+    product's rows, for vectors and blocks, real and complex, whatever
+    the range's offset from the ``_BAND_ROWS`` blocks."""
+    rng = np.random.default_rng(n + bw)
+    bw = min(bw, n - 1)
+    for cplx in (False, True):
+        ab = rng.standard_normal((bw + 1, n))
+        if cplx:
+            ab = ab + 1j * rng.standard_normal((bw + 1, n))
+            ab[bw] = ab[bw].real
+        V = rng.standard_normal((n, 5)) + (1j * rng.standard_normal((n, 5)) if cplx else 0)
+        for X in (V, V[:, 0], np.asfortranarray(V)):
+            whole = _band_matvec(ab, X)
+            for start, stop in ((0, n), (0, 1), (n - 1, n), (n // 3, n // 3 + 70),
+                                (max(n - 7, 0), n + 64)):
+                got = _band_matvec(ab, X, start, stop)
+                assert got.tobytes() == whole[start:stop].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 64, 65, 130])
+def test_product_rows_cover_the_operator_product(n):
+    """``_product_rows`` gives the rows of ``_operator_product``'s A @ X bit
+    for bit: blocks of ``_BAND_ROWS`` rows through a Hermitian tridiagonal
+    band, one block, the whole dense product, for any other operator."""
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
+    for A, count in ((_tridiagonal(n, rng, True), -(-n // grid_ops._BAND_ROWS)),
+                     (rng.standard_normal((n, n)), 1)):
+        pieces = list(_product_rows(A, X))
+        assert len(pieces) == count
+        got = np.empty_like(X)
+        for rows, block in pieces:
+            got[rows] = block
+        assert got.tobytes() == _operator_product(A, X).tobytes()
 
 
 def test_pair_conjugation_takes_the_band_route_on_every_grid(monkeypatch):

@@ -300,3 +300,23 @@ def test_cell_blocks_wrap_drop_and_add_up():
     want[:, :2] = 1
     want[[0, 4], :2] = 2
     np.testing.assert_array_equal(coef, want)
+
+
+def test_form_components_are_held_by_reference():
+    # a float or complex component of the form's shape (or, for the trivial
+    # fiber, of the node shape) is held, not copied; an integer one becomes
+    # a new float array, and a sum of forms holds new arrays
+    pg = ProductGrid((Grid1D.periodic(0.0, 1.0, 6), Grid1D.periodic(0.0, 1.0, 5)))
+    shp = pg.shape + (1,)
+    a, b = np.ones(shp), np.full(shp, 2.0 + 1j)
+    f = FormField(pg, 1, {(0,): a, (1,): b})
+    assert f.component((0,)) is a and f.component((1,)) is b
+    scalar = np.ones(pg.shape)
+    assert np.shares_memory(FormField(pg, 0, {(): scalar}).component(()), scalar)
+    ints = np.ones(shp, dtype=int)
+    assert FormField(pg, 1, {(0,): ints}).component((0,)).dtype == np.float64
+    g = FormField(pg, 1, {(1,): np.ones(shp)})
+    for total in (f + g, g + f):
+        for S in ((0,), (1,)):
+            for part in (f, g):
+                assert not np.shares_memory(total.component(S), part.component(S))

@@ -15,7 +15,7 @@ from delsarte import (DiffOp, DiscretizationError, DressingSeed,
                       discretize, eigensolve, elementary_kernel,
                       kernel_from_measure, projection_measure)
 from delsarte.grid_ops import _band_matvec, _upper_band
-from delsarte.spectral import _tridiagonal_eigh, _two_norm
+from delsarte.spectral import _eigen_residual, _tridiagonal_eigh, _two_norm
 
 
 def _dirichlet_laplacian(n=40, length=np.pi):
@@ -377,3 +377,39 @@ def test_tridiagonal_eigenpairs_match_eig_banded_bitwise(n, monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eig_banded", None)
     fam = eigensolve(dressed.matrix(), hermitian=True)
     assert fam.right.dtype == np.float64 and len(fam) == n
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 130])
+@pytest.mark.parametrize("select", [{}, {"count": 3}, {"band": (-2.0, 50.0)}])
+def test_eigen_residual_keeps_the_whole_array_bits(n, select):
+    # the residual is read 64 columns at a time and each column's value has
+    # the bits of the whole-array one; with every eigenvalue kept the
+    # family's vectors are LAPACK's own Fortran-ordered array
+    A = _soliton_operator(n)
+    fam = eigensolve(A, **select)
+    ab = _upper_band(A)
+    V = fam.right
+    assert V.flags.f_contiguous
+    whole = np.max(np.linalg.norm(_band_matvec(ab, V) - V * fam.lambdas, axis=0)
+                   / np.linalg.norm(V, axis=0))
+    assert fam.residual == float(whole) / np.linalg.norm(A, np.inf)
+
+
+def test_eigen_residual_reads_a_nan_column_as_nan():
+    # a NaN in a later block is not lost to the block-wise maximum
+    A = _soliton_operator(130)
+    fam = eigensolve(A)
+    V = fam.right.copy(order="F")
+    V[5, 100] = np.nan
+    assert np.isnan(_eigen_residual(_upper_band(A), V, fam.lambdas))
+
+
+def test_full_eigensolve_holds_the_eigenvectors_once(traced_peak):
+    # every eigenvalue kept: LAPACK's eigenvectors are the family's and the
+    # residual is read by column blocks, so counting L the solve holds 3.02
+    # n x n arrays at n = 600 (5.02 when it gathered the vectors into a
+    # copy and formed the residual whole)
+    A = _soliton_operator(600)
+    fam, peak = traced_peak(eigensolve, A)
+    assert len(fam) == 600 and fam.residual < 1e-14
+    assert A.nbytes + peak <= 3.1 * A.nbytes

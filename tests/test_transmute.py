@@ -5,6 +5,7 @@ import dataclasses
 import pickle
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -851,13 +852,131 @@ def test_real_conjugation_matches_complex_cast(n):
 # ---------------------------------------------------------------------------
 
 def test_transmute_check_working_set_is_bounded(traced_peak):
-    # at n=600 one n x n array is 2.88 MB; the routes hold L and a few
-    # arrays of their own at a time, 20.7 MB at most (46 MB, some 16
-    # arrays, when every route kept its arrays to the end; 23.6 MB while
-    # the pair kernel outlived its route into the others)
+    # at n=600 one n x n array is 2.88 MB; the routes hold L and four
+    # arrays of their own at a time, 14.96 MB at most: the kernel and its
+    # factorization's three, or the two factors and two conjugates of the
+    # sign check (20.7 MB while that check also held the kernel and both
+    # kernels beside the factors; 46 MB, some 16 arrays, when every route
+    # kept its arrays to the end)
     (rows, _), peak = traced_peak(transmute_check, (-8, 8), 600, 1.03, 0.37)
     assert all(r["passed"] for r in rows)
-    assert peak <= 21.5e6
+    assert peak <= 15.25e6
+
+
+def _whole_array_independence(data):
+    """independence_check as whole-array products over assembled factors,
+    each kept to the end."""
+    L = data.L
+    plus, minus = data.operator("+"), data.operator("-")
+    Ltp = _conjugate(plus.matrix(), L, lower=True)
+    Ltm = _conjugate(minus.matrix(), L, lower=False)
+    gap = float(np.linalg.norm(Ltp - Ltm) / max(np.linalg.norm(Ltp), 1e-300))
+    ratio = scipy.linalg.solve_triangular(plus.kernel, minus.matrix(), lower=True,
+                                          unit_diagonal=True)
+    C = _operator_product(L, ratio, right=True) - _operator_product(L, ratio)
+    return gap, float(np.linalg.norm(C) / (np.linalg.norm(ratio) * np.linalg.norm(L)))
+
+
+@pytest.mark.parametrize("n", [127, 200])
+@pytest.mark.parametrize("route", ["family", "kernel", "complex kernel"])
+def test_independence_check_keeps_the_whole_array_bits(n, route):
+    # the check spends its own factors and takes the commutator's second
+    # product by row blocks; both values keep their bits
+    if route == "family":
+        data = _family_data(n)[3]
+    else:
+        data = _kernel_data(n)[2]
+        if route == "complex kernel":
+            data = _complex_data(data)
+    assert independence_check(data) == _whole_array_independence(data)
+
+
+def test_independence_check_leaves_the_callers_data_as_it_was():
+    # the check factors kernel data afresh and spends only its own arrays:
+    # a caller's kernel, cached factorization and factors read the same
+    # afterwards, and so does family data
+    _, A, datak = _kernel_data(120)
+    Phi = datak.Phi.copy()
+    before = [M.copy() for M in _factors(datak)]
+    pair = datak.factorization()
+    cached = [X.copy() for X in (pair.K_plus, pair.D, pair.K_minus)]
+    data = _family_data(120)[3]
+    family = [M.copy() for M in _factors(data)]
+    for d in (datak, data):
+        independence_check(d)
+    assert datak.Phi.tobytes() == Phi.tobytes()
+    assert datak.factorization() is pair
+    for X, want in zip((pair.K_plus, pair.D, pair.K_minus), cached):
+        assert X.tobytes() == want.tobytes()
+    for got, want in zip(_factors(datak) + _factors(data), before + family):
+        assert got.tobytes() == want.tobytes()
+    # fresh kernel data is factored by the check without caching a pair
+    fresh = KernelData(A, Phi)
+    independence_check(fresh)
+    assert fresh._pair is None
+
+
+def test_kernel_route_lets_the_kernel_go_once_factored(monkeypatch):
+    # handed the only reference to kernel data, the check drops the kernel
+    # once it is factored, before either factor is conjugated
+    _, _, datak = _kernel_data(60)
+    kernel = weakref.ref(datak.Phi)
+    alive = []
+    conjugate = transmute._conjugate
+
+    def recording(M, L, lower):
+        alive.append(kernel() is not None)
+        return conjugate(M, L, lower)
+
+    monkeypatch.setattr(transmute, "_conjugate", recording)
+    held = [datak]
+    del datak
+    gap, comm = independence_check(held.pop())
+    assert alive == [False, False]
+    assert gap < 1e-8 and comm < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+def test_family_kernels_are_formed_in_place_with_the_whole_array_bits(n):
+    # each kernel is its product with one triangle zeroed over itself, 64
+    # rows at a time: the bits of np.tril / np.triu, -0.0 and NaN included
+    rng = np.random.default_rng(n)
+    for P in (rng.standard_normal((n, n)),
+              rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))):
+        P[rng.random((n, n)) < 0.1] = -0.0
+        P[rng.random((n, n)) < 0.05] = np.nan
+        for lower, want in ((True, np.tril(P, -1)), (False, np.triu(P, 1))):
+            own = P.copy()
+            assert transmute._strict_part(own, lower) is own
+            assert own.tobytes() == want.tobytes()
+    if n < 4:
+        return
+    data = _family_data(n)[3]
+    U, C = np.hsplit(data._generators(), 2)
+    assert data.operator("+").kernel.tobytes() == (-np.tril(U @ C.T, -1)).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("with_diag", [False, True])
+def test_factor_assembly_has_the_identity_sum_bits(dtype, with_diag):
+    # 1 + K assembled over a copy or over the kernel itself has the bits of
+    # the identity plus the kernel, -0.0 entries (which it turns to 0.0)
+    # and a reversed (mirrored) kernel included, in C order
+    rng = np.random.default_rng(4)
+    n = 70
+    K = np.triu(rng.standard_normal((n, n)), 1).astype(dtype)
+    K[rng.random((n, n)) < 0.2] = -0.0
+    diag = rng.uniform(0.5, 2.0, n).astype(dtype) if with_diag else None
+    for kernel in (K, np.ascontiguousarray(K[::-1, ::-1])[::-1, ::-1]):
+        want = np.eye(n, dtype=dtype)
+        want += kernel
+        if with_diag:
+            want *= diag[:, None]
+        M = DelsarteOp("-", kernel, diag).matrix()
+        assert M.flags.c_contiguous and M.tobytes() == want.tobytes()
+        own = kernel.copy()
+        assert DelsarteOp("-", own, diag)._spend() is own
+        assert own.tobytes() == want.tobytes()
 
 
 def test_kernel_route_never_reads_the_reconstruction_residual(monkeypatch):
