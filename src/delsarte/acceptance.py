@@ -23,12 +23,11 @@ import numpy as np
 import scipy.linalg
 
 from .darboux import (DressingSeed, SchrodingerOp, _band_eigvals,
-                      _compare_spectra, _low_spectrum, darboux_once,
-                      spectrum_compare)
+                      _low_spectrum, darboux_once, spectrum_compare)
 from .derham import (d_L, expected_betti, flat_complex, flat_dimension,
                      harmonic_space, hodge_decompose, plain_complex,
                      skrypnik_map)
-from .errors import SingularMinorError
+from .errors import DiscretizationError, SingularMinorError
 from .factorize import (break_relation_defect, gk_factorize, glm_residual,
                         glm_solve, random_unit_minor)
 from .grid_ops import (_BAND_ROWS, DiffOp, Grid1D, ProductGrid, _band_matvec,
@@ -128,16 +127,16 @@ def _bound_state_rows(comp: dict, kappa: float) -> list:
 
 
 def darboux_check(domain, n: int, kappa: float, parity: str = "even",
-                  center: float = 0.0, tol: float = 1e-8):
-    """Dressing step rows; tables ``potential`` (x, q, qtilde) and
-    ``spectrum`` (lowest eigenvalues before, after)."""
+                  center: float = 0.0):
+    """Dressing step rows at fixed thresholds; tables ``potential``
+    (x, q, qtilde) and ``spectrum`` (lowest eigenvalues before, after)."""
     kappa, center = float(kappa), float(center)
     base, dressed = soliton_pair(domain, n, kappa, parity, center)
     rows = []
     if parity == "even":
         # the dressed well bottoms out at -2 kappa^2 at the seed center
         qc = np.asarray(dressed.qtilde_at(center)).item()
-        rows.append(_row("qtilde_center_error", abs(qc + 2.0 * kappa ** 2), tol))
+        rows.append(_row("qtilde_center_error", abs(qc + 2.0 * kappa ** 2), 1e-8))
     comp = spectrum_compare(base, dressed.operator)
     rows += _bound_state_rows(comp, kappa)
     rows.append(_row("positive_band_drift", comp["band_drift"], 1.0))
@@ -185,6 +184,11 @@ def pair_conjugation_rows(L: np.ndarray, dressed: SchrodingerOp, grid: Grid1D,
                      float(np.linalg.norm(R[: n - 1])
                            / (np.linalg.norm(M) * np.linalg.norm(L))), 1e-9))
     return rows, om
+
+
+def _relative_volterra_defect(op) -> float:
+    """Volterra defect over the kernel's Frobenius norm; NaN stays NaN."""
+    return op.volterra_defect() / max(float(np.linalg.norm(op.kernel)), 1e-300)
 
 
 def dressing_data(grid: Grid1D, L: np.ndarray, family_size: int = 3):
@@ -243,9 +247,7 @@ def transmute_check(domain, n: int, kappa: float, center: float = 0.0,
     ]
     rows, om = pair_conjugation_rows(L, dressed.operator, g)
     rows += [
-        _row("pair_kernel_volterra",
-             om.volterra_defect() / max(float(np.linalg.norm(om.kernel)), 1e-300),
-             1e-10),
+        _row("pair_kernel_volterra", _relative_volterra_defect(om), 1e-10),
         _row("pair_condition_number", om.cond(), 1e10),
     ]
     return rows + family_rows, {"x": g.x, "pair_kernel": om.kernel,
@@ -287,9 +289,8 @@ def _start_criterion_3(submit):
     oracle = submit(np.linalg.eigvals, transform_operator(L, om))
     del L, om
     # preservation needs the whole spectrum; the bound state and the drift
-    # take the low end that spectrum_compare (so the darboux command) reads
-    return oracle, _band_eigvals(base), _compare_spectra(
-        _low_spectrum(base.to_banded()), _low_spectrum(dressed.operator.to_banded()))
+    # read the darboux command's low end
+    return oracle, _band_eigvals(base), spectrum_compare(base, dressed.operator)
 
 
 def criterion_3(started=None) -> list:
@@ -457,11 +458,17 @@ def criterion_6() -> list:
 # ---------------------------------------------------------------------------
 
 def torus_complex(shape, periods, fiber_dim: int = 1):
-    """Plain complex on a periodic box; ``periods`` repeat to fill ``shape``."""
+    """Plain complex on a periodic box.  ``periods`` holds one period, which
+    applies to every axis, or exactly one period per axis of ``shape``; any
+    other length raises :class:`DiscretizationError`."""
     shape = [int(v) for v in shape]
     periods = [float(v) for v in periods]
-    if len(periods) != len(shape):
-        periods = (periods * len(shape))[: len(shape)]
+    if len(periods) == 1:
+        periods *= len(shape)
+    elif len(periods) != len(shape):
+        raise DiscretizationError(
+            f"{len(periods)} periods for a shape of {len(shape)} axes: give one "
+            "period, or one per axis")
     axes = tuple(Grid1D.periodic(0.0, T, n) for T, n in zip(periods, shape))
     return plain_complex(ProductGrid(axes, int(fiber_dim)))
 
@@ -577,22 +584,21 @@ def criterion_8() -> list:
     ops.append(pair_intertwiner(L2, T2, "+"))
     ops.append(pair_intertwiner(L2, T2, "-"))
     # np.max, not a running max(), so that a NaN defect fails the row
-    worst = np.max([op.volterra_defect()
-                    / max(float(np.linalg.norm(op.kernel)), 1e-300) for op in ops])
+    worst = np.max([_relative_volterra_defect(op) for op in ops])
     return [_row("volterra_eigenvalue_bound", worst, 1e-10)]
 
 
 # ---------------------------------------------------------------------------
 
-def run_all(seed: int = 0) -> dict:
-    """Criteria 1-8 in order.  Criterion 3's dense eigenvalue oracle runs
-    in one worker thread from the start; the ``with`` block joins it
-    before returning, also when a criterion raises."""
+def run_all(seed: int = 0) -> list:
+    """The rows of criteria 1-8 in order, which ``verify`` reports as they
+    are.  Criterion 3's dense eigenvalue oracle runs in one worker thread
+    from the start; the ``with`` block joins it before returning, also
+    when a criterion raises."""
     with concurrent.futures.ThreadPoolExecutor(1) as pool:
         started = _start_criterion_3(pool.submit)
         rows = criterion_1() + criterion_2()
         later = (criterion_4(seed) + criterion_5() + criterion_6()
                  + criterion_7(seed) + criterion_8())
         rows += criterion_3(started) + later
-    return {"rows": rows, "all_passed": all(r["passed"] for r in rows),
-            "seed": int(seed)}
+    return rows

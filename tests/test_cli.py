@@ -384,26 +384,6 @@ def test_non_finite_value_fails_as_a_null_row(tmp_path, monkeypatch, capsys):
     assert "null" in capsys.readouterr().out
 
 
-def test_verify_rescale_keeps_a_null_row_failing(monkeypatch):
-    rows = [acceptance._row("finite", 0.5, 1.0), acceptance._row("nan", math.nan, 1.0),
-            acceptance._row("inf", math.inf, 0.0, "min")]
-    monkeypatch.setattr(acceptance, "run_all", lambda seed: {"rows": rows})
-    got, _ = cli._verify({"seed": 0, "tolerance_scale": 2.0})
-    assert [(r["value"], r["threshold"], r["passed"]) for r in got] == [
-        (0.5, 2.0, True), (None, 2.0, False), (None, 0.0, False)]
-
-
-def test_zero_tolerance_scale_fails_residuals(tmp_path, cached_verify_battery):
-    code, out = _run(tmp_path, {"command": "verify", "tolerance_scale": 0.0})
-    assert code == 1
-    report = json.loads((out / "report.json").read_text())
-    assert report["all_passed"] is False
-    # only max-direction rows are scaled; nonzero residuals now fail
-    failed = [r for r in report["rows"] if not r["passed"]]
-    assert failed
-    assert all(r["direction"] == "max" for r in failed)
-
-
 # ---------------------------------------------------------------------------
 # exit code 2: config rejected before any computation
 # ---------------------------------------------------------------------------
@@ -416,10 +396,13 @@ def test_schema_violation(tmp_path, capsys):
 
 
 def test_unknown_config_key_is_named(tmp_path, capsys):
-    # a misspelt key would otherwise run with the default it meant to replace
-    code, _ = _run(tmp_path, dict(DARBOUX_CFG, centre=0.5))
-    assert code == 2
-    assert "'centre' was unexpected" in capsys.readouterr().err
+    # a misspelt key would otherwise run with the default it meant to
+    # replace; no key sets a threshold, so tolerance and tolerance_scale are
+    # unknown too
+    for key in ("centre", "tolerance", "tolerance_scale"):
+        code, _ = _run(tmp_path, dict(DARBOUX_CFG, **{key: 0.5}), outname=key)
+        assert code == 2
+        assert f"'{key}' was unexpected" in capsys.readouterr().err
 
 
 def test_schema_declares_the_keys_the_reader_reads():
@@ -481,9 +464,7 @@ def test_grid_too_small_for_the_seed_gate(tmp_path):
     ('{"command": "darboux", "domain": [-8, 1e999], "n": 100, "kappa": 1}', "1e999"),
     ('{"command": "derham", "shape": [6, 6], "periods": [1, Infinity]}', "Infinity"),
     ('{"command": "factorize", "size": 6, "count": 1, "scale": NaN}', "NaN"),
-    ('{"command": "verify", "tolerance_scale": NaN}', "NaN"),
-], ids=["kappa_nan", "domain_inf", "domain_1e999", "periods_inf", "scale_nan",
-        "tolerance_scale_nan"])
+], ids=["kappa_nan", "domain_inf", "domain_1e999", "periods_inf", "scale_nan"])
 def test_non_finite_config_number_is_rejected(tmp_path, capsys, text, named):
     # Python's json reads NaN, Infinity and 1e999, and the schema lets NaN
     # through; the loader rejects each before any computation
@@ -493,6 +474,22 @@ def test_non_finite_config_number_is_rejected(tmp_path, capsys, text, named):
     assert main([json.loads(text)["command"], "--config", str(p), "--out", str(out)]) == 2
     assert f"non-finite number {named}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_derham_periods_fill_the_shape_or_are_named(tmp_path, capsys):
+    # one period applies to every axis
+    code, out = _run(tmp_path, dict(DERHAM_CFG, periods=[1.5]))
+    assert code == 0
+    P = load_matrix_csv(out / "periods.csv")
+    np.testing.assert_allclose(P, np.diag([1.5, 1.5]), atol=1e-10)
+    # any count but one or one per axis is neither dropped nor cycled
+    for shape, periods in (([7, 7], [1.0, 2.0, 3.0]), ([7, 7, 7], [1.0, 2.0])):
+        code, out = _run(tmp_path, dict(DERHAM_CFG, shape=shape, periods=periods),
+                         outname=f"bad{len(shape)}")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "computation failed" in err
+        assert f"{len(periods)} periods for a shape of {len(shape)} axes" in err
 
 
 def test_derham_axis_too_short_for_a_grid(tmp_path, capsys):
