@@ -30,7 +30,7 @@ from .derham import (d_L, expected_betti, flat_complex, flat_dimension,
 from .errors import DiscretizationError, SingularMinorError
 from .factorize import (break_relation_defect, gk_factorize, glm_residual,
                         glm_solve, random_unit_minor)
-from .grid_ops import (_BAND_ROWS, DiffOp, Grid1D, ProductGrid, _band_matvec,
+from .grid_ops import (_BAND_ROWS, DiffOp, Grid1D, ProductGrid, _band_matvec, _norm,
                        _operator_product, inner)
 from .lagrange import FormField, SurfaceRegion, d_matrix, divergence_residual
 from .spectral import (_two_norm, congruence_residual, eigensolve, elementary_kernel,
@@ -148,20 +148,23 @@ def darboux_check(domain, n: int, kappa: float, parity: str = "even",
     }
 
 
-def pair_conjugation_rows(L: np.ndarray, dressed: SchrodingerOp, grid: Grid1D,
+def pair_conjugation_rows(L, dressed: SchrodingerOp, grid: Grid1D,
                           cond_guard: float = 1e10):
-    """Conjugate L by the pair intertwiner of L and the ``dressed``
-    operator T; returns (rows, factor).
+    """Conjugate L (an array or :class:`~delsarte.grid_ops.OperatorMatrix`)
+    by the pair intertwiner of L and the ``dressed`` operator T; returns
+    (rows, factor).
 
-    T is assembled densely only for :func:`pair_intertwiner`; the rows read
-    its band (:meth:`SchrodingerOp.to_banded`, the bits of the dense
-    matrix's).  The conjugate is dropped once its rows are read, before the
-    factor's matrix is assembled for the intertwining residual, and T M is
-    subtracted from M L a block of columns at a time, so beside L and the
-    pair kernel the rows hold three n x n arrays at most."""
-    om = pair_intertwiner(L, dressed.matrix().A, "+", grid=grid)
+    T is held as its band (:meth:`SchrodingerOp.matrix`), which
+    :func:`pair_intertwiner` and the rows read; a band-held L is read on
+    its band too, ||L||_F included.  The conjugate is dropped once its rows
+    are read, before the factor's matrix is assembled for the intertwining
+    residual, and T M is subtracted from M L a block of columns at a time,
+    so beside L and the pair kernel the rows hold three n x n arrays at
+    most."""
+    T = dressed.matrix()
+    om = pair_intertwiner(L, T, "+", grid=grid)
     Ltil = transform_operator(L, om, cond_guard=cond_guard)
-    tb = dressed.to_banded()
+    tb = T.to_banded()
     n = grid.n
     offband = locality_check(Ltil, bandwidth=1)
     # |Ltil - T| in place: T is its band, exactly symmetric (pair_intertwiner
@@ -182,7 +185,7 @@ def pair_conjugation_rows(L: np.ndarray, dressed: SchrodingerOp, grid: Grid1D,
         R[:, c:c + _BAND_ROWS] -= _band_matvec(tb, M[:, c:c + _BAND_ROWS])
     rows.append(_row("intertwining_residual",
                      float(np.linalg.norm(R[: n - 1])
-                           / (np.linalg.norm(M) * np.linalg.norm(L))), 1e-9))
+                           / (np.linalg.norm(M) * _norm(L))), 1e-9))
     return rows, om
 
 
@@ -191,14 +194,15 @@ def _relative_volterra_defect(op) -> float:
     return op.volterra_defect() / max(float(np.linalg.norm(op.kernel)), 1e-300)
 
 
-def dressing_data(grid: Grid1D, L: np.ndarray, family_size: int = 3):
+def dressing_data(grid: Grid1D, L, family_size: int = 3):
     """(family data, kernel data) dressing L, from one eigensolve of L.
 
     The family is the ``family_size`` eigenvectors nearest the origin, the
     columns ``eigensolve(L, count=family_size)`` returns.  The kernel is a
     function of L, so it commutes with L as sign independence needs;
     one-sided eigenfamily walks differ at O(h^2) and would mask a real bug.
-    A real L gives real family and kernel data.
+    A real L gives real family and kernel data, and a band-held L is held,
+    as its band, by both.
     """
     full = eigensolve(L, hermitian=True)
     k = nearest_indices(full.lambdas, int(family_size))
@@ -221,14 +225,16 @@ def transmute_check(domain, n: int, kappa: float, center: float = 0.0,
     the kernel data goes to :func:`independence_check` alone, which lets
     the kernel go once it is factored and each factor once it is read; the
     family factor and its inverse die after ``inverse_kernel_exactness``,
-    the dense dressed operator T once the pair kernel is marched, and every
-    conjugate once its norms are read.  Beside the base operator, which
-    lives throughout, the job holds four n x n arrays at most: the kernel
-    and its factorization's three, or the sign check's two factors and two
-    conjugates."""
+    and every conjugate once its norms are read.  The base operator L and
+    the dressed operator T are held as their bands
+    (:meth:`SchrodingerOp.matrix`) and never made dense, so the job holds
+    three n x n arrays at most and a few blocks, in every route: the
+    kernel's eigenvectors and products, the kernel and its factorization's
+    two, the sign check's two factors and one conjugate, or the pair
+    kernel, its factor and the factor's inverse."""
     base, dressed = soliton_pair(domain, n, kappa, "even", center)
     g = base.grid
-    L = base.matrix().A
+    L = base.matrix()
     # kernel and family routes on the base operator's own eigenvectors:
     # sign independence, exact inverses, adjoint compatibility; the kernel
     # data is handed over, not held, so its kernel goes once factored
@@ -258,7 +264,7 @@ def criterion_2() -> list:
     base, dressed = soliton_pair((-20.0, 20.0), 400)
     # the dressing kernel's dynamic range puts cond(M) near 8e10 on this
     # domain; the conjugation stays accurate because M is unit triangular
-    rows, _ = pair_conjugation_rows(base.matrix().A, dressed.operator, base.grid,
+    rows, _ = pair_conjugation_rows(base.matrix(), dressed.operator, base.grid,
                                     cond_guard=1e12)
     return _verify_names(rows)
 
@@ -273,18 +279,18 @@ def _start_criterion_3(submit):
     to ``submit`` and returns what ``submit`` returned, with the band side
     of the pair (the spectrum of L, the bound-state comparison).
 
-    The dense dressed operator T lives only for :func:`pair_intertwiner`,
-    so until the hand-off the main thread holds L, the kernel K, the factor
-    M = 1 + K and its inverse at most (or M and the product M L the
-    conjugation solves into).  L and K are dropped once the oracle has L~,
-    and the band side reads the operators' bands
+    L and the dressed operator T are held as their bands
+    (:meth:`SchrodingerOp.matrix`), so until the hand-off the main thread
+    holds the kernel K, the factor M = 1 + K and its inverse at most (or M
+    and the product M L the conjugation solves into).  K is dropped once
+    the oracle has L~, and the band side reads the operators' bands
     (:meth:`SchrodingerOp.to_banded`).
     """
     # preservation is checked where the conjugation is well conditioned;
     # the seed grows like e^{|x|}, so a narrower box keeps cond(M) ~ 1e5
     base, dressed = soliton_pair((-8.0, 8.0), 800)
-    L = base.matrix().A
-    om = pair_intertwiner(L, dressed.operator.matrix().A, "+", grid=base.grid)
+    L = base.matrix()
+    om = pair_intertwiner(L, dressed.operator.matrix(), "+", grid=base.grid)
     # numpy's eigvals releases the GIL while LAPACK runs (SciPy's does not)
     oracle = submit(np.linalg.eigvals, transform_operator(L, om))
     del L, om
@@ -574,13 +580,12 @@ def criterion_7(seed: int = 0) -> list:
 
 def criterion_8() -> list:
     g = Grid1D.dirichlet(0.0, math.pi, 60)
-    A = SchrodingerOp.free(g).matrix().A
-    data, datak = dressing_data(g, A)
+    data, datak = dressing_data(g, SchrodingerOp.free(g).matrix())
     ops = [d.operator(s) for d in (data, datak) for s in "+-"]
     ops += [d.inverse(s) for d in (data, datak) for s in "+-"]
     ops.append(data.adjoint())
     base2, dressed2 = soliton_pair((-20.0, 20.0), 200)
-    L2, T2 = base2.matrix().A, dressed2.operator.matrix().A
+    L2, T2 = base2.matrix(), dressed2.operator.matrix()
     ops.append(pair_intertwiner(L2, T2, "+"))
     ops.append(pair_intertwiner(L2, T2, "-"))
     # np.max, not a running max(), so that a NaN defect fails the row

@@ -26,7 +26,7 @@ import scipy.linalg
 
 from .errors import DiscretizationError, SeedNodeError
 from .grid_ops import (DiffOp, Grid1D, OperatorMatrix, ProductGrid,
-                       _band_matvec, _stencil, discretize)
+                       _band_matvec, _band_norm, _stencil, discretize)
 
 __all__ = [
     "ExpPoly",
@@ -171,15 +171,21 @@ class SchrodingerOp:
 
     def matrix(self) -> OperatorMatrix:
         """The second-order (3-point stencil) discretization, real for a
-        real potential."""
-        return discretize(self.diffop())
+        real potential.  On a Dirichlet grid it is held as its band alone
+        (:meth:`to_banded`, the dense matrix's bits), so no n x n array is
+        formed unless its ``A`` is read; a periodic grid's is assembled
+        densely (:func:`discretize`)."""
+        if self.grid.boundary != "dirichlet":
+            return discretize(self.diffop())
+        return OperatorMatrix(band=self.to_banded())
 
     def to_banded(self) -> np.ndarray:
-        """``matrix().to_banded()``, on a Dirichlet grid without the dense
-        matrix: the tridiagonal band is written from q and the 3-point
-        weights with the sums :func:`discretize` forms, in its order, so it
-        has the same bits.  A periodic grid's wrap entries make the band
-        the whole matrix, which is then assembled."""
+        """The upper band of the discretization, on a Dirichlet grid
+        without the dense matrix: the tridiagonal band is written from q
+        and the 3-point weights with the sums :func:`discretize` forms, in
+        its order, so it has the bits of ``_upper_band`` of the assembled
+        matrix.  A periodic grid's wrap entries make the band the whole
+        matrix, which is then assembled."""
         op = self.diffop()
         if self.grid.boundary != "dirichlet":
             return discretize(op).to_banded()
@@ -261,8 +267,7 @@ def _check_seed(op: SchrodingerOp, seed: DressingSeed) -> None:
     ab = op.to_banded()
     r = _band_matvec(ab, vals) - seed.stencil_energy() * vals
     res = np.max(np.abs(r[w:op.grid.n - w]))
-    # ||L||_inf: the largest row sum of |L|
-    norm = np.max(_band_matvec(np.abs(ab), np.ones(op.grid.n)))
+    norm = _band_norm(ab, np.inf)
     gate = 1e-8 * norm * np.max(np.abs(vals))
     if not (res <= gate):
         raise DiscretizationError(

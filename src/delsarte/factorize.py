@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DiscretizationError, SingularMinorError
-from .grid_ops import _operator_product, _product_rows
+from .grid_ops import _banded_or_dense, _norm, _operator_product, _product_rows
 
 __all__ = [
     "TriangularPair",
@@ -107,14 +107,18 @@ def _unit_triangular_solve(T: np.ndarray, B: np.ndarray, **kw) -> np.ndarray:
     SciPy takes stacks only from 1.15, so a stack is solved one kernel at a
     time (as SciPy's own batching does); each kernel gets its 2-D bits.
     The stack's slices are Fortran-ordered, the layout LAPACK returns each
-    solution in, so filling them is a plain copy and not a transpose.  On
-    one matrix ``overwrite_b=True`` lets LAPACK solve into a
-    Fortran-ordered B; a stack's B may be a read-only broadcast, so its
-    solutions always go to new arrays.
+    solution in, so filling them is a plain copy and not a transpose.
+    ``overwrite_b=True`` lets LAPACK solve into a Fortran-ordered B: one
+    matrix's, or each slice of a writable stack B of T's shape, which is
+    then returned.  Otherwise a stack's B may be a read-only broadcast, and
+    its solutions go to new arrays.
     """
     if T.ndim == 2:
         return scipy.linalg.solve_triangular(T, B, unit_diagonal=True, **kw)
-    kw.pop("overwrite_b", None)
+    if kw.get("overwrite_b"):
+        for t, b in zip(T, B):
+            b[...] = scipy.linalg.solve_triangular(t, b, unit_diagonal=True, **kw)
+        return B
     B = np.broadcast_to(B, T.shape[:-2] + B.shape[-2:])
     X = np.empty((len(B), B.shape[-1], B.shape[-2]),
                  np.result_type(T, B, float)).swapaxes(-1, -2)
@@ -128,13 +132,14 @@ def _diagonal(A: np.ndarray) -> np.ndarray:
     return A.reshape(A.shape[:-2] + (-1,))[..., :: A.shape[-1] + 1]
 
 
-def _square_kernels(Phi) -> np.ndarray:
+def _square_kernels(Phi, what: str = "factorization") -> np.ndarray:
     """``Phi`` as an array, after checking it is one square kernel (n, n)
-    or a stack of them (B, n, n), with n >= 1."""
+    or a stack of them (B, n, n), with n >= 1; ``what`` names the caller
+    in the error."""
     Phi = np.asarray(Phi)
     if Phi.ndim not in (2, 3) or Phi.shape[-1] != Phi.shape[-2] or Phi.shape[-1] == 0:
         raise DiscretizationError(
-            f"factorization needs a square kernel of size at least 1 or a stack "
+            f"{what} needs a square kernel of size at least 1 or a stack "
             f"of them, got shape {Phi.shape}")
     return Phi
 
@@ -213,6 +218,22 @@ def _ldu(A: np.ndarray) -> np.ndarray:
     return d
 
 
+def _transpose_in_place(X: np.ndarray) -> np.ndarray:
+    """X^T written over a C-ordered square X (or each matrix of a stack),
+    tile by tile, so beside X it holds one tile of order ``_LDU_BLOCK``; a
+    transpose moves values without arithmetic, so every bit is kept."""
+    n = X.shape[-1]
+    for i0 in range(0, n, _LDU_BLOCK):
+        I = slice(i0, i0 + _LDU_BLOCK)
+        X[..., I, I] = np.swapaxes(X[..., I, I], -1, -2).copy()
+        for j0 in range(i0 + _LDU_BLOCK, n, _LDU_BLOCK):
+            J = slice(j0, j0 + _LDU_BLOCK)
+            tile = X[..., I, J].copy()
+            X[..., I, J] = np.swapaxes(X[..., J, I], -1, -2)
+            X[..., J, I] = np.swapaxes(tile, -1, -2)
+    return X
+
+
 def gk_factorize(Phi: np.ndarray) -> TriangularPair:
     """Factor 1 + Phi into triangular Volterra factors along the chain.
 
@@ -221,9 +242,10 @@ def gk_factorize(Phi: np.ndarray) -> TriangularPair:
     real for a real kernel and complex for a complex one.  The function's
     own 1 + Phi is eliminated in place (:func:`_ldu`), and the packed
     array's strict upper triangle becomes K_minus; 1 + K_plus = L^{-1} is
-    solved into a Fortran-ordered identity and copied to the C order the
-    kernel routes read, so three n x n arrays per kernel are the most it
-    holds.  The reconstruction residual is left to the first read of
+    solved into a Fortran-ordered identity, one per kernel, and transposed
+    in place (:func:`_transpose_in_place`) into the C order the kernel
+    routes read, so two n x n arrays per kernel are the most it holds.  The
+    reconstruction residual is left to the first read of
     :attr:`TriangularPair.residual`.  Raises :class:`DiscretizationError`
     on a non-square or non-finite kernel.
     """
@@ -235,10 +257,14 @@ def gk_factorize(Phi: np.ndarray) -> TriangularPair:
     A = np.add(Phi, 0.0, dtype=np.result_type(Phi, float), order="C")
     _diagonal(A)[...] += 1.0
     d = _ldu(A)
-    # 1 + K_plus = L^{-1} (unit lower), 1 + K_minus = U (unit upper)
-    Linv = _unit_triangular_solve(A, np.eye(n, dtype=A.dtype, order="F"), lower=True,
+    # 1 + K_plus = L^{-1} (unit lower), 1 + K_minus = U (unit upper); read
+    # in C order, the Fortran-ordered solution is L^{-1} transposed
+    eye = np.zeros(A.shape, A.dtype)
+    _diagonal(eye)[...] = 1.0
+    Linv = _unit_triangular_solve(A, np.swapaxes(eye, -1, -2), lower=True,
                                   overwrite_b=True)
-    K_plus = np.array(Linv, order="C")
+    del eye
+    K_plus = _transpose_in_place(np.swapaxes(Linv, -1, -2))
     del Linv
     _diagonal(K_plus)[...] -= 1.0
     np.copyto(A, 0.0, where=np.tri(n, dtype=bool))
@@ -360,15 +386,23 @@ def glm_residual(Phi: np.ndarray, K_plus: np.ndarray, K_minus: np.ndarray) -> fl
     return float(_frobenius(R) / max(float(_frobenius(Phi)), 1.0))
 
 
-def commutation_check(Phi: np.ndarray, L: np.ndarray) -> float:
-    """Normalized commutator ||[Phi, L]||_F / (||Phi||_F ||L||_F); both
-    products run on the band of a narrow Hermitian L, and the second is
-    formed a block of rows at a time (:func:`_product_rows`) and subtracted
-    in place from the first, so beside Phi the check holds one n x n array
-    and one block."""
+def commutation_check(Phi: np.ndarray, L) -> float:
+    """Normalized commutator ||[Phi, L]||_F / (||Phi||_F ||L||_F) of a square
+    kernel and an operator of its shape (an array, or an
+    :class:`~delsarte.grid_ops.OperatorMatrix` held dense or as its band),
+    else :class:`DiscretizationError` naming both shapes.  Both products run
+    on the band of a narrow Hermitian L, and the second is formed a block of
+    rows at a time (:func:`_product_rows`) and subtracted in place from the
+    first, so beside Phi the check holds one n x n array and one block.  A
+    band-held L is never made dense: its products and ||L||_F
+    (:func:`~delsarte.grid_ops._norm`) read its band."""
     Phi = np.asarray(Phi)
-    L = np.asarray(L)
-    denom = np.linalg.norm(Phi) * np.linalg.norm(L)
+    L = _banded_or_dense(L)
+    if Phi.ndim != 2 or Phi.shape[0] != Phi.shape[1] or L.shape != Phi.shape:
+        raise DiscretizationError(
+            f"commutation_check needs a square kernel and an operator of its shape, "
+            f"got {Phi.shape} and {L.shape}")
+    denom = np.linalg.norm(Phi) * _norm(L)
     if denom == 0.0:
         return 0.0
     C = _operator_product(L, Phi, right=True)
@@ -377,13 +411,18 @@ def commutation_check(Phi: np.ndarray, L: np.ndarray) -> float:
     return float(np.linalg.norm(C) / denom)
 
 
-def _conjugate(M: np.ndarray, L: np.ndarray, lower: bool) -> np.ndarray:
-    """M L M^{-1} for a triangular M (lower or upper as the caller says),
-    by one triangular solve M^T X^T = (M L)^T, without forming the inverse.
-    M L runs on the band of a narrow Hermitian L, and the solve overwrites
-    it, the product being this function's own."""
+def _conjugate(M: np.ndarray, L, lower: bool, rows: slice = slice(None)) -> np.ndarray:
+    """Rows ``rows`` (all by default) of M L M^{-1} for a triangular M (lower
+    or upper as the caller says), by one triangular solve
+    M^T X^T = (M[rows] L)^T, without forming the inverse.  M[rows] L runs on
+    the band of a narrow Hermitian L, and the solve overwrites it, the
+    product being this function's own.  On one BLAS thread, as every CLI
+    job runs, a block of rows whose height is a multiple of 12 has the bits
+    of the same rows of the whole solve: OpenBLAS's triangular solve takes
+    the right-hand sides 12 at a time (and a tail of 4), so other heights
+    split them differently, as do several threads."""
     return scipy.linalg.solve_triangular(
-        M, _operator_product(L, M, right=True).T, trans="T", lower=lower,
+        M, _operator_product(L, M[rows], right=True).T, trans="T", lower=lower,
         overwrite_b=True).T
 
 
@@ -393,8 +432,10 @@ def break_relation_defect(K: np.ndarray) -> float:
     The width-one breaks of every chain are the diagonal entries, so no
     chain is needed.  Strictly triangular kernels subordinate to the chain
     carry exact zeros here; any diagonal leakage is reported as the defect.
+    ``K`` is one square kernel or a stack of them; anything else raises
+    :class:`DiscretizationError` naming its shape.
     """
-    K = np.asarray(K)
+    K = _square_kernels(K, "break_relation_defect")
     return float(np.max(np.abs(np.diagonal(K, axis1=-2, axis2=-1))))
 
 

@@ -25,6 +25,9 @@ assembled matrix is likewise read in one place: :func:`_upper_band` packs
 it from the matrix's own nonzeros, :func:`_is_hermitian` decides from it
 whether the matrix is Hermitian, and :func:`_band_matvec` multiplies by it;
 :func:`_operator_product` takes that route for narrow Hermitian operators.
+A symmetric operator may be held as its band alone (:class:`OperatorMatrix`
+with ``band``); those readers then take that band, and :func:`_as_matrix`
+is the one step that forms its dense matrix.
 """
 
 from __future__ import annotations
@@ -262,20 +265,51 @@ def derivative_matrix(grid: Grid1D, order: int, scheme_order: int = 2,
 # operator matrices
 # ---------------------------------------------------------------------------
 
-@dataclass
 class OperatorMatrix:
-    """The result of :func:`discretize`: ``A`` is the dense matrix acting on
-    flattened fields, with the dtype of the expression's coefficients."""
+    """An operator matrix acting on flattened fields, with the dtype of the
+    expression's coefficients, held one of two ways.
 
-    A: np.ndarray
+    :func:`discretize` holds the dense matrix ``A``.  A symmetric
+    (A = A^T) matrix may instead be held as its upper band alone, ``band``
+    in the :func:`_upper_band` layout, as :meth:`SchrodingerOp.matrix
+    <delsarte.darboux.SchrodingerOp.matrix>` holds a Dirichlet grid's
+    operator: ``A`` is then formed from the band, with its bits, on each
+    read, and the band readers of this package (:func:`_upper_band`,
+    :func:`_is_hermitian`, :func:`_norm`, :func:`_flipped` and what calls
+    them) read the band without it.  ``band`` is None for a dense-held
+    matrix.
+    """
+
+    def __init__(self, A: np.ndarray | None = None, *, band: np.ndarray | None = None):
+        if (A is None) == (band is None):
+            raise TypeError("OperatorMatrix holds a dense A or a band, exactly one")
+        self._A, self.band = A, band
+
+    @property
+    def A(self) -> np.ndarray:
+        """The dense matrix; a band-held one is formed afresh from its band."""
+        if self.band is None:
+            return self._A
+        ab = self.band
+        bw, n = ab.shape[0] - 1, ab.shape[1]
+        A = np.zeros((n, n), dtype=ab.dtype)
+        for d in range(bw + 1):
+            i = np.arange(n - d)
+            A[i, i + d] = A[i + d, i] = ab[bw - d, d:]
+        return A
 
     @property
     def shape(self):
-        return self.A.shape
+        return self._A.shape if self.band is None else (self.band.shape[1],) * 2
+
+    @property
+    def dtype(self):
+        return (self._A if self.band is None else self.band).dtype
 
     def to_banded(self) -> np.ndarray:
-        """Upper banded storage of ``A`` (:func:`_upper_band`). Hermitian use only."""
-        return _upper_band(self.A)
+        """Upper banded storage of ``A`` (:func:`_upper_band`); a band-held
+        matrix's own band. Hermitian use only."""
+        return _upper_band(self)
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +448,85 @@ def formal_adjoint(op: DiffOp, scheme_order: int = 2) -> DiffOp:
 
 
 def _as_matrix(A) -> np.ndarray:
+    """The dense array of an operator matrix: the one step that forms a
+    band-held :class:`OperatorMatrix`'s dense matrix."""
     return A.A if isinstance(A, OperatorMatrix) else np.asarray(A)
 
 
-def _upper_band(A: np.ndarray, max_width: int | None = None) -> np.ndarray | None:
+def _held_band(A) -> np.ndarray | None:
+    """The band a band-held :class:`OperatorMatrix` is held as, else None."""
+    return A.band if isinstance(A, OperatorMatrix) else None
+
+
+def _banded_or_dense(A):
+    """A band-held :class:`OperatorMatrix` as it is, anything else as its
+    dense array (:func:`_as_matrix`): the operator the band readers take."""
+    return A if _held_band(A) is not None else _as_matrix(A)
+
+
+def _all_finite(A) -> bool:
+    """Whether every entry of an operator matrix is finite, read on the band
+    of a band-held one."""
+    ab = _held_band(A)
+    return bool(np.all(np.isfinite(_as_matrix(A) if ab is None else ab)))
+
+
+def _flipped(A):
+    """A[::-1, ::-1], the operator on the reversed grid: a band-held
+    operator's diagonals reversed, each in its own row of the band."""
+    ab = _held_band(A)
+    if ab is None:
+        return A[::-1, ::-1]
+    bw = ab.shape[0] - 1
+    rev = np.zeros_like(ab)
+    for d in range(bw + 1):
+        rev[bw - d, d:] = ab[bw - d, d:][::-1]
+    return OperatorMatrix(band=rev)
+
+
+def _adjoint(A):
+    """A^H: a band-held (symmetric) operator's is its conjugate band."""
+    ab = _held_band(A)
+    return A.conj().T if ab is None else OperatorMatrix(band=ab.conj())
+
+
+def _norm(A, ord=None) -> float:
+    """``np.linalg.norm(A, ord)``, ``ord`` None (Frobenius) or ``np.inf``; a
+    band-held operator's is read from its band (:func:`_band_norm`)."""
+    ab = _held_band(A)
+    if ab is None:
+        return float(np.linalg.norm(_as_matrix(A), ord))
+    return _band_norm(ab, ord)
+
+
+def _band_norm(ab: np.ndarray, ord=None) -> float:
+    """The norm (``ord`` None, Frobenius, or ``np.inf``) of the symmetric
+    matrix whose upper band is ``ab``, read from its rows of nonzeros, an
+    n x (2 bw + 1) array whose row i holds A[i, i - bw .. i + bw] (zeros
+    past the ends), so the Frobenius sum takes the dense ravel's nonzeros
+    in the dense order.  BLAS sums them in interleaved lanes, which the
+    dense zeros shift, so the Frobenius norm can differ from the dense
+    matrix's in the last bit; for the free operator on [-8, 8] at n = 257
+    and 599-601, and on [-20, 20] at n = 400 (the ``transmute`` and
+    ``verify`` jobs' grids), they agree."""
+    bw, n = ab.shape[0] - 1, ab.shape[1]
+    rows = np.zeros((n, 2 * bw + 1), dtype=ab.dtype)
+    for d in range(bw + 1):
+        rows[:n - d, bw + d] = rows[d:, bw - d] = ab[bw - d, d:]
+    return float(np.linalg.norm(rows, ord))
+
+
+def _upper_band(A, max_width: int | None = None) -> np.ndarray | None:
     """Upper banded storage of a square matrix (the ``eig_banded`` layout):
     diagonals 0..bw, diagonal d in row bw - d from column d on, where bw is
     the largest |i - j| over the nonzero entries A[i, j].  A periodic or
     dense matrix is its own full band.  None, before any band is built,
-    when bw exceeds ``max_width``."""
+    when bw exceeds ``max_width``.  A band-held :class:`OperatorMatrix`
+    gives its own band, not a copy."""
+    ab = _held_band(A)
+    if ab is not None:
+        return ab if max_width is None or ab.shape[0] - 1 <= max_width else None
+    A = _as_matrix(A)
     n = A.shape[0]
     nonzero = np.flatnonzero(A != 0)
     if max_width is not None and nonzero.size > (2 * max_width + 1) * n:
@@ -437,13 +541,16 @@ def _upper_band(A: np.ndarray, max_width: int | None = None) -> np.ndarray | Non
     return ab
 
 
-def _is_hermitian(A: np.ndarray, ab: np.ndarray, atol: float = 0.0) -> bool:
+def _is_hermitian(A, ab: np.ndarray, atol: float = 0.0) -> bool:
     """|A - A^H| <= atol entrywise (``np.allclose``, rtol 0), in O(bw n): A is
-    zero beyond its upper band ``ab``, so each diagonal below meets its partner."""
-    bw = ab.shape[0] - 1
-    lower = np.zeros_like(ab)
-    for d in range(bw + 1):
-        lower[bw - d, d:] = np.diagonal(A, offset=-d)
+    zero beyond its upper band ``ab``, so each diagonal below meets its
+    partner.  A band-held (symmetric) A is its own lower band."""
+    lower = _held_band(A)
+    if lower is None:
+        A, bw = _as_matrix(A), ab.shape[0] - 1
+        lower = np.zeros_like(ab)
+        for d in range(bw + 1):
+            lower[bw - d, d:] = np.diagonal(A, offset=-d)
     return bool(np.allclose(lower, ab.conj(), rtol=0.0, atol=atol))
 
 
@@ -483,36 +590,39 @@ def _band_matvec(ab: np.ndarray, V: np.ndarray, start: int = 0,
     return out
 
 
-def _product_band(A: np.ndarray) -> np.ndarray | None:
+def _product_band(A) -> np.ndarray | None:
     """The band a square operator matrix A is multiplied through: its upper
     band (:func:`_upper_band`) when A is Hermitian with a half-bandwidth of
     at most ``_BAND_PRODUCT_WIDTH``, else None (wider, non-Hermitian,
-    periodic or dense, and its band is never built)."""
+    periodic or dense, and its band is never built).  A band-held
+    :class:`OperatorMatrix` gives its own band."""
     ab = _upper_band(A, _BAND_PRODUCT_WIDTH)
     return ab if ab is not None and _is_hermitian(A, ab) else None
 
 
-def _operator_product(A: np.ndarray, X: np.ndarray, right: bool = False) -> np.ndarray:
-    """A @ X, or X @ A when ``right``, for a square operator matrix A:
-    through its :func:`_product_band` (:func:`_band_matvec`), the right
-    product as X A = (A X^H)^H, when it has one, else the dense product.
+def _operator_product(A, X: np.ndarray, right: bool = False) -> np.ndarray:
+    """A @ X, or X @ A when ``right``, for a square operator matrix A (an
+    array or :class:`OperatorMatrix`): through its :func:`_product_band`
+    (:func:`_band_matvec`), the right product as X A = (A X^H)^H, when it
+    has one, else the dense product.
     """
     ab = _product_band(A)
     if ab is None:
+        A = _as_matrix(A)
         return X @ A if right else A @ X
     if right:
         return _band_matvec(ab, X.conj().T).conj().T
     return _band_matvec(ab, X)
 
 
-def _product_rows(A: np.ndarray, X: np.ndarray):
+def _product_rows(A, X: np.ndarray):
     """A @ X as (rows, block) pairs, ``block`` the rows ``rows`` of the
     product that :func:`_operator_product` forms: blocks of ``_BAND_ROWS``
     rows, each with the whole product's bits, through A's band, else one
     block, the whole dense product."""
     ab = _product_band(A)
     if ab is None:
-        yield slice(None), A @ X
+        yield slice(None), _as_matrix(A) @ X
         return
     for r0 in range(0, len(X), _BAND_ROWS):
         rows = slice(r0, r0 + _BAND_ROWS)

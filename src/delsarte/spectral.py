@@ -23,8 +23,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DiscretizationError, EmptyBandError
-from .grid_ops import (_BAND_PRODUCT_WIDTH, _BAND_ROWS, _as_matrix, _band_matvec, _is_hermitian,
-                       _upper_band)
+from .grid_ops import (_BAND_PRODUCT_WIDTH, _BAND_ROWS, _all_finite, _as_matrix, _band_matvec,
+                       _banded_or_dense, _is_hermitian, _norm, _upper_band)
 
 __all__ = [
     "EigenFamily",
@@ -100,7 +100,9 @@ def eigensolve(A, count: int | None = None, band=None,
     """Orthonormal eigenfamily of a Hermitian operator, from its band.
 
     The upper band of the operator, as wide as its farthest nonzero
-    diagonal (a periodic or dense operator is its own full band), goes to
+    diagonal (a periodic or dense operator is its own full band; a
+    band-held :class:`~delsarte.grid_ops.OperatorMatrix` gives its own, and
+    its checks and ||A||_inf read that band, so it is never made dense), goes to
     LAPACK ``stevd`` when it is real and tridiagonal
     (:func:`_tridiagonal_eigh`, with the bits ``eig_banded`` gives) and to
     ``eig_banded`` otherwise.  The eigenvalues are real and ascending, as
@@ -109,9 +111,9 @@ def eigensolve(A, count: int | None = None, band=None,
     largest component is positive real.  The eigen-residual is taken from
     the same band, ``_BAND_ROWS`` columns at a time.  With every eigenvalue
     kept the family's eigenvectors are LAPACK's own array, never gathered
-    into a copy, so a full solve holds the operator, the eigenvectors and
-    one n x n temporary (LAPACK's workspace, or the moduli that find each
-    vector's largest component) at a time.
+    into a copy, so beside the operator a full solve holds the eigenvectors
+    and one n x n temporary (LAPACK's workspace, or the moduli that find
+    each vector's largest component) at a time.
 
     ``count`` keeps that many eigenvalues closest to the origin (the rule of
     :func:`nearest_indices`); ``band`` keeps those in the real interval
@@ -123,19 +125,20 @@ def eigensolve(A, count: int | None = None, band=None,
     non-Hermitian one or ``hermitian`` other than True (naming
     max |A - A^H|).
     """
-    M = _as_matrix(A)
-    n = M.shape[0] if M.ndim == 2 else 0
+    M = _banded_or_dense(A)
+    n = M.shape[0] if len(M.shape) == 2 else 0
     if n == 0 or M.shape != (n, n):
         raise DiscretizationError(
             f"eigensolve needs a square operator of size at least 1, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not _all_finite(M):
         raise DiscretizationError("eigensolve needs a finite operator")
-    scale = np.linalg.norm(M, ord=np.inf) or 1.0
+    scale = _norm(M, np.inf) or 1.0
     ab = _upper_band(M)
     if hermitian is not True or not _is_hermitian(M, ab, atol=1e-14 * scale):
+        D = _as_matrix(M)
         raise DiscretizationError(
             f"eigensolve solves Hermitian operators only, got hermitian={hermitian!r} "
-            f"and max |A - A^H| = {np.max(np.abs(M - M.conj().T)):.3e}")
+            f"and max |A - A^H| = {np.max(np.abs(D - D.conj().T)):.3e}")
     if ab.shape[0] == 2 and not np.iscomplexobj(ab):
         lams, right = _tridiagonal_eigh(ab)
     else:
@@ -189,10 +192,16 @@ def elementary_kernel(fam: EigenFamily, lam: float) -> np.ndarray:
 def kernel_from_measure(fam: EigenFamily, weight_fn) -> np.ndarray:
     """Functional calculus K = sum_lam weight_fn(lam) psi_lam psi_lam^*.
 
-    ``weight_fn`` gets each eigenvalue as a Python float; K is real when
-    the family and every weight are real, complex otherwise.
+    ``weight_fn`` gets each eigenvalue as a Python float and returns one
+    number, else :class:`DiscretizationError` names the shape of the
+    weights; K is real when the family and every weight are real, complex
+    otherwise.
     """
     vals = np.array([weight_fn(l) for l in fam.lambdas.tolist()])
+    if vals.shape != fam.lambdas.shape:
+        raise DiscretizationError(
+            f"weight_fn must return one number per eigenvalue: got weights of shape "
+            f"{vals.shape} for {len(fam)} eigenvalues")
     return (fam.right * vals[None, :]) @ fam.right.conj().T
 
 

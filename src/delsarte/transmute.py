@@ -41,7 +41,8 @@ from .errors import (ConditionNumberError, DiscretizationError, GridError,
                      SingularKernelError)
 from .factorize import (TriangularPair, _conjugate, commutation_check,
                         gk_factorize)
-from .grid_ops import _BAND_ROWS, Grid1D, _as_matrix, _is_hermitian, _upper_band
+from .grid_ops import (_BAND_ROWS, Grid1D, OperatorMatrix, _adjoint, _all_finite, _as_matrix,
+                       _banded_or_dense, _flipped, _is_hermitian, _norm, _upper_band)
 
 __all__ = [
     "TransmutationData",
@@ -55,10 +56,12 @@ __all__ = [
 ]
 
 
-def _checked_operator(L, n: int) -> np.ndarray:
-    """L as a finite (n, n) array, else DiscretizationError."""
-    Lm = _as_matrix(L)
-    if Lm.shape != (n, n) or not np.all(np.isfinite(Lm)):
+def _checked_operator(L, n: int):
+    """L as a finite (n, n) operator, else DiscretizationError: a band-held
+    :class:`~delsarte.grid_ops.OperatorMatrix` as it is, checked on its
+    band, anything else as its dense array."""
+    Lm = _banded_or_dense(L)
+    if Lm.shape != (n, n) or not _all_finite(Lm):
         raise DiscretizationError(f"dressing data needs a finite operator of "
                                   f"shape {(n, n)}, got one of shape {Lm.shape}")
     return Lm
@@ -89,7 +92,7 @@ class TransmutationData:
     """
 
     grid: Grid1D
-    L: np.ndarray
+    L: np.ndarray | OperatorMatrix
     right: np.ndarray
     left: np.ndarray
     weights: np.ndarray
@@ -150,7 +153,7 @@ class TransmutationData:
     def _reversed(self) -> "TransmutationData":
         """The same family walked from the right end (minus-side helper)."""
         return TransmutationData.from_family(
-            self.grid, self.L[::-1, ::-1], self.right[::-1], self.left[::-1],
+            self.grid, _flipped(self.L), self.right[::-1], self.left[::-1],
             self.weights[::-1], self.omega0)
 
     def _dressed_rows(self) -> np.ndarray:
@@ -255,7 +258,7 @@ class KernelData:
     :meth:`factorization`.  A real kernel gives real factors.
     """
 
-    L: np.ndarray
+    L: np.ndarray | OperatorMatrix
     Phi: np.ndarray
     _pair: TriangularPair | None = field(default=None, init=False, repr=False)
 
@@ -426,13 +429,14 @@ def _mirror(op: DelsarteOp) -> DelsarteOp:
 # pair intertwiner: discrete characteristic marching
 # ---------------------------------------------------------------------------
 
-def _extract_tridiag(M: np.ndarray):
+def _extract_tridiag(M):
     """Diagonal and off-diagonal scale c of a real symmetric tridiagonal
     operator with constant off-diagonals -c, read from its upper band
-    (:func:`grid_ops._upper_band`); anything else is named and refused."""
-    if M.ndim != 2 or M.shape[0] < 2:
+    (:func:`grid_ops._upper_band`, a band-held operator's own); anything
+    else is named and refused."""
+    if len(M.shape) != 2 or M.shape[0] < 2:
         raise DiscretizationError("pair intertwiner needs operators of size 2 or more")
-    if not np.all(np.isfinite(M)):
+    if not _all_finite(M):
         raise DiscretizationError("pair intertwiner needs finite operators")
     ab = _upper_band(M, 1)
     if ab is None:
@@ -465,17 +469,18 @@ def pair_intertwiner(L, Ltil, sign: str = "+", grid: Grid1D | None = None) -> De
     The kernel is marched row by row from the zero first row; each new row
     cancels one row of the intertwining defect, leaving all of it in the
     final row (first row for sign "-").
-    A ``grid``, when given, must have one node per row of L.
+    A ``grid``, when given, must have one node per row of L.  Band-held
+    operators are read on their bands alone.
     """
-    Lm = _as_matrix(L)
-    Tm = _as_matrix(Ltil)
+    Lm = _banded_or_dense(L)
+    Tm = _banded_or_dense(Ltil)
     if Lm.shape != Tm.shape:
         raise DiscretizationError("operator shapes differ")
     if grid is not None and grid.n != Lm.shape[0]:
         raise DiscretizationError(f"grid has {grid.n} nodes but the operators "
                                   f"are {Lm.shape[0]}x{Lm.shape[1]}")
     if _minus(sign):
-        return _mirror(pair_intertwiner(Lm[::-1, ::-1], Tm[::-1, ::-1], "+"))
+        return _mirror(pair_intertwiner(_flipped(Lm), _flipped(Tm), "+"))
     dL, c = _extract_tridiag(Lm)
     dT, cT = _extract_tridiag(Tm)
     if c != cT:
@@ -553,6 +558,11 @@ def locality_check(Ltil, bandwidth: int) -> float:
     return float(np.linalg.norm(sub[off_band]) / max(np.linalg.norm(sub), 1e-300))
 
 
+# rows of Omega_minus L Omega_minus^{-1} solved at a time: a multiple of 12,
+# so each block has the bits of the whole solve's rows (:func:`_conjugate`)
+_CONJUGATE_ROWS = 96
+
+
 def independence_check(data: TransmutationData | KernelData):
     """(operator gap, commutation residual) between the two signs.
 
@@ -567,11 +577,19 @@ def independence_check(data: TransmutationData | KernelData):
     afresh, so a caller's kernel and any factorization it has cached read
     the same afterwards.  Each factor is assembled over its own kernel
     (:meth:`DelsarteOp._spend`), and a caller that passes its only
-    reference to kernel data lets the kernel go once it is factored.  The ratio's commutator takes its second product by row
-    blocks (:func:`commutation_check`).  So beside L the kernel route holds
-    four n x n arrays at most, the kernel and its factorization's three or
-    the two factors and the two conjugates, and every value keeps the bits
-    of the whole-array products.
+    reference to kernel data lets the kernel go once it is factored.  The
+    minus conjugate is solved ``_CONJUGATE_ROWS`` rows at a time and
+    subtracted from the plus conjugate in place, and the ratio's commutator
+    takes its second product by row blocks (:func:`commutation_check`).  So
+    beside L (its band, when band-held) the kernel route holds three n x n
+    arrays at most, the kernel and its factorization's two or the two
+    factors and one conjugate.  On one BLAS thread, as every CLI job runs,
+    every value keeps the bits of the whole-array products.  On several
+    threads OpenBLAS also splits each solve's right-hand sides by thread,
+    so a row block can be split otherwise than the same rows of the whole
+    solve and the values can move in their last bits: on two threads one
+    entry of the minus conjugate moves for the kernel data of a 601-node
+    grid.
     """
     L = data.L
     if isinstance(data, KernelData):
@@ -585,11 +603,12 @@ def independence_check(data: TransmutationData | KernelData):
     Mp, Mm = plus._spend(), minus._spend()
     del plus, minus
     Ltp = _conjugate(Mp, L, lower=True)
-    Ltm = _conjugate(Mm, L, lower=False)
     scale = np.linalg.norm(Ltp)
-    Ltp -= Ltm
+    for r0 in range(0, len(Ltp), _CONJUGATE_ROWS):
+        rows = slice(r0, r0 + _CONJUGATE_ROWS)
+        Ltp[rows] -= _conjugate(Mm, L, lower=False, rows=rows)
     gap = float(np.linalg.norm(Ltp) / max(scale, 1e-300))
-    del Ltp, Ltm
+    del Ltp
     # Omega_plus is unit lower triangular for both data classes, so the
     # solve reads only its strict lower triangle
     ratio = scipy.linalg.solve_triangular(Mp, Mm, lower=True, unit_diagonal=True)
@@ -602,7 +621,9 @@ def adjoint_compat_check(data: TransmutationData) -> float:
 
     Omega_adj is constructed independently from the swapped family, so
     agreement certifies that dressing and taking adjoints commute for this
-    data.  Any other input raises :class:`DiscretizationError`.
+    data.  A band-held L stays on its band: L^dagger is its conjugate band
+    and ||L||_F is read from it.  Any other input raises
+    :class:`DiscretizationError`.
     """
     if not isinstance(data, TransmutationData):
         raise DiscretizationError(
@@ -611,6 +632,6 @@ def adjoint_compat_check(data: TransmutationData) -> float:
     # each factor is assembled over its own fresh kernel, and B - A, the
     # negated A - B in its C order, is formed in place
     A = _conjugate(data.operator("+")._spend(), L, lower=True).conj().T
-    B = _conjugate(data.adjoint()._spend(), L.conj().T, lower=False)
+    B = _conjugate(data.adjoint()._spend(), _adjoint(L), lower=False)
     B -= A
-    return float(np.linalg.norm(B) / max(np.linalg.norm(L), 1e-300))
+    return float(np.linalg.norm(B) / max(_norm(L), 1e-300))

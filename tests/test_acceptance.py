@@ -58,12 +58,13 @@ def test_spectrum_oracle_sees_a_real_matrix(monkeypatch):
 
 
 def test_oracle_handoff_working_set_is_bounded(traced_peak):
-    # one 800 x 800 array is 5.12 MB; until the hand-off the main thread
-    # holds L, the pair kernel K, M = 1 + K and M^-1 at most (30.8 MB, six
-    # arrays, while the dense dressed operator and n x n temporaries of the
-    # condition bound were alive)
+    # one 800 x 800 array is 5.12 MB; L and T are held as bands, so until
+    # the hand-off the main thread holds the pair kernel K, M = 1 + K and
+    # M^-1 at most, 3.13 arrays traced (4.13 while L was dense; 30.8 MB,
+    # six arrays, while the dense dressed operator and n x n temporaries of
+    # the condition bound were alive)
     _, peak = traced_peak(acceptance._start_criterion_3, lambda fn, X: None)
-    assert peak <= 4.3 * 800 ** 2 * 8
+    assert peak <= 3.23 * 800 ** 2 * 8
 
 
 def test_pair_rows_hold_at_most_five_square_arrays(traced_peak):

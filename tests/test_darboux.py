@@ -447,9 +447,15 @@ def test_band_is_written_with_the_bits_of_the_matrix(n):
     for q in (np.zeros(n), rng.normal(size=n), rng.normal(size=n) + 0.5j,
               darboux_once(SchrodingerOp.free(g), DressingSeed.hyperbolic(g, 1.1)).qtilde):
         op = SchrodingerOp(g, q)
-        got, want = op.to_banded(), _upper_band(op.matrix().A)
+        dense = discretize(op.diffop()).A
+        got, want = op.to_banded(), _upper_band(dense)
         assert got.dtype == want.dtype and got.shape == want.shape == (2, n)
         assert got.tobytes() == want.tobytes()
+        # matrix() holds that band alone, and forms the dense bits from it
+        held = op.matrix()
+        assert held.band.tobytes() == want.tobytes()
+        assert held.shape == dense.shape and held.dtype == dense.dtype
+        assert held.A.tobytes() == dense.tobytes()
     # a periodic operator's wrap entries make its band the whole matrix
     op = SchrodingerOp(Grid1D.periodic(0.0, 1.0, 12), rng.normal(size=12))
     assert op.to_banded().tobytes() == _upper_band(op.matrix().A).tobytes()

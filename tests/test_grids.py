@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delsarte import (DiffOp, DiscretizationError, Grid1D, GridError,
-                      ProductGrid, adjoint_defect, commutator,
+                      OperatorMatrix, ProductGrid, SchrodingerOp, adjoint_defect, commutator,
                       derivative_matrix, discretize, formal_adjoint, inner)
 from delsarte import acceptance, grid_ops
 from delsarte.grid_ops import (_band_matvec, _is_hermitian, _operator_product,
@@ -253,6 +253,36 @@ def test_banded_round_trip():
         np.testing.assert_array_equal(ab[1 - d, d:], np.diagonal(A.A, offset=d))
     back = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[0, 1:].conj(), -1)
     np.testing.assert_array_equal(back, A.A)
+
+
+@pytest.mark.parametrize("n", [7, 64, 65, 200])
+def test_band_held_operator_reads_as_its_dense_matrix(n):
+    # a Schrodinger operator on a Dirichlet grid is held as its band; the
+    # band readers give what its dense matrix gives, bit for bit (the
+    # norms, whose sums skip the zeros, to roundoff), real or complex
+    g = Grid1D.dirichlet(-8.0, 8.0, n)
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, 5)) + 1j * rng.standard_normal((n, 5))
+    for q in (np.zeros(n), rng.normal(size=n), rng.normal(size=n) + 0.5j):
+        held = SchrodingerOp(g, q).matrix()
+        A = held.A
+        assert held.band is not None
+        assert _upper_band(held).tobytes() == _upper_band(A).tobytes()
+        assert _upper_band(held, 0) is None
+        assert _is_hermitian(held, held.band) == _is_hermitian(A, _upper_band(A))
+        for right in (False, True):
+            Y = X.T if right else X
+            got = _operator_product(held, Y, right)
+            assert got.tobytes() == _operator_product(A, Y, right).tobytes()
+        # equal values: conjugating the dense zeros gives them -0.0 parts
+        for op, want in ((grid_ops._flipped(held), A[::-1, ::-1]),
+                         (grid_ops._adjoint(held), A.conj().T)):
+            assert op.band is not None and np.array_equal(op.A, want)
+        for order in (None, np.inf):
+            assert grid_ops._norm(held, order) == pytest.approx(
+                np.linalg.norm(A, order), rel=1e-14)
+        assert grid_ops._all_finite(held)
+    assert not grid_ops._all_finite(OperatorMatrix(band=np.array([[0.0, 1.0], [np.nan, 2.0]])))
 
 
 @st.composite

@@ -50,6 +50,14 @@ def test_family_dtype_follows_the_operator():
     assert np.linalg.norm(np.abs(cast.right) - np.abs(real.right)) < 1e-12
 
 
+def test_kernel_from_measure_names_the_weights_shape():
+    # numpy's broadcast ValueError used to end a weight of two numbers
+    _, L = _dirichlet_laplacian(20)
+    fam = eigensolve(L)
+    with pytest.raises(DiscretizationError, match=re.escape("(20, 2)")):
+        kernel_from_measure(fam, lambda lam: [1, 2])
+
+
 def test_count_selection_keeps_smallest_magnitudes():
     _, L = _dirichlet_laplacian()
     fam = eigensolve(L, count=4)

@@ -23,11 +23,11 @@ from delsarte import (ConditionNumberError, DelsarteOp, DiffOp, DressingSeed,
                       spectrum_compare, transform_operator)
 from delsarte import acceptance
 from delsarte.acceptance import transmute_check
-from delsarte.cli import run_command
+from delsarte.cli import _one_blas_thread, run_command
 from delsarte.errors import DiscretizationError
-from delsarte import factorize, transmute
+from delsarte import darboux, factorize, transmute
 from delsarte.factorize import _conjugate
-from delsarte.grid_ops import _operator_product
+from delsarte.grid_ops import OperatorMatrix, _operator_product
 from delsarte.ioutil import load_matrix_csv, save_matrix_csv
 from delsarte.spectral import nearest_indices
 
@@ -852,15 +852,41 @@ def test_real_conjugation_matches_complex_cast(n):
 # ---------------------------------------------------------------------------
 
 def test_transmute_check_working_set_is_bounded(traced_peak):
-    # at n=600 one n x n array is 2.88 MB; the routes hold L and four
-    # arrays of their own at a time, 14.96 MB at most: the kernel and its
-    # factorization's three, or the two factors and two conjugates of the
-    # sign check (20.7 MB while that check also held the kernel and both
-    # kernels beside the factors; 46 MB, some 16 arrays, when every route
-    # kept its arrays to the end)
+    # at n=600 one n x n array is 2.88 MB; L and T are held as bands and
+    # the routes hold three arrays of their own and a few blocks at a time,
+    # 9.58 MB at most (14.96 MB while the dense L lived throughout, the
+    # factorization copied L^-1 and the sign check held both conjugates;
+    # 20.7 MB while that check also held the kernel and both kernels beside
+    # the factors; 46 MB, some 16 arrays, when every route kept its arrays
+    # to the end)
     (rows, _), peak = traced_peak(transmute_check, (-8, 8), 600, 1.03, 0.37)
     assert all(r["passed"] for r in rows)
-    assert peak <= 15.25e6
+    assert peak <= 9.88e6
+
+
+@pytest.mark.parametrize("n", [257, 599, 600, 601])
+def test_transmute_check_reads_the_dense_bits_from_the_bands(n, monkeypatch):
+    # the operators held as bands give the rows and tables of the same
+    # operators held dense, bit for bit
+    band = transmute_check((-8.0, 8.0), n, 1.03, 0.37)
+    monkeypatch.setattr(SchrodingerOp, "matrix",
+                        lambda op: OperatorMatrix(discretize(op.diffop()).A))
+    dense = transmute_check((-8.0, 8.0), n, 1.03, 0.37)
+    assert band[0] == dense[0]
+    assert sorted(band[1]) == sorted(dense[1])
+    for name, table in band[1].items():
+        assert table.tobytes() == dense[1][name].tobytes(), name
+
+
+def test_transmute_check_forms_no_dense_operator(monkeypatch):
+    # at n=600 neither L nor T is assembled or formed from its band
+    def refuse(*args):
+        raise AssertionError("a dense operator was formed")
+
+    monkeypatch.setattr(OperatorMatrix, "A", property(refuse))
+    monkeypatch.setattr(darboux, "discretize", refuse)
+    rows, _ = transmute_check((-8.0, 8.0), 600, 1.03, 0.37)
+    assert all(r["passed"] for r in rows)
 
 
 def _whole_array_independence(data):
@@ -877,18 +903,33 @@ def _whole_array_independence(data):
     return gap, float(np.linalg.norm(C) / (np.linalg.norm(ratio) * np.linalg.norm(L)))
 
 
+def _independence_data(n, route):
+    if route == "family":
+        return _family_data(n)[3]
+    data = _kernel_data(n)[2]
+    return _complex_data(data) if route == "complex kernel" else data
+
+
 @pytest.mark.parametrize("n", [127, 200])
 @pytest.mark.parametrize("route", ["family", "kernel", "complex kernel"])
 def test_independence_check_keeps_the_whole_array_bits(n, route):
-    # the check spends its own factors and takes the commutator's second
-    # product by row blocks; both values keep their bits
-    if route == "family":
-        data = _family_data(n)[3]
-    else:
-        data = _kernel_data(n)[2]
-        if route == "complex kernel":
-            data = _complex_data(data)
+    # the check spends its own factors, solves the minus conjugate by row
+    # blocks and takes the commutator's second product by row blocks; both
+    # values keep their bits, on the default BLAS threads
+    data = _independence_data(n, route)
     assert independence_check(data) == _whole_array_independence(data)
+
+
+@pytest.mark.parametrize("n", [257, 599, 600, 601])
+@pytest.mark.parametrize("route", ["family", "kernel", "complex kernel"])
+def test_independence_check_keeps_the_whole_array_bits_on_one_thread(n, route):
+    # on one BLAS thread, as every CLI job runs, the minus conjugate's row
+    # blocks have the whole solve's bits at every size; a threaded solve
+    # also splits its right-hand sides by thread, which on two threads
+    # moves one entry of the kernel route's minus conjugate at n = 601
+    data = _independence_data(n, route)
+    with _one_blas_thread():
+        assert independence_check(data) == _whole_array_independence(data)
 
 
 def test_independence_check_leaves_the_callers_data_as_it_was():
@@ -924,9 +965,9 @@ def test_kernel_route_lets_the_kernel_go_once_factored(monkeypatch):
     alive = []
     conjugate = transmute._conjugate
 
-    def recording(M, L, lower):
+    def recording(M, L, lower, **kw):
         alive.append(kernel() is not None)
-        return conjugate(M, L, lower)
+        return conjugate(M, L, lower, **kw)
 
     monkeypatch.setattr(transmute, "_conjugate", recording)
     held = [datak]
